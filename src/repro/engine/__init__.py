@@ -17,7 +17,7 @@ Layout:
   repeated windows,
 * :mod:`repro.engine.quant` — integer-domain quantized inference: the
   bit-packed bipolar XOR + popcount scorer (:class:`PackedBipolarModel`)
-  and the fixed-point integer-matmul scorer (:class:`FixedPointModel`),
+  and the fixed-point exact-matmul scorer (:class:`FixedPointModel`),
   selected with ``compile_model(..., precision="bipolar-packed" | "fixed16"
   | "fixed8")`` and constructible straight from registry-stored codes,
 * :mod:`repro.engine.cascade` — early-exit cascade scoring: a packed first

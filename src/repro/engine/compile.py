@@ -637,10 +637,10 @@ def compile_model(
         (default) keeps the exact float engine; ``"bipolar-packed"`` returns
         a :class:`~repro.engine.quant.PackedBipolarModel` (1-bit sign
         patterns scored by XOR + popcount), ``"fixed16"`` / ``"fixed8"`` a
-        :class:`~repro.engine.quant.FixedPointModel` (integer-accumulated
-        fixed-point matmuls), and ``"cascade"`` / ``"cascade-fixed16"`` /
-        ``"cascade-fixed8"`` / ``"cascade-float64"`` a
-        :class:`~repro.engine.cascade.CascadeModel` (packed first pass,
+        :class:`~repro.engine.quant.FixedPointModel` (fixed-point matmuls,
+        exact on integer-valued float64 operands), and ``"cascade"`` /
+        ``"cascade-fixed16"`` / ``"cascade-fixed8"`` / ``"cascade-float64"``
+        a :class:`~repro.engine.cascade.CascadeModel` (packed first pass,
         margin-routed second-tier rerank; extra keyword ``threshold`` sets
         the margin cutoff).  All variants expose the same inference API.
     score_threads:

@@ -3,40 +3,46 @@
 The paper's deployment target stores class hypervectors in reduced precision
 (bipolar / fixed8 / fixed16 — Section IV-D and the Figure 8 bit-flip study),
 but the float engines in :mod:`repro.engine.compile` always score against
-float64/float32 class weights.  This module keeps the *scoring stage* in the
-integer domain end-to-end, with two compiled-model variants that mirror the
+float64/float32 class weights.  This module scores against the integer
+representation itself with exact arithmetic (XOR/popcount on integer words,
+or float64 matmuls over operands that hold exact integers), in two
+compiled-model variants that mirror the
 :class:`~repro.engine.compile.CompiledModel` API exactly (``encode`` /
 ``decision_function`` / ``predict`` / ``predict_proba`` / ``score_encoded``):
 
 * :class:`PackedBipolarModel` — the classic 1-bit HDC model.  Class
   hypervectors are sign-quantized and bit-packed to ``uint8`` words
-  (``dim / 8`` bytes per hypervector, a 64x reduction over float64); each
-  encoded query chunk is sign-packed once and compared against every class
-  with XOR + popcount (:func:`numpy.bitwise_count` on NumPy >= 2, a 16-bit
-  lookup table otherwise).  Per-block similarities are *bit-identical* to
+  (``dim / 8`` bytes per hypervector, a 64x reduction over float64).  A
+  query chunk is sign-packed with one ``packbits`` over whole rows, its
+  words are stacked across learners (each learner's words masked to its own
+  bits and zero-padded to the widest learner), and one XOR + one popcount
+  (:func:`numpy.bitwise_count` on NumPy >= 2, a 16-bit lookup table
+  otherwise) compares every learner's query bits with every class at once.
+  Per-block similarities are *bit-identical* to
   :func:`repro.hdc.similarity.hamming_similarity` on the unpacked signs —
   both reduce to the correctly rounded quotient of the exact integers
   ``matches`` and ``dim``.
 * :class:`FixedPointModel` — class hypervectors stored as ``int8`` /
   ``int16`` fixed-point codes (:func:`repro.hdc.quantize.quantize_codes`).
   Each query row is quantized to the same bit width with a per-row,
-  per-block scale (scores never depend on batch composition), scored with
-  an integer-accumulated matmul (``int32`` accumulation for fixed8 widths
-  where the dot product provably fits, ``int64`` otherwise), and the
-  per-class code norms are folded into a single final float rescale.  Because cosine similarity is scale-invariant
-  in each argument, the shared fixed-point scales cancel: the result equals
-  the float cosine of the *dequantized* query and class representatives to
-  machine precision — the arithmetic is exact, the only error is the
-  representation rounding itself.
+  per-block scale (scores never depend on batch composition) and scored
+  with a float64 BLAS matmul whose operands hold exact integers: every
+  product and partial sum is an integer below ``2**53``, so the dot
+  products are exact in any summation order (checked once per engine
+  against the widest block), and the per-class code norms are folded into
+  a single final float rescale.  Because cosine similarity is
+  scale-invariant in each argument, the shared fixed-point scales cancel:
+  the result equals the float cosine of the *dequantized* query and class
+  representatives to machine precision — the arithmetic is exact, the only
+  error is the representation rounding itself.
 
 Construction mirrors the float engine: :func:`repro.engine.compile_model`
 with ``precision="bipolar-packed" | "fixed16" | "fixed8"`` dispatches here,
 and :meth:`repro.serving.ModelRegistry.load` with a ``precision`` builds the
 same engines *directly from stored integer codes* without dequantizing.
-Internally the packed words are zero-padded to ``uint64`` for the XOR +
-popcount inner loop (8x fewer ufunc elements than ``uint8``); the pad bits
-are zero in both operands, so they cancel in the XOR and never contaminate
-the mismatch counts.
+Packed words are zero-padded to ``uint64`` for the XOR + popcount (8x fewer
+ufunc elements than ``uint8``); pad bits are zero in both operands, so they
+cancel in the XOR and never contaminate the mismatch counts.
 
 ``benchmarks/bench_quant.py`` enforces the subsystem contracts: >= 8x class
 memory reduction and >= 2x single-thread scoring throughput for the packed
@@ -80,14 +86,25 @@ QUANT_PRECISIONS = ("bipolar-packed", "fixed16", "fixed8")
 _EPS = 1e-12
 
 
-def _pad_packed(packed: np.ndarray) -> np.ndarray:
-    """Zero-pad uint8-packed rows to whole ``uint64`` words.
+#: Upper bound on the XOR/popcount temporary of one packed scoring step.
+#: Rows are scored in steps that keep it within this budget, so a
+#: whole-batch ``score_packed`` call allocates no more than a small chunk.
+_STEP_BYTES = 1 << 20
 
-    The pad bytes are zero in every row, so XOR between two padded rows is
-    zero there and popcount never sees phantom mismatches.
+#: Integers of magnitude below this bound are exact in float64, so sums of
+#: them that stay below it never round.
+_EXACT_FLOAT = 2**53
+
+
+def _pad_packed(packed: np.ndarray, words: int | None = None) -> np.ndarray:
+    """Zero-pad uint8-packed rows to ``words`` whole ``uint64`` words.
+
+    ``words`` defaults to the fewest that hold a row.  The pad bytes are zero
+    in every row, so XOR between two padded rows is zero there and popcount
+    never sees phantom mismatches.
     """
     rows, width = packed.shape
-    words = -(-width // 8)
+    words = -(-width // 8) if words is None else words
     buffer = np.zeros((rows, words * 8), dtype=np.uint8)
     buffer[:, :width] = packed
     return buffer.view(np.uint64)
@@ -285,31 +302,78 @@ def fixed_block(
 
 
 # ------------------------------------------------------------------ engines
+class _WordStack:
+    """Cross-learner scoring layout of a packed engine's class words.
+
+    A query row is packed once over all its elements (element ``j`` lands in
+    word ``j // 64``).  Learner ``i`` reads the words ``index[i]`` of that
+    row — its span, zero-padded to the widest learner's ``W`` words — ANDed
+    with ``mask[i]``, its own bits.  ``classes[i, c]`` holds learner ``i``'s
+    signs for global class column ``c`` at the same bit positions (zero
+    where ``valid[i, c]`` is false: a class the learner never saw).  Query
+    words keep the batch on the last axis, so the XOR/popcount inner loops
+    run along the rows; the trailing unit axes broadcast against it.
+    """
+
+    def __init__(self, blocks: Sequence[PackedBlock], n_columns: int) -> None:
+        first = np.array([block.start // 64 for block in blocks], dtype=np.intp)
+        last = np.array([-(-block.stop // 64) for block in blocks], dtype=np.intp)
+        width = int((last - first).max())
+        words = np.zeros((len(blocks), n_columns + 1, width), dtype=np.uint64)
+        valid = np.zeros((len(blocks), n_columns, 1), dtype=bool)
+        for i, block in enumerate(blocks):
+            offset = block.start - 64 * first[i]
+            # Bits at the block's offset inside its word window, one row per
+            # global class column; the extra last row is the learner's mask.
+            window = np.zeros((n_columns + 1, width * 64), dtype=bool)
+            window[block.columns, offset : offset + block.dim] = np.unpackbits(
+                block.packed, axis=1, count=block.dim
+            )
+            window[n_columns, offset : offset + block.dim] = True
+            words[i] = _pad_packed(np.packbits(window, axis=1), width)
+            valid[i, block.columns] = True
+        self.index = first[:, None] + np.arange(width)  # (L, W)
+        self.mask = words[:, n_columns, :, None].copy()  # (L, W, 1)
+        self.classes = words[:, :n_columns, :, None].copy()  # (L, n_columns, W, 1)
+        self.dims = np.array([[[block.dim]] for block in blocks], dtype=np.int64)  # (L, 1, 1)
+        self.valid = valid  # (L, n_columns, 1)
+        self.stop = max(block.stop for block in blocks)  # elements packed per row
+        self.n_words = int(self.index.max()) + 1  # words per packed row
+
+
 @dataclass(frozen=True)
 class PackedQueries:
     """Pre-encoded, pre-packed query batch for repeated packed scoring.
 
-    ``word_blocks[i]`` holds the ``(n, words_i)`` padded ``uint64`` sign
-    words of block ``i``; produced by :meth:`PackedBipolarModel.prepack`,
-    consumed by :meth:`PackedBipolarModel.score_packed`.  Packing the
-    queries once is what makes many-trial workloads (the packed bit-flip
-    sweep) cheap: each trial reuses the words and pays only XOR + popcount.
+    ``words`` holds the batch's ``uint64`` sign words stacked across
+    learners exactly as the engine scores them: shape ``(n_learners, W,
+    n)``, each learner's bits at their packed-row positions and zero-padded
+    to the widest learner's ``W`` words, with the batch on the last axis.
+    Produced by :meth:`PackedBipolarModel.prepack`, consumed by
+    :meth:`PackedBipolarModel.score_packed`.  Packing the queries once is
+    what makes many-trial workloads (the packed bit-flip sweep) cheap: each
+    trial reuses the words and pays only XOR + popcount.
     """
 
-    word_blocks: tuple
-    n_samples: int
+    words: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.words.shape[-1]
 
 
 class PackedBipolarModel(CompiledModel):
-    """Bit-packed 1-bit HDC scorer: sign encode once, XOR + popcount per class.
+    """Bit-packed 1-bit HDC scorer: sign encode once, one XOR + popcount pass.
 
     Mirrors :class:`~repro.engine.compile.CompiledModel` (same constructor
     infrastructure, encoding path, chunking and cache); only the scoring
-    stage differs.  Per block, each query row's sign pattern is compared
-    against every class pattern and the match fraction ``(dim - mismatches)
+    stage differs.  Each query row's sign pattern is compared against every
+    learner's class patterns in one XOR + popcount over words stacked
+    across learners, and the per-block match fraction ``(dim - mismatches)
     / dim`` — bit-identical to ``hamming_similarity`` on the unpacked signs
     — is aggregated exactly like the float engine aggregates cosine scores
-    (``alpha``-weighted ``"score"`` accumulation or ``"vote"`` argmax).
+    (``alpha``-weighted ``"score"`` accumulation or ``"vote"`` argmax),
+    learner after learner.
 
     Note the 1-bit representation *is* lossy: scores are hamming rather
     than cosine similarities, so an argmax can legitimately move on
@@ -319,6 +383,18 @@ class PackedBipolarModel(CompiledModel):
     """
 
     precision = "bipolar-packed"
+
+    @property
+    def blocks(self) -> tuple:
+        return self._blocks
+
+    @blocks.setter
+    def blocks(self, blocks: Sequence[PackedBlock]) -> None:
+        # The stacked scoring words derive from the blocks, so every
+        # assignment rebuilds them: an engine (a flip_class_bits clone
+        # included) can never score against another engine's class bits.
+        self._blocks = tuple(blocks)
+        self._stack = _WordStack(self._blocks, len(self.classes_))
 
     def __repr__(self) -> str:
         return (
@@ -333,61 +409,65 @@ class PackedBipolarModel(CompiledModel):
         return sum(block.words.nbytes for block in self.blocks)
 
     # ---------------------------------------------------------------- packing
-    def _pack_chunk(self, bits: np.ndarray) -> list[np.ndarray]:
-        """Per-block padded uint64 sign words of a ``(n, D_total)`` bit matrix."""
-        return [
-            _pad_packed(np.packbits(bits[:, block.start : block.stop], axis=1))
-            for block in self.blocks
-        ]
+    def _query_words(self, encoded: np.ndarray) -> np.ndarray:
+        """Stacked ``(n_learners, W, n)`` sign words of an encoded matrix."""
+        stack = self._stack
+        bits = encoded[:, : stack.stop] >= 0
+        row = _pad_packed(np.packbits(bits, axis=1), stack.n_words)
+        words = np.take(row.T, stack.index, axis=0)
+        words &= stack.mask
+        return words
 
     def prepack(self, X: np.ndarray) -> PackedQueries:
         """Encode and bit-pack a query batch once for repeated scoring."""
-        encoded = self.encode(X)
-        bits = encoded >= 0
-        return PackedQueries(
-            word_blocks=tuple(self._pack_chunk(bits)), n_samples=len(encoded)
-        )
+        return PackedQueries(words=self._query_words(self.encode(X)))
 
     # ---------------------------------------------------------------- scoring
-    def _score_words(self, word_blocks: Sequence[np.ndarray], n: int) -> np.ndarray:
-        scores = np.zeros((n, len(self.classes_)), dtype=np.float64)
+    def _score_words(self, words: np.ndarray) -> np.ndarray:
+        stack = self._stack
+        n = words.shape[-1]
+        scores = np.empty((n, len(self.classes_)), dtype=np.float64)
+        step = max(1, _STEP_BYTES // stack.classes.nbytes)
         vote = self.aggregation == "vote"
+        weights = np.where(stack.valid, self._alphas[:, None, None], 0.0)
 
         def kernel(rows: slice) -> None:
             # Each call owns the disjoint row range ``rows`` of ``scores``:
             # the XOR/popcount/divide arithmetic is exact per row, so any
-            # row blocking is bit-identical to the serial pass.
-            out = scores[rows]
-            block_n = len(out)
-            local = np.arange(block_n) if vote else None
-            for block, words, alpha in zip(self.blocks, word_blocks, self._alphas):
-                dim = block.dim
-                block_words = words[rows]
-                mismatches = np.empty((block_n, len(block.words)), dtype=np.int64)
-                for j in range(len(block.words)):
-                    mismatches[:, j] = popcount_rows(block_words ^ block.words[j])
-                sims = (dim - mismatches) / dim
-                if local is not None:
-                    winner = np.argmax(sims, axis=1)
-                    out[local, block.columns[winner]] += alpha
-                else:
-                    out[:, block.columns] += alpha * sims
+            # row blocking (threads, or the bounded steps) is bit-identical
+            # to the serial pass.
+            for start in range(rows.start, rows.stop, step):
+                part = slice(start, min(start + step, rows.stop))
+                # (L, n_classes, W, m): every learner's words against its classes.
+                mismatches = popcount_rows(
+                    words[:, None, :, part] ^ stack.classes, axis=2
+                )
+                sims = (stack.dims - mismatches) / stack.dims
+                if vote:
+                    # Each learner votes for its first best class; the classes
+                    # it never saw rank below every similarity in [0, 1].
+                    winner = np.argmax(np.where(stack.valid, sims, -1.0), axis=1)
+                    sims = winner[:, None, :] == np.arange(sims.shape[1])[:, None]
+                # accumulate adds learner after learner (a reduce may sum
+                # pairwise), the order of a per-learner ``+=`` loop, so
+                # stacking the learners never changes a bit of the scores.
+                scores[part] = np.add.accumulate(sims * weights, axis=0)[-1].T
 
         run_row_blocks(kernel, n, threads=self.score_threads)
         return scores / self._total_alpha
 
     def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
-        bits = encoded >= 0
-        return self._score_words(self._pack_chunk(bits), len(encoded))
+        return self._score_words(self._query_words(encoded))
 
     def score_packed(self, queries: PackedQueries) -> np.ndarray:
         """Per-class scores of a :meth:`prepack`-ed batch (XOR + popcount only)."""
-        if len(queries.word_blocks) != len(self.blocks):
+        layout = self._stack.index.shape
+        if queries.words.shape[:2] != layout:
             raise ValueError(
-                f"queries were packed for {len(queries.word_blocks)} blocks, "
-                f"engine has {len(self.blocks)}"
+                f"queries were packed for a {queries.words.shape[:2]} "
+                f"(learners, words) layout, engine has {layout}"
             )
-        return self._score_words(queries.word_blocks, queries.n_samples)
+        return self._score_words(queries.words)
 
     def predict_packed(self, queries: PackedQueries) -> np.ndarray:
         """Labels of a :meth:`prepack`-ed batch."""
@@ -403,7 +483,8 @@ class PackedBipolarModel(CompiledModel):
         per bit is applied to the packed class words (pad bits are never
         flipped, so the padding invariant holds).  The clone shares the
         encoder arrays and cache with the original — only the class words
-        differ — which is what makes many-trial robustness sweeps cheap.
+        (and the stacked scoring words derived from them) differ — which is
+        what makes many-trial robustness sweeps cheap.
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
@@ -423,21 +504,25 @@ class PackedBipolarModel(CompiledModel):
 
 
 class FixedPointModel(CompiledModel):
-    """Fixed-point scorer: integer codes, integer matmuls, one float rescale.
+    """Fixed-point scorer: integer codes, exact float64 matmuls, one rescale.
 
     Class hypervectors live as ``int8``/``int16`` codes; each encoded query
     row is quantized per block to the same bit width (its own scale from
     the row's max magnitude — no clipping is ever needed, and a window's
     scores are identical whether it is scored alone or inside any batch)
-    and scored with an integer-accumulated matmul.  Cosine similarity is scale-invariant in
-    both arguments, so neither the class-code scale nor the query scale
-    appears in the result: the integer dot products are rescaled once by
-    ``alpha / (|q| * |c_j|)`` with both norms computed in code units.
+    and scored with a float64 BLAS matmul over the integer-valued codes.
+    Cosine similarity is scale-invariant in both arguments, so neither the
+    class-code scale nor the query scale appears in the result: the dot
+    products are rescaled once by ``alpha / (|q| * |c_j|)`` with both norms
+    computed in code units.
 
-    The integer arithmetic is exact (accumulator width chosen so the worst
-    -case dot product fits), so scores equal the float cosine of the
-    dequantized query and class representatives to machine precision —
-    asserted in ``tests/test_quant_engine.py``.
+    Exactness comes from the operands, not from an integer dtype: every
+    product and partial sum is an integer below ``2**53`` (checked against
+    the widest block at construction), so float64 holds it exactly and the
+    dot products and norms come out the same for any BLAS summation order,
+    row blocking or thread count.  Scores therefore equal the float cosine
+    of the dequantized query and class representatives to machine
+    precision — asserted in ``tests/test_quant_engine.py``.
     """
 
     def __init__(self, *, precision: str, **kwargs) -> None:
@@ -466,9 +551,9 @@ class FixedPointModel(CompiledModel):
                 f"unsupported fixed-point precision {precision!r}; "
                 f"available: {sorted(SCHEME_BITS)}"
             )
-        # The accumulator bound and the query cast below are sized from the
-        # precision, so mismatched block code dtypes would overflow silently
-        # — wrong scores, no error.  Refuse them up front.
+        # The exactness bound and the query range below are sized from the
+        # precision, so mismatched block code dtypes would break them
+        # silently — wrong scores, no error.  Refuse them up front.
         expected = np.dtype(SCHEME_DTYPES[precision])
         for block in self.blocks:
             if block.codes.dtype != expected:
@@ -479,16 +564,16 @@ class FixedPointModel(CompiledModel):
         self.precision = precision
         self.bits = SCHEME_BITS[precision]
         self._query_max = (1 << (self.bits - 1)) - 1
-        # Worst-case |dot| over a block: dim * qmax * |min_code|, where query
-        # codes stay in [-qmax, qmax] but stored class codes reach the full
-        # signed minimum (qmax + 1).  int32 keeps the fixed8 matmul narrow;
-        # anything that could overflow falls back to int64 accumulation.
-        worst = (
-            max(block.dim for block in self.blocks)
-            * self._query_max
-            * (self._query_max + 1)
-        )
-        self._accumulator = np.int32 if worst < 2**31 else np.int64
+        # Worst-case |partial sum| over a block: dim * qmax * |min_code|,
+        # where query codes stay in [-qmax, qmax] but stored class codes
+        # reach the full signed minimum (qmax + 1); query norms are smaller.
+        # Below 2**53 every such sum is an exact float64 integer.
+        widest = max(block.dim for block in self.blocks)
+        if widest * self._query_max * (self._query_max + 1) >= _EXACT_FLOAT:
+            raise EngineError(
+                f"a {widest}-element {precision} block can reach dot products "
+                f"of 2**53 or more, beyond exact float64 integers"
+            )
 
     def __repr__(self) -> str:
         return (
@@ -508,11 +593,10 @@ class FixedPointModel(CompiledModel):
         n = len(encoded)
         scores = np.zeros((n, len(self.classes_)), dtype=np.float64)
         vote = self.aggregation == "vote"
-        accumulator = self._accumulator
 
         def kernel(rows: slice) -> None:
             # Row-independent by construction: every step below (per-row
-            # quantization scale, integer matmul, per-row rescale) depends
+            # quantization scale, exact matmul, per-row rescale) depends
             # only on the row itself, so any row blocking is bit-identical
             # to the serial pass (the batch-composition invariance already
             # pinned by tests/test_quant_engine.py).
@@ -522,28 +606,26 @@ class FixedPointModel(CompiledModel):
             for block, alpha in zip(self.blocks, self._alphas):
                 view = encoded[rows, block.start : block.stop]
                 # Per-row query scale: each row's max magnitude maps to the
-                # top of the signed range, so round() can never leave it (no
+                # top of the signed range, so rounding can never leave it (no
                 # clip), every row gets full qmax resolution, and a window's
                 # codes — hence its scores — never depend on what else
-                # shares its chunk.
-                magnitude = np.abs(view).max(axis=1).astype(np.float64)
+                # shares its chunk.  The row is widened to float64 (exact
+                # for float32), scaled and rounded to integer codes in place.
+                quantized = view.astype(np.float64)
+                magnitude = np.abs(quantized).max(axis=1)
                 magnitude[magnitude <= 0.0] = 1.0
-                quantized = np.round(
-                    np.asarray(view, dtype=np.float64)
-                    * (self._query_max / magnitude)[:, None]
-                ).astype(block.codes.dtype)
-                # dtype= sets the ufunc calculation width: exact integer
-                # accumulation with no persistent wide copy of the class codes.
-                sims = np.matmul(quantized, block.codes, dtype=accumulator)
-                query_norms = np.sqrt(
-                    np.einsum(
-                        "ij,ij->i", quantized, quantized, dtype=np.int64
-                    ).astype(np.float64)
-                )
+                quantized *= (self._query_max / magnitude)[:, None]
+                np.rint(quantized, out=quantized)
+                # Integer-valued operands below 2**53: the BLAS matmul and
+                # the norms are exact whatever the summation order.  The
+                # codes are cast one learner at a time, so (possibly
+                # shared-memory) codes never get a persistent float64 copy.
+                sims = quantized @ block.codes.astype(np.float64)
+                query_norms = np.sqrt(np.einsum("ij,ij->i", quantized, quantized))
                 rescale = (
                     block.inv_norms[None, :] / np.maximum(query_norms, _EPS)[:, None]
                 )
-                cosine = sims.astype(np.float64) * rescale
+                cosine = sims * rescale
                 if local is not None:
                     winner = np.argmax(cosine, axis=1)
                     out[local, block.columns[winner]] += alpha

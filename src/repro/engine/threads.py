@@ -2,21 +2,24 @@
 
 The quantized scoring kernels of :mod:`repro.engine.quant` are embarrassingly
 parallel over query rows: packed scoring is XOR + popcount per (row, class)
-pair, fixed-point scoring quantizes each row with its own scale and
-accumulates exact integer dot products.  NumPy releases the GIL inside all of
-those inner loops (``bitwise_xor``, ``bitwise_count``, integer ``matmul`` /
-``einsum``), so plain ``ThreadPoolExecutor`` threads scale them across cores
-without any multiprocessing serialization — the class codes are shared
-read-only, and each thread writes a *disjoint* contiguous row range of one
-preallocated output.
+pair, fixed-point scoring quantizes each row with its own scale and computes
+exact dot products with a float64 BLAS matmul over integer-valued operands.
+NumPy releases the GIL inside all of those inner loops (``bitwise_xor``,
+``bitwise_count``, the BLAS ``matmul``, ``einsum``), so plain
+``ThreadPoolExecutor`` threads scale them across cores without any
+multiprocessing serialization — the class codes are shared read-only, and
+each thread writes a *disjoint* contiguous row range of one preallocated
+output.
 
 Determinism is structural, not statistical: every kernel invocation computes
-a row range whose arithmetic is exact (integer XOR/popcount/matmul; the only
-float steps are elementwise per row) and independent of every other range,
-so the scores are **bit-identical at any thread count and any row blocking**
-— the property ``tests/test_threaded_scoring.py`` pins with hypothesis.
-This is why only the integer engines thread here: the float engine's BLAS
-matmul does not promise bitwise row-blocking invariance.
+a row range whose arithmetic is exact (XOR/popcount on integer words, and
+matmuls whose float64 operands, products and partial sums are all integers
+below ``2**53``, so no summation order can round; the other float steps are
+elementwise per row) and independent of every other range, so the scores
+are **bit-identical at any thread count and any row blocking** — the
+property ``tests/test_threaded_scoring.py`` pins with hypothesis.  This is
+why only the integer engines thread here: the float engine's BLAS matmul
+rounds, so its bits may change with the row blocking.
 
 Thread-count resolution mirrors ``REPRO_MAX_WORKERS`` in
 :func:`repro.runtime.executor.resolve_max_workers`: ``None`` consults the

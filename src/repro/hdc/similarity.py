@@ -58,8 +58,8 @@ def _popcount_rows_lut(words: np.ndarray) -> np.ndarray:
     return counts
 
 
-def popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Total number of set bits per row (summed over the last axis).
+def popcount_rows(words: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Total number of set bits per row (summed over ``axis``, the last by default).
 
     Accepts any unsigned-integer array; uses :func:`numpy.bitwise_count` when
     available and an exact 16-bit lookup-table fallback otherwise
@@ -67,8 +67,8 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words)
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    flat = np.ascontiguousarray(words)
+        return np.bitwise_count(words).sum(axis=axis, dtype=np.int64)
+    flat = np.ascontiguousarray(np.moveaxis(words, axis, -1))
     as_bytes = flat.view(np.uint8).reshape(*flat.shape[:-1], -1)
     return _popcount_rows_lut(as_bytes)
 

@@ -35,7 +35,9 @@ from repro.engine import (
     FixedPointModel,
     PackedBipolarModel,
     compile_model,
+    top2_margin,
 )
+from repro.engine.quant import fixed_block_from_codes
 from repro.hdc import (
     OnlineHD,
     bipolarize,
@@ -61,10 +63,19 @@ sign_floats = st.floats(
 )
 
 
+#: Exactness cases also run on ``BoostHD(total_dim=100, n_learners=7)``,
+#: whose learner widths differ (15, 15, 14, ...): packed words stacked
+#: across learners need zero padding there.
+EXACT_KINDS = MODEL_KINDS + ("boosthd-unequal",)
+BATCHES = (1, 8, 64)
+
+
 def _fit(kind, X, y):
     if kind == "onlinehd":
         # dim deliberately not divisible by 8: the packed path must pad.
         return OnlineHD(dim=500, epochs=3, seed=0).fit(X, y)
+    if kind == "boosthd-unequal":
+        return BoostHD(total_dim=100, n_learners=7, epochs=3, seed=0).fit(X, y)
     options = dict(total_dim=600, n_learners=6, epochs=3, seed=0)
     if kind == "boosthd-shared":
         options["partitioner"] = SharedPartitioner(600, 6)
@@ -76,7 +87,22 @@ def _fit(kind, X, y):
 @pytest.fixture(scope="module")
 def fitted_models(mini_wesad_split):
     X_train, _, y_train, _ = mini_wesad_split
-    return {kind: _fit(kind, X_train, y_train) for kind in MODEL_KINDS}
+    return {kind: _fit(kind, X_train, y_train) for kind in EXACT_KINDS}
+
+
+@pytest.fixture(scope="module")
+def query_rows(mini_wesad_split):
+    """128 held-out-like rows: enough for two 64-row batches."""
+    _, X_test, _, _ = mini_wesad_split
+    rows = np.resize(X_test, (128, X_test.shape[1]))
+    return rows + np.random.default_rng(0).normal(scale=0.05, size=rows.shape)
+
+
+def _chunks(engine, rows, batch):
+    """``(chunk, engine.encode(chunk))`` over consecutive ``batch``-row chunks."""
+    for start in range(0, len(rows), batch):
+        chunk = rows[start : start + batch]
+        yield chunk, engine.encode(chunk)
 
 
 def _hamming_reference(engine, model, encoded):
@@ -97,45 +123,47 @@ def _hamming_reference(engine, model, encoded):
 
 
 # ------------------------------------------------------- exact integer paths
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_packed_scores_equal_hamming_reference(fitted_models, mini_wesad_split, kind):
+def test_unequal_kind_has_unequal_widths(fitted_models):
+    widths = {learner.encoder.dim for learner in fitted_models["boosthd-unequal"].learners_}
+    assert widths == {14, 15}
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+def test_packed_scores_equal_hamming_reference(fitted_models, query_rows, kind):
     """XOR + popcount scoring is bit-identical to hamming on unpacked signs."""
-    _, X_test, _, _ = mini_wesad_split
     model = fitted_models[kind]
     engine = compile_model(model, dtype=np.float64, precision="bipolar-packed")
-    encoded = engine.encode(X_test)
-    reference = _hamming_reference(engine, model, encoded)
-    np.testing.assert_array_equal(engine.decision_function(X_test), reference)
-    np.testing.assert_array_equal(engine.score_encoded(encoded), reference)
-
-
-def test_packed_prepack_matches_direct_scoring(fitted_models, mini_wesad_split):
-    _, X_test, _, _ = mini_wesad_split
-    engine = compile_model(
-        fitted_models["boosthd-independent"], dtype=np.float64,
-        precision="bipolar-packed",
-    )
-    queries = engine.prepack(X_test)
+    for batch in BATCHES:
+        for chunk, encoded in _chunks(engine, query_rows, batch):
+            reference = _hamming_reference(engine, model, encoded)
+            np.testing.assert_array_equal(engine.decision_function(chunk), reference)
+    encoded = engine.encode(query_rows)
     np.testing.assert_array_equal(
-        engine.score_packed(queries), engine.decision_function(X_test)
-    )
-    np.testing.assert_array_equal(
-        engine.predict_packed(queries), engine.predict(X_test)
+        engine.score_encoded(encoded), _hamming_reference(engine, model, encoded)
     )
 
 
-@pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
-def test_fixed_scores_equal_dequantized_cosine(
-    fitted_models, mini_wesad_split, precision
-):
-    """Integer-accumulated matmul == float cosine of dequantized operands."""
-    _, X_test, _, _ = mini_wesad_split
-    model = fitted_models["boosthd-independent"]
-    engine = compile_model(model, dtype=np.float64, precision=precision)
-    encoded = engine.encode(X_test)
+def test_packed_prepack_matches_direct_scoring(fitted_models, query_rows):
+    for kind in ("boosthd-independent", "boosthd-unequal"):
+        model = fitted_models[kind]
+        engine = compile_model(model, dtype=np.float64, precision="bipolar-packed")
+        queries = engine.prepack(query_rows)
+        np.testing.assert_array_equal(
+            engine.score_packed(queries),
+            _hamming_reference(engine, model, engine.encode(query_rows)),
+        )
+        np.testing.assert_array_equal(
+            engine.score_packed(queries), engine.decision_function(query_rows)
+        )
+        np.testing.assert_array_equal(
+            engine.predict_packed(queries), engine.predict(query_rows)
+        )
+
+
+def _dequantized_cosine_reference(engine, encoded):
+    """Float cosine of the dequantized query and class codes, aggregated."""
     query_max = (1 << (engine.bits - 1)) - 1
-
-    reference = np.zeros((len(X_test), len(engine.classes_)))
+    reference = np.zeros((len(encoded), len(engine.classes_)))
     for block, alpha in zip(engine.blocks, engine._alphas):
         view = encoded[:, block.start : block.stop]
         magnitude = np.abs(view).max(axis=1)
@@ -144,11 +172,75 @@ def test_fixed_scores_equal_dequantized_cosine(
         dequantized_classes = np.asarray(block.codes.T, dtype=float) * block.scale
         sims = cosine_similarity(dequantized_query, dequantized_classes)
         reference[:, block.columns] += alpha * sims
-    reference /= engine._total_alpha
+    return reference / engine._total_alpha
 
-    np.testing.assert_allclose(
-        engine.decision_function(X_test), reference, rtol=1e-10, atol=1e-12
+
+def _integer_reference(engine, encoded):
+    """Fixed-point scores from an ``int64`` matmul, plus each block's dot products.
+
+    The engine's arithmetic with integer dtypes in place of integer-valued
+    float64 operands: equal scores prove the float64 matmul exact.
+    """
+    query_max = (1 << (engine.bits - 1)) - 1
+    scores = np.zeros((len(encoded), len(engine.classes_)))
+    rows = np.arange(len(encoded))
+    dots = []
+    for block, alpha in zip(engine.blocks, engine._alphas):
+        view = np.asarray(encoded[:, block.start : block.stop], dtype=np.float64)
+        magnitude = np.abs(view).max(axis=1)
+        magnitude[magnitude <= 0.0] = 1.0
+        quantized = np.round(view * (query_max / magnitude)[:, None]).astype(np.int64)
+        sims = np.matmul(quantized, block.codes.astype(np.int64))
+        norms = np.sqrt(np.einsum("ij,ij->i", quantized, quantized).astype(np.float64))
+        rescale = block.inv_norms[None, :] / np.maximum(norms, 1e-12)[:, None]
+        cosine = sims.astype(np.float64) * rescale
+        if engine.aggregation == "vote":
+            scores[rows, block.columns[np.argmax(cosine, axis=1)]] += alpha
+        else:
+            scores[:, block.columns] += alpha * cosine
+        dots.append(sims)
+    return scores / engine._total_alpha, dots
+
+
+@pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
+def test_fixed_scores_equal_dequantized_cosine(fitted_models, query_rows, precision):
+    """Exact integer-valued matmul == float cosine of dequantized operands.
+
+    Bitwise against an ``int64`` matmul reference, to machine precision
+    against the dequantized cosine, at every batch size.
+    """
+    for kind in ("boosthd-independent", "boosthd-unequal"):
+        engine = compile_model(fitted_models[kind], dtype=np.float64, precision=precision)
+        for batch in BATCHES:
+            for chunk, encoded in _chunks(engine, query_rows, batch):
+                scores = engine.decision_function(chunk)
+                np.testing.assert_array_equal(
+                    scores, _integer_reference(engine, encoded)[0]
+                )
+                np.testing.assert_allclose(
+                    scores, _dequantized_cosine_reference(engine, encoded),
+                    rtol=1e-10, atol=1e-12,
+                )
+
+
+@pytest.mark.parametrize("kind", ("boosthd-independent", "boosthd-unequal"))
+def test_cascade_scores_equal_tier_references(fitted_models, query_rows, kind):
+    """Low-margin rows carry the fixed16 reference, the rest the hamming one."""
+    model = fitted_models[kind]
+    cascade = compile_model(model, dtype=np.float64, precision="cascade-fixed16")
+    encoded = cascade.encode(query_rows)
+    cascade.threshold = float(
+        np.median(top2_margin(_hamming_reference(cascade.first, model, encoded)))
     )
+    reranked = 0
+    for batch in BATCHES:
+        for chunk, encoded in _chunks(cascade, query_rows, batch):
+            expected = _hamming_reference(cascade.first, model, encoded)
+            rerank = top2_margin(expected) < cascade.threshold
+            expected[rerank] = _integer_reference(cascade.second, encoded)[0][rerank]
+            reranked += int(rerank.sum())
+            np.testing.assert_array_equal(cascade.decision_function(chunk), expected)
+    assert 0 < reranked < len(BATCHES) * len(query_rows)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -178,10 +270,74 @@ def test_scoring_is_batch_composition_invariant(
         )
 
 
-def test_fixed8_uses_int32_accumulator_fixed16_int64(fitted_models):
-    model = fitted_models["boosthd-independent"]
-    assert compile_model(model, precision="fixed8")._accumulator is np.int32
-    assert compile_model(model, precision="fixed16")._accumulator is np.int64
+@pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
+def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
+    """±qmax queries against the minimum class code on the widest block.
+
+    Every product is the extreme ``-qmax * (qmax + 1)`` (or its negation),
+    so the block's dot products reach ``dim * qmax * (qmax + 1)`` — past
+    int32 and float32 range at fixed16 — and the float64 BLAS matmul must
+    still equal an ``int64`` matmul bit for bit.
+    """
+    engine = compile_model(
+        fitted_models["boosthd-unequal"], dtype=np.float64, precision=precision
+    )
+    query_max = (1 << (engine.bits - 1)) - 1
+    widest = int(np.argmax([block.dim for block in engine.blocks]))
+    block = engine.blocks[widest]
+    minimum = np.full_like(block.codes, -(query_max + 1))
+    blocks = list(engine.blocks)
+    blocks[widest] = fixed_block_from_codes(
+        block.start, block.stop, block.alpha, block.columns, minimum, block.scale,
+        np.full(minimum.shape[1], 1.0 / (np.sqrt(block.dim) * (query_max + 1))),
+    )
+    worst = FixedPointModel.from_prepared(
+        precision=precision,
+        basis2=engine._basis2,
+        bias=engine._bias,
+        sin_bias=engine._sin_bias,
+        blocks=blocks,
+        classes=engine.classes_,
+        aggregation=engine.aggregation,
+        dtype=engine.dtype,
+    )
+
+    rng = np.random.default_rng(0)
+    encoded = rng.standard_normal((16, engine.total_dim))
+    signs = np.where(rng.random((16, block.dim)) < 0.5, -1.0, 1.0)
+    signs[0], signs[1] = 1.0, -1.0
+    encoded[:, block.start : block.stop] = signs
+    reference, dots = _integer_reference(worst, encoded)
+    extreme = block.dim * query_max * (query_max + 1)
+    assert dots[widest][0].min() == -extreme and dots[widest][1].max() == extreme
+    np.testing.assert_array_equal(worst.score_encoded(encoded), reference)
+
+
+@pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
+def test_configure_fixed_rejects_dot_products_beyond_exact_float64(precision):
+    """Blocks whose worst dot product reaches 2**53 are refused up front."""
+    query_max = (1 << (int(precision[5:]) - 1)) - 1
+    limit = -(-(2**53) // (query_max * (query_max + 1)))
+    dtype = SCHEME_DTYPES[precision]
+
+    def build(dim):
+        # Zero-stride codes: a block of any width without the memory.
+        codes = np.broadcast_to(np.zeros(2, dtype=dtype), (dim, 2))
+        block = fixed_block_from_codes(0, dim, 1.0, np.arange(2), codes, 1.0, np.ones(2))
+        return FixedPointModel.from_prepared(
+            precision=precision,
+            basis2=np.zeros((1, 8)),
+            bias=np.zeros(8),
+            sin_bias=np.zeros(8),
+            blocks=[block],
+            classes=np.arange(2),
+            aggregation="score",
+            dtype=np.float64,
+        )
+
+    assert build(limit - 1).bits == int(precision[5:])
+    with pytest.raises(EngineError, match="2\\*\\*53"):
+        build(limit)
 
 
 # --------------------------------------------------- parity with float engine
@@ -575,6 +731,30 @@ def test_flip_class_bits_zero_probability_is_identity():
     assert not np.array_equal(noisy.score_packed(queries), baseline)
     # The original engine must be untouched.
     np.testing.assert_array_equal(engine.score_packed(queries), baseline)
+
+
+def test_flip_class_bits_after_scoring_uses_the_flipped_bits(
+    fitted_models, query_rows
+):
+    """A clone flipped after its engine has scored equals a fresh flip.
+
+    Anything the engine derives from its class words while scoring must
+    follow the flipped words into the clone, never be copied over stale.
+    """
+    model, rows = fitted_models["boosthd-unequal"], query_rows
+    engine = compile_model(model, precision="bipolar-packed")
+    baseline = engine.decision_function(rows)
+    queries = engine.prepack(rows)
+    engine.score_packed(queries)
+    clone = engine.flip_class_bits(0.3, np.random.default_rng(11))
+    fresh = compile_model(model, precision="bipolar-packed").flip_class_bits(
+        0.3, np.random.default_rng(11)
+    )
+    flipped = fresh.decision_function(rows)
+    assert not np.array_equal(flipped, baseline)
+    np.testing.assert_array_equal(clone.decision_function(rows), flipped)
+    np.testing.assert_array_equal(clone.score_packed(queries), fresh.score_packed(queries))
+    np.testing.assert_array_equal(engine.decision_function(rows), baseline)
 
 
 def test_packed_bitflip_sweep_statistically_equals_bipolar_reference():

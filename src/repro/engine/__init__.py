@@ -11,6 +11,15 @@ ensemble scores with one block-diagonal-aware matmul.
 Layout:
 
 * :mod:`repro.engine.compile` — model introspection and the fused scorer,
+* :mod:`repro.engine.precision` — the one table of precision names
+  (:data:`PRECISIONS`) and the one engine builder (:func:`build_engine`).
+  Compiling a fitted model and loading a registry artifact both reduce to
+  ``build_engine(components, precision, **options)``:
+  :func:`compile_model` decomposes the model with
+  :func:`model_components`, :meth:`repro.serving.ModelRegistry.load_compiled`
+  reads the same :class:`ModelComponents` straight from the stored arrays
+  (fixed-point codes included, never dequantized for an integer tier), and
+  :mod:`repro.serving.shm` rebuilds published engines from the same table,
 * :mod:`repro.engine.batching` — chunked streaming for batches whose encoded
   matrix would not fit in memory,
 * :mod:`repro.engine.cache` — optional LRU memoisation of encoded chunks for
@@ -18,12 +27,10 @@ Layout:
 * :mod:`repro.engine.quant` — integer-domain quantized inference: the
   bit-packed bipolar XOR + popcount scorer (:class:`PackedBipolarModel`)
   and the fixed-point exact-matmul scorer (:class:`FixedPointModel`),
-  selected with ``compile_model(..., precision="bipolar-packed" | "fixed16"
-  | "fixed8")`` and constructible straight from registry-stored codes,
 * :mod:`repro.engine.cascade` — early-exit cascade scoring: a packed first
   pass scores every row, top-2 margins route only ambiguous rows to a
-  precise second tier (:class:`CascadeModel`, ``precision="cascade-..."``),
-  with held-out threshold calibration (``calibrate_threshold``),
+  precise second tier (:class:`CascadeModel`), with held-out threshold
+  calibration (``calibrate_threshold``),
 * :mod:`repro.engine.threads` — blocked row-parallel scoring for the
   integer-domain engines over GIL-releasing NumPy kernels, bit-identical at
   any thread count (``REPRO_SCORE_THREADS`` / ``score_threads=``),
@@ -48,14 +55,7 @@ partitioners; the quantized engines' contracts live in
 
 from .batching import auto_chunk_size, iter_batches, resolve_chunk_size
 from .cache import CacheStats, LRUCache, array_fingerprint
-from .cascade import (
-    CASCADE_PRECISIONS,
-    CalibrationResult,
-    CascadeModel,
-    CascadeStats,
-    compile_cascade,
-    top2_margin,
-)
+from .cascade import CalibrationResult, CascadeModel, CascadeStats, top2_margin
 from .compile import (
     CompiledModel,
     EngineError,
@@ -65,14 +65,19 @@ from .compile import (
     model_components,
     topk_indices,
 )
+from .precision import (
+    ENGINE_OPTIONS,
+    PRECISIONS,
+    Precision,
+    build_engine,
+    resolve_precision,
+)
 from .quant import (
-    QUANT_PRECISIONS,
     FixedBlock,
     FixedPointModel,
     PackedBipolarModel,
     PackedBlock,
     PackedQueries,
-    compile_quantized,
 )
 from .threads import resolve_score_threads, run_row_blocks
 from .train import (
@@ -93,21 +98,22 @@ __all__ = [
     "compile_model",
     "model_components",
     "topk_indices",
-    "CASCADE_PRECISIONS",
+    "ENGINE_OPTIONS",
+    "PRECISIONS",
+    "Precision",
+    "build_engine",
+    "resolve_precision",
     "CalibrationResult",
     "CascadeModel",
     "CascadeStats",
-    "compile_cascade",
     "top2_margin",
     "resolve_score_threads",
     "run_row_blocks",
-    "QUANT_PRECISIONS",
     "FixedBlock",
     "FixedPointModel",
     "PackedBipolarModel",
     "PackedBlock",
     "PackedQueries",
-    "compile_quantized",
     "auto_chunk_size",
     "iter_batches",
     "resolve_chunk_size",

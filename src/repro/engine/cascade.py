@@ -33,11 +33,12 @@ tier's.  Reranked rows score exactly like the second tier, so the achieved
 parity is monotone nondecreasing in the threshold and the search is a
 single prefix scan, no iteration.
 
-Construction goes through :func:`repro.engine.compile_model` with
-``precision="cascade"`` (alias for ``"cascade-fixed16"``) or any of
-``"cascade-fixed16" | "cascade-fixed8" | "cascade-float64"``;
-:meth:`repro.serving.ModelRegistry.load_compiled` builds both tiers
-directly from stored integer codes without dequantizing.  Serving paths
+:func:`repro.engine.build_engine` builds both tiers over one set of
+components for ``precision="cascade-fixed16" | "cascade-fixed8" |
+"cascade-float64"`` (``"cascade"`` is short for the first) — from a fitted
+model through :func:`repro.engine.compile_model`, or from stored integer
+codes without dequantizing through
+:meth:`repro.serving.ModelRegistry.load_compiled`.  Serving paths
 (:class:`~repro.serving.StreamingService`,
 :class:`~repro.serving.MicroBatchScheduler`) accept a cascade wherever they
 accept any compiled engine — it is a :class:`CompiledModel` with the same
@@ -54,41 +55,20 @@ import numpy as np
 from ..obs import OBS
 from ..obs.metrics import Counter
 from .compile import CompiledModel, EngineError
-from .quant import PackedBipolarModel, compile_quantized
+from .quant import PackedBipolarModel
 
 __all__ = [
-    "CASCADE_PRECISIONS",
     "CalibrationResult",
     "CascadeModel",
     "CascadeStats",
     "DEFAULT_THRESHOLD",
-    "compile_cascade",
-    "second_tier_precision",
     "top2_margin",
 ]
-
-#: Cascade precisions understood by ``compile_model(..., precision=...)``;
-#: the bare ``"cascade"`` is an alias for ``"cascade-fixed16"``.
-CASCADE_PRECISIONS = ("cascade-fixed16", "cascade-fixed8", "cascade-float64")
 
 #: Default margin cutoff before calibration.  A placeholder wide enough to
 #: catch genuinely ambiguous windows on the paper's datasets — production
 #: cascades should replace it via :meth:`CascadeModel.calibrate_threshold`.
 DEFAULT_THRESHOLD = 0.05
-
-
-def second_tier_precision(precision: str) -> str:
-    """The second-tier precision named by a cascade precision string."""
-    if precision == "cascade":
-        return "fixed16"
-    if precision.startswith("cascade-"):
-        second = precision[len("cascade-") :]
-        if second in ("fixed16", "fixed8", "float64"):
-            return second
-    raise EngineError(
-        f"unknown cascade precision {precision!r}; available: "
-        f"{('cascade',) + CASCADE_PRECISIONS}"
-    )
 
 
 def top2_margin(scores: np.ndarray) -> np.ndarray:
@@ -443,49 +423,3 @@ class CascadeModel(CompiledModel):
         if set_threshold:
             self.threshold = result.threshold
         return result
-
-
-def compile_cascade(
-    model,
-    *,
-    precision: str = "cascade-fixed16",
-    threshold: float = DEFAULT_THRESHOLD,
-    dtype: np.dtype | type | str = np.float32,
-    chunk_size=None,
-    cache_size: int = 0,
-    cache_bytes: int | None = None,
-    score_threads: int | str | None = None,
-) -> CascadeModel:
-    """Compile a fitted model into a two-tier early-exit cascade.
-
-    The ``precision="cascade-..."`` dispatch target of
-    :func:`repro.engine.compile_model`; see there for the shared options.
-    The first tier is always ``bipolar-packed``; ``precision`` names the
-    second tier.  The second tier never encodes (the cascade hands it
-    pre-encoded rows), so the encoding cache lives on the first tier only.
-    """
-    second = second_tier_precision(precision)
-    first = compile_quantized(
-        model,
-        precision="bipolar-packed",
-        dtype=dtype,
-        chunk_size=chunk_size,
-        cache_size=cache_size,
-        cache_bytes=cache_bytes,
-        score_threads=score_threads,
-    )
-    if second == "float64":
-        from .compile import compile_model
-
-        second_engine = compile_model(
-            model, dtype=dtype, chunk_size=chunk_size, score_threads=score_threads
-        )
-    else:
-        second_engine = compile_quantized(
-            model,
-            precision=second,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            score_threads=score_threads,
-        )
-    return CascadeModel(first=first, second=second_engine, threshold=threshold)

@@ -52,7 +52,7 @@ __all__ = [
     "EngineError",
     "LearnerBlock",
     "ModelComponents",
-    "assemble_projection",
+    "assemble_components",
     "compile_model",
     "model_components",
     "topk_indices",
@@ -109,13 +109,18 @@ class CompiledModel:
 
     Exposes the same inference surface as the source model —
     :meth:`decision_function`, :meth:`predict`, :meth:`predict_proba` — plus
-    :meth:`encode` for the raw fused encoding.  Construction is cheap (a few
-    array copies); all heavy lifting happens per batch.
+    :meth:`encode` for the raw fused encoding.  All heavy lifting happens
+    per batch.
 
-    Parameters are assembled by :func:`compile_model`; instances are
-    immutable by convention and safe to share across threads for read-only
-    scoring (the optional cache serialises nothing and is the one mutable
-    component — disable it with ``cache_size=0`` under concurrency).
+    The constructor adopts already-derived arrays without copying them:
+    ``basis2`` is the pre-doubled, pre-transposed ``(in_features,
+    D_total)`` projection, ``bias`` / ``sin_bias`` the phase bias and its
+    sine in the engine dtype.  :func:`~repro.engine.build_engine` derives
+    them; :mod:`repro.serving.shm` passes views of shared memory.  Shapes
+    are validated, layout is the caller's.  Instances are immutable by
+    convention and safe to share across threads for read-only scoring (the
+    optional cache serialises nothing and is the one mutable component —
+    disable it with ``cache_size=0`` under concurrency).
     """
 
     #: Class-hypervector representation this engine scores against; the
@@ -125,8 +130,9 @@ class CompiledModel:
     def __init__(
         self,
         *,
-        basis: np.ndarray,
+        basis2: np.ndarray,
         bias: np.ndarray,
+        sin_bias: np.ndarray,
         blocks: Sequence[LearnerBlock],
         classes: np.ndarray,
         aggregation: str,
@@ -137,47 +143,6 @@ class CompiledModel:
         shared_projection: bool = False,
         score_threads: int | str | None = None,
     ) -> None:
-        dtype = np.dtype(dtype)
-        basis = np.asarray(basis)
-        bias = np.asarray(bias)
-        self._setup(
-            # Half-angle fusion: encode(X) = 0.5*(sin(X @ (2B)^T + b) - sin(b)).
-            basis2=np.ascontiguousarray((2.0 * basis).T, dtype=dtype),
-            bias=bias.astype(dtype),
-            sin_bias=np.sin(bias).astype(dtype),
-            blocks=blocks,
-            classes=classes,
-            aggregation=aggregation,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            shared_projection=shared_projection,
-            score_threads=score_threads,
-        )
-
-    @classmethod
-    def from_prepared(
-        cls,
-        *,
-        basis2: np.ndarray,
-        bias: np.ndarray,
-        sin_bias: np.ndarray,
-        **options,
-    ) -> "CompiledModel":
-        """Build an engine over already-derived arrays, without copying them.
-
-        ``basis2`` is the pre-doubled, pre-transposed ``(in_features,
-        D_total)`` projection exactly as :attr:`_basis2` stores it, ``bias``
-        / ``sin_bias`` the phase bias and its precomputed sine in the
-        engine dtype.  The arrays are adopted as-is (no ``ascontiguousarray``
-        / ``astype`` pass), which is what lets :mod:`repro.serving.shm`
-        construct engines directly over ``multiprocessing.shared_memory``
-        buffers with zero per-worker copies.  Remaining keyword ``options``
-        are the block/class/aggregation arguments of the regular
-        constructor.  Callers are responsible for array layout; shapes and
-        dtypes are still validated.
-        """
         basis2 = np.asarray(basis2)
         bias = np.asarray(bias)
         sin_bias = np.asarray(sin_bias)
@@ -191,27 +156,6 @@ class CompiledModel:
                 f"bias/sin_bias of shape {bias.shape}/{sin_bias.shape} do not "
                 f"match D_total={basis2.shape[1]}"
             )
-        self = cls.__new__(cls)
-        self._setup(basis2=basis2, bias=bias, sin_bias=sin_bias, **options)
-        return self
-
-    def _setup(
-        self,
-        *,
-        basis2: np.ndarray,
-        bias: np.ndarray,
-        sin_bias: np.ndarray,
-        blocks: Sequence[LearnerBlock],
-        classes: np.ndarray,
-        aggregation: str,
-        dtype: np.dtype,
-        chunk_size: ChunkSize = None,
-        cache_size: int = 0,
-        cache_bytes: int | None = None,
-        shared_projection: bool = False,
-        score_threads: int | str | None = None,
-    ) -> None:
-        """Shared field initialisation of ``__init__`` and :meth:`from_prepared`."""
         if aggregation not in ("vote", "score"):
             raise EngineError(f"unsupported aggregation {aggregation!r}")
         self.dtype = np.dtype(dtype)
@@ -240,6 +184,11 @@ class CompiledModel:
             if cache_size or cache_bytes
             else None
         )
+
+    @classmethod
+    def from_prepared(cls, **options) -> "CompiledModel":
+        """The constructor, named for the prepared arrays it adopts."""
+        return cls(**options)
 
     # ---------------------------------------------------------------- infra
     @property
@@ -483,28 +432,21 @@ def _shared_root(encoders: Sequence[Encoder]) -> Encoder | None:
     return root
 
 
-def _normalised_class_weights(
-    learner: OnlineHD, global_classes: np.ndarray, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """L2-normalise a learner's class hypervectors; map classes to columns."""
-    hypervectors = learner.class_hypervectors_
-    norms = np.maximum(np.linalg.norm(hypervectors, axis=1, keepdims=True), _EPS)
-    weights = np.ascontiguousarray((hypervectors / norms).T, dtype=dtype)
-    columns = np.searchsorted(global_classes, learner.classes_)
-    return weights, columns
-
-
 @dataclass(frozen=True)
 class ModelComponents:
-    """A fitted model decomposed into the pieces every engine builder needs.
+    """A model decomposed into what :func:`~repro.engine.build_engine` needs.
 
-    Produced by :func:`model_components` and consumed by the float engine
-    below and the quantized engines in :mod:`repro.engine.quant`; ``spans``
-    holds each learner's ``[start, stop)`` column range in the stacked
-    projection, already validated against the basis row count.
+    Built from a fitted model by :func:`model_components`, or from a stored
+    artifact by :meth:`repro.serving.ModelRegistry.load_compiled`, both
+    through :func:`assemble_components`.  Per learner ``i``: ``spans[i]`` is
+    its ``[start, stop)`` column range in the stacked projection (validated
+    against the basis row count), ``columns[i]`` maps its classes onto the
+    global class columns, and ``hypervectors[i]`` holds its class
+    hypervectors — float values, or, when ``scheme`` names a fixed-point
+    format, that format's stored integer codes under the scale
+    ``scales[i]``.
     """
 
-    learners: tuple
     alphas: np.ndarray
     aggregation: str
     classes: np.ndarray
@@ -512,33 +454,67 @@ class ModelComponents:
     bias: np.ndarray
     shared: bool
     spans: tuple[tuple[int, int], ...]
+    columns: tuple[np.ndarray, ...]
+    hypervectors: tuple[np.ndarray, ...]
+    scheme: str | None = None
+    scales: tuple[float, ...] = ()
 
 
-def assemble_projection(
-    encoders: Sequence[Encoder], declared: bool | None = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Stack encoder projections into one ``(D_total, f)`` basis + bias.
+def assemble_components(
+    encoders: Sequence[Encoder],
+    learner_classes: Sequence[np.ndarray],
+    hypervectors: Sequence[np.ndarray],
+    *,
+    alphas: np.ndarray,
+    aggregation: str,
+    classes: np.ndarray,
+    declared: bool | None = None,
+    scheme: str | None = None,
+    scales: Sequence[float] = (),
+) -> ModelComponents:
+    """Stack encoder projections and collect per-learner class data.
 
-    Returns ``(basis, bias, shared)``; when the encoders tile one parent
-    projection (``shared``), the parent's arrays are reused instead of
-    re-stacking its slices.  ``declared`` short-circuits the structural scan
-    exactly like the partitioner declaration in :func:`model_components`.
-    Shared by :func:`compile_model` and the registry's direct engine loader.
+    When the encoders tile one parent projection, the parent's arrays are
+    reused instead of re-stacking its slices (``shared``); ``declared=False``
+    skips that structural scan, as a partitioner declaring independent
+    projections does.  Raises :class:`EngineError` for encoders without
+    projection parameters or whose widths do not add up to the basis.
     """
     root = None if declared is False else _shared_root(encoders)
     if root is not None:
         basis, bias = _projection_params(root)
-        return basis, bias, True
-    bases, biases = [], []
+    else:
+        params = [_projection_params(encoder) for encoder in encoders]
+        basis = np.vstack([block_basis for block_basis, _ in params])
+        bias = np.concatenate([block_bias for _, block_bias in params])
+
+    spans: list[tuple[int, int]] = []
+    start = 0
     for encoder in encoders:
-        block_basis, block_bias = _projection_params(encoder)
-        bases.append(block_basis)
-        biases.append(block_bias)
-    return np.vstack(bases), np.concatenate(biases), False
+        spans.append((start, start + encoder.dim))
+        start += encoder.dim
+    if start != basis.shape[0]:
+        raise EngineError(
+            f"encoder dimensions sum to {start} but the stacked projection "
+            f"has {basis.shape[0]} rows; the model's encoders are inconsistent"
+        )
+    return ModelComponents(
+        alphas=np.asarray(alphas, dtype=float),
+        aggregation=aggregation,
+        classes=classes,
+        basis=basis,
+        bias=bias,
+        shared=root is not None,
+        spans=tuple(spans),
+        columns=tuple(np.searchsorted(classes, local) for local in learner_classes),
+        hypervectors=tuple(hypervectors),
+        scheme=scheme,
+        scales=tuple(float(scale) for scale in scales),
+    )
 
 
 def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
-    """Decompose a fitted model into stacked-projection engine components.
+    """Decompose a fitted model into engine components.
 
     Raises :class:`EngineError` when the model is unfitted, of an
     unsupported type, or uses an encoder without projection parameters.
@@ -549,69 +525,56 @@ def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
         learners = model.learners_
         alphas = model.learner_weights_
         aggregation = model.aggregation
-        classes = model.classes_
     elif isinstance(model, OnlineHD):
         if model.class_hypervectors_ is None:
             raise EngineError("cannot compile an unfitted OnlineHD; call fit() first")
         learners = [model]
         alphas = np.ones(1)
         aggregation = "score"
-        classes = model.classes_
     else:
         raise EngineError(
             f"cannot compile {type(model).__name__}; expected BoostHD or OnlineHD"
         )
-
-    encoders = [learner.encoder for learner in learners]
     # The partitioner declares its layout via `shared_projection`; an
     # explicit False short-circuits the structural scan, while True (or an
     # unknown/hand-built layout) is still verified against the actual
     # encoders so a mis-declared partitioner cannot corrupt the projection.
     declared = getattr(getattr(model, "partitioner", None), "shared_projection", None)
-    basis, bias, shared = assemble_projection(encoders, declared)
-
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for learner in learners:
-        stop = start + learner.encoder.dim
-        spans.append((start, stop))
-        start = stop
-    if start != basis.shape[0]:
-        raise EngineError(
-            f"encoder dimensions sum to {start} but the stacked projection "
-            f"has {basis.shape[0]} rows; the model's encoders are inconsistent"
-        )
-
-    return ModelComponents(
-        learners=tuple(learners),
-        alphas=np.asarray(alphas, dtype=float),
+    return assemble_components(
+        [learner.encoder for learner in learners],
+        [learner.classes_ for learner in learners],
+        [learner.class_hypervectors_ for learner in learners],
+        alphas=alphas,
         aggregation=aggregation,
-        classes=classes,
-        basis=basis,
-        bias=bias,
-        shared=shared,
-        spans=tuple(spans),
+        classes=model.classes_,
+        declared=declared,
     )
 
 
 def compile_model(
-    model: BoostHD | OnlineHD,
-    *,
-    dtype: np.dtype | type | str = np.float32,
-    chunk_size: ChunkSize = None,
-    cache_size: int = 0,
-    cache_bytes: int | None = None,
-    precision: str = "float64",
-    score_threads: int | str | None = None,
-    **cascade_options,
+    model: BoostHD | OnlineHD, *, precision: str = "float64", **options
 ) -> CompiledModel:
     """Compile a fitted ``BoostHD`` or ``OnlineHD`` into a fused scorer.
+
+    ``build_engine(model_components(model), precision, **options)`` — see
+    :func:`repro.engine.build_engine` and :data:`repro.engine.PRECISIONS`.
 
     Parameters
     ----------
     model:
         A fitted ensemble or single OnlineHD model whose encoders are
         trigonometric random projections.
+    precision:
+        Class-hypervector domain of the scoring stage, a name from
+        :data:`~repro.engine.PRECISIONS` (or ``"cascade"``).  ``"float64"``
+        (default) keeps the exact float engine; ``"bipolar-packed"`` returns
+        a :class:`~repro.engine.quant.PackedBipolarModel` (1-bit sign
+        patterns scored by XOR + popcount), ``"fixed16"`` / ``"fixed8"`` a
+        :class:`~repro.engine.quant.FixedPointModel` (fixed-point matmuls,
+        exact on integer-valued float64 operands), and the cascade
+        precisions a :class:`~repro.engine.cascade.CascadeModel` (packed
+        first pass, margin-routed second-tier rerank).  All variants expose
+        the same inference API.
     dtype:
         Arithmetic dtype of the fused float path — the encoding stage for
         every engine, plus class-weight storage and the scoring matmul for
@@ -632,127 +595,32 @@ def compile_model(
         rather than entry count).  May be combined with ``cache_size`` or used
         alone (``cache_size=0`` then means "no count bound"); long-running
         serving processes use this to cap encoder-cache memory.
-    precision:
-        Class-hypervector domain of the scoring stage.  ``"float64"``
-        (default) keeps the exact float engine; ``"bipolar-packed"`` returns
-        a :class:`~repro.engine.quant.PackedBipolarModel` (1-bit sign
-        patterns scored by XOR + popcount), ``"fixed16"`` / ``"fixed8"`` a
-        :class:`~repro.engine.quant.FixedPointModel` (fixed-point matmuls,
-        exact on integer-valued float64 operands), and ``"cascade"`` /
-        ``"cascade-fixed16"`` / ``"cascade-fixed8"`` / ``"cascade-float64"``
-        a :class:`~repro.engine.cascade.CascadeModel` (packed first pass,
-        margin-routed second-tier rerank; extra keyword ``threshold`` sets
-        the margin cutoff).  All variants expose the same inference API.
     score_threads:
         Scoring-thread request for the integer-domain engines: ``None``
         (default) defers to the ``REPRO_SCORE_THREADS`` environment variable
         at each call, ``"auto"`` uses every usable CPU, an int pins the
         count.  Threaded scoring is bit-identical to single-thread at any
         count (:mod:`repro.engine.threads`); the float engine ignores it.
+    threshold:
+        Cascade precisions only: the top-2 margin below which a row is
+        rescored by the second tier.
 
     Raises
     ------
     EngineError
         If the model is unfitted, of an unsupported type, or uses an encoder
-        without projection parameters (e.g. ``LevelIdEncoder``).
+        without projection parameters (e.g. ``LevelIdEncoder``); for an
+        unknown precision or an option it does not accept.
     """
+    from .precision import build_engine
+
     if not OBS.enabled:
-        return _compile_model(
-            model,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            precision=precision,
-            score_threads=score_threads,
-            **cascade_options,
-        )
+        return build_engine(model_components(model), precision, **options)
     with OBS.recorder.span("engine.compile", precision=precision):
-        engine = _compile_model(
-            model,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            precision=precision,
-            score_threads=score_threads,
-            **cascade_options,
-        )
+        engine = build_engine(model_components(model), precision, **options)
     OBS.metrics.counter(
         "repro_engine_compiles_total",
         "Engines built through compile_model.",
         precision=engine.precision,
     ).inc()
     return engine
-
-
-def _compile_model(
-    model: BoostHD | OnlineHD,
-    *,
-    dtype: np.dtype | type | str,
-    chunk_size: ChunkSize,
-    cache_size: int,
-    cache_bytes: int | None,
-    precision: str,
-    score_threads: int | str | None,
-    **cascade_options,
-) -> CompiledModel:
-    if precision == "cascade" or precision.startswith("cascade-"):
-        from .cascade import compile_cascade
-
-        return compile_cascade(
-            model,
-            precision=precision,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            score_threads=score_threads,
-            **cascade_options,
-        )
-    if cascade_options:
-        raise EngineError(
-            f"unexpected options {sorted(cascade_options)} for precision "
-            f"{precision!r}; only the cascade precisions accept extras "
-            "(e.g. threshold)"
-        )
-    if precision != "float64":
-        from .quant import compile_quantized
-
-        return compile_quantized(
-            model,
-            precision=precision,
-            dtype=dtype,
-            chunk_size=chunk_size,
-            cache_size=cache_size,
-            cache_bytes=cache_bytes,
-            score_threads=score_threads,
-        )
-    resolved = np.dtype(dtype)
-    parts = model_components(model)
-    blocks = []
-    for learner, alpha, (start, stop) in zip(parts.learners, parts.alphas, parts.spans):
-        weights, columns = _normalised_class_weights(learner, parts.classes, resolved)
-        blocks.append(
-            LearnerBlock(
-                start=start,
-                stop=stop,
-                alpha=float(alpha),
-                columns=columns,
-                class_weights=weights,
-            )
-        )
-
-    return CompiledModel(
-        basis=parts.basis,
-        bias=parts.bias,
-        blocks=blocks,
-        classes=parts.classes,
-        aggregation=parts.aggregation,
-        dtype=resolved,
-        chunk_size=chunk_size,
-        cache_size=cache_size,
-        cache_bytes=cache_bytes,
-        shared_projection=parts.shared,
-        score_threads=score_threads,
-    )

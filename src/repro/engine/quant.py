@@ -36,10 +36,9 @@ compiled-model variants that mirror the
   representatives to machine precision — the arithmetic is exact, the only
   error is the representation rounding itself.
 
-Construction mirrors the float engine: :func:`repro.engine.compile_model`
-with ``precision="bipolar-packed" | "fixed16" | "fixed8"`` dispatches here,
-and :meth:`repro.serving.ModelRegistry.load` with a ``precision`` builds the
-same engines *directly from stored integer codes* without dequantizing.
+Both are built by :func:`repro.engine.build_engine` — from a fitted model
+through :func:`repro.engine.compile_model`, or *directly from stored
+integer codes* through :meth:`repro.serving.ModelRegistry.load_compiled`.
 Packed words are zero-padded to ``uint64`` for the XOR + popcount (8x fewer
 ufunc elements than ``uint8``); pad bits are zero in both operands, so they
 cancel in the XOR and never contaminate the mismatch counts.
@@ -59,10 +58,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..hdc.hypervector import pack_signs
-from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES, quantize_codes
+from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES
 from ..hdc.similarity import popcount_rows
-from .compile import CompiledModel, EngineError, model_components
+from .compile import _EPS, CompiledModel, EngineError
 from .threads import run_row_blocks
 
 __all__ = [
@@ -71,20 +69,11 @@ __all__ = [
     "PackedBipolarModel",
     "PackedBlock",
     "PackedQueries",
-    "QUANT_PRECISIONS",
-    "compile_quantized",
     "fixed_block",
     "fixed_block_from_codes",
     "packed_block",
     "packed_block_from_words",
 ]
-
-#: Quantized precisions understood by ``compile_model(..., precision=...)``
-#: (the float engine itself answers to ``"float64"``).
-QUANT_PRECISIONS = ("bipolar-packed", "fixed16", "fixed8")
-
-_EPS = 1e-12
-
 
 #: Upper bound on the XOR/popcount temporary of one packed scoring step.
 #: Rows are scored in steps that keep it within this budget, so a
@@ -523,34 +512,18 @@ class FixedPointModel(CompiledModel):
     row blocking or thread count.  Scores therefore equal the float cosine
     of the dequantized query and class representatives to machine
     precision — asserted in ``tests/test_quant_engine.py``.
+
+    Constructed like :class:`CompiledModel`, plus the ``precision`` whose
+    storage dtype every block's scoring-layout codes must have.
     """
 
-    def __init__(self, *, precision: str, **kwargs) -> None:
+    def __init__(self, *, precision: str, **options) -> None:
         if precision not in SCHEME_BITS:
             raise EngineError(
                 f"unsupported fixed-point precision {precision!r}; "
                 f"available: {sorted(SCHEME_BITS)}"
             )
-        super().__init__(**kwargs)
-        self._configure_fixed(precision)
-
-    @classmethod
-    def from_prepared(cls, *, precision: str, **options) -> "FixedPointModel":
-        """Zero-copy construction over prepared arrays, plus the precision setup.
-
-        See :meth:`CompiledModel.from_prepared`; blocks must already hold
-        scoring-layout codes (:func:`fixed_block_from_codes`).
-        """
-        self = super().from_prepared(**options)
-        self._configure_fixed(precision)
-        return self
-
-    def _configure_fixed(self, precision: str) -> None:
-        if precision not in SCHEME_BITS:
-            raise EngineError(
-                f"unsupported fixed-point precision {precision!r}; "
-                f"available: {sorted(SCHEME_BITS)}"
-            )
+        super().__init__(**options)
         # The exactness bound and the query range below are sized from the
         # precision, so mismatched block code dtypes would break them
         # silently — wrong scores, no error.  Refuse them up front.
@@ -634,89 +607,3 @@ class FixedPointModel(CompiledModel):
 
         run_row_blocks(kernel, n, threads=self.score_threads)
         return scores / self._total_alpha
-
-
-# -------------------------------------------------------------- compilation
-def _packed_blocks_from_learners(parts) -> list[PackedBlock]:
-    return [
-        packed_block(
-            start,
-            stop,
-            alpha,
-            np.searchsorted(parts.classes, learner.classes_),
-            pack_signs(learner.class_hypervectors_),
-        )
-        for learner, alpha, (start, stop) in zip(
-            parts.learners, parts.alphas, parts.spans
-        )
-    ]
-
-
-def _fixed_blocks_from_learners(parts, precision: str) -> list[FixedBlock]:
-    blocks = []
-    for learner, alpha, (start, stop) in zip(parts.learners, parts.alphas, parts.spans):
-        codes, fmt = quantize_codes(learner.class_hypervectors_, precision)
-        blocks.append(
-            fixed_block(
-                start,
-                stop,
-                alpha,
-                np.searchsorted(parts.classes, learner.classes_),
-                codes,
-                fmt.scale,
-            )
-        )
-    return blocks
-
-
-def compile_quantized(
-    model,
-    *,
-    precision: str,
-    dtype: np.dtype | type | str = np.float32,
-    chunk_size=None,
-    cache_size: int = 0,
-    cache_bytes: int | None = None,
-    score_threads: int | str | None = None,
-) -> CompiledModel:
-    """Compile a fitted model into a quantized integer-domain engine.
-
-    The ``precision="..."`` dispatch target of
-    :func:`repro.engine.compile_model`; see there for the shared options.
-    Class hypervectors are quantized exactly once, through the same
-    :func:`repro.hdc.quantize.quantize_codes` /
-    :func:`repro.hdc.pack_signs` the model registry stores, so an engine
-    compiled here is code-for-code identical to one the registry
-    reconstructs from a float-stored artifact or from a fixed-point
-    artifact loaded at its own precision.  (Cross-precision registry loads
-    derive their representation from the *stored* codes — a packed engine
-    built from a fixed8 artifact packs the signs of the lossy codes, and a
-    narrowing load requantizes the dequantized values — so those may differ
-    from compiling the original float model on elements the stored format
-    already rounded.)
-    """
-    if precision not in QUANT_PRECISIONS:
-        raise EngineError(
-            f"unknown precision {precision!r}; available: "
-            f"{('float64',) + QUANT_PRECISIONS}"
-        )
-    parts = model_components(model)
-    options = dict(
-        basis=parts.basis,
-        bias=parts.bias,
-        classes=parts.classes,
-        aggregation=parts.aggregation,
-        dtype=np.dtype(dtype),
-        chunk_size=chunk_size,
-        cache_size=cache_size,
-        cache_bytes=cache_bytes,
-        shared_projection=parts.shared,
-        score_threads=score_threads,
-    )
-    if precision == "bipolar-packed":
-        return PackedBipolarModel(blocks=_packed_blocks_from_learners(parts), **options)
-    return FixedPointModel(
-        precision=precision,
-        blocks=_fixed_blocks_from_learners(parts, precision),
-        **options,
-    )

@@ -60,7 +60,9 @@ import numpy as np
 from ..obs import OBS, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
 from ..resilience.chaos import CHAOS, corrupt_bytes
-from ..serving import ServingFabric, StreamingService
+from ..engine import EngineError, resolve_precision
+from ..serving import RegistryError, ServingFabric, StreamingService, SwapResult
+from ..serving.shm import IntegrityError
 from .http import (
     BINARY,
     CLOSE,
@@ -181,7 +183,12 @@ class _ServiceBackend:
         flushed = self.service.swap_scorer(engine)
         self.generation += 1
         self.swaps += 1
-        return flushed
+        return SwapResult(
+            promoted=True,
+            generation=self.generation,
+            flushed=tuple(flushed),
+            reason="promoted",
+        )
 
     def sessions(self) -> tuple[str, ...]:
         return tuple(self.service.sessions)
@@ -248,10 +255,9 @@ class _FabricBackend:
         return self.fabric.drain(deadline=deadline)
 
     def swap(self, registry, name, version, precision, compile_options):
-        self.fabric.swap_from_registry(
+        return self.fabric.swap_from_registry(
             registry, name, version, precision=precision, **(compile_options or {})
         )
-        return []
 
     def sessions(self) -> tuple[str, ...]:
         return self.fabric.sessions
@@ -567,6 +573,8 @@ class Gateway:
             error = done.exception()
             if error is None and deliver:
                 result = done.result()
+                if isinstance(result, SwapResult):
+                    result = list(result.flushed)
                 if isinstance(result, list):
                     self._deliver(result)
 
@@ -935,8 +943,25 @@ class Gateway:
         version = body.get("version")
         precision = body.get("precision", "float64")
         options = body.get("compile_options") or {}
+        if not (
+            isinstance(precision, str)
+            and isinstance(options, dict)
+            and (version is None or isinstance(version, int))
+        ):
+            raise ProtocolError(
+                "swap takes a string precision, an integer version and a "
+                "compile_options object"
+            )
         try:
-            await self._await_backend(
+            resolve_precision(precision)
+        except EngineError as error:
+            raise ProtocolError(str(error)) from None
+        try:
+            self.registry.describe(name, version)
+        except RegistryError as error:
+            return json_response(404, {"error": str(error)})
+        try:
+            result = await self._await_backend(
                 self._submit_backend(
                     partial(
                         self.backend.swap,
@@ -949,18 +974,24 @@ class Gateway:
                 ),
                 None,
             )
+        except IntegrityError:
+            raise  # damage on the server side, not a bad request
+        except EngineError as error:
+            # An option the precision does not take, or an engine this
+            # backend cannot serve (a fabric cannot publish a cascade).
+            raise ProtocolError(str(error)) from None
         except (KeyError, FileNotFoundError) as error:
             return json_response(404, {"error": str(error)})
-        return json_response(
-            200,
-            {
-                "swapped": True,
-                "name": name,
-                "version": version,
-                "precision": precision,
-                "generation": self.backend.generation,
-            },
-        )
+        payload = {
+            "swapped": result.promoted,
+            "name": name,
+            "version": version,
+            "precision": precision,
+            "generation": self.backend.generation,
+        }
+        if not result.promoted:
+            return json_response(409, {**payload, "reason": result.reason})
+        return json_response(200, payload)
 
     async def _replay_dead_letters(self, deadline: Deadline | None) -> bytes:
         result = await self._await_backend(

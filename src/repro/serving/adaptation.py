@@ -34,6 +34,8 @@ from collections import deque
 import numpy as np
 
 from ..core.boosthd import BoostHD
+from ..engine.compile import EngineError
+from ..engine.precision import resolve_precision
 from ..hdc.onlinehd import OnlineHD
 from ..obs import OBS
 
@@ -175,9 +177,8 @@ class AdaptiveModel:
         Keyword options for :func:`repro.engine.compile_model` used on every
         (re)compile, e.g. ``{"dtype": np.float32, "cache_size": 32}``.
     precision:
-        Serving precision of the compiled engine (``"float64"`` /
-        ``"bipolar-packed"`` / ``"fixed16"`` / ``"fixed8"`` /
-        ``"cascade[-...]"``).  The *model*
+        Serving precision of the compiled engine, a name from
+        :data:`repro.engine.PRECISIONS` (or ``"cascade"``).  The *model*
         stays full-precision — adaptation updates float class hypervectors —
         and every (re)compile quantizes the updated hypervectors into a
         fresh integer-domain engine, so feedback invalidates and rebuilds
@@ -211,14 +212,10 @@ class AdaptiveModel:
     @staticmethod
     def _validate_precision(precision: str) -> None:
         """Fail at configuration time, not on the first scoring call."""
-        from ..engine.cascade import CASCADE_PRECISIONS
-        from ..engine.quant import QUANT_PRECISIONS
-
-        known = ("float64",) + QUANT_PRECISIONS + ("cascade",) + CASCADE_PRECISIONS
-        if precision not in known:
-            raise ValueError(
-                f"unknown serving precision {precision!r}; available: {known}"
-            )
+        try:
+            resolve_precision(precision)
+        except EngineError as error:
+            raise ValueError(str(error)) from None
 
     @property
     def precision(self) -> str:

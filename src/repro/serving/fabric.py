@@ -64,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.precision import ENGINE_OPTIONS
 from ..obs import OBS
 from ..resilience.chaos import CHAOS, FaultPlan, install as install_chaos
 from ..resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
@@ -533,11 +534,14 @@ class ServingFabric:
         n_workers: int | str | None = None,
         **options,
     ) -> "ServingFabric":
-        """Build a fabric straight from a stored registry artifact."""
+        """Build a fabric straight from a stored registry artifact.
+
+        ``options`` named in :data:`repro.engine.ENGINE_OPTIONS` go to
+        :meth:`~repro.serving.ModelRegistry.load_compiled`; the rest to the
+        fabric and its services.
+        """
         compile_options = {
-            key: options.pop(key)
-            for key in ("dtype", "chunk_size", "cache_size", "cache_bytes")
-            if key in options
+            key: options.pop(key) for key in ENGINE_OPTIONS if key in options
         }
         engine = registry.load_compiled(
             name, version, precision=precision, **compile_options

@@ -48,13 +48,18 @@ from pathlib import Path
 import numpy as np
 
 from ..core.boosthd import BoostHD
-from ..engine.compile import _shared_root, assemble_projection
+from ..engine.compile import (
+    EngineError,
+    ModelComponents,
+    _shared_root,
+    assemble_components,
+)
+from ..engine.precision import build_engine, resolve_precision
 from ..obs import OBS
 from ..resilience.chaos import CHAOS
 from ..hdc.encoder import Encoder, NonlinearEncoder, SlicedEncoder
 from ..hdc.quantize import (
     SCHEME_BITS,
-    SCHEME_DTYPES,
     FixedPointFormat,
     from_fixed_point,
     quantize_codes,
@@ -64,8 +69,6 @@ from ..hdc.onlinehd import OnlineHD
 __all__ = ["ModelRecord", "ModelRegistry", "RegistryError"]
 
 _VERSION_PATTERN = re.compile(r"^v(\d+)$")
-_QUANTIZE_BITS = SCHEME_BITS
-_QUANTIZE_DTYPES = SCHEME_DTYPES
 
 #: Hyperparameters persisted per model kind (constructor arguments that are
 #: plain values; encoder/partitioner objects are reconstructed from arrays).
@@ -156,7 +159,7 @@ def _load_hypervectors(archive, prefix: str, quantize: str | None) -> np.ndarray
     if quantize is None:
         return np.asarray(archive[f"{prefix}hypervectors"], dtype=np.float64)
     fmt = FixedPointFormat(
-        bits=_QUANTIZE_BITS[quantize], scale=float(archive[f"{prefix}scale"])
+        bits=SCHEME_BITS[quantize], scale=float(archive[f"{prefix}scale"])
     )
     return from_fixed_point(archive[f"{prefix}codes"].astype(np.int64), fmt)
 
@@ -303,10 +306,10 @@ class ModelRegistry:
         metadata: dict | None = None,
         quantize: str | None = None,
     ) -> int:
-        if quantize is not None and quantize not in _QUANTIZE_BITS:
+        if quantize is not None and quantize not in SCHEME_BITS:
             raise RegistryError(
                 f"unknown quantize scheme {quantize!r}; "
-                f"available: {sorted(_QUANTIZE_BITS)} or None"
+                f"available: {sorted(SCHEME_BITS)} or None"
             )
         if not name or "/" in name or name.startswith("."):
             raise RegistryError(f"invalid model name {name!r}")
@@ -502,17 +505,8 @@ class ModelRegistry:
         With the default ``precision=None`` the stored model object is
         rebuilt exactly as saved (fixed-point artifacts are dequantized to
         float64 — the historical behaviour).  Passing a ``precision``
-        instead returns a *serving engine* at that precision:
-        ``"bipolar-packed"`` / ``"fixed16"`` / ``"fixed8"`` construct the
-        integer-domain engines of :mod:`repro.engine.quant` **directly from
-        the stored codes, without dequantization** (sign bits and
-        fixed-point codes are read as integers end-to-end),
-        ``"cascade[-...]"`` builds both tiers of an early-exit
-        :class:`~repro.engine.cascade.CascadeModel` the same way, and
-        ``"float64"`` compiles the float engine.  ``compile_options``
-        (``dtype``, ``chunk_size``, ``cache_size``, ``cache_bytes``,
-        ``score_threads``; ``threshold`` for cascades) are forwarded to the
-        engine constructor and are only valid with a ``precision``.
+        instead returns :meth:`load_compiled`'s *serving engine*, built
+        from the stored arrays; ``compile_options`` are only valid then.
         """
         if precision is None:
             if compile_options:
@@ -608,196 +602,66 @@ class ModelRegistry:
         precision: str = "float64",
         **compile_options,
     ):
-        """Load a stored model and compile it into a fused engine.
+        """Load a stored version straight into a serving engine.
 
-        Keyword options (``dtype``, ``chunk_size``, ``cache_size``,
-        ``cache_bytes``) are forwarded to
-        :func:`repro.engine.compile_model`; with the default
-        ``precision="float64"`` the compiled scorer's predictions are
-        byte-identical to compiling the original model with the same
-        options.  Quantized precisions (``"bipolar-packed"`` /
-        ``"fixed16"`` / ``"fixed8"``) build the integer-domain engines
-        straight from the stored arrays: a fixed-point artifact loaded at
-        its own (or a wider) precision reuses the stored integer codes
-        byte-for-byte with **no** float64 dequantization; packed-bipolar
-        reads only the stored sign bits.  Narrowing (a ``fixed16`` artifact
-        at ``precision="fixed8"``) is the one case that requantizes through
-        float, since the stored codes cannot represent the narrower format.
-
-        Cascade precisions (``"cascade"`` / ``"cascade-fixed16"`` /
-        ``"cascade-fixed8"`` / ``"cascade-float64"``) load *both* tiers the
-        same way — the packed first tier packs the stored codes' sign bits
-        and an integer second tier reuses the stored codes, neither through
-        float — and accept an extra ``threshold`` compile option.
+        ``build_engine(components, precision, **compile_options)`` over the
+        artifact's stored arrays (see :func:`repro.engine.build_engine` for
+        the options and the stored-code reuse rules): a fixed-point artifact
+        serves its integer codes without dequantizing them at its own or a
+        wider fixed-point precision, and a cascade builds both tiers that
+        way.  A float artifact at any precision — and ``precision="float64"``
+        with the default options — scores byte-identically to compiling the
+        original model.  An unknown precision raises :exc:`RegistryError`; an
+        option the precision does not accept raises
+        :class:`~repro.engine.EngineError`, as ``compile_model`` does.
         """
-        from ..engine import compile_model
-        from ..engine.quant import QUANT_PRECISIONS
-
-        if precision == "float64":
-            return compile_model(self._load_model(name, version), **compile_options)
-        if precision == "cascade" or precision.startswith("cascade-"):
-            return self._load_cascade_engine(name, version, precision, compile_options)
-        if precision not in QUANT_PRECISIONS:
-            from ..engine.cascade import CASCADE_PRECISIONS
-
-            raise RegistryError(
-                f"unknown precision {precision!r}; available: "
-                f"{('float64',) + QUANT_PRECISIONS + ('cascade',) + CASCADE_PRECISIONS}"
-            )
-        return self._load_quantized_engine(name, version, precision, compile_options)
-
-    def _load_cascade_engine(
-        self, name: str, version: int | None, precision: str, compile_options: dict
-    ):
-        """Build a two-tier cascade engine directly from stored arrays.
-
-        Both tiers come from the same artifact with no dequantization: the
-        packed first tier packs the stored representation's sign bits, a
-        fixed-point second tier goes through the usual stored-code reuse
-        rules, and a float64 second tier compiles the reconstructed model.
-        The second tier never encodes (the cascade shares the first tier's
-        encoder), so encoding-cache options apply to the first tier only.
-        """
-        from ..engine import compile_model
-        from ..engine.cascade import (
-            DEFAULT_THRESHOLD,
-            CascadeModel,
-            second_tier_precision,
-        )
-
         try:
-            second_precision = second_tier_precision(precision)
-        except Exception as error:
-            raise RegistryError(str(error)) from error
-        threshold = compile_options.pop("threshold", DEFAULT_THRESHOLD)
-        # _load_quantized_engine consumes its options dict; hand each tier
-        # its own copy.  The second tier only ever scores pre-encoded rows,
-        # so it gets no encoding cache.
-        second_options = {
-            key: value
-            for key, value in compile_options.items()
-            if key not in ("cache_size", "cache_bytes")
-        }
-        first = self._load_quantized_engine(
-            name, version, "bipolar-packed", dict(compile_options)
-        )
-        if second_precision == "float64":
-            second = compile_model(self._load_model(name, version), **second_options)
-        else:
-            second = self._load_quantized_engine(
-                name, version, second_precision, second_options
-            )
-        return CascadeModel(first=first, second=second, threshold=threshold)
-
-    def _load_quantized_engine(
-        self, name: str, version: int | None, precision: str, compile_options: dict
-    ):
+            resolve_precision(precision)
+        except EngineError as error:
+            raise RegistryError(str(error)) from None
         if not OBS.enabled:
-            return self._load_quantized_engine_exact(
-                name, version, precision, compile_options
-            )
+            components = self._components(name, version)
+            return build_engine(components, precision, **compile_options)
         with OBS.recorder.span("registry.load", model=name, form=precision):
             start = time.perf_counter()
-            engine = self._load_quantized_engine_exact(
-                name, version, precision, compile_options
-            )
+            components = self._components(name, version)
+            engine = build_engine(components, precision, **compile_options)
             seconds = time.perf_counter() - start
         self._record_artifact_io("load", name, version, seconds)
         return engine
 
-    def _load_quantized_engine_exact(
-        self, name: str, version: int | None, precision: str, compile_options: dict
-    ):
-        """Build a quantized engine directly from stored arrays.
+    def _components(self, name: str, version: int | None) -> ModelComponents:
+        """Engine components read straight from a stored version's arrays.
 
-        The stored class representation is converted to the engine's block
-        form in the integer domain: sign packing reads raw code (or float)
-        signs, matching fixed-point precisions reuse the stored codes
-        byte-for-byte, widening reinterprets them under the same scale.
-        Encoder arrays are float as always — quantization concerns the
-        class-comparison stage, not the projection.
+        Encoder arrays are float as always; the class hypervectors stay in
+        their stored form — float64 values, or fixed-point codes with their
+        scales — for :func:`~repro.engine.build_engine` to reuse.
         """
-        from ..engine.quant import (
-            FixedPointModel,
-            PackedBipolarModel,
-            fixed_block,
-            packed_block,
-        )
-        from ..hdc.hypervector import pack_signs
-
         record = self.describe(name, version)
         with self._open_archive(record) as archive:
             shared_parent, n_learners, alphas, aggregation, classes = (
                 self._archive_header(record, archive)
             )
-
-            encoders = [
-                self._deserialize_encoder(archive, index, shared_parent)
-                for index in range(n_learners)
-            ]
-            basis, bias, shared = assemble_projection(encoders)
-
-            blocks = []
-            start = 0
-            for index in range(n_learners):
-                prefix = f"learner_{index}_"
-                stop = start + encoders[index].dim
-                columns = np.searchsorted(classes, archive[f"{prefix}classes"])
-                if precision == "bipolar-packed":
-                    source = (
-                        archive[f"{prefix}codes"]
-                        if record.quantize is not None
-                        else archive[f"{prefix}hypervectors"]
-                    )
-                    blocks.append(
-                        packed_block(start, stop, alphas[index], columns, pack_signs(source))
-                    )
-                else:
-                    codes, scale = self._stored_fixed_codes(archive, prefix, record, precision)
-                    blocks.append(
-                        fixed_block(start, stop, alphas[index], columns, codes, scale)
-                    )
-                start = stop
-
-        options = dict(
-            basis=basis,
-            bias=bias,
-            blocks=blocks,
-            classes=classes,
-            aggregation=aggregation,
-            shared_projection=shared,
-            dtype=np.dtype(compile_options.pop("dtype", np.float32)),
-            **compile_options,
-        )
-        if precision == "bipolar-packed":
-            return PackedBipolarModel(**options)
-        return FixedPointModel(precision=precision, **options)
-
-    @staticmethod
-    def _stored_fixed_codes(
-        archive, prefix: str, record: ModelRecord, precision: str
-    ) -> tuple[np.ndarray, float]:
-        """One learner's fixed-point codes at the requested precision.
-
-        Stored codes are reused directly when the stored format fits in the
-        requested one (same width: byte-for-byte; widening: the same integer
-        values under the same scale are valid codes of the wider format).
-        Only narrowing — or a float-stored artifact — derives fresh codes.
-        """
-        stored = record.quantize
-        if stored is not None and _QUANTIZE_BITS[stored] <= _QUANTIZE_BITS[precision]:
-            codes = archive[f"{prefix}codes"].astype(
-                _QUANTIZE_DTYPES[precision], copy=False
+            prefixes = [f"learner_{index}_" for index in range(n_learners)]
+            if record.quantize is None:
+                stored = [
+                    np.asarray(archive[f"{prefix}hypervectors"], dtype=np.float64)
+                    for prefix in prefixes
+                ]
+                scales = []
+            else:
+                stored = [archive[f"{prefix}codes"] for prefix in prefixes]
+                scales = [float(archive[f"{prefix}scale"]) for prefix in prefixes]
+            return assemble_components(
+                [
+                    self._deserialize_encoder(archive, index, shared_parent)
+                    for index in range(n_learners)
+                ],
+                [archive[f"{prefix}classes"] for prefix in prefixes],
+                stored,
+                alphas=alphas,
+                aggregation=aggregation,
+                classes=classes,
+                scheme=record.quantize,
+                scales=scales,
             )
-            return codes, float(archive[f"{prefix}scale"])
-        if stored is not None:
-            values = from_fixed_point(
-                archive[f"{prefix}codes"].astype(np.int64),
-                FixedPointFormat(
-                    bits=_QUANTIZE_BITS[stored], scale=float(archive[f"{prefix}scale"])
-                ),
-            )
-        else:
-            values = archive[f"{prefix}hypervectors"]
-        codes, fmt = quantize_codes(values, precision)
-        return codes, fmt.scale

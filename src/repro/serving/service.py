@@ -49,9 +49,10 @@ class StreamingService:
         scaler (``dataset.scaler.transform``), since models are trained on
         standard-scaled features and live streams arrive raw.
     precision:
-        Optional serving precision (``"float64"`` / ``"bipolar-packed"`` /
-        ``"fixed16"`` / ``"fixed8"`` / ``"cascade[-...]"``).  A raw fitted
-        model is compiled at that precision; an
+        Optional serving precision, a name from
+        :data:`repro.engine.PRECISIONS` (or ``"cascade"``); anything else
+        raises :class:`~repro.engine.EngineError`.  A raw fitted model is
+        compiled at that precision; an
         :class:`~repro.serving.adaptation.AdaptiveModel` is switched to it
         (subsequent feedback recompiles quantized).  An already-compiled
         engine must match — the service cannot requantize an engine without
@@ -120,20 +121,18 @@ class StreamingService:
         if precision is None:
             return scorer
         from ..core.boosthd import BoostHD
-        from ..engine import CompiledModel, compile_model
+        from ..engine import CompiledModel, compile_model, resolve_precision
         from ..hdc.onlinehd import OnlineHD
         from .adaptation import AdaptiveModel
 
+        name = resolve_precision(precision)
         if isinstance(scorer, (BoostHD, OnlineHD)):
-            return compile_model(scorer, precision=precision)
+            return compile_model(scorer, precision=name)
         if isinstance(scorer, AdaptiveModel):
             scorer.set_precision(precision)
             return scorer
         if isinstance(scorer, CompiledModel):
-            if precision == "cascade":
-                # The bare alias matches the default cascade second tier.
-                precision = "cascade-fixed16"
-            if scorer.precision != precision:
+            if scorer.precision != name:
                 raise ValueError(
                     f"scorer is already compiled at precision "
                     f"{scorer.precision!r}; cannot requantize to {precision!r} "

@@ -7,14 +7,14 @@ instead of pickling a model into every worker (N full copies), a single
 writer lays every array of a compiled engine into one named
 :class:`multiprocessing.shared_memory.SharedMemory` segment and hands the
 workers a small picklable *manifest* describing the layout.  Each worker
-attaches the segment and rebuilds the engine with the ``from_prepared``
-constructors (:meth:`repro.engine.CompiledModel.from_prepared`,
-:func:`repro.engine.quant.packed_block_from_words`,
-:func:`repro.engine.quant.fixed_block_from_codes`): every large array is an
-ndarray *view* into the shared mapping, so N workers cost one copy of the
-model plus kilobytes of per-worker bookkeeping.  The packed/fixed engines
-(~62x smaller class payloads than float64) make the segments small enough to
-hot-swap freely.
+attaches the segment and rebuilds the engine with the zero-copy
+constructors its precision names in :data:`repro.engine.PRECISIONS` (the
+engine class, plus :func:`repro.engine.quant.packed_block_from_words` or
+:func:`repro.engine.quant.fixed_block_from_codes` for the blocks): every
+large array is an ndarray *view* into the shared mapping, so N workers cost
+one copy of the model plus kilobytes of per-worker bookkeeping.  The
+packed/fixed engines (~62x smaller class payloads than float64) make the
+segments small enough to hot-swap freely.
 
 Segment lifecycle
 -----------------
@@ -47,20 +47,13 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..engine.compile import CompiledModel, EngineError, LearnerBlock
-from ..engine.quant import (
-    FixedBlock,
-    FixedPointModel,
-    PackedBipolarModel,
-    PackedBlock,
-    fixed_block_from_codes,
-    packed_block_from_words,
-)
+from ..engine.compile import CompiledModel, EngineError
+from ..engine.precision import PRECISIONS, Precision
 from ..resilience.chaos import CHAOS, corrupt_bytes
 
 __all__ = [
@@ -143,24 +136,17 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _engine_kind(engine: CompiledModel) -> str:
-    if not isinstance(engine, CompiledModel) or not engine.blocks:
+def _layout(engine) -> Precision:
+    """The :data:`~repro.engine.PRECISIONS` row of a publishable engine."""
+    spec = PRECISIONS.get(getattr(engine, "precision", None))
+    if spec is None or not spec.shared or not isinstance(engine, spec.engine):
+        publishable = [name for name, row in PRECISIONS.items() if row.shared]
         raise EngineError(
             f"cannot publish {type(engine).__name__} to shared memory; "
-            f"expected a compiled engine with learner blocks"
+            f"publishable precisions: {publishable} (publish cascade tiers "
+            f"individually)"
         )
-    block = engine.blocks[0]
-    if isinstance(engine, FixedPointModel) and isinstance(block, FixedBlock):
-        return "fixed"
-    if isinstance(engine, PackedBipolarModel) and isinstance(block, PackedBlock):
-        return "packed"
-    if type(engine) is CompiledModel and isinstance(block, LearnerBlock):
-        return "float"
-    raise EngineError(
-        f"cannot publish {type(engine).__name__} to shared memory; supported "
-        f"engines: CompiledModel, PackedBipolarModel, FixedPointModel "
-        f"(publish cascade stages individually)"
-    )
+    return spec
 
 
 # ------------------------------------------------------------------ publish
@@ -212,7 +198,7 @@ class SharedModel:
     def __repr__(self) -> str:
         return (
             f"SharedModel(name={self.name!r}, generation={self.generation}, "
-            f"kind={self.manifest['kind']!r}, nbytes={self.nbytes})"
+            f"precision={self.manifest['precision']!r}, nbytes={self.nbytes})"
         )
 
 
@@ -222,34 +208,30 @@ def publish_engine(
     """Lay a compiled engine's arrays into one named shared-memory segment.
 
     Copies every model array — the fused projection ``_basis2``, the phase
-    bias pair, and each block's class payload (float weights, padded sign
-    words, or transposed fixed-point codes with their reciprocal norms) —
-    into a fresh segment, exactly once.  Returns the :class:`SharedModel`
-    whose picklable ``manifest`` lets any process rebuild the engine over
-    the shared buffers via :func:`attach_engine`.
+    bias pair, and each block's class payload (the ``shared`` arrays of the
+    engine's precision: float weights, padded sign words, or transposed
+    fixed-point codes with their reciprocal norms) — into a fresh segment,
+    exactly once.  Returns the :class:`SharedModel` whose picklable
+    ``manifest`` lets any process rebuild the engine over the shared
+    buffers via :func:`attach_engine`.
     """
-    kind = _engine_kind(engine)
+    shared = _layout(engine).shared
     arrays: list[tuple[str, np.ndarray]] = [
         ("basis2", engine._basis2),
         ("bias", engine._bias),
         ("sin_bias", engine._sin_bias),
     ]
+    # Each block's large arrays go into the segment; its small fields
+    # (span, alpha, class columns, a fixed-point scale) ride in the manifest.
     blocks: list[dict] = []
     for i, block in enumerate(engine.blocks):
-        entry: dict = {
-            "start": int(block.start),
-            "stop": int(block.stop),
-            "alpha": float(block.alpha),
-            "columns": np.asarray(block.columns),
-        }
-        if kind == "float":
-            arrays.append((f"block{i}.class_weights", block.class_weights))
-        elif kind == "packed":
-            arrays.append((f"block{i}.words", block.words))
-        else:
-            entry["scale"] = float(block.scale)
-            arrays.append((f"block{i}.codes", block.codes))
-            arrays.append((f"block{i}.inv_norms", block.inv_norms))
+        entry = {}
+        for attribute in fields(block):
+            value = getattr(block, attribute.name)
+            if attribute.name in shared:
+                arrays.append((f"block{i}.{attribute.name}", value))
+            else:
+                entry[attribute.name] = value
         blocks.append(entry)
 
     specs: dict[str, dict] = {}
@@ -286,7 +268,9 @@ def publish_engine(
             ).hexdigest()
             del view
         if CHAOS.enabled:
-            fault = CHAOS.hit("shm.publish", segment=segment, kind=kind)
+            fault = CHAOS.hit(
+                "shm.publish", segment=segment, precision=engine.precision
+            )
             if fault is not None and fault.kind == "corrupt":
                 corrupt_bytes(shm.buf, CHAOS.spec_rng(fault))
     except BaseException:
@@ -298,10 +282,9 @@ def publish_engine(
     manifest = {
         "segment": segment,
         "generation": int(generation),
-        "kind": kind,
         "publisher_pid": publisher_pid,
         "publisher_token": _process_start_token(publisher_pid),
-        "precision": getattr(engine, "precision", "float64"),
+        "precision": engine.precision,
         "dtype": engine.dtype.str,
         "aggregation": engine.aggregation,
         "chunk_size": engine.chunk_size,
@@ -401,40 +384,15 @@ class AttachedEngine:
 
     def _build(self) -> CompiledModel:
         manifest = self.manifest
-        kind = manifest["kind"]
-        blocks = []
-        for i, entry in enumerate(manifest["blocks"]):
-            start, stop = entry["start"], entry["stop"]
-            alpha, columns = entry["alpha"], entry["columns"]
-            if kind == "float":
-                blocks.append(
-                    LearnerBlock(
-                        start=start,
-                        stop=stop,
-                        alpha=alpha,
-                        columns=columns,
-                        class_weights=self._view(f"block{i}.class_weights"),
-                    )
-                )
-            elif kind == "packed":
-                blocks.append(
-                    packed_block_from_words(
-                        start, stop, alpha, columns, self._view(f"block{i}.words")
-                    )
-                )
-            else:
-                blocks.append(
-                    fixed_block_from_codes(
-                        start,
-                        stop,
-                        alpha,
-                        columns,
-                        self._view(f"block{i}.codes"),
-                        entry["scale"],
-                        self._view(f"block{i}.inv_norms"),
-                    )
-                )
-        options = dict(
+        spec = PRECISIONS[manifest["precision"]]
+        blocks = [
+            spec.attach(
+                **entry,
+                **{key: self._view(f"block{i}.{key}") for key in spec.shared},
+            )
+            for i, entry in enumerate(manifest["blocks"])
+        ]
+        return spec.make(
             basis2=self._view("basis2"),
             bias=self._view("bias"),
             sin_bias=self._view("sin_bias"),
@@ -446,11 +404,6 @@ class AttachedEngine:
             shared_projection=manifest["shared_projection"],
             score_threads=manifest["score_threads"],
         )
-        if kind == "float":
-            return CompiledModel.from_prepared(**options)
-        if kind == "packed":
-            return PackedBipolarModel.from_prepared(**options)
-        return FixedPointModel.from_prepared(precision=manifest["precision"], **options)
 
     def close(self) -> None:
         """Drop the engine and this process's mapping of the segment."""
@@ -460,7 +413,8 @@ class AttachedEngine:
     def __repr__(self) -> str:
         return (
             f"AttachedEngine(segment={self.segment!r}, "
-            f"generation={self.generation}, kind={self.manifest['kind']!r})"
+            f"generation={self.generation}, "
+            f"precision={self.manifest['precision']!r})"
         )
 
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.boosthd import BoostHD
 from repro.engine import (
-    CASCADE_PRECISIONS,
+    PRECISIONS,
     CascadeModel,
     EngineError,
     FixedPointModel,
@@ -111,7 +111,10 @@ def test_cascade_alias_and_dispatch(fitted):
     assert cascade.class_memory_bytes() == (
         cascade.first.class_memory_bytes() + cascade.second.class_memory_bytes()
     )
-    with pytest.raises(EngineError, match="cascade precision"):
+    with pytest.raises(
+        EngineError,
+        match="unknown precision 'cascade-int4'; accepted serving precisions",
+    ):
         compile_model(fitted, precision="cascade-int4")
     with pytest.raises(EngineError, match="threshold"):
         compile_model(fitted, precision="fixed16", threshold=0.1)
@@ -346,7 +349,7 @@ def test_registry_cascade_unknown_precision(cascade_registry):
 
     with pytest.raises(RegistryError, match="cascade"):
         cascade_registry.load("float-artifact", precision="cascade-int4")
-    assert set(CASCADE_PRECISIONS) == {
+    assert {name for name in PRECISIONS if PRECISIONS[name].second} == {
         "cascade-fixed16", "cascade-fixed8", "cascade-float64"
     }
 

@@ -46,8 +46,15 @@ from repro.gateway.http import (
     parse_request_head,
 )
 from repro.gateway.limits import ConcurrencyLimiter
+from repro.core.boosthd import BoostHD
+from repro.engine import PRECISIONS
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
-from repro.serving import MicroBatchScheduler, StreamingService
+from repro.serving import (
+    MicroBatchScheduler,
+    ModelRegistry,
+    ServingFabric,
+    StreamingService,
+)
 
 pytestmark = pytest.mark.gateway
 
@@ -659,6 +666,92 @@ def test_gateway_predictions_bit_identical_to_in_process():
             assert served[key] == scores  # bit-identical: json floats round-trip
 
     run(scenario())
+
+
+# ------------------------------------------------------------------ model swap
+@pytest.fixture(scope="module")
+def swap_registry(tmp_path_factory):
+    """A registry holding one small model ``"m"`` over the gateway's features."""
+    rng = np.random.default_rng(3)
+    centers = np.repeat(np.eye(3, N_FEATURES) * 4, 20, axis=0)
+    X = rng.normal(size=(60, N_FEATURES)) + centers
+    y = np.repeat(np.arange(3), 20)
+    registry = ModelRegistry(tmp_path_factory.mktemp("swap-registry"))
+    registry.save("m", BoostHD(total_dim=240, n_learners=3, epochs=1, seed=0).fit(X, y))
+    return registry
+
+
+def swap_fabric(registry) -> ServingFabric:
+    return ServingFabric(
+        registry.load_compiled("m", precision="fixed16"),
+        serial=True,
+        n_workers=1,
+        n_channels=N_CHANNELS,
+        window_samples=WINDOW,
+    )
+
+
+def swap_once(backend, registry, **request):
+    """Status and body of one ``POST /v1/model/swap`` against ``backend``."""
+
+    async def scenario():
+        gateway = await start_gateway(backend, registry=registry, registry_name="m")
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                return await client.swap(**request)
+        finally:
+            await gateway.shutdown(2.0)
+
+    return run(scenario())
+
+
+def test_swap_promotes_and_reports_the_generation(swap_registry):
+    status, body = swap_once(make_service(), swap_registry, precision="fixed16")
+    assert status == 200
+    assert body["swapped"] is True and body["generation"] == 1
+
+
+def test_swap_unknown_precision_is_400(swap_registry):
+    status, body = swap_once(make_service(), swap_registry, precision="fixed4")
+    assert status == 400
+    assert all(repr(name) in body["error"] for name in PRECISIONS)
+
+
+def test_swap_stray_compile_option_is_400(swap_registry):
+    status, body = swap_once(
+        make_service(), swap_registry, precision="fixed16", threshold=0.1
+    )
+    assert status == 400
+    assert "threshold" in body["error"]
+
+
+def test_swap_unknown_model_or_version_is_404(swap_registry):
+    status, body = swap_once(make_service(), swap_registry, name="nope")
+    assert status == 404
+    assert "no versions of model" in body["error"]
+    status, body = swap_once(make_service(), swap_registry, version=9)
+    assert status == 404
+    assert "no version v9" in body["error"]
+
+
+def test_swap_cascade_on_a_fabric_is_400(swap_registry):
+    fabric = swap_fabric(swap_registry)
+    status, body = swap_once(fabric, swap_registry, precision="cascade")
+    assert status == 400
+    assert "cannot publish" in body["error"]
+    assert fabric.swaps == 0
+
+
+def test_declined_fabric_swap_is_409_not_200(swap_registry):
+    """A swap whose new segment fails its checksum must not report success."""
+    fabric = swap_fabric(swap_registry)
+    plan = FaultPlan(faults=(FaultSpec(point="shm.publish", kind="corrupt", at=(1,)),))
+    with inject(plan):
+        status, body = swap_once(fabric, swap_registry, precision="fixed16")
+    assert status == 409
+    assert body["swapped"] is False and body["generation"] == 0
+    assert "integrity check failed" in body["reason"]
+    assert fabric.swaps == 0
 
 
 # ----------------------------------------------------------------------- chaos

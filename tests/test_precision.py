@@ -1,0 +1,110 @@
+"""Every entry point accepts and rejects the same precisions and options.
+
+:data:`repro.engine.PRECISIONS` is the one table of precision names; the
+entry points that take a precision — ``compile_model``,
+``ModelRegistry.load_compiled``, ``AdaptiveModel`` and ``StreamingService``
+— must accept exactly its names plus the ``"cascade"`` alias, and refuse
+anything else with a message that names every accepted precision.  Each
+layer keeps its own error type (``EngineError``, ``RegistryError``, and the
+``ValueError`` adaptive serving has always raised); the message is shared.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.boosthd import BoostHD
+from repro.engine import PRECISIONS, EngineError, compile_model, resolve_precision
+from repro.serving import (
+    AdaptiveModel,
+    ModelRegistry,
+    RegistryError,
+    ServingFabric,
+    StreamingService,
+)
+
+ACCEPTED = (*PRECISIONS, "cascade")
+N_CHANNELS, WINDOW = 2, 32
+
+
+@pytest.fixture(scope="module")
+def setup(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 4 * N_CHANNELS)) + np.repeat(
+        np.eye(3, 4 * N_CHANNELS) * 4, 20, axis=0
+    )
+    y = np.repeat(np.arange(3), 20)
+    model = BoostHD(total_dim=240, n_learners=3, epochs=1, seed=0).fit(X, y)
+    registry = ModelRegistry(tmp_path_factory.mktemp("precision-registry"))
+    registry.save("m", model)
+    return model, registry
+
+
+ENTRY_POINTS = {
+    "compile_model": (
+        EngineError,
+        lambda model, registry, name: compile_model(model, precision=name),
+    ),
+    "load_compiled": (
+        RegistryError,
+        lambda model, registry, name: registry.load_compiled("m", precision=name),
+    ),
+    "AdaptiveModel": (
+        ValueError,
+        lambda model, registry, name: AdaptiveModel(model, precision=name).compiled,
+    ),
+    "StreamingService": (
+        EngineError,
+        lambda model, registry, name: StreamingService(
+            model, n_channels=N_CHANNELS, window_samples=WINDOW, precision=name
+        ).scheduler.scorer,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTED + ("fixed4", "cascade-int4"))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_accept_and_reject_the_same_precisions(setup, entry, name):
+    model, registry = setup
+    error_type, build = ENTRY_POINTS[entry]
+    if name in ACCEPTED:
+        assert build(model, registry, name).precision == resolve_precision(name)
+        return
+    with pytest.raises(error_type) as raised:
+        build(model, registry, name)
+    message = str(raised.value)
+    assert repr(name) in message
+    assert all(repr(accepted) in message for accepted in ACCEPTED)
+
+
+@pytest.mark.parametrize(
+    "precision, options", [("fixed16", {"threshold": 0.1}), ("cascade", {"bogus": 1})]
+)
+def test_stray_options_raise_the_same_engine_error(setup, precision, options):
+    model, registry = setup
+    with pytest.raises(EngineError) as compiled:
+        compile_model(model, precision=precision, **options)
+    with pytest.raises(EngineError) as loaded:
+        registry.load_compiled("m", precision=precision, **options)
+    assert type(compiled.value) is type(loaded.value) is EngineError
+    assert str(compiled.value) == str(loaded.value)
+    assert next(iter(options)) in str(loaded.value)
+
+
+def test_fabric_from_registry_routes_engine_options_to_the_engine(setup):
+    model, registry = setup
+    with ServingFabric.from_registry(
+        registry,
+        "m",
+        precision="fixed16",
+        score_threads=1,
+        serial=True,
+        n_workers=1,
+        n_channels=N_CHANNELS,
+        window_samples=WINDOW,
+    ) as fabric:
+        assert fabric.fallback["compile_options"] == {"score_threads": 1}
+        fabric.open_session("s")
+        samples = np.random.default_rng(1).normal(size=(N_CHANNELS, WINDOW))
+        predictions = fabric.push("s", samples) + fabric.drain()
+    assert len(predictions) == 1
+    assert predictions[0].label in model.classes_

@@ -30,6 +30,7 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis.robustness import bitflip_sweep
 from repro.core.boosthd import BoostHD
 from repro.core.partition import SharedPartitioner
+from repro.engine import PRECISIONS as ENGINE_PRECISIONS
 from repro.engine import (
     EngineError,
     FixedPointModel,
@@ -591,12 +592,16 @@ def registry_setup(tmp_path_factory):
 
 
 def _forbid_dequantization(monkeypatch):
+    import repro.engine.precision as precision_module
     import repro.serving.registry as registry_module
 
     def explode(*args, **kwargs):
         raise AssertionError("stored codes were dequantized to float64")
 
-    monkeypatch.setattr(registry_module, "from_fixed_point", explode)
+    # Engines dequantize in repro.engine.precision; the registry's model
+    # loader is patched too, so no load path can dequantize unnoticed.
+    for module in (precision_module, registry_module):
+        monkeypatch.setattr(module, "from_fixed_point", explode)
 
 
 def test_registry_load_fixed_precision_without_dequantize(registry_setup, monkeypatch):
@@ -640,16 +645,23 @@ def test_registry_widening_reuses_codes(registry_setup, monkeypatch):
             assert block.scale == float(archive[f"learner_{index}_scale"])
 
 
-def test_registry_float_artifact_equals_compiled_engines(registry_setup):
-    registry, model, X_test, _ = registry_setup
-    for precision in PRECISIONS:
-        loaded = registry.load_compiled(
-            "float-artifact", precision=precision, dtype=np.float64
-        )
-        reference = compile_model(model, dtype=np.float64, precision=precision)
-        np.testing.assert_array_equal(
-            loaded.decision_function(X_test), reference.decision_function(X_test)
-        )
+def test_registry_float_artifact_equals_compiled_engines(
+    fitted_models, query_rows, tmp_path
+):
+    """Every model kind at every precision: load_compiled == compile_model, bitwise."""
+    registry = ModelRegistry(tmp_path)
+    for kind in EXACT_KINDS:
+        registry.save(kind, fitted_models[kind])
+        for precision in ENGINE_PRECISIONS:
+            loaded = registry.load_compiled(kind, precision=precision, dtype=np.float64)
+            reference = compile_model(
+                fitted_models[kind], dtype=np.float64, precision=precision
+            )
+            assert type(loaded) is type(reference)
+            np.testing.assert_array_equal(
+                loaded.decision_function(query_rows),
+                reference.decision_function(query_rows),
+            )
 
 
 def test_registry_narrowing_requantizes(registry_setup):

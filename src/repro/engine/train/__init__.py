@@ -15,9 +15,10 @@ Three independent accelerations compose:
 * :mod:`~repro.engine.train.bundling` — the initial single-pass bundling as
   a stable sort + per-class segment reduce instead of the slow unbuffered
   ``np.add.at`` scatter, with bit-identical summation order.
-* :mod:`~repro.engine.train.exact` — the default adaptive pass: a lean
-  1-vs-K similarity kernel with cached class/sample norms (refreshed only
-  for updated rows) and preallocated buffers.  Bit-identical to the
+* :mod:`~repro.engine.train.exact` — the default adaptive pass: per
+  sample only the similarity matmul, the row update and the updated row's
+  norm refresh stay NumPy calls; the ``K``-element bookkeeping runs in
+  Python floats over cached class/sample norms.  Bit-identical to the
   reference loop, so Table I/II golden numbers are unchanged.
 * :mod:`~repro.engine.train.minibatch` — opt-in (``batch_size=B``) chunked
   training: score a chunk against a frozen model snapshot in one matmul,

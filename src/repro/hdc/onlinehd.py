@@ -26,13 +26,13 @@ boosting weak learner (see :class:`repro.core.BoostHD`):
 Training routes through the fused training engine
 (:mod:`repro.engine.train`): the initial bundling uses a sort + segment
 reduce, and the adaptive epochs run the exact fast pass (cached class/sample
-norms, lean 1-vs-K similarity kernel) — bit-identical to the per-sample
-reference loop kept on :meth:`OnlineHD._adaptive_pass`.  ``batch_size=B``
-opts into the vectorised mini-batch trainer (frozen-snapshot chunk scoring,
-scatter-added rank-1 updates), which changes update sequencing and is gated
-by accuracy parity rather than bit-equality; ``trainer="reference"`` on
-:meth:`fit`/:meth:`partial_fit` forces the legacy loop for equivalence
-testing.
+norms, scalar bookkeeping in Python floats) — bit-identical to the
+per-sample reference loop kept on :meth:`OnlineHD._adaptive_pass`.
+``batch_size=B`` opts into the vectorised mini-batch trainer
+(frozen-snapshot chunk scoring, scatter-added rank-1 updates), which changes
+update sequencing and is gated by accuracy parity rather than bit-equality;
+``trainer="reference"`` on :meth:`fit`/:meth:`partial_fit` forces the legacy
+loop for equivalence testing.
 """
 
 from __future__ import annotations
@@ -136,6 +136,9 @@ class OnlineHD(BaseClassifier):
             raise ValueError(
                 f"encoded must have shape {expected}, got {encoded.shape}"
             )
+        # The exact trainer's scalar bookkeeping assumes finite input.
+        if not np.all(np.isfinite(encoded)):
+            raise ValueError("encoded contains NaN or infinite values")
         return encoded
 
     def _train_epochs(
@@ -203,7 +206,8 @@ class OnlineHD(BaseClassifier):
         * ``encoded`` — pre-encoded hypervectors for ``X`` (shape
           ``(n_samples, dim)``), as produced by
           :func:`repro.engine.train.encode_ensemble`; skips this model's
-          own ``encoder.encode(X)``.  The caller guarantees they match.
+          own ``encoder.encode(X)``.  The caller guarantees they match;
+          non-finite values are rejected, as in ``X``.
         * ``trainer`` — ``"exact"`` (default; bit-identical fast path),
           ``"minibatch"`` (requires ``batch_size``; the default whenever
           ``batch_size`` is set) or ``"reference"`` (the original

@@ -145,6 +145,20 @@ class TestOnlineHDExactEquivalence:
         with pytest.raises(ValueError, match="encoded"):
             model.fit(X, y, encoded=np.zeros((len(y), 41)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encoded_non_finite_rejected(self, train_problem, bad):
+        """Non-finite pre-encoded input fails like non-finite X, in both entry points."""
+        X, y = train_problem
+        encoded = np.ones((len(y), 40))
+        encoded[3, 7] = bad
+        with pytest.raises(ValueError, match="encoded contains NaN or infinite"):
+            OnlineHD(dim=40, epochs=1, seed=0).fit(X, y, encoded=encoded)
+        model = OnlineHD(dim=40, epochs=1, seed=0).fit(X, y)
+        before = model.class_hypervectors_.copy()
+        with pytest.raises(ValueError, match="encoded contains NaN or infinite"):
+            model.partial_fit(X, y, encoded=encoded)
+        np.testing.assert_array_equal(model.class_hypervectors_, before)
+
     def test_explicit_encoded_input_bit_identical(self, train_problem):
         """Pre-encoding with the model's own encoder changes nothing."""
         X, y = train_problem
@@ -250,6 +264,31 @@ class TestBoostHDEquivalence:
                 X, y, trainer="minibatch"
             )
 
+    @pytest.mark.slow
+    def test_full_paper_scale_fit_bit_identical_to_reference(self):
+        """The FULL paper fit (180,000 adaptive steps) matches the reference loop.
+
+        Same data, split and model as the benchmark's paper workload: a
+        last-bit drift anywhere in training shows here, while label parity
+        on held-out rows would not see it.
+        """
+        from repro import load_wesad
+
+        X_train, _, y_train, _ = load_wesad().split(test_fraction=0.2, rng=0)
+
+        def fit(**options):
+            model = BoostHD(total_dim=4000, n_learners=10, epochs=20, seed=1)
+            return model.fit(X_train, y_train, **options)
+
+        fast, reference = fit(), fit(trainer="reference")
+        for fast_learner, ref_learner in zip(fast.learners_, reference.learners_):
+            assert (
+                fast_learner.class_hypervectors_.tobytes()
+                == ref_learner.class_hypervectors_.tobytes()
+            )
+        assert fast.learner_weights_.tobytes() == reference.learner_weights_.tobytes()
+        assert fast.learner_errors_.tobytes() == reference.learner_errors_.tobytes()
+
     def test_compiled_engine_agrees_after_fused_training(self, train_problem):
         """Fused-trained models compile into the inference engine as before."""
         X, y = train_problem
@@ -351,52 +390,101 @@ def test_bundling_matches_add_at_scatter(n_samples, n_classes, dim, weighted, se
     seed=st.integers(0, 2**31 - 1),
 )
 def test_exact_state_norm_cache_matches_fresh_norms(n_classes, dim, n_updates, seed):
-    """After any sequence of rank-1 updates, cached norms == recomputed norms.
+    """After any sequence of adaptive updates, cached norms == recomputed norms.
 
-    This is the load-bearing invariant of the exact fast path: the cache is
-    refreshed with the same per-row reduction ``np.linalg.norm(model,
-    axis=1)`` applies, so it must match a fresh full recomputation exactly —
-    not approximately — or the scores would drift off the reference loop.
+    This is the load-bearing invariant of the exact fast path: the pass
+    refreshes an updated row's norm with the same per-row reduction
+    ``np.linalg.norm(model, axis=1)`` applies, so the cache must match a
+    fresh full recomputation exactly — not approximately — or the scores
+    would drift off the reference loop.
     """
     rng = np.random.default_rng(seed)
     model = rng.standard_normal((n_classes, dim))
     encoded = rng.standard_normal((8, dim))
+    labels = rng.integers(0, n_classes, 8)
     state = ExactPassState(model, encoded)
-    for _ in range(n_updates):
-        target = int(rng.integers(0, n_classes))
-        coefficient = float(rng.normal())
-        model[target] += coefficient * encoded[int(rng.integers(0, 8))]
-        state.refresh_class_norm(model, target)
+    adaptive_pass_exact(
+        model, encoded, labels, rng.integers(0, 8, n_updates),
+        rng.uniform(0.2, 2.0, 8), 0.05, state,
+    )
     np.testing.assert_array_equal(state.class_norms, np.linalg.norm(model, axis=1))
     np.testing.assert_array_equal(
         state.sample_norms, np.linalg.norm(encoded, axis=1)
     )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    n_samples=st.integers(4, 30),
-    n_classes=st.integers(2, 4),
-    dim=st.integers(4, 32),
+    n_samples=st.integers(1, 30),
+    n_classes=st.integers(1, 5),
+    dim=st.integers(1, 32),
+    n_zero_rows=st.integers(0, 2),
+    magnitude=st.sampled_from([1.0, 1e-7]),
+    layout=st.sampled_from(["contiguous", "column slice", "fortran"]),
+    mode=st.sampled_from(["unweighted", "weighted bootstrap", "weighted scaled"]),
+    n_epochs=st.integers(1, 3),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_exact_pass_matches_reference_pass_property(n_samples, n_classes, dim, seed):
-    """adaptive_pass_exact == the reference loop for arbitrary inputs."""
+def test_exact_pass_matches_reference_pass_property(
+    n_samples, n_classes, dim, n_zero_rows, magnitude, layout, mode, n_epochs, seed
+):
+    """adaptive_pass_exact == the reference loop for arbitrary inputs.
+
+    Covers what the exact pass's Python-float bookkeeping must get right:
+    all-zero class rows (as ``OnlineHD._extend_classes`` creates) and a
+    ``magnitude`` small enough that ``|h|·|C_k|`` falls under the 1e-12
+    clip, score ties broken to the first index, a single class, ``dim``
+    down to 1, a strided column slice of a wider encoding (the shared
+    partitioner's layout) or a Fortran-ordered one (``fit(encoded=...)``
+    takes either), bootstrap orders with repeated samples and scaled
+    updates drawn as ``OnlineHD._train_epochs`` draws them, and one state
+    threaded through several epochs.
+    """
     rng = np.random.default_rng(seed)
-    encoded = rng.standard_normal((n_samples, dim))
+    offset = int(rng.integers(1, 5)) if layout == "column slice" else 0
+    wide = rng.standard_normal((n_samples, dim + 2 * offset)) * magnitude
+    encoded = wide[:, offset : offset + dim]
+    if layout == "fortran":
+        encoded = np.asfortranarray(encoded)
     labels = rng.integers(0, n_classes, n_samples)
-    order = rng.permutation(n_samples)
-    update_scale = rng.uniform(0.2, 2.0, n_samples)
-    base = rng.standard_normal((n_classes, dim))
+    base = rng.standard_normal((n_classes, dim)) * magnitude
+    base[:n_zero_rows] = 0.0
+    weights = rng.uniform(0.2, 1.0, n_samples)
+    weights /= weights.sum()
 
     fast = base.copy()
-    adaptive_pass_exact(fast, encoded, labels, order, update_scale, lr=0.05)
-
     reference = base.copy()
-    OnlineHD(dim=dim, lr=0.05)._adaptive_pass(
-        reference, encoded, labels, order, update_scale
-    )
-    np.testing.assert_array_equal(fast, reference)
+    learner = OnlineHD(dim=dim, lr=0.05)
+    state = ExactPassState(fast, encoded)
+    for _ in range(n_epochs):
+        if mode == "weighted bootstrap":
+            order = rng.choice(n_samples, size=n_samples, p=weights)
+            update_scale = np.ones(n_samples)
+        else:
+            order = rng.permutation(n_samples)
+            update_scale = (
+                weights * n_samples if mode == "weighted scaled" else np.ones(n_samples)
+            )
+        state = adaptive_pass_exact(
+            fast, encoded, labels, order, update_scale, 0.05, state
+        )
+        learner._adaptive_pass(reference, encoded, labels, order, update_scale)
+        np.testing.assert_array_equal(fast, reference)
+
+
+def test_exact_pass_rejects_state_of_other_arrays():
+    """A state's cached row views write into its own model, never another's."""
+    rng = np.random.default_rng(0)
+    model = rng.standard_normal((3, 8))
+    encoded = rng.standard_normal((5, 8))
+    args = (np.zeros(5, dtype=int), np.arange(5), np.ones(5), 0.05)
+    state = adaptive_pass_exact(model, encoded, *args)
+    assert adaptive_pass_exact(model, encoded, *args, state) is state
+    other_model, other_encoded = model.copy(), encoded.copy()
+    for pair in ((other_model, encoded), (model, other_encoded)):
+        with pytest.raises(ValueError, match="different model or encoded"):
+            adaptive_pass_exact(*pair, *args, state)
+    np.testing.assert_array_equal(other_model, model)
 
 
 # --------------------------------------------------------- mini-batch trainer

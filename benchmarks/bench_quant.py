@@ -25,24 +25,18 @@ Holds :mod:`repro.engine.quant` to the subsystem contract at the paper's
   >= 99 % of the float64 engine's accuracy on each Table I dataset while
   scoring >= 2x faster than its own fixed16 second tier on a pre-encoded
   batch, single-thread (the cascade's win is routing, not threading).
-* **Threaded scoring** (ISSUE 6) — packed scoring at 4 threads must be
-  >= 1.8x its single-thread self *and* bit-identical to it; the test skips
-  on machines with fewer than 4 usable cores (same gate as
-  ``bench_runtime.py``).
 
-Thread pinning: single-thread contracts cannot be flattered by either
-threading knob, so every timed engine is constructed with an explicit
-``score_threads`` (the env variable ``REPRO_SCORE_THREADS`` is ignored for
-them) and ``_thread_config()`` prints + asserts the resolved configuration
-in the bench output.  The CI job additionally pins ``OMP_NUM_THREADS=1``
-so a multi-threaded BLAS cannot flatter the float baseline; run it the
-same way locally.
+Thread pinning: every engine scores on the calling thread, so the only
+threads a timed contract can pick up are BLAS's.  ``_thread_config()``
+prints the ``OMP_NUM_THREADS`` / ``OPENBLAS_NUM_THREADS`` pins in the bench
+output, so a float baseline flattered by a multi-threaded BLAS is visible;
+the CI job pins both to 1, and local runs should do the same.
 
 Every contract runs at the full contract dimension — the PR 4 fused
 training engine fits the paper configuration in ~0.2 s, so there is
 nothing to scale down; ``REPRO_BENCH_FAST`` only trims timing repetitions::
 
-    REPRO_BENCH_FAST=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
+    REPRO_BENCH_FAST=1 OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python -m pytest benchmarks/bench_quant.py -q
 """
 
@@ -53,8 +47,7 @@ import numpy as np
 import pytest
 
 from repro.core.boosthd import BoostHD
-from repro.engine import compile_model, resolve_score_threads
-from repro.engine.threads import SCORE_THREADS_ENV, available_cpus
+from repro.engine import compile_model
 
 TOTAL_DIM = 10_000
 N_LEARNERS = 10
@@ -63,8 +56,6 @@ REPETITIONS = 3 if os.environ.get("REPRO_BENCH_FAST") else 7
 
 CASCADE_SPEEDUP_FLOOR = 2.0
 CASCADE_RELATIVE_ACCURACY = 0.99
-THREADED_WORKERS = 4
-THREADED_SPEEDUP_FLOOR = 1.8
 
 MEMORY_FLOOR_PACKED = 8.0
 MEMORY_FLOOR_FIXED8 = 4.0
@@ -82,28 +73,11 @@ def _float_class_bytes(engine) -> int:
     return sum(block.class_weights.nbytes for block in engine.blocks)
 
 
-def _thread_config(*engines, expected: int) -> None:
-    """Print and assert the resolved threading of a timed contract.
-
-    The scoring-thread count must come from the engine's own explicit
-    ``score_threads`` — never from a stray ``REPRO_SCORE_THREADS`` in the
-    environment — and the BLAS pinning (``OMP_NUM_THREADS``) is surfaced so
-    a flattered single-thread float baseline is visible in the output.
-    """
+def _thread_config() -> None:
+    """Print the BLAS thread pins a timed contract runs under."""
     omp = os.environ.get("OMP_NUM_THREADS", "unset")
     openblas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    env = os.environ.get(SCORE_THREADS_ENV, "unset")
-    resolved = [resolve_score_threads(engine.score_threads) for engine in engines]
-    print(
-        f"\nthread config: OMP_NUM_THREADS={omp} OPENBLAS_NUM_THREADS={openblas} "
-        f"{SCORE_THREADS_ENV}={env} resolved score threads={resolved}"
-    )
-    for engine, threads in zip(engines, resolved):
-        assert threads == expected, (
-            f"{type(engine).__name__} resolved {threads} scoring threads, "
-            f"expected {expected} — the contract would time the wrong config "
-            f"({SCORE_THREADS_ENV}={env})"
-        )
+    print(f"\nthread config: OMP_NUM_THREADS={omp} OPENBLAS_NUM_THREADS={openblas}")
 
 
 def _best_of(function, repetitions=REPETITIONS) -> float:
@@ -175,14 +149,11 @@ def test_memory_and_scoring_throughput_contracts():
         total_dim=TOTAL_DIM, n_learners=N_LEARNERS, epochs=0, seed=0
     ).fit(X_train, y_train)
 
-    # Explicit score_threads=1: the contract is single-thread, and a stray
-    # REPRO_SCORE_THREADS in the environment must not flatter the integer
-    # engines against the OMP-pinned float baseline.
-    float64_engine = compile_model(model, dtype=np.float64, score_threads=1)
-    packed = compile_model(model, precision="bipolar-packed", score_threads=1)
-    fixed8 = compile_model(model, precision="fixed8", score_threads=1)
-    fixed16 = compile_model(model, precision="fixed16", score_threads=1)
-    _thread_config(float64_engine, packed, fixed8, fixed16, expected=1)
+    float64_engine = compile_model(model, dtype=np.float64)
+    packed = compile_model(model, precision="bipolar-packed")
+    fixed8 = compile_model(model, precision="fixed8")
+    fixed16 = compile_model(model, precision="fixed16")
+    _thread_config()
 
     queries = rng.standard_normal((BATCH, N_FEATURES))
     encoded64 = float64_engine.encode(queries)
@@ -246,15 +217,15 @@ def test_cascade_contract(datasets):
     for any rerank fraction up to ~40 % — far above what calibration
     selects.
     """
+    _thread_config()
     rows = []
     for name, dataset in datasets.items():
         X_train, X_test, y_train, y_test = dataset.split(test_fraction=0.3, rng=0)
         model = BoostHD(
             total_dim=TOTAL_DIM, n_learners=N_LEARNERS, epochs=EPOCHS, seed=0
         ).fit(X_train, y_train)
-        float_engine = compile_model(model, dtype=np.float64, score_threads=1)
-        cascade = compile_model(model, precision="cascade-fixed16", score_threads=1)
-        _thread_config(cascade, cascade.second, expected=1)
+        float_engine = compile_model(model, dtype=np.float64)
+        cascade = compile_model(model, precision="cascade-fixed16")
         calibration = cascade.calibrate_threshold(
             X_test, y_test, target=CASCADE_RELATIVE_ACCURACY
         )
@@ -293,59 +264,6 @@ def test_cascade_contract(datasets):
             f"threshold {calibration.threshold:7.4f} rerank {fraction:6.2%} "
             f"speedup vs fixed16 {speedup:5.2f}x"
         )
-
-
-@pytest.mark.cascade
-def test_threaded_scoring_contract():
-    """Packed scoring at 4 threads: >= 1.8x single-thread and bit-identical.
-
-    Skips on machines without 4 usable cores, exactly like the runtime
-    worker-scaling contract in ``bench_runtime.py`` — a 2-core CI runner
-    cannot show a 4-thread speedup and the determinism half is already
-    pinned by ``tests/test_threaded_scoring.py`` everywhere.
-    """
-    rng = np.random.default_rng(2)
-    centers = rng.standard_normal((3, N_FEATURES)) * 3.0
-    X_train = np.vstack([c + rng.standard_normal((48, N_FEATURES)) for c in centers])
-    y_train = np.repeat(np.arange(3), 48)
-    model = BoostHD(
-        total_dim=TOTAL_DIM, n_learners=N_LEARNERS, epochs=0, seed=0
-    ).fit(X_train, y_train)
-
-    serial = compile_model(model, precision="bipolar-packed", score_threads=1)
-    threaded = compile_model(
-        model, precision="bipolar-packed", score_threads=THREADED_WORKERS
-    )
-    _thread_config(serial, expected=1)
-    _thread_config(threaded, expected=THREADED_WORKERS)
-
-    queries = rng.standard_normal((4096, N_FEATURES))
-    encoded = serial.encode(queries)
-
-    # Bit-identity is part of the contract, not just a test-suite property.
-    np.testing.assert_array_equal(
-        threaded.score_encoded(encoded), serial.score_encoded(encoded)
-    )
-
-    if available_cpus() < THREADED_WORKERS:
-        pytest.skip(
-            f"threaded throughput needs >= {THREADED_WORKERS} usable cores, "
-            f"have {available_cpus()}"
-        )
-
-    serial_seconds = _best_of(lambda: serial.score_encoded(encoded))
-    threaded_seconds = _best_of(lambda: threaded.score_encoded(encoded))
-    speedup = serial_seconds / threaded_seconds
-    print(
-        f"\nThreaded packed scoring (batch=4096, D_total={TOTAL_DIM}): "
-        f"1 thread {serial_seconds * 1e3:.2f} ms, "
-        f"{THREADED_WORKERS} threads {threaded_seconds * 1e3:.2f} ms "
-        f"({speedup:.2f}x)"
-    )
-    assert speedup >= THREADED_SPEEDUP_FLOOR, (
-        f"threaded packed scoring only {speedup:.2f}x at "
-        f"{THREADED_WORKERS} threads (required >= {THREADED_SPEEDUP_FLOOR}x)"
-    )
 
 
 def test_quantized_predictions_survive_round_trip(tmp_path):

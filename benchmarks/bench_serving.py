@@ -228,12 +228,8 @@ def test_cascade_serving_throughput_vs_fixed16():
     integer-exact, so micro-batch composition cannot change a label).
     """
     model, _, centers = _fitted_engine(total_dim=CASCADE_TOTAL_DIM)
-    fixed16 = compile_model(
-        model, dtype=np.float32, precision="fixed16", score_threads=1
-    )
-    cascade = compile_model(
-        model, dtype=np.float32, precision="cascade-fixed16", score_threads=1
-    )
+    fixed16 = compile_model(model, dtype=np.float32, precision="fixed16")
+    cascade = compile_model(model, dtype=np.float32, precision="cascade-fixed16")
 
     rng = np.random.default_rng(9)
     features = centers[

@@ -31,9 +31,6 @@ Layout:
   pass scores every row, top-2 margins route only ambiguous rows to a
   precise second tier (:class:`CascadeModel`), with held-out threshold
   calibration (``calibrate_threshold``),
-* :mod:`repro.engine.threads` — blocked row-parallel scoring for the
-  integer-domain engines over GIL-releasing NumPy kernels, bit-identical at
-  any thread count (``REPRO_SCORE_THREADS`` / ``score_threads=``),
 * :mod:`repro.engine.train` — the fused *training* engine: exact fast
   adaptive passes with cached norms, opt-in vectorised mini-batch training,
   sort-based initial bundling and one-shot ensemble encoding.  Model fitting
@@ -79,7 +76,6 @@ from .quant import (
     PackedBlock,
     PackedQueries,
 )
-from .threads import resolve_score_threads, run_row_blocks
 from .train import (
     EnsembleEncoding,
     ExactPassState,
@@ -107,8 +103,6 @@ __all__ = [
     "CascadeModel",
     "CascadeStats",
     "top2_margin",
-    "resolve_score_threads",
-    "run_row_blocks",
     "FixedBlock",
     "FixedPointModel",
     "PackedBipolarModel",

@@ -230,7 +230,6 @@ class CascadeModel(CompiledModel):
         self._alphas = first._alphas
         self._total_alpha = first._total_alpha
         self.cache = first.cache
-        self.score_threads = first.score_threads
         self.precision = f"cascade-{second.precision}"
 
     def __repr__(self) -> str:

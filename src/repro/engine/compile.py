@@ -141,7 +141,6 @@ class CompiledModel:
         cache_size: int = 0,
         cache_bytes: int | None = None,
         shared_projection: bool = False,
-        score_threads: int | str | None = None,
     ) -> None:
         basis2 = np.asarray(basis2)
         bias = np.asarray(bias)
@@ -163,11 +162,6 @@ class CompiledModel:
         self.aggregation = aggregation
         self.chunk_size = chunk_size
         self.shared_projection = bool(shared_projection)
-        # Scoring-thread request, resolved per call by the integer-domain
-        # engines (:mod:`repro.engine.threads`).  The float engine stores but
-        # ignores it: BLAS matmuls do not promise bitwise row-blocking
-        # invariance, so only the exact integer kernels thread.
-        self.score_threads = score_threads
         self.blocks = tuple(blocks)
         self.in_features = int(basis2.shape[0])
         self.total_dim = int(basis2.shape[1])
@@ -595,12 +589,6 @@ def compile_model(
         rather than entry count).  May be combined with ``cache_size`` or used
         alone (``cache_size=0`` then means "no count bound"); long-running
         serving processes use this to cap encoder-cache memory.
-    score_threads:
-        Scoring-thread request for the integer-domain engines: ``None``
-        (default) defers to the ``REPRO_SCORE_THREADS`` environment variable
-        at each call, ``"auto"`` uses every usable CPU, an int pins the
-        count.  Threaded scoring is bit-identical to single-thread at any
-        count (:mod:`repro.engine.threads`); the float engine ignores it.
     threshold:
         Cascade precisions only: the top-2 margin below which a row is
         rescored by the second tier.

@@ -65,9 +65,7 @@ __all__ = [
 
 #: Keyword options of :func:`build_engine` — hence of ``compile_model`` and
 #: ``ModelRegistry.load_compiled``.  ``threshold`` is for cascades only.
-ENGINE_OPTIONS = (
-    "dtype", "chunk_size", "cache_size", "cache_bytes", "score_threads", "threshold"
-)
+ENGINE_OPTIONS = ("dtype", "chunk_size", "cache_size", "cache_bytes", "threshold")
 
 #: Short names accepted wherever a precision is, and what they stand for.
 _ALIASES = {"cascade": "cascade-fixed16"}
@@ -201,8 +199,8 @@ def build_engine(
     """Build the engine of ``precision`` over ``components``.
 
     ``options`` are the :data:`ENGINE_OPTIONS`: ``dtype`` (encoding dtype,
-    default ``float32``), ``chunk_size``, ``cache_size``, ``cache_bytes``,
-    ``score_threads`` and, for a cascade, ``threshold`` (default
+    default ``float32``), ``chunk_size``, ``cache_size``, ``cache_bytes``
+    and, for a cascade, ``threshold`` (default
     :data:`~repro.engine.cascade.DEFAULT_THRESHOLD`).  Anything else raises
     :class:`EngineError`.  A cascade's tiers share one set of projection
     arrays; the encoding cache belongs to its packed tier, which is the
@@ -229,7 +227,6 @@ def build_engine(
         dtype=dtype,
         chunk_size=options.get("chunk_size"),
         shared_projection=components.shared,
-        score_threads=options.get("score_threads"),
     )
     cache = dict(
         cache_size=options.get("cache_size", 0),

@@ -61,7 +61,6 @@ import numpy as np
 from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES
 from ..hdc.similarity import popcount_rows
 from .compile import _EPS, CompiledModel, EngineError
-from .threads import run_row_blocks
 
 __all__ = [
     "FixedBlock",
@@ -419,30 +418,22 @@ class PackedBipolarModel(CompiledModel):
         step = max(1, _STEP_BYTES // stack.classes.nbytes)
         vote = self.aggregation == "vote"
         weights = np.where(stack.valid, self._alphas[:, None, None], 0.0)
-
-        def kernel(rows: slice) -> None:
-            # Each call owns the disjoint row range ``rows`` of ``scores``:
-            # the XOR/popcount/divide arithmetic is exact per row, so any
-            # row blocking (threads, or the bounded steps) is bit-identical
-            # to the serial pass.
-            for start in range(rows.start, rows.stop, step):
-                part = slice(start, min(start + step, rows.stop))
-                # (L, n_classes, W, m): every learner's words against its classes.
-                mismatches = popcount_rows(
-                    words[:, None, :, part] ^ stack.classes, axis=2
-                )
-                sims = (stack.dims - mismatches) / stack.dims
-                if vote:
-                    # Each learner votes for its first best class; the classes
-                    # it never saw rank below every similarity in [0, 1].
-                    winner = np.argmax(np.where(stack.valid, sims, -1.0), axis=1)
-                    sims = winner[:, None, :] == np.arange(sims.shape[1])[:, None]
-                # accumulate adds learner after learner (a reduce may sum
-                # pairwise), the order of a per-learner ``+=`` loop, so
-                # stacking the learners never changes a bit of the scores.
-                scores[part] = np.add.accumulate(sims * weights, axis=0)[-1].T
-
-        run_row_blocks(kernel, n, threads=self.score_threads)
+        # The XOR/popcount/divide arithmetic is exact per row, so scoring in
+        # bounded steps is bit-identical to one whole-batch pass.
+        for start in range(0, n, step):
+            part = slice(start, min(start + step, n))
+            # (L, n_classes, W, m): every learner's words against its classes.
+            mismatches = popcount_rows(words[:, None, :, part] ^ stack.classes, axis=2)
+            sims = (stack.dims - mismatches) / stack.dims
+            if vote:
+                # Each learner votes for its first best class; the classes
+                # it never saw rank below every similarity in [0, 1].
+                winner = np.argmax(np.where(stack.valid, sims, -1.0), axis=1)
+                sims = winner[:, None, :] == np.arange(sims.shape[1])[:, None]
+            # accumulate adds learner after learner (a reduce may sum
+            # pairwise), the order of a per-learner ``+=`` loop, so stacking
+            # the learners never changes a bit of the scores.
+            scores[part] = np.add.accumulate(sims * weights, axis=0)[-1].T
         return scores / self._total_alpha
 
     def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
@@ -508,10 +499,10 @@ class FixedPointModel(CompiledModel):
     Exactness comes from the operands, not from an integer dtype: every
     product and partial sum is an integer below ``2**53`` (checked against
     the widest block at construction), so float64 holds it exactly and the
-    dot products and norms come out the same for any BLAS summation order,
-    row blocking or thread count.  Scores therefore equal the float cosine
-    of the dequantized query and class representatives to machine
-    precision — asserted in ``tests/test_quant_engine.py``.
+    dot products and norms come out the same for any BLAS summation order
+    or chunking.  Scores therefore equal the float cosine of the
+    dequantized query and class representatives to machine precision —
+    asserted in ``tests/test_quant_engine.py``.
 
     Constructed like :class:`CompiledModel`, plus the ``precision`` whose
     storage dtype every block's scoring-layout codes must have.
@@ -565,45 +556,31 @@ class FixedPointModel(CompiledModel):
     def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
         n = len(encoded)
         scores = np.zeros((n, len(self.classes_)), dtype=np.float64)
-        vote = self.aggregation == "vote"
-
-        def kernel(rows: slice) -> None:
-            # Row-independent by construction: every step below (per-row
-            # quantization scale, exact matmul, per-row rescale) depends
-            # only on the row itself, so any row blocking is bit-identical
-            # to the serial pass (the batch-composition invariance already
-            # pinned by tests/test_quant_engine.py).
-            out = scores[rows]
-            block_n = len(out)
-            local = np.arange(block_n) if vote else None
-            for block, alpha in zip(self.blocks, self._alphas):
-                view = encoded[rows, block.start : block.stop]
-                # Per-row query scale: each row's max magnitude maps to the
-                # top of the signed range, so rounding can never leave it (no
-                # clip), every row gets full qmax resolution, and a window's
-                # codes — hence its scores — never depend on what else
-                # shares its chunk.  The row is widened to float64 (exact
-                # for float32), scaled and rounded to integer codes in place.
-                quantized = view.astype(np.float64)
-                magnitude = np.abs(quantized).max(axis=1)
-                magnitude[magnitude <= 0.0] = 1.0
-                quantized *= (self._query_max / magnitude)[:, None]
-                np.rint(quantized, out=quantized)
-                # Integer-valued operands below 2**53: the BLAS matmul and
-                # the norms are exact whatever the summation order.  The
-                # codes are cast one learner at a time, so (possibly
-                # shared-memory) codes never get a persistent float64 copy.
-                sims = quantized @ block.codes.astype(np.float64)
-                query_norms = np.sqrt(np.einsum("ij,ij->i", quantized, quantized))
-                rescale = (
-                    block.inv_norms[None, :] / np.maximum(query_norms, _EPS)[:, None]
-                )
-                cosine = sims * rescale
-                if local is not None:
-                    winner = np.argmax(cosine, axis=1)
-                    out[local, block.columns[winner]] += alpha
-                else:
-                    out[:, block.columns] += alpha * cosine
-
-        run_row_blocks(kernel, n, threads=self.score_threads)
+        rows = np.arange(n) if self.aggregation == "vote" else None
+        for block, alpha in zip(self.blocks, self._alphas):
+            view = encoded[:, block.start : block.stop]
+            # Per-row query scale: each row's max magnitude maps to the top
+            # of the signed range, so rounding can never leave it (no clip),
+            # every row gets full qmax resolution, and a window's codes —
+            # hence its scores — never depend on what else shares its chunk.
+            # The row is widened to float64 (exact for float32), scaled and
+            # rounded to integer codes in place.
+            quantized = view.astype(np.float64)
+            magnitude = np.abs(quantized).max(axis=1)
+            magnitude[magnitude <= 0.0] = 1.0
+            quantized *= (self._query_max / magnitude)[:, None]
+            np.rint(quantized, out=quantized)
+            # Integer-valued operands below 2**53: the BLAS matmul and the
+            # norms are exact whatever the summation order.  The codes are
+            # cast one learner at a time, so (possibly shared-memory) codes
+            # never get a persistent float64 copy.
+            sims = quantized @ block.codes.astype(np.float64)
+            query_norms = np.sqrt(np.einsum("ij,ij->i", quantized, quantized))
+            rescale = block.inv_norms[None, :] / np.maximum(query_norms, _EPS)[:, None]
+            cosine = sims * rescale
+            if rows is not None:
+                winner = np.argmax(cosine, axis=1)
+                scores[rows, block.columns[winner]] += alpha
+            else:
+                scores[:, block.columns] += alpha * cosine
         return scores / self._total_alpha

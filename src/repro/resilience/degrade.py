@@ -83,7 +83,6 @@ def packed_fallback(engine: CompiledModel) -> PackedBipolarModel | None:
         dtype=engine.dtype,
         chunk_size=engine.chunk_size,
         shared_projection=engine.shared_projection,
-        score_threads=engine.score_threads,
     )
 
 

@@ -289,7 +289,6 @@ def publish_engine(
         "aggregation": engine.aggregation,
         "chunk_size": engine.chunk_size,
         "shared_projection": engine.shared_projection,
-        "score_threads": engine.score_threads,
         "classes": np.asarray(engine.classes_),
         "arrays": specs,
         "blocks": blocks,
@@ -402,7 +401,6 @@ class AttachedEngine:
             dtype=np.dtype(manifest["dtype"]),
             chunk_size=manifest["chunk_size"],
             shared_projection=manifest["shared_projection"],
-            score_threads=manifest["score_threads"],
         )
 
     def close(self) -> None:

@@ -77,7 +77,12 @@ def test_entry_points_accept_and_reject_the_same_precisions(setup, entry, name):
 
 
 @pytest.mark.parametrize(
-    "precision, options", [("fixed16", {"threshold": 0.1}), ("cascade", {"bogus": 1})]
+    "precision, options",
+    [
+        ("fixed16", {"threshold": 0.1}),
+        ("cascade", {"bogus": 1}),
+        ("fixed16", {"score_threads": 2}),
+    ],
 )
 def test_stray_options_raise_the_same_engine_error(setup, precision, options):
     model, registry = setup
@@ -96,13 +101,14 @@ def test_fabric_from_registry_routes_engine_options_to_the_engine(setup):
         registry,
         "m",
         precision="fixed16",
-        score_threads=1,
+        chunk_size=16,
         serial=True,
         n_workers=1,
         n_channels=N_CHANNELS,
         window_samples=WINDOW,
     ) as fabric:
-        assert fabric.fallback["compile_options"] == {"score_threads": 1}
+        assert fabric.fallback["compile_options"] == {"chunk_size": 16}
+        assert fabric._shared.manifest["chunk_size"] == 16
         fabric.open_session("s")
         samples = np.random.default_rng(1).normal(size=(N_CHANNELS, WINDOW))
         predictions = fabric.push("s", samples) + fabric.drain()

@@ -252,23 +252,36 @@ def test_scoring_is_batch_composition_invariant(
 
     Quantization happens per row (packed: per-row signs; fixed: per-row
     query scale), so the scoring stage never couples rows of a chunk.  The
-    test pins that on one pre-encoded matrix — the encoding matmul itself
-    is outside the claim, since BLAS does not promise bitwise shape
+    test pins that on one pre-encoded matrix per model kind — ragged
+    learner widths and vote aggregation included — and leaves the encoding
+    matmul outside the claim, since BLAS does not promise bitwise shape
     invariance.
     """
     _, X_test, _, _ = mini_wesad_split
-    model = fitted_models["boosthd-independent"]
-    engine = compile_model(model, dtype=np.float64, precision=precision)
-    chunked = compile_model(
-        model, dtype=np.float64, precision=precision, chunk_size=7
-    )
-    encoded = engine.encode(X_test)
-    batch_scores = engine.score_encoded(encoded)
-    np.testing.assert_array_equal(chunked.score_encoded(encoded), batch_scores)
-    for index in (0, len(X_test) - 1):
-        np.testing.assert_array_equal(
-            engine.score_encoded(encoded[index][None])[0], batch_scores[index]
+    for kind in EXACT_KINDS:
+        model = fitted_models[kind]
+        engine = compile_model(model, dtype=np.float64, precision=precision)
+        chunked = compile_model(
+            model, dtype=np.float64, precision=precision, chunk_size=7
         )
+        encoded = engine.encode(X_test)
+        batch_scores = engine.score_encoded(encoded)
+        np.testing.assert_array_equal(chunked.score_encoded(encoded), batch_scores)
+        for index in (0, len(X_test) - 1):
+            np.testing.assert_array_equal(
+                engine.score_encoded(encoded[index][None])[0], batch_scores[index]
+            )
+
+
+@pytest.mark.parametrize("precision", tuple(ENGINE_PRECISIONS))
+def test_empty_batch_scores_have_no_rows(fitted_models, precision):
+    """A ``(0, n_features)`` batch scores to ``(0, n_classes)`` at every precision."""
+    for kind in EXACT_KINDS:
+        engine = compile_model(fitted_models[kind], precision=precision)
+        empty = np.empty((0, engine.in_features))
+        expected_shape = (0, len(engine.classes_))
+        assert engine.decision_function(empty).shape == expected_shape
+        assert engine.score_encoded(engine.encode(empty)).shape == expected_shape
 
 
 @pytest.mark.parametrize("precision", ("fixed16", "fixed8"))

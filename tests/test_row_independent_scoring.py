@@ -1,0 +1,138 @@
+"""Integer-tier scores are row-independent: any split of a batch is bitwise.
+
+The integer-domain kernels quantize each row on its own (packed: the row's
+signs; fixed point: the row's own query scale) and score it with exact
+arithmetic, so a row's scores never depend on the rows that share its
+call, its ``chunk_size`` chunk or its packed ``_STEP_BYTES`` step.  The
+contract is literal bit equality, not closeness.  The suite pins it on
+deliberately ragged dims — 71-dim learner blocks and a 333-dim OnlineHD,
+divisible by neither the 64-bit word nor the 8-bit byte packing — so the
+pad-bit paths run under every split:
+
+* scoring ``np.array_split`` row blocks in separate calls, and through an
+  engine whose ``chunk_size`` is the block size, equals one whole-batch
+  call (score and vote aggregation, every integer precision);
+* hypothesis: random batch sizes and chunk sizes, one row at a time;
+* cascades, whose margin routing is per row;
+* the packed kernel's memory-bounding steps, forced down to a few rows.
+
+The encoding matmul is outside the claim (BLAS does not promise bitwise
+shape invariance), so every comparison scores one pre-encoded matrix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.boosthd import BoostHD
+from repro.engine import compile_model
+from repro.engine import quant as quant_module
+from repro.hdc import OnlineHD
+
+pytestmark = pytest.mark.quant
+
+INTEGER_PRECISIONS = ("bipolar-packed", "fixed16", "fixed8")
+BLOCK_COUNTS = (2, 4, 7)
+
+
+def _problem(seed=21, n_features=8):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((3, n_features)) * 2.5
+    X = np.vstack([c + rng.standard_normal((30, n_features)) for c in centers])
+    y = np.repeat(np.arange(3), 30)
+    return X, y
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    X, y = _problem()
+    return {
+        # 426 / 6 = 71-dim learner blocks and a 333-dim OnlineHD: neither
+        # divides into 64-bit words or 8-bit bytes, so pad bits are live.
+        "boosthd": BoostHD(total_dim=426, n_learners=6, epochs=3, seed=0).fit(X, y),
+        "onlinehd": OnlineHD(dim=333, epochs=3, seed=0).fit(X, y),
+        "vote": BoostHD(
+            total_dim=426, n_learners=6, epochs=3, seed=0, aggregation="vote"
+        ).fit(X, y),
+    }
+
+
+def _assert_row_blocks_bitwise(model, precision, n_blocks, **options):
+    X, _ = _problem()
+    engine = compile_model(model, dtype=np.float64, precision=precision, **options)
+    encoded = engine.encode(X)
+    whole = engine.score_encoded(encoded)
+    blocks = np.array_split(encoded, n_blocks)
+    np.testing.assert_array_equal(
+        np.concatenate([engine.score_encoded(block) for block in blocks]), whole
+    )
+    chunked = compile_model(
+        model,
+        dtype=np.float64,
+        precision=precision,
+        chunk_size=len(blocks[0]),
+        **options,
+    )
+    np.testing.assert_array_equal(chunked.score_encoded(encoded), whole)
+    np.testing.assert_array_equal(
+        engine.predict(X), engine.classes_[np.argmax(whole, axis=1)]
+    )
+
+
+# ------------------------------------------------------------- row blocks
+@pytest.mark.parametrize("kind", ("boosthd", "onlinehd"))
+@pytest.mark.parametrize("precision", INTEGER_PRECISIONS)
+@pytest.mark.parametrize("n_blocks", BLOCK_COUNTS)
+def test_row_block_scoring_bit_identical(fitted, kind, precision, n_blocks):
+    _assert_row_blocks_bitwise(fitted[kind], precision, n_blocks)
+
+
+@pytest.mark.parametrize("n_blocks", (2, 4))
+def test_vote_row_block_scoring_bit_identical(fitted, n_blocks):
+    for precision in ("bipolar-packed", "fixed16"):
+        _assert_row_blocks_bitwise(fitted["vote"], precision, n_blocks)
+
+
+@pytest.mark.parametrize("precision", ("cascade-fixed16", "cascade-fixed8"))
+def test_cascade_row_block_scoring_bit_identical(fitted, precision):
+    """Routing is a per-row margin test, so splits never change a route."""
+    _assert_row_blocks_bitwise(fitted["boosthd"], precision, 4, threshold=0.05)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_rows=st.integers(1, 23), chunk_size=st.integers(1, 8))
+def test_random_shapes_bit_identical(fitted, n_rows, chunk_size):
+    """Chunks larger/smaller than the batch, odd splits, single rows."""
+    rng = np.random.default_rng(n_rows * 31 + chunk_size)
+    X = rng.standard_normal((n_rows, 8))
+    model = fitted["boosthd"]
+    for precision in ("bipolar-packed", "fixed8"):
+        engine = compile_model(model, dtype=np.float64, precision=precision)
+        chunked = compile_model(
+            model, dtype=np.float64, precision=precision, chunk_size=chunk_size
+        )
+        encoded = engine.encode(X)
+        whole = engine.score_encoded(encoded)
+        np.testing.assert_array_equal(chunked.score_encoded(encoded), whole)
+        np.testing.assert_array_equal(
+            np.concatenate([engine.score_encoded(row[None]) for row in encoded]),
+            whole,
+        )
+
+
+# ------------------------------------------------------------ packed steps
+@pytest.mark.parametrize("kind", ("boosthd", "onlinehd", "vote"))
+@pytest.mark.parametrize("step_rows", (1, 4))
+def test_packed_steps_bit_identical(fitted, monkeypatch, kind, step_rows):
+    """The XOR temporary's bounded steps score like one whole-batch pass."""
+    X, _ = _problem()
+    engine = compile_model(fitted[kind], dtype=np.float64, precision="bipolar-packed")
+    encoded = engine.encode(X)
+    queries = engine.prepack(X)
+    whole = engine.score_encoded(encoded)
+    monkeypatch.setattr(
+        quant_module, "_STEP_BYTES", engine._stack.classes.nbytes * step_rows
+    )
+    np.testing.assert_array_equal(engine.score_encoded(encoded), whole)
+    np.testing.assert_array_equal(engine.score_packed(queries), whole)

@@ -18,9 +18,11 @@ Holds :mod:`repro.gateway` to its contract (ISSUE 10):
   buffered windows are flushed and delivered (to mailboxes or the orphan
   ledger), and the scheduler accounting identity holds with zero pending.
 * **Parity** — predictions served through the gateway are bit-identical
-  to in-process serving on the fixed16 integer engine (stated on integer
-  engines for the same reason as ``bench_fabric.py``: their scores are
-  batch-composition invariant).
+  to in-process serving on the fixed16 integer engine, with the gateway
+  over a ``StreamingService`` and over a 2-worker process ``ServingFabric``
+  (stated on integer engines for the same reason as ``bench_fabric.py``:
+  their scores are batch-composition invariant, so sharding the sessions
+  across workers changes no bit).
 
 Arrival patterns come from :class:`~repro.data.SignalSimulator` streams —
 the same synthetic physiology the serving benches use — shaped bursty
@@ -44,7 +46,7 @@ from repro.core.boosthd import BoostHD
 from repro.data import CHANNELS, WESAD_STATES, SignalSimulator
 from repro.engine import compile_model
 from repro.gateway import Gateway, GatewayClient
-from repro.serving import StreamingService
+from repro.serving import ServingFabric, StreamingService
 
 pytestmark = pytest.mark.gateway
 
@@ -81,16 +83,18 @@ def _fitted_engine(seed=0, precision="fixed16"):
     return compile_model(model, precision=precision)
 
 
+SERVICE_OPTIONS = {
+    "n_channels": N_CHANNELS,
+    "window_samples": WINDOW_SAMPLES,
+    "step_samples": WINDOW_SAMPLES,
+    "smoothing_window": 1,
+    "max_batch": 8,
+    "max_wait": 0.002,
+}
+
+
 def _make_service(engine=None, **overrides) -> StreamingService:
-    options = {
-        "n_channels": N_CHANNELS,
-        "window_samples": WINDOW_SAMPLES,
-        "step_samples": WINDOW_SAMPLES,
-        "smoothing_window": 1,
-        "max_batch": 8,
-        "max_wait": 0.002,
-    }
-    options.update(overrides)
+    options = {**SERVICE_OPTIONS, **overrides}
     return StreamingService(engine or _fitted_engine(), **options)
 
 
@@ -154,7 +158,7 @@ def test_nominal_load_p99_latency_bounded():
 
         await asyncio.gather(*(one_client(i) for i in range(N_CLIENTS)))
         try:
-            submitted = gateway.backend.stats()[0]["windows_submitted"]
+            submitted = gateway.backend.stats.windows_submitted
         finally:
             await gateway.shutdown(DRAIN_DEADLINE)
         return latencies, delivered, submitted
@@ -227,11 +231,12 @@ def test_overload_sheds_explicitly_and_keeps_goodput():
                 await _drain_sessions(client, [session_id], delivered)
 
         await asyncio.gather(*(one_client(i) for i in range(N_CLIENTS)))
-        stats = gateway.backend.stats()[0]
+        stats = gateway.backend.stats
+        pending = gateway.backend.scheduler.pending
         await gateway.shutdown(DRAIN_DEADLINE)
-        return outcomes, delivered, windows_accepted, stats
+        return outcomes, delivered, windows_accepted, stats, pending
 
-    outcomes, delivered, windows_accepted, stats = asyncio.run(scenario())
+    outcomes, delivered, windows_accepted, stats, pending = asyncio.run(scenario())
     accepted = sum(1 for code in outcomes if code == 200)
     rejected = len(outcomes) - accepted
     assert rejected > 0, "2x overload must trigger explicit rejections"
@@ -242,8 +247,8 @@ def test_overload_sheds_explicitly_and_keeps_goodput():
     assert len(keys) == windows_accepted, (
         f"accepted {windows_accepted} windows but delivered {len(keys)}"
     )
-    assert stats["windows_submitted"] == windows_accepted
-    assert stats["pending"] == 0
+    assert stats.windows_submitted == windows_accepted
+    assert pending == 0
 
     # goodput: answered windows vs what nominal capacity would have admitted
     elapsed = 1.2 if FAST else 2.0
@@ -279,19 +284,17 @@ def test_sigterm_drains_within_deadline_with_zero_loss():
                     status, body = await client.feed(session_id, samples)
                     assert status == 200
                     _collect(body, delivered)
-        submitted = gateway.backend.stats()[0]["windows_submitted"]
+        submitted = gateway.backend.stats.windows_submitted
         started = time.monotonic()
         os.kill(os.getpid(), signal.SIGTERM)  # the real thing, not a method call
         while gateway._shutdown_task is None:
             await asyncio.sleep(0.001)
         report = await gateway._shutdown_task
         drain_seconds = time.monotonic() - started
-        stats = gateway.backend.stats()[0]
-        return report, drain_seconds, submitted, len(delivered), stats, gateway.stats
+        return report, drain_seconds, submitted, len(delivered), gateway
 
-    report, drain_seconds, submitted, delivered_live, stats, gw_stats = asyncio.run(
-        scenario()
-    )
+    report, drain_seconds, submitted, delivered_live, gateway = asyncio.run(scenario())
+    stats, gw_stats = gateway.backend.stats, gateway.stats
     expected = N_CLIENTS * 2 * WINDOWS_PER_CHUNK
     print(
         f"\nSIGTERM drain: {drain_seconds * 1e3:.1f}ms "
@@ -306,12 +309,13 @@ def test_sigterm_drains_within_deadline_with_zero_loss():
     # a mailbox/the orphan ledger during the drain
     assert delivered_live + report["undelivered"] == expected
     assert gw_stats.windows_answered + gw_stats.windows_shed == expected
-    assert stats["windows_submitted"] == stats["windows_scored"] + stats["windows_shed"]
-    assert stats["pending"] == 0
+    assert stats.windows_submitted == stats.windows_scored + stats.windows_shed
+    assert gateway.backend.scheduler.pending == 0
 
 
 # --------------------------------------------------------------------- parity
-def test_gateway_predictions_bit_identical_to_in_process():
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_gateway_predictions_bit_identical_to_in_process(kind):
     engine = _fitted_engine(precision="fixed16")
     streams = {f"s{i}": _client_chunks(i) for i in range(N_CLIENTS)}
 
@@ -334,11 +338,20 @@ def test_gateway_predictions_bit_identical_to_in_process():
             tuple(float(v) for v in prediction.scores.tolist()),
         )
 
+    if kind == "service":
+        backend = _make_service(engine, max_batch=8, max_wait=1e9)
+    else:
+        backend = ServingFabric(
+            engine, n_workers=2, **{**SERVICE_OPTIONS, "max_batch": 8, "max_wait": 1e9}
+        )
+        if backend.serial:
+            backend.shutdown()
+            pytest.skip("process pools unavailable on this platform")
+
     async def scenario():
-        gateway = Gateway(_make_service(engine, max_batch=8, max_wait=1e9))
+        gateway = Gateway(backend)
         await gateway.start()
         served: dict[tuple, tuple] = {}
-        sink: list = []
 
         def take(body):
             for wire in body.get("predictions", []):
@@ -347,20 +360,22 @@ def test_gateway_predictions_bit_identical_to_in_process():
                     tuple(wire["scores"]),
                 )
 
-        async with GatewayClient(gateway.host, gateway.port) as client:
-            for session_id in streams:
-                await client.open_session(session_id)
-            for session_id, chunks in streams.items():
-                for samples in chunks:
-                    status, body = await client.feed(session_id, samples)
-                    assert status == 200
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                for session_id in streams:
+                    await client.open_session(session_id)
+                for session_id, chunks in streams.items():
+                    for samples in chunks:
+                        status, body = await client.feed(session_id, samples)
+                        assert status == 200
+                        take(body)
+                for session_id in streams:
+                    _, body = await client.score(session_id)
                     take(body)
-            for session_id in streams:
-                _, body = await client.score(session_id)
-                take(body)
-                _, body = await client.predictions(session_id)
-                take(body)
-        await gateway.shutdown(DRAIN_DEADLINE)
+                    _, body = await client.predictions(session_id)
+                    take(body)
+        finally:
+            await gateway.shutdown(DRAIN_DEADLINE)
         return served
 
     served = asyncio.run(scenario())
@@ -371,6 +386,6 @@ def test_gateway_predictions_bit_identical_to_in_process():
         f"(first: {mismatches[0] if mismatches else None})"
     )
     print(
-        f"\nparity: {len(served)} predictions served over HTTP are "
-        "bit-identical to in-process serving (fixed16)"
+        f"\nparity: {len(served)} predictions served over HTTP through a {kind} "
+        "are bit-identical to in-process serving (fixed16)"
     )

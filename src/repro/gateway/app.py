@@ -42,7 +42,9 @@ the backend.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
-multiplex thousands of sockets.
+multiplex thousands of sockets.  Both backends answer the same serving calls
+with the same return types, so the gateway calls whichever it holds
+directly; only ``/v1/stats`` reads their two stats shapes.
 """
 
 from __future__ import annotations
@@ -154,149 +156,6 @@ class _WsRoute:
         self.queue: asyncio.Queue = asyncio.Queue()
 
 
-class _ServiceBackend:
-    """Uniform backend facade over an in-process :class:`StreamingService`."""
-
-    kind = "service"
-
-    def __init__(self, service: StreamingService) -> None:
-        self.service = service
-        self.generation = 0
-        self.swaps = 0
-
-    def open(self, session_id: str, overrides: dict) -> None:
-        self.service.open_session(session_id, **overrides)
-
-    def close(self, session_id: str):
-        return self.service.close_session(session_id)
-
-    def push(self, session_id: str, samples: np.ndarray):
-        return self.service.push(session_id, samples)
-
-    def drain(self, deadline: Deadline | None = None):
-        return self.service.drain()
-
-    def swap(self, registry, name, version, precision, compile_options):
-        engine = registry.load_compiled(
-            name, version, precision=precision, **(compile_options or {})
-        )
-        flushed = self.service.swap_scorer(engine)
-        self.generation += 1
-        self.swaps += 1
-        return SwapResult(
-            promoted=True,
-            generation=self.generation,
-            flushed=tuple(flushed),
-            reason="promoted",
-        )
-
-    def sessions(self) -> tuple[str, ...]:
-        return tuple(self.service.sessions)
-
-    def stats(self) -> list[dict]:
-        stats = self.service.stats
-        return [
-            {
-                "windows_submitted": stats.windows_submitted,
-                "windows_scored": stats.windows_scored,
-                "windows_shed": stats.windows_shed,
-                "windows_dead": stats.windows_dead,
-                "pending": self.service.scheduler.pending,
-                "batches": stats.batches,
-                "score_failures": stats.score_failures,
-                "p50_ms": stats.latency_percentile(50) * 1e3,
-                "p99_ms": stats.latency_percentile(99) * 1e3,
-            }
-        ]
-
-    def ready_report(self) -> dict:
-        ladder = self.service.scheduler.degradation
-        return {
-            "brownout": bool(ladder.active) if ladder is not None else False,
-            "breakers": [],
-        }
-
-    def dead_letters(self) -> list:
-        return list(self.service.dead_letters)
-
-    def replay_dead_letters(self):
-        return self.service.replay_dead_letters()
-
-    def shutdown(self) -> None:
-        pass  # the service owns no processes; drain() already flushed
-
-
-class _FabricBackend:
-    """Uniform backend facade over a multi-process :class:`ServingFabric`."""
-
-    kind = "fabric"
-
-    def __init__(self, fabric: ServingFabric) -> None:
-        self.fabric = fabric
-
-    @property
-    def generation(self) -> int:
-        return self.fabric.generation
-
-    @property
-    def swaps(self) -> int:
-        return self.fabric.swaps
-
-    def open(self, session_id: str, overrides: dict) -> None:
-        self.fabric.open_session(session_id, **overrides)
-
-    def close(self, session_id: str) -> None:
-        self.fabric.close_session(session_id)
-
-    def push(self, session_id: str, samples: np.ndarray):
-        return self.fabric.push(session_id, samples)
-
-    def drain(self, deadline: Deadline | None = None):
-        return self.fabric.drain(deadline=deadline)
-
-    def swap(self, registry, name, version, precision, compile_options):
-        return self.fabric.swap_from_registry(
-            registry, name, version, precision=precision, **(compile_options or {})
-        )
-
-    def sessions(self) -> tuple[str, ...]:
-        return self.fabric.sessions
-
-    def stats(self) -> list[dict]:
-        return self.fabric.stats()
-
-    def ready_report(self) -> dict:
-        return {
-            "brownout": False,
-            "breakers": [breaker.state for breaker in self.fabric.breakers],
-        }
-
-    def dead_letters(self) -> list:
-        return []  # dead letters live inside worker processes
-
-    def replay_dead_letters(self):
-        raise NotImplementedError(
-            "dead-letter replay is not reachable through a fabric backend; "
-            "replay inside the worker or use a service backend"
-        )
-
-    def shutdown(self) -> None:
-        self.fabric.shutdown()
-
-
-def _wrap_backend(backend):
-    if isinstance(backend, StreamingService):
-        return _ServiceBackend(backend)
-    if isinstance(backend, ServingFabric):
-        return _FabricBackend(backend)
-    if isinstance(backend, (_ServiceBackend, _FabricBackend)):
-        return backend
-    raise TypeError(
-        f"cannot serve a {type(backend).__name__}; expected a "
-        "StreamingService or ServingFabric"
-    )
-
-
 class Gateway:
     """Asyncio HTTP/1.1 + WebSocket front-end over a serving backend.
 
@@ -304,7 +163,8 @@ class Gateway:
     ----------
     backend:
         A :class:`~repro.serving.StreamingService` (in-process) or
-        :class:`~repro.serving.ServingFabric` (multi-process).
+        :class:`~repro.serving.ServingFabric` (multi-process); anything
+        else raises :exc:`TypeError`.
     host, port:
         Bind address; ``port=0`` picks a free port (``gateway.port`` after
         :meth:`start`).
@@ -351,7 +211,16 @@ class Gateway:
         max_body_bytes: int = 8_388_608,
         clock=time.monotonic,
     ) -> None:
-        self.backend = _wrap_backend(backend)
+        if isinstance(backend, StreamingService):
+            self.kind = "service"
+        elif isinstance(backend, ServingFabric):
+            self.kind = "fabric"
+        else:
+            raise TypeError(
+                f"cannot serve a {type(backend).__name__}; expected a "
+                "StreamingService or ServingFabric"
+            )
+        self.backend = backend
         self.host = host
         self.port = int(port)
         self.registry = registry
@@ -467,7 +336,7 @@ class Gateway:
         try:
             predictions = await asyncio.wait_for(
                 self._loop.run_in_executor(
-                    self._pool, partial(self.backend.drain, deadline)
+                    self._pool, partial(self.backend.drain, deadline=deadline)
                 ),
                 timeout=None if deadline.budget() is None else deadline.budget() + 0.25,
             )
@@ -702,8 +571,6 @@ class Gateway:
                 {"error": str(error)},
                 headers={"Retry-After": f"{max(error.retry_in, 0.05):.3f}"},
             )
-        except NotImplementedError as error:
-            response = json_response(501, {"error": str(error)})
         except Exception as error:
             self.stats.bump("handler_errors")
             response = json_response(
@@ -720,7 +587,7 @@ class Gateway:
         path, method = request.path, request.method
         # Probes and telemetry bypass admission control entirely.
         if path == "/healthz":
-            return json_response(200, {"status": "alive", "backend": self.backend.kind})
+            return json_response(200, {"status": "alive", "backend": self.kind})
         if path == "/readyz":
             return self._readyz()
         if path == "/metrics":
@@ -776,7 +643,7 @@ class Gateway:
             if method == "POST":
                 return await self._create_session(request)
             if method == "GET":
-                return json_response(200, {"sessions": list(self.backend.sessions())})
+                return json_response(200, {"sessions": list(self.backend.sessions)})
             return json_response(405, {"error": f"{method} not allowed on {path}"})
         if len(rest) == 2 and rest[0] == "sessions":
             if method == "DELETE":
@@ -797,16 +664,18 @@ class Gateway:
             return json_response(
                 200,
                 {
-                    "backend": self.backend.kind,
+                    "backend": self.kind,
                     "generation": self.backend.generation,
-                    "swaps": self.backend.swaps,
+                    "swaps": self.backend.generation,
                 },
             )
         if rest == ["model", "swap"] and method == "POST":
             return await self._swap(request)
         if rest == ["dead-letters"] and method == "GET":
             letters = await self._await_backend(
-                self._submit_backend(self.backend.dead_letters, deliver=False),
+                self._submit_backend(
+                    lambda: list(self.backend.dead_letters), deliver=False
+                ),
                 deadline,
             )
             return json_response(
@@ -819,7 +688,7 @@ class Gateway:
                 200,
                 {
                     "gateway": self.stats.as_dict(),
-                    "backend": self.backend.stats(),
+                    "backend": self._backend_stats(),
                     "in_flight": self.concurrency.in_flight,
                     "orphaned_predictions": len(self._orphans),
                 },
@@ -840,7 +709,7 @@ class Gateway:
         try:
             await self._await_backend(
                 self._submit_backend(
-                    partial(self.backend.open, session_id, overrides)
+                    partial(self.backend.open_session, session_id, **overrides)
                 ),
                 None,
             )
@@ -854,7 +723,8 @@ class Gateway:
     async def _close_session(self, session_id: str) -> bytes:
         try:
             await self._await_backend(
-                self._submit_backend(partial(self.backend.close, session_id)), None
+                self._submit_backend(partial(self.backend.close_session, session_id)),
+                None,
             )
         except KeyError:
             return json_response(404, {"error": f"no open session {session_id!r}"})
@@ -885,7 +755,7 @@ class Gateway:
         self, session_id: str, request: Request, deadline: Deadline | None
     ) -> bytes:
         samples = self._parse_samples(request.json())
-        if session_id not in self._routes and session_id not in self.backend.sessions():
+        if session_id not in self._routes and session_id not in self.backend.sessions:
             return json_response(404, {"error": f"no open session {session_id!r}"})
         if deadline is not None:
             deadline.check("feed admission")
@@ -916,9 +786,9 @@ class Gateway:
         )
 
     async def _score(self, session_id: str, deadline: Deadline | None) -> bytes:
-        if session_id not in self._routes and session_id not in self.backend.sessions():
+        if session_id not in self._routes and session_id not in self.backend.sessions:
             return json_response(404, {"error": f"no open session {session_id!r}"})
-        task = self._submit_backend(partial(self.backend.drain, deadline))
+        task = self._submit_backend(partial(self.backend.drain, deadline=deadline))
         try:
             await self._await_backend(task, deadline)
         except asyncio.TimeoutError:
@@ -960,20 +830,15 @@ class Gateway:
             self.registry.describe(name, version)
         except RegistryError as error:
             return json_response(404, {"error": str(error)})
-        try:
-            result = await self._await_backend(
-                self._submit_backend(
-                    partial(
-                        self.backend.swap,
-                        self.registry,
-                        name,
-                        version,
-                        precision,
-                        options,
-                    )
-                ),
-                None,
+
+        def load_and_swap():
+            engine = self.registry.load_compiled(
+                name, version, precision=precision, **options
             )
+            return self.backend.swap(engine)
+
+        try:
+            result = await self._await_backend(self._submit_backend(load_and_swap), None)
         except IntegrityError:
             raise  # damage on the server side, not a bad request
         except EngineError as error:
@@ -1010,20 +875,38 @@ class Gateway:
         return json_response(200, {"replayed": replayed, "predictions": flat})
 
     def _readyz(self) -> bytes:
-        report = self.backend.ready_report()
-        breakers_open = [state for state in report["breakers"] if state == OPEN]
-        ready = not self._draining and not breakers_open
+        breakers = [breaker.state for breaker in self.backend.breakers]
+        ready = not self._draining and OPEN not in breakers
         payload = {
             "ready": ready,
             "draining": self._draining,
-            "brownout": report["brownout"],
-            "breakers": report["breakers"],
+            "brownout": self.backend.brownout,
+            "breakers": breakers,
             "in_flight": self.concurrency.in_flight,
             "saturation": self.concurrency.saturation,
-            "open_sessions": len(self.backend.sessions()),
+            "open_sessions": len(self.backend.sessions),
             "generation": self.backend.generation,
         }
         return json_response(200 if ready else 503, payload)
+
+    def _backend_stats(self) -> list[dict]:
+        """``/v1/stats`` backend rows: one per fabric shard, one for a service."""
+        if self.kind == "fabric":
+            return self.backend.stats()
+        stats = self.backend.stats
+        return [
+            {
+                "windows_submitted": stats.windows_submitted,
+                "windows_scored": stats.windows_scored,
+                "windows_shed": stats.windows_shed,
+                "windows_dead": stats.windows_dead,
+                "pending": self.backend.scheduler.pending,
+                "batches": stats.batches,
+                "score_failures": stats.score_failures,
+                "p50_ms": stats.latency_percentile(50) * 1e3,
+                "p99_ms": stats.latency_percentile(99) * 1e3,
+            }
+        ]
 
     def _metrics(self) -> bytes:
         if not OBS.enabled:
@@ -1117,7 +1000,9 @@ class Gateway:
                 self._routes[session_id] = None  # future deliveries -> orphans
                 try:
                     await asyncio.shield(
-                        self._submit_backend(partial(self.backend.close, session_id))
+                        self._submit_backend(
+                            partial(self.backend.close_session, session_id)
+                        )
                     )
                 except Exception:
                     pass
@@ -1174,7 +1059,7 @@ class Gateway:
                 overrides = message.get("overrides") or {}
                 await asyncio.shield(
                     self._submit_backend(
-                        partial(self.backend.open, session_id, overrides)
+                        partial(self.backend.open_session, session_id, **overrides)
                     )
                 )
                 owned.add(session_id)
@@ -1207,13 +1092,15 @@ class Gateway:
                 )
             elif op == "score":
                 await asyncio.shield(
-                    self._submit_backend(partial(self.backend.drain, None))
+                    self._submit_backend(self.backend.drain)
                 )
                 route.queue.put_nowait({"type": "ack", "op": "score"})
             elif op == "close":
                 session_id = str(message["session_id"])
                 await asyncio.shield(
-                    self._submit_backend(partial(self.backend.close, session_id))
+                    self._submit_backend(
+                        partial(self.backend.close_session, session_id)
+                    )
                 )
                 owned.discard(session_id)
                 leftover = []
@@ -1265,6 +1152,6 @@ class Gateway:
 
     def __repr__(self) -> str:
         return (
-            f"Gateway(backend={self.backend.kind}, address={self.address}, "
+            f"Gateway(backend={self.kind}, address={self.address}, "
             f"draining={self._draining}, {self.stats!r})"
         )

@@ -30,7 +30,8 @@ engine (:mod:`repro.engine`) into a long-running service:
   segment, rebuilt in any process as views over the shared pages;
 * :mod:`repro.serving.fabric` — :class:`ServingFabric`, the multi-process
   scale-out: sessions sharded across N workers by a stable id hash, all
-  scoring one shared model copy, with drift-gated blue/green hot swap.
+  scoring one shared model copy, with drift-gated blue/green hot swap and
+  the same serving calls as :class:`StreamingService`.
 
 Failure semantics across the layer come from :mod:`repro.resilience`:
 bounded retries with dead-lettering and explicit load shedding in the
@@ -59,7 +60,7 @@ within 1e-9 of the batch pipeline, and exact registry round trips.
 """
 
 from .adaptation import AdaptiveModel, DriftMonitor
-from .fabric import ServingFabric, SwapResult, shard_of
+from .fabric import ServingFabric, shard_of
 from .registry import ModelRecord, ModelRegistry, RegistryError
 from .scheduler import (
     SHED,
@@ -68,7 +69,7 @@ from .scheduler import (
     Prediction,
     SchedulerStats,
 )
-from .service import StreamingService
+from .service import StreamingService, SwapResult
 from .session import ReadyWindow, StreamSession
 from .shm import (
     AttachedEngine,

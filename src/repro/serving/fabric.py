@@ -43,6 +43,9 @@ host:
   back to copy-loading the model from a :class:`ModelRegistry` when the
   fabric was given a ``fallback`` spec.  An installed chaos plan
   (:mod:`repro.resilience.chaos`) is forwarded to every worker.
+* **One serving surface** — the calls and return types of
+  :class:`StreamingService`, so the gateway serves either directly; dead
+  letters are gathered from, and replayed inside, the workers.
 
 Worker counts resolve like every other pool in the repo
 (:func:`repro.runtime.executor.resolve_max_workers`), consulting
@@ -60,7 +63,6 @@ from collections import defaultdict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +71,8 @@ from ..obs import OBS
 from ..resilience.chaos import CHAOS, FaultPlan, install as install_chaos
 from ..resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
 from ..runtime.executor import resolve_max_workers
-from .scheduler import Prediction
-from .service import StreamingService
+from .scheduler import DeadLetter, Prediction
+from .service import StreamingService, SwapResult
 from .shm import (
     AttachedEngine,
     IntegrityError,
@@ -82,7 +84,6 @@ from .shm import (
 
 __all__ = [
     "ServingFabric",
-    "SwapResult",
     "process_uss",
     "shard_of",
 ]
@@ -214,15 +215,21 @@ class _ShardRuntime:
     def drain(self) -> list[Prediction]:
         return self.service.drain()
 
-    def swap(self, manifest: dict) -> list[Prediction]:
+    def dead_letters(self) -> list[DeadLetter]:
+        return list(self.service.dead_letters)
+
+    def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
+        return self.service.replay_dead_letters()
+
+    def swap(self, manifest: dict) -> tuple[Prediction, ...]:
         """Flush on the old engine, switch to the new segment, drop the old.
 
-        The flush inside :meth:`StreamingService.swap_scorer` happens while
-        the old engine is still the scheduler's scorer, so every in-flight
-        window scores against exactly one complete model.
+        The flush inside :meth:`StreamingService.swap` happens while the old
+        engine is still the scheduler's scorer, so every in-flight window
+        scores against exactly one complete model.
         """
         incoming = self._attach(manifest)
-        flushed = self.service.swap_scorer(incoming.engine)
+        flushed = self.service.swap(incoming.engine).flushed
         outgoing, self.attached = self.attached, incoming
         try:
             outgoing.close()
@@ -407,16 +414,6 @@ class _ProcessShard:
 
 
 # ------------------------------------------------------------------ fabric
-@dataclass(frozen=True)
-class SwapResult:
-    """Outcome of a :meth:`ServingFabric.swap` attempt."""
-
-    promoted: bool
-    generation: int
-    flushed: tuple = ()
-    reason: str = ""
-
-
 class ServingFabric:
     """Shard streaming sessions across N worker processes over one shared model.
 
@@ -457,6 +454,10 @@ class ServingFabric:
         etc.  Everything must be picklable (a ``transform`` lambda is not).
     """
 
+    #: Degradation ladders live inside the workers, out of the parent's
+    #: sight, so the fabric never reports a brownout.
+    brownout = False
+
     def __init__(
         self,
         engine,
@@ -478,7 +479,6 @@ class ServingFabric:
         self._shared = publish_engine(engine, generation=0)
         self._session_specs: dict[str, dict] = {}
         self.restarts = 0
-        self.swaps = 0
         self.timeouts = 0
         self.serial = bool(serial) or self.n_workers <= 1
         self._shards: list = []
@@ -664,10 +664,7 @@ class ServingFabric:
 
     def push(self, session_id: str, samples: np.ndarray) -> list[Prediction]:
         """Feed raw samples for one session; returns released predictions."""
-        if session_id not in self._session_specs:
-            raise KeyError(f"no open session {session_id!r}")
-        shard = shard_of(session_id, self.n_workers)
-        return self._call(shard, "push_many", [(session_id, np.asarray(samples))])
+        return self.route([(session_id, samples)])
 
     def route(self, items) -> list[Prediction]:
         """Push many ``(session_id, samples)`` pairs, fanned out per shard.
@@ -779,7 +776,6 @@ class ServingFabric:
         for shard in self._shards:
             shard.manifest = incoming.manifest
         outgoing.unlink()
-        self.swaps += 1
         if OBS.enabled:
             OBS.metrics.counter(
                 "repro_fabric_swaps_total",
@@ -792,21 +788,24 @@ class ServingFabric:
             reason="promoted",
         )
 
-    def swap_from_registry(
-        self,
-        registry,
-        name: str,
-        version: int | None = None,
-        *,
-        precision: str = "float64",
-        gate=None,
-        **compile_options,
-    ) -> SwapResult:
-        """Hot-swap to a registry artifact (the registry-driven rollout path)."""
-        engine = registry.load_compiled(
-            name, version, precision=precision, **compile_options
-        )
-        return self.swap(engine, gate=gate)
+    # ---------------------------------------------------------- dead letters
+    @property
+    def dead_letters(self) -> list[DeadLetter]:
+        """Every shard's dead-lettered windows, gathered in shard order."""
+        return [
+            letter
+            for index in range(len(self._shards))
+            for letter in self._call(index, "dead_letters")
+        ]
+
+    def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
+        """Replay and flush every shard's dead letters inside its worker."""
+        replayed, predictions = 0, []
+        for index in range(len(self._shards)):
+            count, flushed = self._call(index, "replay_dead_letters")
+            replayed += count
+            predictions.extend(flushed)
+        return replayed, predictions
 
     # ------------------------------------------------------------ inspection
     def worker_info(self) -> list[dict]:
@@ -858,6 +857,6 @@ class ServingFabric:
         return (
             f"ServingFabric(n_workers={self.n_workers}, serial={self.serial}, "
             f"generation={self.generation}, sessions={len(self._session_specs)}, "
-            f"model_bytes={self.model_bytes}, swaps={self.swaps}, "
-            f"restarts={self.restarts}, timeouts={self.timeouts})"
+            f"model_bytes={self.model_bytes}, restarts={self.restarts}, "
+            f"timeouts={self.timeouts})"
         )

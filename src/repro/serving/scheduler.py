@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -193,23 +192,17 @@ class Prediction:
 class SchedulerStats:
     """Accumulated timing/throughput statistics of one scheduler.
 
-    Totals (window/batch counts, summed scoring time, mean batch size) cover
-    the scheduler's whole lifetime; per-window latencies are kept in a
-    bounded window of the most recent ``latency_window`` observations so a
-    long-running service's stats stay O(1) in memory — percentiles therefore
-    describe *recent* latency, which is what an operator watches anyway.
+    Totals (window/batch counts, summed scoring time, mean batch size) and
+    the per-window latency distribution cover the scheduler's whole
+    lifetime, in O(1) memory.
 
     Counts and summed scoring time are :class:`repro.obs.metrics.Counter`
     primitives behind the historical attribute names; percentiles come from
     a fixed log-bucket :class:`repro.obs.metrics.Histogram` (bounded memory,
-    provable relative-error bound) instead of ``np.percentile`` over the
-    deque.  The raw ``latencies`` deque is still kept for callers that want
-    exact recent samples.
+    provable relative-error bound).
     """
 
-    def __init__(self, *, latency_window: int = 8192) -> None:
-        if latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {latency_window}")
+    def __init__(self) -> None:
         self._windows_scored = Counter()
         self._batches = Counter()
         self._total_score_seconds = Counter()
@@ -218,7 +211,6 @@ class SchedulerStats:
         self._windows_shed = Counter()
         self._windows_dead = Counter()
         self.latency_histogram = Histogram()
-        self.latencies: deque[float] = deque(maxlen=int(latency_window))
 
     @property
     def windows_scored(self) -> int:
@@ -270,7 +262,6 @@ class SchedulerStats:
 
     def record_latency(self, seconds: float) -> None:
         """Account one window's end-to-end latency (queue wait + fused call)."""
-        self.latencies.append(seconds)
         self.latency_histogram.observe(seconds)
 
     def record_batch(self, batch_size: int, score_seconds: float) -> None:
@@ -284,7 +275,7 @@ class SchedulerStats:
         return self.windows_scored / self.batches if self.batches else 0.0
 
     def latency_percentile(self, percentile: float) -> float:
-        """Recent per-window end-to-end latency percentile (e.g. 50, 99), seconds."""
+        """Per-window end-to-end latency percentile (e.g. 50, 99), seconds."""
         if not self.latency_histogram.count:
             return 0.0
         return self.latency_histogram.percentile(percentile)

@@ -14,9 +14,14 @@ case — one scorer, many subjects:
 The service itself is a thin loop over those parts; anything fancier
 (per-session priorities, backpressure, an async transport) should compose
 the parts directly rather than grow this facade.
+
+Its calls and return types match :class:`~repro.serving.fabric.ServingFabric`,
+so the gateway serves either backend directly.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +29,17 @@ from ..obs import OBS
 from .scheduler import MicroBatchScheduler, Prediction
 from .session import StreamSession
 
-__all__ = ["StreamingService"]
+__all__ = ["StreamingService", "SwapResult"]
+
+
+@dataclass(frozen=True)
+class SwapResult:
+    """Outcome of a hot swap; ``flushed`` holds the old model's predictions."""
+
+    promoted: bool
+    generation: int
+    flushed: tuple = ()
+    reason: str = ""
 
 
 class StreamingService:
@@ -71,6 +86,9 @@ class StreamingService:
         float engine).
     """
 
+    #: An in-process service has no worker transport to trip.
+    breakers = ()
+
     def __init__(
         self,
         scorer,
@@ -98,6 +116,7 @@ class StreamingService:
             max_pending=max_pending,
             degradation=self._build_ladder(scorer, degrade_deadline),
         )
+        self.generation = 0
         self.n_channels = int(n_channels)
         self.window_samples = int(window_samples)
         self.step_samples = step_samples
@@ -206,9 +225,18 @@ class StreamingService:
             self.scheduler.submit(ready.session_id, ready.window_index, features)
         return self.scheduler.pump()
 
-    def drain(self) -> list[Prediction]:
-        """Force-score every pending window (end of tick / shutdown)."""
+    def drain(self, *, deadline=None) -> list[Prediction]:
+        """Force-score every pending window (end of tick / shutdown).
+
+        ``deadline`` bounds nothing here: no worker process can wedge.
+        """
         return self.scheduler.flush()
+
+    @property
+    def brownout(self) -> bool:
+        """Whether the degradation ladder is scoring at its cheaper tier."""
+        ladder = self.scheduler.degradation
+        return ladder is not None and bool(ladder.active)
 
     @property
     def dead_letters(self):
@@ -236,25 +264,34 @@ class StreamingService:
             return replayed, self.scheduler.flush()
         return replayed, self.scheduler.pump()
 
-    def swap_scorer(self, scorer, *, precision: str | None = None) -> list[Prediction]:
+    def swap(self, scorer) -> SwapResult:
         """Atomically replace the scorer, flushing pending windows first.
 
         Every window already submitted is scored against the *old* scorer
-        (their predictions are returned), then the scheduler switches to the
-        new one — no window is ever scored against a half-swapped model.
-        This is the in-process primitive under the fabric's blue/green hot
-        swap (:meth:`repro.serving.fabric.ServingFabric.swap`).
+        (their predictions are the result's ``flushed``), then the scheduler
+        switches to the new one and ``generation`` counts the swap — no
+        window is ever scored against a half-swapped model.  This is the
+        in-process primitive under the fabric's blue/green hot swap
+        (:meth:`repro.serving.fabric.ServingFabric.swap`).
         """
-        scorer = self._apply_precision(scorer, precision)
         flushed = self.scheduler.flush()
         self.scheduler.scorer = scorer
         self.scheduler.degradation = self._build_ladder(scorer, self.degrade_deadline)
+        self.generation += 1
         if OBS.enabled:
             OBS.metrics.counter(
                 "repro_serving_scorer_swaps_total",
                 "Hot scorer replacements performed by the service.",
             ).inc()
-        return flushed
+        return SwapResult(
+            promoted=True,
+            generation=self.generation,
+            flushed=tuple(flushed),
+            reason="promoted",
+        )
+
+    def shutdown(self) -> None:
+        """No-op: the service owns no processes; :meth:`drain` flushes."""
 
     @property
     def stats(self):

@@ -264,7 +264,7 @@ def publish_engine(
             # Checksum the source bytes, not the segment: if anything damages
             # the segment between write and attach, verification must notice.
             spec["blake2b"] = hashlib.blake2b(
-                contiguous.tobytes(), digest_size=_DIGEST_SIZE
+                contiguous, digest_size=_DIGEST_SIZE
             ).hexdigest()
             del view
         if CHAOS.enabled:
@@ -312,8 +312,10 @@ def _verify_arrays(manifest: dict, buf) -> None:
             continue
         nbytes = int(np.dtype(spec["dtype"]).itemsize * np.prod(spec["shape"] or (1,)))
         start = spec["offset"]
+        # Hash the segment in place: a bytes() copy would put every array
+        # into each attaching worker's private memory.
         digest = hashlib.blake2b(
-            bytes(buf[start : start + nbytes]), digest_size=_DIGEST_SIZE
+            buf[start : start + nbytes], digest_size=_DIGEST_SIZE
         ).hexdigest()
         if digest != expected:
             damaged.append(key)

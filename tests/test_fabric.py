@@ -38,6 +38,7 @@ import repro
 from repro.core import BoostHD
 from repro.engine import EngineError, compile_model
 from repro.engine.quant import fixed_block_from_codes, packed_block_from_words
+from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
 from repro.runtime.executor import resolve_max_workers
 from repro.serving import (
     DriftMonitor,
@@ -183,6 +184,32 @@ class TestSharedMemoryModels:
                 attached.close()
         finally:
             shared.unlink()
+
+    def test_attach_hashes_the_segment_in_place(self):
+        """Verifying checksums on attach must not copy arrays out of the
+        segment: that copy lands in every worker's private memory."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, N_FEATURES))
+        y = rng.integers(0, 3, size=60)
+        model = BoostHD(total_dim=20_000, n_learners=4, epochs=0, seed=0).fit(X, y)
+        shared = publish_engine(compile_model(model, precision="fixed16"))
+        try:
+            largest = max(
+                np.dtype(spec["dtype"]).itemsize * int(np.prod(spec["shape"]))
+                for spec in shared.manifest["arrays"].values()
+            )
+            tracemalloc.start()
+            try:
+                attached = attach_engine(shared.manifest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            attached.close()
+        finally:
+            shared.unlink()
+        assert peak < largest / 4, f"attach peaked at {peak} B; largest array {largest} B"
 
     def test_manifest_is_picklable(self, engines):
         import pickle
@@ -349,7 +376,7 @@ class TestHotSwap:
         service.open_session("s")
         for _, chunk in _streams(1, 5):
             assert service.push("s", chunk) == []  # everything stays pending
-        flushed = service.swap_scorer(_ConstantScorer(1))
+        flushed = list(service.swap(_ConstantScorer(1)).flushed)
         assert [p.label for p in flushed] == [0] * 5
         for _, chunk in _streams(1, 3):
             service.push("s", chunk)
@@ -544,3 +571,33 @@ class TestInspection:
             assert sum(entry["score_failures"] for entry in stats) == 0
             assert fabric.model_bytes > 0
             assert "ServingFabric(" in repr(fabric)
+
+    def test_dead_letters_are_gathered_and_replayed_across_shards(self, engines):
+        """Each shard's dead letters reach the parent; replay sums the shards."""
+        sessions = ("subject-0", "subject-2")
+        assert {shard_of(session_id, 2) for session_id in sessions} == {0, 1}
+        rng = np.random.default_rng(4)
+        items = [(s, rng.normal(size=(N_CHANNELS, 2 * WINDOW))) for s in sessions]
+        plan = FaultPlan(
+            faults=(FaultSpec(point="scheduler.score", kind="exception", at=(1, 2)),)
+        )
+        with inject(plan), ServingFabric(
+            engines["fixed16"],
+            n_workers=2,
+            serial=True,
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+            max_batch=2,
+            max_retries=0,
+        ) as fabric:
+            for session_id in sessions:
+                fabric.open_session(session_id)
+            with pytest.raises(FaultInjected):
+                fabric.route(items)  # both shards' batches fail
+            expected = sorted((s, index) for s in sessions for index in (0, 1))
+            letters = fabric.dead_letters
+            assert sorted((d.session_id, d.window_index) for d in letters) == expected
+            replayed, predictions = fabric.replay_dead_letters()
+            assert replayed == 4
+            assert sorted((p.session_id, p.window_index) for p in predictions) == expected
+            assert fabric.dead_letters == []

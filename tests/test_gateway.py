@@ -8,8 +8,9 @@ Three layers, matching the package layout:
   injected clock) and the HTTP/WebSocket parsers (encode/parse round-trip,
   and *no* input may raise anything but :class:`ProtocolError`);
 * **end-to-end asyncio tests** against a real listening gateway — session
-  lifecycle, explicit 429/503/504 refusals, shed/dead-letter wire format
-  (strict JSON: no NaN ever), dead-letter replay, WebSocket streaming and
+  lifecycle (over a service and a fabric backend), explicit 429/503/504
+  refusals, shed/dead-letter wire format (strict JSON: no NaN ever),
+  dead-letter replay (also from fabric workers), WebSocket streaming and
   malformed-frame survival;
 * **lifecycle contracts** — graceful drain loses no accepted window, and
   predictions served through the gateway are bit-identical to in-process
@@ -85,17 +86,18 @@ class FlakyScorer(StubScorer):
         return super().decision_function(X)
 
 
+SERVICE_OPTIONS = {
+    "n_channels": N_CHANNELS,
+    "window_samples": WINDOW,
+    "step_samples": WINDOW,
+    "smoothing_window": 1,
+    "max_batch": 4,
+    "max_wait": 1e9,  # release on full batches / flush only: deterministic
+}
+
+
 def make_service(scorer=None, **overrides) -> StreamingService:
-    options = {
-        "n_channels": N_CHANNELS,
-        "window_samples": WINDOW,
-        "step_samples": WINDOW,
-        "smoothing_window": 1,
-        "max_batch": 4,
-        "max_wait": 1e9,  # release on full batches / flush only: deterministic
-    }
-    options.update(overrides)
-    return StreamingService(scorer or StubScorer(), **options)
+    return StreamingService(scorer or StubScorer(), **{**SERVICE_OPTIONS, **overrides})
 
 
 def chunk(n_windows: int = 1, seed: int = 0) -> list:
@@ -586,13 +588,13 @@ def test_graceful_drain_answers_every_accepted_window():
             # after the drain, the listener is gone: new connections refuse
             with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):
                 await client.request("GET", "/v1/sessions")
-        service_stats = gateway.backend.stats()[0]
-        assert service_stats["windows_submitted"] == 5
-        assert service_stats["windows_scored"] == 5
-        assert service_stats["pending"] == 0
+        service_stats = gateway.backend.stats
+        assert service_stats.windows_submitted == 5
+        assert service_stats.windows_scored == 5
+        assert gateway.backend.scheduler.pending == 0
         assert (
             gateway.stats.windows_answered + gateway.stats.windows_shed
-            == service_stats["windows_scored"] + service_stats["windows_shed"]
+            == service_stats.windows_scored + service_stats.windows_shed
         )
 
     run(scenario())
@@ -681,14 +683,13 @@ def swap_registry(tmp_path_factory):
     return registry
 
 
-def swap_fabric(registry) -> ServingFabric:
-    return ServingFabric(
-        registry.load_compiled("m", precision="fixed16"),
-        serial=True,
-        n_workers=1,
-        n_channels=N_CHANNELS,
-        window_samples=WINDOW,
-    )
+def make_backend(kind: str, registry, **overrides):
+    """A service or a serial 1-worker fabric over the registry's fixed16 model."""
+    engine = registry.load_compiled("m", precision="fixed16")
+    if kind == "service":
+        return make_service(engine, **overrides)
+    options = {**SERVICE_OPTIONS, **overrides}
+    return ServingFabric(engine, serial=True, n_workers=1, **options)
 
 
 def swap_once(backend, registry, **request):
@@ -735,23 +736,109 @@ def test_swap_unknown_model_or_version_is_404(swap_registry):
 
 
 def test_swap_cascade_on_a_fabric_is_400(swap_registry):
-    fabric = swap_fabric(swap_registry)
+    fabric = make_backend("fabric", swap_registry)
     status, body = swap_once(fabric, swap_registry, precision="cascade")
     assert status == 400
     assert "cannot publish" in body["error"]
-    assert fabric.swaps == 0
+    assert fabric.generation == 0
 
 
 def test_declined_fabric_swap_is_409_not_200(swap_registry):
     """A swap whose new segment fails its checksum must not report success."""
-    fabric = swap_fabric(swap_registry)
+    fabric = make_backend("fabric", swap_registry)
     plan = FaultPlan(faults=(FaultSpec(point="shm.publish", kind="corrupt", at=(1,)),))
     with inject(plan):
         status, body = swap_once(fabric, swap_registry, precision="fixed16")
     assert status == 409
     assert body["swapped"] is False and body["generation"] == 0
     assert "integrity check failed" in body["reason"]
-    assert fabric.swaps == 0
+    assert fabric.generation == 0
+
+
+# -------------------------------------------------------------------- backends
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_gateway_serves_either_backend(swap_registry, kind):
+    """One wire over an in-process service and a fabric on the same model."""
+
+    async def scenario():
+        gateway = await start_gateway(make_backend(kind, swap_registry))
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            assert (await client.healthz())[1]["backend"] == kind
+            status, body = await client.request("GET", "/v1/model")
+            assert status == 200
+            assert body == {"backend": kind, "generation": 0, "swaps": 0}
+            assert (await client.open_session("s1"))[0] == 201
+            assert (await client.open_session("s2"))[0] == 201
+            status, body = await client.feed("s1", chunk(3))
+            assert status == 200 and body["predictions"] == []  # 3 pending
+            # s2's window fills the batch; s1's three land in its mailbox.
+            status, body = await client.feed("s2", chunk(1))
+            assert [w["session_id"] for w in body["predictions"]] == ["s2"]
+            status, body = await client.predictions("s1")
+            assert status == 200
+            assert [w["window_index"] for w in body["predictions"]] == [0, 1, 2]
+            assert all(w["status"] == "scored" for w in body["predictions"])
+            await client.feed("s1", chunk(2))
+            status, body = await client.score("s1")
+            assert status == 200
+            assert [w["window_index"] for w in body["predictions"]] == [3, 4]
+            await client.feed("s2", chunk(1))  # stays pending until the drain
+            assert (await client.close_session("s1"))[0] == 200
+            status, body = await client.readyz()
+            assert status == 200
+            assert body == {
+                "ready": True,
+                "draining": False,
+                "brownout": False,
+                "breakers": [] if kind == "service" else ["closed"],
+                "in_flight": 0,
+                "saturation": 0.0,
+                "open_sessions": 1,
+                "generation": 0,
+            }
+            status, body = await client.stats()
+            assert status == 200 and len(body["backend"]) == 1
+        report = await gateway.shutdown(2.0)
+        assert report["clean"] is True
+        assert report["flushed_predictions"] == 1
+        assert gateway.stats.windows_answered == 7
+
+    run(scenario())
+
+
+def test_fabric_dead_letters_reach_the_gateway(swap_registry):
+    """Windows dead-lettered inside a fabric worker are listed and replayed."""
+    plan = FaultPlan(
+        faults=(FaultSpec(point="scheduler.score", kind="exception", at=(1,)),)
+    )
+
+    async def scenario():
+        fabric = make_backend("fabric", swap_registry, max_batch=2, max_retries=0)
+        gateway = await start_gateway(fabric)
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                status, _ = await client.feed("s1", chunk(2))
+                assert status == 500  # the injected scorer fault
+                status, body = await client.dead_letters()
+                assert status == 200
+                assert [w["window_index"] for w in body["dead_letters"]] == [0, 1]
+                assert all(w["status"] == "dead" for w in body["dead_letters"])
+                status, body = await client.replay_dead_letters()
+                assert status == 200
+                assert body["replayed"] == 2
+                assert [w["status"] for w in body["predictions"]] == ["scored"] * 2
+        finally:
+            await gateway.shutdown(2.0)
+        assert gateway.stats.dead_letters_replayed == 2
+
+    with inject(plan):
+        run(scenario())
+
+
+def test_gateway_refuses_an_unknown_backend():
+    with pytest.raises(TypeError, match="StreamingService or ServingFabric"):
+        Gateway(object())
 
 
 # ----------------------------------------------------------------------- chaos

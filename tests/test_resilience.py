@@ -659,7 +659,7 @@ class TestDegradation:
         assert service.scheduler.max_pending == 128
         assert service.scheduler.max_retries == 2
         replacement = compile_model(fitted_model, precision="fixed16")
-        service.swap_scorer(replacement)
+        service.swap(replacement)
         assert service.scheduler.degradation.full is replacement
 
 

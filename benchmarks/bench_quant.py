@@ -69,10 +69,6 @@ BATCH = 1024
 N_FEATURES = 24
 
 
-def _float_class_bytes(engine) -> int:
-    return sum(block.class_weights.nbytes for block in engine.blocks)
-
-
 def _thread_config() -> None:
     """Print the BLAS thread pins a timed contract runs under."""
     omp = os.environ.get("OMP_NUM_THREADS", "unset")
@@ -159,7 +155,7 @@ def test_memory_and_scoring_throughput_contracts():
     encoded64 = float64_engine.encode(queries)
     encoded32 = packed.encode(queries)
 
-    float_bytes = _float_class_bytes(float64_engine)
+    float_bytes = float64_engine.class_memory_bytes()
     engines = {
         "float64": (float64_engine, encoded64, float_bytes),
         "fixed16": (fixed16, encoded32, fixed16.class_memory_bytes()),
@@ -284,9 +280,9 @@ def test_quantized_predictions_survive_round_trip(tmp_path):
     loaded = registry.load("quant", precision="fixed8", dtype=np.float64)
     stored_codes = {}
     with np.load(registry.describe("quant").path / "model.npz") as archive:
-        for index, block in enumerate(loaded.blocks):
+        for index, (start, stop) in enumerate(loaded.spans):
             stored = archive[f"learner_{index}_codes"]
-            np.testing.assert_array_equal(block.codes.T, stored)
+            np.testing.assert_array_equal(loaded.codes[index, : stop - start].T, stored)
             stored_codes[index] = stored
     print(
         f"\nRegistry round trip: fixed8 codes byte-identical across "

@@ -17,7 +17,7 @@ AdaBoost-style sample re-weighting:
 Because of that independence, a fitted ensemble can be *compiled* into the
 fused batch-inference engine (:mod:`repro.engine`) via :meth:`BoostHD.compile`:
 all weak-learner projections stack into one matrix, the batch is encoded once,
-and ensemble scores come from a single block-diagonal-aware matmul.  The
+and every learner is scored at once from one learner-stacked class array.  The
 compiled path is the fast production route; the per-learner loop in
 :meth:`BoostHD.decision_function` remains the reference implementation the
 engine is tested against.

@@ -5,8 +5,10 @@ BoostHD's weak learners are independent at inference time, so an ensemble of
 subpackage compiles a fitted :class:`~repro.core.BoostHD` (or a single
 :class:`~repro.hdc.OnlineHD`) into a :class:`CompiledModel` that encodes a
 batch once through a stacked ``(D_total, f)`` basis, evaluates the
-trigonometric activation with a single fused transcendental, and aggregates
-ensemble scores with one block-diagonal-aware matmul.
+trigonometric activation with a single fused transcendental, and scores
+every learner at once against one learner-stacked class array (indexed
+``[learner, element of the learner's span, class]``), one batched matmul
+per bounded row step on every precision tier.
 
 Layout:
 
@@ -25,8 +27,9 @@ Layout:
 * :mod:`repro.engine.cache` — optional LRU memoisation of encoded chunks for
   repeated windows,
 * :mod:`repro.engine.quant` — integer-domain quantized inference: the
-  bit-packed bipolar XOR + popcount scorer (:class:`PackedBipolarModel`)
-  and the fixed-point exact-matmul scorer (:class:`FixedPointModel`),
+  bit-packed bipolar XOR + popcount scorer (:class:`PackedBipolarModel`,
+  whose class ``words`` :func:`pack_words` lays out) and the fixed-point
+  exact-matmul scorer (:class:`FixedPointModel`),
 * :mod:`repro.engine.cascade` — early-exit cascade scoring: a packed first
   pass scores every row, top-2 margins route only ambiguous rows to a
   precise second tier (:class:`CascadeModel`), with held-out threshold
@@ -56,7 +59,6 @@ from .cascade import CalibrationResult, CascadeModel, CascadeStats, top2_margin
 from .compile import (
     CompiledModel,
     EngineError,
-    LearnerBlock,
     ModelComponents,
     compile_model,
     model_components,
@@ -69,13 +71,7 @@ from .precision import (
     build_engine,
     resolve_precision,
 )
-from .quant import (
-    FixedBlock,
-    FixedPointModel,
-    PackedBipolarModel,
-    PackedBlock,
-    PackedQueries,
-)
+from .quant import FixedPointModel, PackedBipolarModel, PackedQueries, pack_words
 from .train import (
     EnsembleEncoding,
     ExactPassState,
@@ -89,7 +85,6 @@ from .train import (
 __all__ = [
     "CompiledModel",
     "EngineError",
-    "LearnerBlock",
     "ModelComponents",
     "compile_model",
     "model_components",
@@ -103,11 +98,10 @@ __all__ = [
     "CascadeModel",
     "CascadeStats",
     "top2_margin",
-    "FixedBlock",
     "FixedPointModel",
     "PackedBipolarModel",
-    "PackedBlock",
     "PackedQueries",
+    "pack_words",
     "auto_chunk_size",
     "iter_batches",
     "resolve_chunk_size",

@@ -176,6 +176,9 @@ class CascadeModel(CompiledModel):
     ``stats`` accumulates rerank counts across calls for observability.
     """
 
+    #: The cascade holds no class stack of its own; its tiers do.
+    STACK = ()
+
     def __init__(
         self,
         *,
@@ -200,13 +203,14 @@ class CascadeModel(CompiledModel):
             or first.total_dim != second.total_dim
             or first.in_features != second.in_features
             or first.aggregation != second.aggregation
+            or not np.array_equal(first.spans, second.spans)
             or first._basis2.shape != second._basis2.shape
             or not np.array_equal(first._basis2, second._basis2)
             or not np.array_equal(first._bias, second._bias)
         ):
             raise EngineError(
                 "cascade tiers were compiled from different models; both "
-                "tiers must share classes, projection and aggregation"
+                "tiers must share classes, spans, projection and aggregation"
             )
         # Intentionally no super().__init__(): the cascade borrows the first
         # tier's compiled arrays wholesale instead of re-deriving them, so
@@ -221,7 +225,8 @@ class CascadeModel(CompiledModel):
         self.aggregation = first.aggregation
         self.chunk_size = first.chunk_size
         self.shared_projection = first.shared_projection
-        self.blocks = first.blocks
+        self.spans = first.spans
+        self.alphas = first.alphas
         self.in_features = first.in_features
         self.total_dim = first.total_dim
         self._basis2 = first._basis2

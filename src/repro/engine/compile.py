@@ -18,14 +18,16 @@ so all of that fuses:
    ``cos(p + b) * sin(p)`` is rewritten with the product-to-sum identity as
    ``0.5 * (sin(2p + b) - sin(b))``: one transcendental evaluation over the
    ``(n, D_total)`` matrix instead of two, with ``sin(b)`` precomputed.
-3. **Block-diagonal-aware scoring** — per-learner class hypervectors are
-   L2-normalised once at compile time; per batch, each learner block
-   contributes one thin ``(n, d_i) @ (d_i, k_i)`` matmul whose rows are then
-   scaled by ``α_i`` over the block's per-sample norm (an ``einsum`` row
-   reduction) and accumulated into the global class columns, followed by the
-   ``Σα`` normalisation.  This scales the *small* ``(n, k_i)`` similarity
-   matrices instead of normalising the full ``(n, D_total)`` encoding, which
-   is what keeps per-row cost low at serving batch sizes.
+3. **Learner-stacked scoring** — the class representation is one array
+   indexed ``[learner, element of the learner's span, class]`` (for the
+   float tier, ``weights`` of shape ``(L, d_max, k)``: L2-normalised class
+   hypervectors, zero past each learner's width).  Per row step, every
+   learner's span of the encoding is copied into one zero-padded ``(L, m,
+   d_max)`` buffer; one batched ``np.matmul`` scores all learners, one
+   ``einsum`` takes the per-learner norms, and ``np.add.accumulate`` sums
+   the learners in order, followed by the ``Σα`` normalisation.  Zero
+   padding changes no dot product, no norm and no row maximum.  Steps
+   keep the buffer within :data:`_STEP_BYTES`, for every tier.
 
 The compiled scorer reproduces the loop path's predictions exactly and its
 scores to floating-point tolerance, for both aggregation modes and both
@@ -50,16 +52,23 @@ from .cache import LRUCache, array_fingerprint
 __all__ = [
     "CompiledModel",
     "EngineError",
-    "LearnerBlock",
     "ModelComponents",
     "assemble_components",
     "compile_model",
     "model_components",
+    "stack_learners",
     "topk_indices",
+    "unstack_learners",
 ]
 
 #: Denominator clip mirroring :func:`repro.hdc.similarity.cosine_similarity`.
 _EPS = 1e-12
+
+#: Upper bound on the temporary of one scoring step: the stacked query
+#: buffer of the float and fixed tiers, the XOR words of the packed tier.
+#: Rows are scored in steps that keep it within this budget, so a
+#: whole-batch call allocates no more than a small chunk.
+_STEP_BYTES = 1 << 20
 
 
 class EngineError(RuntimeError):
@@ -83,25 +92,46 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-@dataclass(frozen=True)
-class LearnerBlock:
-    """One weak learner's slice of the fused model.
+def stack_learners(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """Stack per-learner ``(k, d_i)`` class arrays into one ``(L, d_max, k)``.
 
-    ``class_weights`` holds the learner's L2-normalised class hypervectors,
-    transposed to ``(d_i, k_i)`` so chunk scoring is ``H[:, start:stop] @
-    class_weights``; ``columns`` maps the learner's local class order onto the
-    ensemble's global class columns.
+    Learner ``i``'s array lands transposed in ``[i, :d_i]``; the rest of its
+    row stays zero.
     """
+    width = max(array.shape[1] for array in arrays)
+    stack = np.zeros((len(arrays), width, arrays[0].shape[0]), dtype=dtype)
+    for index, array in enumerate(arrays):
+        stack[index, : array.shape[1]] = array.T
+    return stack
 
-    start: int
-    stop: int
-    alpha: float
-    columns: np.ndarray
-    class_weights: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.stop - self.start
+def unstack_learners(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The ``(k, D_total)`` rows of a learner stack, learners side by side."""
+    widths = spans[:, 1] - spans[:, 0]
+    return stack[np.arange(stack.shape[1]) < widths[:, None]].T
+
+
+def _row_steps(n: int, row_bytes: int):
+    """Row slices of a step loop whose temporary is ``row_bytes`` per row."""
+    step = max(1, _STEP_BYTES // row_bytes)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _votes(sims: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Each learner's ``alpha`` on its first best class of ``(L, m, k)`` sims."""
+    winner = np.argmax(sims, axis=2)
+    return (winner[..., None] == np.arange(sims.shape[2])) * alphas[:, None, None]
+
+
+def _sum_learners(contributions: np.ndarray) -> np.ndarray:
+    """Sum ``(L, m, k)`` per-learner contributions into ``(m, k)`` scores.
+
+    ``accumulate`` adds learner after learner (a reduce may sum pairwise),
+    the order of a per-learner ``+=`` loop from zeros; ``+ 0.0`` turns a
+    cell where every learner adds ``-0.0`` into the ``+0.0`` that loop
+    leaves.  So stacking the learners never changes a bit of the scores.
+    """
+    return np.add.accumulate(contributions, axis=0)[-1] + 0.0
 
 
 class CompiledModel:
@@ -115,25 +145,45 @@ class CompiledModel:
     The constructor adopts already-derived arrays without copying them:
     ``basis2`` is the pre-doubled, pre-transposed ``(in_features,
     D_total)`` projection, ``bias`` / ``sin_bias`` the phase bias and its
-    sine in the engine dtype.  :func:`~repro.engine.build_engine` derives
-    them; :mod:`repro.serving.shm` passes views of shared memory.  Shapes
-    are validated, layout is the caller's.  Instances are immutable by
-    convention and safe to share across threads for read-only scoring (the
-    optional cache serialises nothing and is the one mutable component —
-    disable it with ``cache_size=0`` under concurrency).
+    sine in the engine dtype, ``spans`` the ``(L, 2)`` ``[start, stop)``
+    column ranges of the learners (they must tile ``[0, D_total)`` in
+    order), ``alphas`` the raw learner weights, and the engine's
+    learner-stacked class arrays, named in :attr:`STACK` — here
+    ``weights``, the ``(L, d_max, k)`` L2-normalised class hypervectors in
+    the engine dtype, zero past each learner's width.  Every learner scores
+    every class, in the order of ``classes``.
+    :func:`~repro.engine.build_engine` derives the arrays;
+    :mod:`repro.serving.shm` passes views of shared memory.  Shapes and
+    dtypes are validated, layout is the caller's.
+    Instances are immutable by convention and safe to share across threads
+    for read-only scoring (the optional cache serialises nothing and is the
+    one mutable component — disable it with ``cache_size=0`` under
+    concurrency).
     """
 
     #: Class-hypervector representation this engine scores against; the
     #: quantized variants (:mod:`repro.engine.quant`) override it.
     precision = "float64"
 
-    def __init__(
+    #: The learner-stacked class arrays this engine scores from, by
+    #: constructor keyword: what :mod:`repro.serving.shm` publishes and
+    #: :meth:`class_memory_bytes` sums.
+    STACK = ("weights",)
+
+    def __init__(self, *, weights: np.ndarray, **options) -> None:
+        self._adopt(**options)
+        shape = (self.n_learners, self._width, len(self.classes_))
+        self.weights = self._stacked("weights", weights, self.dtype, shape)
+        self._row_bytes = self.n_learners * self._width * self.dtype.itemsize
+
+    def _adopt(
         self,
         *,
         basis2: np.ndarray,
         bias: np.ndarray,
         sin_bias: np.ndarray,
-        blocks: Sequence[LearnerBlock],
+        spans: np.ndarray,
+        alphas: np.ndarray,
         classes: np.ndarray,
         aggregation: str,
         dtype: np.dtype,
@@ -142,6 +192,7 @@ class CompiledModel:
         cache_bytes: int | None = None,
         shared_projection: bool = False,
     ) -> None:
+        """Validate and adopt everything but the class stack (every tier's)."""
         basis2 = np.asarray(basis2)
         bias = np.asarray(bias)
         sin_bias = np.asarray(sin_bias)
@@ -157,21 +208,41 @@ class CompiledModel:
             )
         if aggregation not in ("vote", "score"):
             raise EngineError(f"unsupported aggregation {aggregation!r}")
+        spans = np.asarray(spans, dtype=np.int64)
+        if (
+            spans.ndim != 2
+            or spans.shape[1:] != (2,)
+            or len(spans) == 0
+            or spans[0, 0] != 0
+            or spans[-1, 1] != basis2.shape[1]
+            or np.any(spans[1:, 0] != spans[:-1, 1])
+            or np.any(spans[:, 1] <= spans[:, 0])
+        ):
+            raise EngineError(
+                f"spans must tile [0, {basis2.shape[1]}) in order with "
+                f"non-empty learner ranges, got {spans.tolist()}"
+            )
+        alphas = np.asarray(alphas, dtype=float)
+        if alphas.shape != (len(spans),):
+            raise EngineError(
+                f"alphas of shape {alphas.shape} do not match {len(spans)} learners"
+            )
         self.dtype = np.dtype(dtype)
         self.classes_ = np.asarray(classes)
         self.aggregation = aggregation
         self.chunk_size = chunk_size
         self.shared_projection = bool(shared_projection)
-        self.blocks = tuple(blocks)
         self.in_features = int(basis2.shape[0])
         self.total_dim = int(basis2.shape[1])
+        self.spans = spans
+        self.alphas = alphas
 
         self._basis2 = basis2
         self._bias = bias
         self._sin_bias = sin_bias
-
-        alphas = np.asarray([block.alpha for block in self.blocks], dtype=float)
         self._alphas, self._total_alpha = effective_alphas(alphas)
+        self._bounds = tuple(map(tuple, spans.tolist()))
+        self._width = int((spans[:, 1] - spans[:, 0]).max())
 
         self.cache: LRUCache | None = (
             LRUCache(cache_size or None, max_bytes=cache_bytes)
@@ -179,15 +250,26 @@ class CompiledModel:
             else None
         )
 
-    @classmethod
-    def from_prepared(cls, **options) -> "CompiledModel":
-        """The constructor, named for the prepared arrays it adopts."""
-        return cls(**options)
+    @staticmethod
+    def _stacked(name: str, array, dtype, shape: tuple) -> np.ndarray:
+        """``array`` as is; :class:`EngineError` unless of ``dtype`` and ``shape``."""
+        array = np.asarray(array)
+        if array.dtype != np.dtype(dtype):
+            raise EngineError(f"{name} must be {np.dtype(dtype)}, got {array.dtype}")
+        if array.shape != shape:
+            raise EngineError(
+                f"{name} of shape {array.shape} do not match the learner stack {shape}"
+            )
+        return array
 
     # ---------------------------------------------------------------- infra
     @property
     def n_learners(self) -> int:
-        return len(self.blocks)
+        return len(self.spans)
+
+    def class_memory_bytes(self) -> int:
+        """Bytes of the stored class representation: the :attr:`STACK` arrays."""
+        return sum(getattr(self, name).nbytes for name in self.STACK)
 
     def __repr__(self) -> str:
         return (
@@ -246,32 +328,36 @@ class CompiledModel:
         return encoded
 
     # -------------------------------------------------------------- scoring
+    def _spread(self, encoded: np.ndarray, dtype) -> np.ndarray:
+        """Every learner's span of ``encoded`` in one zero-padded ``(L, m, d_max)``."""
+        buffer = np.zeros((self.n_learners, len(encoded), self._width), dtype=dtype)
+        for row, (start, stop) in zip(buffer, self._bounds):
+            row[:, : stop - start] = encoded[:, start:stop]
+        return buffer
+
     def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
-        n = len(encoded)
-        scores = np.zeros((n, len(self.classes_)), dtype=np.float64)
+        scores = np.empty((len(encoded), len(self.classes_)), dtype=np.float64)
+        for rows in _row_steps(len(encoded), self._row_bytes):
+            scores[rows] = self._score_rows(encoded[rows])
+        return scores / self._total_alpha
+
+    def _score_rows(self, encoded: np.ndarray) -> np.ndarray:
+        """Un-normalised ``(m, k)`` scores of one row step.
+
+        One batched matmul gives every learner's similarities; the rows of
+        the small ``(L, m, k)`` result are scaled by ``alpha_i / |h_i|`` (an
+        ``einsum`` row reduction), so the ``(n, D_total)`` encoding is never
+        mutated and cached encodings can be shared freely.
+        """
+        queries = self._spread(encoded, self.dtype)
+        sims = np.matmul(queries, self.weights)
         if self.aggregation == "vote":
             # Cosine argmax is invariant to the per-sample norm |h|, so the
-            # vote path never needs the block norms.
-            rows = np.arange(n)
-            for block, alpha in zip(self.blocks, self._alphas):
-                sims = encoded[:, block.start : block.stop] @ block.class_weights
-                winner = np.argmax(sims, axis=1)
-                scores[rows, block.columns[winner]] += alpha
-            return scores / self._total_alpha
-
-        # Per-learner cosine contributions: one thin (n, d_i) @ (d_i, k_i)
-        # matmul per block, then a row scaling of the *small* (n, k_i)
-        # similarity matrix by alpha_i / |h_i|.  Never touches (mutates or
-        # re-materialises) the (n, D_total) encoding, so micro-batch-sized
-        # chunks score at memory-bandwidth cost and cached encodings can be
-        # shared freely.
-        for block, alpha in zip(self.blocks, self._alphas):
-            view = encoded[:, block.start : block.stop]
-            sims = view @ block.class_weights
-            norms = np.sqrt(np.einsum("ij,ij->i", view, view, dtype=np.float64))
-            scale = alpha / np.maximum(norms, _EPS)
-            scores[:, block.columns] += sims * scale[:, None]
-        return scores / self._total_alpha
+            # vote path never needs the norms.
+            return _sum_learners(_votes(sims, self._alphas))
+        norms = np.sqrt(np.einsum("lmd,lmd->lm", queries, queries, dtype=np.float64))
+        scale = self._alphas[:, None] / np.maximum(norms, _EPS)
+        return _sum_learners(sims * scale[..., None])
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Aggregated per-class scores, shape ``(n_samples, n_classes)``.
@@ -432,13 +518,13 @@ class ModelComponents:
 
     Built from a fitted model by :func:`model_components`, or from a stored
     artifact by :meth:`repro.serving.ModelRegistry.load_compiled`, both
-    through :func:`assemble_components`.  Per learner ``i``: ``spans[i]`` is
-    its ``[start, stop)`` column range in the stacked projection (validated
-    against the basis row count), ``columns[i]`` maps its classes onto the
-    global class columns, and ``hypervectors[i]`` holds its class
-    hypervectors — float values, or, when ``scheme`` names a fixed-point
-    format, that format's stored integer codes under the scale
-    ``scales[i]``.
+    through :func:`assemble_components`.  ``spans`` is the ``(L, 2)``
+    array of each learner's ``[start, stop)`` column range in the stacked
+    projection (validated against the basis row count).  Every learner
+    scores every class of ``classes``, in order, so ``hypervectors[i]``
+    holds learner ``i``'s ``(k, d_i)`` class hypervectors — float values,
+    or, when ``scheme`` names a fixed-point format, that format's stored
+    integer codes under the scale ``scales[i]``.
     """
 
     alphas: np.ndarray
@@ -447,8 +533,7 @@ class ModelComponents:
     basis: np.ndarray
     bias: np.ndarray
     shared: bool
-    spans: tuple[tuple[int, int], ...]
-    columns: tuple[np.ndarray, ...]
+    spans: np.ndarray
     hypervectors: tuple[np.ndarray, ...]
     scheme: str | None = None
     scales: tuple[float, ...] = ()
@@ -472,8 +557,17 @@ def assemble_components(
     reused instead of re-stacking its slices (``shared``); ``declared=False``
     skips that structural scan, as a partitioner declaring independent
     projections does.  Raises :class:`EngineError` for encoders without
-    projection parameters or whose widths do not add up to the basis.
+    projection parameters or whose widths do not add up to the basis, and
+    for a learner whose ``learner_classes`` are not ``classes``: the engines
+    score every learner against every class column.
     """
+    for index, local in enumerate(learner_classes):
+        if not np.array_equal(local, classes):
+            raise EngineError(
+                f"learner {index} has classes {np.asarray(local).tolist()} but "
+                f"the ensemble has {np.asarray(classes).tolist()}; every "
+                "learner must score every class, in order"
+            )
     root = None if declared is False else _shared_root(encoders)
     if root is not None:
         basis, bias = _projection_params(root)
@@ -482,14 +576,11 @@ def assemble_components(
         basis = np.vstack([block_basis for block_basis, _ in params])
         bias = np.concatenate([block_bias for _, block_bias in params])
 
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for encoder in encoders:
-        spans.append((start, start + encoder.dim))
-        start += encoder.dim
-    if start != basis.shape[0]:
+    widths = np.array([encoder.dim for encoder in encoders], dtype=np.int64)
+    stops = np.cumsum(widths)
+    if stops[-1] != basis.shape[0]:
         raise EngineError(
-            f"encoder dimensions sum to {start} but the stacked projection "
+            f"encoder dimensions sum to {stops[-1]} but the stacked projection "
             f"has {basis.shape[0]} rows; the model's encoders are inconsistent"
         )
     return ModelComponents(
@@ -499,8 +590,7 @@ def assemble_components(
         basis=basis,
         bias=bias,
         shared=root is not None,
-        spans=tuple(spans),
-        columns=tuple(np.searchsorted(classes, local) for local in learner_classes),
+        spans=np.stack([stops - widths, stops], axis=1),
         hypervectors=tuple(hypervectors),
         scheme=scheme,
         scales=tuple(float(scale) for scale in scales),

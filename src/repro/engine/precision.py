@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..hdc.hypervector import pack_signs
 from ..hdc.quantize import (
     SCHEME_BITS,
     SCHEME_DTYPES,
@@ -45,15 +44,8 @@ from ..hdc.quantize import (
     quantize_codes,
 )
 from .cascade import DEFAULT_THRESHOLD, CascadeModel
-from .compile import _EPS, CompiledModel, EngineError, LearnerBlock, ModelComponents
-from .quant import (
-    FixedPointModel,
-    PackedBipolarModel,
-    fixed_block,
-    fixed_block_from_codes,
-    packed_block,
-    packed_block_from_words,
-)
+from .compile import _EPS, CompiledModel, EngineError, ModelComponents, stack_learners
+from .quant import FixedPointModel, PackedBipolarModel, pack_words
 
 __all__ = [
     "ENGINE_OPTIONS",
@@ -71,52 +63,46 @@ ENGINE_OPTIONS = ("dtype", "chunk_size", "cache_size", "cache_bytes", "threshold
 _ALIASES = {"cascade": "cascade-fixed16"}
 
 
-# ----------------------------------------------------------- learner blocks
-def _float_values(parts: ModelComponents, index: int) -> np.ndarray:
-    """Learner ``index``'s float class hypervectors (stored codes dequantized)."""
+# ------------------------------------------------------------ class stacks
+def _float_values(parts: ModelComponents) -> list[np.ndarray]:
+    """Every learner's float class hypervectors (stored codes dequantized)."""
     if parts.scheme is None:
-        return parts.hypervectors[index]
-    fmt = FixedPointFormat(bits=SCHEME_BITS[parts.scheme], scale=parts.scales[index])
-    return from_fixed_point(parts.hypervectors[index].astype(np.int64), fmt)
+        return list(parts.hypervectors)
+    return [
+        from_fixed_point(
+            codes.astype(np.int64),
+            FixedPointFormat(bits=SCHEME_BITS[parts.scheme], scale=scale),
+        )
+        for codes, scale in zip(parts.hypervectors, parts.scales)
+    ]
 
 
-def _float_block(parts, index, name, dtype) -> LearnerBlock:
-    values = _float_values(parts, index)
-    norms = np.maximum(np.linalg.norm(values, axis=1, keepdims=True), _EPS)
-    start, stop = parts.spans[index]
-    return LearnerBlock(
-        start=start,
-        stop=stop,
-        alpha=float(parts.alphas[index]),
-        columns=parts.columns[index],
-        class_weights=np.ascontiguousarray((values / norms).T, dtype=dtype),
-    )
+def _float_stack(parts: ModelComponents, name: str, dtype) -> dict:
+    normalised = [
+        values / np.maximum(np.linalg.norm(values, axis=1, keepdims=True), _EPS)
+        for values in _float_values(parts)
+    ]
+    return {"weights": stack_learners(normalised, dtype)}
 
 
-def _packed_block(parts, index, name, dtype):
+def _packed_stack(parts: ModelComponents, name: str, dtype) -> dict:
     # Float values and stored codes have the same signs: pack either as is.
-    start, stop = parts.spans[index]
-    return packed_block(
-        start,
-        stop,
-        parts.alphas[index],
-        parts.columns[index],
-        pack_signs(parts.hypervectors[index]),
-    )
+    signs = np.hstack(parts.hypervectors) >= 0
+    return {"words": pack_words(signs, parts.spans)}
 
 
-def _fixed_block(parts, index, name, dtype):
+def _fixed_stack(parts: ModelComponents, name: str, dtype) -> dict:
     stored = parts.scheme
     if stored is not None and SCHEME_BITS[stored] <= SCHEME_BITS[name]:
         # Same width: the stored bytes; wider: the same integers, same scale.
-        codes = parts.hypervectors[index].astype(SCHEME_DTYPES[name], copy=False)
-        scale = parts.scales[index]
+        codes = parts.hypervectors
     else:
-        codes, fmt = quantize_codes(_float_values(parts, index), name)
-        scale = fmt.scale
-    start, stop = parts.spans[index]
-    alpha, columns = parts.alphas[index], parts.columns[index]
-    return fixed_block(start, stop, alpha, columns, codes, scale)
+        codes = [quantize_codes(values, name)[0] for values in _float_values(parts)]
+    codes = stack_learners(codes, SCHEME_DTYPES[name])
+    norms = np.sqrt(
+        np.einsum("ldk,ldk->lk", codes, codes, dtype=np.int64).astype(np.float64)
+    )
+    return {"codes": codes, "inv_norms": 1.0 / np.maximum(norms, _EPS)}
 
 
 # -------------------------------------------------------------------- table
@@ -125,19 +111,16 @@ class Precision:
     """One row of :data:`PRECISIONS`: what an engine of that name is made of.
 
     ``engine`` is the engine class.  A single tier also names ``make``, its
-    constructor over prepared arrays and blocks; ``block``, which turns one
-    learner of the components into a class block; and its shared-memory
-    layout — the ``shared`` block arrays :mod:`repro.serving.shm` lays into
-    a segment and the zero-copy constructor ``attach`` that rebuilds a block
-    over them.  A cascade instead names ``second``, its rerank tier; its
-    first tier is always ``"bipolar-packed"``.
+    constructor over prepared arrays (which :mod:`repro.serving.shm` calls
+    with views of shared memory), and ``stack``, which builds the engine's
+    learner-stacked class arrays — the keywords its ``STACK`` names — from
+    the components.  A cascade instead names ``second``, its rerank tier;
+    its first tier is always ``"bipolar-packed"``.
     """
 
     engine: type
     make: Callable | None = None
-    block: Callable | None = None
-    attach: Callable | None = None
-    shared: tuple[str, ...] = ()
+    stack: Callable | None = None
     second: str | None = None
 
 
@@ -145,27 +128,15 @@ def _fixed(name: str) -> Precision:
     return Precision(
         engine=FixedPointModel,
         make=partial(FixedPointModel, precision=name),
-        block=_fixed_block,
-        attach=fixed_block_from_codes,
-        shared=("codes", "inv_norms"),
+        stack=_fixed_stack,
     )
 
 
 #: Every engine precision by name, in the order documentation lists them.
 PRECISIONS = MappingProxyType({
-    "float64": Precision(
-        engine=CompiledModel,
-        make=CompiledModel,
-        block=_float_block,
-        attach=LearnerBlock,
-        shared=("class_weights",),
-    ),
+    "float64": Precision(engine=CompiledModel, make=CompiledModel, stack=_float_stack),
     "bipolar-packed": Precision(
-        engine=PackedBipolarModel,
-        make=PackedBipolarModel,
-        block=_packed_block,
-        attach=packed_block_from_words,
-        shared=("words",),
+        engine=PackedBipolarModel, make=PackedBipolarModel, stack=_packed_stack
     ),
     "fixed16": _fixed("fixed16"),
     "fixed8": _fixed("fixed8"),
@@ -222,6 +193,8 @@ def build_engine(
         basis2=np.ascontiguousarray((2.0 * basis).T, dtype=dtype),
         bias=bias.astype(dtype),
         sin_bias=np.sin(bias).astype(dtype),
+        spans=components.spans,
+        alphas=components.alphas,
         classes=components.classes,
         aggregation=components.aggregation,
         dtype=dtype,
@@ -243,8 +216,5 @@ def build_engine(
 
 def _build_tier(parts: ModelComponents, name: str, prepared: dict, **cache):
     spec = PRECISIONS[name]
-    blocks = [
-        spec.block(parts, index, name, prepared["dtype"])
-        for index in range(len(parts.spans))
-    ]
-    return spec.make(blocks=blocks, **prepared, **cache)
+    stack = spec.stack(parts, name, prepared["dtype"])
+    return spec.make(**stack, **prepared, **cache)

@@ -1,7 +1,7 @@
 """Fused training engine for OnlineHD and BoostHD.
 
 Where :mod:`repro.engine.compile` fuses *inference* — stack the ensemble's
-projections, encode a batch once, score with one block-diagonal matmul —
+projections, encode a batch once, score every learner in one batched matmul —
 this subpackage applies the same treatment to *training*, the dominant cost
 of every Table I/III cell and every serving-side
 :meth:`~repro.serving.AdaptiveModel.feedback` step.  Model fitting routes

@@ -28,9 +28,8 @@ construction and is enforced in ``benchmarks/bench_resilience.py``.
 from __future__ import annotations
 
 from ..engine.cascade import CascadeModel
-from ..engine.compile import CompiledModel, EngineError
-from ..engine.quant import FixedPointModel, PackedBipolarModel, packed_block
-from ..hdc.hypervector import pack_signs
+from ..engine.compile import CompiledModel, EngineError, unstack_learners
+from ..engine.quant import FixedPointModel, PackedBipolarModel, pack_words
 from ..obs import OBS
 
 __all__ = ["DegradationLadder", "packed_fallback"]
@@ -59,25 +58,15 @@ def packed_fallback(engine: CompiledModel) -> PackedBipolarModel | None:
         return engine.packed_tier()
     if isinstance(engine, PackedBipolarModel) or not isinstance(engine, CompiledModel):
         return None
-    blocks = []
-    for block in engine.blocks:
-        if isinstance(engine, FixedPointModel):
-            # FixedBlock stores codes transposed (dim, n_classes); rows of
-            # codes.T are per-class patterns whose signs mirror the stored
-            # representation's signs exactly.
-            source = block.codes.T
-        else:
-            source = block.class_weights.T
-        blocks.append(
-            packed_block(
-                block.start, block.stop, block.alpha, block.columns, pack_signs(source)
-            )
-        )
-    return PackedBipolarModel.from_prepared(
+    source = engine.codes if isinstance(engine, FixedPointModel) else engine.weights
+    signs = unstack_learners(source, engine.spans) >= 0
+    return PackedBipolarModel(
         basis2=engine._basis2,
         bias=engine._bias,
         sin_bias=engine._sin_bias,
-        blocks=blocks,
+        spans=engine.spans,
+        alphas=engine.alphas,
+        words=pack_words(signs, engine.spans),
         classes=engine.classes_,
         aggregation=engine.aggregation,
         dtype=engine.dtype,

@@ -2,19 +2,19 @@
 
 The serving fabric (:mod:`repro.serving.fabric`) runs one scoring engine per
 worker process.  Engines are mostly *read-only array bundles* — the fused
-projection, the phase bias, and the per-learner class representations — so
+projection, the phase bias, and the learner-stacked class arrays — so
 instead of pickling a model into every worker (N full copies), a single
 writer lays every array of a compiled engine into one named
 :class:`multiprocessing.shared_memory.SharedMemory` segment and hands the
-workers a small picklable *manifest* describing the layout.  Each worker
-attaches the segment and rebuilds the engine with the zero-copy
-constructors its precision names in :data:`repro.engine.PRECISIONS` (the
-engine class, plus :func:`repro.engine.quant.packed_block_from_words` or
-:func:`repro.engine.quant.fixed_block_from_codes` for the blocks): every
-large array is an ndarray *view* into the shared mapping, so N workers cost
-one copy of the model plus kilobytes of per-worker bookkeeping.  The
-packed/fixed engines (~62x smaller class payloads than float64) make the
-segments small enough to hot-swap freely.
+workers a small picklable *manifest* describing the layout (the learner
+``spans`` and ``alphas`` ride in it).  Each worker attaches the segment
+and passes the views straight to the constructor its precision names in
+:data:`repro.engine.PRECISIONS`: the class arrays are exactly the ones the
+engine scores from (its ``STACK``), so every large array is an ndarray
+*view* into the shared mapping and N workers cost one copy of the model
+plus kilobytes of per-worker bookkeeping.  The packed/fixed engines (~62x
+smaller class payloads than float64) make the segments small enough to
+hot-swap freely.
 
 Segment lifecycle
 -----------------
@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -139,8 +139,8 @@ def _pid_alive(pid: int) -> bool:
 def _layout(engine) -> Precision:
     """The :data:`~repro.engine.PRECISIONS` row of a publishable engine."""
     spec = PRECISIONS.get(getattr(engine, "precision", None))
-    if spec is None or not spec.shared or not isinstance(engine, spec.engine):
-        publishable = [name for name, row in PRECISIONS.items() if row.shared]
+    if spec is None or spec.make is None or not isinstance(engine, spec.engine):
+        publishable = [name for name, row in PRECISIONS.items() if row.make]
         raise EngineError(
             f"cannot publish {type(engine).__name__} to shared memory; "
             f"publishable precisions: {publishable} (publish cascade tiers "
@@ -208,31 +208,20 @@ def publish_engine(
     """Lay a compiled engine's arrays into one named shared-memory segment.
 
     Copies every model array — the fused projection ``_basis2``, the phase
-    bias pair, and each block's class payload (the ``shared`` arrays of the
-    engine's precision: float weights, padded sign words, or transposed
-    fixed-point codes with their reciprocal norms) — into a fresh segment,
-    exactly once.  Returns the :class:`SharedModel` whose picklable
-    ``manifest`` lets any process rebuild the engine over the shared
-    buffers via :func:`attach_engine`.
+    bias pair, and the engine's learner-stacked class arrays (its ``STACK``:
+    float ``weights``, sign ``words``, or fixed-point ``codes`` with their
+    ``inv_norms``) — into a fresh segment, exactly once.  Returns the
+    :class:`SharedModel` whose picklable ``manifest`` (which also carries
+    the learner ``spans`` and ``alphas``) lets any process rebuild the
+    engine over the shared buffers via :func:`attach_engine`.
     """
-    shared = _layout(engine).shared
-    arrays: list[tuple[str, np.ndarray]] = [
+    _layout(engine)
+    arrays = [
         ("basis2", engine._basis2),
         ("bias", engine._bias),
         ("sin_bias", engine._sin_bias),
+        *((name, getattr(engine, name)) for name in engine.STACK),
     ]
-    # Each block's large arrays go into the segment; its small fields
-    # (span, alpha, class columns, a fixed-point scale) ride in the manifest.
-    blocks: list[dict] = []
-    for i, block in enumerate(engine.blocks):
-        entry = {}
-        for attribute in fields(block):
-            value = getattr(block, attribute.name)
-            if attribute.name in shared:
-                arrays.append((f"block{i}.{attribute.name}", value))
-            else:
-                entry[attribute.name] = value
-        blocks.append(entry)
 
     specs: dict[str, dict] = {}
     offset = 0
@@ -290,8 +279,9 @@ def publish_engine(
         "chunk_size": engine.chunk_size,
         "shared_projection": engine.shared_projection,
         "classes": np.asarray(engine.classes_),
+        "spans": np.asarray(engine.spans),
+        "alphas": np.asarray(engine.alphas),
         "arrays": specs,
-        "blocks": blocks,
         "payload_bytes": payload,
     }
     return SharedModel(manifest=manifest, _shm=shm)
@@ -301,15 +291,18 @@ def publish_engine(
 def _verify_arrays(manifest: dict, buf) -> None:
     """Check every manifest array's bytes against its recorded digest.
 
-    Raises :exc:`IntegrityError` naming the damaged arrays.  Manifests
-    published before checksums existed (no ``blake2b`` entries) pass — there
-    is nothing to verify against.
+    Raises :exc:`IntegrityError` naming the damaged arrays, or an array
+    that has no digest: :func:`publish_engine` records one for every
+    array, so a missing digest means the manifest itself is damaged.
     """
     damaged = []
     for key, spec in manifest["arrays"].items():
         expected = spec.get("blake2b")
         if expected is None:
-            continue
+            raise IntegrityError(
+                f"segment {manifest['segment']!r} manifest has no checksum for "
+                f"array {key!r} — refusing to serve it unverified"
+            )
         nbytes = int(np.dtype(spec["dtype"]).itemsize * np.prod(spec["shape"] or (1,)))
         start = spec["offset"]
         # Hash the segment in place: a bytes() copy would put every array
@@ -386,18 +379,10 @@ class AttachedEngine:
     def _build(self) -> CompiledModel:
         manifest = self.manifest
         spec = PRECISIONS[manifest["precision"]]
-        blocks = [
-            spec.attach(
-                **entry,
-                **{key: self._view(f"block{i}.{key}") for key in spec.shared},
-            )
-            for i, entry in enumerate(manifest["blocks"])
-        ]
         return spec.make(
-            basis2=self._view("basis2"),
-            bias=self._view("bias"),
-            sin_bias=self._view("sin_bias"),
-            blocks=blocks,
+            **{key: self._view(key) for key in manifest["arrays"]},
+            spans=manifest["spans"],
+            alphas=manifest["alphas"],
             classes=manifest["classes"],
             aggregation=manifest["aggregation"],
             dtype=np.dtype(manifest["dtype"]),

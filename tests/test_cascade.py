@@ -40,10 +40,9 @@ from repro.engine import (
     top2_margin,
     topk_indices,
 )
-from repro.hdc import pack_signs
 from repro.serving import ModelRegistry
 
-from test_quant_engine import _blob_problem, _forbid_dequantization
+from test_quant_engine import _blob_problem, _forbid_dequantization, _learner_bits
 
 pytestmark = pytest.mark.cascade
 
@@ -317,15 +316,15 @@ def test_registry_cascade_load_without_dequantize(
     assert isinstance(engine, CascadeModel)
     assert engine.threshold == 0.04
     record = cascade_registry.describe("fixed16-artifact")
+    assert engine.second.codes.dtype == np.int16
     with np.load(record.path / "model.npz") as archive:
-        for index, (packed, fixed) in enumerate(
-            zip(engine.first.blocks, engine.second.blocks)
-        ):
+        for index, (start, stop) in enumerate(engine.spans):
             stored = archive[f"learner_{index}_codes"]
-            np.testing.assert_array_equal(packed.packed, pack_signs(stored))
-            assert fixed.codes.dtype == np.int16
-            np.testing.assert_array_equal(fixed.codes.T, stored)
-            assert fixed.scale == float(archive[f"learner_{index}_scale"])
+            bits = _learner_bits(engine.first, index)
+            np.testing.assert_array_equal(bits, stored >= 0)
+            np.testing.assert_array_equal(
+                engine.second.codes[index, : stop - start].T, stored
+            )
     assert len(engine.predict(X_test)) == len(X_test)
 
 

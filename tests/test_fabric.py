@@ -36,8 +36,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import BoostHD
-from repro.engine import EngineError, compile_model
-from repro.engine.quant import fixed_block_from_codes, packed_block_from_words
+from repro.engine import PRECISIONS, EngineError, compile_model
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
 from repro.runtime.executor import resolve_max_workers
 from repro.serving import (
@@ -260,25 +259,48 @@ class TestSharedMemoryModels:
             keeper.close()
             keeper.unlink()
 
-    def test_zero_copy_block_constructors_validate(self):
+    def test_engine_constructors_validate_their_stacks(self, engines):
+        """The shm attach constructors adopt stacks as is, or refuse them."""
+
+        def rebuild(engine, **changes):
+            options = dict(
+                basis2=engine._basis2,
+                bias=engine._bias,
+                sin_bias=engine._sin_bias,
+                spans=engine.spans,
+                alphas=engine.alphas,
+                classes=engine.classes_,
+                aggregation=engine.aggregation,
+                dtype=engine.dtype,
+                **{name: getattr(engine, name) for name in engine.STACK},
+            )
+            return PRECISIONS[engine.precision].make(**{**options, **changes})
+
+        packed, fixed, dense = (
+            engines[name] for name in ("bipolar-packed", "fixed16", "float64")
+        )
+        assert rebuild(packed).words is packed.words
+        assert rebuild(fixed).codes is fixed.codes
         with pytest.raises(EngineError, match="uint64"):
-            packed_block_from_words(0, 64, 1.0, np.arange(2), np.zeros((2, 1)))
-        with pytest.raises(EngineError, match="words wide"):
-            packed_block_from_words(
-                0, 128, 1.0, np.arange(2), np.zeros((2, 1), dtype=np.uint64)
-            )
-        with pytest.raises(EngineError, match="int8 or int16"):
-            fixed_block_from_codes(
-                0, 4, 1.0, np.arange(2), np.zeros((4, 2)), 1.0, np.ones(2)
-            )
-        with pytest.raises(EngineError, match="span"):
-            fixed_block_from_codes(
-                0, 5, 1.0, np.arange(2), np.zeros((4, 2), np.int16), 1.0, np.ones(2)
-            )
+            rebuild(packed, words=packed.words.astype(np.int64))
+        with pytest.raises(EngineError, match="words of shape"):
+            rebuild(packed, words=packed.words[..., :-1])
+        with pytest.raises(EngineError, match="int16"):
+            rebuild(fixed, codes=fixed.codes.astype(np.float64))
+        with pytest.raises(EngineError, match="int16"):
+            rebuild(fixed, codes=fixed.codes.astype(np.int8))
+        with pytest.raises(EngineError, match="codes of shape"):
+            rebuild(fixed, codes=fixed.codes[:, :-1])
         with pytest.raises(EngineError, match="inv_norms"):
-            fixed_block_from_codes(
-                0, 4, 1.0, np.arange(2), np.zeros((4, 2), np.int16), 1.0, np.ones(3)
-            )
+            rebuild(fixed, inv_norms=fixed.inv_norms[:, :-1])
+        with pytest.raises(EngineError, match="weights must be"):
+            rebuild(dense, weights=dense.weights.astype(np.float64))
+        with pytest.raises(EngineError, match="alphas"):
+            rebuild(dense, alphas=dense.alphas[:-1])
+        spans = fixed.spans
+        for bad in (spans[::-1], spans + 1, np.vstack([spans[:1], spans[2:]])):
+            with pytest.raises(EngineError, match="tile"):
+                rebuild(fixed, spans=bad)
 
 
 # --------------------------------------------------------------- equivalence

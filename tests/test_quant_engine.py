@@ -38,7 +38,6 @@ from repro.engine import (
     compile_model,
     top2_margin,
 )
-from repro.engine.quant import fixed_block_from_codes
 from repro.hdc import (
     OnlineHD,
     bipolarize,
@@ -106,21 +105,37 @@ def _chunks(engine, rows, batch):
         yield chunk, engine.encode(chunk)
 
 
+def _learners(model):
+    return model.learners_ if getattr(model, "learners_", None) else [model]
+
+
 def _hamming_reference(engine, model, encoded):
     """Hamming-scored reference with the engine's exact aggregation."""
-    learners = model.learners_ if getattr(model, "learners_", None) else [model]
     scores = np.zeros((len(encoded), len(engine.classes_)))
     rows = np.arange(len(encoded))
-    for block, alpha, learner in zip(engine.blocks, engine._alphas, learners):
-        sims = hamming_similarity(
-            encoded[:, block.start : block.stop], learner.class_hypervectors_
-        )
+    learners = _learners(model)
+    for (start, stop), alpha, learner in zip(engine.spans, engine._alphas, learners):
+        sims = hamming_similarity(encoded[:, start:stop], learner.class_hypervectors_)
+        columns = np.searchsorted(engine.classes_, learner.classes_)
         if engine.aggregation == "vote":
             winner = np.argmax(sims, axis=1)
-            scores[rows, block.columns[winner]] += alpha
+            scores[rows, columns[winner]] += alpha
         else:
-            scores[:, block.columns] += alpha * sims
+            scores[:, columns] += alpha * sims
     return scores / engine._total_alpha
+
+
+def _learner_bits(engine, index):
+    """Learner ``index``'s class sign bits, read back out of the packed words.
+
+    Asserts every other bit of the learner's word window is zero.
+    """
+    start, stop = engine.spans[index]
+    offset = start - 64 * (start // 64)
+    window = np.unpackbits(engine.words[index].view(np.uint8), axis=1)
+    bits = window[:, offset : offset + stop - start]
+    assert window.sum() == bits.sum()
+    return bits
 
 
 # ------------------------------------------------------- exact integer paths
@@ -161,44 +176,48 @@ def test_packed_prepack_matches_direct_scoring(fitted_models, query_rows):
         )
 
 
-def _dequantized_cosine_reference(engine, encoded):
+def _dequantized_cosine_reference(engine, model, encoded):
     """Float cosine of the dequantized query and class codes, aggregated."""
     query_max = (1 << (engine.bits - 1)) - 1
     reference = np.zeros((len(encoded), len(engine.classes_)))
-    for block, alpha in zip(engine.blocks, engine._alphas):
-        view = encoded[:, block.start : block.stop]
+    learners = _learners(model)
+    for (start, stop), alpha, learner in zip(engine.spans, engine._alphas, learners):
+        view = encoded[:, start:stop]
         magnitude = np.abs(view).max(axis=1)
         quantized = np.round(view * (query_max / magnitude)[:, None])
         dequantized_query = quantized * (magnitude / query_max)[:, None]
-        dequantized_classes = np.asarray(block.codes.T, dtype=float) * block.scale
+        codes, fmt = quantize_codes(learner.class_hypervectors_, engine.precision)
+        dequantized_classes = from_fixed_point(codes.astype(np.int64), fmt)
         sims = cosine_similarity(dequantized_query, dequantized_classes)
-        reference[:, block.columns] += alpha * sims
+        reference += alpha * sims
     return reference / engine._total_alpha
 
 
 def _integer_reference(engine, encoded):
-    """Fixed-point scores from an ``int64`` matmul, plus each block's dot products.
+    """Fixed-point scores from an ``int64`` matmul, plus each learner's dot products.
 
     The engine's arithmetic with integer dtypes in place of integer-valued
-    float64 operands: equal scores prove the float64 matmul exact.
+    float64 operands, one learner at a time over its unpadded codes: equal
+    scores prove the stacked float64 matmul exact.
     """
     query_max = (1 << (engine.bits - 1)) - 1
     scores = np.zeros((len(encoded), len(engine.classes_)))
     rows = np.arange(len(encoded))
     dots = []
-    for block, alpha in zip(engine.blocks, engine._alphas):
-        view = np.asarray(encoded[:, block.start : block.stop], dtype=np.float64)
+    for index, ((start, stop), alpha) in enumerate(zip(engine.spans, engine._alphas)):
+        view = np.asarray(encoded[:, start:stop], dtype=np.float64)
         magnitude = np.abs(view).max(axis=1)
         magnitude[magnitude <= 0.0] = 1.0
         quantized = np.round(view * (query_max / magnitude)[:, None]).astype(np.int64)
-        sims = np.matmul(quantized, block.codes.astype(np.int64))
+        codes = engine.codes[index, : stop - start].astype(np.int64)
+        sims = np.matmul(quantized, codes)
         norms = np.sqrt(np.einsum("ij,ij->i", quantized, quantized).astype(np.float64))
-        rescale = block.inv_norms[None, :] / np.maximum(norms, 1e-12)[:, None]
+        rescale = engine.inv_norms[index][None, :] / np.maximum(norms, 1e-12)[:, None]
         cosine = sims.astype(np.float64) * rescale
         if engine.aggregation == "vote":
-            scores[rows, block.columns[np.argmax(cosine, axis=1)]] += alpha
+            scores[rows, np.argmax(cosine, axis=1)] += alpha
         else:
-            scores[:, block.columns] += alpha * cosine
+            scores += alpha * cosine
         dots.append(sims)
     return scores / engine._total_alpha, dots
 
@@ -211,7 +230,8 @@ def test_fixed_scores_equal_dequantized_cosine(fitted_models, query_rows, precis
     against the dequantized cosine, at every batch size.
     """
     for kind in ("boosthd-independent", "boosthd-unequal"):
-        engine = compile_model(fitted_models[kind], dtype=np.float64, precision=precision)
+        model = fitted_models[kind]
+        engine = compile_model(model, dtype=np.float64, precision=precision)
         for batch in BATCHES:
             for chunk, encoded in _chunks(engine, query_rows, batch):
                 scores = engine.decision_function(chunk)
@@ -219,7 +239,7 @@ def test_fixed_scores_equal_dequantized_cosine(fitted_models, query_rows, precis
                     scores, _integer_reference(engine, encoded)[0]
                 )
                 np.testing.assert_allclose(
-                    scores, _dequantized_cosine_reference(engine, encoded),
+                    scores, _dequantized_cosine_reference(engine, model, encoded),
                     rtol=1e-10, atol=1e-12,
                 )
 
@@ -286,10 +306,10 @@ def test_empty_batch_scores_have_no_rows(fitted_models, precision):
 
 @pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
 def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
-    """±qmax queries against the minimum class code on the widest block.
+    """±qmax queries against the minimum class code on the widest learner.
 
     Every product is the extreme ``-qmax * (qmax + 1)`` (or its negation),
-    so the block's dot products reach ``dim * qmax * (qmax + 1)`` — past
+    so the learner's dot products reach ``dim * qmax * (qmax + 1)`` — past
     int32 and float32 range at fixed16 — and the float64 BLAS matmul must
     still equal an ``int64`` matmul bit for bit.
     """
@@ -297,20 +317,22 @@ def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
         fitted_models["boosthd-unequal"], dtype=np.float64, precision=precision
     )
     query_max = (1 << (engine.bits - 1)) - 1
-    widest = int(np.argmax([block.dim for block in engine.blocks]))
-    block = engine.blocks[widest]
-    minimum = np.full_like(block.codes, -(query_max + 1))
-    blocks = list(engine.blocks)
-    blocks[widest] = fixed_block_from_codes(
-        block.start, block.stop, block.alpha, block.columns, minimum, block.scale,
-        np.full(minimum.shape[1], 1.0 / (np.sqrt(block.dim) * (query_max + 1))),
-    )
-    worst = FixedPointModel.from_prepared(
+    widest = int(np.argmax(engine.spans[:, 1] - engine.spans[:, 0]))
+    start, stop = engine.spans[widest]
+    dim = stop - start
+    codes = engine.codes.copy()
+    codes[widest, :dim] = -(query_max + 1)
+    inv_norms = engine.inv_norms.copy()
+    inv_norms[widest] = 1.0 / (np.sqrt(dim) * (query_max + 1))
+    worst = FixedPointModel(
         precision=precision,
         basis2=engine._basis2,
         bias=engine._bias,
         sin_bias=engine._sin_bias,
-        blocks=blocks,
+        spans=engine.spans,
+        alphas=engine.alphas,
+        codes=codes,
+        inv_norms=inv_norms,
         classes=engine.classes_,
         aggregation=engine.aggregation,
         dtype=engine.dtype,
@@ -318,32 +340,33 @@ def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
 
     rng = np.random.default_rng(0)
     encoded = rng.standard_normal((16, engine.total_dim))
-    signs = np.where(rng.random((16, block.dim)) < 0.5, -1.0, 1.0)
+    signs = np.where(rng.random((16, dim)) < 0.5, -1.0, 1.0)
     signs[0], signs[1] = 1.0, -1.0
-    encoded[:, block.start : block.stop] = signs
+    encoded[:, start:stop] = signs
     reference, dots = _integer_reference(worst, encoded)
-    extreme = block.dim * query_max * (query_max + 1)
+    extreme = dim * query_max * (query_max + 1)
     assert dots[widest][0].min() == -extreme and dots[widest][1].max() == extreme
     np.testing.assert_array_equal(worst.score_encoded(encoded), reference)
 
 
 @pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
 def test_configure_fixed_rejects_dot_products_beyond_exact_float64(precision):
-    """Blocks whose worst dot product reaches 2**53 are refused up front."""
+    """Learners whose worst dot product reaches 2**53 are refused up front."""
     query_max = (1 << (int(precision[5:]) - 1)) - 1
     limit = -(-(2**53) // (query_max * (query_max + 1)))
     dtype = SCHEME_DTYPES[precision]
 
     def build(dim):
-        # Zero-stride codes: a block of any width without the memory.
-        codes = np.broadcast_to(np.zeros(2, dtype=dtype), (dim, 2))
-        block = fixed_block_from_codes(0, dim, 1.0, np.arange(2), codes, 1.0, np.ones(2))
-        return FixedPointModel.from_prepared(
+        # Zero-stride arrays: a learner of any width without the memory.
+        return FixedPointModel(
             precision=precision,
-            basis2=np.zeros((1, 8)),
-            bias=np.zeros(8),
-            sin_bias=np.zeros(8),
-            blocks=[block],
+            basis2=np.broadcast_to(np.zeros(1), (1, dim)),
+            bias=np.broadcast_to(np.zeros(1), (dim,)),
+            sin_bias=np.broadcast_to(np.zeros(1), (dim,)),
+            spans=[[0, dim]],
+            alphas=[1.0],
+            codes=np.broadcast_to(np.zeros(2, dtype=dtype), (1, dim, 2)),
+            inv_norms=np.ones((1, 2)),
             classes=np.arange(2),
             aggregation="score",
             dtype=np.float64,
@@ -410,11 +433,32 @@ def test_quantized_engine_mirrors_compiled_api(fitted_models, mini_wesad_split, 
 def test_memory_reduction_vs_float64_engine(fitted_models):
     model = fitted_models["boosthd-independent"]
     float_engine = compile_model(model, dtype=np.float64)
-    float_bytes = sum(block.class_weights.nbytes for block in float_engine.blocks)
+    float_bytes = float_engine.class_memory_bytes()
     packed = compile_model(model, precision="bipolar-packed")
     fixed8 = compile_model(model, precision="fixed8")
     assert float_bytes / packed.class_memory_bytes() >= 8.0
     assert float_bytes / fixed8.class_memory_bytes() >= 4.0
+
+
+def test_learner_with_a_class_subset_is_refused(mini_wesad_split, tmp_path):
+    """Engines score every learner against every class; a subset is refused.
+
+    Library training gives every learner the ensemble's classes, so only a
+    hand-built model (or a malformed artifact) can hit this.  The loop path
+    still scores it.
+    """
+    X_train, X_test, y_train, _ = mini_wesad_split
+    model = BoostHD(total_dim=100, n_learners=3, epochs=1, seed=0).fit(X_train, y_train)
+    learner = model.learners_[1]
+    learner.classes_ = learner.classes_[:2]
+    learner.class_hypervectors_ = learner.class_hypervectors_[:2]
+    with pytest.raises(EngineError, match="learner 1 has classes"):
+        compile_model(model)
+    registry = ModelRegistry(tmp_path)
+    registry.save("subset", model)
+    with pytest.raises(EngineError, match="learner 1 has classes"):
+        registry.load_compiled("subset", precision="fixed16")
+    assert set(model.predict(X_test)) <= set(model.classes_)
 
 
 def test_unknown_precision_raises(fitted_models):
@@ -622,13 +666,13 @@ def test_registry_load_fixed_precision_without_dequantize(registry_setup, monkey
     _forbid_dequantization(monkeypatch)
     engine = registry.load("fixed8-artifact", precision="fixed8", dtype=np.float64)
     assert isinstance(engine, FixedPointModel)
+    assert engine.codes.dtype == np.int8
     with np.load(registry.describe("fixed8-artifact").path / "model.npz") as archive:
-        for index, block in enumerate(engine.blocks):
+        for index, (start, stop) in enumerate(engine.spans):
             stored = archive[f"learner_{index}_codes"]
             assert stored.dtype == np.int8
-            assert block.codes.dtype == np.int8
-            np.testing.assert_array_equal(block.codes.T, stored)
-            assert block.scale == float(archive[f"learner_{index}_scale"])
+            np.testing.assert_array_equal(engine.codes[index, : stop - start].T, stored)
+            assert not engine.codes[index, stop - start :].any()
     assert set(engine.predict(X_test)) <= set(model.classes_)
 
 
@@ -638,9 +682,9 @@ def test_registry_load_packed_precision_without_dequantize(registry_setup, monke
     engine = registry.load("fixed16-artifact", precision="bipolar-packed")
     assert isinstance(engine, PackedBipolarModel)
     with np.load(registry.describe("fixed16-artifact").path / "model.npz") as archive:
-        for index, block in enumerate(engine.blocks):
-            stored_signs = pack_signs(archive[f"learner_{index}_codes"])
-            np.testing.assert_array_equal(block.packed, stored_signs)
+        for index in range(engine.n_learners):
+            stored = archive[f"learner_{index}_codes"]
+            np.testing.assert_array_equal(_learner_bits(engine, index), stored >= 0)
     assert len(engine.predict(X_test)) == len(X_test)
 
 
@@ -649,13 +693,13 @@ def test_registry_widening_reuses_codes(registry_setup, monkeypatch):
     registry, _, _, _ = registry_setup
     _forbid_dequantization(monkeypatch)
     engine = registry.load("fixed8-artifact", precision="fixed16")
+    assert engine.codes.dtype == np.int16
     with np.load(registry.describe("fixed8-artifact").path / "model.npz") as archive:
-        for index, block in enumerate(engine.blocks):
-            assert block.codes.dtype == np.int16
+        for index, (start, stop) in enumerate(engine.spans):
             np.testing.assert_array_equal(
-                block.codes.T, archive[f"learner_{index}_codes"].astype(np.int16)
+                engine.codes[index, : stop - start].T,
+                archive[f"learner_{index}_codes"].astype(np.int16),
             )
-            assert block.scale == float(archive[f"learner_{index}_scale"])
 
 
 def test_registry_float_artifact_equals_compiled_engines(
@@ -683,7 +727,7 @@ def test_registry_narrowing_requantizes(registry_setup):
     engine = registry.load("fixed16-artifact", precision="fixed8")
     assert isinstance(engine, FixedPointModel)
     assert engine.bits == 8
-    assert all(block.codes.dtype == np.int8 for block in engine.blocks)
+    assert engine.codes.dtype == np.int8
     assert len(engine.predict(X_test)) == len(X_test)
 
 
@@ -780,6 +824,32 @@ def test_flip_class_bits_after_scoring_uses_the_flipped_bits(
     np.testing.assert_array_equal(clone.decision_function(rows), flipped)
     np.testing.assert_array_equal(clone.score_packed(queries), fresh.score_packed(queries))
     np.testing.assert_array_equal(engine.decision_function(rows), baseline)
+
+
+@pytest.mark.parametrize("kind", ("boosthd-unequal", "onlinehd"))
+def test_flip_class_bits_equals_bipolar_perturbation_bitwise(
+    fitted_models, query_rows, kind
+):
+    """A seeded packed flip is exactly the seeded ``mode="bipolar"`` flip.
+
+    Both draw one ``(k, d_i)`` uniform mask per learner, in learner order,
+    from the same generator, so the flipped words are the packed signs of
+    the perturbed model: a changed draw order or a misplaced bit in the
+    word layout changes the scores.
+    """
+    from repro.data.noise import perturb_model
+
+    model = fitted_models[kind]
+    engine = compile_model(model, precision="bipolar-packed")
+    flipped = engine.flip_class_bits(0.3, np.random.default_rng(7))
+    perturbed = compile_model(
+        perturb_model(model, 0.3, mode="bipolar", rng=np.random.default_rng(7)),
+        precision="bipolar-packed",
+    )
+    queries = engine.prepack(query_rows)
+    scores = flipped.score_packed(queries)
+    assert not np.array_equal(scores, engine.score_packed(queries))
+    np.testing.assert_array_equal(scores, perturbed.score_packed(queries))
 
 
 def test_packed_bitflip_sweep_statistically_equals_bipolar_reference():

@@ -704,16 +704,20 @@ class TestSegmentIntegrity:
         finally:
             shared.unlink()
 
-    def test_pre_checksum_manifests_still_verify(self, fitted_model):
+    def test_manifest_without_digests_is_refused(self, fitted_model):
+        """An array with no digest never attaches unverified."""
         engine = compile_model(fitted_model, precision="fixed16")
         shared = publish_engine(engine)
         try:
-            legacy = dict(shared.manifest)
-            legacy["arrays"] = {
+            stripped = dict(shared.manifest)
+            stripped["arrays"] = {
                 key: {k: v for k, v in spec.items() if k != "blake2b"}
                 for key, spec in shared.manifest["arrays"].items()
             }
-            verify_manifest(legacy)  # no digests to check: accepted
+            with pytest.raises(IntegrityError, match="no checksum for array"):
+                verify_manifest(stripped)
+            with pytest.raises(IntegrityError, match="no checksum for array"):
+                attach_engine(stripped)
         finally:
             shared.unlink()
 

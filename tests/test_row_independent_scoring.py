@@ -3,7 +3,7 @@
 The integer-domain kernels quantize each row on its own (packed: the row's
 signs; fixed point: the row's own query scale) and score it with exact
 arithmetic, so a row's scores never depend on the rows that share its
-call, its ``chunk_size`` chunk or its packed ``_STEP_BYTES`` step.  The
+call, its ``chunk_size`` chunk or its ``_STEP_BYTES`` row step.  The
 contract is literal bit equality, not closeness.  The suite pins it on
 deliberately ragged dims — 71-dim learner blocks and a 333-dim OnlineHD,
 divisible by neither the 64-bit word nor the 8-bit byte packing — so the
@@ -14,7 +14,8 @@ pad-bit paths run under every split:
   call (score and vote aggregation, every integer precision);
 * hypothesis: random batch sizes and chunk sizes, one row at a time;
 * cascades, whose margin routing is per row;
-* the packed kernel's memory-bounding steps, forced down to a few rows.
+* every tier's memory-bounding row steps, forced down to a few rows (the
+  float64 tier within the loop-path tolerance, the integer tiers bitwise).
 
 The encoding matmul is outside the claim (BLAS does not promise bitwise
 shape invariance), so every comparison scores one pre-encoded matrix.
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.boosthd import BoostHD
 from repro.engine import compile_model
-from repro.engine import quant as quant_module
+from repro.engine import compile as compile_module
 from repro.hdc import OnlineHD
 
 pytestmark = pytest.mark.quant
@@ -121,18 +122,39 @@ def test_random_shapes_bit_identical(fitted, n_rows, chunk_size):
         )
 
 
-# ------------------------------------------------------------ packed steps
+# -------------------------------------------------------------- row steps
+def _force_steps(monkeypatch, engine, step_rows):
+    """Shrink the step budget so ``engine`` scores ``step_rows`` rows a step."""
+    monkeypatch.setattr(compile_module, "_STEP_BYTES", engine._row_bytes * step_rows)
+
+
+@pytest.mark.parametrize("kind", ("boosthd", "onlinehd", "vote"))
+@pytest.mark.parametrize("precision", INTEGER_PRECISIONS)
+@pytest.mark.parametrize("step_rows", (1, 4))
+def test_row_steps_bit_identical(fitted, monkeypatch, kind, precision, step_rows):
+    """The scoring temporary's bounded steps score like one whole-batch pass."""
+    X, _ = _problem()
+    engine = compile_model(fitted[kind], dtype=np.float64, precision=precision)
+    encoded = engine.encode(X)
+    whole = engine.score_encoded(encoded)
+    _force_steps(monkeypatch, engine, step_rows)
+    np.testing.assert_array_equal(engine.score_encoded(encoded), whole)
+    if precision == "bipolar-packed":
+        np.testing.assert_array_equal(engine.score_packed(engine.prepack(X)), whole)
+
+
 @pytest.mark.parametrize("kind", ("boosthd", "onlinehd", "vote"))
 @pytest.mark.parametrize("step_rows", (1, 4))
-def test_packed_steps_bit_identical(fitted, monkeypatch, kind, step_rows):
-    """The XOR temporary's bounded steps score like one whole-batch pass."""
+def test_float_row_steps_within_loop_path_tolerance(
+    fitted, monkeypatch, kind, step_rows
+):
+    """Float64 steps stay inside the loop-path tolerance of ``test_engine.py``."""
     X, _ = _problem()
-    engine = compile_model(fitted[kind], dtype=np.float64, precision="bipolar-packed")
+    model = fitted[kind]
+    engine = compile_model(model, dtype=np.float64)
     encoded = engine.encode(X)
-    queries = engine.prepack(X)
     whole = engine.score_encoded(encoded)
-    monkeypatch.setattr(
-        quant_module, "_STEP_BYTES", engine._stack.classes.nbytes * step_rows
-    )
-    np.testing.assert_array_equal(engine.score_encoded(encoded), whole)
-    np.testing.assert_array_equal(engine.score_packed(queries), whole)
+    _force_steps(monkeypatch, engine, step_rows)
+    stepped = engine.score_encoded(encoded)
+    np.testing.assert_allclose(stepped, whole, atol=1e-9)
+    np.testing.assert_allclose(stepped, model.decision_function(X), atol=1e-9)

@@ -4,18 +4,17 @@ Holds :mod:`repro.engine.train` to its contracts on the Table I
 nurse-stress workload (the paper's ensemble configuration, reduced scale):
 
 * **Exact path** — the default trainer (sort-based bundling, cached-norm
-  adaptive pass, one-shot ensemble encoding) must beat the reference
+  adaptive pass, per-learner encoding) must beat the reference
   implementation end-to-end on ``BoostHD.fit`` while producing a
   *bit-identical* model.
 * **Mini-batch path** — ``batch_size=64`` must reach >= 3x the reference
   fit throughput, with test accuracy within 0.1 of the exact path.
-* **One-shot ensemble encoding** — fitting must run exactly one stacked
-  projection matmul for the whole ensemble instead of ``n_learners``
-  separate encodes, asserted by counting ``NonlinearEncoder.encode`` calls
-  (zero during an independent-partitioner fit: the stacked path multiplies
-  raw bases directly; one during a shared-projection fit: the parent
-  encodes once) and via the :class:`~repro.engine.train.EnsembleEncoding`
-  report.
+* **Per-learner encoding** — the default fit encodes each weak learner's
+  block once (the reference fit encodes it twice: to fit, then to estimate
+  the boosting error), counted over ``NonlinearEncoder.encode`` and
+  ``SlicedEncoder.encode`` calls with either partitioner, and its traced
+  peak above the fitted model stays within ``FIT_PEAK_BLOCKS`` learner
+  blocks: the fit holds one learner's block at a time.
 
 Fast mode for CI (smaller workload, same assertions)::
 
@@ -24,14 +23,14 @@ Fast mode for CI (smaller workload, same assertions)::
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.core import BoostHD
 from repro.core.partition import SharedPartitioner
 from repro.data import load_nurse_stress
-from repro.engine.train import encode_ensemble
-from repro.hdc.encoder import NonlinearEncoder
+from repro.hdc.encoder import NonlinearEncoder, SlicedEncoder
 
 #: Acceptance configuration (ISSUE 4): paper ensemble shape, nurse workload.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -45,6 +44,9 @@ EXACT_FLOOR = 1.15
 MINIBATCH_FLOOR = 3.0
 ACCURACY_BAND = 0.1
 TIMING_ROUNDS = 3
+#: Bound on one fit's traced peak above the fitted model, in learner blocks
+#: of (rows, D/L) float64.
+FIT_PEAK_BLOCKS = 6
 
 
 def _nurse_workload():
@@ -134,50 +136,67 @@ def test_minibatch_speedup_and_accuracy_parity():
     )
 
 
-def test_fused_encoding_performs_one_projection_matmul(monkeypatch):
-    """One stacked matmul per ensemble instead of n_learners encodes."""
+def test_fit_encodes_each_learner_once(monkeypatch):
+    """L encodes per default fit (2L for the reference), one block at a time."""
     X_train, _, y_train, _ = _nurse_workload()
     calls = {"n": 0}
-    original_encode = NonlinearEncoder.encode
 
-    def counting_encode(self, features):
-        calls["n"] += 1
-        return original_encode(self, features)
+    def counting(original):
+        def encode(self, features):
+            calls["n"] += 1
+            return original(self, features)
 
-    monkeypatch.setattr(NonlinearEncoder, "encode", counting_encode)
+        return encode
+
+    for encoder_class in (NonlinearEncoder, SlicedEncoder):
+        monkeypatch.setattr(encoder_class, "encode", counting(encoder_class.encode))
 
     def fit(trainer=None, partitioner=None):
+        """Encoder calls and traced transient bytes of one fit.
+
+        The transient is the traced peak less what the fitted model keeps
+        (its encoders' bases and class hypervectors): at this workload's
+        96 rows the bases alone weigh about three learner blocks.
+        """
         calls["n"] = 0
-        BoostHD(
+        model = BoostHD(
             total_dim=TOTAL_DIM,
             n_learners=N_LEARNERS,
-            epochs=0,
+            epochs=EPOCHS,
             partitioner=partitioner,
             seed=0,
-        ).fit(X_train, y_train, trainer=trainer)
-        return calls["n"]
+        )
+        tracemalloc.start()
+        try:
+            model.fit(X_train, y_train, trainer=trainer)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return calls["n"], peak - retained
 
-    reference_calls = fit(trainer="reference")
-    independent_calls = fit()
-    shared_calls = fit(
+    reference_calls, _ = fit(trainer="reference")
+    independent_calls, independent_transient = fit()
+    shared_calls, shared_transient = fit(
         partitioner=SharedPartitioner(TOTAL_DIM, N_LEARNERS)
     )
 
     # Reference: every learner encodes to fit and again to estimate its
-    # boosting error.  Fused: the stacked path never calls encode at all
-    # (raw bases are multiplied directly); a shared root encodes once.
+    # boosting error.  Default: the error estimate reuses the trained block.
     assert reference_calls == 2 * N_LEARNERS
-    assert independent_calls == 0
-    assert shared_calls == 1
-
-    encoders = [learner.encoder for learner in BoostHD(
-        total_dim=TOTAL_DIM, n_learners=N_LEARNERS, epochs=0, seed=0
-    ).fit(X_train, y_train).learners_]
-    encoding = encode_ensemble(encoders, X_train)
-    assert encoding.n_projection_matmuls == 1
-    assert encoding.strategy == "stacked"
+    assert independent_calls == N_LEARNERS
+    assert shared_calls == N_LEARNERS
+    block = len(X_train) * (TOTAL_DIM // N_LEARNERS) * np.dtype(np.float64).itemsize
     print(
-        f"\nEnsemble encoding: reference {reference_calls} encoder calls, "
-        f"fused independent {independent_calls}, fused shared {shared_calls} "
-        f"({encoding.n_projection_matmuls} stacked projection matmul)"
+        f"\nEncoder calls per fit: reference {reference_calls}, default "
+        f"{independent_calls} (independent) / {shared_calls} (shared); traced "
+        f"transient {independent_transient / block:.1f} / "
+        f"{shared_transient / block:.1f} learner blocks of {block / 1e6:.3f} MB"
     )
+    for name, transient in (
+        ("independent", independent_transient),
+        ("shared", shared_transient),
+    ):
+        assert transient <= FIT_PEAK_BLOCKS * block, (
+            f"{name} fit peaked {transient / block:.1f} learner blocks above "
+            f"the fitted model (allowed {FIT_PEAK_BLOCKS})"
+        )

@@ -22,14 +22,13 @@ compiled path is the fast production route; the per-learner loop in
 :meth:`BoostHD.decision_function` remains the reference implementation the
 engine is tested against.
 
-Training applies the same fusion (:mod:`repro.engine.train`): although the
-boosting loop is sequential in the *sample weights*, the weak learners'
-encoders are fixed up front, so :meth:`fit` and :meth:`partial_fit` encode
-the training matrix once through a stacked ``(n, f) @ (f, D_total)``
-projection and each learner trains on its pre-encoded slice — bit-identical
-to per-learner encoding (a shared-projection partitioner encodes literally
-once), with the adaptive passes themselves running the exact fast kernel or,
-with ``batch_size`` set, the vectorised mini-batch trainer.
+Training follows the algorithm's order (:mod:`repro.engine.train`): each
+weak learner's ``(n, D/L)`` block is encoded when its turn comes, trained on,
+reused for its boosting-error estimate and released before the next learner
+starts, so a fit holds one block at a time.  Each block is that learner's own
+``encoder.encode(X)``, as in the reference path; the adaptive passes run the
+exact fast kernel or, with ``batch_size`` set, the vectorised mini-batch
+trainer.
 
 The paper's pseudocode writes the importance update loosely (``α = W_s · e``,
 ``W ← e^{α(y≠ŷ)}/ΣW``); this implementation uses the standard multi-class
@@ -179,25 +178,6 @@ class BoostHD(BaseClassifier):
         """Dimensionality ``D_total / N_L`` of each weak learner (floor)."""
         return self.total_dim // self.n_learners
 
-    def _fused_encoding_enabled(self, n_samples: int, shared: bool) -> bool:
-        """Whether to hold the full ensemble encoding for this batch size.
-
-        The fused path retains every learner's ``(n, d_i)`` block for the
-        whole boosting loop — ``n x total_dim`` doubles plus the stacked
-        projection transient, where the legacy loop peaked at one block at a
-        time.  Above the training engine's memory budget the fit falls back
-        to per-learner encoding (identical bits, legacy memory profile).
-        Shared-projection layouts always fuse: the legacy path materialises
-        the full parent encoding once *per learner*, so encoding the root
-        once strictly reduces both compute and peak memory.
-        """
-        if shared:
-            return True
-        from ..engine.train.encoding import STACKED_BUDGET_BYTES
-
-        retained = 2 * n_samples * self.total_dim * np.dtype(np.float64).itemsize
-        return retained <= STACKED_BUDGET_BYTES
-
     # ------------------------------------------------------------------ fit
     def fit(
         self,
@@ -209,22 +189,22 @@ class BoostHD(BaseClassifier):
     ) -> "BoostHD":
         """Fit the boosted ensemble (Algorithm 1).
 
-        Training runs on the fused training engine: the whole ensemble's
-        projections are evaluated in one stacked matmul
-        (:func:`repro.engine.train.encode_ensemble` — a shared-projection
-        partitioner encodes literally once) and every weak learner fits and
-        is error-estimated on its pre-encoded slice, bit-identical to each
-        learner encoding on its own.  ``trainer`` forwards to
-        :meth:`repro.hdc.OnlineHD.fit`; ``"reference"`` additionally
-        disables the fused encoding, reproducing the original per-learner
-        path for equivalence testing.
+        Each weak learner's block is encoded when its turn comes
+        (:func:`repro.engine.train.encode_ensemble` on that learner's
+        encoder), trained on, reused to estimate its boosting error and
+        released before the next learner starts, so the fit holds one
+        ``(n, D/L)`` block at a time.  ``trainer`` forwards to
+        :meth:`repro.hdc.OnlineHD.fit`; with ``"reference"`` every learner
+        encodes ``X`` itself, once to fit and once to predict — the same
+        ``encoder.encode(X)`` call, so both paths see the same bits.
         """
         from ..engine.train import resolve_trainer
+        from ..engine.train.encoding import encode_ensemble
 
         X, y = self._validate_fit_args(X, y)
         sample_weights = self._validate_sample_weight(sample_weight, len(y))
-        # Resolve/validate up front: a bad trainer argument must not cost a
-        # full ensemble encoding before it is rejected.
+        # Resolve/validate up front: a bad trainer argument must not cost an
+        # encoding before it is rejected.
         trainer = resolve_trainer(trainer, self.batch_size)
         rng = np.random.default_rng(self.seed)
         self.classes_ = np.unique(y)
@@ -234,45 +214,36 @@ class BoostHD(BaseClassifier):
             self.total_dim, self.n_learners, bandwidth=self.bandwidth
         )
         factories = partitioner.encoder_factories(X.shape[1], rng)
-        # Building every encoder up front (factories hold their own seeds, so
-        # the rng stream is untouched) lets the training engine encode the
-        # whole ensemble in one stacked projection matmul.
-        encoders = [factory() for factory in factories]
-        fused = trainer != "reference" and self._fused_encoding_enabled(
-            len(y), bool(getattr(partitioner, "shared_projection", False))
-        )
-        if not fused:
-            encoded_blocks: list[np.ndarray | None] = [None] * len(encoders)
-        else:
-            from ..engine.train.encoding import encode_ensemble
-
-            encoded_blocks = list(encode_ensemble(encoders, X).blocks)
 
         uniform = np.full(len(y), 1.0 / len(y))
         learners: list[OnlineHD] = []
         alphas: list[float] = []
         errors: list[float] = []
-        for encoder, encoded in zip(encoders, encoded_blocks):
+        for factory in factories:
             learner = OnlineHD(
                 dim=self.learner_dim,
                 lr=self.lr,
                 epochs=self.epochs,
                 bootstrap=self.bootstrap,
                 batch_size=self.batch_size,
-                encoder=encoder,
+                encoder=factory(),
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
             training_weights = (
                 self.uniform_blend * uniform + (1.0 - self.uniform_blend) * sample_weights
             )
-            learner.fit(
-                X, y, sample_weight=training_weights, encoded=encoded,
-                trainer=trainer,
-            )
-            if encoded is None:
+            if trainer == "reference":
+                learner.fit(X, y, sample_weight=training_weights, trainer=trainer)
                 predictions = learner.predict(X)
             else:
+                (encoded,) = encode_ensemble([learner.encoder], X).blocks
+                learner.fit(
+                    X, y, sample_weight=training_weights, encoded=encoded,
+                    trainer=trainer,
+                )
                 predictions = learner.predict_encoded(encoded)
+                # Release this block before the next learner encodes its own.
+                del encoded
             incorrect = predictions != y
             error = float(np.clip(np.sum(sample_weights * incorrect), 1e-10, 1.0 - 1e-10))
 
@@ -314,44 +285,21 @@ class BoostHD(BaseClassifier):
 
         Applies :meth:`repro.hdc.OnlineHD.partial_fit` to each fitted weak
         learner — the serving layer's online-adaptation primitive
-        (:mod:`repro.serving.adaptation`).  The feedback batch is encoded
-        once for the whole ensemble
-        (:func:`repro.engine.train.encode_ensemble`) and each learner adapts
-        on its pre-encoded slice, so a feedback step costs one stacked
-        projection instead of ``n_learners`` separate encodes.  The boosting
-        importances ``alpha_i`` are *not* re-estimated: they encode
-        training-time competence, and re-weighting from an incremental
-        trickle of feedback would be far noisier than the adaptive updates
-        themselves.  Labels unseen at fit time grow every learner (and
-        ``classes_``) with a zero-initialised class hypervector.
+        (:mod:`repro.serving.adaptation`).  Each learner encodes the batch
+        itself when its turn comes, and its block is released before the
+        next learner's; nothing here predicts, so there is no block to
+        reuse.  The boosting importances ``alpha_i`` are *not* re-estimated:
+        they encode training-time competence, and re-weighting from an
+        incremental trickle of feedback would be far noisier than the
+        adaptive updates themselves.  Labels unseen at fit time grow every
+        learner (and ``classes_``) with a zero-initialised class hypervector.
         """
         from ..engine.train import resolve_trainer
-        from ..hdc.encoder import SlicedEncoder
 
         self._check_fitted("learners_")
         trainer = resolve_trainer(trainer, self.batch_size)
-        shared = all(
-            isinstance(learner.encoder, SlicedEncoder) for learner in self.learners_
-        )
-        fused = trainer != "reference" and self._fused_encoding_enabled(
-            len(np.asarray(y)), shared
-        )
-        if not fused:
-            encoded_blocks: list[np.ndarray | None] = [None] * len(self.learners_)
-        else:
-            from ..engine.train.encoding import encode_ensemble
-
-            X_validated, _ = self._validate_fit_args(X, y)
-            encoded_blocks = list(
-                encode_ensemble(
-                    [learner.encoder for learner in self.learners_], X_validated
-                ).blocks
-            )
-        for learner, encoded in zip(self.learners_, encoded_blocks):
-            learner.partial_fit(
-                X, y, sample_weight=sample_weight, encoded=encoded,
-                trainer=trainer,
-            )
+        for learner in self.learners_:
+            learner.partial_fit(X, y, sample_weight=sample_weight, trainer=trainer)
         combined = np.union1d(self.classes_, self.learners_[0].classes_)
         if len(combined) != len(self.classes_):
             self.classes_ = combined

@@ -36,7 +36,7 @@ Layout:
   calibration (``calibrate_threshold``),
 * :mod:`repro.engine.train` — the fused *training* engine: exact fast
   adaptive passes with cached norms, opt-in vectorised mini-batch training,
-  sort-based initial bundling and one-shot ensemble encoding.  Model fitting
+  sort-based initial bundling and per-learner training encoding.  Model fitting
   routes through it by default (see :meth:`repro.hdc.OnlineHD.fit`).
 
 Quick start::

@@ -25,10 +25,10 @@ Three independent accelerations compose:
   aggregate all rank-1 updates as a ``(K, B) @ (B, D)`` matmul, maintain
   squared class norms incrementally.  Gated by accuracy parity, not
   bit-equality.
-* :mod:`~repro.engine.train.encoding` — one-shot ensemble encoding for
-  ``BoostHD``: every weak learner's projection is evaluated inside a single
-  stacked ``(n, f) @ (f, D_total)`` matmul (or one full-parent encode for
-  shared projections), and each learner trains on its pre-encoded slice.
+* :mod:`~repro.engine.train.encoding` — the training-encode entry point:
+  ``BoostHD`` encodes each weak learner's block when its turn comes, trains
+  on it and releases it before the next learner's, so a fit holds one
+  ``(n, D/L)`` block at a time.
 
 The bit-equivalence and accuracy-parity contracts live in
 ``tests/test_train_engine.py``; the speedup contracts in
@@ -57,7 +57,7 @@ def resolve_trainer(trainer: str | None, batch_size: int | None) -> str:
     ``None`` resolves to ``"minibatch"`` when ``batch_size`` is set and
     ``"exact"`` otherwise.  Shared by :meth:`repro.hdc.OnlineHD.fit` and
     :meth:`repro.core.BoostHD.fit` so the ensemble rejects a bad argument
-    *before* paying for the stacked ensemble encoding.
+    *before* paying for any encoding.
     """
     if trainer is None:
         return "minibatch" if batch_size is not None else "exact"

@@ -1,54 +1,17 @@
-"""One-shot ensemble encoding for training.
+"""The training-encode entry point.
 
-``BoostHD.fit`` historically had each of its ``n_learners`` weak learners
-independently call ``encoder.encode(X)`` — ``n_learners`` thin
-``(n, f) @ (f, D/n)`` matmuls plus ``n_learners`` trigonometric passes over
-the same training matrix, twice per learner (once to fit, once to estimate
-the boosting error).  The learners' projections are exactly the blocks the
-fused *inference* engine stacks (:mod:`repro.engine.compile`), so training
-can encode the same way: one BLAS-friendly ``(n, f) @ (f, D_total)`` matmul
-for the whole ensemble, then hand each learner its pre-encoded slice.
+:meth:`repro.core.BoostHD.fit` encodes each weak learner's block through
+:func:`encode_ensemble` when that learner's turn comes, trains on it,
+estimates the boosting error from it and releases it before the next learner
+starts.  A fit therefore holds one learner's ``(n, D/L)`` block at a time,
+never the whole ensemble's encoding.  (:meth:`~repro.core.BoostHD.partial_fit`
+never predicts, so each learner simply encodes its feedback batch itself.)
 
-Unlike inference, training feeds the golden-table numbers, so the fused
-encoding must be **bit-identical** to each learner's own
-``encoder.encode(X)``:
-
-* **Shared projection** (:class:`~repro.core.SharedPartitioner`) — every
-  weak learner is a :class:`~repro.hdc.encoder.SlicedEncoder` whose
-  ``encode`` already evaluates the *parent* projection in full and slices
-  the result.  Encoding the parent once and handing out column views is
-  therefore literally the same computation, performed once instead of
-  ``n_learners`` times.  Detection reuses the inference engine's
-  :meth:`~repro.hdc.encoder.SlicedEncoder.flatten` machinery, generalised
-  from "slices tile one root" to "slices share a root".
-* **Independent projections** — the *raw* (unscaled) bases are stacked and
-  multiplied in one matmul; each learner's column block is then copied
-  contiguous and taken through the same ``* scale`` and
-  ``cos(p + b) * sin(p)`` expression ``NonlinearEncoder.encode`` applies.
-  BLAS dgemm accumulates strictly along the shared ``f`` axis, so column
-  block ``i`` of the stacked product is bit-identical to the standalone
-  ``X @ basis_i.T`` (asserted in ``tests/test_train_engine.py``).  The
-  pre-scaled ``projection_params()`` form the inference engine stacks would
-  *not* be: folding the scale into the basis reorders a rounding step.
-
-Encoders that expose no projection structure (e.g.
-:class:`~repro.hdc.encoder.LevelIdEncoder`) fall back to their own
-``encode`` — the fused path is an optimisation, never a requirement.
-
-**Memory.**  The stacked path holds the full ``(n, D_total)`` projected
-matrix plus the per-learner blocks — roughly ``n_learners`` times the peak
-of the legacy one-learner-at-a-time loop.  When that transient would exceed
-``stacked_budget_bytes`` (default 1 GiB — ~6.7k samples at the paper's
-``D_total = 10000``, far above any Table I training set), the stacked group
-quietly falls back to per-encoder encoding: identical results (the blocks are
-bit-identical either way), just without the single-matmul win.  Note the
-returned blocks still *total* ``n x D_total`` doubles whichever way they
-were produced — a caller that cannot afford to retain them all (e.g.
-:meth:`repro.core.BoostHD.fit` on a huge training set, see
-``BoostHD._fused_encoding_enabled``) must skip ensemble encoding entirely
-rather than rely on this gate.  Shared-projection groups are *never*
-gated — the legacy path materialises the full parent encoding per learner
-anyway, so encoding the root once strictly reduces memory.
+Every block is its encoder's own ``encode(X)``: the exact call the
+reference trainer (``trainer="reference"``) makes, so fused and reference
+training see the same bits by construction.  A shared-projection learner
+(:class:`~repro.hdc.encoder.SlicedEncoder`) evaluates only its own rows of
+the parent projection.
 """
 
 from __future__ import annotations
@@ -57,116 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...hdc.encoder import Encoder, NonlinearEncoder, SlicedEncoder
+from ...hdc.encoder import Encoder
 
 __all__ = ["EnsembleEncoding", "encode_ensemble"]
-
-#: Transient-memory bound for the stacked path: projected matrix + blocks,
-#: ~2 x n x D_stack x 8 bytes.  Above this the stacked group falls back to
-#: per-encoder encoding (same bits, legacy memory profile).
-STACKED_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
 class EnsembleEncoding:
-    """Per-learner encoded blocks plus how much work producing them took.
-
-    ``blocks[i]`` is bit-identical to ``encoders[i].encode(X)`` (a view for
-    shared-projection learners, a contiguous array otherwise).
-    ``n_projection_matmuls`` counts the projection matmuls actually
-    executed — ``1`` for a pure shared or pure stacked ensemble, up to
-    ``n_learners`` when every encoder had to fall back — and is what the
-    training benchmark asserts its one-matmul contract against.
-    """
+    """Per-learner encoded blocks: ``blocks[i]`` is ``encoders[i].encode(X)``."""
 
     blocks: tuple[np.ndarray, ...]
-    n_projection_matmuls: int
-    strategy: str
 
     def __len__(self) -> int:
         return len(self.blocks)
 
 
-def _stacked_encode(
-    X: np.ndarray, encoders: list[NonlinearEncoder]
-) -> list[np.ndarray]:
-    """Encode independent projection encoders through one raw-basis matmul."""
-    stacked = np.vstack([encoder.basis for encoder in encoders])
-    projected = X @ stacked.T
-    blocks: list[np.ndarray] = []
-    start = 0
-    for encoder in encoders:
-        stop = start + encoder.dim
-        # Contiguous copy first: the scale multiply and trig evaluation then
-        # run over the same memory layout NonlinearEncoder.encode uses, so
-        # every element takes the identical ufunc path.
-        block = np.ascontiguousarray(projected[:, start:stop])
-        block *= encoder._projection_scale
-        blocks.append(np.cos(block + encoder.bias) * np.sin(block))
-        start = stop
-    return blocks
+def encode_ensemble(encoders: list[Encoder], X: np.ndarray) -> EnsembleEncoding:
+    """Encode ``X`` with each encoder; ``blocks[i]`` is ``encoders[i].encode(X)``.
 
-
-def encode_ensemble(
-    encoders: list[Encoder],
-    X: np.ndarray,
-    *,
-    stacked_budget_bytes: int | None = None,
-) -> EnsembleEncoding:
-    """Encode ``X`` once for a whole ensemble of weak-learner encoders.
-
-    Returns per-learner blocks bit-identical to ``encoder.encode(X)``,
-    computed with as few projection matmuls as the encoder structure allows:
-    one full-parent encode per distinct sliced root, one stacked matmul for
-    all plain :class:`~repro.hdc.encoder.NonlinearEncoder` instances (unless
-    its transient would exceed ``stacked_budget_bytes`` — see the module
-    docstring; ``None`` reads the :data:`STACKED_BUDGET_BYTES` module
-    constant at call time, so deployments can retune it globally), and a
-    per-encoder fallback for anything else.
+    The one entry point training encodes through (and the one the benchmark
+    traces as ``train.encode``).  :class:`~repro.core.BoostHD` calls it with
+    one encoder at a time, so only one learner's block is alive at once.
     """
-    if stacked_budget_bytes is None:
-        stacked_budget_bytes = STACKED_BUDGET_BYTES
     X = np.asarray(X, dtype=float)
-    blocks: list[np.ndarray | None] = [None] * len(encoders)
-    n_matmuls = 0
-    kinds: set[str] = set()
-
-    # Group sliced encoders by their flattened root: each distinct root is
-    # encoded in full exactly once and the slices become views of it.
-    root_encoded: dict[int, np.ndarray] = {}
-    stacked_members: list[tuple[int, NonlinearEncoder]] = []
-    for index, encoder in enumerate(encoders):
-        if isinstance(encoder, SlicedEncoder):
-            root, start, stop = encoder.flatten()
-            key = id(root)
-            if key not in root_encoded:
-                root_encoded[key] = root.encode(X)
-                n_matmuls += 1
-            blocks[index] = root_encoded[key][..., start:stop]
-            kinds.add("shared")
-        elif isinstance(encoder, NonlinearEncoder):
-            stacked_members.append((index, encoder))
-        else:
-            blocks[index] = encoder.encode(X)
-            n_matmuls += 1
-            kinds.add("fallback")
-
-    stacked_dim = sum(encoder.dim for _, encoder in stacked_members)
-    stacked_transient = 2 * len(X) * stacked_dim * np.dtype(np.float64).itemsize
-    if len(stacked_members) == 1 or stacked_transient > stacked_budget_bytes:
-        for index, encoder in stacked_members:
-            blocks[index] = encoder.encode(X)
-            n_matmuls += 1
-        if stacked_members:
-            kinds.add("stacked" if len(stacked_members) == 1 else "fallback")
-    elif stacked_members:
-        encoded = _stacked_encode(X, [encoder for _, encoder in stacked_members])
-        for (index, _), block in zip(stacked_members, encoded):
-            blocks[index] = block
-        n_matmuls += 1
-        kinds.add("stacked")
-
-    strategy = kinds.pop() if len(kinds) == 1 else "mixed"
-    return EnsembleEncoding(
-        blocks=tuple(blocks), n_projection_matmuls=n_matmuls, strategy=strategy
-    )
+    return EnsembleEncoding(blocks=tuple(encoder.encode(X) for encoder in encoders))

@@ -15,9 +15,10 @@ Two additional classic HDC encoders are provided:
 
 * :class:`LevelIdEncoder` — record-based encoding that binds per-feature ID
   hypervectors with quantized level hypervectors and bundles the result.
-* :class:`SlicedEncoder` — a view of a contiguous dimension slice of another
-  encoder; used by the partitioning ablation in which BoostHD weak learners
-  share a single ``D_total`` projection instead of drawing independent ones.
+* :class:`SlicedEncoder` — a contiguous dimension slice of another encoder,
+  encoding with only its own rows of the parent projection; used by the
+  partitioning ablation in which BoostHD weak learners share a single
+  ``D_total`` projection instead of drawing independent ones.
 """
 
 from __future__ import annotations
@@ -52,6 +53,24 @@ class ProjectionParams(NamedTuple):
 
     basis: np.ndarray
     bias: np.ndarray
+
+
+def _trig_encode(
+    batch: np.ndarray, basis: np.ndarray, bias: np.ndarray, scale: float
+) -> np.ndarray:
+    """``cos(p + bias) * sin(p)`` with ``p = batch @ basis.T * scale``.
+
+    Runs the ufuncs of that one-line expression in the same order, so the
+    result is bitwise equal to it, but in place: two ``(n, dim)`` arrays are
+    alive at the peak instead of four.
+    """
+    projected = batch @ basis.T
+    projected *= scale
+    encoded = projected + bias
+    np.cos(encoded, out=encoded)
+    np.sin(projected, out=projected)
+    encoded *= projected
+    return encoded
 
 
 class Encoder(ABC):
@@ -174,8 +193,7 @@ class NonlinearEncoder(Encoder):
     def encode(self, features: np.ndarray) -> np.ndarray:
         """Map features to hypervectors ``cos(xW^T + b) * sin(xW^T)``."""
         batch, single = self._validate(features)
-        projected = batch @ self.basis.T * self._projection_scale
-        encoded = np.cos(projected + self.bias) * np.sin(projected)
+        encoded = _trig_encode(batch, self.basis, self.bias, self._projection_scale)
         return encoded[0] if single else encoded
 
     def slice(self, start: int, stop: int) -> "SlicedEncoder":
@@ -197,7 +215,8 @@ class SlicedEncoder(Encoder):
     """Encoder exposing a contiguous dimension slice of a parent encoder.
 
     Used for the "shared projection" partitioning strategy: weak learner ``i``
-    sees dimensions ``[i * D/n, (i+1) * D/n)`` of one ``D_total`` encoder.
+    sees dimensions ``[i * D/n, (i+1) * D/n)`` of one ``D_total`` encoder,
+    and encoding it costs only those ``D/n`` projection rows.
     """
 
     def __init__(self, parent: Encoder, start: int, stop: int) -> None:
@@ -212,8 +231,25 @@ class SlicedEncoder(Encoder):
         self.in_features = parent.in_features
 
     def encode(self, features: np.ndarray) -> np.ndarray:
-        encoded = self.parent.encode(features)
-        return encoded[..., self.start : self.stop]
+        """Encode with rows ``[start, stop)`` of the flattened root's projection.
+
+        Over a :class:`NonlinearEncoder` root only this slice's own
+        projection rows are evaluated, exactly as a standalone encoder with
+        those rows would (:func:`_trig_encode` on ``basis[start:stop]``,
+        ``bias[start:stop]`` and the root's scale).  That equals the root's
+        encoding columns ``[start, stop)`` up to how BLAS rounds a column
+        block of a wider product — bit for bit at the paper's partition
+        layout, not for every shape.  Other roots encode in full and are
+        sliced.
+        """
+        root, start, stop = self.flatten()
+        if not isinstance(root, NonlinearEncoder):
+            return self.parent.encode(features)[..., self.start : self.stop]
+        batch, single = self._validate(features)
+        encoded = _trig_encode(
+            batch, root.basis[start:stop], root.bias[start:stop], root._projection_scale
+        )
+        return encoded[0] if single else encoded
 
     def flatten(self) -> tuple[Encoder, int, int]:
         """Resolve nested slices to ``(root_encoder, start, stop)``.
@@ -236,7 +272,7 @@ class SlicedEncoder(Encoder):
     def projection_params(self) -> ProjectionParams:
         """Projection rows ``[start, stop)`` of the flattened root encoder."""
         root, start, stop = self.flatten()
-        if not hasattr(root, "projection_params"):
+        if not isinstance(root, NonlinearEncoder):
             raise TypeError(
                 f"{type(root).__name__} does not expose projection parameters; "
                 "only trigonometric random-projection encoders can be fused"

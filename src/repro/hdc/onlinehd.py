@@ -204,10 +204,12 @@ class OnlineHD(BaseClassifier):
         (:mod:`repro.engine.train`):
 
         * ``encoded`` — pre-encoded hypervectors for ``X`` (shape
-          ``(n_samples, dim)``), as produced by
-          :func:`repro.engine.train.encode_ensemble`; skips this model's
-          own ``encoder.encode(X)``.  The caller guarantees they match;
-          non-finite values are rejected, as in ``X``.
+          ``(n_samples, dim)``), i.e. this model's ``encoder.encode(X)``
+          made by the caller (:class:`~repro.core.BoostHD` encodes through
+          :func:`repro.engine.train.encode_ensemble`, then reuses the block
+          for its boosting-error estimate); skips the encode here.  The
+          caller guarantees they match; non-finite values are rejected, as
+          in ``X``.
         * ``trainer`` — ``"exact"`` (default; bit-identical fast path),
           ``"minibatch"`` (requires ``batch_size``; the default whenever
           ``batch_size`` is set) or ``"reference"`` (the original
@@ -293,8 +295,8 @@ class OnlineHD(BaseClassifier):
         ``trainer`` defaults to the exact fast path (bit-identical to the
         reference loop, so adaptation behaves exactly as before), or to the
         mini-batch trainer when ``batch_size`` is set; ``encoded`` supplies
-        pre-encoded hypervectors (:class:`~repro.core.BoostHD` shares one
-        ensemble encoding across its weak learners this way).
+        pre-encoded hypervectors (this model's ``encoder.encode(X)``, made
+        by the caller), as in :meth:`fit`.
 
         Requires a fitted model (:meth:`fit` first): the encoder and the
         initial bundling pass define the representation being adapted.
@@ -379,8 +381,8 @@ class OnlineHD(BaseClassifier):
     def decision_function_encoded(self, encoded: np.ndarray) -> np.ndarray:
         """Cosine scores for pre-encoded hypervectors (skips the encoder).
 
-        ``encoded`` must come from this model's encoder (e.g. one block of
-        :func:`repro.engine.train.encode_ensemble`); the result is then
+        ``encoded`` must come from this model's encoder (e.g. the block
+        :class:`~repro.core.BoostHD` trained it on); the result is then
         bit-identical to :meth:`decision_function` on the raw features.
         :class:`~repro.core.BoostHD` uses this to estimate each weak
         learner's boosting error without re-encoding the training matrix.

@@ -19,12 +19,12 @@ strictly opt-in: :meth:`AdaptiveModel.feedback` is the only mutating entry
 point, and a monitor-only deployment never touches the model.
 
 ``partial_fit`` routes through the fused training engine
-(:mod:`repro.engine.train`): a BoostHD feedback batch is encoded once for
-the whole ensemble and each weak learner adapts on its pre-encoded slice
-with the exact fast pass — bit-identical to the historical per-learner
-loop, just cheaper, which matters because feedback runs inline with
-serving.  A model constructed with ``batch_size`` set applies its feedback
-epochs with the vectorised mini-batch trainer instead.
+(:mod:`repro.engine.train`): each BoostHD weak learner encodes the feedback
+batch itself, in turn, and adapts with the exact fast pass — bit-identical
+to the historical per-learner loop, just cheaper, which matters because
+feedback runs inline with serving.  A model constructed with ``batch_size``
+set applies its feedback epochs with the vectorised mini-batch trainer
+instead.
 """
 
 from __future__ import annotations

@@ -2,11 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hdc import LevelIdEncoder, NonlinearEncoder, SlicedEncoder
 
 
 class TestNonlinearEncoder:
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 5), (60, 28)])
+    def test_encode_is_bitwise_the_one_line_expression(self, shape):
+        """The in-place evaluation runs the expression's ufuncs in its order."""
+        n, f = shape
+        encoder = NonlinearEncoder(f, 97, bandwidth=1.5, rng=0)
+        X = np.random.default_rng(1).standard_normal(shape)
+        projected = X @ encoder.basis.T * encoder._projection_scale
+        expected = np.cos(projected + encoder.bias) * np.sin(projected)
+        np.testing.assert_array_equal(encoder.encode(X), expected)
+        np.testing.assert_array_equal(encoder.encode(X[0]), encoder.encode(X[:1])[0])
+
     def test_output_shapes(self):
         encoder = NonlinearEncoder(5, 100, rng=0)
         assert encoder.encode(np.ones(5)).shape == (100,)
@@ -77,10 +90,65 @@ class TestNonlinearEncoder:
 
 class TestSlicedEncoder:
     def test_slice_matches_parent_block(self):
+        """A slice, and a slice of it, encode their own rows of the parent.
+
+        Each is bitwise a standalone encoder over those projection rows, and
+        matches the parent encoding's columns up to how BLAS rounds a column
+        block of a wider product: bitwise for many shapes, but that depends
+        on the BLAS kernel, so only the rounding bound is asserted.
+        """
         parent = NonlinearEncoder(4, 100, rng=0)
         child = parent.slice(20, 50)
+        grandchild = SlicedEncoder(child, 5, 20)
         sample = np.array([0.5, -1.0, 0.2, 0.9])
-        np.testing.assert_array_equal(child.encode(sample), parent.encode(sample)[20:50])
+        batch = np.random.default_rng(2).standard_normal((16, 4))
+        for encoder, (start, stop) in ((child, (20, 50)), (grandchild, (25, 40))):
+            own_rows = NonlinearEncoder.from_params(
+                parent.basis[start:stop], parent.bias[start:stop]
+            )
+            for features in (sample, batch):
+                encoded = encoder.encode(features)
+                np.testing.assert_array_equal(encoded, own_rows.encode(features))
+                columns = parent.encode(features)[..., start:stop]
+                np.testing.assert_allclose(encoded, columns, rtol=0, atol=1e-12)
+            # Its own array, not a view that keeps the parent encoding alive.
+            assert encoded.base is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_samples=st.integers(1, 40),
+        n_features=st.integers(1, 48),
+        dim=st.integers(2, 300),
+        bounds=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_slice_encodes_its_own_rows(self, n_samples, n_features, dim, bounds, seed):
+        """A slice is a standalone encoder over its rows of the root.
+
+        Bitwise equal to :class:`NonlinearEncoder` built from rows
+        ``[start, stop)`` of the root's basis and bias, and equal to the
+        root's encoding columns up to BLAS rounding of a column block.
+        """
+        rng = np.random.default_rng(seed)
+        parent = NonlinearEncoder(n_features, dim, bandwidth=1.5, rng=seed)
+        start = min(int(bounds[0] * dim), dim - 1)
+        stop = start + 1 + int(bounds[1] * (dim - 1 - start))
+        child = parent.slice(start, stop)
+        own_rows = NonlinearEncoder.from_params(
+            parent.basis[start:stop], parent.bias[start:stop], bandwidth=1.5
+        )
+        X = rng.standard_normal((n_samples, n_features))
+        np.testing.assert_array_equal(child.encode(X), own_rows.encode(X))
+        np.testing.assert_array_equal(child.encode(X[0]), own_rows.encode(X[0]))
+        np.testing.assert_allclose(
+            child.encode(X), parent.encode(X)[:, start:stop], rtol=0, atol=1e-12
+        )
+
+    def test_slice_of_other_root_encodes_then_slices(self):
+        level = LevelIdEncoder(3, 50, rng=0)
+        sliced = SlicedEncoder(level, 10, 30)
+        batch = np.random.default_rng(0).uniform(0, 1, (4, 3))
+        np.testing.assert_array_equal(sliced.encode(batch), level.encode(batch)[:, 10:30])
 
     def test_slice_dim(self):
         parent = NonlinearEncoder(4, 100, rng=0)
@@ -149,8 +217,8 @@ class TestProjectionParams:
         child = parent.slice(10, 25)
         basis, bias = child.projection_params()
         parent_basis, parent_bias = parent.projection_params()
-        np.testing.assert_allclose(basis, parent_basis[10:25])
-        np.testing.assert_allclose(bias, parent_bias[10:25])
+        np.testing.assert_array_equal(basis, parent_basis[10:25])
+        np.testing.assert_array_equal(bias, parent_bias[10:25])
 
     def test_nested_slice_flattens_to_root(self):
         parent = NonlinearEncoder(4, 60, rng=0)
@@ -159,7 +227,7 @@ class TestProjectionParams:
         root, start, stop = outer.flatten()
         assert root is parent and (start, stop) == (15, 30)
         basis, _ = outer.projection_params()
-        np.testing.assert_allclose(basis, parent.projection_params().basis[15:30])
+        np.testing.assert_array_equal(basis, parent.projection_params().basis[15:30])
 
     def test_unfusable_root_raises(self):
         level = LevelIdEncoder(3, 50, rng=0)

@@ -3,12 +3,14 @@
 The fast paths in :mod:`repro.engine.train` claim three different strengths
 of equivalence, each pinned here:
 
-* **Bit-equality** — the exact trainer (default) and the fused ensemble
-  encoding must reproduce the reference implementation (``np.add.at``
-  bundling + the per-sample loop on ``OnlineHD._adaptive_pass``, selectable
-  with ``trainer="reference"``) byte for byte: same
-  ``class_hypervectors_``, same ``learner_weights_``, same predictions,
-  across every weighting mode, both entry points and both partitioners.
+* **Bit-equality** — the exact trainer (default) and the per-learner
+  training encoding must reproduce the reference implementation
+  (``np.add.at`` bundling + the per-sample loop on
+  ``OnlineHD._adaptive_pass``, selectable with ``trainer="reference"``)
+  byte for byte: same ``class_hypervectors_``, same ``learner_weights_``,
+  same predictions, across every weighting mode, both entry points, both
+  partitioners and any problem shape.
+* **Bounded memory** — a fit holds one learner's encoded block at a time.
 * **Properties** — the incremental norm cache of
   :class:`~repro.engine.train.ExactPassState` always matches freshly
   computed norms, and the sort-based bundling always matches the
@@ -35,7 +37,7 @@ from repro.engine.train import (
     encode_ensemble,
 )
 from repro.hdc import NonlinearEncoder, OnlineHD
-from repro.hdc.encoder import LevelIdEncoder
+from repro.hdc.encoder import LevelIdEncoder, SlicedEncoder
 
 
 # --------------------------------------------------------------------- helpers
@@ -226,26 +228,46 @@ class TestBoostHDEquivalence:
         )
         _assert_boosthd_identical(fast, reference, X)
 
-    def test_memory_gate_falls_back_to_per_learner_encoding(
-        self, train_problem, monkeypatch
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_samples=st.integers(10, 120),
+        n_features=st.integers(1, 48),
+        n_learners=st.integers(1, 8),
+        extra_dim=st.integers(0, 300),
+        partition=st.sampled_from(["independent", "shared"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_any_shape_bit_identical_to_reference(
+        self, n_samples, n_features, n_learners, extra_dim, partition, seed
     ):
-        """Over-budget fits skip block retention entirely, same bits."""
-        from repro.engine.train import encoding as encoding_module
+        """fit and partial_fit match the reference at any problem shape.
 
-        X, y = train_problem
-        fused = BoostHD(total_dim=100, n_learners=4, epochs=1, seed=17).fit(X, y)
-        monkeypatch.setattr(encoding_module, "STACKED_BUDGET_BYTES", 1)
+        Every learner's block is its own encoder's ``encode(X)``, the call
+        the reference makes, so no BLAS blocking property is involved: a
+        column block of a wider product, which a stacked encoding would
+        rely on, differs from the narrow product in its last bits for many
+        shapes.
+        """
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_samples, n_features))
+        y = rng.integers(0, 3, n_samples)
+        total_dim = n_learners + extra_dim
 
-        def exploding_encode_ensemble(*args, **kwargs):
-            raise AssertionError("gated fit must not build an ensemble encoding")
+        def build():
+            return BoostHD(
+                total_dim=total_dim,
+                n_learners=n_learners,
+                epochs=1,
+                partitioner=_partitioners(total_dim, n_learners)[partition],
+                seed=seed,
+            )
 
-        monkeypatch.setattr(
-            encoding_module, "encode_ensemble", exploding_encode_ensemble
-        )
-        gated = BoostHD(total_dim=100, n_learners=4, epochs=1, seed=17).fit(X, y)
-        gated.partial_fit(X[:20], y[:20])
-        fused.partial_fit(X[:20], y[:20])
-        _assert_boosthd_identical(gated, fused, X)
+        fast = build().fit(X, y)
+        reference = build().fit(X, y, trainer="reference")
+        _assert_boosthd_identical(fast, reference, X)
+        fast.partial_fit(X[:7], y[:7])
+        reference.partial_fit(X[:7], y[:7], trainer="reference")
+        _assert_boosthd_identical(fast, reference, X)
 
     def test_bad_trainer_rejected_before_encoding(self, train_problem, monkeypatch):
         """Invalid trainer arguments fail before the ensemble encoding runs."""
@@ -297,7 +319,7 @@ class TestBoostHDEquivalence:
         np.testing.assert_array_equal(engine.predict(X), model.predict(X))
 
 
-# ------------------------------------------------------- fused ensemble encoding
+# ------------------------------------------------------ per-learner encoding
 class TestEncodeEnsemble:
     def test_independent_blocks_bit_identical_to_per_encoder(self, train_problem):
         X, _ = train_problem
@@ -306,18 +328,14 @@ class TestEncodeEnsemble:
             for seed, dim in enumerate((25, 25, 30))
         ]
         encoding = encode_ensemble(encoders, X)
-        assert encoding.n_projection_matmuls == 1
-        assert encoding.strategy == "stacked"
         for encoder, block in zip(encoders, encoding.blocks):
             np.testing.assert_array_equal(block, encoder.encode(X))
 
-    def test_shared_slices_encode_root_once_and_exactly(self, train_problem):
+    def test_shared_slices_bit_identical_to_per_encoder(self, train_problem):
         X, _ = train_problem
         parent = NonlinearEncoder(X.shape[1], 80, bandwidth=1.5, rng=7)
         encoders = [parent.slice(0, 30), parent.slice(30, 60), parent.slice(60, 80)]
         encoding = encode_ensemble(encoders, X)
-        assert encoding.n_projection_matmuls == 1
-        assert encoding.strategy == "shared"
         for encoder, block in zip(encoders, encoding.blocks):
             np.testing.assert_array_equal(block, encoder.encode(X))
 
@@ -328,34 +346,104 @@ class TestEncodeEnsemble:
             NonlinearEncoder(X.shape[1], 40, rng=1),
         ]
         encoding = encode_ensemble(encoders, X)
-        assert encoding.strategy == "mixed"
         for encoder, block in zip(encoders, encoding.blocks):
             np.testing.assert_array_equal(block, encoder.encode(X))
 
-    def test_stacked_budget_falls_back_per_encoder(self, train_problem):
-        """An over-budget stacked transient degrades gracefully, same bits."""
-        X, _ = train_problem
-        encoders = [
-            NonlinearEncoder(X.shape[1], 30, bandwidth=1.5, rng=seed)
-            for seed in range(3)
-        ]
-        encoding = encode_ensemble(encoders, X, stacked_budget_bytes=1)
-        assert encoding.n_projection_matmuls == len(encoders)
-        assert encoding.strategy == "fallback"
-        for encoder, block in zip(encoders, encoding.blocks):
-            np.testing.assert_array_equal(block, encoder.encode(X))
-
-    def test_mixed_bandwidths_stack_exactly(self, train_problem):
-        """Per-encoder scales are applied after the stacked matmul."""
+    def test_mixed_bandwidths_encode_exactly(self, train_problem):
+        """Each block carries its own encoder's bandwidth scale."""
         X, _ = train_problem
         encoders = [
             NonlinearEncoder(X.shape[1], 20, bandwidth=0.7, rng=3),
             NonlinearEncoder(X.shape[1], 35, bandwidth=2.4, rng=4),
         ]
         encoding = encode_ensemble(encoders, X)
-        assert encoding.n_projection_matmuls == 1
         for encoder, block in zip(encoders, encoding.blocks):
             np.testing.assert_array_equal(block, encoder.encode(X))
+
+
+class TestFitMemory:
+    @pytest.mark.parametrize("partition", ["independent", "shared"])
+    def test_fit_holds_one_learner_block_at_a_time(self, partition):
+        """fit and partial_fit peak at a few learner blocks, not the ensemble.
+
+        A block is one learner's ``(rows, D/L)`` float64 encoding.  Holding
+        every learner's block (plus a full-width projection transient) would
+        peak above 20 blocks here; encoding each learner when its turn comes
+        keeps the traced peak within 6.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((600, 20))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int) + (X[:, 2] > 0.5)
+        total_dim, n_learners = 2000, 10
+        model = BoostHD(
+            total_dim=total_dim,
+            n_learners=n_learners,
+            epochs=1,
+            partitioner=_partitioners(total_dim, n_learners)[partition],
+            seed=0,
+        )
+
+        def traced_peak(call, rows):
+            block = rows * (total_dim // n_learners) * np.dtype(np.float64).itemsize
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak / block
+
+        fit_blocks = traced_peak(lambda: model.fit(X, y), len(X))
+        assert fit_blocks <= 6, f"fit peaked at {fit_blocks:.1f} learner blocks"
+        partial_blocks = traced_peak(lambda: model.partial_fit(X[:200], y[:200]), 200)
+        assert partial_blocks <= 6, (
+            f"partial_fit peaked at {partial_blocks:.1f} learner blocks"
+        )
+
+    @pytest.mark.parametrize("partition", ["independent", "shared"])
+    def test_previous_block_is_released_before_next_encode(
+        self, partition, monkeypatch
+    ):
+        """No learner's block is alive when the next learner encodes.
+
+        The traced-peak bound above has room for one leaked block; this
+        pins the release itself, for fit and partial_fit, by holding a weak
+        reference to every block an encoder returns.
+        """
+        import weakref
+
+        blocks: list[weakref.ref] = []
+
+        def tracking(original):
+            def encode(self, features):
+                alive = sum(ref() is not None for ref in blocks)
+                assert alive == 0, f"{alive} earlier block(s) alive at the next encode"
+                encoded = original(self, features)
+                blocks.append(weakref.ref(encoded))
+                return encoded
+
+            return encode
+
+        for encoder_class in (NonlinearEncoder, SlicedEncoder):
+            monkeypatch.setattr(encoder_class, "encode", tracking(encoder_class.encode))
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((120, 12))
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+        total_dim, n_learners = 400, 5
+        model = BoostHD(
+            total_dim=total_dim,
+            n_learners=n_learners,
+            epochs=1,
+            partitioner=_partitioners(total_dim, n_learners)[partition],
+            seed=0,
+        )
+        for call, rows in ((model.fit, len(X)), (model.partial_fit, 40)):
+            blocks.clear()
+            call(X[:rows], y[:rows])
+            assert len(blocks) == n_learners
+            assert all(ref() is None for ref in blocks)
 
 
 # ------------------------------------------------------------ hypothesis suites

@@ -236,7 +236,7 @@ class BoostHD(BaseClassifier):
                 learner.fit(X, y, sample_weight=training_weights, trainer=trainer)
                 predictions = learner.predict(X)
             else:
-                (encoded,) = encode_ensemble([learner.encoder], X).blocks
+                encoded = encode_ensemble(learner.encoder, X)
                 learner.fit(
                     X, y, sample_weight=training_weights, encoded=encoded,
                     trainer=trainer,

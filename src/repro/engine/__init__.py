@@ -73,7 +73,6 @@ from .precision import (
 )
 from .quant import FixedPointModel, PackedBipolarModel, PackedQueries, pack_words
 from .train import (
-    EnsembleEncoding,
     ExactPassState,
     adaptive_pass_exact,
     adaptive_pass_minibatch,
@@ -108,7 +107,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "array_fingerprint",
-    "EnsembleEncoding",
     "ExactPassState",
     "adaptive_pass_exact",
     "adaptive_pass_minibatch",

@@ -22,8 +22,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..obs import OBS
-from ..obs.metrics import Counter
+from ..obs import Tally
 
 __all__ = ["CacheStats", "LRUCache", "array_fingerprint"]
 
@@ -42,60 +41,16 @@ def array_fingerprint(array: np.ndarray) -> bytes:
     return digest.digest()
 
 
-class CacheStats:
-    """Mutable hit/miss/eviction counters for one cache instance.
+class CacheStats(Tally):
+    """Hit/miss/eviction counts of one cache instance."""
 
-    Backed by :class:`repro.obs.metrics.Counter` primitives; the historical
-    integer attributes (``hits`` / ``misses`` / ``evictions``) are preserved
-    as properties, so existing readers and the ``__repr__`` are unchanged.
-    When process-wide telemetry is enabled (:data:`repro.obs.OBS`), every
-    event also increments the global ``repro_engine_cache_*_total`` series.
-    """
-
-    __slots__ = ("_hits", "_misses", "_evictions")
-
-    def __init__(self) -> None:
-        self._hits = Counter()
-        self._misses = Counter()
-        self._evictions = Counter()
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    def record_hit(self) -> None:
-        self._hits.inc()
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_engine_cache_hits_total", "Encode-cache hits."
-            ).inc()
-
-    def record_miss(self) -> None:
-        self._misses.inc()
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_engine_cache_misses_total", "Encode-cache misses."
-            ).inc()
-
-    def record_eviction(self) -> None:
-        self._evictions.inc()
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_engine_cache_evictions_total", "Encode-cache evictions."
-            ).inc()
-
-    def reset(self) -> None:
-        self._hits.reset()
-        self._misses.reset()
-        self._evictions.reset()
+    COUNTS = {
+        "hits": ("repro_engine_cache_hits_total", "Encode-cache hits."),
+        "misses": ("repro_engine_cache_misses_total", "Encode-cache misses."),
+        "evictions": (
+            "repro_engine_cache_evictions_total", "Encode-cache evictions."
+        ),
+    }
 
     @property
     def requests(self) -> int:
@@ -151,16 +106,16 @@ class LRUCache:
         """Return the cached array for ``key`` (marking it recent) or None."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.record_miss()
+            self.stats.bump("misses")
             return None
         self._entries.move_to_end(key)
-        self.stats.record_hit()
+        self.stats.bump("hits")
         return entry
 
     def _evict_lru(self) -> None:
         _, evicted = self._entries.popitem(last=False)
         self.current_bytes -= evicted.nbytes
-        self.stats.record_eviction()
+        self.stats.bump("evictions")
 
     def put(self, key: bytes, value: np.ndarray) -> None:
         """Insert ``value``, evicting least-recently-used entries until it fits."""

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import OBS
-from ..obs.metrics import Counter
+from ..obs import OBS, Tally
 from .compile import CompiledModel, EngineError
 from .quant import PackedBipolarModel
 
@@ -87,31 +86,16 @@ def top2_margin(scores: np.ndarray) -> np.ndarray:
     return top2[:, 1] - top2[:, 0]
 
 
-class CascadeStats:
-    """Running rerank accounting, updated by every scored chunk.
+class CascadeStats(Tally):
+    """Running rerank accounting, updated by every scored chunk."""
 
-    Backed by :class:`repro.obs.metrics.Counter` primitives; the historical
-    ``rows_scored`` / ``rows_reranked`` integer attributes, the constructor
-    signature and the ``__repr__`` of the old dataclass are all preserved.
-    """
-
-    __slots__ = ("_rows_scored", "_rows_reranked")
-
-    def __init__(self, rows_scored: int = 0, rows_reranked: int = 0) -> None:
-        self._rows_scored = Counter()
-        self._rows_reranked = Counter()
-        if rows_scored:
-            self._rows_scored.inc(rows_scored)
-        if rows_reranked:
-            self._rows_reranked.inc(rows_reranked)
-
-    @property
-    def rows_scored(self) -> int:
-        return self._rows_scored.value
-
-    @property
-    def rows_reranked(self) -> int:
-        return self._rows_reranked.value
+    COUNTS = {
+        "rows_scored": ("repro_cascade_rows_total", "Rows scored by the cascade."),
+        "rows_reranked": (
+            "repro_cascade_reranked_total",
+            "Rows routed to the cascade's second tier.",
+        ),
+    }
 
     @property
     def rerank_fraction(self) -> float:
@@ -122,20 +106,8 @@ class CascadeStats:
 
     def record(self, rows: int, reranked: int) -> None:
         """Account one scored chunk: ``rows`` total, ``reranked`` routed on."""
-        self._rows_scored.inc(rows)
-        self._rows_reranked.inc(reranked)
-
-    def reset(self) -> None:
-        self._rows_scored.reset()
-        self._rows_reranked.reset()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CascadeStats):
-            return NotImplemented
-        return (self.rows_scored, self.rows_reranked) == (
-            other.rows_scored,
-            other.rows_reranked,
-        )
+        self.bump("rows_scored", rows)
+        self.bump("rows_reranked", reranked)
 
     def __repr__(self) -> str:
         return (
@@ -313,13 +285,6 @@ class CascadeModel(CompiledModel):
                 tier="rerank",
             ).observe(time.perf_counter() - start)
         self.stats.record(len(scores), n_rerank)
-        metrics.counter(
-            "repro_cascade_rows_total", "Rows scored by the cascade."
-        ).inc(len(scores))
-        metrics.counter(
-            "repro_cascade_reranked_total",
-            "Rows routed to the cascade's second tier.",
-        ).inc(n_rerank)
         return scores
 
     # ---------------------------------------------------------- calibration

@@ -36,13 +36,12 @@ The bit-equivalence and accuracy-parity contracts live in
 """
 
 from .bundling import bundle_classes
-from .encoding import EnsembleEncoding, encode_ensemble
+from .encoding import encode_ensemble
 from .exact import ExactPassState, adaptive_pass_exact
 from .minibatch import adaptive_pass_minibatch
 
 __all__ = [
     "bundle_classes",
-    "EnsembleEncoding",
     "encode_ensemble",
     "ExactPassState",
     "adaptive_pass_exact",

@@ -16,31 +16,17 @@ the parent projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...hdc.encoder import Encoder
 
-__all__ = ["EnsembleEncoding", "encode_ensemble"]
+__all__ = ["encode_ensemble"]
 
 
-@dataclass(frozen=True)
-class EnsembleEncoding:
-    """Per-learner encoded blocks: ``blocks[i]`` is ``encoders[i].encode(X)``."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def encode_ensemble(encoders: list[Encoder], X: np.ndarray) -> EnsembleEncoding:
-    """Encode ``X`` with each encoder; ``blocks[i]`` is ``encoders[i].encode(X)``.
+def encode_ensemble(encoder: Encoder, X: np.ndarray) -> np.ndarray:
+    """One weak learner's training block: ``encoder.encode(X)``.
 
     The one entry point training encodes through (and the one the benchmark
-    traces as ``train.encode``).  :class:`~repro.core.BoostHD` calls it with
-    one encoder at a time, so only one learner's block is alive at once.
+    traces as ``train.encode``).
     """
-    X = np.asarray(X, dtype=float)
-    return EnsembleEncoding(blocks=tuple(encoder.encode(X) for encoder in encoders))
+    return encoder.encode(X)

@@ -59,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-from ..obs import OBS, prometheus_text
+from ..obs import OBS, Tally, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
 from ..resilience.chaos import CHAOS, corrupt_bytes
 from ..engine import EngineError, resolve_precision
@@ -90,8 +90,8 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 CLIENT_HEADER = "x-repro-client"
 
 
-class GatewayStats:
-    """Plain-integer edge accounting (obs counters ride along when enabled).
+class GatewayStats(Tally):
+    """Edge accounting of one gateway.
 
     ``windows_answered`` counts scored predictions delivered to a mailbox,
     WebSocket queue or the orphan mailbox; ``windows_shed`` the explicit
@@ -99,44 +99,43 @@ class GatewayStats:
     close the no-silent-loss ledger the drain contract asserts.
     """
 
-    FIELDS = (
-        "requests",
-        "windows_answered",
-        "windows_shed",
-        "rejected_rate_limited",
-        "rejected_saturated",
-        "rejected_draining",
-        "rejected_deadline",
-        "late_responses",
-        "protocol_errors",
-        "disconnects",
-        "handler_errors",
-        "ws_connections",
-        "ws_messages",
-        "dead_letters_replayed",
-    )
+    COUNTS = {
+        **{
+            field: (
+                f"repro_gateway_{field}_total",
+                f"Gateway edge accounting: {field.replace('_', ' ')}.",
+            )
+            for field in (
+                "requests",
+                "windows_answered",
+                "windows_shed",
+                "rejected_rate_limited",
+                "rejected_saturated",
+                "rejected_draining",
+                "rejected_deadline",
+                "late_responses",
+                "protocol_errors",
+                "disconnects",
+                "handler_errors",
+                "ws_connections",
+                "ws_messages",
+                "dead_letters_replayed",
+            )
+        },
+        "drains": ("repro_gateway_drains_total", "Graceful gateway drains completed."),
+    }
 
     def __init__(self) -> None:
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-        self.drains = 0
+        super().__init__()
         self.drain_seconds = 0.0
         self.drained_clean: bool | None = None
 
-    def bump(self, field: str, count: int = 1) -> None:
-        setattr(self, field, getattr(self, field) + count)
-        if OBS.enabled:
-            OBS.metrics.counter(
-                f"repro_gateway_{field}_total",
-                f"Gateway edge accounting: {field.replace('_', ' ')}.",
-            ).inc(count)
-
     def as_dict(self) -> dict:
-        report = {field: getattr(self, field) for field in self.FIELDS}
-        report["drains"] = self.drains
-        report["drain_seconds"] = self.drain_seconds
-        report["drained_clean"] = self.drained_clean
-        return report
+        return {
+            **super().as_dict(),
+            "drain_seconds": self.drain_seconds,
+            "drained_clean": self.drained_clean,
+        }
 
     def __repr__(self) -> str:
         return (
@@ -370,13 +369,10 @@ class Gateway:
         self._pool.shutdown(wait=False)
         self._closed = True
         elapsed = time.monotonic() - started
-        self.stats.drains += 1
+        self.stats.bump("drains")
         self.stats.drain_seconds = elapsed
         self.stats.drained_clean = not deadline.expired
         if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_gateway_drains_total", "Graceful gateway drains completed."
-            ).inc()
             OBS.metrics.histogram(
                 "repro_gateway_drain_seconds", "Graceful drain duration."
             ).observe(elapsed)
@@ -684,11 +680,14 @@ class Gateway:
         if rest == ["dead-letters", "replay"] and method == "POST":
             return await self._replay_dead_letters(deadline)
         if rest == ["stats"] and method == "GET":
+            backend = await self._await_backend(
+                self._submit_backend(self._backend_stats, deliver=False), deadline
+            )
             return json_response(
                 200,
                 {
                     "gateway": self.stats.as_dict(),
-                    "backend": self._backend_stats(),
+                    "backend": backend,
                     "in_flight": self.concurrency.in_flight,
                     "orphaned_predictions": len(self._orphans),
                 },
@@ -890,19 +889,19 @@ class Gateway:
         return json_response(200 if ready else 503, payload)
 
     def _backend_stats(self) -> list[dict]:
-        """``/v1/stats`` backend rows: one per fabric shard, one for a service."""
+        """``/v1/stats`` backend rows: one per fabric shard, one for a service.
+
+        Runs on the backend thread, like every other backend call: a fabric
+        row is a round trip to its worker, and a service row reads the
+        scheduler the backend thread updates.
+        """
         if self.kind == "fabric":
             return self.backend.stats()
         stats = self.backend.stats
         return [
             {
-                "windows_submitted": stats.windows_submitted,
-                "windows_scored": stats.windows_scored,
-                "windows_shed": stats.windows_shed,
-                "windows_dead": stats.windows_dead,
+                **stats.as_dict(),
                 "pending": self.backend.scheduler.pending,
-                "batches": stats.batches,
-                "score_failures": stats.score_failures,
                 "p50_ms": stats.latency_percentile(50) * 1e3,
                 "p99_ms": stats.latency_percentile(99) * 1e3,
             }

@@ -36,7 +36,10 @@ Layout: :mod:`repro.obs.metrics` (counters / gauges / log-bucket
 histograms, snapshots, associative merge), :mod:`repro.obs.trace`
 (nested context-manager spans, ring-buffer recorder, Chrome trace
 export), :mod:`repro.obs.export` (Prometheus text exposition, JSON
-snapshots, trace files).  The metric catalog instrumented across the
+snapshots, trace files).  Objects that keep counts of their own (the
+encode cache, the cascade, the scheduler, the gateway) declare them on
+:class:`Tally`, whose one :meth:`Tally.bump` call also feeds each count's
+process-wide counter.  The metric catalog instrumented across the
 codebase is documented in ``docs/observability.md``.
 """
 
@@ -68,6 +71,7 @@ from .trace import NULL_RECORDER, NullRecorder, SpanRecord, SpanRecorder
 __all__ = [
     "OBS",
     "ObsState",
+    "Tally",
     "enable",
     "disable",
     "capture",
@@ -119,6 +123,42 @@ class ObsState:
 
 
 OBS = ObsState()
+
+
+class Tally:
+    """Named counts kept on one object, each also feeding a ``repro_*`` counter.
+
+    A subclass declares ``COUNTS``: attribute name → ``(metric name, help)``
+    of the process-wide counter the count feeds, or ``None`` for a count
+    kept only on the object.  Each count is a plain attribute, starting at
+    zero; :meth:`bump` adds to it and, while telemetry is on, to its counter
+    — so each event is counted by one call, and each metric name is
+    written once, in the declaration.
+    """
+
+    COUNTS: dict[str, tuple[str, str] | None] = {}
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def bump(self, name: str, amount: float = 1) -> None:
+        """Add ``amount`` to the count ``name`` (and to its counter when on).
+
+        An undeclared ``name`` raises :class:`KeyError`.
+        """
+        metric = self.COUNTS[name]
+        setattr(self, name, getattr(self, name) + amount)
+        if metric is not None and OBS.enabled:
+            OBS.metrics.counter(*metric).inc(amount)
+
+    def reset(self) -> None:
+        """Zero every declared count (the process-wide counters keep theirs)."""
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+
+    def as_dict(self) -> dict:
+        """The declared counts, in declaration order."""
+        return {name: getattr(self, name) for name in self.COUNTS}
 
 
 def enable(

@@ -1,15 +1,8 @@
 """Process-local metrics registry: counters, gauges, log-bucket histograms.
 
-Every prior PR's observability grew ad hoc — ``SchedulerStats`` kept a
-deque of recent latencies and called ``np.percentile`` on it,
-``CacheStats`` hand-counted hits, ``CascadeStats`` counted reranks — four
-incompatible shapes with no export format and no way to combine counters
-across the process pool.  This module is the shared substrate they all
-re-base on:
-
 * :class:`Counter` — a monotone accumulator.  Integer increments stay
-  integers (so ``CacheStats.hits`` renders as ``5``, never ``5.0``);
-  fractional increments promote to float (summed seconds).
+  integers (a count renders as ``5``, never ``5.0``); fractional
+  increments promote to float (summed seconds).
 * :class:`Gauge` — a last-written value (queue depth, pool size).
 * :class:`Histogram` — **fixed log-spaced buckets**: ``per_decade`` bucket
   boundaries per power of ten between ``lo`` and ``hi``, plus an underflow

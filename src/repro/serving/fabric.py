@@ -240,13 +240,9 @@ class _ShardRuntime:
     def stats(self) -> dict:
         stats = self.service.stats
         return {
+            **stats.as_dict(),
             "windows": stats.windows_scored,
-            "batches": stats.batches,
-            "score_failures": stats.score_failures,
             "mean_batch": stats.mean_batch_size,
-            "windows_submitted": stats.windows_submitted,
-            "windows_shed": stats.windows_shed,
-            "windows_dead": stats.windows_dead,
             "integrity_fallbacks": self.integrity_fallbacks,
         }
 

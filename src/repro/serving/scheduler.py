@@ -63,8 +63,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs import OBS
-from ..obs.metrics import Counter, Histogram
+from ..obs import OBS, Tally
+from ..obs.metrics import Histogram
 from ..resilience.chaos import CHAOS
 
 __all__ = [
@@ -189,86 +189,45 @@ class Prediction:
         }
 
 
-class SchedulerStats:
+class SchedulerStats(Tally):
     """Accumulated timing/throughput statistics of one scheduler.
 
     Totals (window/batch counts, summed scoring time, mean batch size) and
     the per-window latency distribution cover the scheduler's whole
-    lifetime, in O(1) memory.
-
-    Counts and summed scoring time are :class:`repro.obs.metrics.Counter`
-    primitives behind the historical attribute names; percentiles come from
-    a fixed log-bucket :class:`repro.obs.metrics.Histogram` (bounded memory,
-    provable relative-error bound).
+    lifetime, in O(1) memory.  Percentiles come from a fixed log-bucket
+    :class:`repro.obs.metrics.Histogram` (bounded memory, provable
+    relative-error bound).
     """
 
+    COUNTS = {
+        # Windows ever accepted by MicroBatchScheduler.submit.
+        "windows_submitted": None,
+        "windows_scored": (
+            "repro_scheduler_windows_total",
+            "Windows scored through the micro-batch scheduler.",
+        ),
+        "windows_shed": (
+            "repro_scheduler_windows_shed_total",
+            "Windows shed under overload (delivered as SHED predictions).",
+        ),
+        "windows_dead": (
+            "repro_scheduler_windows_dead_total",
+            "Windows dead-lettered after exhausting their retry budget.",
+        ),
+        "batches": (
+            "repro_scheduler_batches_total",
+            "Fused scoring calls released by the scheduler.",
+        ),
+        "score_failures": (
+            "repro_scheduler_score_failures_total",
+            "Fused scoring calls that raised (windows re-queued).",
+        ),
+        "total_score_seconds": None,
+    }
+
     def __init__(self) -> None:
-        self._windows_scored = Counter()
-        self._batches = Counter()
-        self._total_score_seconds = Counter()
-        self._score_failures = Counter()
-        self._windows_submitted = Counter()
-        self._windows_shed = Counter()
-        self._windows_dead = Counter()
+        super().__init__()
         self.latency_histogram = Histogram()
-
-    @property
-    def windows_scored(self) -> int:
-        return self._windows_scored.value
-
-    @property
-    def windows_submitted(self) -> int:
-        """Windows ever accepted by :meth:`MicroBatchScheduler.submit`."""
-        return self._windows_submitted.value
-
-    @property
-    def windows_shed(self) -> int:
-        """Windows shed under overload (delivered as :data:`SHED` predictions)."""
-        return self._windows_shed.value
-
-    @property
-    def windows_dead(self) -> int:
-        """Windows dead-lettered after exhausting their retry budget."""
-        return self._windows_dead.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def total_score_seconds(self) -> float:
-        return self._total_score_seconds.value
-
-    @property
-    def score_failures(self) -> int:
-        """Fused calls that raised; their windows were re-queued, not lost."""
-        return self._score_failures.value
-
-    def record_failure(self) -> None:
-        """Account one failed fused call (the batch went back on the queue)."""
-        self._score_failures.inc()
-
-    def record_submitted(self, count: int = 1) -> None:
-        """Account windows accepted into the admission queue."""
-        self._windows_submitted.inc(count)
-
-    def record_shed(self, count: int = 1) -> None:
-        """Account windows shed under overload."""
-        self._windows_shed.inc(count)
-
-    def record_dead(self, count: int = 1) -> None:
-        """Account windows dead-lettered after retry exhaustion."""
-        self._windows_dead.inc(count)
-
-    def record_latency(self, seconds: float) -> None:
-        """Account one window's end-to-end latency (queue wait + fused call)."""
-        self.latency_histogram.observe(seconds)
-
-    def record_batch(self, batch_size: int, score_seconds: float) -> None:
-        """Account one released fused call of ``batch_size`` windows."""
-        self._windows_scored.inc(batch_size)
-        self._batches.inc()
-        self._total_score_seconds.inc(float(score_seconds))
 
     @property
     def mean_batch_size(self) -> float:
@@ -399,11 +358,6 @@ class MicroBatchScheduler:
         self.dead_letters: list[DeadLetter] = []
         self._queue: list[_PendingWindow] = []
         self._shed: list[Prediction] = []
-        #: Cached (registry, *instruments) for the observed path, refreshed
-        #: whenever the live registry changes (e.g. a new ``capture()``):
-        #: instrument lookups cost ~1us each, far more than the batch's
-        #: actual counter/histogram updates.
-        self._obs_instruments: tuple | None = None
 
     # ------------------------------------------------------------ inspection
     @property
@@ -436,7 +390,7 @@ class MicroBatchScheduler:
         self._queue.append(
             _PendingWindow(session_id, window_index, features, self.clock())
         )
-        self.stats.record_submitted()
+        self.stats.bump("windows_submitted")
         if self.max_pending is not None:
             while len(self._queue) > self.max_pending:
                 self._shed_window(self._queue.pop(0))
@@ -455,12 +409,7 @@ class MicroBatchScheduler:
                 batch_size=0,
             )
         )
-        self.stats.record_shed()
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_scheduler_windows_shed_total",
-                "Windows shed under overload (delivered as SHED predictions).",
-            ).inc()
+        self.stats.bump("windows_shed")
 
     def _take_shed(self) -> list[Prediction]:
         if not self._shed:
@@ -502,50 +451,30 @@ class MicroBatchScheduler:
                 degraded=degraded,
             )
             predictions.append(prediction)
-            self.stats.record_latency(prediction.latency_seconds)
-        self.stats.record_batch(len(batch), score_seconds)
+        stats = self.stats
+        stats.latency_histogram.observe_many(
+            prediction.latency_seconds for prediction in predictions
+        )
+        stats.bump("windows_scored", len(batch))
+        stats.bump("batches")
+        stats.bump("total_score_seconds", float(score_seconds))
         if OBS.enabled:
-            instruments = self._obs_instruments
-            if instruments is None or instruments[0] is not OBS.metrics:
-                instruments = self._obs_instruments = self._bind_instruments()
-            _, windows, batches, batch_size, score_latency, queue_latency = instruments
-            windows.inc(len(batch))
-            batches.inc()
-            batch_size.observe(len(batch))
-            score_latency.observe(score_seconds)
-            queue_latency.observe_many(
-                released_at - pending.enqueued_at for pending in batch
-            )
-        return predictions
-
-    def _bind_instruments(self) -> tuple:
-        """Resolve the scheduler's instruments against the live registry."""
-        metrics = OBS.metrics
-        return (
-            metrics,
-            metrics.counter(
-                "repro_scheduler_windows_total",
-                "Windows scored through the micro-batch scheduler.",
-            ),
-            metrics.counter(
-                "repro_scheduler_batches_total",
-                "Fused scoring calls released by the scheduler.",
-            ),
+            metrics = OBS.metrics
             metrics.histogram(
                 "repro_scheduler_batch_size",
                 "Windows coalesced per fused call.",
                 lo=1.0,
                 hi=100000.0,
-            ),
+            ).observe(len(batch))
             metrics.histogram(
                 "repro_scheduler_score_seconds",
                 "Fused-call duration per released batch.",
-            ),
+            ).observe(score_seconds)
             metrics.histogram(
                 "repro_scheduler_queue_seconds",
                 "Per-window wait between submit and batch release.",
-            ),
-        )
+            ).observe_many(released_at - pending.enqueued_at for pending in batch)
+        return predictions
 
     def _release_one(self) -> list[Prediction]:
         """Score the head batch; pop it from the queue only on success.
@@ -562,12 +491,7 @@ class MicroBatchScheduler:
         try:
             predictions = self._score_batch(batch)
         except Exception as error:
-            self.stats.record_failure()
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_scheduler_score_failures_total",
-                    "Fused scoring calls that raised (windows re-queued).",
-                ).inc()
+            self.stats.bump("score_failures")
             self._dead_letter_exhausted(batch, error)
             raise
         del self._queue[: len(batch)]
@@ -596,12 +520,7 @@ class MicroBatchScheduler:
                     error=repr(error),
                 )
             )
-        self.stats.record_dead(len(dead))
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "repro_scheduler_windows_dead_total",
-                "Windows dead-lettered after exhausting their retry budget.",
-            ).inc(len(dead))
+        self.stats.bump("windows_dead", len(dead))
 
     def replay_dead_letters(self) -> int:
         """Re-submit every dead letter's preserved features; return the count.

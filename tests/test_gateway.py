@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from repro.serving import (
     ServingFabric,
     StreamingService,
 )
+from repro.serving.scheduler import SchedulerStats
 
 pytestmark = pytest.mark.gateway
 
@@ -798,12 +800,46 @@ def test_gateway_serves_either_backend(swap_registry, kind):
             }
             status, body = await client.stats()
             assert status == 200 and len(body["backend"]) == 1
+            (row,) = body["backend"]
+            assert set(SchedulerStats.COUNTS) <= set(row)
+            assert row["windows_scored"] == 6  # s2's last window is pending
         report = await gateway.shutdown(2.0)
         assert report["clean"] is True
         assert report["flushed_predictions"] == 1
         assert gateway.stats.windows_answered == 7
 
     run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_stats_reads_the_backend_on_the_backend_thread(
+    swap_registry, kind, monkeypatch
+):
+    """``GET /v1/stats`` never blocks the event loop on a backend read."""
+    threads = []
+
+    def recording(original):
+        def backend_stats(self):
+            threads.append(threading.current_thread().name)
+            return original(self)
+
+        return backend_stats
+
+    monkeypatch.setattr(
+        Gateway, "_backend_stats", recording(Gateway._backend_stats)
+    )
+
+    async def scenario():
+        gateway = await start_gateway(make_backend(kind, swap_registry))
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                status, body = await client.stats()
+                assert status == 200 and len(body["backend"]) == 1
+        finally:
+            await gateway.shutdown(2.0)
+
+    run(scenario())
+    assert threads and all(name.startswith("gateway-backend") for name in threads)
 
 
 def test_fabric_dead_letters_reach_the_gateway(swap_registry):

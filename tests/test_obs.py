@@ -19,10 +19,14 @@ The load-bearing properties, each tested below:
 
 from __future__ import annotations
 
+import ast
+import asyncio
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +35,10 @@ from hypothesis import strategies as st
 
 from repro.core.boosthd import BoostHD
 from repro.engine import compile_model
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.cascade import CascadeStats
 from repro.experiments import run_suite
+from repro.gateway import Gateway, GatewayClient
 from repro.obs import (
     NULL_RECORDER,
     NULL_REGISTRY,
@@ -41,6 +46,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     SpanRecorder,
+    Tally,
     capture,
     disable,
     empty_snapshot,
@@ -57,6 +63,7 @@ from repro.obs import (
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.runtime import RunReport, merge_reports
 from repro.runtime.report import CellStats
+from repro.serving import StreamingService
 from repro.serving.scheduler import MicroBatchScheduler, SchedulerStats
 
 pytestmark = pytest.mark.obs
@@ -538,43 +545,318 @@ class TestNoOpEquivalence:
 
 
 # --------------------------------------------------------------------------
-# Stats classes re-based on obs primitives (byte-compatible surface).
+# Per-object counts: the Tally base and the four Stats declarations.
 # --------------------------------------------------------------------------
+
+
+def unlabelled_counters(registry) -> dict:
+    return {
+        entry["name"]: entry["value"]
+        for entry in registry.snapshot()["counters"]
+        if not entry["labels"]
+    }
+
+
+class TestTally:
+    class Sample(Tally):
+        COUNTS = {
+            "events": ("test_tally_events_total", "Events."),
+            "kept": None,
+            "items": ("test_tally_items_total", "Items."),
+        }
+
+    def test_counts_start_at_zero_in_declaration_order(self):
+        sample = self.Sample()
+        assert sample.as_dict() == {"events": 0, "kept": 0, "items": 0}
+        assert list(sample.as_dict()) == ["events", "kept", "items"]
+
+    def test_bump_adds_to_the_attribute_and_reset_zeroes(self):
+        sample = self.Sample()
+        sample.bump("events")
+        sample.bump("items", 3)
+        sample.bump("kept", 0.5)
+        assert sample.as_dict() == {"events": 1, "kept": 0.5, "items": 3}
+        assert isinstance(sample.events, int)
+        sample.reset()
+        assert sample.as_dict() == {"events": 0, "kept": 0, "items": 0}
+
+    def test_bump_rejects_an_undeclared_name(self):
+        sample = self.Sample()
+        with pytest.raises(KeyError, match="evnts"):
+            sample.bump("evnts")
+
+    def test_declared_counts_feed_their_counters_only_while_on(self):
+        sample = self.Sample()
+        sample.bump("events")  # telemetry off: the object alone counts it
+        with capture() as (registry, _):
+            sample.bump("events", 2)
+            sample.bump("kept")
+            sample.reset()  # the object's counts only
+            sample.bump("items")
+        assert unlabelled_counters(registry) == {
+            "test_tally_events_total": 2,
+            "test_tally_items_total": 1,
+        }
+        assert registry.snapshot()["help"] == {
+            "test_tally_events_total": "Events.",
+            "test_tally_items_total": "Items.",
+        }
 
 
 class TestStatsCompat:
     def test_cache_stats_surface(self):
         stats = CacheStats()
-        stats.record_hit()
-        stats.record_miss()
-        stats.record_miss()
-        stats.record_eviction()
+        stats.bump("hits")
+        stats.bump("misses")
+        stats.bump("misses")
+        stats.bump("evictions")
         assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 1)
         assert stats.requests == 3
         assert isinstance(stats.hits, int)
-        assert "hits=1" in repr(stats)
+        assert repr(stats) == (
+            "CacheStats(hits=1, misses=2, evictions=1, hit_rate=0.333)"
+        )
         stats.reset()
         assert stats.requests == 0
 
     def test_cascade_stats_surface(self):
-        stats = CascadeStats(rows_scored=10, rows_reranked=4)
+        stats = CascadeStats()
+        stats.record(10, 4)
         assert repr(stats) == "CascadeStats(rows_scored=10, rows_reranked=4)"
-        assert stats == CascadeStats(rows_scored=10, rows_reranked=4)
-        assert stats != CascadeStats(rows_scored=10, rows_reranked=5)
         assert stats.rerank_fraction == pytest.approx(0.4)
         stats.record(10, 1)
         assert stats.rows_scored == 20 and stats.rows_reranked == 5
+        stats.reset()
+        assert (stats.rows_scored, stats.rerank_fraction) == (0, 0.0)
 
     def test_scheduler_stats_surface(self):
         stats = SchedulerStats()
-        stats.record_batch(4, 0.002)
-        stats.record_latency(0.002)
+        stats.bump("windows_scored", 4)
+        stats.bump("batches")
+        stats.latency_histogram.observe(0.002)
         assert stats.windows_scored == 4 and stats.batches == 1
         assert isinstance(stats.windows_scored, int)
         assert stats.latency_histogram.count == 1
         p50, p99 = stats.latency_percentile(50), stats.latency_percentile(99)
         assert 0 < p50 <= p99
         assert repr(stats).startswith("SchedulerStats(windows=4, batches=1")
+
+
+# --------------------------------------------------------------------------
+# Every per-object count equals the process-wide counter it feeds.
+# --------------------------------------------------------------------------
+
+
+def assert_counts_match(registry, stats, pairs):
+    counters = unlabelled_counters(registry)
+    for metric, attribute in pairs:
+        assert counters.get(metric, 0) == getattr(stats, attribute), metric
+
+
+class _FailsOnce:
+    """Scorer whose first fused call raises; later calls score zeros."""
+
+    classes_ = np.array([0, 1])
+
+    def __init__(self):
+        self.calls = 0
+
+    def decision_function(self, X):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("scorer down")
+        return np.zeros((len(X), 2))
+
+
+class TestCountsEqualTheirCounters:
+    def test_cache(self):
+        with capture() as (registry, _):
+            cache = LRUCache(maxsize=1)
+            cache.get(b"a")
+            cache.put(b"a", np.zeros(2))
+            cache.get(b"a")
+            cache.put(b"b", np.zeros(2))  # evicts b"a"
+            cache.get(b"a")
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 1)
+        assert_counts_match(
+            registry,
+            stats,
+            [
+                ("repro_engine_cache_hits_total", "hits"),
+                ("repro_engine_cache_misses_total", "misses"),
+                ("repro_engine_cache_evictions_total", "evictions"),
+            ],
+        )
+
+    def test_cascade(self, fitted_model, blobs_split):
+        _, X_test, _, _ = blobs_split
+        with capture() as (registry, _):
+            engine = compile_model(fitted_model, precision="cascade-fixed16")
+            engine.threshold = -np.inf  # nothing reranks
+            engine.decision_function(X_test)
+            engine.threshold = np.inf  # every row reranks
+            engine.decision_function(X_test)
+        stats = engine.stats
+        assert (stats.rows_scored, stats.rows_reranked) == (
+            2 * len(X_test),
+            len(X_test),
+        )
+        assert_counts_match(
+            registry,
+            stats,
+            [
+                ("repro_cascade_rows_total", "rows_scored"),
+                ("repro_cascade_reranked_total", "rows_reranked"),
+            ],
+        )
+
+    def test_scheduler(self):
+        with capture() as (registry, _):
+            scheduler = MicroBatchScheduler(
+                _FailsOnce(), max_batch=2, max_wait=1e9, max_retries=0,
+                max_pending=3,
+            )
+            for index in range(4):  # the fourth submit sheds window 0
+                scheduler.submit("s", index, np.zeros(3))
+            with pytest.raises(RuntimeError):
+                scheduler.flush()  # windows 1 and 2 fail once: dead letters
+            scheduler.flush()  # window 3 scores
+        stats = scheduler.stats
+        assert (
+            stats.windows_shed, stats.score_failures, stats.windows_dead,
+            stats.windows_scored, stats.batches,
+        ) == (1, 1, 2, 1, 1)
+        assert_counts_match(
+            registry,
+            stats,
+            [
+                ("repro_scheduler_windows_total", "windows_scored"),
+                ("repro_scheduler_batches_total", "batches"),
+                ("repro_scheduler_score_failures_total", "score_failures"),
+                ("repro_scheduler_windows_shed_total", "windows_shed"),
+                ("repro_scheduler_windows_dead_total", "windows_dead"),
+            ],
+        )
+
+    def test_gateway(self):
+        class Scorer:
+            classes_ = np.array([0, 1])
+
+            def decision_function(self, X):
+                return np.asarray(X)[:, :2]
+
+        async def serve() -> Gateway:
+            service = StreamingService(
+                Scorer(), n_channels=2, window_samples=8, step_samples=8,
+                smoothing_window=1, max_batch=2, max_wait=1e9,
+            )
+            gateway = Gateway(service)
+            await gateway.start()
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                samples = np.random.default_rng(0).normal(size=(2, 24))
+                await client.feed("s1", samples)  # 3 windows, one batch of 2
+                await client.score("s1")  # the third
+            await gateway.shutdown(2.0)
+            return gateway
+
+        with capture() as (registry, _):
+            gateway = asyncio.run(serve())
+        stats = gateway.stats
+        assert (stats.requests, stats.windows_answered, stats.drains) == (3, 3, 1)
+        assert_counts_match(
+            registry,
+            stats,
+            [
+                ("repro_gateway_requests_total", "requests"),
+                ("repro_gateway_windows_answered_total", "windows_answered"),
+                ("repro_gateway_windows_shed_total", "windows_shed"),
+                ("repro_gateway_rejected_rate_limited_total", "rejected_rate_limited"),
+                ("repro_gateway_rejected_saturated_total", "rejected_saturated"),
+                ("repro_gateway_rejected_draining_total", "rejected_draining"),
+                ("repro_gateway_rejected_deadline_total", "rejected_deadline"),
+                ("repro_gateway_late_responses_total", "late_responses"),
+                ("repro_gateway_protocol_errors_total", "protocol_errors"),
+                ("repro_gateway_disconnects_total", "disconnects"),
+                ("repro_gateway_handler_errors_total", "handler_errors"),
+                ("repro_gateway_ws_connections_total", "ws_connections"),
+                ("repro_gateway_ws_messages_total", "ws_messages"),
+                ("repro_gateway_dead_letters_replayed_total", "dead_letters_replayed"),
+                ("repro_gateway_drains_total", "drains"),
+            ],
+        )
+
+
+# --------------------------------------------------------------------------
+# The metric catalog in docs/observability.md lists every emitted name.
+# --------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def expand_groups(name: str) -> list[str]:
+    """``a_{b,c}_d`` -> ``[a_b_d, a_c_d]``, for any number of groups."""
+    group = re.search(r"\{([^{}]*)\}", name)
+    if group is None:
+        return [name]
+    return [
+        expanded
+        for option in group.group(1).split(",")
+        for expanded in expand_groups(
+            name[: group.start()] + option + name[group.end() :]
+        )
+    ]
+
+
+def catalog_names() -> set[str]:
+    text = (REPO / "docs" / "observability.md").read_text()
+    table = text.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+    return {
+        expanded
+        for line in table.splitlines()
+        if line.startswith("| `repro_")
+        for name in re.findall(r"`(repro_[^`]*)`", line.split("|")[1])
+        for expanded in expand_groups(name)
+    }
+
+
+def emitted_metric_names() -> set[str]:
+    """Every ``Tally`` count's metric, plus every literal instrument name.
+
+    Non-literal names (the registry's ``f"repro_registry_{op}..."`` call
+    sites, the registry's own merge) are skipped; the catalog lists the
+    registry's names as ``repro_registry_{save,load}...``.
+    """
+    tallies = [
+        cls for cls in Tally.__subclasses__() if cls.__module__.startswith("repro.")
+    ]
+    assert {cls.__name__ for cls in tallies} >= {
+        "CacheStats", "CascadeStats", "SchedulerStats", "GatewayStats",
+    }
+    names = {
+        metric[0]
+        for cls in tallies
+        for metric in cls.COUNTS.values()
+        if metric is not None
+    }
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_metric_catalog_lists_every_emitted_name():
+    missing = sorted(emitted_metric_names() - catalog_names())
+    assert not missing, f"docs/observability.md's metric catalog lacks {missing}"
 
 
 # --------------------------------------------------------------------------

@@ -320,45 +320,36 @@ class TestBoostHDEquivalence:
 
 
 # ------------------------------------------------------ per-learner encoding
-class TestEncodeEnsemble:
-    def test_independent_blocks_bit_identical_to_per_encoder(self, train_problem):
-        X, _ = train_problem
-        encoders = [
-            NonlinearEncoder(X.shape[1], dim, bandwidth=1.5, rng=seed)
-            for seed, dim in enumerate((25, 25, 30))
-        ]
-        encoding = encode_ensemble(encoders, X)
-        for encoder, block in zip(encoders, encoding.blocks):
-            np.testing.assert_array_equal(block, encoder.encode(X))
+def _shared_slices(n_features):
+    parent = NonlinearEncoder(n_features, 80, bandwidth=1.5, rng=7)
+    return [parent.slice(0, 30), parent.slice(30, 60), parent.slice(60, 80)]
 
-    def test_shared_slices_bit_identical_to_per_encoder(self, train_problem):
-        X, _ = train_problem
-        parent = NonlinearEncoder(X.shape[1], 80, bandwidth=1.5, rng=7)
-        encoders = [parent.slice(0, 30), parent.slice(30, 60), parent.slice(60, 80)]
-        encoding = encode_ensemble(encoders, X)
-        for encoder, block in zip(encoders, encoding.blocks):
-            np.testing.assert_array_equal(block, encoder.encode(X))
 
-    def test_fallback_encoder_supported(self, train_problem):
-        X, _ = train_problem
-        encoders = [
-            LevelIdEncoder(X.shape[1], 40, rng=0),
-            NonlinearEncoder(X.shape[1], 40, rng=1),
-        ]
-        encoding = encode_ensemble(encoders, X)
-        for encoder, block in zip(encoders, encoding.blocks):
-            np.testing.assert_array_equal(block, encoder.encode(X))
+ENCODER_MIXES = {
+    "independent": lambda n: [
+        NonlinearEncoder(n, dim, bandwidth=1.5, rng=seed)
+        for seed, dim in enumerate((25, 25, 30))
+    ],
+    "shared slices": _shared_slices,
+    "level-id mix": lambda n: [
+        LevelIdEncoder(n, 40, rng=0),
+        NonlinearEncoder(n, 40, rng=1),
+    ],
+    # each block carries its own encoder's bandwidth scale
+    "mixed bandwidths": lambda n: [
+        NonlinearEncoder(n, 20, bandwidth=0.7, rng=3),
+        NonlinearEncoder(n, 35, bandwidth=2.4, rng=4),
+    ],
+}
 
-    def test_mixed_bandwidths_encode_exactly(self, train_problem):
-        """Each block carries its own encoder's bandwidth scale."""
-        X, _ = train_problem
-        encoders = [
-            NonlinearEncoder(X.shape[1], 20, bandwidth=0.7, rng=3),
-            NonlinearEncoder(X.shape[1], 35, bandwidth=2.4, rng=4),
-        ]
-        encoding = encode_ensemble(encoders, X)
-        for encoder, block in zip(encoders, encoding.blocks):
-            np.testing.assert_array_equal(block, encoder.encode(X))
+
+@pytest.mark.parametrize("mix", sorted(ENCODER_MIXES))
+def test_encode_ensemble_is_the_encoders_own_encoding(train_problem, mix):
+    X, _ = train_problem
+    for encoder in ENCODER_MIXES[mix](X.shape[1]):
+        block = encode_ensemble(encoder, X)
+        assert type(block) is np.ndarray
+        np.testing.assert_array_equal(block, encoder.encode(X))
 
 
 class TestFitMemory:

@@ -50,7 +50,7 @@ def main() -> None:
         print("\nService: loading + compiling from the registry (no retrain)...")
         served = AdaptiveModel(
             registry.load("stress-monitor"),
-            compile_options={"dtype": np.float32, "cache_size": 32},
+            compile_options={"dtype": np.float32},
         )
         # The deployment simulator must match the training loader's
         # configuration (load_wesad trains at 32 Hz / 20 s windows with

@@ -15,8 +15,7 @@ for Enhanced Reliability in Healthcare"* (DATE 2025) end to end on plain
   perturbations the evaluation uses,
 * :mod:`repro.engine` — the fused batch-inference engine that compiles a
   fitted ensemble into a single-pass scorer (stacked projections, one
-  batched matmul over learner-stacked classes, chunked streaming, optional
-  encoding cache),
+  batched matmul over learner-stacked classes, memory-bounded row blocks),
 * :mod:`repro.serving` — the streaming service layer: per-subject sessions
   with incremental featurization, a micro-batching scheduler over the fused
   engine, a versioned model registry, and drift-aware online adaptation,

@@ -8,7 +8,9 @@ batch once through a stacked ``(D_total, f)`` basis, evaluates the
 trigonometric activation with a single fused transcendental, and scores
 every learner at once against one learner-stacked class array (indexed
 ``[learner, element of the learner's span, class]``), one batched matmul
-per bounded row step on every precision tier.
+per bounded row step on every precision tier.  An engine takes two
+options, ``dtype`` and (for a cascade) ``threshold``; calls encode in row
+blocks of at most 256 MiB, so memory stays flat at any batch size.
 
 Layout:
 
@@ -22,10 +24,6 @@ Layout:
   reads the same :class:`ModelComponents` straight from the stored arrays
   (fixed-point codes included, never dequantized for an integer tier), and
   :mod:`repro.serving.shm` rebuilds published engines from the same table,
-* :mod:`repro.engine.batching` — chunked streaming for batches whose encoded
-  matrix would not fit in memory,
-* :mod:`repro.engine.cache` — optional LRU memoisation of encoded chunks for
-  repeated windows,
 * :mod:`repro.engine.quant` — integer-domain quantized inference: the
   bit-packed bipolar XOR + popcount scorer (:class:`PackedBipolarModel`,
   whose class ``words`` :func:`pack_words` lays out) and the fixed-point
@@ -42,19 +40,17 @@ Layout:
 Quick start::
 
     model = BoostHD(total_dim=10_000, n_learners=10, seed=0).fit(X_train, y_train)
-    engine = model.compile()            # float32, no chunking, no cache
+    engine = model.compile()            # float32 encoding
     predictions = engine.predict(X)     # identical to model.predict(X), much faster
     packed = model.compile(precision="bipolar-packed")   # 64x smaller classes
     packed.predict(X)                   # XOR + popcount scoring
 
 The equivalence contract with the loop path is enforced by
-``tests/test_engine.py`` across dtypes, chunk sizes, aggregation modes and
-partitioners; the quantized engines' contracts live in
+``tests/test_engine.py`` across dtypes, encoding blocks, aggregation modes
+and partitioners; the quantized engines' contracts live in
 ``tests/test_quant_engine.py`` and ``benchmarks/bench_quant.py``.
 """
 
-from .batching import auto_chunk_size, iter_batches, resolve_chunk_size
-from .cache import CacheStats, LRUCache, array_fingerprint
 from .cascade import CalibrationResult, CascadeModel, CascadeStats, top2_margin
 from .compile import (
     CompiledModel,
@@ -101,12 +97,6 @@ __all__ = [
     "PackedBipolarModel",
     "PackedQueries",
     "pack_words",
-    "auto_chunk_size",
-    "iter_batches",
-    "resolve_chunk_size",
-    "CacheStats",
-    "LRUCache",
-    "array_fingerprint",
     "ExactPassState",
     "adaptive_pass_exact",
     "adaptive_pass_minibatch",

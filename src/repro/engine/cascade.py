@@ -6,7 +6,7 @@ argmax already agrees with the float engine — the windows it gets wrong are
 overwhelmingly the *low-margin* ones, where the best and second-best class
 scores nearly tie.  The cascade exploits that structure:
 
-1. **First tier** — every chunk is scored by the packed engine (XOR +
+1. **First tier** — every row is scored by the packed engine (XOR +
    popcount over 1-bit sign patterns).
 2. **Margin routing** — each row's top-2 margin ``s_(1) - s_(2)`` is
    compared against a threshold; rows at or above it keep their packed
@@ -140,7 +140,7 @@ class CascadeModel(CompiledModel):
     Both tiers must be compiled from the same fitted model — same classes,
     same stacked projection, same aggregation — which is validated at
     construction.  The cascade reuses the first tier's encoder arrays (the
-    tiers share one projection, so each chunk is encoded exactly once) and
+    tiers share one projection, so each row is encoded exactly once) and
     exposes the full :class:`CompiledModel` inference surface.
 
     ``threshold`` may be reassigned at any time (it is an ordinary float
@@ -186,7 +186,7 @@ class CascadeModel(CompiledModel):
             )
         # Intentionally no super().__init__(): the cascade borrows the first
         # tier's compiled arrays wholesale instead of re-deriving them, so
-        # the tiers provably share one encoder (and one encoding cache).
+        # the tiers provably share one encoder.
         self.first = first
         self.second = second
         self.threshold = float(threshold)
@@ -195,7 +195,6 @@ class CascadeModel(CompiledModel):
         self.dtype = first.dtype
         self.classes_ = first.classes_
         self.aggregation = first.aggregation
-        self.chunk_size = first.chunk_size
         self.shared_projection = first.shared_projection
         self.spans = first.spans
         self.alphas = first.alphas
@@ -206,7 +205,6 @@ class CascadeModel(CompiledModel):
         self._sin_bias = first._sin_bias
         self._alphas = first._alphas
         self._total_alpha = first._total_alpha
-        self.cache = first.cache
         self.precision = f"cascade-{second.precision}"
 
     def __repr__(self) -> str:
@@ -230,7 +228,7 @@ class CascadeModel(CompiledModel):
         per-row margin computation and any second-tier rerank, so its cost
         is the cascade's floor.  Predictions equal a ``threshold=-inf``
         cascade bitwise (nothing routes), and the tier shares this cascade's
-        encoder arrays and encoding cache — using it costs no extra memory.
+        encoder arrays — using it costs no extra memory.
         """
         return self.first
 

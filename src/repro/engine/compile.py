@@ -29,6 +29,10 @@ so all of that fuses:
    padding changes no dot product, no norm and no row maximum.  Steps
    keep the buffer within :data:`_STEP_BYTES`, for every tier.
 
+Calls encode in row blocks whose ``(rows, D_total)`` encoding stays within
+:data:`_ENCODE_BYTES`, so a call's memory stays flat whatever its size; a
+call that fits is encoded in one block.
+
 The compiled scorer reproduces the loop path's predictions exactly and its
 scores to floating-point tolerance, for both aggregation modes and both
 partitioners; ``tests/test_engine.py`` holds the equivalence contract.
@@ -46,8 +50,6 @@ from ..core.boosthd import BoostHD, effective_alphas
 from ..hdc.encoder import Encoder, SlicedEncoder
 from ..hdc.onlinehd import OnlineHD
 from ..obs import OBS
-from .batching import ChunkSize, iter_batches, resolve_chunk_size
-from .cache import LRUCache, array_fingerprint
 
 __all__ = [
     "CompiledModel",
@@ -69,6 +71,13 @@ _EPS = 1e-12
 #: Rows are scored in steps that keep it within this budget, so a
 #: whole-batch call allocates no more than a small chunk.
 _STEP_BYTES = 1 << 20
+
+#: Upper bound on the ``(rows, D_total)`` encoding of one row block:
+#: :meth:`CompiledModel.encode` and :meth:`CompiledModel.decision_function`
+#: encode a call in blocks within this budget.  Not folded into the
+#: scoring steps: splitting the encoding matmul by rows changes float64
+#: bits, so a call that fits is one block, one matmul.
+_ENCODE_BYTES = 256 << 20
 
 
 class EngineError(RuntimeError):
@@ -111,9 +120,13 @@ def unstack_learners(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
     return stack[np.arange(stack.shape[1]) < widths[:, None]].T
 
 
-def _row_steps(n: int, row_bytes: int):
-    """Row slices of a step loop whose temporary is ``row_bytes`` per row."""
-    step = max(1, _STEP_BYTES // row_bytes)
+def _row_steps(n: int, row_bytes: int, budget: int | None = None):
+    """Row slices of a loop whose temporary is ``row_bytes`` per row.
+
+    Each slice's temporary stays within ``budget`` bytes (default
+    :data:`_STEP_BYTES`, read at call time) and holds at least one row.
+    """
+    step = max(1, (_STEP_BYTES if budget is None else budget) // row_bytes)
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
@@ -156,9 +169,7 @@ class CompiledModel:
     :mod:`repro.serving.shm` passes views of shared memory.  Shapes and
     dtypes are validated, layout is the caller's.
     Instances are immutable by convention and safe to share across threads
-    for read-only scoring (the optional cache serialises nothing and is the
-    one mutable component — disable it with ``cache_size=0`` under
-    concurrency).
+    for read-only scoring.
     """
 
     #: Class-hypervector representation this engine scores against; the
@@ -187,9 +198,6 @@ class CompiledModel:
         classes: np.ndarray,
         aggregation: str,
         dtype: np.dtype,
-        chunk_size: ChunkSize = None,
-        cache_size: int = 0,
-        cache_bytes: int | None = None,
         shared_projection: bool = False,
     ) -> None:
         """Validate and adopt everything but the class stack (every tier's)."""
@@ -230,7 +238,6 @@ class CompiledModel:
         self.dtype = np.dtype(dtype)
         self.classes_ = np.asarray(classes)
         self.aggregation = aggregation
-        self.chunk_size = chunk_size
         self.shared_projection = bool(shared_projection)
         self.in_features = int(basis2.shape[0])
         self.total_dim = int(basis2.shape[1])
@@ -243,12 +250,6 @@ class CompiledModel:
         self._alphas, self._total_alpha = effective_alphas(alphas)
         self._bounds = tuple(map(tuple, spans.tolist()))
         self._width = int((spans[:, 1] - spans[:, 0]).max())
-
-        self.cache: LRUCache | None = (
-            LRUCache(cache_size or None, max_bytes=cache_bytes)
-            if cache_size or cache_bytes
-            else None
-        )
 
     @staticmethod
     def _stacked(name: str, array, dtype, shape: tuple) -> np.ndarray:
@@ -275,9 +276,7 @@ class CompiledModel:
         return (
             f"CompiledModel(n_learners={self.n_learners}, "
             f"total_dim={self.total_dim}, in_features={self.in_features}, "
-            f"aggregation={self.aggregation!r}, dtype={self.dtype.name}, "
-            f"chunk_size={self.chunk_size!r}, "
-            f"cache={'on' if self.cache else 'off'})"
+            f"aggregation={self.aggregation!r}, dtype={self.dtype.name})"
         )
 
     def _validate(self, X: np.ndarray) -> np.ndarray:
@@ -293,20 +292,17 @@ class CompiledModel:
         return X
 
     # ------------------------------------------------------------- encoding
+    def _blocks(self, n: int):
+        """Row blocks of an ``n``-row call, each encoding within :data:`_ENCODE_BYTES`."""
+        return _row_steps(n, self.total_dim * self.dtype.itemsize, _ENCODE_BYTES)
+
     def _encode_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        """Encode one chunk (possibly from cache; callers must not mutate)."""
-        key = array_fingerprint(chunk) if self.cache is not None else b""
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
+        """Encode one row block."""
         projected = chunk @ self._basis2
         projected += self._bias
         np.sin(projected, out=projected)
         projected -= self._sin_bias
         projected *= 0.5
-        if self.cache is not None:
-            self.cache.put(key, projected)
         return projected
 
     def encode(self, X: np.ndarray) -> np.ndarray:
@@ -314,16 +310,14 @@ class CompiledModel:
 
         Column block ``[start_i, stop_i)`` equals (to floating-point
         tolerance) what weak learner ``i``'s encoder produces on its own.
+        Rows are encoded in the blocks :meth:`decision_function` uses, so
+        these are bitwise the encodings it scores.
         Materialises the full matrix — use :meth:`decision_function` for
-        large batches, which streams chunks instead.
+        large batches, which keeps one block at a time instead.
         """
         X = self._validate(X)
-        chunk_size = resolve_chunk_size(
-            self.chunk_size, len(X), total_dim=self.total_dim,
-            itemsize=self.dtype.itemsize,
-        )
         encoded = np.empty((len(X), self.total_dim), dtype=self.dtype)
-        for rows in iter_batches(len(X), chunk_size):
+        for rows in self._blocks(len(X)):
             encoded[rows] = self._encode_chunk(X[rows])
         return encoded
 
@@ -347,7 +341,7 @@ class CompiledModel:
         One batched matmul gives every learner's similarities; the rows of
         the small ``(L, m, k)`` result are scaled by ``alpha_i / |h_i|`` (an
         ``einsum`` row reduction), so the ``(n, D_total)`` encoding is never
-        mutated and cached encodings can be shared freely.
+        mutated.
         """
         queries = self._spread(encoded, self.dtype)
         sims = np.matmul(queries, self.weights)
@@ -367,25 +361,21 @@ class CompiledModel:
         degenerate-ensemble guard of :func:`repro.core.boosthd.effective_alphas`).
         """
         X = self._validate(X)
-        chunk_size = resolve_chunk_size(
-            self.chunk_size, len(X), total_dim=self.total_dim,
-            itemsize=self.dtype.itemsize,
-        )
         scores = np.empty((len(X), len(self.classes_)), dtype=np.float64)
         if OBS.enabled:
-            return self._decision_function_observed(X, chunk_size, scores)
-        for rows in iter_batches(len(X), chunk_size):
+            return self._decision_function_observed(X, scores)
+        for rows in self._blocks(len(X)):
             scores[rows] = self._score_chunk(self._encode_chunk(X[rows]))
         return scores
 
     def _decision_function_observed(
-        self, X: np.ndarray, chunk_size: int, scores: np.ndarray
+        self, X: np.ndarray, scores: np.ndarray
     ) -> np.ndarray:
         """The :meth:`decision_function` loop plus telemetry.
 
-        Identical arithmetic on identical chunk boundaries, so scores are
-        bit-for-bit the same with telemetry on or off; only counters,
-        a chunk-latency histogram and an ``engine.score`` span are added.
+        Identical arithmetic on identical blocks, so scores are bit-for-bit
+        the same with telemetry on or off; only counters, a per-block
+        latency histogram and an ``engine.score`` span are added.
         """
         # Labelled lookups cost ~0.5us each; bind them once per live registry
         # (the cache invalidates when a new capture() swaps the registry).
@@ -410,7 +400,7 @@ class CompiledModel:
         with OBS.recorder.span(
             "engine.score", rows=len(X), precision=self.precision
         ):
-            for rows in iter_batches(len(X), chunk_size):
+            for rows in self._blocks(len(X)):
                 start = time.perf_counter()
                 scores[rows] = self._score_chunk(self._encode_chunk(X[rows]))
                 chunk_seconds.observe(time.perf_counter() - start)
@@ -420,7 +410,7 @@ class CompiledModel:
         """Score a pre-encoded ``(n, D_total)`` matrix, skipping the encoder.
 
         The scoring stage of :meth:`decision_function` on its own — the
-        pure class-comparison cost, chunked like the fused path.  Used by
+        pure class-comparison cost, in the same bounded row steps.  Used by
         workloads that score one encoding many times (bit-flip robustness
         trials, re-scoring after adaptation) and by the quantized-engine
         throughput benchmarks, which compare scoring stages without the
@@ -434,14 +424,7 @@ class CompiledModel:
                 f"expected a (n, {self.total_dim}) encoded matrix, "
                 f"got shape {encoded.shape}"
             )
-        chunk_size = resolve_chunk_size(
-            self.chunk_size, len(encoded), total_dim=self.total_dim,
-            itemsize=self.dtype.itemsize,
-        )
-        scores = np.empty((len(encoded), len(self.classes_)), dtype=np.float64)
-        for rows in iter_batches(len(encoded), chunk_size):
-            scores[rows] = self._score_chunk(encoded[rows])
-        return scores
+        return self._score_chunk(encoded)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         scores = self.decision_function(X)
@@ -668,17 +651,6 @@ def compile_model(
         BLAS/trig throughput on CPU while keeping predictions identical on
         non-degenerate data; pass ``float64`` for bit-for-bit tolerance
         testing against the loop path.
-    chunk_size:
-        Rows per streamed chunk: an int, ``None`` (whole batch), or
-        ``"auto"`` (largest chunk within the engine's memory budget).
-    cache_size:
-        When positive, an LRU cache of this many encoded chunks keyed by
-        input bytes — worthwhile when the same windows are scored repeatedly.
-    cache_bytes:
-        Optional byte bound on the encoding cache (evict by total ``nbytes``
-        rather than entry count).  May be combined with ``cache_size`` or used
-        alone (``cache_size=0`` then means "no count bound"); long-running
-        serving processes use this to cap encoder-cache memory.
     threshold:
         Cascade precisions only: the top-2 margin below which a row is
         rescored by the second tier.

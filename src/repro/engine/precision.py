@@ -57,7 +57,7 @@ __all__ = [
 
 #: Keyword options of :func:`build_engine` — hence of ``compile_model`` and
 #: ``ModelRegistry.load_compiled``.  ``threshold`` is for cascades only.
-ENGINE_OPTIONS = ("dtype", "chunk_size", "cache_size", "cache_bytes", "threshold")
+ENGINE_OPTIONS = ("dtype", "threshold")
 
 #: Short names accepted wherever a precision is, and what they stand for.
 _ALIASES = {"cascade": "cascade-fixed16"}
@@ -170,12 +170,10 @@ def build_engine(
     """Build the engine of ``precision`` over ``components``.
 
     ``options`` are the :data:`ENGINE_OPTIONS`: ``dtype`` (encoding dtype,
-    default ``float32``), ``chunk_size``, ``cache_size``, ``cache_bytes``
-    and, for a cascade, ``threshold`` (default
+    default ``float32``) and, for a cascade, ``threshold`` (default
     :data:`~repro.engine.cascade.DEFAULT_THRESHOLD`).  Anything else raises
     :class:`EngineError`.  A cascade's tiers share one set of projection
-    arrays; the encoding cache belongs to its packed tier, which is the
-    only one that encodes.
+    arrays.
     """
     name = resolve_precision(precision)
     spec = PRECISIONS[name]
@@ -198,23 +196,18 @@ def build_engine(
         classes=components.classes,
         aggregation=components.aggregation,
         dtype=dtype,
-        chunk_size=options.get("chunk_size"),
         shared_projection=components.shared,
     )
-    cache = dict(
-        cache_size=options.get("cache_size", 0),
-        cache_bytes=options.get("cache_bytes"),
-    )
     if spec.second is None:
-        return _build_tier(components, name, prepared, **cache)
+        return _build_tier(components, name, prepared)
     return CascadeModel(
-        first=_build_tier(components, "bipolar-packed", prepared, **cache),
+        first=_build_tier(components, "bipolar-packed", prepared),
         second=_build_tier(components, spec.second, prepared),
         threshold=options.get("threshold", DEFAULT_THRESHOLD),
     )
 
 
-def _build_tier(parts: ModelComponents, name: str, prepared: dict, **cache):
+def _build_tier(parts: ModelComponents, name: str, prepared: dict):
     spec = PRECISIONS[name]
     stack = spec.stack(parts, name, prepared["dtype"])
-    return spec.make(**stack, **prepared, **cache)
+    return spec.make(**stack, **prepared)

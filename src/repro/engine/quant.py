@@ -156,7 +156,7 @@ class PackedBipolarModel(CompiledModel):
     """Bit-packed 1-bit HDC scorer: sign encode once, one XOR + popcount pass.
 
     Mirrors :class:`~repro.engine.compile.CompiledModel` (same constructor
-    infrastructure, encoding path, chunking and cache); only the class
+    infrastructure and encoding path); only the class
     stack and the scoring stage differ.  ``words`` is the ``(L, k, W)``
     ``uint64`` stack of every learner's class sign bits in its word window
     (:func:`pack_words` of the ``(k, D_total)`` signs); a bit is 1 where
@@ -251,7 +251,7 @@ class PackedBipolarModel(CompiledModel):
         per bit — one ``(k, d_i)`` uniform draw per learner, in learner
         order — is applied to the class words (pad bits are never flipped,
         so the padding invariant holds).  The clone shares the encoder
-        arrays and cache with the original — only ``words`` differs — which
+        arrays with the original — only ``words`` differs — which
         is what makes many-trial robustness sweeps cheap.
         """
         if not 0.0 <= probability <= 1.0:

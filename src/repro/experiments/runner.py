@@ -63,12 +63,6 @@ class ModelRunResult:
     OnlineHD and BoostHD — and holds the per-query time of the compiled
     scorer on the same test batch, so Table II can report the loop-vs-fused
     speedup alongside the paper's loop-path numbers.
-
-    When the engine is compiled with an encoding cache (the default), the
-    runner also times a *warm* second pass over the same batch — the
-    repeated-window regime of the serving layer (:mod:`repro.serving`) — and
-    records that warm pass's cache hit ratio, both reported in Table II's
-    engine block.
     """
 
     model_name: str
@@ -77,8 +71,6 @@ class ModelRunResult:
     train_seconds: np.ndarray
     inference_seconds_per_query: np.ndarray
     engine_inference_seconds_per_query: np.ndarray | None = None
-    engine_warm_seconds_per_query: np.ndarray | None = None
-    engine_cache_hit_ratio: float | None = None
     seeds: tuple[int, ...] | None = None
 
     @property
@@ -102,13 +94,6 @@ class ModelRunResult:
         if self.engine_inference_seconds_per_query is None:
             return None
         return float(np.mean(self.engine_inference_seconds_per_query))
-
-    @property
-    def mean_engine_warm_per_query(self) -> float | None:
-        """Per-query time of a cache-warm fused pass (None without a cache)."""
-        if self.engine_warm_seconds_per_query is None:
-            return None
-        return float(np.mean(self.engine_warm_seconds_per_query))
 
     @property
     def fused_speedup(self) -> float | None:
@@ -157,7 +142,6 @@ def run_model(
     dataset_name: str = "dataset",
     metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
     engine: bool = True,
-    engine_cache_size: int = 8,
     seeds: Sequence[int] | None = None,
 ) -> ModelRunResult:
     """Train/evaluate ``n_runs`` instances of one model, timing each phase.
@@ -176,12 +160,6 @@ def run_model(
     compiled scorer's inference over the same test batch is timed so the
     loop-vs-fused speedup can be reported.  Models whose encoders cannot be
     fused simply skip the engine column.
-
-    ``engine_cache_size`` > 0 compiles the engine with an encoding cache of
-    that many chunks; after the cold timed pass a second, cache-warm pass is
-    timed and the cache hit ratio recorded — the serving layer's
-    repeated-window regime.  Set it to 0 for a cache-free engine (cold
-    numbers only).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -195,7 +173,6 @@ def run_model(
             (X_train, X_test, y_train, y_test),
             metric=metric,
             engine=engine,
-            engine_cache_size=engine_cache_size,
         )
         for seed in seeds
     ]
@@ -214,13 +191,6 @@ def _aggregate_samples(
         for s in samples
         if s.engine_seconds_per_query is not None
     ]
-    warm_times = [
-        s.engine_warm_seconds_per_query
-        for s in samples
-        if s.engine_warm_seconds_per_query is not None
-    ]
-    cache_hits = sum(s.cache_hits for s in samples)
-    cache_requests = sum(s.cache_requests for s in samples)
     return ModelRunResult(
         model_name=model_name,
         dataset_name=dataset_name,
@@ -231,10 +201,6 @@ def _aggregate_samples(
         ),
         engine_inference_seconds_per_query=(
             np.asarray(engine_times) if engine_times else None
-        ),
-        engine_warm_seconds_per_query=(np.asarray(warm_times) if warm_times else None),
-        engine_cache_hit_ratio=(
-            cache_hits / cache_requests if cache_requests else None
         ),
         seeds=seeds,
     )
@@ -319,7 +285,6 @@ def run_suite(
     max_workers: int | str | None = None,
     store: ArtifactStore | str | os.PathLike | None = None,
     engine: bool = True,
-    engine_cache_size: int = 8,
 ) -> SuiteResult:
     """Run every requested model on every dataset with subject-wise splits.
 
@@ -373,9 +338,7 @@ def run_suite(
         split_seed=split_seed,
     )
     executor = ParallelExecutor(max_workers=max_workers)
-    cell_results, report = executor.run(
-        plan, source, store=store, engine=engine, engine_cache_size=engine_cache_size
-    )
+    cell_results, report = executor.run(plan, source, store=store, engine=engine)
 
     by_pair: dict[tuple[str, str], list[CellResult]] = {}
     for result in cell_results:

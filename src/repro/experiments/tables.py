@@ -74,20 +74,12 @@ def table2_inference(suite: SuiteResult) -> tuple[dict[str, dict[str, float]], s
             if engine_mean is None:
                 continue
             data[dataset_name][f"{model} (fused)"] = engine_mean
-            line = (
+            fused_lines.append(
                 f"  {dataset_name} / {model}: loop "
                 f"{result.mean_inference_per_query / 1e-5:.1f} -> fused "
                 f"{engine_mean / 1e-5:.1f} (1e-5 s/query, "
                 f"{result.fused_speedup:.1f}x speedup)"
             )
-            warm_mean = result.mean_engine_warm_per_query
-            if warm_mean is not None and result.engine_cache_hit_ratio is not None:
-                data[dataset_name][f"{model} (fused, warm)"] = warm_mean
-                line += (
-                    f"; cache-warm {warm_mean / 1e-5:.1f}, "
-                    f"hit ratio {result.engine_cache_hit_ratio:.0%}"
-                )
-            fused_lines.append(line)
     text = format_table(
         rows,
         ["Dataset", *models],

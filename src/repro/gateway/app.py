@@ -712,10 +712,11 @@ class Gateway:
                 ),
                 None,
             )
-        except ValueError as error:
-            return json_response(409, {"error": str(error)})
-        except TypeError as error:
-            return json_response(400, {"error": str(error)})
+        except (ValueError, TypeError) as error:
+            # Backends raise ValueError for a duplicate id and for a bad
+            # override alike; only an id that is open is a conflict.
+            status = 409 if session_id in self.backend.sessions else 400
+            return json_response(status, {"error": str(error)})
         self._routes.setdefault(session_id, deque())
         return json_response(201, {"session_id": session_id, "open": True})
 

@@ -401,11 +401,10 @@ class OnlineHD(BaseClassifier):
         A single OnlineHD model compiles as a one-learner ensemble: the
         returned :class:`repro.engine.CompiledModel` reproduces
         :meth:`decision_function` (cosine similarities) and :meth:`predict`
-        with the engine's fused encoding, configurable ``dtype``, chunked
-        streaming and optional encoding cache.  Keyword ``options`` are
-        forwarded to :func:`repro.engine.compile_model`; a quantized
-        ``precision`` selects the integer-domain engines of
-        :mod:`repro.engine.quant`.
+        with the engine's fused encoding and configurable ``dtype``.
+        Keyword ``options`` are forwarded to
+        :func:`repro.engine.compile_model`; a quantized ``precision``
+        selects the integer-domain engines of :mod:`repro.engine.quant`.
         """
         from ..engine import compile_model
 

@@ -37,7 +37,7 @@ histograms, snapshots, associative merge), :mod:`repro.obs.trace`
 (nested context-manager spans, ring-buffer recorder, Chrome trace
 export), :mod:`repro.obs.export` (Prometheus text exposition, JSON
 snapshots, trace files).  Objects that keep counts of their own (the
-encode cache, the cascade, the scheduler, the gateway) declare them on
+cascade, the scheduler, the gateway) declare them on
 :class:`Tally`, whose one :meth:`Tally.bump` call also feeds each count's
 process-wide counter.  The metric catalog instrumented across the
 codebase is documented in ``docs/observability.md``.

@@ -70,7 +70,6 @@ def packed_fallback(engine: CompiledModel) -> PackedBipolarModel | None:
         classes=engine.classes_,
         aggregation=engine.aggregation,
         dtype=engine.dtype,
-        chunk_size=engine.chunk_size,
         shared_projection=engine.shared_projection,
     )
 

@@ -43,9 +43,6 @@ class RunSample:
     train_seconds: float
     inference_seconds_per_query: float
     engine_seconds_per_query: float | None = None
-    engine_warm_seconds_per_query: float | None = None
-    cache_hits: int = 0
-    cache_requests: int = 0
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class CellResult:
     """Completed grid cell: one model run on one dataset, fully measured.
 
     ``wall_seconds`` is the cell's total wall time (training + evaluation +
-    optional engine passes); ``worker`` records the executing process id so
+    the optional engine pass); ``worker`` records the executing process id so
     :class:`~repro.runtime.report.RunReport` can attribute work to workers.
     ``cached`` is True when the result was replayed from an
     :class:`~repro.runtime.store.ArtifactStore` instead of recomputed.
@@ -67,9 +64,6 @@ class CellResult:
     train_seconds: float
     inference_seconds_per_query: float
     engine_seconds_per_query: float | None = None
-    engine_warm_seconds_per_query: float | None = None
-    cache_hits: int = 0
-    cache_requests: int = 0
     wall_seconds: float = 0.0
     worker: int = 0
     cached: bool = False
@@ -81,7 +75,6 @@ def single_run(
     *,
     metric=None,
     engine: bool = True,
-    engine_cache_size: int = 8,
 ) -> RunSample:
     """Fit and evaluate one model instance, timing every phase.
 
@@ -89,7 +82,7 @@ def single_run(
     :func:`repro.experiments.runner.run_model` and the parallel cell path,
     so both report identical quantities.  With ``engine=True`` a model
     exposing ``compile()`` is additionally compiled into the fused batch
-    engine and timed cold and (when an encoding cache is configured) warm.
+    engine, whose prediction of the test batch is timed.
     """
     if metric is None:
         from ..baselines.metrics import accuracy as metric
@@ -105,37 +98,23 @@ def single_run(
     inference = elapsed / max(len(X_test), 1)
     score = float(metric(y_test, predictions))
 
-    engine_seconds = warm_seconds = None
-    cache_hits = cache_requests = 0
+    engine_seconds = None
     if engine and hasattr(model, "compile"):
         from ..engine import EngineError
 
         try:
-            compiled = model.compile(cache_size=engine_cache_size)
+            compiled = model.compile()
         except EngineError:
             compiled = None
         if compiled is not None:
             start = time.perf_counter()
             compiled.predict(X_test)
             engine_seconds = (time.perf_counter() - start) / max(len(X_test), 1)
-            if compiled.cache is not None:
-                # Hit ratio of the warm pass alone: the cold pass above is
-                # all misses by construction and would dilute the ratio.
-                cold_hits = compiled.cache.stats.hits
-                cold_requests = compiled.cache.stats.requests
-                start = time.perf_counter()
-                compiled.predict(X_test)
-                warm_seconds = (time.perf_counter() - start) / max(len(X_test), 1)
-                cache_hits = compiled.cache.stats.hits - cold_hits
-                cache_requests = compiled.cache.stats.requests - cold_requests
     return RunSample(
         accuracy=score,
         train_seconds=train_seconds,
         inference_seconds_per_query=inference,
         engine_seconds_per_query=engine_seconds,
-        engine_warm_seconds_per_query=warm_seconds,
-        cache_hits=cache_hits,
-        cache_requests=cache_requests,
     )
 
 
@@ -145,7 +124,6 @@ def execute_cell(
     scale,
     *,
     engine: bool = True,
-    engine_cache_size: int = 8,
 ) -> CellResult:
     """Run one grid cell: build the registry model with the cell's seed."""
     from ..experiments.registry import build_model
@@ -155,9 +133,7 @@ def execute_cell(
         "runtime.cell", dataset=task.dataset, model=task.model, run=task.run_index
     ):
         model = build_model(task.model, task.seed, scale)
-        sample = single_run(
-            model, split, engine=engine, engine_cache_size=engine_cache_size
-        )
+        sample = single_run(model, split, engine=engine)
     result = CellResult(
         dataset=task.dataset,
         model=task.model,
@@ -167,9 +143,6 @@ def execute_cell(
         train_seconds=sample.train_seconds,
         inference_seconds_per_query=sample.inference_seconds_per_query,
         engine_seconds_per_query=sample.engine_seconds_per_query,
-        engine_warm_seconds_per_query=sample.engine_warm_seconds_per_query,
-        cache_hits=sample.cache_hits,
-        cache_requests=sample.cache_requests,
         wall_seconds=time.perf_counter() - start,
         worker=os.getpid(),
     )

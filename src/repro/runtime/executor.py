@@ -227,7 +227,6 @@ def _init_cell_worker(
     source: SplitSource | LoaderSource,
     scale: "ExperimentScale",
     engine: bool,
-    engine_cache_size: int,
     obs_enabled: bool = False,
 ) -> None:
     global _CELL_CONTEXT
@@ -235,7 +234,6 @@ def _init_cell_worker(
         "source": source,
         "scale": scale,
         "engine": engine,
-        "engine_cache_size": engine_cache_size,
         "splits": {},
     }
     if obs_enabled:
@@ -265,7 +263,6 @@ def _run_cell_chunk(tasks: Sequence["CellTask"]) -> list["CellResult"]:
             _context_split(task.dataset),
             _CELL_CONTEXT["scale"],
             engine=_CELL_CONTEXT["engine"],
-            engine_cache_size=_CELL_CONTEXT["engine_cache_size"],
         )
         for task in tasks
     ]
@@ -292,7 +289,6 @@ def _cell_spec(
     source: SplitSource | LoaderSource,
     *,
     engine: bool,
-    engine_cache_size: int,
 ) -> dict:
     """The content-hashed identity of one cell's computation."""
     return {
@@ -307,7 +303,6 @@ def _cell_spec(
         "scale": asdict(plan.scale),
         "data": source.fingerprint(cell.dataset),
         "engine": bool(engine),
-        "engine_cache_size": int(engine_cache_size),
     }
 
 
@@ -337,7 +332,6 @@ class ParallelExecutor:
         *,
         store: "ArtifactStore | None" = None,
         engine: bool = True,
-        engine_cache_size: int = 8,
     ) -> tuple[list["CellResult"], RunReport]:
         """Execute every cell of ``plan``, returning results in plan order."""
         start = time.perf_counter()
@@ -346,13 +340,7 @@ class ParallelExecutor:
         specs: dict["CellTask", dict] = {}
         if store is not None:
             specs = {
-                cell: _cell_spec(
-                    plan,
-                    cell,
-                    source,
-                    engine=engine,
-                    engine_cache_size=engine_cache_size,
-                )
+                cell: _cell_spec(plan, cell, source, engine=engine)
                 for cell in plan.cells
             }
 
@@ -369,7 +357,7 @@ class ParallelExecutor:
         run_registry = MetricsRegistry() if obs_on else None
 
         if self.max_workers <= 1 or len(pending) <= 1:
-            _init_cell_worker(source, plan.scale, engine, engine_cache_size)
+            _init_cell_worker(source, plan.scale, engine)
             try:
                 # The serial path mirrors what workers do naturally: cells
                 # record into a run-local registry whose snapshot becomes the
@@ -397,7 +385,7 @@ class ParallelExecutor:
             with ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_cell_worker,
-                initargs=(source, plan.scale, engine, engine_cache_size, obs_on),
+                initargs=(source, plan.scale, engine, obs_on),
             ) as pool:
                 runner = _run_cell_chunk_observed if obs_on else _run_cell_chunk
                 futures = [pool.submit(runner, chunk) for chunk in chunks]

@@ -31,7 +31,7 @@ from .cells import CellResult
 __all__ = ["ArtifactStore", "canonical_spec", "spec_key"]
 
 #: Bump when the artifact layout changes; old artifacts then miss cleanly.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: CellResult float fields persisted in the npz payload (None allowed).
 _FLOAT_FIELDS = (
@@ -39,10 +39,9 @@ _FLOAT_FIELDS = (
     "train_seconds",
     "inference_seconds_per_query",
     "engine_seconds_per_query",
-    "engine_warm_seconds_per_query",
     "wall_seconds",
 )
-_INT_FIELDS = ("run_index", "seed", "cache_hits", "cache_requests", "worker")
+_INT_FIELDS = ("run_index", "seed", "worker")
 
 
 def canonical_spec(spec: Mapping[str, object]) -> str:
@@ -169,9 +168,6 @@ class ArtifactStore:
             train_seconds=floats["train_seconds"],
             inference_seconds_per_query=floats["inference_seconds_per_query"],
             engine_seconds_per_query=floats["engine_seconds_per_query"],
-            engine_warm_seconds_per_query=floats["engine_warm_seconds_per_query"],
-            cache_hits=int(values["cache_hits"]),
-            cache_requests=int(values["cache_requests"]),
             wall_seconds=floats["wall_seconds"],
             worker=int(values["worker"]),
             cached=True,

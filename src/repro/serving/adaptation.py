@@ -34,6 +34,7 @@ from collections import deque
 import numpy as np
 
 from ..core.boosthd import BoostHD
+from ..engine.cascade import top2_margin
 from ..engine.compile import EngineError
 from ..engine.precision import resolve_precision
 from ..hdc.onlinehd import OnlineHD
@@ -89,14 +90,15 @@ class DriftMonitor:
 
     @staticmethod
     def margins(scores: np.ndarray) -> np.ndarray:
-        """Per-row ``top1 - top2`` margins of a ``(n, n_classes)`` score matrix."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim == 1:
-            scores = scores[None, :]
+        """Per-row ``top1 - top2`` margins of a ``(n, n_classes)`` score matrix.
+
+        :func:`~repro.engine.top2_margin`, plus one 1-D row; fewer than two
+        classes raise instead of giving ``+inf``.
+        """
+        scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
         if scores.shape[1] < 2:
             raise ValueError("need at least two classes to compute a margin")
-        top2 = np.partition(scores, -2, axis=1)[:, -2:]
-        return top2[:, 1] - top2[:, 0]
+        return top2_margin(scores)
 
     def update(self, scores: np.ndarray) -> None:
         """Fold a batch of per-class scores into the rolling statistics."""
@@ -175,7 +177,7 @@ class AdaptiveModel:
         call (default: a fresh :class:`DriftMonitor`).
     compile_options:
         Keyword options for :func:`repro.engine.compile_model` used on every
-        (re)compile, e.g. ``{"dtype": np.float32, "cache_size": 32}``.
+        (re)compile, e.g. ``{"dtype": np.float32}``.
     precision:
         Serving precision of the compiled engine, a name from
         :data:`repro.engine.PRECISIONS` (or ``"cascade"``).  The *model*

@@ -108,10 +108,14 @@ class Prediction:
     ``scores`` is a read-only per-row *copy* of the fused call's score
     matrix: retaining a prediction never pins the whole ``(B, k)`` batch
     array in memory, and no write through one prediction can alias another.
-    Equality is defined field-wise with :func:`numpy.array_equal` on the
-    scores (the dataclass auto-``__eq__`` would raise the ambiguous-ndarray
-    ``ValueError`` for any ``k > 1``), so predictions are safe to compare,
-    deduplicate and keep in sets/dicts.
+    Equality compares identity and outcome only — ``session_id``,
+    ``window_index``, ``label`` and the scores (with
+    :func:`numpy.array_equal`; the dataclass auto-``__eq__`` would raise the
+    ambiguous-ndarray ``ValueError`` for any ``k > 1``) — and the hash is
+    that of ``(session_id, window_index)``.  Timings, batch size and the
+    ``degraded`` flag say how a window was served, not what it scored, so
+    the same window scored alike in two runs compares equal, and
+    predictions are safe to deduplicate and keep in sets/dicts.
     """
 
     session_id: str
@@ -141,16 +145,11 @@ class Prediction:
             and self.window_index == other.window_index
             and self.label == other.label
             and np.array_equal(self.scores, other.scores)
-            and self.queue_seconds == other.queue_seconds
-            and self.score_seconds == other.score_seconds
-            and self.batch_size == other.batch_size
-            and self.degraded == other.degraded
         )
 
     def __hash__(self) -> int:
-        # Scores are excluded (ndarrays are unhashable); equal predictions
-        # still hash equally because the identity fields participate.
-        return hash((self.session_id, self.window_index, self.batch_size))
+        # Scores are unhashable; equal predictions share their identity.
+        return hash((self.session_id, self.window_index))
 
     @property
     def status(self) -> str:

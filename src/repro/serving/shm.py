@@ -276,7 +276,6 @@ def publish_engine(
         "precision": engine.precision,
         "dtype": engine.dtype.str,
         "aggregation": engine.aggregation,
-        "chunk_size": engine.chunk_size,
         "shared_projection": engine.shared_projection,
         "classes": np.asarray(engine.classes_),
         "spans": np.asarray(engine.spans),
@@ -386,7 +385,6 @@ class AttachedEngine:
             classes=manifest["classes"],
             aggregation=manifest["aggregation"],
             dtype=np.dtype(manifest["dtype"]),
-            chunk_size=manifest["chunk_size"],
             shared_projection=manifest["shared_projection"],
         )
 

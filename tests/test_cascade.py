@@ -42,7 +42,12 @@ from repro.engine import (
 )
 from repro.serving import ModelRegistry
 
-from test_quant_engine import _blob_problem, _forbid_dequantization, _learner_bits
+from test_quant_engine import (
+    _blob_problem,
+    _forbid_dequantization,
+    _learner_bits,
+    _score_in_blocks,
+)
 
 pytestmark = pytest.mark.cascade
 
@@ -133,46 +138,41 @@ def test_mismatched_tiers_are_rejected(fitted):
 
 # ----------------------------------------------------------- margin routing
 @settings(max_examples=25, deadline=None)
-@given(threshold=st.floats(0.0, 0.2), chunk=st.integers(3, 40))
-def test_rerank_set_is_exactly_below_threshold_rows(threshold, chunk):
+@given(threshold=st.floats(0.0, 0.2), rows=st.integers(3, 40))
+def test_rerank_set_is_exactly_below_threshold_rows(threshold, rows):
     """Row-for-row routing: >= threshold keeps packed scores bitwise,
     < threshold gets the fixed second tier's scores bitwise."""
     X, y, X_test, _ = _blob_problem(seed=13, n_features=10)
     model = BoostHD(total_dim=480, n_learners=4, epochs=3, seed=1).fit(X, y)
     cascade = compile_model(
-        model,
-        dtype=np.float64,
-        precision="cascade-fixed16",
-        threshold=threshold,
-        chunk_size=chunk,
+        model, dtype=np.float64, precision="cascade-fixed16", threshold=threshold
     )
-    packed_scores = cascade.first.decision_function(X_test)
-    second_scores = cascade.second.decision_function(X_test)
+    encoded = cascade.encode(X_test)
+    packed_scores = cascade.first.score_encoded(encoded)
+    second_scores = cascade.second.score_encoded(encoded)
     margins = top2_margin(packed_scores)
     rerank = margins < threshold
 
     cascade.stats.reset()
-    produced = cascade.decision_function(X_test)
+    produced = _score_in_blocks(cascade, encoded, rows)
     np.testing.assert_array_equal(produced[~rerank], packed_scores[~rerank])
     np.testing.assert_array_equal(produced[rerank], second_scores[rerank])
     assert cascade.stats.rows_reranked == int(rerank.sum())
     assert cascade.stats.rows_scored == len(X_test)
     assert cascade.stats.rerank_fraction == pytest.approx(rerank.mean())
+    np.testing.assert_array_equal(cascade.decision_function(X_test), produced)
 
 
 @settings(max_examples=20, deadline=None)
-@given(chunk=st.integers(2, 19), single=st.integers(0, 35))
-def test_cascade_scoring_is_batch_composition_invariant(chunk, single):
-    """A row's cascade scores are identical alone, in any batch, any chunking."""
+@given(rows=st.integers(2, 19), single=st.integers(0, 35))
+def test_cascade_scoring_is_batch_composition_invariant(rows, single):
+    """A row's cascade scores are identical alone, in any batch, any row block."""
     X, y, X_test, _ = _blob_problem(seed=14, n_features=10)
     model = BoostHD(total_dim=480, n_learners=4, epochs=3, seed=1).fit(X, y)
     whole = compile_model(model, dtype=np.float64, precision="cascade-fixed16")
-    chunked = compile_model(
-        model, dtype=np.float64, precision="cascade-fixed16", chunk_size=chunk
-    )
     encoded = whole.encode(X_test)
     batch_scores = whole.score_encoded(encoded)
-    np.testing.assert_array_equal(chunked.score_encoded(encoded), batch_scores)
+    np.testing.assert_array_equal(_score_in_blocks(whole, encoded, rows), batch_scores)
     single %= len(X_test)
     np.testing.assert_array_equal(
         whole.score_encoded(encoded[single][None])[0], batch_scores[single]

@@ -2,10 +2,14 @@
 
 The engine (:mod:`repro.engine`) must reproduce the per-learner loop path of
 ``BoostHD.decision_function`` / ``OnlineHD.decision_function``: identical
-predictions and scores within floating-point tolerance, across dtypes, chunk
-sizes, both aggregation modes and both partitioners, with and without the
-encoding cache.
+predictions and scores within floating-point tolerance, across dtypes,
+encoding row blocks, both aggregation modes and both partitioners.
 """
+
+import contextlib
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import BoostHD, IndependentPartitioner, SharedPartitioner
 from repro.core.boosthd import effective_alphas
-from repro.engine import (
-    CompiledModel,
-    EngineError,
-    LRUCache,
-    auto_chunk_size,
-    compile_model,
-    iter_batches,
-    resolve_chunk_size,
-)
+from repro.engine import CompiledModel, EngineError, compile_model
+from repro.engine import compile as compile_module
 from repro.hdc import LevelIdEncoder, OnlineHD
 
 TOTAL_DIM = 120
@@ -46,18 +43,30 @@ def make_boosthd(blobs_split, *, aggregation="score", shared=False, **kwargs):
     return model.fit(X_train, y_train)
 
 
+def encode_blocks(engine, rows):
+    """Shrink the encoding budget so ``engine`` encodes ``rows`` rows a block.
+
+    ``rows=None`` leaves the budget alone: a small call is one block.
+    """
+    if rows is None:
+        return contextlib.nullcontext()
+    budget = rows * engine.total_dim * engine.dtype.itemsize
+    return mock.patch.object(compile_module, "_ENCODE_BYTES", budget)
+
+
 class TestBoostHDEquivalence:
     @pytest.mark.parametrize("aggregation", ["score", "vote"])
     @pytest.mark.parametrize("shared", [False, True])
-    @pytest.mark.parametrize("chunk_size", [None, 7, "auto"])
-    def test_matches_loop_path_float64(self, blobs_split, aggregation, shared, chunk_size):
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    def test_matches_loop_path_float64(self, blobs_split, aggregation, shared, block_rows):
         _, X_test, _, _ = blobs_split
         model = make_boosthd(blobs_split, aggregation=aggregation, shared=shared)
-        engine = model.compile(dtype=np.float64, chunk_size=chunk_size)
-        np.testing.assert_allclose(
-            engine.decision_function(X_test), model.decision_function(X_test), atol=1e-9
-        )
-        assert np.array_equal(engine.predict(X_test), model.predict(X_test))
+        engine = model.compile(dtype=np.float64)
+        with encode_blocks(engine, block_rows):
+            scores = engine.decision_function(X_test)
+            predictions = engine.predict(X_test)
+        np.testing.assert_allclose(scores, model.decision_function(X_test), atol=1e-9)
+        assert np.array_equal(predictions, model.predict(X_test))
 
     @pytest.mark.parametrize("aggregation", ["score", "vote"])
     @pytest.mark.parametrize("shared", [False, True])
@@ -113,11 +122,11 @@ class TestBoostHDEquivalence:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**16),
-        chunk_size=st.sampled_from([None, 3, 8, "auto"]),
+        block_rows=st.sampled_from([None, 3, 8]),
         aggregation=st.sampled_from(["score", "vote"]),
         shared=st.booleans(),
     )
-    def test_property_equivalence(self, seed, chunk_size, aggregation, shared):
+    def test_property_equivalence(self, seed, block_rows, aggregation, shared):
         rng = np.random.default_rng(seed)
         centers = rng.standard_normal((3, 5)) * 3.0
         X = np.vstack([center + rng.standard_normal((12, 5)) for center in centers])
@@ -131,11 +140,12 @@ class TestBoostHDEquivalence:
             partitioner=partitioner,
             seed=seed,
         ).fit(X, y)
-        engine = model.compile(dtype=np.float64, chunk_size=chunk_size)
-        np.testing.assert_allclose(
-            engine.decision_function(X), model.decision_function(X), atol=1e-9
-        )
-        assert np.array_equal(engine.predict(X), model.predict(X))
+        engine = model.compile(dtype=np.float64)
+        with encode_blocks(engine, block_rows):
+            scores = engine.decision_function(X)
+            predictions = engine.predict(X)
+        np.testing.assert_allclose(scores, model.decision_function(X), atol=1e-9)
+        assert np.array_equal(predictions, model.predict(X))
 
 
 class TestOnlineHDEquivalence:
@@ -151,7 +161,7 @@ class TestOnlineHDEquivalence:
     def test_compile_model_function(self, blobs_split):
         X_train, X_test, y_train, _ = blobs_split
         model = OnlineHD(dim=80, epochs=1, seed=0).fit(X_train, y_train)
-        engine = compile_model(model, dtype=np.float32, chunk_size=5)
+        engine = compile_model(model, dtype=np.float32)
         assert isinstance(engine, CompiledModel)
         assert np.array_equal(engine.predict(X_test), model.predict(X_test))
 
@@ -202,82 +212,6 @@ class TestDegenerateEnsembleGuard:
         )
 
 
-class TestCache:
-    def test_cache_hits_preserve_results(self, blobs_split):
-        _, X_test, _, _ = blobs_split
-        model = make_boosthd(blobs_split)
-        engine = model.compile(dtype=np.float64, cache_size=8)
-        first = engine.decision_function(X_test)
-        second = engine.decision_function(X_test)
-        assert engine.cache.stats.hits >= 1
-        np.testing.assert_allclose(first, second, atol=0)
-        np.testing.assert_allclose(first, model.decision_function(X_test), atol=1e-9)
-
-    def test_cache_hits_with_chunking(self, blobs_split):
-        _, X_test, _, _ = blobs_split
-        model = make_boosthd(blobs_split)
-        engine = model.compile(dtype=np.float64, chunk_size=5, cache_size=32)
-        baseline = model.decision_function(X_test)
-        for _ in range(3):
-            np.testing.assert_allclose(
-                engine.decision_function(X_test), baseline, atol=1e-9
-            )
-        assert engine.cache.stats.hit_rate > 0.5
-
-    def test_distinct_inputs_not_conflated(self, blobs_split):
-        _, X_test, _, _ = blobs_split
-        model = make_boosthd(blobs_split)
-        engine = model.compile(dtype=np.float64, cache_size=8)
-        engine.decision_function(X_test)
-        shifted = X_test + 0.1
-        np.testing.assert_allclose(
-            engine.decision_function(shifted),
-            model.decision_function(shifted),
-            atol=1e-9,
-        )
-
-    def test_lru_eviction_order(self):
-        cache = LRUCache(2)
-        cache.put(b"a", np.zeros(1))
-        cache.put(b"b", np.ones(1))
-        assert cache.get(b"a") is not None
-        cache.put(b"c", np.ones(1) * 2)  # evicts b (least recently used)
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is not None
-        assert cache.get(b"c") is not None
-        assert cache.stats.evictions == 1
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            LRUCache(0)
-
-
-class TestBatching:
-    def test_iter_batches_covers_range(self):
-        slices = list(iter_batches(10, 3))
-        assert [s.start for s in slices] == [0, 3, 6, 9]
-        assert slices[-1].stop == 10
-
-    def test_iter_batches_single_chunk(self):
-        assert list(iter_batches(5, 100)) == [slice(0, 5)]
-
-    def test_resolve_chunk_size(self):
-        assert resolve_chunk_size(None, 42, total_dim=10, itemsize=8) == 42
-        assert resolve_chunk_size(7, 42, total_dim=10, itemsize=8) == 7
-        auto = resolve_chunk_size("auto", 42, total_dim=10, itemsize=8)
-        assert auto == auto_chunk_size(10, 8)
-
-    def test_auto_chunk_size_respects_budget(self):
-        assert auto_chunk_size(1000, 4, budget_bytes=4_000_000) == 1000
-        assert auto_chunk_size(10**9, 8) == 1  # never returns zero
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            resolve_chunk_size(0, 10, total_dim=10, itemsize=8)
-        with pytest.raises(ValueError):
-            list(iter_batches(10, 0))
-
-
 class TestCompileErrors:
     def test_unfitted_boosthd_raises(self):
         with pytest.raises(EngineError, match="unfitted"):
@@ -316,79 +250,72 @@ class TestCompileErrors:
             engine.predict(np.zeros((3, 99)))
 
 
-class TestCacheByteBound:
-    def test_max_bytes_evicts_by_size(self):
-        cache = LRUCache(None, max_bytes=3 * 80)  # three 10-float64 entries
-        for key in (b"a", b"b", b"c"):
-            cache.put(key, np.zeros(10))
-        assert len(cache) == 3 and cache.current_bytes == 240
-        cache.put(b"d", np.zeros(10))  # over budget: evicts LRU (a)
-        assert len(cache) == 3
-        assert cache.get(b"a") is None
-        assert cache.get(b"d") is not None
-        assert cache.stats.evictions == 1
-        assert cache.current_bytes <= cache.max_bytes
+class TestEncodingBlocks:
+    """Calls encode in row blocks within ``_ENCODE_BYTES``; no option sets it."""
 
-    def test_oversized_value_is_not_stored(self):
-        cache = LRUCache(None, max_bytes=100)
-        cache.put(b"small", np.zeros(10))
-        cache.put(b"huge", np.zeros(1000))  # 8000 bytes > budget: skipped
-        assert cache.get(b"huge") is None
-        assert cache.get(b"small") is not None  # not displaced by the giant
+    def test_a_call_that_fits_is_one_block(self, blobs_split):
+        engine = make_boosthd(blobs_split).compile()
+        fits = compile_module._ENCODE_BYTES // (engine.total_dim * engine.dtype.itemsize)
+        assert list(engine._blocks(fits)) == [slice(0, fits)]
+        assert list(engine._blocks(fits + 1)) == [slice(0, fits), slice(fits, fits + 1)]
 
-    def test_count_and_byte_bounds_combine(self):
-        cache = LRUCache(2, max_bytes=10_000)
-        cache.put(b"a", np.zeros(10))
-        cache.put(b"b", np.zeros(10))
-        cache.put(b"c", np.zeros(10))
-        assert len(cache) == 2  # count bound still applies
+    def test_row_steps_cover_the_call_in_order(self):
+        steps = list(compile_module._row_steps(10, 8, 24))
+        assert [(s.start, s.stop) for s in steps] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert list(compile_module._row_steps(0, 8, 24)) == []
 
-    def test_replacement_updates_byte_accounting(self):
-        cache = LRUCache(None, max_bytes=1000)
-        cache.put(b"a", np.zeros(10))
-        cache.put(b"a", np.zeros(50))
-        assert len(cache) == 1 and cache.current_bytes == 400
+    def test_a_row_wider_than_the_budget_is_a_step_of_its_own(self):
+        steps = list(compile_module._row_steps(3, 10**9, 8))
+        assert steps == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
-    def test_clear_resets_bytes(self):
-        cache = LRUCache(4, max_bytes=1000)
-        cache.put(b"a", np.zeros(10))
-        cache.clear()
-        assert cache.current_bytes == 0 and len(cache) == 0
+    def test_budgets_are_read_at_call_time(self, blobs_split, monkeypatch):
+        engine = make_boosthd(blobs_split).compile()
+        row_bytes = engine.total_dim * engine.dtype.itemsize
+        monkeypatch.setattr(compile_module, "_ENCODE_BYTES", 4 * row_bytes)
+        monkeypatch.setattr(compile_module, "_STEP_BYTES", 2 * 8)
+        assert list(engine._blocks(9)) == [slice(0, 4), slice(4, 8), slice(8, 9)]
+        assert list(compile_module._row_steps(5, 8)) == [
+            slice(0, 2), slice(2, 4), slice(4, 5)
+        ]
 
-    def test_hit_ratio_alias(self):
-        cache = LRUCache(4)
-        cache.put(b"a", np.zeros(2))
-        cache.get(b"a")
-        cache.get(b"missing")
-        assert cache.stats.hit_ratio == cache.stats.hit_rate == 0.5
-
-    def test_invalid_bounds_raise(self):
-        with pytest.raises(ValueError):
-            LRUCache(None)
-        with pytest.raises(ValueError):
-            LRUCache(None, max_bytes=0)
-
-    def test_compile_cache_bytes_option(self, blobs_split):
+    def test_threads_share_one_engine(self, blobs_split, monkeypatch):
+        """Engines hold no mutable state: concurrent calls equal serial ones."""
         _, X_test, _, _ = blobs_split
         model = make_boosthd(blobs_split)
-        engine = model.compile(dtype=np.float64, chunk_size=5, cache_bytes=1 << 20)
-        assert engine.cache is not None
-        assert engine.cache.maxsize is None
-        assert engine.cache.max_bytes == 1 << 20
-        baseline = model.decision_function(X_test)
-        for _ in range(2):
-            np.testing.assert_allclose(
-                engine.decision_function(X_test), baseline, atol=1e-9
-            )
-        assert engine.cache.stats.hit_ratio > 0.0
-        assert engine.cache.current_bytes <= engine.cache.max_bytes
-
-    def test_tiny_byte_budget_stays_correct(self, blobs_split):
-        """A budget too small to hold even one chunk must not break scoring."""
-        _, X_test, _, _ = blobs_split
-        model = make_boosthd(blobs_split)
-        engine = model.compile(dtype=np.float64, chunk_size=5, cache_bytes=64)
-        np.testing.assert_allclose(
-            engine.decision_function(X_test), model.decision_function(X_test), atol=1e-9
+        engine = model.compile(dtype=np.float64)
+        monkeypatch.setattr(
+            compile_module, "_ENCODE_BYTES", 3 * engine.total_dim * engine.dtype.itemsize
         )
-        assert len(engine.cache) == 0  # nothing fit, nothing cached
+        batches = [X_test + shift for shift in (0.0, 0.1, -0.2, 0.3)]
+        expected = [engine.decision_function(batch) for batch in batches]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                for scores, serial, batch in zip(
+                    pool.map(engine.decision_function, batches), expected, batches
+                ):
+                    np.testing.assert_array_equal(scores, serial)
+                    np.testing.assert_allclose(
+                        scores, model.decision_function(batch), atol=1e-9
+                    )
+
+    def test_large_call_peak_stays_within_two_blocks_and_a_step(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal((3, 8)) * 2.5
+        X_train = np.vstack([center + rng.standard_normal((30, 8)) for center in centers])
+        y_train = np.repeat(np.arange(3), 30)
+        model = BoostHD(total_dim=426, n_learners=6, epochs=2, seed=0).fit(X_train, y_train)
+        X = rng.standard_normal((4000, 8))
+        expected = model.decision_function(X)
+        engine = model.compile(dtype=np.float64)
+        block = 64 * engine.total_dim * engine.dtype.itemsize
+        monkeypatch.setattr(compile_module, "_ENCODE_BYTES", block)
+        tracemalloc.start()
+        try:
+            scores = engine.decision_function(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One block's encoding is 0.2 MB; the whole call's would be 13.6 MB.
+        assert peak < 2 * block + compile_module._STEP_BYTES
+        np.testing.assert_allclose(scores, expected, atol=1e-9)
+        assert np.array_equal(engine.classes_[np.argmax(scores, axis=1)], model.predict(X))

@@ -329,8 +329,7 @@ class TestFabricEquivalence:
         assert len(predictions) == len(reference)
         for prediction in predictions:
             expected = reference[(prediction.session_id, prediction.window_index)]
-            assert prediction.label == expected.label
-            assert np.array_equal(prediction.scores, expected.scores)
+            assert prediction == expected
 
     def test_push_and_route_agree(self, engines):
         engine = engines["fixed16"]

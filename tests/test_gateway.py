@@ -728,6 +728,17 @@ def test_swap_stray_compile_option_is_400(swap_registry):
     assert "threshold" in body["error"]
 
 
+@pytest.mark.parametrize("option", ["chunk_size", "cache_size", "cache_bytes"])
+def test_swap_removed_engine_option_is_400(swap_registry, option):
+    """Engines take ``dtype`` and ``threshold`` only; the error names both."""
+    service = make_service()
+    status, body = swap_once(service, swap_registry, precision="fixed16", **{option: 8})
+    assert status == 400
+    assert option in body["error"]
+    assert "'dtype'" in body["error"]
+    assert service.generation == 0
+
+
 def test_swap_unknown_model_or_version_is_404(swap_registry):
     status, body = swap_once(make_service(), swap_registry, name="nope")
     assert status == 404
@@ -807,6 +818,27 @@ def test_gateway_serves_either_backend(swap_registry, kind):
         assert report["clean"] is True
         assert report["flushed_predictions"] == 1
         assert gateway.stats.windows_answered == 7
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind):
+    """A bad override value is the client's error, not a conflict."""
+
+    async def scenario():
+        gateway = await start_gateway(make_backend(kind, swap_registry))
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                status, body = await client.open_session("s1", window_samples=0)
+                assert status == 400
+                assert "window_samples" in body["error"]
+                assert (await client.open_session("s1"))[0] == 201
+                status, body = await client.open_session("s1")
+                assert status == 409
+                assert "already open" in body["error"]
+        finally:
+            await gateway.shutdown(2.0)
 
     run(scenario())
 

@@ -35,7 +35,7 @@ from repro.experiments.runner import ModelRunResult, SuiteResult
 pytestmark = pytest.mark.runtime
 
 
-def _cell(model, dataset, accs, infer, engine=None, warm=None, ratio=None):
+def _cell(model, dataset, accs, infer, engine=None):
     return ModelRunResult(
         model_name=model,
         dataset_name=dataset,
@@ -45,8 +45,6 @@ def _cell(model, dataset, accs, infer, engine=None, warm=None, ratio=None):
         engine_inference_seconds_per_query=(
             None if engine is None else np.asarray(engine)
         ),
-        engine_warm_seconds_per_query=None if warm is None else np.asarray(warm),
-        engine_cache_hit_ratio=ratio,
         seeds=(0, 1),
     )
 
@@ -64,8 +62,6 @@ def synthetic_suite() -> SuiteResult:
                     [0.9837, 0.9773],
                     [4.0e-5, 6.0e-5],
                     engine=[1.0e-5, 1.5e-5],
-                    warm=[0.5e-5, 0.75e-5],
-                    ratio=0.875,
                 ),
             },
             "Nurse Stress Dataset": {
@@ -99,8 +95,7 @@ GOLDEN_TABLE2_SYNTHETIC = (
     "WESAD                | 3.0 | 5.0    \n"
     "Nurse Stress Dataset | 2.0 | 4.0    \n"
     "Fused-engine inference (repro.engine):\n"
-    "  WESAD / BoostHD: loop 5.0 -> fused 1.2 (1e-5 s/query, 4.0x speedup); "
-    "cache-warm 0.6, hit ratio 88%\n"
+    "  WESAD / BoostHD: loop 5.0 -> fused 1.2 (1e-5 s/query, 4.0x speedup)\n"
     "  Nurse Stress Dataset / BoostHD: loop 4.0 -> fused 2.0 "
     "(1e-5 s/query, 2.0x speedup)"
 )

@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.core.boosthd import BoostHD
 from repro.engine import compile_model
-from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.cascade import CascadeStats
 from repro.experiments import run_suite
 from repro.gateway import Gateway, GatewayClient
@@ -505,10 +504,10 @@ class TestNoOpEquivalence:
     )
     def test_engine_scores_bit_identical(self, fitted_model, blobs_split, precision):
         _, X_test, _, _ = blobs_split
-        engine_off = compile_model(fitted_model, precision=precision, cache_size=4)
+        engine_off = compile_model(fitted_model, precision=precision)
         scores_off = engine_off.decision_function(X_test)
         with capture():
-            engine_on = compile_model(fitted_model, precision=precision, cache_size=4)
+            engine_on = compile_model(fitted_model, precision=precision)
             scores_on = engine_on.decision_function(X_test)
         assert np.array_equal(scores_off, scores_on)
         assert scores_off.dtype == scores_on.dtype
@@ -604,21 +603,6 @@ class TestTally:
 
 
 class TestStatsCompat:
-    def test_cache_stats_surface(self):
-        stats = CacheStats()
-        stats.bump("hits")
-        stats.bump("misses")
-        stats.bump("misses")
-        stats.bump("evictions")
-        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 1)
-        assert stats.requests == 3
-        assert isinstance(stats.hits, int)
-        assert repr(stats) == (
-            "CacheStats(hits=1, misses=2, evictions=1, hit_rate=0.333)"
-        )
-        stats.reset()
-        assert stats.requests == 0
-
     def test_cascade_stats_surface(self):
         stats = CascadeStats()
         stats.record(10, 4)
@@ -669,26 +653,6 @@ class _FailsOnce:
 
 
 class TestCountsEqualTheirCounters:
-    def test_cache(self):
-        with capture() as (registry, _):
-            cache = LRUCache(maxsize=1)
-            cache.get(b"a")
-            cache.put(b"a", np.zeros(2))
-            cache.get(b"a")
-            cache.put(b"b", np.zeros(2))  # evicts b"a"
-            cache.get(b"a")
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 1)
-        assert_counts_match(
-            registry,
-            stats,
-            [
-                ("repro_engine_cache_hits_total", "hits"),
-                ("repro_engine_cache_misses_total", "misses"),
-                ("repro_engine_cache_evictions_total", "evictions"),
-            ],
-        )
-
     def test_cascade(self, fitted_model, blobs_split):
         _, X_test, _, _ = blobs_split
         with capture() as (registry, _):
@@ -832,7 +796,7 @@ def emitted_metric_names() -> set[str]:
         cls for cls in Tally.__subclasses__() if cls.__module__.startswith("repro.")
     ]
     assert {cls.__name__ for cls in tallies} >= {
-        "CacheStats", "CascadeStats", "SchedulerStats", "GatewayStats",
+        "CascadeStats", "SchedulerStats", "GatewayStats",
     }
     names = {
         metric[0]

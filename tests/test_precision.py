@@ -82,6 +82,9 @@ def test_entry_points_accept_and_reject_the_same_precisions(setup, entry, name):
         ("fixed16", {"threshold": 0.1}),
         ("cascade", {"bogus": 1}),
         ("fixed16", {"score_threads": 2}),
+        ("fixed16", {"chunk_size": 7}),
+        ("float64", {"cache_size": 8}),
+        ("cascade", {"cache_bytes": 1024}),
     ],
 )
 def test_stray_options_raise_the_same_engine_error(setup, precision, options):
@@ -101,14 +104,14 @@ def test_fabric_from_registry_routes_engine_options_to_the_engine(setup):
         registry,
         "m",
         precision="fixed16",
-        chunk_size=16,
+        dtype=np.float64,
         serial=True,
         n_workers=1,
         n_channels=N_CHANNELS,
         window_samples=WINDOW,
     ) as fabric:
-        assert fabric.fallback["compile_options"] == {"chunk_size": 16}
-        assert fabric._shared.manifest["chunk_size"] == 16
+        assert fabric.fallback["compile_options"] == {"dtype": np.float64}
+        assert fabric._shared.manifest["dtype"] == np.dtype(np.float64).str
         fabric.open_session("s")
         samples = np.random.default_rng(1).normal(size=(N_CHANNELS, WINDOW))
         predictions = fabric.push("s", samples) + fabric.drain()

@@ -3,22 +3,25 @@
 The integer-domain kernels quantize each row on its own (packed: the row's
 signs; fixed point: the row's own query scale) and score it with exact
 arithmetic, so a row's scores never depend on the rows that share its
-call, its ``chunk_size`` chunk or its ``_STEP_BYTES`` row step.  The
+call, its encoding block or its ``_STEP_BYTES`` row step.  The
 contract is literal bit equality, not closeness.  The suite pins it on
 deliberately ragged dims — 71-dim learner blocks and a 333-dim OnlineHD,
 divisible by neither the 64-bit word nor the 8-bit byte packing — so the
 pad-bit paths run under every split:
 
-* scoring ``np.array_split`` row blocks in separate calls, and through an
-  engine whose ``chunk_size`` is the block size, equals one whole-batch
-  call (score and vote aggregation, every integer precision);
-* hypothesis: random batch sizes and chunk sizes, one row at a time;
+* scoring ``np.array_split`` row blocks in separate calls, and fixed-size
+  row blocks, equals one whole-batch call (score and vote aggregation,
+  every integer precision);
+* hypothesis: random batch sizes and block sizes, one row at a time;
 * cascades, whose margin routing is per row;
 * every tier's memory-bounding row steps, forced down to a few rows (the
-  float64 tier within the loop-path tolerance, the integer tiers bitwise).
+  float64 tier within the loop-path tolerance, the integer tiers bitwise);
+* encoding blocks, forced down to a few rows: ``decision_function``, with
+  telemetry off and on, scores exactly the encodings ``encode`` returns.
 
 The encoding matmul is outside the claim (BLAS does not promise bitwise
-shape invariance), so every comparison scores one pre-encoded matrix.
+shape invariance), so every comparison scores one pre-encoded matrix, or
+encodings made in the same row blocks.
 """
 
 import numpy as np
@@ -30,6 +33,8 @@ from repro.core.boosthd import BoostHD
 from repro.engine import compile_model
 from repro.engine import compile as compile_module
 from repro.hdc import OnlineHD
+from repro.obs import capture
+from test_quant_engine import _score_in_blocks
 
 pytestmark = pytest.mark.quant
 
@@ -68,14 +73,9 @@ def _assert_row_blocks_bitwise(model, precision, n_blocks, **options):
     np.testing.assert_array_equal(
         np.concatenate([engine.score_encoded(block) for block in blocks]), whole
     )
-    chunked = compile_model(
-        model,
-        dtype=np.float64,
-        precision=precision,
-        chunk_size=len(blocks[0]),
-        **options,
+    np.testing.assert_array_equal(
+        _score_in_blocks(engine, encoded, len(blocks[0])), whole
     )
-    np.testing.assert_array_equal(chunked.score_encoded(encoded), whole)
     np.testing.assert_array_equal(
         engine.predict(X), engine.classes_[np.argmax(whole, axis=1)]
     )
@@ -102,20 +102,19 @@ def test_cascade_row_block_scoring_bit_identical(fitted, precision):
 
 
 @settings(max_examples=20, deadline=None)
-@given(n_rows=st.integers(1, 23), chunk_size=st.integers(1, 8))
-def test_random_shapes_bit_identical(fitted, n_rows, chunk_size):
-    """Chunks larger/smaller than the batch, odd splits, single rows."""
-    rng = np.random.default_rng(n_rows * 31 + chunk_size)
+@given(n_rows=st.integers(1, 23), block_rows=st.integers(1, 8))
+def test_random_shapes_bit_identical(fitted, n_rows, block_rows):
+    """Blocks larger/smaller than the batch, odd splits, single rows."""
+    rng = np.random.default_rng(n_rows * 31 + block_rows)
     X = rng.standard_normal((n_rows, 8))
     model = fitted["boosthd"]
     for precision in ("bipolar-packed", "fixed8"):
         engine = compile_model(model, dtype=np.float64, precision=precision)
-        chunked = compile_model(
-            model, dtype=np.float64, precision=precision, chunk_size=chunk_size
-        )
         encoded = engine.encode(X)
         whole = engine.score_encoded(encoded)
-        np.testing.assert_array_equal(chunked.score_encoded(encoded), whole)
+        np.testing.assert_array_equal(
+            _score_in_blocks(engine, encoded, block_rows), whole
+        )
         np.testing.assert_array_equal(
             np.concatenate([engine.score_encoded(row[None]) for row in encoded]),
             whole,
@@ -158,3 +157,43 @@ def test_float_row_steps_within_loop_path_tolerance(
     stepped = engine.score_encoded(encoded)
     np.testing.assert_allclose(stepped, whole, atol=1e-9)
     np.testing.assert_allclose(stepped, model.decision_function(X), atol=1e-9)
+
+
+# --------------------------------------------------------- encoding blocks
+def _assert_blocks_score_their_encodings(monkeypatch, engine, block_rows):
+    """``decision_function`` in ``block_rows``-row blocks, telemetry off and on,
+    equals ``score_encoded`` of what ``encode`` returns, bit for bit."""
+    X, _ = _problem()
+    monkeypatch.setattr(
+        compile_module,
+        "_ENCODE_BYTES",
+        engine.total_dim * engine.dtype.itemsize * block_rows,
+    )
+    expected = engine.score_encoded(engine.encode(X))
+    np.testing.assert_array_equal(engine.decision_function(X), expected)
+    with capture() as (registry, _):
+        observed = engine.decision_function(X)
+    np.testing.assert_array_equal(observed, expected)
+    blocks = registry.histogram(
+        "repro_engine_chunk_seconds", precision=engine.precision
+    )
+    assert blocks.count == -(-len(X) // block_rows)
+
+
+@pytest.mark.parametrize("kind", ("boosthd", "onlinehd", "vote"))
+@pytest.mark.parametrize("precision", INTEGER_PRECISIONS)
+def test_encoding_blocks_score_their_encodings_bitwise(
+    fitted, monkeypatch, kind, precision
+):
+    engine = compile_model(fitted[kind], dtype=np.float64, precision=precision)
+    _assert_blocks_score_their_encodings(monkeypatch, engine, 7)
+
+
+@pytest.mark.parametrize("precision", ("cascade-fixed16", "cascade-fixed8"))
+def test_cascade_encoding_blocks_score_their_encodings_bitwise(
+    fitted, monkeypatch, precision
+):
+    engine = compile_model(
+        fitted["boosthd"], dtype=np.float64, precision=precision, threshold=0.05
+    )
+    _assert_blocks_score_their_encodings(monkeypatch, engine, 7)

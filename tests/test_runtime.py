@@ -14,6 +14,8 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -348,9 +350,6 @@ def make_result(**overrides) -> CellResult:
         train_seconds=0.25,
         inference_seconds_per_query=1.5e-5,
         engine_seconds_per_query=0.5e-5,
-        engine_warm_seconds_per_query=0.25e-5,
-        cache_hits=10,
-        cache_requests=12,
         wall_seconds=0.3,
         worker=1234,
     )
@@ -379,9 +378,6 @@ class TestArtifactStore:
             "train_seconds",
             "inference_seconds_per_query",
             "engine_seconds_per_query",
-            "engine_warm_seconds_per_query",
-            "cache_hits",
-            "cache_requests",
             "wall_seconds",
             "worker",
         ):
@@ -389,11 +385,9 @@ class TestArtifactStore:
 
     def test_none_engine_fields_round_trip(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.save(SPEC, make_result(engine_seconds_per_query=None,
-                                     engine_warm_seconds_per_query=None))
+        store.save(SPEC, make_result(engine_seconds_per_query=None))
         loaded = store.load(SPEC)
         assert loaded.engine_seconds_per_query is None
-        assert loaded.engine_warm_seconds_per_query is None
 
     def test_missing_spec_is_a_miss(self, tmp_path):
         assert ArtifactStore(tmp_path).load(SPEC) is None
@@ -430,6 +424,30 @@ class TestArtifactStore:
         manifest["store_version"] = 999
         manifest_path.write_text(json.dumps(manifest))
         assert store.load(SPEC) is None
+
+    def test_version_1_artifacts_with_cache_fields_miss(self, tmp_path):
+        """Layout 1 also stored the engine cache's warm timing and hit counts."""
+        store = ArtifactStore(tmp_path)
+        key = store.save(SPEC, make_result())
+        npz_path = tmp_path / f"{key}.npz"
+        with np.load(npz_path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays.update(
+            engine_warm_seconds_per_query=np.float64(0.25e-5),
+            cache_hits=np.int64(10),
+            cache_requests=np.int64(12),
+        )
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        npz_path.write_bytes(buffer.getvalue())
+        manifest_path = tmp_path / f"{key}.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["store_version"] = 1
+        manifest["content_hash"] = hashlib.sha256(buffer.getvalue()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load(SPEC) is None
+        store.save(SPEC, make_result())
+        assert store.load(SPEC) == make_result(cached=True)
 
     def test_clear_empties_the_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -472,11 +490,11 @@ def test_property_distinct_specs_get_distinct_keys(first, second):
     engine=st.one_of(st.none(), st.floats(0.0, 1.0, allow_nan=False)),
     run_index=st.integers(0, 1000),
     seed=st.integers(0, 2**63 - 1),
-    hits=st.integers(0, 10**9),
+    worker=st.integers(0, 10**9),
 )
 @settings(max_examples=40, deadline=None)
 def test_property_store_round_trip_bit_exact(
-    tmp_path_factory, accuracy, train_seconds, inference, engine, run_index, seed, hits
+    tmp_path_factory, accuracy, train_seconds, inference, engine, run_index, seed, worker
 ):
     store = ArtifactStore(tmp_path_factory.mktemp("store"))
     result = make_result(
@@ -486,7 +504,7 @@ def test_property_store_round_trip_bit_exact(
         engine_seconds_per_query=engine,
         run_index=run_index,
         seed=seed,
-        cache_hits=hits,
+        worker=worker,
     )
     spec = {"seed": seed, "run_index": run_index}
     store.save(spec, result)
@@ -496,7 +514,7 @@ def test_property_store_round_trip_bit_exact(
     assert loaded.inference_seconds_per_query == inference
     assert loaded.engine_seconds_per_query == engine
     assert loaded.run_index == run_index and loaded.seed == seed
-    assert loaded.cache_hits == hits
+    assert loaded.worker == worker
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,15 @@ class TestMicroBatchScheduler:
         assert first[0] != "not a prediction"
         assert hash(first[0]) == hash(twin)
         assert len(set(first) | {twin}) == len(first)  # usable in sets
+        # How a window was served is not part of what it scored.
+        served_differently = dataclasses.replace(
+            first[0],
+            queue_seconds=first[0].queue_seconds + 1.0,
+            score_seconds=first[0].score_seconds + 1.0,
+            batch_size=first[0].batch_size + 5,
+        )
+        assert first[0] == served_differently
+        assert hash(first[0]) == hash(served_differently)
 
 
 # -------------------------------------------------------------------- registry
@@ -352,8 +361,8 @@ class TestModelRegistry:
         boost, _ = fitted_models
         registry = ModelRegistry(tmp_path)
         registry.save("stress", boost)
-        original = boost.compile(dtype=np.float32, chunk_size=7)
-        restored = registry.load_compiled("stress", dtype=np.float32, chunk_size=7)
+        original = boost.compile(dtype=np.float32)
+        restored = registry.load_compiled("stress", dtype=np.float32)
         np.testing.assert_array_equal(
             restored.decision_function(X_test), original.decision_function(X_test)
         )
@@ -444,6 +453,7 @@ class TestDriftMonitor:
     def test_margins(self):
         scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.6, 0.5]])
         np.testing.assert_allclose(DriftMonitor.margins(scores), [0.6, 0.1])
+        np.testing.assert_allclose(DriftMonitor.margins(scores[1]), [0.1])
 
     def test_drift_flagged_on_margin_collapse(self):
         monitor = DriftMonitor(window=10, baseline_window=10, ratio=0.5)

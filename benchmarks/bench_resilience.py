@@ -14,10 +14,10 @@ predictions when no fault fires*:
   must be closed again within 2x its probe interval (injected clock: the
   bound is exact, not a sleep race).
 * **Idle cost** — with chaos off, a scheduler carrying the full resilience
-  configuration (retry budget, admission bound, degradation ladder) must
-  serve predictions byte-identical to the unguarded scheduler at >= 0.98x
-  its throughput, measured with the same interleaved dual-estimator gate
-  as ``bench_obs.py``.
+  configuration (retry budget, admission bound) must serve predictions
+  byte-identical to the unguarded scheduler at >= 0.98x its throughput,
+  measured with the same interleaved dual-estimator gate as
+  ``bench_obs.py``.
 
 Fast mode for CI (smaller model, shorter stream, same assertions)::
 
@@ -37,7 +37,6 @@ from repro.engine import compile_model
 from repro.resilience import (
     CLOSED,
     CircuitBreaker,
-    DegradationLadder,
     FaultPlan,
     FaultSpec,
     inject,
@@ -275,8 +274,8 @@ def _serve_once(engine, order, features, *, guarded, rounds=1):
     """``rounds`` micro-batched passes; returns (seconds, {key: scores}).
 
     ``guarded=True`` runs the full resilience configuration — bounded
-    retries, an admission bound and an (idle) degradation ladder — exactly
-    as a production service would carry it; ``guarded=False`` is the
+    retries and an admission bound — exactly as a production service would
+    carry it; ``guarded=False`` is the
     unguarded pre-resilience scheduler.
     """
     if guarded:
@@ -286,7 +285,6 @@ def _serve_once(engine, order, features, *, guarded, rounds=1):
             max_wait=1e9,
             max_retries=5,
             max_pending=100_000,
-            degradation=DegradationLadder(engine, deadline=3600.0),
         )
     else:
         scheduler = MicroBatchScheduler(
@@ -304,7 +302,7 @@ def _serve_once(engine, order, features, *, guarded, rounds=1):
         (prediction.session_id, prediction.window_index): prediction.scores
         for prediction in released
     }
-    assert not any(p.shed or p.degraded for p in released)
+    assert not any(p.shed for p in released)
     return seconds, scores
 
 
@@ -313,7 +311,7 @@ def test_idle_resilience_overhead_under_two_percent():
     engine, order, features = _overhead_workload()
     n_windows = len(order)
 
-    # Warm both paths (BLAS spin-up, allocators, ladder construction).
+    # Warm both paths (BLAS spin-up, allocators).
     _serve_once(engine, order, features, guarded=False)
     _serve_once(engine, order, features, guarded=True)
 

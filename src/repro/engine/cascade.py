@@ -219,19 +219,6 @@ class CascadeModel(CompiledModel):
         """Bytes of both tiers' stored class representations."""
         return self.first.class_memory_bytes() + self.second.class_memory_bytes()
 
-    def packed_tier(self) -> PackedBipolarModel:
-        """The packed first tier, served alone — the cascade's emergency gear.
-
-        This is what the degradation ladder
-        (:class:`repro.resilience.DegradationLadder`) drops to when serving
-        deadlines are at risk: scoring the first tier directly skips the
-        per-row margin computation and any second-tier rerank, so its cost
-        is the cascade's floor.  Predictions equal a ``threshold=-inf``
-        cascade bitwise (nothing routes), and the tier shares this cascade's
-        encoder arrays — using it costs no extra memory.
-        """
-        return self.first
-
     # -------------------------------------------------------------- scoring
     def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
         if OBS.enabled:

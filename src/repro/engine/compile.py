@@ -60,7 +60,6 @@ __all__ = [
     "model_components",
     "stack_learners",
     "topk_indices",
-    "unstack_learners",
 ]
 
 #: Denominator clip mirroring :func:`repro.hdc.similarity.cosine_similarity`.
@@ -112,12 +111,6 @@ def stack_learners(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
     for index, array in enumerate(arrays):
         stack[index, : array.shape[1]] = array.T
     return stack
-
-
-def unstack_learners(stack: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The ``(k, D_total)`` rows of a learner stack, learners side by side."""
-    widths = spans[:, 1] - spans[:, 0]
-    return stack[np.arange(stack.shape[1]) < widths[:, None]].T
 
 
 def _row_steps(n: int, row_bytes: int, budget: int | None = None):

@@ -21,11 +21,8 @@ fabric assume about their callers is enforced here:
   accepted gets 504 with ``"accepted": true`` — the windows are still
   scored and answered into the session mailbox, because an accepted window
   is never silently dropped.
-* **Brownout** — the service's :class:`~repro.resilience.DegradationLadder`
-  keeps scoring under pressure at the packed tier; degraded predictions are
-  flagged on the wire and the readiness probe reports ``brownout``.
 * **Lifecycle** — liveness (``/healthz``) and readiness (``/readyz``, wired
-  to draining state, fabric circuit breakers and ladder state), and a
+  to draining state and fabric circuit breakers), and a
   SIGTERM-triggered :meth:`Gateway.shutdown`: stop accepting, finish
   in-flight requests, flush every pending window through the backend within
   a drain deadline, deliver the results, then close — zero accepted-window
@@ -880,7 +877,6 @@ class Gateway:
         payload = {
             "ready": ready,
             "draining": self._draining,
-            "brownout": self.backend.brownout,
             "breakers": breakers,
             "in_flight": self.concurrency.in_flight,
             "saturation": self.concurrency.saturation,

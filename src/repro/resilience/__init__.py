@@ -4,8 +4,7 @@ PRs 2-8 made the stack *fast* (fused engines, quantized tiers,
 micro-batching, the multi-process fabric); this subpackage makes it
 *survive*: deadlines and timeouts so nothing blocks forever, retry policies
 with deterministic backoff, per-shard circuit breakers, bounded admission
-queues with an explicit shed policy, a degradation ladder that trades
-precision for latency under pressure, end-to-end artifact integrity checks
+queues with an explicit shed policy, end-to-end artifact integrity checks
 — and a seeded chaos harness so every one of those recovery paths is
 exercised reproducibly in tests rather than discovered in production.
 
@@ -14,8 +13,6 @@ Layout:
 * :mod:`repro.resilience.policy` — :class:`Deadline`, :class:`RetryPolicy`
   (seeded deterministic jitter), :class:`CircuitBreaker`
   (closed/open/half-open);
-* :mod:`repro.resilience.degrade` — :func:`packed_fallback` and
-  :class:`DegradationLadder` (hysteresis drop to packed-bipolar scoring);
 * :mod:`repro.resilience.chaos` — :class:`FaultPlan` / :class:`FaultSpec`,
   the :data:`CHAOS` switchboard and its named injection points, activated
   explicitly or via ``REPRO_CHAOS`` (off by default).
@@ -40,7 +37,6 @@ from .chaos import (
     install,
     uninstall,
 )
-from .degrade import DegradationLadder, packed_fallback
 from .policy import (
     CLOSED,
     HALF_OPEN,
@@ -62,7 +58,6 @@ __all__ = [
     "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
-    "DegradationLadder",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
@@ -73,6 +68,5 @@ __all__ = [
     "corrupt_bytes",
     "inject",
     "install",
-    "packed_fallback",
     "uninstall",
 ]

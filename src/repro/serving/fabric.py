@@ -57,6 +57,7 @@ serial fabric with identical routing and results.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
 import signal
 from collections import defaultdict
@@ -448,11 +449,10 @@ class ServingFabric:
         Forwarded to each worker's :class:`StreamingService` —
         ``n_channels``, ``window_samples``, ``max_batch``, ``max_wait``,
         etc.  Everything must be picklable (a ``transform`` lambda is not).
+        They are checked against its signature before anything is
+        published or started, so an unknown or missing option raises
+        :class:`TypeError` here rather than inside a worker.
     """
-
-    #: Degradation ladders live inside the workers, out of the parent's
-    #: sight, so the fabric never reports a brownout.
-    brownout = False
 
     def __init__(
         self,
@@ -466,6 +466,7 @@ class ServingFabric:
         fallback: dict | None = None,
         **service_options,
     ) -> None:
+        inspect.signature(StreamingService).bind(engine, **service_options)
         if cleanup_orphans:
             cleanup_orphan_segments()
         self.n_workers = resolve_max_workers(n_workers, env=WORKER_ENV)

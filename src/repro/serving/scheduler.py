@@ -42,12 +42,6 @@ Overload semantics (:mod:`repro.resilience` wiring, all opt-in):
   in ``repro_scheduler_windows_shed_total``) on the next :meth:`pump` /
   :meth:`flush`, never silently dropped.  Shedding oldest-first keeps the
   freshest signal flowing when a consumer cannot keep up.
-* ``degradation`` attaches a
-  :class:`~repro.resilience.DegradationLadder`: when the oldest queued
-  window's wait approaches the ladder's deadline, batches are scored by
-  the packed-bipolar tier (predictions flagged ``degraded=True``) until
-  pressure clears.  With no ladder — or a ladder that never activates —
-  predictions are bit-identical to the historical scheduler.
 
 The accounting identity ``windows_submitted == windows_scored +
 windows_shed + windows_dead + pending`` holds at every quiescent point and
@@ -112,10 +106,10 @@ class Prediction:
     ``window_index``, ``label`` and the scores (with
     :func:`numpy.array_equal`; the dataclass auto-``__eq__`` would raise the
     ambiguous-ndarray ``ValueError`` for any ``k > 1``) — and the hash is
-    that of ``(session_id, window_index)``.  Timings, batch size and the
-    ``degraded`` flag say how a window was served, not what it scored, so
-    the same window scored alike in two runs compares equal, and
-    predictions are safe to deduplicate and keep in sets/dicts.
+    that of ``(session_id, window_index)``.  Timings and batch size say how
+    a window was served, not what it scored, so the same window scored
+    alike in two runs compares equal, and predictions are safe to
+    deduplicate and keep in sets/dicts.
     """
 
     session_id: str
@@ -125,7 +119,6 @@ class Prediction:
     queue_seconds: float
     score_seconds: float
     batch_size: int
-    degraded: bool = False
 
     @property
     def latency_seconds(self) -> float:
@@ -181,7 +174,6 @@ class Prediction:
             "status": self.status,
             "label": label,
             "scores": scores,
-            "degraded": bool(self.degraded),
             "queue_seconds": float(self.queue_seconds),
             "score_seconds": float(self.score_seconds),
             "batch_size": int(self.batch_size),
@@ -317,9 +309,6 @@ class MicroBatchScheduler:
     max_pending:
         Admission-queue bound; a submit beyond it sheds the oldest pending
         window as an explicit :data:`SHED` prediction (``None`` = unbounded).
-    degradation:
-        Optional :class:`~repro.resilience.DegradationLadder`; consulted per
-        batch to trade precision for latency under queue pressure.
     """
 
     def __init__(
@@ -331,7 +320,6 @@ class MicroBatchScheduler:
         clock: Callable[[], float] = time.perf_counter,
         max_retries: int | None = 5,
         max_pending: int | None = None,
-        degradation=None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -352,7 +340,6 @@ class MicroBatchScheduler:
         self.clock = clock
         self.max_retries = None if max_retries is None else int(max_retries)
         self.max_pending = None if max_pending is None else int(max_pending)
-        self.degradation = degradation
         self.stats = SchedulerStats()
         self.dead_letters: list[DeadLetter] = []
         self._queue: list[_PendingWindow] = []
@@ -418,11 +405,7 @@ class MicroBatchScheduler:
 
     def _score_batch(self, batch: list[_PendingWindow]) -> list[Prediction]:
         released_at = self.clock()
-        scorer, degraded = self.scorer, False
-        if self.degradation is not None:
-            scorer, degraded = self.degradation.scorer_for(
-                released_at - batch[0].enqueued_at
-            )
+        scorer = self.scorer
         if CHAOS.enabled:
             CHAOS.hit("scheduler.score", batch=len(batch))
         features = np.stack([pending.features for pending in batch])
@@ -447,7 +430,6 @@ class MicroBatchScheduler:
                 queue_seconds=released_at - pending.enqueued_at,
                 score_seconds=score_seconds,
                 batch_size=len(batch),
-                degraded=degraded,
             )
             predictions.append(prediction)
         stats = self.stats

@@ -77,13 +77,6 @@ class StreamingService:
         budget before a window is dead-lettered, and the admission-queue
         bound beyond which the oldest window is shed as an explicit
         :data:`~repro.serving.scheduler.SHED` prediction.
-    degrade_deadline:
-        Optional per-window latency target, seconds.  When set, the service
-        attaches a :class:`~repro.resilience.DegradationLadder` so batches
-        at risk of blowing the deadline are scored by the packed-bipolar
-        tier (predictions flagged ``degraded``) until pressure clears.
-        Requires a scorer with a cheaper tier (cascade, fixed-point or
-        float engine).
     """
 
     #: An in-process service has no worker transport to trip.
@@ -104,17 +97,14 @@ class StreamingService:
         precision: str | None = None,
         max_retries: int | None = 5,
         max_pending: int | None = None,
-        degrade_deadline: float | None = None,
     ) -> None:
         scorer = self._apply_precision(scorer, precision)
-        self.degrade_deadline = degrade_deadline
         self.scheduler = MicroBatchScheduler(
             scorer,
             max_batch=max_batch,
             max_wait=max_wait,
             max_retries=max_retries,
             max_pending=max_pending,
-            degradation=self._build_ladder(scorer, degrade_deadline),
         )
         self.generation = 0
         self.n_channels = int(n_channels)
@@ -124,15 +114,6 @@ class StreamingService:
         self.statistics = tuple(statistics)
         self.transform = transform
         self.sessions: dict[str, StreamSession] = {}
-
-    @staticmethod
-    def _build_ladder(scorer, deadline: float | None):
-        """A degradation ladder for ``scorer``, or ``None`` when unconfigured."""
-        if deadline is None:
-            return None
-        from ..resilience.degrade import DegradationLadder
-
-        return DegradationLadder(scorer, deadline=deadline)
 
     @staticmethod
     def _apply_precision(scorer, precision: str | None):
@@ -233,12 +214,6 @@ class StreamingService:
         return self.scheduler.flush()
 
     @property
-    def brownout(self) -> bool:
-        """Whether the degradation ladder is scoring at its cheaper tier."""
-        ladder = self.scheduler.degradation
-        return ladder is not None and bool(ladder.active)
-
-    @property
     def dead_letters(self):
         """Windows dead-lettered after exhausting their retry budget."""
         return self.scheduler.dead_letters
@@ -276,7 +251,6 @@ class StreamingService:
         """
         flushed = self.scheduler.flush()
         self.scheduler.scorer = scorer
-        self.scheduler.degradation = self._build_ladder(scorer, self.degrade_deadline)
         self.generation += 1
         if OBS.enabled:
             OBS.metrics.counter(

@@ -92,7 +92,7 @@ def test_threshold_inf_is_bitwise_second_tier(engines, problem, second):
 
 
 @pytest.mark.parametrize("second", SECOND_TIERS)
-def test_threshold_neg_inf_is_bitwise_packed_tier(engines, problem, second):
+def test_threshold_neg_inf_is_bitwise_the_packed_engine(engines, problem, second):
     _, _, X_test, _ = problem
     cascade = engines[second]
     cascade.threshold = -np.inf

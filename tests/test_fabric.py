@@ -48,6 +48,7 @@ from repro.serving import (
     publish_engine,
     shard_of,
 )
+from repro.serving import fabric as fabric_module
 from repro.serving.shm import SEGMENT_PREFIX
 
 pytestmark = pytest.mark.fabric
@@ -567,6 +568,36 @@ class TestWorkerResolution:
             window_samples=WINDOW,
         ) as fabric:
             assert fabric.n_workers == 2
+
+
+# ------------------------------------------------------------------ options
+@pytest.mark.parametrize("option", ["bogus_option", "degrade_deadline"])
+def test_unknown_service_option_raises_before_anything_starts(
+    engines, monkeypatch, option
+):
+    """An option no worker service takes fails in the parent, up front."""
+    calls = []
+
+    def recorder(name, real):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return record
+
+    for name in ("publish_engine", "_ProcessShard"):
+        monkeypatch.setattr(
+            fabric_module, name, recorder(name, getattr(fabric_module, name))
+        )
+    with pytest.raises(TypeError, match=option):
+        ServingFabric(
+            engines["fixed16"],
+            n_workers=2,
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+            **{option: 1},
+        )
+    assert calls == []
 
 
 # --------------------------------------------------------------- inspection

@@ -611,7 +611,7 @@ def test_readyz_reflects_draining_state():
                 assert status == 200
                 assert body["ready"] is True
                 assert body["draining"] is False
-                assert "brownout" in body and "breakers" in body
+                assert "breakers" in body and "brownout" not in body
                 gateway._draining = True  # simulate: SIGTERM received
                 status, body = await client.readyz()
                 assert status == 503
@@ -802,7 +802,6 @@ def test_gateway_serves_either_backend(swap_registry, kind):
             assert body == {
                 "ready": True,
                 "draining": False,
-                "brownout": False,
                 "breakers": [] if kind == "service" else ["closed"],
                 "in_flight": 0,
                 "saturation": 0.0,
@@ -1014,3 +1013,26 @@ def test_prediction_wire_is_strict_json():
         text = json.dumps(prediction.to_wire(), allow_nan=False)
         decoded = json.loads(text)
         assert decoded["status"] == prediction.status
+
+
+def test_prediction_wire_keys():
+    """Scored and shed predictions carry the same wire keys, and only these."""
+    scheduler = MicroBatchScheduler(
+        StubScorer(), max_batch=8, max_wait=1e9, max_pending=1
+    )
+    scheduler.submit("s", 0, np.zeros(N_FEATURES))
+    scheduler.submit("s", 1, np.ones(N_FEATURES))  # sheds window 0
+    shed, scored = scheduler.flush()
+    assert shed.shed and not scored.shed
+    keys = {
+        "session_id",
+        "window_index",
+        "status",
+        "label",
+        "scores",
+        "queue_seconds",
+        "score_seconds",
+        "batch_size",
+    }
+    assert set(shed.to_wire()) == keys
+    assert set(scored.to_wire()) == keys

@@ -16,9 +16,6 @@ harness — never by hoping a real fault occurs:
   :data:`SHED` prediction; the accounting identity
   ``submitted == scored + shed + dead + pending`` holds at every quiescent
   point.
-* **Degradation** — the ladder's hysteresis band, the degraded-flag
-  stamping, and packed-tier parity against the registry's own
-  bipolar-packed load of the same quantized artifact.
 * **Integrity** — corrupt shared-memory segments are refused at attach and
   at swap; torn registry writes are refused at load; a crashed save leaves
   no published version behind.
@@ -43,7 +40,7 @@ import pytest
 
 import repro
 from repro.core import BoostHD
-from repro.engine import EngineError, compile_model
+from repro.engine import compile_model
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -53,7 +50,6 @@ from repro.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    DegradationLadder,
     FaultInjected,
     FaultPlan,
     FaultSpec,
@@ -61,7 +57,6 @@ from repro.resilience import (
     RetryPolicy,
     corrupt_bytes,
     inject,
-    packed_fallback,
 )
 from repro.resilience.chaos import CHAOS_ENV
 from repro.serving import (
@@ -560,107 +555,21 @@ class TestSchedulerShedding:
         assert [p.window_index for p in shed] == [0] and shed[0].shed
 
 
-# ----------------------------------------------------------------- degrade
-class TestDegradation:
-    def test_packed_fallback_tiers(self, fitted_model):
-        fixed = compile_model(fitted_model, precision="fixed16")
-        packed = compile_model(fitted_model, precision="bipolar-packed")
-        cascade = compile_model(fitted_model, precision="cascade-fixed16")
-        assert packed_fallback(packed) is None
-        assert packed_fallback(cascade) is cascade.packed_tier()
-        fallback = packed_fallback(fixed)
-        assert fallback is not None
-        assert np.array_equal(fallback.classes_, fixed.classes_)
-        # Derived tier shares the projection arrays instead of copying them.
-        assert fallback._basis2 is fixed._basis2
-
-    def test_fixed_tier_parity_anchor_is_the_stored_codes(
-        self, fitted_model, feature_batch, tmp_path
-    ):
-        registry = ModelRegistry(tmp_path)
-        registry.save("m", fitted_model, quantize="fixed16")
-        fixed = registry.load_compiled("m", precision="fixed16")
-        anchor = registry.load_compiled("m", precision="bipolar-packed")
-        fallback = packed_fallback(fixed)
-        np.testing.assert_array_equal(
-            fallback.decision_function(feature_batch),
-            anchor.decision_function(feature_batch),
-        )
-
-    def test_ladder_rejects_engines_without_a_cheaper_tier(self, fitted_model):
-        packed = compile_model(fitted_model, precision="bipolar-packed")
-        with pytest.raises(EngineError, match="no cheaper tier"):
-            DegradationLadder(packed, deadline=1.0)
-
-    def test_hysteresis_band(self, fitted_model):
-        fixed = compile_model(fitted_model, precision="fixed16")
-        ladder = DegradationLadder(fixed, deadline=1.0)
-        assert ladder.scorer_for(0.1) == (fixed, False)
-        scorer, degraded = ladder.scorer_for(0.8)  # above degrade_at=0.75
-        assert degraded and scorer is ladder.degraded
-        # Between restore_at and degrade_at: stays degraded (no oscillation).
-        assert ladder.scorer_for(0.5) == (ladder.degraded, True)
-        assert ladder.scorer_for(0.2) == (fixed, False)  # below restore_at
-        assert ladder.activations == 1 and ladder.restorations == 1
-
-    def test_scheduler_stamps_degraded_predictions(self, fitted_model):
-        fixed = compile_model(fitted_model, precision="fixed16")
-        ladder = DegradationLadder(fixed, deadline=1.0)
-        clock = FakeClock()
-        scheduler = MicroBatchScheduler(
-            fixed, max_wait=999.0, clock=clock, degradation=ladder
-        )
-        features = np.random.default_rng(31).normal(size=N_FEATURES)
-        scheduler.submit("s", 0, features)
-        clock.advance(0.9)  # oldest wait blows through the degrade threshold
-        degraded = scheduler.flush()
-        assert degraded[0].degraded
-        np.testing.assert_array_equal(
-            degraded[0].scores,
-            ladder.degraded.decision_function(features[None])[0],
-        )
-        scheduler.submit("s", 1, features)  # no wait: pressure cleared
-        restored = scheduler.flush()
-        assert not restored[0].degraded
-        np.testing.assert_array_equal(
-            restored[0].scores, fixed.decision_function(features[None])[0]
-        )
-
-    def test_unpressured_ladder_is_bit_identical_to_no_ladder(self, fitted_model):
-        fixed = compile_model(fitted_model, precision="fixed16")
-        rng = np.random.default_rng(37)
-        plain = MicroBatchScheduler(fixed, max_wait=0.0)
-        laddered = MicroBatchScheduler(
-            fixed,
-            max_wait=0.0,
-            degradation=DegradationLadder(fixed, deadline=3600.0),
-        )
-        for index in range(6):
-            features = rng.normal(size=N_FEATURES)
-            plain.submit("s", index, features)
-            laddered.submit("s", index, features)
-        for expected, actual in zip(plain.flush(), laddered.flush()):
-            assert not actual.degraded
-            assert actual.label == expected.label
-            np.testing.assert_array_equal(actual.scores, expected.scores)
-
-    def test_service_wires_the_ladder_and_swap_rebuilds_it(self, fitted_model):
-        fixed = compile_model(fitted_model, precision="fixed16")
-        service = StreamingService(
-            fixed,
-            n_channels=N_CHANNELS,
-            window_samples=WINDOW,
-            degrade_deadline=0.5,
-            max_pending=128,
-            max_retries=2,
-        )
-        assert service.scheduler.degradation is not None
-        assert service.scheduler.degradation.full is fixed
-        assert service.scheduler.max_pending == 128
-        assert service.scheduler.max_retries == 2
-        replacement = compile_model(fitted_model, precision="fixed16")
-        service.swap(replacement)
-        assert service.scheduler.degradation.full is replacement
+# ------------------------------------------------------- service: bounds wiring
+def test_service_wires_the_scheduler_bounds(fitted_model):
+    fixed = compile_model(fitted_model, precision="fixed16")
+    service = StreamingService(
+        fixed,
+        n_channels=N_CHANNELS,
+        window_samples=WINDOW,
+        max_pending=128,
+        max_retries=2,
+    )
+    assert service.scheduler.max_pending == 128
+    assert service.scheduler.max_retries == 2
+    service.swap(compile_model(fitted_model, precision="fixed16"))
+    assert service.scheduler.max_pending == 128
+    assert service.scheduler.max_retries == 2
 
 
 # --------------------------------------------------------------- shm integrity

@@ -148,8 +148,7 @@ def _serve_fabric(engine, waves, n_workers, n_sessions=N_SESSIONS):
             predictions.extend(fabric.route(wave))
         predictions.extend(fabric.drain())
         elapsed = time.perf_counter() - start
-        serial = fabric.serial
-    return predictions, elapsed, serial
+    return predictions, elapsed
 
 
 def _by_window(predictions):
@@ -167,11 +166,9 @@ def test_fabric_throughput_and_equivalence():
     assert len(reference) == n_windows
 
     fabric_seconds = {}
-    was_serial = False
     for n_workers in (1, 2, WORKERS):
-        predictions, elapsed, serial = _serve_fabric(engine, waves, n_workers)
+        predictions, elapsed = _serve_fabric(engine, waves, n_workers)
         fabric_seconds[n_workers] = elapsed
-        was_serial = was_serial or (serial and n_workers > 1)
         # The acceptance criterion: bit-identical to single-process serving
         # at ANY worker count.
         assert len(predictions) == n_windows
@@ -196,11 +193,6 @@ def test_fabric_throughput_and_equivalence():
     )
 
     cpus = available_cpus()
-    if was_serial:
-        pytest.skip(
-            "process pools unavailable: fabric degraded to serial "
-            "(equivalence was still checked)"
-        )
     if cpus < WORKERS:
         pytest.skip(
             f"only {cpus} usable core(s): {WORKERS}-worker speedup is not "
@@ -231,8 +223,6 @@ def test_zero_copy_aggregate_worker_memory():
             window_samples=WINDOW_SAMPLES,
             max_batch=1,
         ) as fabric:
-            if fabric.serial:
-                pytest.skip("process pools unavailable on this platform")
             for session in range(2 * WORKERS):
                 fabric.open_session(f"subject-{session}")
             # Score through the model so its pages are actually resident in

@@ -344,9 +344,6 @@ def test_gateway_predictions_bit_identical_to_in_process(kind):
         backend = ServingFabric(
             engine, n_workers=2, **{**SERVICE_OPTIONS, "max_batch": 8, "max_wait": 1e9}
         )
-        if backend.serial:
-            backend.shutdown()
-            pytest.skip("process pools unavailable on this platform")
 
     async def scenario():
         gateway = Gateway(backend)

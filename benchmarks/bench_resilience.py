@@ -165,8 +165,6 @@ def test_goodput_under_faults():
             max_wait=0.0,
             call_timeout=CALL_TIMEOUT,
         ) as fabric:
-            if fabric.serial:
-                pytest.skip("process pools unavailable on this platform")
             for session in sessions:
                 fabric.open_session(session)
             for session, chunk in chunks:

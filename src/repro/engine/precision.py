@@ -3,8 +3,7 @@
 A precision names how an engine stores and compares class hypervectors.
 Every entry point that takes one — :func:`~repro.engine.compile_model`,
 :meth:`~repro.serving.ModelRegistry.load_compiled`,
-:class:`~repro.serving.AdaptiveModel`,
-:class:`~repro.serving.StreamingService` and the shared-memory transport of
+:class:`~repro.serving.AdaptiveModel` and the shared-memory transport of
 :mod:`repro.serving.shm` — looks it up in :data:`PRECISIONS`, and every
 engine is built by :func:`build_engine`:
 

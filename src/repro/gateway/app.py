@@ -921,7 +921,7 @@ class Gateway:
             millis = float(raw)
         except ValueError:
             raise ProtocolError(f"malformed {DEADLINE_HEADER} header: {raw!r}") from None
-        if millis < 0:
+        if not millis >= 0:  # NaN fails this too
             raise ProtocolError(f"{DEADLINE_HEADER} must be >= 0, got {millis}")
         return Deadline(millis / 1000.0)
 

@@ -2,17 +2,16 @@
 
 PRs 2-8 made the stack *fast* (fused engines, quantized tiers,
 micro-batching, the multi-process fabric); this subpackage makes it
-*survive*: deadlines and timeouts so nothing blocks forever, retry policies
-with deterministic backoff, per-shard circuit breakers, bounded admission
-queues with an explicit shed policy, end-to-end artifact integrity checks
-— and a seeded chaos harness so every one of those recovery paths is
-exercised reproducibly in tests rather than discovered in production.
+*survive*: deadlines and timeouts so nothing blocks forever, per-shard
+circuit breakers, bounded admission queues with an explicit shed policy,
+end-to-end artifact integrity checks — and a seeded chaos harness so every
+one of those recovery paths is exercised reproducibly in tests rather than
+discovered in production.
 
 Layout:
 
-* :mod:`repro.resilience.policy` — :class:`Deadline`, :class:`RetryPolicy`
-  (seeded deterministic jitter), :class:`CircuitBreaker`
-  (closed/open/half-open);
+* :mod:`repro.resilience.policy` — :class:`Deadline` and
+  :class:`CircuitBreaker` (closed/open/half-open);
 * :mod:`repro.resilience.chaos` — :class:`FaultPlan` / :class:`FaultSpec`,
   the :data:`CHAOS` switchboard and its named injection points, activated
   explicitly or via ``REPRO_CHAOS`` (off by default).
@@ -45,8 +44,6 @@ from .policy import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    RetryError,
-    RetryPolicy,
 )
 
 __all__ = [
@@ -63,8 +60,6 @@ __all__ = [
     "FaultSpec",
     "HALF_OPEN",
     "OPEN",
-    "RetryError",
-    "RetryPolicy",
     "corrupt_bytes",
     "inject",
     "install",

@@ -1,30 +1,24 @@
-"""Failure-policy primitives: deadlines, retries, circuit breakers.
+"""Failure-policy primitives: deadlines and circuit breakers.
 
 The serving stack built by PRs 2-8 is fast but trusting: every cross-process
-call waits forever, every failure is retried forever, and a misbehaving
-dependency is hammered at full rate until something else breaks.  This
-module provides the three small, composable policies the rest of
-:mod:`repro.resilience` (and the serving fabric) is built from:
+call waits forever, and a misbehaving dependency is hammered at full rate
+until something else breaks.  This module provides the two small,
+composable policies the serving fabric and gateway are built from:
 
 * :class:`Deadline` — an absolute time budget that can be split across the
   calls it covers (``budget()`` caps each per-call timeout by what is left);
-* :class:`RetryPolicy` — bounded exponential backoff whose jitter is a pure
-  function of ``(seed, attempt)``, so a retry schedule is reproducible
-  bit-for-bit across processes and runs (the repo's determinism house rule
-  applies to failure handling too);
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
   machine: consecutive failures trip the circuit, tripped circuits fail
   fast instead of re-hitting the dead dependency, and a probe is admitted
   after ``probe_interval`` to test recovery.
 
-All three take an injectable monotonic ``clock`` so every policy decision is
-unit-testable without sleeping, and none of them imports the serving layer
+Both take an injectable monotonic ``clock`` so every policy decision is
+unit-testable without sleeping, and neither imports the serving layer
 (dependencies point ``serving -> resilience``, never back).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from typing import Callable
@@ -39,8 +33,6 @@ __all__ = [
     "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
-    "RetryError",
-    "RetryPolicy",
 ]
 
 
@@ -110,149 +102,6 @@ class Deadline:
 
     def __repr__(self) -> str:
         return f"Deadline(remaining={self.remaining():.3f}s)"
-
-
-class RetryError(RuntimeError):
-    """Every attempt allowed by a :class:`RetryPolicy` failed.
-
-    ``__cause__`` carries the last underlying exception.
-    """
-
-
-def _jitter_fraction(seed: int, attempt: int) -> float:
-    """Deterministic uniform-ish fraction in [0, 1) from ``(seed, attempt)``.
-
-    A hash rather than a stateful RNG: the jitter of attempt ``k`` must not
-    depend on how many *other* retries the process has performed, or retry
-    schedules would differ between otherwise identical runs.
-    """
-    digest = hashlib.blake2b(
-        f"{seed}:{attempt}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2**64
-
-
-class RetryPolicy:
-    """Bounded exponential backoff with seeded deterministic jitter.
-
-    ``delay(k)`` for the ``k``-th retry (1-based) is
-    ``min(max_delay, base_delay * multiplier**(k-1))`` scaled by a jitter
-    factor in ``[1 - jitter, 1 + jitter)`` derived purely from
-    ``(seed, k)`` — the same policy object (or an equal one) always
-    produces the same schedule.
-
-    Parameters
-    ----------
-    max_attempts:
-        Total tries (first call + retries); must be >= 1.
-    base_delay, multiplier, max_delay:
-        The exponential schedule before jitter.
-    jitter:
-        Relative jitter half-width in [0, 1).
-    seed:
-        Jitter seed; two policies with equal parameters and seeds sleep
-        identically.
-    """
-
-    __slots__ = ("max_attempts", "base_delay", "max_delay", "multiplier", "jitter", "seed")
-
-    def __init__(
-        self,
-        *,
-        max_attempts: int = 3,
-        base_delay: float = 0.05,
-        max_delay: float = 2.0,
-        multiplier: float = 2.0,
-        jitter: float = 0.1,
-        seed: int = 0,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if base_delay < 0 or max_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        self.max_attempts = int(max_attempts)
-        self.base_delay = float(base_delay)
-        self.max_delay = float(max_delay)
-        self.multiplier = float(multiplier)
-        self.jitter = float(jitter)
-        self.seed = int(seed)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before the ``attempt``-th retry (1-based), in seconds."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
-        if self.jitter == 0.0:
-            return raw
-        fraction = _jitter_fraction(self.seed, attempt)
-        return raw * (1.0 + self.jitter * (2.0 * fraction - 1.0))
-
-    def delays(self) -> tuple[float, ...]:
-        """The full backoff schedule (``max_attempts - 1`` entries)."""
-        return tuple(self.delay(k) for k in range(1, self.max_attempts))
-
-    def call(
-        self,
-        fn: Callable[[], object],
-        *,
-        retry_on: tuple[type[BaseException], ...] = (Exception,),
-        deadline: Deadline | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Callable[[int, BaseException], None] | None = None,
-    ):
-        """Run ``fn`` under this policy; raise :class:`RetryError` when spent.
-
-        Retries only exceptions in ``retry_on``; anything else propagates
-        immediately.  A ``deadline`` bounds the *whole* attempt sequence:
-        backoff sleeps are clipped to the remaining budget and an expired
-        deadline stops retrying (raising :class:`RetryError` from the last
-        failure).
-        """
-        last: BaseException | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn()
-            except retry_on as error:
-                last = error
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "repro_retry_attempts_failed_total",
-                        "Attempts that failed under a RetryPolicy.",
-                    ).inc()
-                if attempt == self.max_attempts:
-                    break
-                pause = self.delay(attempt)
-                if deadline is not None:
-                    budget = deadline.remaining()
-                    if budget <= 0.0:
-                        break
-                    pause = min(pause, budget)
-                if on_retry is not None:
-                    on_retry(attempt, error)
-                if pause > 0.0:
-                    sleep(pause)
-        raise RetryError(
-            f"all {self.max_attempts} attempts failed ({type(last).__name__}: {last})"
-        ) from last
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RetryPolicy):
-            return NotImplemented
-        return all(
-            getattr(self, slot) == getattr(other, slot) for slot in self.__slots__
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"RetryPolicy(max_attempts={self.max_attempts}, "
-            f"base_delay={self.base_delay}, max_delay={self.max_delay}, "
-            f"multiplier={self.multiplier}, jitter={self.jitter}, "
-            f"seed={self.seed})"
-        )
 
 
 #: Circuit-breaker states (plain strings so they repr/pickle trivially).

@@ -17,7 +17,7 @@ engine (:mod:`repro.engine`) into a long-running service:
 * :mod:`repro.serving.registry` — :class:`ModelRegistry`, versioned
   npz-based save/load of fitted ``OnlineHD`` / ``BoostHD`` models (exact
   round trip, optional fixed-point hypervector storage, quantized-engine
-  loads straight from stored codes via ``load(name, precision=...)``) so
+  loads straight from stored codes via ``load_compiled``) so
   service processes never retrain;
 * :mod:`repro.serving.adaptation` — :class:`DriftMonitor` (rolling
   score-margin drift detection) and :class:`AdaptiveModel` (opt-in OnlineHD

@@ -203,7 +203,11 @@ class AdaptiveModel:
         self.monitor = monitor or DriftMonitor()
         self.compile_options = dict(compile_options or {})
         if precision is not None:
-            self._validate_precision(precision)
+            # Fail at configuration time, not on the first scoring call.
+            try:
+                resolve_precision(precision)
+            except EngineError as error:
+                raise ValueError(str(error)) from None
             self.compile_options["precision"] = precision
         self._compiled = None
         self.recompiles = 0
@@ -211,25 +215,10 @@ class AdaptiveModel:
         self._drift_flagged = False
 
     # ------------------------------------------------------------ the engine
-    @staticmethod
-    def _validate_precision(precision: str) -> None:
-        """Fail at configuration time, not on the first scoring call."""
-        try:
-            resolve_precision(precision)
-        except EngineError as error:
-            raise ValueError(str(error)) from None
-
     @property
     def precision(self) -> str:
-        """Serving precision of the (next) compiled engine."""
+        """Serving precision of the compiled engine."""
         return self.compile_options.get("precision", "float64")
-
-    def set_precision(self, precision: str) -> None:
-        """Change the serving precision; invalidates the compiled engine."""
-        if precision != self.precision:
-            self._validate_precision(precision)
-            self.compile_options["precision"] = precision
-            self._compiled = None
 
     @property
     def stale(self) -> bool:

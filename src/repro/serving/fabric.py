@@ -49,15 +49,15 @@ host:
 
 Worker counts resolve like every other pool in the repo
 (:func:`repro.runtime.executor.resolve_max_workers`), consulting
-``REPRO_FABRIC_WORKERS`` then ``REPRO_MAX_WORKERS``; one worker — or a
-platform where process pools are unavailable — degrades to an in-process
-serial fabric with identical routing and results.
+``REPRO_FABRIC_WORKERS`` then ``REPRO_MAX_WORKERS``.  A fabric is always
+worker processes (one worker is one process); a worker that cannot start
+stops the fabric's construction with its error.  In-process serving is
+:class:`StreamingService`, which answers the same calls.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import os
 import signal
 from collections import defaultdict
@@ -302,32 +302,6 @@ def _worker_call(method: str, *args):
 
 
 # ------------------------------------------------------------------ shards
-class _LocalShard:
-    """In-process shard: the serial fallback, same routing, same results."""
-
-    def __init__(
-        self, index, manifest, service_options, obs_enabled, fallback=None
-    ) -> None:
-        self.index = index
-        self.manifest = manifest
-        self.pid = os.getpid()
-        self.runtime = _ShardRuntime(manifest, service_options, index, fallback)
-
-    def submit(self, method: str, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(getattr(self.runtime, method)(*args))
-        except BaseException as error:
-            future.set_exception(error)
-        return future
-
-    def kill(self) -> None:
-        """No-op: an in-process shard cannot be killed without the fabric."""
-
-    def shutdown(self) -> None:
-        self.runtime.shutdown()
-
-
 class _ProcessShard:
     """One worker process, owned exclusively by one shard.
 
@@ -365,7 +339,11 @@ class _ProcessShard:
         # Force the worker up now so initializer failures surface here, not
         # on some later scoring call — and learn the worker pid, which is
         # what lets a wedged (hung, not dead) worker be killed on timeout.
-        self.pid = pool.submit(_worker_call, "info").result()["pid"]
+        try:
+            self.pid = pool.submit(_worker_call, "info").result()["pid"]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
         return pool
 
     def submit(self, method: str, *args) -> Future:
@@ -422,15 +400,12 @@ class ServingFabric:
         :class:`~repro.engine.FixedPointModel`) — published once into
         shared memory; workers attach, never copy.
     n_workers:
-        Worker count; ``None`` consults ``REPRO_FABRIC_WORKERS`` then
-        ``REPRO_MAX_WORKERS`` and falls back to the in-process serial
-        fabric; ``"auto"`` uses the available CPU count.
-    serial:
-        Force the in-process fallback regardless of ``n_workers`` (shards
-        still exist and route identically — they just share one process).
-    cleanup_orphans:
-        Reclaim shared-memory segments leaked by dead fabrics at startup
-        (:func:`repro.serving.shm.cleanup_orphan_segments`).
+        Worker processes; ``None`` consults ``REPRO_FABRIC_WORKERS`` then
+        ``REPRO_MAX_WORKERS`` (one worker when neither is set); ``"auto"``
+        uses the available CPU count.  A worker that fails to start stops
+        the ones already started, unlinks the published segment and
+        raises.  Start-up first reclaims shared-memory segments leaked by
+        dead fabrics (:func:`repro.serving.shm.cleanup_orphan_segments`).
     call_timeout:
         Per-call timeout, seconds, on every worker future (``None`` =
         unbounded, the pre-PR-9 behaviour).  A timed-out worker is treated
@@ -449,9 +424,10 @@ class ServingFabric:
         Forwarded to each worker's :class:`StreamingService` —
         ``n_channels``, ``window_samples``, ``max_batch``, ``max_wait``,
         etc.  Everything must be picklable (a ``transform`` lambda is not).
-        They are checked against its signature before anything is
+        A throwaway service is built from them before anything is
         published or started, so an unknown or missing option raises
-        :class:`TypeError` here rather than inside a worker.
+        :class:`TypeError`, and a bad value the service's own error, here
+        rather than inside a worker.
     """
 
     def __init__(
@@ -459,16 +435,15 @@ class ServingFabric:
         engine,
         *,
         n_workers: int | str | None = None,
-        serial: bool = False,
-        cleanup_orphans: bool = True,
         call_timeout: float | None = 30.0,
         breaker_options: dict | None = None,
         fallback: dict | None = None,
         **service_options,
     ) -> None:
-        inspect.signature(StreamingService).bind(engine, **service_options)
-        if cleanup_orphans:
-            cleanup_orphan_segments()
+        # A throwaway service checks the options' names and values in the
+        # parent: its constructor only validates and allocates.
+        StreamingService(engine, **service_options)
+        cleanup_orphan_segments()
         self.n_workers = resolve_max_workers(n_workers, env=WORKER_ENV)
         self._service_options = dict(service_options)
         self.call_timeout = None if call_timeout is None else float(call_timeout)
@@ -477,47 +452,27 @@ class ServingFabric:
         self._session_specs: dict[str, dict] = {}
         self.restarts = 0
         self.timeouts = 0
-        self.serial = bool(serial) or self.n_workers <= 1
-        self._shards: list = []
+        self._shards: list[_ProcessShard] = []
         self.breakers = [
             CircuitBreaker(name=f"shard{index}", **dict(breaker_options or {}))
             for index in range(self.n_workers)
         ]
         try:
-            self._build_shards()
+            for index in range(self.n_workers):
+                self._shards.append(
+                    _ProcessShard(
+                        index,
+                        self._shared.manifest,
+                        self._service_options,
+                        OBS.enabled,
+                        self.fallback,
+                    )
+                )
         except BaseException:
+            for shard in self._shards:
+                shard.shutdown()
             self._shared.unlink()
             raise
-
-    def _build_shards(self) -> None:
-        manifest = self._shared.manifest
-        obs_enabled = OBS.enabled
-        if not self.serial:
-            try:
-                for index in range(self.n_workers):
-                    self._shards.append(
-                        _ProcessShard(
-                            index,
-                            manifest,
-                            self._service_options,
-                            obs_enabled,
-                            self.fallback,
-                        )
-                    )
-            except Exception:
-                # Pools unavailable (sandboxed platform, missing sem support,
-                # broken fork): degrade to the in-process fabric.
-                for shard in self._shards:
-                    shard.shutdown()
-                self._shards = []
-                self.serial = True
-        if self.serial:
-            self._shards = [
-                _LocalShard(
-                    index, manifest, self._service_options, obs_enabled, self.fallback
-                )
-                for index in range(self.n_workers)
-            ]
 
     # ------------------------------------------------------------- plumbing
     @classmethod
@@ -852,7 +807,7 @@ class ServingFabric:
 
     def __repr__(self) -> str:
         return (
-            f"ServingFabric(n_workers={self.n_workers}, serial={self.serial}, "
+            f"ServingFabric(n_workers={self.n_workers}, "
             f"generation={self.generation}, sessions={len(self._session_specs)}, "
             f"model_bytes={self.model_bytes}, restarts={self.restarts}, "
             f"timeouts={self.timeouts})"

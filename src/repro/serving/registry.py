@@ -26,8 +26,9 @@ Round-trip guarantees, enforced by ``tests/test_serving.py``:
   stored as :mod:`repro.hdc.quantize` fixed-point codes (the wearable
   deployment format, and 4–8x smaller); a plain ``load()`` dequantises
   deterministically, so repeated load→save→load cycles are stable, while
-  ``load(name, precision=...)`` serves the codes through the integer-domain
-  engines of :mod:`repro.engine.quant` without ever dequantising.
+  ``load_compiled(name, precision=...)`` serves the codes through the
+  integer-domain engines of :mod:`repro.engine.quant` without ever
+  dequantising.
 
 Only trigonometric random-projection encoders are supported — the same
 family the fused engine compiles — so everything the registry can store can
@@ -487,35 +488,22 @@ class ModelRegistry:
         learner.class_hypervectors_ = _load_hypervectors(archive, prefix, quantize)
         return learner
 
-    def load(
-        self,
-        name: str,
-        version: int | None = None,
-        *,
-        precision: str | None = None,
-        **compile_options,
-    ):
+    def load(self, name: str, version: int | None = None) -> BoostHD | OnlineHD:
         """Reconstruct a stored model, ready to predict (or ``compile()``).
 
-        Returns a ``BoostHD`` / ``OnlineHD`` model with the default
-        ``precision=None``, and a compiled engine
-        (:class:`~repro.engine.CompiledModel` or one of its quantized
-        subclasses) when a ``precision`` is given.
-
-        With the default ``precision=None`` the stored model object is
-        rebuilt exactly as saved (fixed-point artifacts are dequantized to
-        float64 — the historical behaviour).  Passing a ``precision``
-        instead returns :meth:`load_compiled`'s *serving engine*, built
-        from the stored arrays; ``compile_options`` are only valid then.
+        The stored model object is rebuilt exactly as saved (fixed-point
+        artifacts are dequantized to float64 — the historical behaviour).
+        A serving engine built from the stored arrays comes from
+        :meth:`load_compiled`.
         """
-        if precision is None:
-            if compile_options:
-                raise RegistryError(
-                    "compile options require a precision; call "
-                    "load(name, precision=...) or load_compiled()"
-                )
-            return self._load_model(name, version)
-        return self.load_compiled(name, version, precision=precision, **compile_options)
+        if not OBS.enabled:
+            return self._load_model_exact(name, version)
+        with OBS.recorder.span("registry.load", model=name, form="model"):
+            start = time.perf_counter()
+            model = self._load_model_exact(name, version)
+            seconds = time.perf_counter() - start
+        self._record_artifact_io("load", name, version, seconds)
+        return model
 
     def _record_artifact_io(
         self, op: str, name: str, version: int | None, seconds: float
@@ -537,16 +525,6 @@ class ModelRegistry:
             f"repro_registry_{op}_bytes_total",
             f"Artifact bytes touched by registry {op} operations.",
         ).inc(nbytes)
-
-    def _load_model(self, name: str, version: int | None = None) -> BoostHD | OnlineHD:
-        if not OBS.enabled:
-            return self._load_model_exact(name, version)
-        with OBS.recorder.span("registry.load", model=name, form="model"):
-            start = time.perf_counter()
-            model = self._load_model_exact(name, version)
-            seconds = time.perf_counter() - start
-        self._record_artifact_io("load", name, version, seconds)
-        return model
 
     def _load_model_exact(
         self, name: str, version: int | None = None

@@ -63,15 +63,6 @@ class StreamingService:
         feature row before scoring — typically the training dataset's fitted
         scaler (``dataset.scaler.transform``), since models are trained on
         standard-scaled features and live streams arrive raw.
-    precision:
-        Optional serving precision, a name from
-        :data:`repro.engine.PRECISIONS` (or ``"cascade"``); anything else
-        raises :class:`~repro.engine.EngineError`.  A raw fitted model is
-        compiled at that precision; an
-        :class:`~repro.serving.adaptation.AdaptiveModel` is switched to it
-        (subsequent feedback recompiles quantized).  An already-compiled
-        engine must match — the service cannot requantize an engine without
-        the source model.
     max_retries, max_pending:
         Scheduler bounds (see :class:`MicroBatchScheduler`): the retry
         budget before a window is dead-lettered, and the admission-queue
@@ -94,11 +85,9 @@ class StreamingService:
         max_batch: int = 64,
         max_wait: float = 0.010,
         transform=None,
-        precision: str | None = None,
         max_retries: int | None = 5,
         max_pending: int | None = None,
     ) -> None:
-        scorer = self._apply_precision(scorer, precision)
         self.scheduler = MicroBatchScheduler(
             scorer,
             max_batch=max_batch,
@@ -114,35 +103,6 @@ class StreamingService:
         self.statistics = tuple(statistics)
         self.transform = transform
         self.sessions: dict[str, StreamSession] = {}
-
-    @staticmethod
-    def _apply_precision(scorer, precision: str | None):
-        """Resolve the requested serving precision against the scorer type."""
-        if precision is None:
-            return scorer
-        from ..core.boosthd import BoostHD
-        from ..engine import CompiledModel, compile_model, resolve_precision
-        from ..hdc.onlinehd import OnlineHD
-        from .adaptation import AdaptiveModel
-
-        name = resolve_precision(precision)
-        if isinstance(scorer, (BoostHD, OnlineHD)):
-            return compile_model(scorer, precision=name)
-        if isinstance(scorer, AdaptiveModel):
-            scorer.set_precision(precision)
-            return scorer
-        if isinstance(scorer, CompiledModel):
-            if scorer.precision != name:
-                raise ValueError(
-                    f"scorer is already compiled at precision "
-                    f"{scorer.precision!r}; cannot requantize to {precision!r} "
-                    "without the source model"
-                )
-            return scorer
-        raise TypeError(
-            f"cannot apply a serving precision to {type(scorer).__name__}; "
-            "expected a fitted model, an AdaptiveModel or a compiled engine"
-        )
 
     def open_session(self, session_id: str, **overrides) -> StreamSession:
         """Register a subject's stream; keyword overrides reach StreamSession."""

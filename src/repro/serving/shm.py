@@ -345,20 +345,19 @@ class AttachedEngine:
     copy.  Call :meth:`close` only after dropping every reference to
     ``engine`` and to predictions' borrowed arrays.
 
-    With ``verify=True`` (the default) the mapping's bytes are checked
-    against the manifest's per-array BLAKE2b digests before the engine is
-    built; a mismatch raises :exc:`IntegrityError` and nothing attaches.
+    The mapping's bytes are checked against the manifest's per-array
+    BLAKE2b digests before the engine is built; a mismatch raises
+    :exc:`IntegrityError` and nothing attaches.
     """
 
-    def __init__(self, manifest: dict, *, verify: bool = True) -> None:
+    def __init__(self, manifest: dict) -> None:
         self.manifest = manifest
         self.generation = int(manifest["generation"])
         self.segment = manifest["segment"]
         self._shm = shared_memory.SharedMemory(name=self.segment, create=False)
         _untrack(self._shm)
         try:
-            if verify:
-                _verify_arrays(manifest, self._shm.buf)
+            _verify_arrays(manifest, self._shm.buf)
             self.engine = self._build()
         except BaseException:
             self._shm.close()
@@ -401,14 +400,13 @@ class AttachedEngine:
         )
 
 
-def attach_engine(manifest: dict, *, verify: bool = True) -> AttachedEngine:
+def attach_engine(manifest: dict) -> AttachedEngine:
     """Attach a published segment and rebuild its engine over shared buffers.
 
     Verifies the segment against the manifest checksums first (see
-    :class:`AttachedEngine`); pass ``verify=False`` only when the same
-    manifest was just verified through :func:`verify_manifest`.
+    :class:`AttachedEngine`).
     """
-    return AttachedEngine(manifest, verify=verify)
+    return AttachedEngine(manifest)
 
 
 # ------------------------------------------------------------------ cleanup
@@ -422,8 +420,8 @@ def cleanup_orphan_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     segment.  A recycled pid (new process, same number) therefore cannot
     shield a dead publisher's segment from reclamation, and conversely a
     live publisher can never lose a segment to cleanup: its token matches.
-    Run at fabric startup so a crashed predecessor cannot leak /dev/shm
-    space indefinitely.  Returns the reclaimed names; returns ``[]``
+    Every fabric runs it at startup, so a crashed predecessor cannot leak
+    /dev/shm space indefinitely.  Returns the reclaimed names; returns ``[]``
     (touching nothing) where the shm filesystem is absent.
     """
     try:

@@ -310,7 +310,7 @@ def test_registry_cascade_load_without_dequantize(
     """Both tiers come byte-for-byte from the stored fixed16 codes."""
     _, _, X_test, _ = problem
     _forbid_dequantization(monkeypatch)
-    engine = cascade_registry.load(
+    engine = cascade_registry.load_compiled(
         "fixed16-artifact", precision="cascade-fixed16", threshold=0.04
     )
     assert isinstance(engine, CascadeModel)
@@ -347,32 +347,13 @@ def test_registry_cascade_unknown_precision(cascade_registry):
     from repro.serving import RegistryError
 
     with pytest.raises(RegistryError, match="cascade"):
-        cascade_registry.load("float-artifact", precision="cascade-int4")
+        cascade_registry.load_compiled("float-artifact", precision="cascade-int4")
     assert {name for name in PRECISIONS if PRECISIONS[name].second} == {
         "cascade-fixed16", "cascade-fixed8", "cascade-float64"
     }
 
 
 # ------------------------------------------------------------------ serving
-def test_streaming_service_serves_cascade(problem, fitted):
-    from repro.serving import StreamingService
-
-    service = StreamingService(
-        fitted, n_channels=2, window_samples=32, precision="cascade-fixed16"
-    )
-    assert isinstance(service.scheduler.scorer, CascadeModel)
-    # Re-using an already-compiled cascade under the bare alias is fine.
-    compiled = compile_model(fitted, precision="cascade")
-    again = StreamingService(
-        compiled, n_channels=2, window_samples=32, precision="cascade"
-    )
-    assert again.scheduler.scorer is compiled
-    with pytest.raises(ValueError, match="requantize"):
-        StreamingService(
-            compiled, n_channels=2, window_samples=32, precision="cascade-fixed8"
-        )
-
-
 def test_micro_batch_scheduler_scores_cascade(problem, fitted):
     from repro.serving import MicroBatchScheduler
 

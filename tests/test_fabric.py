@@ -19,6 +19,9 @@ The load-bearing guarantees:
   new one; nothing is dropped or double-scored.
 * **Recovery** — a SIGKILLed worker is rebuilt and its sessions re-opened;
   serving continues.
+* **Start-up** — a fabric is always worker processes: a worker that cannot
+  start stops the ones already started, unlinks the published segment and
+  raises.
 """
 
 import dataclasses
@@ -27,6 +30,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +311,7 @@ class TestSharedMemoryModels:
 # --------------------------------------------------------------- equivalence
 class TestFabricEquivalence:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @pytest.mark.parametrize("precision", ["bipolar-packed", "fixed16"])
+    @pytest.mark.parametrize("precision", ["bipolar-packed", "fixed16", "fixed8"])
     def test_sharded_serving_matches_single_process(
         self, engines, n_workers, precision
     ):
@@ -506,8 +510,6 @@ class TestRecovery:
             window_samples=WINDOW,
             max_batch=1,
         ) as fabric:
-            if fabric.serial:
-                pytest.skip("process pools unavailable on this platform")
             for index in range(4):
                 fabric.open_session(f"subject-{index}")
             first = fabric.route(_streams(4, 2))
@@ -557,25 +559,107 @@ class TestWorkerResolution:
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
         ) as fabric:
-            assert fabric.n_workers == 1 and fabric.serial
+            assert fabric.n_workers == 1
+            assert len(fabric.worker_pids()) == 1
 
     def test_env_sizes_the_fabric(self, monkeypatch, engines):
         monkeypatch.setenv("REPRO_FABRIC_WORKERS", "2")
         with ServingFabric(
             engines["fixed16"],
-            serial=True,  # routing is what's under test, not the pools
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
         ) as fabric:
             assert fabric.n_workers == 2
+            assert len(set(fabric.worker_pids())) == 2
+
+
+# ------------------------------------------------------------------ start-up
+class TestStartup:
+    @pytest.mark.parametrize(
+        "match", [(), (("shard", 1),)], ids=["first-worker", "second-worker"]
+    )
+    def test_a_worker_that_cannot_start_fails_the_fabric(
+        self, engines, monkeypatch, match
+    ):
+        """No in-process fallback: started workers stop, the segment goes."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no POSIX shm filesystem")
+        started = []
+        spawn = fabric_module._ProcessShard._spawn
+
+        def recording(shard):
+            pool = spawn(shard)
+            started.append(shard.pid)
+            return pool
+
+        monkeypatch.setattr(fabric_module._ProcessShard, "_spawn", recording)
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    point="fabric.worker.call", kind="sigkill", at=(1,), match=match
+                ),
+            )
+        )
+        with inject(plan), pytest.raises(BrokenProcessPool):
+            ServingFabric(
+                engines["fixed16"],
+                n_workers=2,
+                n_channels=N_CHANNELS,
+                window_samples=WINDOW,
+            )
+        assert len(started) == (1 if match else 0)
+        head = f"{SEGMENT_PREFIX}{os.getpid()}"
+        assert not [
+            name
+            for name in os.listdir("/dev/shm")
+            if name.startswith((f"{head}.", f"{head}_"))
+        ]
+        for pid in started:  # shut down and reaped, not left serving
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_start_up_reclaims_a_dead_fabrics_segment(self, engines):
+        """Orphan cleanup is not optional: every fabric start runs it."""
+        from multiprocessing import resource_tracker, shared_memory
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no POSIX shm filesystem")
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+        )
+        name = f"{SEGMENT_PREFIX}{int(probe.stdout)}_deadbeef_g0"
+        segment = shared_memory.SharedMemory(name=name, create=True, size=64)
+        try:
+            resource_tracker.unregister(segment._name, "shared_memory")
+        except Exception:
+            pass
+        segment.close()
+        assert name in os.listdir("/dev/shm")
+        with ServingFabric(
+            engines["fixed16"],
+            n_workers=1,
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+        ):
+            assert name not in os.listdir("/dev/shm")
 
 
 # ------------------------------------------------------------------ options
-@pytest.mark.parametrize("option", ["bogus_option", "degrade_deadline"])
+@pytest.mark.parametrize(
+    "option, value, error",
+    [
+        pytest.param("bogus_option", 1, TypeError, id="bogus_option"),
+        pytest.param("degrade_deadline", 1, TypeError, id="degrade_deadline"),
+        pytest.param("max_batch", 0, ValueError, id="max_batch"),
+    ],
+)
 def test_unknown_service_option_raises_before_anything_starts(
-    engines, monkeypatch, option
+    engines, monkeypatch, option, value, error
 ):
-    """An option no worker service takes fails in the parent, up front."""
+    """An option no worker service takes, or a value it refuses, fails in
+    the parent, up front."""
     calls = []
 
     def recorder(name, real):
@@ -589,13 +673,13 @@ def test_unknown_service_option_raises_before_anything_starts(
         monkeypatch.setattr(
             fabric_module, name, recorder(name, getattr(fabric_module, name))
         )
-    with pytest.raises(TypeError, match=option):
+    with pytest.raises(error, match=option):
         ServingFabric(
             engines["fixed16"],
             n_workers=2,
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
-            **{option: 1},
+            **{option: value},
         )
     assert calls == []
 
@@ -606,7 +690,6 @@ class TestInspection:
         with ServingFabric(
             engines["fixed16"],
             n_workers=2,
-            serial=True,
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
             max_batch=4,
@@ -617,7 +700,8 @@ class TestInspection:
             fabric.drain()
             info = fabric.worker_info()
             assert len(info) == 2
-            assert all(entry["pid"] == os.getpid() for entry in info)  # serial
+            pids = {entry["pid"] for entry in info}
+            assert len(pids) == 2 and os.getpid() not in pids  # worker processes
             stats = fabric.stats()
             assert sum(entry["windows"] for entry in stats) == 8
             assert sum(entry["score_failures"] for entry in stats) == 0
@@ -630,13 +714,13 @@ class TestInspection:
         assert {shard_of(session_id, 2) for session_id in sessions} == {0, 1}
         rng = np.random.default_rng(4)
         items = [(s, rng.normal(size=(N_CHANNELS, 2 * WINDOW))) for s in sessions]
+        # Hit counters are per worker: each worker's first batch fails.
         plan = FaultPlan(
-            faults=(FaultSpec(point="scheduler.score", kind="exception", at=(1, 2)),)
+            faults=(FaultSpec(point="scheduler.score", kind="exception", at=(1,)),)
         )
         with inject(plan), ServingFabric(
             engines["fixed16"],
             n_workers=2,
-            serial=True,
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
             max_batch=2,

@@ -43,6 +43,7 @@ from repro.gateway import (
 from repro.gateway.http import (
     BINARY,
     TEXT,
+    Request,
     encode_frame,
     parse_frame,
     parse_request_head,
@@ -405,21 +406,58 @@ def test_expired_deadline_rejected_before_admission():
                 status, body = await client.feed("s1", chunk(1), deadline_ms=0)
                 assert status == 504
                 assert body["accepted"] is False
-                status, body = await client.request(
-                    "POST",
-                    "/v1/sessions/s1/windows",
-                    {"samples": chunk(1)},
-                    headers={"x-repro-deadline-ms": "banana"},
-                )
-                assert status == 400
+                for malformed in ("banana", "nan"):
+                    status, body = await client.request(
+                        "POST",
+                        "/v1/sessions/s1/windows",
+                        {"samples": chunk(1)},
+                        headers={"x-repro-deadline-ms": malformed},
+                    )
+                    assert status == 400
                 # a generous deadline sails through
                 status, _ = await client.feed("s1", chunk(1), deadline_ms=30_000)
                 assert status == 200
         finally:
             await gateway.shutdown(2.0)
         assert gateway.stats.rejected_deadline >= 1
+        assert gateway.stats.handler_errors == 0
 
     run(scenario())
+
+
+@pytest.mark.parametrize(
+    "raw, seconds",
+    [
+        ("0", 0.0),
+        ("1500", 1.5),
+        ("inf", math.inf),
+        ("nan", None),
+        ("-1", None),
+        ("-inf", None),
+        ("banana", None),
+        ("", None),
+    ],
+    ids=["0", "1500", "inf", "nan", "-1", "-inf", "banana", "empty"],
+)
+def test_deadline_header_is_milliseconds_at_least_zero(raw, seconds):
+    """Anything but a number >= 0 is the client's error (400), never a 500."""
+    request = Request(
+        "POST",
+        "/v1/sessions/s1/windows",
+        "/v1/sessions/s1/windows",
+        headers={"x-repro-deadline-ms": raw},
+    )
+    if seconds is None:
+        with pytest.raises(ProtocolError) as raised:
+            Gateway._parse_deadline(request)
+        assert raised.value.status == 400
+        return
+    deadline = Gateway._parse_deadline(request)
+    if seconds == math.inf:
+        assert deadline.remaining() == math.inf and not deadline.expired
+    else:
+        assert deadline.expired == (seconds == 0.0)
+        assert seconds - 1.0 < deadline.remaining() <= seconds
 
 
 def test_shed_predictions_serialize_as_strict_json():
@@ -686,12 +724,12 @@ def swap_registry(tmp_path_factory):
 
 
 def make_backend(kind: str, registry, **overrides):
-    """A service or a serial 1-worker fabric over the registry's fixed16 model."""
+    """A service or a 1-worker fabric over the registry's fixed16 model."""
     engine = registry.load_compiled("m", precision="fixed16")
     if kind == "service":
         return make_service(engine, **overrides)
     options = {**SERVICE_OPTIONS, **overrides}
-    return ServingFabric(engine, serial=True, n_workers=1, **options)
+    return ServingFabric(engine, n_workers=1, **options)
 
 
 def swap_once(backend, registry, **request):

@@ -2,11 +2,13 @@
 
 :data:`repro.engine.PRECISIONS` is the one table of precision names; the
 entry points that take a precision — ``compile_model``,
-``ModelRegistry.load_compiled``, ``AdaptiveModel`` and ``StreamingService``
-— must accept exactly its names plus the ``"cascade"`` alias, and refuse
-anything else with a message that names every accepted precision.  Each
-layer keeps its own error type (``EngineError``, ``RegistryError``, and the
-``ValueError`` adaptive serving has always raised); the message is shared.
+``ModelRegistry.load_compiled`` and ``AdaptiveModel`` — must accept exactly
+its names plus the ``"cascade"`` alias, and refuse anything else with a
+message that names every accepted precision.  Each layer keeps its own
+error type (``EngineError``, ``RegistryError``, and the ``ValueError``
+adaptive serving has always raised); the message is shared.
+``StreamingService`` takes no precision: it serves the engine it is given,
+at any of them, exactly as that engine scores.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.serving import (
     RegistryError,
     ServingFabric,
     StreamingService,
+    StreamSession,
 )
 
 ACCEPTED = (*PRECISIONS, "cascade")
@@ -52,12 +55,6 @@ ENTRY_POINTS = {
         ValueError,
         lambda model, registry, name: AdaptiveModel(model, precision=name).compiled,
     ),
-    "StreamingService": (
-        EngineError,
-        lambda model, registry, name: StreamingService(
-            model, n_channels=N_CHANNELS, window_samples=WINDOW, precision=name
-        ).scheduler.scorer,
-    ),
 }
 
 
@@ -74,6 +71,25 @@ def test_entry_points_accept_and_reject_the_same_precisions(setup, entry, name):
     message = str(raised.value)
     assert repr(name) in message
     assert all(repr(accepted) in message for accepted in ACCEPTED)
+
+
+@pytest.mark.parametrize("name", ACCEPTED)
+def test_streaming_service_serves_each_precision_as_compiled(setup, name):
+    model, _ = setup
+    engine = compile_model(model, precision=name)
+    options = {"n_channels": N_CHANNELS, "window_samples": WINDOW}
+    service = StreamingService(engine, max_batch=64, **options)
+    assert service.scheduler.scorer is engine
+    samples = np.random.default_rng(2).normal(size=(N_CHANNELS, 5 * WINDOW))
+    service.open_session("s")
+    predictions = service.push("s", samples) + service.drain()
+    windows = StreamSession("s", **options).push(samples)
+    features = np.stack([window.features for window in windows])
+    scores, labels = engine.decision_function(features), engine.predict(features)
+    assert sorted(p.window_index for p in predictions) == list(range(5))
+    for prediction in predictions:
+        np.testing.assert_array_equal(prediction.scores, scores[prediction.window_index])
+        assert prediction.label == labels[prediction.window_index]
 
 
 @pytest.mark.parametrize(
@@ -105,7 +121,6 @@ def test_fabric_from_registry_routes_engine_options_to_the_engine(setup):
         "m",
         precision="fixed16",
         dtype=np.float64,
-        serial=True,
         n_workers=1,
         n_channels=N_CHANNELS,
         window_samples=WINDOW,

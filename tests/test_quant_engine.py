@@ -12,7 +12,7 @@ Four layers of guarantees, from exact to statistical:
   *identical* to the float64 engine's on the mini Table I datasets across
   model kinds and partitioners; packed-bipolar (a genuinely lossy 1-bit
   model) must agree on >= 85 % of windows and lose <= 0.15 accuracy.
-* **Registry byte-exactness** — ``ModelRegistry.load(..., precision=...)``
+* **Registry byte-exactness** — ``ModelRegistry.load_compiled(...)``
   builds engines whose stored codes are byte-for-byte the archived codes,
   with float64 dequantization provably never invoked (the dequantizer is
   monkeypatched to explode during the load).
@@ -51,7 +51,7 @@ from repro.hdc import (
 )
 from repro.hdc.quantize import SCHEME_DTYPES, from_fixed_point
 from repro.hdc.similarity import _popcount_rows_lut, popcount_rows
-from repro.serving import AdaptiveModel, ModelRegistry, StreamingService
+from repro.serving import AdaptiveModel, ModelRegistry
 
 pytestmark = pytest.mark.quant
 
@@ -671,7 +671,7 @@ def _forbid_dequantization(monkeypatch):
 def test_registry_load_fixed_precision_without_dequantize(registry_setup, monkeypatch):
     registry, model, X_test, _ = registry_setup
     _forbid_dequantization(monkeypatch)
-    engine = registry.load("fixed8-artifact", precision="fixed8", dtype=np.float64)
+    engine = registry.load_compiled("fixed8-artifact", precision="fixed8", dtype=np.float64)
     assert isinstance(engine, FixedPointModel)
     assert engine.codes.dtype == np.int8
     with np.load(registry.describe("fixed8-artifact").path / "model.npz") as archive:
@@ -686,7 +686,7 @@ def test_registry_load_fixed_precision_without_dequantize(registry_setup, monkey
 def test_registry_load_packed_precision_without_dequantize(registry_setup, monkeypatch):
     registry, _, X_test, _ = registry_setup
     _forbid_dequantization(monkeypatch)
-    engine = registry.load("fixed16-artifact", precision="bipolar-packed")
+    engine = registry.load_compiled("fixed16-artifact", precision="bipolar-packed")
     assert isinstance(engine, PackedBipolarModel)
     with np.load(registry.describe("fixed16-artifact").path / "model.npz") as archive:
         for index in range(engine.n_learners):
@@ -699,7 +699,7 @@ def test_registry_widening_reuses_codes(registry_setup, monkeypatch):
     """fixed8 codes are valid fixed16 codes under the same scale."""
     registry, _, _, _ = registry_setup
     _forbid_dequantization(monkeypatch)
-    engine = registry.load("fixed8-artifact", precision="fixed16")
+    engine = registry.load_compiled("fixed8-artifact", precision="fixed16")
     assert engine.codes.dtype == np.int16
     with np.load(registry.describe("fixed8-artifact").path / "model.npz") as archive:
         for index, (start, stop) in enumerate(engine.spans):
@@ -731,19 +731,22 @@ def test_registry_float_artifact_equals_compiled_engines(
 def test_registry_narrowing_requantizes(registry_setup):
     """fixed16 -> fixed8 cannot reuse codes; it must requantize (documented)."""
     registry, _, X_test, _ = registry_setup
-    engine = registry.load("fixed16-artifact", precision="fixed8")
+    engine = registry.load_compiled("fixed16-artifact", precision="fixed8")
     assert isinstance(engine, FixedPointModel)
     assert engine.bits == 8
     assert engine.codes.dtype == np.int8
     assert len(engine.predict(X_test)) == len(X_test)
 
 
-def test_registry_load_rejects_options_without_precision(registry_setup):
+def test_registry_load_takes_no_engine_options(registry_setup):
+    """``load`` rebuilds the model; engines come from ``load_compiled``."""
     registry, _, _, _ = registry_setup
     from repro.serving import RegistryError
 
-    with pytest.raises(RegistryError, match="precision"):
+    with pytest.raises(TypeError, match="dtype"):
         registry.load("float-artifact", dtype=np.float64)
+    with pytest.raises(TypeError, match="precision"):
+        registry.load("float-artifact", precision="fixed16")
     with pytest.raises(RegistryError, match="precision"):
         registry.load_compiled("float-artifact", precision="int4")
 
@@ -766,30 +769,12 @@ def test_adaptive_model_serving_precision_recompiles_quantized():
     assert served.stale
     assert isinstance(served.compiled, FixedPointModel)
     assert served.recompiles == recompiles + 1
-    served.set_precision("bipolar-packed")
-    assert isinstance(served.compiled, PackedBipolarModel)
+    packed = AdaptiveModel(model, precision="bipolar-packed")
+    assert isinstance(packed.compiled, PackedBipolarModel)
     # Typos fail at configuration time, not on the first scoring call.
-    with pytest.raises(ValueError, match="serving precision"):
-        served.set_precision("fixed-8")
-    with pytest.raises(ValueError, match="serving precision"):
-        AdaptiveModel(model, precision="int4")
-
-
-def test_streaming_service_serving_precision():
-    X, y, _, _ = _blob_problem(seed=5, n_features=24)
-    model = BoostHD(total_dim=320, n_learners=4, epochs=2, seed=2).fit(X, y)
-    service = StreamingService(
-        model, n_channels=6, window_samples=32, precision="bipolar-packed"
-    )
-    assert isinstance(service.scheduler.scorer, PackedBipolarModel)
-    with pytest.raises(ValueError, match="requantize"):
-        StreamingService(
-            model.compile(), n_channels=6, window_samples=32, precision="fixed8"
-        )
-    with pytest.raises(TypeError, match="serving precision"):
-        StreamingService(
-            object(), n_channels=6, window_samples=32, precision="fixed8"
-        )
+    for typo in ("fixed-8", "int4"):
+        with pytest.raises(ValueError, match="serving precision"):
+            AdaptiveModel(model, precision=typo)
 
 
 # ----------------------------------------------------------- packed bit flips

@@ -5,9 +5,9 @@ double-scored, bit-identical predictions when no fault fires**.  Every
 failure-handling behaviour is exercised *on demand* through the seeded chaos
 harness — never by hoping a real fault occurs:
 
-* **Policies** — :class:`Deadline` budgets, :class:`RetryPolicy` seeded
-  deterministic backoff, and the :class:`CircuitBreaker` state machine are
-  unit-tested against injected clocks (no sleeping, no flakiness).
+* **Policies** — :class:`Deadline` budgets and the :class:`CircuitBreaker`
+  state machine are unit-tested against injected clocks (no sleeping, no
+  flakiness).
 * **Chaos harness** — :class:`FaultPlan` round-trips through JSON, fires at
   exact hit indices / seeded probabilities, and is **off by default**
   (asserted in a subprocess with a bare environment).
@@ -53,8 +53,6 @@ from repro.resilience import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    RetryError,
-    RetryPolicy,
     corrupt_bytes,
     inject,
 )
@@ -172,76 +170,6 @@ class TestDeadline:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             Deadline(-0.1)
-
-
-# --------------------------------------------------------------------- retry
-class TestRetryPolicy:
-    def test_schedule_is_deterministic_across_instances(self):
-        a = RetryPolicy(max_attempts=5, seed=42)
-        b = RetryPolicy(max_attempts=5, seed=42)
-        assert a.delays() == b.delays()
-        assert a == b
-        assert RetryPolicy(max_attempts=5, seed=43).delays() != a.delays()
-
-    def test_delays_bounded_by_max_delay_and_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=8, base_delay=0.1, max_delay=0.5, jitter=0.2, seed=1
-        )
-        for delay in policy.delays():
-            assert 0.0 < delay <= 0.5 * 1.2
-
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.1, max_delay=10.0, multiplier=2.0, jitter=0.0
-        )
-        assert policy.delays() == (0.1, 0.2, 0.4)
-
-    def test_call_retries_then_succeeds(self):
-        attempts = []
-        slept = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ValueError("transient")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=5, jitter=0.0, base_delay=0.01)
-        assert policy.call(flaky, sleep=slept.append) == "ok"
-        assert len(attempts) == 3
-        assert slept == [pytest.approx(0.01), pytest.approx(0.02)]
-
-    def test_call_raises_retry_error_with_cause(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
-        with pytest.raises(RetryError) as excinfo:
-            policy.call(lambda: (_ for _ in ()).throw(KeyError("boom")), sleep=lambda s: None)
-        assert isinstance(excinfo.value.__cause__, KeyError)
-
-    def test_non_retryable_exception_propagates_immediately(self):
-        calls = []
-
-        def fail():
-            calls.append(1)
-            raise KeyError("not transient")
-
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0)
-        with pytest.raises(KeyError):
-            policy.call(fail, retry_on=(ValueError,), sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_deadline_stops_retrying(self):
-        clock = FakeClock()
-        deadline = Deadline(0.0, clock=clock)
-        calls = []
-
-        def fail():
-            calls.append(1)
-            raise ValueError("transient")
-
-        policy = RetryPolicy(max_attempts=10, base_delay=0.01)
-        with pytest.raises(RetryError):
-            policy.call(fail, deadline=deadline, sleep=lambda s: None)
-        assert len(calls) == 1  # expired budget: no second attempt
 
 
 # ------------------------------------------------------------------- breaker
@@ -607,9 +535,6 @@ class TestSegmentIntegrity:
                 verify_manifest(shared.manifest)
             with pytest.raises(IntegrityError):
                 attach_engine(shared.manifest)
-            # Explicit opt-out still attaches (forensics path).
-            attached = attach_engine(shared.manifest, verify=False)
-            attached.close()
         finally:
             shared.unlink()
 
@@ -720,7 +645,7 @@ class TestFabricIntegrity:
     def test_swap_rejects_a_corrupt_publication(self, fitted_model, tmp_path):
         registry = _make_registry(tmp_path, fitted_model)
         engine = registry.load_compiled("stress", precision="fixed16")
-        with ServingFabric(engine, serial=True, **_fabric_options()) as fabric:
+        with ServingFabric(engine, **_fabric_options()) as fabric:
             fabric.open_session("subject-0")
             generation = fabric.generation
             plan = FaultPlan(
@@ -750,8 +675,6 @@ class TestFabricIntegrity:
                 registry, "stress", precision="fixed16", **_fabric_options()
             )
         with fabric:
-            if fabric.serial:
-                pytest.skip("process pools unavailable on this platform")
             for index in range(4):
                 fabric.open_session(f"subject-{index}")
             predictions = fabric.route(_chunks(4, 2)) + fabric.drain()
@@ -803,8 +726,6 @@ class TestFabricChaos:
             with ServingFabric(
                 engine, call_timeout=1.0, **_fabric_options()
             ) as fabric:
-                if fabric.serial:
-                    pytest.skip("process pools unavailable on this platform")
                 for index in range(4):
                     fabric.open_session(f"subject-{index}")
                 start = time.monotonic()
@@ -840,8 +761,6 @@ class TestFabricChaos:
             with ServingFabric(
                 engine, call_timeout=1.0, **_fabric_options()
             ) as fabric:
-                if fabric.serial:
-                    pytest.skip("process pools unavailable on this platform")
                 fabric.open_session("subject-0")
                 start = time.monotonic()
                 # Every incarnation of the worker hangs its drain: the call
@@ -879,8 +798,6 @@ class TestFabricChaos:
                 breaker_options={"failure_threshold": 2, "probe_interval": 0.3},
                 **options,
             ) as fabric:
-                if fabric.serial:
-                    pytest.skip("process pools unavailable on this platform")
                 for index in range(8):
                     fabric.open_session(f"subject-{index}")
                 chunks = _chunks(8, 1)
@@ -919,8 +836,6 @@ class TestFabricChaos:
         engine = compile_model(fitted_model, precision="fixed16")
         replacement = compile_model(fitted_model, precision="fixed16")
         with ServingFabric(engine, call_timeout=5.0, **_fabric_options()) as fabric:
-            if fabric.serial:
-                pytest.skip("process pools unavailable on this platform")
             for index in range(4):
                 fabric.open_session(f"subject-{index}")
             before = fabric.route(_chunks(4, 1, seed=5)) + fabric.drain()

@@ -4,8 +4,10 @@ Holds :mod:`repro.serving.fabric` to its contract (ISSUE 8):
 
 * **Throughput** — 4-worker sharded serving must reach >= 2x the
   windows/second of the single-process micro-batch path on a machine with
-  >= 4 usable cores (the speedup assertion is core-gated exactly like
-  ``bench_runtime.py``; the equivalence assertions below always run).
+  >= 4 usable cores.  The ratio is printed at ``min(cores, 4)`` workers on
+  any machine; the floor is asserted only at 4 workers on >= 4 cores,
+  exactly like ``bench_runtime.py``, and the equivalence assertions below
+  always run.
 * **Equivalence** — fabric predictions are bit-identical to the
   single-process :class:`~repro.serving.StreamingService` at 1, 2 and 4
   workers.  The contract is stated on the integer-domain engines (fixed16
@@ -160,6 +162,8 @@ def test_fabric_throughput_and_equivalence():
     engine = _fitted_engine()
     waves = _stream_waves()
     n_windows = N_SESSIONS * CHUNKS_PER_SESSION * WINDOWS_PER_CHUNK
+    cpus = available_cpus()
+    workers = min(cpus, WORKERS)
 
     single_preds, single_seconds = _serve_single(engine, waves)
     reference = _by_window(single_preds)
@@ -181,23 +185,20 @@ def test_fabric_throughput_and_equivalence():
         "single": n_windows / single_seconds,
         **{n: n_windows / s for n, s in fabric_seconds.items()},
     }
-    speedup = throughput[WORKERS] / throughput["single"]
+    speedup = throughput[workers] / throughput["single"]
     print(
         f"\nFabric throughput ({N_SESSIONS} sessions x "
         f"{CHUNKS_PER_SESSION * WINDOWS_PER_CHUNK} windows, fixed16 "
         f"D={TOTAL_DIM}): single {throughput['single']:.0f} win/s, "
-        + ", ".join(
-            f"{n}w {throughput[n]:.0f} win/s" for n in (1, 2, WORKERS)
-        )
-        + f" -> {speedup:.2f}x at {WORKERS} workers"
+        + ", ".join(f"{n}w {throughput[n]:.0f} win/s" for n in fabric_seconds)
+        + f" -> {speedup:.2f}x at {workers} workers on {cpus} usable core(s)"
     )
-
-    cpus = available_cpus()
-    if cpus < WORKERS:
-        pytest.skip(
-            f"only {cpus} usable core(s): {WORKERS}-worker speedup is not "
-            f"measurable on this machine (equivalence was still checked)"
+    if workers < WORKERS:
+        print(
+            f"  the >= {SPEEDUP_FLOOR}x floor is stated at {WORKERS} workers and "
+            f"asserted only on >= {WORKERS} cores (equivalence was checked)"
         )
+        return
     assert speedup >= SPEEDUP_FLOOR, (
         f"{WORKERS}-worker fabric only {speedup:.2f}x the single-process "
         f"throughput (required >= {SPEEDUP_FLOOR}x on {cpus} cores)"

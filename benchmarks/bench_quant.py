@@ -277,7 +277,7 @@ def test_quantized_predictions_survive_round_trip(tmp_path):
 
     registry = ModelRegistry(tmp_path)
     registry.save("quant", model, quantize="fixed8")
-    loaded = registry.load_compiled("quant", precision="fixed8", dtype=np.float64)
+    loaded = registry.load_compiled("quant", precision="fixed8")
     stored_codes = {}
     with np.load(registry.describe("quant").path / "model.npz") as archive:
         for index, (start, stop) in enumerate(loaded.spans):

@@ -9,7 +9,10 @@ predictions when no fault fires*:
   SIGKILL, one 2s worker hang (against a 1s ``call_timeout``) and 5%
   scorer exceptions must deliver **every** submitted window exactly once
   (per-session delivered == per-session submitted) with >= 70% of windows
-  inside the latency deadline.
+  inside the latency deadline.  With fewer than 4 usable cores the fabric
+  runs at one worker per core (at least two: the kill and the hang land on
+  different shards), still asserts exactly-once delivery and prints its
+  goodput; the 70% floor is asserted only on >= 4 cores.
 * **Recovery time** — a tripped circuit breaker with a healthy dependency
   must be closed again within 2x its probe interval (injected clock: the
   bound is exact, not a sleep race).
@@ -91,21 +94,21 @@ def _fitted_engine(seed=0, total_dim=None):
     return compile_model(model, precision="fixed16")
 
 
-def _session_names():
+def _session_names(workers):
     """Session ids covering every shard (so every worker sees traffic)."""
     names, covered, candidate = [], set(), 0
     while len(names) < N_SESSIONS:
         name = f"subject-{candidate}"
-        shard = shard_of(name, WORKERS)
+        shard = shard_of(name, workers)
         # First fill one session per shard, then round out the cohort.
-        if shard not in covered or len(covered) == WORKERS:
+        if shard not in covered or len(covered) == workers:
             names.append(name)
             covered.add(shard)
         candidate += 1
     return names
 
 
-def _fault_plan(sessions):
+def _fault_plan(sessions, workers):
     """One SIGKILL, one 2s hang, 5% scorer exceptions — all seeded.
 
     Chaos hit counters are per worker process, so the deterministic ``at``
@@ -113,9 +116,9 @@ def _fault_plan(sessions):
     rebuilt worker never accumulates enough hits to re-fire, keeping the
     transport-fault count at exactly one each.
     """
-    pushes = {shard: 0 for shard in range(WORKERS)}
+    pushes = {shard: 0 for shard in range(workers)}
     for name in sessions:
-        pushes[shard_of(name, WORKERS)] += CHUNKS_PER_SESSION
+        pushes[shard_of(name, workers)] += CHUNKS_PER_SESSION
     return FaultPlan(
         seed=0,
         faults=(
@@ -139,11 +142,11 @@ def _fault_plan(sessions):
 
 def test_goodput_under_faults():
     """Every window delivered exactly once; >= 70% inside the deadline."""
-    if available_cpus() < WORKERS:
-        pytest.skip(f"only {available_cpus()} usable core(s): need {WORKERS}")
+    cpus = available_cpus()
+    workers = max(2, min(cpus, WORKERS))
     engine = _fitted_engine()
-    sessions = _session_names()
-    plan = _fault_plan(sessions)
+    sessions = _session_names(workers)
+    plan = _fault_plan(sessions, workers)
     rng = np.random.default_rng(7)
     chunks = [
         (session, rng.standard_normal((N_CHANNELS, WINDOW_SAMPLES)))
@@ -159,7 +162,7 @@ def test_goodput_under_faults():
     with inject(plan):
         with ServingFabric(
             engine,
-            n_workers=WORKERS,
+            n_workers=workers,
             n_channels=N_CHANNELS,
             window_samples=WINDOW_SAMPLES,
             max_wait=0.0,
@@ -197,7 +200,8 @@ def test_goodput_under_faults():
         per_session[prediction.session_id] += 1
     goodput = on_time / total
     print(
-        f"\nGoodput under faults ({WORKERS} workers, {N_SESSIONS} sessions x "
+        f"\nGoodput under faults ({workers} workers on {cpus} usable core(s), "
+        f"{N_SESSIONS} sessions x "
         f"{CHUNKS_PER_SESSION} windows, fixed16 D={TOTAL_DIM}): "
         f"{len(delivered)}/{total} delivered, {goodput:.0%} on time "
         f"(floor {GOODPUT_FLOOR:.0%}), {push_failures} injected failures, "
@@ -209,6 +213,12 @@ def test_goodput_under_faults():
     assert shed == 0 and dead == 0
     assert faults_seen >= 2  # both transport faults actually fired
     assert push_failures >= 1  # the 5% scorer-exception stream fired too
+    if cpus < WORKERS:
+        print(
+            f"  the {GOODPUT_FLOOR:.0%} floor is stated at {WORKERS} workers and "
+            f"asserted only on >= {WORKERS} cores (exactly-once was checked)"
+        )
+        return
     assert goodput >= GOODPUT_FLOOR, (
         f"only {goodput:.0%} of windows inside the {DEADLINE}s deadline "
         f"under faults (required >= {GOODPUT_FLOOR:.0%})"

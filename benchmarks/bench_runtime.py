@@ -5,8 +5,9 @@ Three contracts on :mod:`repro.runtime`:
 1. **Equivalence + CPU speedup** — a quick-scale suite grid executed with 4
    workers must produce bit-identical accuracies to the serial path, and on a
    machine with >= 4 usable cores it must finish at least 2x faster
-   wall-clock.  The speedup assertion is skipped (the equivalence assertion
-   is not) when fewer cores are available, since a process pool cannot beat
+   wall-clock.  With fewer cores the grid runs at one worker per core and
+   prints its speedup; the floor is asserted only on >= 4 cores (the
+   equivalence assertion always runs), since a process pool cannot beat
    the clock on hardware it does not have.
 2. **Scheduling concurrency** — with cells whose cost is service time rather
    than CPU (the regime of anything I/O- or sleep-bound), 4 workers must beat
@@ -52,34 +53,44 @@ def _suite_accuracies(suite):
 def test_parallel_suite_speedup(datasets, scale):
     """4-worker suite: bit-identical to serial and >= 2x faster on >= 4 cores."""
     grid = dict(datasets) if not FAST else {"WESAD": datasets["WESAD"]}
+    cpus = available_cpus()
+    workers = min(cpus, WORKERS)
 
     start = time.perf_counter()
     serial = run_suite(grid, SPEEDUP_MODELS, scale=scale, n_runs=SPEEDUP_RUNS,
                        max_workers=1)
     serial_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    parallel = run_suite(grid, SPEEDUP_MODELS, scale=scale, n_runs=SPEEDUP_RUNS,
-                         max_workers=WORKERS)
-    parallel_seconds = time.perf_counter() - start
+    # Equivalence at 4 workers on any machine; the clock at one worker per
+    # core, up to 4.
+    parallel, parallel_seconds = {}, {}
+    for n_workers in sorted({workers, WORKERS}):
+        start = time.perf_counter()
+        parallel[n_workers] = run_suite(
+            grid, SPEEDUP_MODELS, scale=scale, n_runs=SPEEDUP_RUNS,
+            max_workers=n_workers,
+        )
+        parallel_seconds[n_workers] = time.perf_counter() - start
+        for key, accuracies in _suite_accuracies(serial).items():
+            assert np.array_equal(
+                accuracies, _suite_accuracies(parallel[n_workers])[key]
+            ), key
 
-    for key, accuracies in _suite_accuracies(serial).items():
-        assert np.array_equal(accuracies, _suite_accuracies(parallel)[key]), key
-
-    speedup = serial_seconds / parallel_seconds
+    report = parallel[workers].report
+    speedup = serial_seconds / parallel_seconds[workers]
     print(
         f"\nParallel suite ({len(grid)} datasets x {len(SPEEDUP_MODELS)} models "
         f"x {SPEEDUP_RUNS} runs): serial {serial_seconds:.2f}s, "
-        f"{WORKERS} workers {parallel_seconds:.2f}s -> {speedup:.2f}x "
-        f"(utilization {parallel.report.utilization:.0%}, "
-        f"{parallel.report.n_workers_used} workers used)"
+        f"{workers} workers {parallel_seconds[workers]:.2f}s -> {speedup:.2f}x on "
+        f"{cpus} usable core(s) (utilization {report.utilization:.0%}, "
+        f"{report.n_workers_used} workers used)"
     )
-    cpus = available_cpus()
-    if cpus < WORKERS:
-        pytest.skip(
-            f"only {cpus} usable core(s): {WORKERS}-worker CPU speedup is "
-            f"not measurable on this machine (equivalence was still checked)"
+    if workers < WORKERS:
+        print(
+            f"  the >= {SPEEDUP_FLOOR}x floor is stated at {WORKERS} workers and "
+            f"asserted only on >= {WORKERS} cores (equivalence was checked)"
         )
+        return
     assert speedup >= SPEEDUP_FLOOR, (
         f"{WORKERS}-worker suite only {speedup:.2f}x faster than serial "
         f"(required >= {SPEEDUP_FLOOR}x on {cpus} cores)"

@@ -187,7 +187,7 @@ def test_registry_round_trip_preserves_served_predictions(tmp_path):
 
     registry = ModelRegistry(tmp_path)
     version = registry.save("bench", model, metadata={"benchmark": "serving"})
-    restored = registry.load_compiled("bench", version, dtype=np.float32)
+    restored = registry.load_compiled("bench", version)
 
     np.testing.assert_array_equal(
         restored.decision_function(batch), engine.decision_function(batch)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import tempfile
 
-import numpy as np
-
 from repro import BoostHD, ModelRegistry, StreamingService, load_wesad
 from repro.data import CHANNELS, WESAD_STATES, SignalSimulator
 from repro.serving import AdaptiveModel
@@ -48,10 +46,7 @@ def main() -> None:
         print(f"  published to registry as stress-monitor v{version}")
 
         print("\nService: loading + compiling from the registry (no retrain)...")
-        served = AdaptiveModel(
-            registry.load("stress-monitor"),
-            compile_options={"dtype": np.float32},
-        )
+        served = AdaptiveModel(registry.load("stress-monitor"))
         # The deployment simulator must match the training loader's
         # configuration (load_wesad trains at 32 Hz / 20 s windows with
         # noise_level=0.9, class_overlap=0.03) — a mismatched config shifts

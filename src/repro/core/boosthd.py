@@ -341,8 +341,8 @@ class BoostHD(BaseClassifier):
         ``decision_function`` match this model's loop path (same aggregation
         semantics, scores equal to floating-point tolerance) while encoding
         each batch once through a stacked projection.  Keyword ``options``
-        (``precision``, ``dtype``, ``threshold``) are
-        forwarded to :func:`repro.engine.compile_model`;
+        (``precision``, ``dtype``) are forwarded to
+        :func:`repro.engine.compile_model`;
         ``precision="bipolar-packed"`` / ``"fixed16"`` / ``"fixed8"``
         selects the integer-domain engines of :mod:`repro.engine.quant`.
         """

@@ -8,9 +8,9 @@ batch once through a stacked ``(D_total, f)`` basis, evaluates the
 trigonometric activation with a single fused transcendental, and scores
 every learner at once against one learner-stacked class array (indexed
 ``[learner, element of the learner's span, class]``), one batched matmul
-per bounded row step on every precision tier.  An engine takes two
-options, ``dtype`` and (for a cascade) ``threshold``; calls encode in row
-blocks of at most 256 MiB, so memory stays flat at any batch size.
+per bounded row step on every precision tier.  An engine is named by its
+precision alone, plus the encoding ``dtype``; calls encode in row blocks
+of at most 256 MiB, so memory stays flat at any batch size.
 
 Layout:
 
@@ -18,7 +18,7 @@ Layout:
 * :mod:`repro.engine.precision` — the one table of precision names
   (:data:`PRECISIONS`) and the one engine builder (:func:`build_engine`).
   Compiling a fitted model and loading a registry artifact both reduce to
-  ``build_engine(components, precision, **options)``:
+  ``build_engine(components, precision, dtype=...)``:
   :func:`compile_model` decomposes the model with
   :func:`model_components`, :meth:`repro.serving.ModelRegistry.load_compiled`
   reads the same :class:`ModelComponents` straight from the stored arrays
@@ -30,7 +30,7 @@ Layout:
   exact-matmul scorer (:class:`FixedPointModel`),
 * :mod:`repro.engine.cascade` — early-exit cascade scoring: a packed first
   pass scores every row, top-2 margins route only ambiguous rows to a
-  precise second tier (:class:`CascadeModel`), with held-out threshold
+  fixed16 second tier (:class:`CascadeModel`), with held-out threshold
   calibration (``calibrate_threshold``),
 * :mod:`repro.engine.train` — the fused *training* engine: exact fast
   adaptive passes with cached norms, opt-in vectorised mini-batch training,
@@ -60,13 +60,7 @@ from .compile import (
     model_components,
     topk_indices,
 )
-from .precision import (
-    ENGINE_OPTIONS,
-    PRECISIONS,
-    Precision,
-    build_engine,
-    resolve_precision,
-)
+from .precision import PRECISIONS, Precision, build_engine, resolve_precision
 from .quant import FixedPointModel, PackedBipolarModel, PackedQueries, pack_words
 from .train import (
     ExactPassState,
@@ -84,7 +78,6 @@ __all__ = [
     "compile_model",
     "model_components",
     "topk_indices",
-    "ENGINE_OPTIONS",
     "PRECISIONS",
     "Precision",
     "build_engine",

@@ -11,22 +11,21 @@ scores nearly tie.  The cascade exploits that structure:
 2. **Margin routing** — each row's top-2 margin ``s_(1) - s_(2)`` is
    compared against a threshold; rows at or above it keep their packed
    scores ("early exit"), rows strictly below it are routed on.
-3. **Second tier** — only the routed rows are rescored by a configurable
-   precise engine (``fixed16`` / ``fixed8`` / ``float64``), whose scores
-   replace the packed ones row-for-row.
+3. **Second tier** — only the routed rows are rescored by a fixed16
+   engine, whose scores replace the packed ones row-for-row.
 
-Because the fixed-point tiers quantize each query row with its own scale,
-their scores are batch-composition invariant — rescoring the routed subset
+Because the fixed-point tier quantizes each query row with its own scale,
+its scores are batch-composition invariant — rescoring the routed subset
 is bitwise identical to rescoring those rows inside the full batch, which is
 what makes the routing property testable exactly (``tests/test_cascade.py``).
 The degenerate thresholds are exact by construction: ``-inf`` routes nothing
 (cascade ≡ packed tier bitwise) and ``+inf`` routes everything (cascade ≡
-second tier bitwise — the all-rows case hands the second tier the original
-chunk, so even the float64 tier, whose BLAS matmul is not subset-invariant,
-matches bitwise).
+second tier bitwise).
 
-:func:`CascadeModel.calibrate_threshold` picks the cutoff from held-out
-data: sort validation rows by packed margin, then take the smallest prefix
+A cascade starts at :data:`DEFAULT_THRESHOLD`;
+:func:`CascadeModel.calibrate_threshold`, or assigning ``threshold``, sets
+the cutoff after that.  Calibration picks it from held-out data: sort
+validation rows by packed margin, then take the smallest prefix
 of reranked rows whose resulting accuracy (or agreement with the second
 tier, when no labels are given) meets a target fraction of the second
 tier's.  Reranked rows score exactly like the second tier, so the achieved
@@ -34,10 +33,9 @@ parity is monotone nondecreasing in the threshold and the search is a
 single prefix scan, no iteration.
 
 :func:`repro.engine.build_engine` builds both tiers over one set of
-components for ``precision="cascade-fixed16" | "cascade-fixed8" |
-"cascade-float64"`` (``"cascade"`` is short for the first) — from a fitted
-model through :func:`repro.engine.compile_model`, or from stored integer
-codes without dequantizing through
+components for ``precision="cascade-fixed16"`` — from a fitted model
+through :func:`repro.engine.compile_model`, or from stored integer codes
+without dequantizing through
 :meth:`repro.serving.ModelRegistry.load_compiled`.  Serving paths
 (:class:`~repro.serving.StreamingService`,
 :class:`~repro.serving.MicroBatchScheduler`) accept a cascade wherever they
@@ -54,7 +52,7 @@ import numpy as np
 
 from ..obs import OBS, Tally
 from .compile import CompiledModel, EngineError
-from .quant import PackedBipolarModel
+from .quant import FixedPointModel, PackedBipolarModel
 
 __all__ = [
     "CalibrationResult",
@@ -137,38 +135,32 @@ class CalibrationResult:
 class CascadeModel(CompiledModel):
     """Two-tier compiled scorer: packed first pass, margin-routed rerank.
 
-    Both tiers must be compiled from the same fitted model — same classes,
-    same stacked projection, same aggregation — which is validated at
-    construction.  The cascade reuses the first tier's encoder arrays (the
-    tiers share one projection, so each row is encoded exactly once) and
-    exposes the full :class:`CompiledModel` inference surface.
+    The first tier is packed, the second fixed-point; both must be compiled
+    from the same fitted model — same classes, same stacked projection, same
+    aggregation — which is validated at construction.  The cascade reuses
+    the first tier's encoder arrays (the tiers share one projection, so each
+    row is encoded exactly once) and exposes the full :class:`CompiledModel`
+    inference surface.
 
-    ``threshold`` may be reassigned at any time (it is an ordinary float
-    attribute); :meth:`calibrate_threshold` sets it from held-out data.
+    ``threshold`` starts at :data:`DEFAULT_THRESHOLD` and may be reassigned
+    at any time (it is an ordinary float attribute);
+    :meth:`calibrate_threshold` sets it from held-out data.
     ``stats`` accumulates rerank counts across calls for observability.
     """
 
     #: The cascade holds no class stack of its own; its tiers do.
     STACK = ()
 
-    def __init__(
-        self,
-        *,
-        first: PackedBipolarModel,
-        second: CompiledModel,
-        threshold: float = DEFAULT_THRESHOLD,
-    ) -> None:
+    def __init__(self, *, first: PackedBipolarModel, second: FixedPointModel) -> None:
         if not isinstance(first, PackedBipolarModel):
             raise EngineError(
                 f"cascade first tier must be a PackedBipolarModel, "
                 f"got {type(first).__name__}"
             )
-        if not isinstance(second, CompiledModel) or isinstance(
-            second, (PackedBipolarModel, CascadeModel)
-        ):
+        if not isinstance(second, FixedPointModel):
             raise EngineError(
-                f"cascade second tier must be a fixed-point or float compiled "
-                f"engine, got {type(second).__name__}"
+                f"cascade second tier must be a FixedPointModel, "
+                f"got {type(second).__name__}"
             )
         if (
             not np.array_equal(first.classes_, second.classes_)
@@ -189,7 +181,7 @@ class CascadeModel(CompiledModel):
         # the tiers provably share one encoder.
         self.first = first
         self.second = second
-        self.threshold = float(threshold)
+        self.threshold = DEFAULT_THRESHOLD
         self.stats = CascadeStats()
 
         self.dtype = first.dtype
@@ -227,12 +219,7 @@ class CascadeModel(CompiledModel):
         margins = top2_margin(scores)
         rerank = margins < self.threshold
         n_rerank = int(np.count_nonzero(rerank))
-        if n_rerank == len(scores):
-            # All rows rerank: hand the second tier the original chunk, so a
-            # +inf-threshold cascade is bitwise the second tier even when
-            # that tier's float matmul is not subset-invariant.
-            scores = self.second._score_chunk(encoded)
-        elif n_rerank:
+        if n_rerank:
             scores[rerank] = self.second._score_chunk(encoded[rerank])
         self.stats.record(len(scores), n_rerank)
         return scores
@@ -257,13 +244,7 @@ class CascadeModel(CompiledModel):
         ).observe(time.perf_counter() - start)
         if n_rerank:
             start = time.perf_counter()
-            if n_rerank == len(scores):
-                # All rows rerank: hand the second tier the original chunk,
-                # so a +inf-threshold cascade is bitwise the second tier even
-                # when that tier's float matmul is not subset-invariant.
-                scores = self.second._score_chunk(encoded)
-            else:
-                scores[rerank] = self.second._score_chunk(encoded[rerank])
+            scores[rerank] = self.second._score_chunk(encoded[rerank])
             metrics.histogram(
                 "repro_cascade_tier_seconds",
                 "Per-chunk latency of each cascade tier.",

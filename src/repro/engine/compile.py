@@ -612,11 +612,11 @@ def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
 
 
 def compile_model(
-    model: BoostHD | OnlineHD, *, precision: str = "float64", **options
+    model: BoostHD | OnlineHD, *, precision: str = "float64", dtype=np.float32
 ) -> CompiledModel:
     """Compile a fitted ``BoostHD`` or ``OnlineHD`` into a fused scorer.
 
-    ``build_engine(model_components(model), precision, **options)`` — see
+    ``build_engine(model_components(model), precision, dtype=dtype)`` — see
     :func:`repro.engine.build_engine` and :data:`repro.engine.PRECISIONS`.
 
     Parameters
@@ -626,15 +626,15 @@ def compile_model(
         trigonometric random projections.
     precision:
         Class-hypervector domain of the scoring stage, a name from
-        :data:`~repro.engine.PRECISIONS` (or ``"cascade"``).  ``"float64"``
-        (default) keeps the exact float engine; ``"bipolar-packed"`` returns
-        a :class:`~repro.engine.quant.PackedBipolarModel` (1-bit sign
+        :data:`~repro.engine.PRECISIONS`.  ``"float64"`` (default) keeps
+        the exact float engine; ``"bipolar-packed"`` returns a
+        :class:`~repro.engine.quant.PackedBipolarModel` (1-bit sign
         patterns scored by XOR + popcount), ``"fixed16"`` / ``"fixed8"`` a
         :class:`~repro.engine.quant.FixedPointModel` (fixed-point matmuls,
-        exact on integer-valued float64 operands), and the cascade
-        precisions a :class:`~repro.engine.cascade.CascadeModel` (packed
-        first pass, margin-routed second-tier rerank).  All variants expose
-        the same inference API.
+        exact on integer-valued float64 operands), and ``"cascade-fixed16"``
+        a :class:`~repro.engine.cascade.CascadeModel` (packed first pass,
+        margin-routed fixed16 rerank).  All variants expose the same
+        inference API.
     dtype:
         Arithmetic dtype of the fused float path — the encoding stage for
         every engine, plus class-weight storage and the scoring matmul for
@@ -644,23 +644,20 @@ def compile_model(
         BLAS/trig throughput on CPU while keeping predictions identical on
         non-degenerate data; pass ``float64`` for bit-for-bit tolerance
         testing against the loop path.
-    threshold:
-        Cascade precisions only: the top-2 margin below which a row is
-        rescored by the second tier.
 
     Raises
     ------
     EngineError
         If the model is unfitted, of an unsupported type, or uses an encoder
         without projection parameters (e.g. ``LevelIdEncoder``); for an
-        unknown precision or an option it does not accept.
+        unknown precision.
     """
     from .precision import build_engine
 
     if not OBS.enabled:
-        return build_engine(model_components(model), precision, **options)
+        return build_engine(model_components(model), precision, dtype=dtype)
     with OBS.recorder.span("engine.compile", precision=precision):
-        engine = build_engine(model_components(model), precision, **options)
+        engine = build_engine(model_components(model), precision, dtype=dtype)
     OBS.metrics.counter(
         "repro_engine_compiles_total",
         "Engines built through compile_model.",

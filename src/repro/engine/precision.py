@@ -13,10 +13,8 @@ engine is built by :func:`build_engine`:
   sign bits;
 * ``"fixed16"`` / ``"fixed8"`` — :class:`~repro.engine.FixedPointModel`
   over integer codes;
-* ``"cascade-fixed16"`` / ``"cascade-fixed8"`` / ``"cascade-float64"`` —
-  :class:`~repro.engine.CascadeModel`: a packed tier plus the named tier,
-  built over the same components.  ``"cascade"`` is short for
-  ``"cascade-fixed16"`` (:func:`resolve_precision`).
+* ``"cascade-fixed16"`` — :class:`~repro.engine.CascadeModel`: a packed
+  tier plus a fixed16 tier, built over the same components.
 
 :func:`build_engine` takes :class:`~repro.engine.ModelComponents`, whose
 learners hold either a fitted model's float hypervectors or an artifact's
@@ -42,24 +40,16 @@ from ..hdc.quantize import (
     from_fixed_point,
     quantize_codes,
 )
-from .cascade import DEFAULT_THRESHOLD, CascadeModel
+from .cascade import CascadeModel
 from .compile import _EPS, CompiledModel, EngineError, ModelComponents, stack_learners
 from .quant import FixedPointModel, PackedBipolarModel, pack_words
 
 __all__ = [
-    "ENGINE_OPTIONS",
     "PRECISIONS",
     "Precision",
     "build_engine",
     "resolve_precision",
 ]
-
-#: Keyword options of :func:`build_engine` — hence of ``compile_model`` and
-#: ``ModelRegistry.load_compiled``.  ``threshold`` is for cascades only.
-ENGINE_OPTIONS = ("dtype", "threshold")
-
-#: Short names accepted wherever a precision is, and what they stand for.
-_ALIASES = {"cascade": "cascade-fixed16"}
 
 
 # ------------------------------------------------------------ class stacks
@@ -140,50 +130,37 @@ PRECISIONS = MappingProxyType({
     "fixed16": _fixed("fixed16"),
     "fixed8": _fixed("fixed8"),
     "cascade-fixed16": Precision(engine=CascadeModel, second="fixed16"),
-    "cascade-fixed8": Precision(engine=CascadeModel, second="fixed8"),
-    "cascade-float64": Precision(engine=CascadeModel, second="float64"),
 })
 
-_ACCEPTED = ", ".join(repr(name) for name in (*PRECISIONS, *_ALIASES))
+_ACCEPTED = ", ".join(repr(name) for name in PRECISIONS)
 
 
 def resolve_precision(precision: str) -> str:
-    """The :data:`PRECISIONS` name ``precision`` stands for.
+    """``precision`` itself when :data:`PRECISIONS` names it.
 
-    Returns names from the table unchanged and expands ``"cascade"`` to
-    ``"cascade-fixed16"``; raises :class:`EngineError` naming every
-    accepted precision for anything else.
+    Raises :class:`EngineError` naming every accepted precision otherwise.
     """
-    name = _ALIASES.get(precision, precision)
-    if name not in PRECISIONS:
+    if precision not in PRECISIONS:
         raise EngineError(
             f"unknown precision {precision!r}; accepted serving precisions: {_ACCEPTED}"
         )
-    return name
+    return precision
 
 
 # ------------------------------------------------------------------ builder
 def build_engine(
-    components: ModelComponents, precision: str = "float64", **options
+    components: ModelComponents, precision: str = "float64", *, dtype=np.float32
 ) -> CompiledModel:
     """Build the engine of ``precision`` over ``components``.
 
-    ``options`` are the :data:`ENGINE_OPTIONS`: ``dtype`` (encoding dtype,
-    default ``float32``) and, for a cascade, ``threshold`` (default
-    :data:`~repro.engine.cascade.DEFAULT_THRESHOLD`).  Anything else raises
-    :class:`EngineError`.  A cascade's tiers share one set of projection
-    arrays.
+    ``dtype`` is the encoding dtype (and the float tier's class-weight
+    dtype); ``float64`` is the loop-path oracle.  A cascade's tiers share
+    one set of projection arrays, and it starts at
+    :data:`~repro.engine.cascade.DEFAULT_THRESHOLD`.
     """
     name = resolve_precision(precision)
     spec = PRECISIONS[name]
-    accepted = [key for key in ENGINE_OPTIONS if spec.second or key != "threshold"]
-    stray = sorted(set(options) - set(accepted))
-    if stray:
-        raise EngineError(
-            f"unexpected options {stray} for precision {name!r}; accepted: "
-            f"{accepted} (threshold is for the cascade precisions)"
-        )
-    dtype = np.dtype(options.get("dtype", np.float32))
+    dtype = np.dtype(dtype)
     basis, bias = components.basis, components.bias
     prepared = dict(
         # Half-angle fusion: encode(X) = 0.5*(sin(X @ (2B)^T + b) - sin(b)).
@@ -202,7 +179,6 @@ def build_engine(
     return CascadeModel(
         first=_build_tier(components, "bipolar-packed", prepared),
         second=_build_tier(components, spec.second, prepared),
-        threshold=options.get("threshold", DEFAULT_THRESHOLD),
     )
 
 

@@ -803,21 +803,27 @@ class Gateway:
             return json_response(
                 409, {"error": "gateway was started without a model registry"}
             )
-        body = request.json() or {}
+        body = request.json() if request.body else {}
+        if not isinstance(body, dict):
+            raise ProtocolError("swap body must be a JSON object")
+        stray = sorted(set(body) - {"name", "version", "precision"})
+        if stray:
+            raise ProtocolError(
+                f"unexpected swap keys {stray}; a swap takes name, version "
+                "and precision"
+            )
         name = body.get("name", self.registry_name)
         if not name:
             raise ProtocolError("swap needs a model name (or a registry_name default)")
         version = body.get("version")
         precision = body.get("precision", "float64")
-        options = body.get("compile_options") or {}
         if not (
-            isinstance(precision, str)
-            and isinstance(options, dict)
+            isinstance(name, str)
+            and isinstance(precision, str)
             and (version is None or isinstance(version, int))
         ):
             raise ProtocolError(
-                "swap takes a string precision, an integer version and a "
-                "compile_options object"
+                "swap takes a string name and precision and an integer version"
             )
         try:
             resolve_precision(precision)
@@ -829,9 +835,7 @@ class Gateway:
             return json_response(404, {"error": str(error)})
 
         def load_and_swap():
-            engine = self.registry.load_compiled(
-                name, version, precision=precision, **options
-            )
+            engine = self.registry.load_compiled(name, version, precision=precision)
             return self.backend.swap(engine)
 
         try:
@@ -839,8 +843,8 @@ class Gateway:
         except IntegrityError:
             raise  # damage on the server side, not a bad request
         except EngineError as error:
-            # An option the precision does not take, or an engine this
-            # backend cannot serve (a fabric cannot publish a cascade).
+            # An engine this backend cannot serve (a fabric cannot publish a
+            # cascade).
             raise ProtocolError(str(error)) from None
         except (KeyError, FileNotFoundError) as error:
             return json_response(404, {"error": str(error)})

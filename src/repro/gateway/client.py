@@ -237,12 +237,10 @@ class GatewayClient:
     async def model(self):
         return await self.request("GET", "/v1/model")
 
-    async def swap(self, *, name=None, version=None, precision="float64", **options):
+    async def swap(self, *, name=None, version=None, precision="float64"):
         payload = {"version": version, "precision": precision}
         if name is not None:
             payload["name"] = name
-        if options:
-            payload["compile_options"] = options
         return await self.request("POST", "/v1/model/swap", payload)
 
     async def dead_letters(self):

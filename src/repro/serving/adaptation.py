@@ -175,12 +175,9 @@ class AdaptiveModel:
     monitor:
         Drift monitor fed by every :meth:`score`/:meth:`decision_function`
         call (default: a fresh :class:`DriftMonitor`).
-    compile_options:
-        Keyword options for :func:`repro.engine.compile_model` used on every
-        (re)compile, e.g. ``{"dtype": np.float32}``.
     precision:
         Serving precision of the compiled engine, a name from
-        :data:`repro.engine.PRECISIONS` (or ``"cascade"``).  The *model*
+        :data:`repro.engine.PRECISIONS`.  The *model*
         stays full-precision — adaptation updates float class hypervectors —
         and every (re)compile quantizes the updated hypervectors into a
         fresh integer-domain engine, so feedback invalidates and rebuilds
@@ -192,34 +189,25 @@ class AdaptiveModel:
         model: BoostHD | OnlineHD,
         *,
         monitor: DriftMonitor | None = None,
-        compile_options: dict | None = None,
-        precision: str | None = None,
+        precision: str = "float64",
     ) -> None:
         if not isinstance(model, (BoostHD, OnlineHD)):
             raise TypeError(
                 f"expected BoostHD or OnlineHD, got {type(model).__name__}"
             )
+        # Fail at configuration time, not on the first scoring call.
+        try:
+            self.precision = resolve_precision(precision)
+        except EngineError as error:
+            raise ValueError(str(error)) from None
         self.model = model
         self.monitor = monitor or DriftMonitor()
-        self.compile_options = dict(compile_options or {})
-        if precision is not None:
-            # Fail at configuration time, not on the first scoring call.
-            try:
-                resolve_precision(precision)
-            except EngineError as error:
-                raise ValueError(str(error)) from None
-            self.compile_options["precision"] = precision
         self._compiled = None
         self.recompiles = 0
         self.feedback_samples = 0
         self._drift_flagged = False
 
     # ------------------------------------------------------------ the engine
-    @property
-    def precision(self) -> str:
-        """Serving precision of the compiled engine."""
-        return self.compile_options.get("precision", "float64")
-
     @property
     def stale(self) -> bool:
         """True when feedback invalidated the compiled engine."""
@@ -231,7 +219,7 @@ class AdaptiveModel:
         if self._compiled is None:
             from ..engine import compile_model
 
-            self._compiled = compile_model(self.model, **self.compile_options)
+            self._compiled = compile_model(self.model, precision=self.precision)
             self.recompiles += 1
             if OBS.enabled:
                 OBS.metrics.counter(

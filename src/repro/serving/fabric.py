@@ -67,7 +67,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from ..engine.precision import ENGINE_OPTIONS
 from ..obs import OBS
 from ..resilience.chaos import CHAOS, FaultPlan, install as install_chaos
 from ..resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
@@ -150,10 +149,7 @@ def _fallback_engine(spec: dict):
 
     registry = ModelRegistry(spec["root"])
     return registry.load_compiled(
-        spec["name"],
-        spec.get("version"),
-        precision=spec.get("precision", "float64"),
-        **dict(spec.get("compile_options") or {}),
+        spec["name"], spec.get("version"), precision=spec.get("precision", "float64")
     )
 
 
@@ -312,13 +308,14 @@ class _ProcessShard:
     """
 
     def __init__(
-        self, index, manifest, service_options, obs_enabled, fallback=None
+        self, index, manifest, service_options, obs_enabled, fallback, call_timeout
     ) -> None:
         self.index = index
         self.manifest = manifest
         self._service_options = service_options
         self._obs_enabled = obs_enabled
         self._fallback = fallback
+        self._call_timeout = call_timeout
         self.pid: int | None = None
         self.pool = self._spawn()
 
@@ -337,12 +334,18 @@ class _ProcessShard:
             ),
         )
         # Force the worker up now so initializer failures surface here, not
-        # on some later scoring call — and learn the worker pid, which is
-        # what lets a wedged (hung, not dead) worker be killed on timeout.
+        # on some later scoring call.  The submit starts the pool's one
+        # worker, and knowing its pid is what lets a wedged (hung, not dead)
+        # worker be killed on timeout — at start-up too.
+        started = pool.submit(_worker_call, "info")
+        (self.pid,) = pool._processes
         try:
-            self.pid = pool.submit(_worker_call, "info").result()["pid"]
+            started.result(timeout=self._call_timeout)
         except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if not started.done():  # still running: wedged or interrupted
+                self.kill()
+            pool.shutdown(cancel_futures=True)  # waits: the worker is reaped
+            self.pid = None  # never signal a reaped pid
             raise
         return pool
 
@@ -407,19 +410,21 @@ class ServingFabric:
         raises.  Start-up first reclaims shared-memory segments leaked by
         dead fabrics (:func:`repro.serving.shm.cleanup_orphan_segments`).
     call_timeout:
-        Per-call timeout, seconds, on every worker future (``None`` =
-        unbounded, the pre-PR-9 behaviour).  A timed-out worker is treated
+        Per-call timeout, seconds, on every worker future, the start-up
+        call included (``None`` = unbounded).  A timed-out worker is treated
         as wedged: SIGKILLed and recovered like a crash, so no drain or
-        swap can block forever on one hung process.
+        swap can block forever on one hung process.  A worker that wedges
+        while starting is killed and reaped, and the start fails with
+        :class:`concurrent.futures.TimeoutError`.
     breaker_options:
         Keyword arguments for each shard's
         :class:`~repro.resilience.CircuitBreaker` (``failure_threshold``,
         ``probe_interval``, ``success_threshold``).
     fallback:
         Registry copy-load spec — ``{"root", "name", "version",
-        "precision", "compile_options"}`` — a worker uses when its shared
-        segment fails checksum verification.  :meth:`from_registry` fills
-        this in automatically.
+        "precision"}`` — a worker uses when its shared segment fails
+        checksum verification.  :meth:`from_registry` fills this in
+        automatically.
     **service_options:
         Forwarded to each worker's :class:`StreamingService` —
         ``n_channels``, ``window_samples``, ``max_batch``, ``max_wait``,
@@ -466,6 +471,7 @@ class ServingFabric:
                         self._service_options,
                         OBS.enabled,
                         self.fallback,
+                        self.call_timeout,
                     )
                 )
         except BaseException:
@@ -488,16 +494,10 @@ class ServingFabric:
     ) -> "ServingFabric":
         """Build a fabric straight from a stored registry artifact.
 
-        ``options`` named in :data:`repro.engine.ENGINE_OPTIONS` go to
-        :meth:`~repro.serving.ModelRegistry.load_compiled`; the rest to the
-        fabric and its services.
+        :meth:`~repro.serving.ModelRegistry.load_compiled` builds the engine
+        at ``precision``; ``options`` go to the fabric and its services.
         """
-        compile_options = {
-            key: options.pop(key) for key in ENGINE_OPTIONS if key in options
-        }
-        engine = registry.load_compiled(
-            name, version, precision=precision, **compile_options
-        )
+        engine = registry.load_compiled(name, version, precision=precision)
         options.setdefault(
             "fallback",
             {
@@ -505,7 +505,6 @@ class ServingFabric:
                 "name": name,
                 "version": registry.latest(name) if version is None else int(version),
                 "precision": precision,
-                "compile_options": dict(compile_options),
             },
         )
         return cls(engine, n_workers=n_workers, **options)

@@ -573,25 +573,17 @@ class ModelRegistry:
             return ensemble
 
     def load_compiled(
-        self,
-        name: str,
-        version: int | None = None,
-        *,
-        precision: str = "float64",
-        **compile_options,
+        self, name: str, version: int | None = None, *, precision: str = "float64"
     ):
         """Load a stored version straight into a serving engine.
 
-        ``build_engine(components, precision, **compile_options)`` over the
-        artifact's stored arrays (see :func:`repro.engine.build_engine` for
-        the options and the stored-code reuse rules): a fixed-point artifact
-        serves its integer codes without dequantizing them at its own or a
-        wider fixed-point precision, and a cascade builds both tiers that
-        way.  A float artifact at any precision — and ``precision="float64"``
-        with the default options — scores byte-identically to compiling the
-        original model.  An unknown precision raises :exc:`RegistryError`; an
-        option the precision does not accept raises
-        :class:`~repro.engine.EngineError`, as ``compile_model`` does.
+        ``build_engine(components, precision)`` over the artifact's stored
+        arrays (see :func:`repro.engine.build_engine` for the stored-code
+        reuse rules): a fixed-point artifact serves its integer codes
+        without dequantizing them at its own or a wider fixed-point
+        precision, and a cascade builds both tiers that way.  A float
+        artifact at any precision scores byte-identically to compiling the
+        original model.  An unknown precision raises :exc:`RegistryError`.
         """
         try:
             resolve_precision(precision)
@@ -599,11 +591,11 @@ class ModelRegistry:
             raise RegistryError(str(error)) from None
         if not OBS.enabled:
             components = self._components(name, version)
-            return build_engine(components, precision, **compile_options)
+            return build_engine(components, precision)
         with OBS.recorder.span("registry.load", model=name, form=precision):
             start = time.perf_counter()
             components = self._components(name, version)
-            engine = build_engine(components, precision, **compile_options)
+            engine = build_engine(components, precision)
             seconds = time.perf_counter() - start
         self._record_artifact_io("load", name, version, seconds)
         return engine

@@ -5,9 +5,8 @@ routing down exactly rather than statistically:
 
 * **Degenerate-threshold exactness** — at ``threshold=-inf`` the cascade is
   bitwise the packed first tier; at ``threshold=+inf`` it is bitwise the
-  second tier, for every second-tier precision including float64 (whose
-  BLAS matmul is only subset-invariant because the all-rows rerank hands it
-  the original chunk).
+  fixed16 second tier, whether the cascade is compiled from the model's
+  float64 hypervectors or loaded from a fixed16 or fixed8 artifact.
 * **Margin-routing properties** (hypothesis) — the rerank set is exactly
   the rows whose packed top-2 margin is strictly below the threshold:
   non-reranked rows score bitwise as the packed tier, reranked rows bitwise
@@ -18,10 +17,13 @@ routing down exactly rather than statistically:
   relative-accuracy target on the calibration data, is monotone
   nondecreasing in the target, and its reported rerank fraction matches
   what the threshold actually routes.
-* **Registry round-trip** — ``load(name, precision="cascade-...")`` builds
-  both tiers byte-for-byte from stored codes with float64 dequantization
-  provably never invoked, and the loaded cascade scores bitwise like one
-  compiled from the original model.
+* **Registry round-trip** — ``load_compiled(name, precision="cascade-fixed16")``
+  builds both tiers byte-for-byte from stored codes with float64
+  dequantization provably never invoked, and the loaded cascade scores
+  bitwise like one compiled from the original model.
+
+A cascade starts at ``DEFAULT_THRESHOLD``; every test that needs another
+cutoff assigns the ``threshold`` attribute, as calibration does.
 """
 
 import numpy as np
@@ -40,6 +42,7 @@ from repro.engine import (
     top2_margin,
     topk_indices,
 )
+from repro.engine.cascade import DEFAULT_THRESHOLD
 from repro.serving import ModelRegistry
 
 from test_quant_engine import (
@@ -51,7 +54,9 @@ from test_quant_engine import (
 
 pytestmark = pytest.mark.cascade
 
-SECOND_TIERS = ("fixed16", "fixed8", "float64")
+#: The stored forms a cascade's class hypervectors are built from: the
+#: fitted model's float64 values, or a fixed16 or fixed8 artifact's codes.
+SOURCES = ("fixed16", "fixed8", "float64")
 
 
 @pytest.fixture(scope="module")
@@ -67,23 +72,33 @@ def fitted(problem):
 
 @pytest.fixture(scope="module")
 def engines(fitted):
-    """One cascade per second tier plus its reference tiers, all float64."""
-    built = {}
-    for second in SECOND_TIERS:
-        built[second] = compile_model(
-            fitted, dtype=np.float64, precision=f"cascade-{second}"
+    """The float64-encoding cascade plus its packed reference tier."""
+    return {
+        "fixed16": compile_model(fitted, dtype=np.float64, precision="cascade-fixed16"),
+        "packed": compile_model(fitted, dtype=np.float64, precision="bipolar-packed"),
+    }
+
+
+@pytest.fixture(scope="module")
+def sourced(fitted, cascade_registry):
+    """``(cascade, packed engine)`` built from each of the :data:`SOURCES`."""
+    built = {"float64": tuple(
+        compile_model(fitted, precision=name)
+        for name in ("cascade-fixed16", "bipolar-packed")
+    )}
+    for scheme in ("fixed16", "fixed8"):
+        built[scheme] = tuple(
+            cascade_registry.load_compiled(f"{scheme}-artifact", precision=name)
+            for name in ("cascade-fixed16", "bipolar-packed")
         )
-    built["packed"] = compile_model(
-        fitted, dtype=np.float64, precision="bipolar-packed"
-    )
     return built
 
 
 # -------------------------------------------------- degenerate-threshold exactness
-@pytest.mark.parametrize("second", SECOND_TIERS)
-def test_threshold_inf_is_bitwise_second_tier(engines, problem, second):
+@pytest.mark.parametrize("source", SOURCES)
+def test_threshold_inf_is_bitwise_second_tier(sourced, problem, source):
     _, _, X_test, _ = problem
-    cascade = engines[second]
+    cascade, _ = sourced[source]
     cascade.threshold = np.inf
     np.testing.assert_array_equal(
         cascade.decision_function(X_test),
@@ -91,37 +106,39 @@ def test_threshold_inf_is_bitwise_second_tier(engines, problem, second):
     )
 
 
-@pytest.mark.parametrize("second", SECOND_TIERS)
-def test_threshold_neg_inf_is_bitwise_the_packed_engine(engines, problem, second):
+@pytest.mark.parametrize("source", SOURCES)
+def test_threshold_neg_inf_is_bitwise_the_packed_engine(sourced, problem, source):
     _, _, X_test, _ = problem
-    cascade = engines[second]
+    cascade, packed = sourced[source]
     cascade.threshold = -np.inf
     cascade.stats.reset()
     np.testing.assert_array_equal(
-        cascade.decision_function(X_test),
-        engines["packed"].decision_function(X_test),
+        cascade.decision_function(X_test), packed.decision_function(X_test)
     )
     assert cascade.stats.rows_reranked == 0
     assert cascade.stats.rows_scored == len(X_test)
 
 
 def test_cascade_alias_and_dispatch(fitted):
-    cascade = compile_model(fitted, precision="cascade")
+    """``"cascade-fixed16"`` is the one cascade; ``"cascade"`` is no alias."""
+    cascade = compile_model(fitted, precision="cascade-fixed16")
     assert isinstance(cascade, CascadeModel)
     assert cascade.precision == "cascade-fixed16"
+    assert cascade.threshold == DEFAULT_THRESHOLD
     assert isinstance(cascade.first, PackedBipolarModel)
     assert isinstance(cascade.second, FixedPointModel)
     assert "cascade" in repr(cascade)
     assert cascade.class_memory_bytes() == (
         cascade.first.class_memory_bytes() + cascade.second.class_memory_bytes()
     )
-    with pytest.raises(
-        EngineError,
-        match="unknown precision 'cascade-int4'; accepted serving precisions",
-    ):
-        compile_model(fitted, precision="cascade-int4")
-    with pytest.raises(EngineError, match="threshold"):
-        compile_model(fitted, precision="fixed16", threshold=0.1)
+    for name in ("cascade", "cascade-int4"):
+        with pytest.raises(
+            EngineError,
+            match=f"unknown precision '{name}'; accepted serving precisions",
+        ):
+            compile_model(fitted, precision=name)
+    with pytest.raises(TypeError, match="threshold"):
+        compile_model(fitted, precision="cascade-fixed16", threshold=0.1)
 
 
 def test_mismatched_tiers_are_rejected(fitted):
@@ -129,11 +146,14 @@ def test_mismatched_tiers_are_rejected(fitted):
     other = BoostHD(total_dim=480, n_learners=4, epochs=3, seed=9).fit(X, y)
     first = compile_model(fitted, precision="bipolar-packed")
     with pytest.raises(EngineError, match="different models"):
-        CascadeModel(first=first, second=compile_model(other))
+        CascadeModel(first=first, second=compile_model(other, precision="fixed16"))
+    fixed16 = compile_model(fitted, precision="fixed16")
     with pytest.raises(EngineError, match="first tier"):
-        CascadeModel(first=compile_model(fitted), second=compile_model(fitted))
-    with pytest.raises(EngineError, match="second tier"):
-        CascadeModel(first=first, second=first)
+        CascadeModel(first=compile_model(fitted), second=fixed16)
+    # Only a fixed-point tier reranks a subset bitwise as in the full batch.
+    for second in (first, compile_model(fitted)):
+        with pytest.raises(EngineError, match="second tier must be a FixedPointModel"):
+            CascadeModel(first=first, second=second)
 
 
 # ----------------------------------------------------------- margin routing
@@ -144,9 +164,8 @@ def test_rerank_set_is_exactly_below_threshold_rows(threshold, rows):
     < threshold gets the fixed second tier's scores bitwise."""
     X, y, X_test, _ = _blob_problem(seed=13, n_features=10)
     model = BoostHD(total_dim=480, n_learners=4, epochs=3, seed=1).fit(X, y)
-    cascade = compile_model(
-        model, dtype=np.float64, precision="cascade-fixed16", threshold=threshold
-    )
+    cascade = compile_model(model, dtype=np.float64, precision="cascade-fixed16")
+    cascade.threshold = threshold
     encoded = cascade.encode(X_test)
     packed_scores = cascade.first.score_encoded(encoded)
     second_scores = cascade.second.score_encoded(encoded)
@@ -212,7 +231,7 @@ def test_calibration_meets_parity_target(engines, problem):
 
 def test_calibration_meets_relative_accuracy_target(engines, problem):
     _, _, X_test, y_test = problem
-    cascade = engines["float64"]
+    cascade = engines["fixed16"]
     result = cascade.calibrate_threshold(X_test, y_test, target=0.99)
     assert result.mode == "accuracy"
     second_acc = np.mean(cascade.second.predict(X_test) == y_test)
@@ -297,10 +316,11 @@ def test_top2_margin_single_class_is_infinite():
 
 # ----------------------------------------------------------------- registry
 @pytest.fixture(scope="module")
-def cascade_registry(tmp_path_factory, fitted, problem):
+def cascade_registry(tmp_path_factory, fitted):
     registry = ModelRegistry(tmp_path_factory.mktemp("cascade-registry"))
     registry.save("float-artifact", fitted)
-    registry.save("fixed16-artifact", fitted, quantize="fixed16")
+    for scheme in ("fixed16", "fixed8"):
+        registry.save(f"{scheme}-artifact", fitted, quantize=scheme)
     return registry
 
 
@@ -311,10 +331,10 @@ def test_registry_cascade_load_without_dequantize(
     _, _, X_test, _ = problem
     _forbid_dequantization(monkeypatch)
     engine = cascade_registry.load_compiled(
-        "fixed16-artifact", precision="cascade-fixed16", threshold=0.04
+        "fixed16-artifact", precision="cascade-fixed16"
     )
     assert isinstance(engine, CascadeModel)
-    assert engine.threshold == 0.04
+    assert engine.threshold == DEFAULT_THRESHOLD
     record = cascade_registry.describe("fixed16-artifact")
     assert engine.second.codes.dtype == np.int16
     with np.load(record.path / "model.npz") as archive:
@@ -331,13 +351,12 @@ def test_registry_cascade_load_without_dequantize(
 def test_registry_cascade_round_trip_is_bitwise(cascade_registry, fitted, problem):
     """A float artifact's cascade scores bitwise like a directly compiled one."""
     _, _, X_test, _ = problem
-    for precision in ("cascade-fixed16", "cascade-float64"):
-        loaded = cascade_registry.load_compiled(
-            "float-artifact", precision=precision, dtype=np.float64, threshold=0.05
-        )
-        reference = compile_model(
-            fitted, dtype=np.float64, precision=precision, threshold=0.05
-        )
+    loaded = cascade_registry.load_compiled(
+        "float-artifact", precision="cascade-fixed16"
+    )
+    reference = compile_model(fitted, precision="cascade-fixed16")
+    for threshold in (-np.inf, DEFAULT_THRESHOLD, 0.2, np.inf):
+        loaded.threshold = reference.threshold = threshold
         np.testing.assert_array_equal(
             loaded.decision_function(X_test), reference.decision_function(X_test)
         )
@@ -346,11 +365,12 @@ def test_registry_cascade_round_trip_is_bitwise(cascade_registry, fitted, proble
 def test_registry_cascade_unknown_precision(cascade_registry):
     from repro.serving import RegistryError
 
-    with pytest.raises(RegistryError, match="cascade"):
-        cascade_registry.load_compiled("float-artifact", precision="cascade-int4")
-    assert {name for name in PRECISIONS if PRECISIONS[name].second} == {
-        "cascade-fixed16", "cascade-fixed8", "cascade-float64"
-    }
+    for name in ("cascade-int4", "cascade-fixed8", "cascade-float64", "cascade"):
+        with pytest.raises(RegistryError, match=f"unknown precision '{name}'"):
+            cascade_registry.load_compiled("float-artifact", precision=name)
+    assert [name for name in PRECISIONS if PRECISIONS[name].second] == [
+        "cascade-fixed16"
+    ]
 
 
 # ------------------------------------------------------------------ serving

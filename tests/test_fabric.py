@@ -30,6 +30,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -41,7 +42,15 @@ from hypothesis import strategies as st
 import repro
 from repro.core import BoostHD
 from repro.engine import PRECISIONS, EngineError, compile_model
-from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
+from repro.resilience import (
+    CLOSED,
+    OPEN,
+    CircuitOpenError,
+    FaultInjected,
+    FaultPlan,
+    FaultSpec,
+    inject,
+)
 from repro.runtime.executor import resolve_max_workers
 from repro.serving import (
     DriftMonitor,
@@ -574,6 +583,13 @@ class TestWorkerResolution:
 
 
 # ------------------------------------------------------------------ start-up
+#: A fault that wedges a worker's first call, the start-up ``info`` call,
+#: for 4 s; chaos hit counters are per worker, so every new worker hits it.
+WEDGED_START_UP = FaultSpec(
+    point="fabric.worker.call", kind="delay", delay=4.0, at=(1,)
+)
+
+
 class TestStartup:
     @pytest.mark.parametrize(
         "match", [(), (("shard", 1),)], ids=["first-worker", "second-worker"]
@@ -617,6 +633,86 @@ class TestStartup:
         for pid in started:  # shut down and reaped, not left serving
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_a_worker_that_wedges_at_start_up_times_out(self, engines, monkeypatch):
+        """The start-up call is bounded by ``call_timeout``: the wedged
+        worker is killed and reaped, the segment goes, and the constructor
+        raises instead of waiting out the hang."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no POSIX shm filesystem")
+        killed = []
+        kill = fabric_module._ProcessShard.kill
+
+        def recording(shard):
+            killed.append(shard.pid)
+            kill(shard)
+
+        monkeypatch.setattr(fabric_module._ProcessShard, "kill", recording)
+        plan = FaultPlan(faults=(WEDGED_START_UP,))
+        start = time.perf_counter()
+        with inject(plan), pytest.raises(FuturesTimeoutError):
+            ServingFabric(
+                engines["fixed16"],
+                n_workers=1,
+                call_timeout=0.5,
+                n_channels=N_CHANNELS,
+                window_samples=WINDOW,
+            )
+        assert time.perf_counter() - start < 0.5 + 1.0
+        assert len(killed) == 1
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(killed[0], 0)
+        head = f"{SEGMENT_PREFIX}{os.getpid()}"
+        assert not [
+            name
+            for name in os.listdir("/dev/shm")
+            if name.startswith((f"{head}.", f"{head}_"))
+        ]
+
+    def test_a_wedged_rebuild_fails_the_call_through_the_breaker(self, engines):
+        """Recovery restarts a worker under the same bound: a rebuild that
+        wedges fails the call and counts on the breaker, within the timeout."""
+        with ServingFabric(
+            engines["fixed16"],
+            n_workers=1,
+            call_timeout=0.5,
+            breaker_options={"failure_threshold": 1, "probe_interval": 60.0},
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+        ) as fabric:
+            fabric.open_session("s")
+            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            start = time.perf_counter()
+            with inject(FaultPlan(faults=(WEDGED_START_UP,))):
+                with pytest.raises(FuturesTimeoutError):
+                    fabric.push("s", np.zeros((N_CHANNELS, WINDOW)))
+            assert time.perf_counter() - start < 0.5 + 1.0
+            assert fabric.breakers[0].state == OPEN
+            with pytest.raises(CircuitOpenError):
+                fabric.push("s", np.zeros((N_CHANNELS, WINDOW)))
+
+    def test_a_failed_rebuild_recovers_on_the_next_probe(self, engines):
+        """A shard whose rebuild failed is not left holding a dead pool: the
+        breaker's next probe rebuilds it and the shard serves again."""
+        with ServingFabric(
+            engines["fixed16"],
+            n_workers=1,
+            call_timeout=0.5,
+            breaker_options={"failure_threshold": 1, "probe_interval": 0.2},
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+        ) as fabric:
+            fabric.open_session("s")
+            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            with inject(FaultPlan(faults=(WEDGED_START_UP,))):
+                with pytest.raises(FuturesTimeoutError):
+                    fabric.push("s", np.zeros((N_CHANNELS, WINDOW)))
+            time.sleep(0.3)  # past the probe interval
+            predictions = fabric.push("s", np.zeros((N_CHANNELS, WINDOW)))
+            predictions += fabric.drain()
+            assert [p.window_index for p in predictions] == [0]
+            assert fabric.breakers[0].state == CLOSED
+            assert fabric.restarts == 1
 
     def test_start_up_reclaims_a_dead_fabrics_segment(self, engines):
         """Orphan cleanup is not optional: every fabric start runs it."""

@@ -732,18 +732,33 @@ def make_backend(kind: str, registry, **overrides):
     return ServingFabric(engine, n_workers=1, **options)
 
 
-def swap_once(backend, registry, **request):
-    """Status and body of one ``POST /v1/model/swap`` against ``backend``."""
+def _swap(backend, registry, send):
+    """Status, response and gateway stats of one swap ``send(client)``."""
 
     async def scenario():
         gateway = await start_gateway(backend, registry=registry, registry_name="m")
         try:
             async with GatewayClient(gateway.host, gateway.port) as client:
-                return await client.swap(**request)
+                status, response = await send(client)
         finally:
             await gateway.shutdown(2.0)
+        return status, response, gateway.stats
 
     return run(scenario())
+
+
+def swap_once(backend, registry, **request):
+    """Status and body of one ``GatewayClient.swap`` against ``backend``."""
+    return _swap(backend, registry, lambda client: client.swap(**request))[:2]
+
+
+def swap_body(backend, registry, body):
+    """Status, response and gateway stats of a raw swap ``body``."""
+    return _swap(
+        backend,
+        registry,
+        lambda client: client.request("POST", "/v1/model/swap", body),
+    )
 
 
 def test_swap_promotes_and_reports_the_generation(swap_registry):
@@ -759,21 +774,44 @@ def test_swap_unknown_precision_is_400(swap_registry):
 
 
 def test_swap_stray_compile_option_is_400(swap_registry):
-    status, body = swap_once(
-        make_service(), swap_registry, precision="fixed16", threshold=0.1
+    """A swap names a precision and nothing else: no ``compile_options``."""
+    service = make_service()
+    for stray in ({"compile_options": {"dtype": "float64"}}, {"threshold": 0.1}):
+        status, body, _ = swap_body(
+            service, swap_registry, {"precision": "cascade-fixed16", **stray}
+        )
+        assert status == 400
+        assert repr(next(iter(stray))) in body["error"]
+    assert service.generation == 0
+
+
+@pytest.mark.parametrize(
+    "option", ["chunk_size", "cache_size", "cache_bytes", "dtype"]
+)
+def test_swap_removed_engine_option_is_400(swap_registry, option):
+    """A removed engine option is an unknown swap key; the error names it
+    and the keys a swap takes."""
+    service = make_service()
+    status, body, _ = swap_body(
+        service, swap_registry, {"precision": "fixed16", option: 8}
     )
     assert status == 400
-    assert "threshold" in body["error"]
+    assert repr(option) in body["error"]
+    assert all(key in body["error"] for key in ("name", "version", "precision"))
+    assert service.generation == 0
 
 
-@pytest.mark.parametrize("option", ["chunk_size", "cache_size", "cache_bytes"])
-def test_swap_removed_engine_option_is_400(swap_registry, option):
-    """Engines take ``dtype`` and ``threshold`` only; the error names both."""
+@pytest.mark.parametrize(
+    "body", [[1, 2], "x", 5, {"name": 5}, {"version": "1"}, {"precision": 16}]
+)
+def test_malformed_swap_body_is_400(swap_registry, body):
+    """Not a handler error: a body that is not a JSON object, or a field of
+    the wrong type, is the client's mistake, and the answer says so."""
     service = make_service()
-    status, body = swap_once(service, swap_registry, precision="fixed16", **{option: 8})
+    status, response, stats = swap_body(service, swap_registry, body)
     assert status == 400
-    assert option in body["error"]
-    assert "'dtype'" in body["error"]
+    assert "swap" in response["error"]
+    assert stats.handler_errors == 0
     assert service.generation == 0
 
 
@@ -788,7 +826,7 @@ def test_swap_unknown_model_or_version_is_404(swap_registry):
 
 def test_swap_cascade_on_a_fabric_is_400(swap_registry):
     fabric = make_backend("fabric", swap_registry)
-    status, body = swap_once(fabric, swap_registry, precision="cascade")
+    status, body = swap_once(fabric, swap_registry, precision="cascade-fixed16")
     assert status == 400
     assert "cannot publish" in body["error"]
     assert fabric.generation == 0

@@ -671,7 +671,7 @@ def _forbid_dequantization(monkeypatch):
 def test_registry_load_fixed_precision_without_dequantize(registry_setup, monkeypatch):
     registry, model, X_test, _ = registry_setup
     _forbid_dequantization(monkeypatch)
-    engine = registry.load_compiled("fixed8-artifact", precision="fixed8", dtype=np.float64)
+    engine = registry.load_compiled("fixed8-artifact", precision="fixed8")
     assert isinstance(engine, FixedPointModel)
     assert engine.codes.dtype == np.int8
     with np.load(registry.describe("fixed8-artifact").path / "model.npz") as archive:
@@ -717,10 +717,8 @@ def test_registry_float_artifact_equals_compiled_engines(
     for kind in EXACT_KINDS:
         registry.save(kind, fitted_models[kind])
         for precision in ENGINE_PRECISIONS:
-            loaded = registry.load_compiled(kind, precision=precision, dtype=np.float64)
-            reference = compile_model(
-                fitted_models[kind], dtype=np.float64, precision=precision
-            )
+            loaded = registry.load_compiled(kind, precision=precision)
+            reference = compile_model(fitted_models[kind], precision=precision)
             assert type(loaded) is type(reference)
             np.testing.assert_array_equal(
                 loaded.decision_function(query_rows),

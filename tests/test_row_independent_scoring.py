@@ -64,9 +64,9 @@ def fitted():
     }
 
 
-def _assert_row_blocks_bitwise(model, precision, n_blocks, **options):
+def _assert_row_blocks_bitwise(model, precision, n_blocks):
     X, _ = _problem()
-    engine = compile_model(model, dtype=np.float64, precision=precision, **options)
+    engine = compile_model(model, dtype=np.float64, precision=precision)
     encoded = engine.encode(X)
     whole = engine.score_encoded(encoded)
     blocks = np.array_split(encoded, n_blocks)
@@ -95,10 +95,11 @@ def test_vote_row_block_scoring_bit_identical(fitted, n_blocks):
         _assert_row_blocks_bitwise(fitted["vote"], precision, n_blocks)
 
 
-@pytest.mark.parametrize("precision", ("cascade-fixed16", "cascade-fixed8"))
+@pytest.mark.parametrize("precision", ("cascade-fixed16",))
 def test_cascade_row_block_scoring_bit_identical(fitted, precision):
-    """Routing is a per-row margin test, so splits never change a route."""
-    _assert_row_blocks_bitwise(fitted["boosthd"], precision, 4, threshold=0.05)
+    """Routing is a per-row margin test, so splits never change a route
+    (at the default threshold, which reranks some rows here)."""
+    _assert_row_blocks_bitwise(fitted["boosthd"], precision, 4)
 
 
 @settings(max_examples=20, deadline=None)
@@ -189,11 +190,9 @@ def test_encoding_blocks_score_their_encodings_bitwise(
     _assert_blocks_score_their_encodings(monkeypatch, engine, 7)
 
 
-@pytest.mark.parametrize("precision", ("cascade-fixed16", "cascade-fixed8"))
+@pytest.mark.parametrize("precision", ("cascade-fixed16",))
 def test_cascade_encoding_blocks_score_their_encodings_bitwise(
     fitted, monkeypatch, precision
 ):
-    engine = compile_model(
-        fitted["boosthd"], dtype=np.float64, precision=precision, threshold=0.05
-    )
+    engine = compile_model(fitted["boosthd"], dtype=np.float64, precision=precision)
     _assert_blocks_score_their_encodings(monkeypatch, engine, 7)

@@ -361,8 +361,8 @@ class TestModelRegistry:
         boost, _ = fitted_models
         registry = ModelRegistry(tmp_path)
         registry.save("stress", boost)
-        original = boost.compile(dtype=np.float32)
-        restored = registry.load_compiled("stress", dtype=np.float32)
+        original = boost.compile()
+        restored = registry.load_compiled("stress")
         np.testing.assert_array_equal(
             restored.decision_function(X_test), original.decision_function(X_test)
         )
@@ -379,11 +379,11 @@ class TestModelRegistry:
         registry = ModelRegistry(tmp_path)
         registry.save("shared", model)
         assert registry.describe("shared").shared_projection
-        restored = registry.load_compiled("shared", dtype=np.float64)
+        restored = registry.load_compiled("shared")
         assert restored.shared_projection
         np.testing.assert_array_equal(
             restored.decision_function(X_test),
-            model.compile(dtype=np.float64).decision_function(X_test),
+            model.compile().decision_function(X_test),
         )
 
     def test_onlinehd_round_trip_and_partial_fit(self, tmp_path, blobs_split, fitted_models):
@@ -492,18 +492,18 @@ class TestAdaptiveModel:
     def test_scores_match_plain_engine_and_feed_monitor(self, blobs_split, fitted_models):
         _, X_test, _, _ = blobs_split
         boost, _ = fitted_models
-        served = AdaptiveModel(boost, compile_options={"dtype": np.float64})
+        served = AdaptiveModel(boost)
         labels, scores = served.score(X_test)
         np.testing.assert_array_equal(labels, boost.predict(X_test))
-        np.testing.assert_allclose(
-            scores, boost.compile(dtype=np.float64).decision_function(X_test)
+        np.testing.assert_array_equal(
+            scores, boost.compile().decision_function(X_test)
         )
         assert served.monitor.observed == len(X_test)
 
     def test_feedback_updates_model_and_recompiles(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
         model = OnlineHD(dim=90, epochs=1, seed=5).fit(X_train, y_train)
-        served = AdaptiveModel(model, compile_options={"dtype": np.float64})
+        served = AdaptiveModel(model)
         before = served.compiled
         baseline_scores = served.compiled.decision_function(X_test).copy()
         served.feedback(X_test, y_test)
@@ -512,9 +512,9 @@ class TestAdaptiveModel:
         assert after is not before
         assert served.recompiles == 2
         # The engine serves the *adapted* hypervectors.
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             after.decision_function(X_test),
-            model.compile(dtype=np.float64).decision_function(X_test),
+            model.compile().decision_function(X_test),
         )
         assert not np.array_equal(
             after.decision_function(X_test), baseline_scores
@@ -525,7 +525,7 @@ class TestAdaptiveModel:
         boost = BoostHD(total_dim=120, n_learners=4, epochs=1, seed=9).fit(
             X_train, y_train
         )
-        served = AdaptiveModel(boost, compile_options={"dtype": np.float64})
+        served = AdaptiveModel(boost)
         snapshots = [learner.class_hypervectors_.copy() for learner in boost.learners_]
         served.feedback(X_train[:15], y_train[:15])
         for learner, snapshot in zip(boost.learners_, snapshots):
@@ -534,7 +534,7 @@ class TestAdaptiveModel:
     def test_scheduler_accepts_adaptive_model(self, blobs_split, fitted_models):
         _, X_test, _, _ = blobs_split
         boost, _ = fitted_models
-        served = AdaptiveModel(boost, compile_options={"dtype": np.float64})
+        served = AdaptiveModel(boost)
         scheduler = MicroBatchScheduler(served, max_batch=8)
         for row, features in enumerate(X_test[:6]):
             scheduler.submit("s", row, features)

@@ -1,4 +1,4 @@
-"""Gateway demo: HTTP and WebSocket clients against the async network edge.
+"""Gateway demo: an HTTP client against the async network edge.
 
 Run with::
 
@@ -10,15 +10,13 @@ The script walks the full network-edge lifecycle of :mod:`repro.gateway`:
    compile it to the fixed16 integer engine and stand up a
    :class:`~repro.serving.StreamingService`,
 2. start a :class:`~repro.gateway.Gateway` on an ephemeral port — one
-   asyncio event loop speaking HTTP/1.1 and WebSocket, with per-client
-   token-bucket admission control and deadline propagation,
-3. drive it over HTTP with :class:`~repro.gateway.GatewayClient`: open a
-   session, stream raw signal chunks, force a flush, and read the
-   strict-JSON predictions (``status`` ``"scored"``/``"shed"``, never NaN),
-4. stream a second subject over WebSocket with
-   :class:`~repro.gateway.GatewayWebSocket`, receiving predictions pushed
-   live as the micro-batches release,
-5. show the probes and the edge ledger (``/readyz``, ``/v1/stats``), then
+   asyncio event loop speaking HTTP/1.1, with per-client token-bucket
+   admission control and deadline propagation,
+3. drive it with :class:`~repro.gateway.GatewayClient`: open a session (a
+   session is an id; its windowing is the service's), stream raw signal
+   chunks, force a flush, and read the strict-JSON predictions (``status``
+   ``"scored"``/``"shed"``, never NaN),
+4. show the probes and the edge ledger (``/readyz``, ``/v1/stats``), then
    drain the gateway gracefully and verify zero accepted-window loss.
 """
 
@@ -29,7 +27,7 @@ import asyncio
 from repro import BoostHD, load_wesad
 from repro.data import CHANNELS, WESAD_STATES, SignalSimulator
 from repro.engine import compile_model
-from repro.gateway import Gateway, GatewayClient, GatewayWebSocket
+from repro.gateway import Gateway, GatewayClient
 from repro.serving import StreamingService
 
 CHUNKS_PER_SUBJECT = 6
@@ -90,39 +88,6 @@ async def http_subject(gateway: Gateway, simulator: SignalSimulator) -> None:
         await client.close_session("subject-http")
 
 
-async def websocket_subject(gateway: Gateway, simulator: SignalSimulator) -> None:
-    print("\nWebSocket: predictions pushed live as batches release...")
-    ws = await GatewayWebSocket.connect(
-        gateway.host, gateway.port, client_id="subject-ws"
-    )
-    await ws.send({"op": "open", "session_id": "subject-ws"})
-    ack = await ws.recv()
-    print(f"  open -> {ack}")
-
-    for chunk in simulator.stream_chunks(
-        WESAD_STATES[0],  # baseline
-        chunk_samples=simulator.samples_per_window,
-        n_chunks=CHUNKS_PER_SUBJECT,
-    ):
-        await ws.send(
-            {"op": "feed", "session_id": "subject-ws", "samples": chunk.tolist()}
-        )
-    await ws.send({"op": "score"})
-
-    # Acks and live prediction pushes interleave on the socket; each chunk
-    # above completes exactly one window, so collect until all arrived.
-    pushed = []
-    while len(pushed) < CHUNKS_PER_SUBJECT:
-        message = await ws.recv(timeout=5.0)
-        if message is None:
-            break
-        if message.get("type") == "prediction":
-            pushed.append(message)
-    print(f"  {len(pushed)} predictions pushed over the socket")
-    await ws.send({"op": "close", "session_id": "subject-ws"})
-    await ws.close()
-
-
 async def main() -> None:
     service, simulator = build_service()
     gateway = Gateway(service, port=0, rate=200.0, burst=50, max_concurrent=64)
@@ -130,7 +95,6 @@ async def main() -> None:
     print(f"Gateway listening on {gateway.base_url}")
 
     await http_subject(gateway, simulator)
-    await websocket_subject(gateway, simulator)
 
     print("\nEdge ledger (/v1/stats):")
     async with GatewayClient(gateway.host, gateway.port) as client:

@@ -3,13 +3,13 @@
 ``repro.gateway`` turns the in-process serving APIs
 (:class:`~repro.serving.StreamingService`, multi-process
 :class:`~repro.serving.ServingFabric`) into a network service — one asyncio
-event loop speaking HTTP/1.1 and WebSocket to any number of concurrent
-clients, built on nothing but the stdlib (tier-1 stays hermetic).
+event loop speaking HTTP/1.1 to any number of concurrent clients, built on
+nothing but the stdlib (tier-1 stays hermetic).
 
 Layout:
 
 * :mod:`repro.gateway.http` — the wire protocol: pure, property-tested
-  HTTP and RFC 6455 frame parsing with hard input bounds;
+  HTTP parsing with hard input bounds;
 * :mod:`repro.gateway.limits` — admission control: per-client token
   buckets, LRU client maps, the global in-flight bound;
 * :mod:`repro.gateway.app` — :class:`Gateway` itself: routing, deadline
@@ -28,36 +28,27 @@ Run a standalone demo gateway with ``python -m repro.gateway``.
 """
 
 from .app import DEADLINE_HEADER, Gateway, GatewayStats
-from .client import GatewayClient, GatewayWebSocket
+from .client import GatewayClient
 from .http import (
-    Frame,
     ProtocolError,
     Request,
-    encode_frame,
     json_response,
-    parse_frame,
     parse_request_head,
     response_bytes,
-    websocket_accept,
 )
 from .limits import ConcurrencyLimiter, RateLimiter, TokenBucket
 
 __all__ = [
     "ConcurrencyLimiter",
     "DEADLINE_HEADER",
-    "Frame",
     "Gateway",
     "GatewayClient",
     "GatewayStats",
-    "GatewayWebSocket",
     "ProtocolError",
     "RateLimiter",
     "Request",
     "TokenBucket",
-    "encode_frame",
     "json_response",
-    "parse_frame",
     "parse_request_head",
     "response_bytes",
-    "websocket_accept",
 ]

@@ -1,7 +1,7 @@
 """The hardened asyncio network edge: :class:`Gateway`.
 
-One event loop coalesces any number of concurrent HTTP/1.1 and WebSocket
-clients into the in-process :class:`~repro.serving.StreamingService` (or a
+One event loop coalesces any number of concurrent HTTP/1.1 clients into
+the in-process :class:`~repro.serving.StreamingService` (or a
 multi-process :class:`~repro.serving.ServingFabric`) behind it.  The
 gateway's job is *robustness at the edge* — everything the scheduler and
 fabric assume about their callers is enforced here:
@@ -29,13 +29,13 @@ fabric assume about their callers is enforced here:
   loss, enforced by ``benchmarks/bench_gateway.py``.
 
 Delivery model: predictions released by any backend call are routed
-*exactly once* into per-session mailboxes (HTTP sessions — drained by the
-next ``feed``/``score``/``predictions`` call) or live WebSocket queues
-(pushed as ``{"type": "prediction", ...}`` messages).  Predictions for
-sessions whose owner is gone land in the orphan mailbox — still accounted
-as answered, never lost.  The accounting identity mirrors the scheduler's:
-``windows_answered + windows_shed`` on the gateway equals scored + shed in
-the backend.
+*exactly once* into per-session mailboxes, drained by the session's next
+``feed``/``score``/``predictions`` call.  Predictions for closed sessions
+land in the orphan mailbox — still accounted as answered, never lost.
+The accounting identity mirrors the scheduler's: ``windows_answered +
+windows_shed`` on the gateway equals scored + shed in the backend.  A
+session is an id: ``POST /v1/sessions`` takes ``{"session_id"}`` and
+nothing else, and every session has the backend's one windowing.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
@@ -47,7 +47,6 @@ directly; only ``/v1/stats`` reads their two stats shapes.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
 import time
 from collections import deque
@@ -58,25 +57,11 @@ import numpy as np
 
 from ..obs import OBS, Tally, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
-from ..resilience.chaos import CHAOS, corrupt_bytes
+from ..resilience.chaos import CHAOS
 from ..engine import EngineError, resolve_precision
 from ..serving import RegistryError, ServingFabric, StreamingService, SwapResult
 from ..serving.shm import IntegrityError
-from .http import (
-    BINARY,
-    CLOSE,
-    PING,
-    PONG,
-    TEXT,
-    ProtocolError,
-    Request,
-    encode_frame,
-    json_response,
-    read_frame,
-    read_request,
-    response_bytes,
-    websocket_accept,
-)
+from .http import ProtocolError, Request, json_response, read_request, response_bytes
 from .limits import ConcurrencyLimiter, RateLimiter
 
 __all__ = ["DEADLINE_HEADER", "Gateway", "GatewayStats"]
@@ -90,9 +75,9 @@ CLIENT_HEADER = "x-repro-client"
 class GatewayStats(Tally):
     """Edge accounting of one gateway.
 
-    ``windows_answered`` counts scored predictions delivered to a mailbox,
-    WebSocket queue or the orphan mailbox; ``windows_shed`` the explicit
-    SHED deliveries.  Together with the backend's scheduler stats they
+    ``windows_answered`` counts scored predictions delivered to a session
+    mailbox or the orphan mailbox; ``windows_shed`` the explicit SHED
+    deliveries.  Together with the backend's scheduler stats they
     close the no-silent-loss ledger the drain contract asserts.
     """
 
@@ -114,8 +99,6 @@ class GatewayStats(Tally):
                 "protocol_errors",
                 "disconnects",
                 "handler_errors",
-                "ws_connections",
-                "ws_messages",
                 "dead_letters_replayed",
             )
         },
@@ -143,17 +126,8 @@ class GatewayStats(Tally):
         )
 
 
-class _WsRoute:
-    """Delivery route of a WebSocket-owned session: a live outbound queue."""
-
-    __slots__ = ("queue",)
-
-    def __init__(self) -> None:
-        self.queue: asyncio.Queue = asyncio.Queue()
-
-
 class Gateway:
-    """Asyncio HTTP/1.1 + WebSocket front-end over a serving backend.
+    """Asyncio HTTP/1.1 front-end over a serving backend.
 
     Parameters
     ----------
@@ -167,8 +141,7 @@ class Gateway:
     rate, burst:
         Per-client token-bucket admission (requests/s and burst size);
         ``rate=None`` disables rate limiting.  Applies to every ``/v1``
-        request and WebSocket feed; health/readiness/metrics probes are
-        never rate limited.
+        request; health/readiness/metrics probes are never rate limited.
     max_concurrent:
         Global in-flight HTTP request bound — beyond it requests get 503 +
         ``Retry-After`` immediately.
@@ -232,7 +205,7 @@ class Gateway:
         )
         self.concurrency = ConcurrencyLimiter(max_concurrent)
         self.stats = GatewayStats()
-        self._routes: dict[str, object] = {}
+        self._routes: dict[str, deque] = {}
         self._orphans: deque[dict] = deque()
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -244,7 +217,6 @@ class Gateway:
         self._handlers: set[asyncio.Task] = set()
         self._active_requests = 0
         self._connections: set[asyncio.StreamWriter] = set()
-        self._ws_routes: set[_WsRoute] = set()
         self._shutdown_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------- lifecycle
@@ -302,9 +274,7 @@ class Gateway:
            gets the remaining :class:`~repro.resilience.Deadline`, so one
            wedged worker cannot stall shutdown past it) and deliver the
            predictions;
-        4. give WebSocket clients until the budget to receive their queued
-           predictions, then close 1001 (going away);
-        5. stop the backend and the executor.
+        4. stop the backend and the executor.
 
         Returns a report; ``stats.drained_clean`` records whether every
         step finished inside the deadline.  Idempotent — concurrent calls
@@ -341,17 +311,6 @@ class Gateway:
         except Exception:
             self.stats.bump("handler_errors")
 
-        # WebSocket clients: let queued predictions flush, then say goodbye.
-        for route in list(self._ws_routes):
-            while not route.queue.empty() and not deadline.expired:
-                await asyncio.sleep(0.005)
-            route.queue.put_nowait(None)  # sender sends close frame and exits
-        waited = time.monotonic()
-        while self._ws_routes and time.monotonic() - waited < max(
-            0.0, deadline.remaining()
-        ):
-            await asyncio.sleep(0.005)
-
         for writer in list(self._connections):
             writer.close()
         # Reap connection handlers: closed sockets end them promptly; cancel
@@ -385,14 +344,10 @@ class Gateway:
         """Predictions answered into mailboxes that no client has fetched.
 
         After a drain this is the count of answered-but-unfetched windows
-        (HTTP mailboxes + orphans) — they were *answered*, their owners just
+        (session mailboxes + orphans) — they were *answered*, their owners just
         never came back for them; the drain-safety ledger counts them.
         """
-        count = len(self._orphans)
-        for route in self._routes.values():
-            if isinstance(route, deque):
-                count += len(route)
-        return count
+        return len(self._orphans) + sum(map(len, self._routes.values()))
 
     # -------------------------------------------------------------- delivery
     def _deliver(self, predictions) -> None:
@@ -406,13 +361,7 @@ class Gateway:
                 shed += 1
             else:
                 answered += 1
-            route = self._routes.get(prediction.session_id)
-            if isinstance(route, _WsRoute):
-                route.queue.put_nowait({"type": "prediction", **wire})
-            elif isinstance(route, deque):
-                route.append(wire)
-            else:
-                self._orphans.append(wire)
+            self._routes.get(prediction.session_id, self._orphans).append(wire)
         if answered:
             self.stats.bump("windows_answered", answered)
         if shed:
@@ -455,7 +404,7 @@ class Gateway:
 
     def _drain_mailbox(self, session_id: str) -> list[dict]:
         route = self._routes.get(session_id)
-        if not isinstance(route, deque):
+        if route is None:
             return []
         drained = list(route)
         route.clear()
@@ -498,9 +447,7 @@ class Gateway:
                 # stalled read without freezing the whole event loop.
                 await self._loop.run_in_executor(
                     None,
-                    partial(
-                        CHAOS.hit, "gateway.read", transport="http", client=peer_host
-                    ),
+                    partial(CHAOS.hit, "gateway.read", client=peer_host),
                 )
             try:
                 request = await asyncio.wait_for(
@@ -528,9 +475,6 @@ class Gateway:
             if request is None:
                 return  # clean keep-alive EOF
             client = request.header(CLIENT_HEADER, peer_host)
-            if request.wants_websocket:
-                await self._handle_websocket(request, reader, writer, client)
-                return
             close = not request.keep_alive
             self._active_requests += 1
             try:
@@ -696,24 +640,20 @@ class Gateway:
         body = request.json() or {}
         if not isinstance(body, dict) or not body.get("session_id"):
             raise ProtocolError("body must be a JSON object with a session_id")
+        stray = sorted(set(body) - {"session_id"})
+        if stray:
+            raise ProtocolError(
+                f"unexpected session keys {stray}; a session takes only a "
+                "session_id (its windowing is the backend's)"
+            )
         session_id = str(body["session_id"])
-        overrides = {
-            key: value
-            for key, value in body.items()
-            if key not in ("session_id",)
-        }
         try:
             await self._await_backend(
-                self._submit_backend(
-                    partial(self.backend.open_session, session_id, **overrides)
-                ),
+                self._submit_backend(partial(self.backend.open_session, session_id)),
                 None,
             )
-        except (ValueError, TypeError) as error:
-            # Backends raise ValueError for a duplicate id and for a bad
-            # override alike; only an id that is open is a conflict.
-            status = 409 if session_id in self.backend.sessions else 400
-            return json_response(status, {"error": str(error)})
+        except ValueError as error:  # the one error an id raises: already open
+            return json_response(409, {"error": str(error)})
         self._routes.setdefault(session_id, deque())
         return json_response(201, {"session_id": session_id, "open": True})
 
@@ -928,227 +868,6 @@ class Gateway:
         if not millis >= 0:  # NaN fails this too
             raise ProtocolError(f"{DEADLINE_HEADER} must be >= 0, got {millis}")
         return Deadline(millis / 1000.0)
-
-    # ------------------------------------------------------------- websocket
-    async def _handle_websocket(self, request, reader, writer, client: str) -> None:
-        key = request.header("sec-websocket-key")
-        if request.path != "/v1/stream" or key is None:
-            writer.write(
-                json_response(426, {"error": "websocket upgrade refused"}, close=True)
-            )
-            await writer.drain()
-            return
-        if self._draining:
-            self.stats.bump("rejected_draining")
-            writer.write(
-                json_response(
-                    503,
-                    {"error": "gateway is draining"},
-                    headers={"Retry-After": "1"},
-                    close=True,
-                )
-            )
-            await writer.drain()
-            return
-        writer.write(
-            response_bytes(
-                101,
-                headers={
-                    "Upgrade": "websocket",
-                    "Sec-WebSocket-Accept": websocket_accept(key),
-                },
-            ).replace(b"Connection: keep-alive", b"Connection: Upgrade", 1)
-        )
-        await writer.drain()
-        self.stats.bump("ws_connections")
-        route = _WsRoute()
-        self._ws_routes.add(route)
-        owned: set[str] = set()
-        sender = self._loop.create_task(self._ws_sender(writer, route.queue))
-        buffer = bytearray()
-        try:
-            await self._ws_loop(reader, route, owned, client, buffer)
-        except ProtocolError as error:
-            self.stats.bump("protocol_errors")
-            route.queue.put_nowait({"type": "error", "error": str(error)})
-            route.queue.put_nowait(None)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            self.stats.bump("disconnects")
-            route.queue.put_nowait(None)
-        else:
-            route.queue.put_nowait(None)
-        finally:
-            try:
-                await asyncio.wait_for(sender, timeout=1.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError, Exception):
-                sender.cancel()
-            # A disconnected client's sessions close; their already-queued
-            # predictions are re-routed to the orphan mailbox (answered,
-            # never lost).
-            while not route.queue.empty():
-                message = route.queue.get_nowait()
-                if isinstance(message, dict) and message.get("type") == "prediction":
-                    self._orphans.append(
-                        {k: v for k, v in message.items() if k != "type"}
-                    )
-            self._ws_routes.discard(route)
-            for session_id in owned:
-                self._routes[session_id] = None  # future deliveries -> orphans
-                try:
-                    await asyncio.shield(
-                        self._submit_backend(
-                            partial(self.backend.close_session, session_id)
-                        )
-                    )
-                except Exception:
-                    pass
-                self._routes.pop(session_id, None)
-
-    async def _ws_loop(self, reader, route, owned, client, buffer) -> None:
-        while True:
-            if CHAOS.enabled:
-                await self._loop.run_in_executor(
-                    None,
-                    partial(CHAOS.hit, "gateway.read", transport="ws", client=client),
-                )
-            frame = await read_frame(
-                reader, buffer, max_payload=self.max_body_bytes, require_mask=True
-            )
-            if frame is None or frame.opcode == CLOSE:
-                return
-            if frame.opcode == PING:
-                route.queue.put_nowait(("pong", frame.payload))
-                continue
-            if frame.opcode == PONG:
-                continue
-            if frame.opcode not in (TEXT, BINARY):
-                raise ProtocolError(f"unsupported opcode {frame.opcode}")
-            payload = frame.payload
-            if CHAOS.enabled:
-                spec = CHAOS.hit("gateway.frame", client=client)
-                if spec is not None and spec.kind == "corrupt":
-                    damaged = bytearray(payload)
-                    corrupt_bytes(damaged, CHAOS.spec_rng(spec))
-                    payload = bytes(damaged)
-            self.stats.bump("ws_messages")
-            self._active_requests += 1
-            try:
-                await self._handle_ws_message(payload, route, owned, client)
-            finally:
-                self._active_requests -= 1
-
-    async def _handle_ws_message(self, payload, route, owned, client) -> None:
-        try:
-            message = json.loads(payload)
-            if not isinstance(message, dict):
-                raise ValueError("message must be a JSON object")
-            op = message.get("op")
-        except (UnicodeDecodeError, ValueError) as error:
-            self.stats.bump("protocol_errors")
-            route.queue.put_nowait(
-                {"type": "error", "error": f"malformed message: {error}"}
-            )
-            return
-        try:
-            if op == "open":
-                session_id = str(message["session_id"])
-                overrides = message.get("overrides") or {}
-                await asyncio.shield(
-                    self._submit_backend(
-                        partial(self.backend.open_session, session_id, **overrides)
-                    )
-                )
-                owned.add(session_id)
-                self._routes[session_id] = route
-                route.queue.put_nowait(
-                    {"type": "ack", "op": "open", "session_id": session_id}
-                )
-            elif op == "feed":
-                session_id = str(message["session_id"])
-                if self.rate_limiter is not None:
-                    retry_after = self.rate_limiter.try_acquire(client)
-                    if retry_after > 0.0:
-                        self.stats.bump("rejected_rate_limited")
-                        route.queue.put_nowait(
-                            {
-                                "type": "rejected",
-                                "op": "feed",
-                                "retry_after": retry_after,
-                            }
-                        )
-                        return
-                samples = self._parse_samples(message)
-                await asyncio.shield(
-                    self._submit_backend(
-                        partial(self.backend.push, session_id, samples)
-                    )
-                )
-                route.queue.put_nowait(
-                    {"type": "ack", "op": "feed", "session_id": session_id}
-                )
-            elif op == "score":
-                await asyncio.shield(
-                    self._submit_backend(self.backend.drain)
-                )
-                route.queue.put_nowait({"type": "ack", "op": "score"})
-            elif op == "close":
-                session_id = str(message["session_id"])
-                await asyncio.shield(
-                    self._submit_backend(
-                        partial(self.backend.close_session, session_id)
-                    )
-                )
-                owned.discard(session_id)
-                leftover = []
-                self._routes.pop(session_id, None)
-                route.queue.put_nowait(
-                    {
-                        "type": "ack",
-                        "op": "close",
-                        "session_id": session_id,
-                        "orphaned": len(leftover),
-                    }
-                )
-            else:
-                route.queue.put_nowait(
-                    {"type": "error", "error": f"unknown op {op!r}"}
-                )
-        except ProtocolError as error:
-            self.stats.bump("protocol_errors")
-            route.queue.put_nowait({"type": "error", "error": str(error)})
-        except KeyError as error:
-            route.queue.put_nowait({"type": "error", "error": f"missing {error}"})
-        except Exception as error:
-            self.stats.bump("handler_errors")
-            route.queue.put_nowait(
-                {"type": "error", "error": f"{type(error).__name__}: {error}"}
-            )
-
-    async def _ws_sender(self, writer, queue: asyncio.Queue) -> None:
-        """Serialize outbound messages for one WebSocket connection."""
-        try:
-            while True:
-                message = await queue.get()
-                if message is None:
-                    writer.write(encode_frame(CLOSE, (1001).to_bytes(2, "big")))
-                    await writer.drain()
-                    return
-                if isinstance(message, tuple) and message[0] == "pong":
-                    writer.write(encode_frame(PONG, message[1]))
-                else:
-                    writer.write(
-                        encode_frame(
-                            TEXT,
-                            json.dumps(message, allow_nan=False).encode("utf-8"),
-                        )
-                    )
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self.stats.bump("disconnects")
 
     def __repr__(self) -> str:
         return (

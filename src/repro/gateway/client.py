@@ -1,37 +1,23 @@
 """Stdlib asyncio client for the gateway — tests, benches and examples.
 
-:class:`GatewayClient` speaks the HTTP side (keep-alive, JSON bodies, the
-``x-repro-deadline-ms`` / ``x-repro-client`` headers), and
-:class:`GatewayWebSocket` the RFC 6455 side (masked client frames, ping/
-pong, server-pushed predictions).  Both exist so the repo never needs an
-HTTP client dependency — and so the load harness can do things a polite
-library would refuse to: ``trickle`` writes a request a few bytes at a
-time (the slow-loris shape the gateway's read timeout must bound) and
-:meth:`GatewayClient.abort_mid_request` tears the connection down half-way
-through a request (the mid-stream disconnect the accounting ledger must
-survive).  :meth:`GatewayWebSocket.send_raw` injects arbitrary — including
-malformed — frame bytes for the parser-rejection contract.
+:class:`GatewayClient` speaks the gateway's HTTP (keep-alive, JSON bodies,
+the ``x-repro-deadline-ms`` / ``x-repro-client`` headers).  It exists so the
+repo never needs an HTTP client dependency — and so the load harness can do
+things a polite library would refuse to: ``trickle`` writes a request a few
+bytes at a time (the slow-loris shape the gateway's read timeout must
+bound) and :meth:`GatewayClient.abort_mid_request` tears the connection
+down half-way through a request (the mid-stream disconnect the accounting
+ledger must survive).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 
 from .app import CLIENT_HEADER, DEADLINE_HEADER
-from .http import (
-    CLOSE,
-    PING,
-    PONG,
-    TEXT,
-    ProtocolError,
-    encode_frame,
-    read_frame,
-    websocket_accept,
-)
 
-__all__ = ["GatewayClient", "GatewayWebSocket"]
+__all__ = ["GatewayClient"]
 
 
 async def _read_response(reader: asyncio.StreamReader) -> tuple[int, dict, bytes]:
@@ -201,10 +187,8 @@ class GatewayClient:
         self._reader = self._writer = None
 
     # ----------------------------------------------------------- convenience
-    async def open_session(self, session_id: str, **overrides):
-        return await self.request(
-            "POST", "/v1/sessions", {"session_id": session_id, **overrides}
-        )
+    async def open_session(self, session_id: str):
+        return await self.request("POST", "/v1/sessions", {"session_id": session_id})
 
     async def close_session(self, session_id: str):
         return await self.request("DELETE", f"/v1/sessions/{session_id}")
@@ -251,100 +235,3 @@ class GatewayClient:
 
     async def stats(self):
         return await self.request("GET", "/v1/stats")
-
-
-class GatewayWebSocket:
-    """A masked RFC 6455 client connection to ``/v1/stream``."""
-
-    def __init__(self, reader, writer) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._buffer = bytearray()
-        self.closed = False
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, *, client_id: str | None = None
-    ) -> "GatewayWebSocket":
-        reader, writer = await asyncio.open_connection(host, port)
-        key = os.urandom(16)
-        import base64
-
-        key_text = base64.b64encode(key).decode("ascii")
-        headers = {
-            "Host": host,
-            "Upgrade": "websocket",
-            "Connection": "Upgrade",
-            "Sec-WebSocket-Key": key_text,
-            "Sec-WebSocket-Version": "13",
-        }
-        if client_id is not None:
-            headers[CLIENT_HEADER] = client_id
-        lines = ["GET /v1/stream HTTP/1.1"]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
-        await writer.drain()
-        status, response_headers, _ = await _read_response(reader)
-        if status != 101:
-            writer.close()
-            raise ConnectionError(f"websocket upgrade refused: HTTP {status}")
-        expected = websocket_accept(key_text)
-        if response_headers.get("sec-websocket-accept") != expected:
-            writer.close()
-            raise ConnectionError("websocket accept digest mismatch")
-        return cls(reader, writer)
-
-    async def send(self, message: dict) -> None:
-        """Send one JSON op as a masked TEXT frame."""
-        payload = json.dumps(message, allow_nan=False).encode("utf-8")
-        self._writer.write(encode_frame(TEXT, payload, mask=os.urandom(4)))
-        await self._writer.drain()
-
-    async def send_raw(self, raw: bytes) -> None:
-        """Inject arbitrary bytes — malformed frames for the fuzz contract."""
-        self._writer.write(raw)
-        await self._writer.drain()
-
-    async def recv(self, *, timeout: float | None = 5.0) -> dict | None:
-        """Receive the next JSON message; ``None`` once the server closes.
-
-        Transparently answers pings.  Frame-level protocol violations from
-        the server raise :class:`ProtocolError` (they indicate a gateway
-        bug — server frames must always be well formed).
-        """
-        while True:
-            frame = await asyncio.wait_for(
-                read_frame(self._reader, self._buffer, require_mask=False),
-                timeout=timeout,
-            )
-            if frame is None or frame.opcode == CLOSE:
-                self.closed = True
-                return None
-            if frame.opcode == PING:
-                self._writer.write(
-                    encode_frame(PONG, frame.payload, mask=os.urandom(4))
-                )
-                await self._writer.drain()
-                continue
-            if frame.opcode == PONG:
-                continue
-            try:
-                return json.loads(frame.payload)
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ProtocolError(f"server sent invalid JSON: {error}") from None
-
-    async def close(self) -> None:
-        if not self.closed:
-            try:
-                self._writer.write(
-                    encode_frame(CLOSE, (1000).to_bytes(2, "big"), mask=os.urandom(4))
-                )
-                await self._writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            self.closed = True
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass

@@ -1,58 +1,42 @@
-"""Minimal, hardened HTTP/1.1 + WebSocket wire protocol (stdlib only).
+"""Minimal, hardened HTTP/1.1 wire protocol (stdlib only).
 
 The gateway deliberately avoids a framework dependency: tier-1 must stay
 hermetic (numpy + stdlib), and the subset of HTTP the serving edge needs is
-small — request line, headers, ``Content-Length`` bodies, keep-alive, and
-the RFC 6455 WebSocket upgrade + frame layer.  Everything here is split
-into *pure* byte-level functions (:func:`parse_request_head`,
-:func:`parse_frame`, :func:`encode_frame`, :func:`response_bytes`) plus
-thin asyncio stream adapters (:func:`read_request`, :func:`read_frame`), so
-the parsing logic is property-testable without sockets: malformed input
-must raise :class:`ProtocolError` — never any other exception, and never
-crash the server (``tests/test_gateway.py`` fuzzes this with hypothesis).
+small — request line, headers, ``Content-Length`` bodies and keep-alive.
+Everything here is split into *pure* byte-level functions
+(:func:`parse_request_head`, :func:`response_bytes`) plus a thin asyncio
+stream adapter (:func:`read_request`), so the parsing logic is
+property-testable without sockets: malformed input must raise
+:class:`ProtocolError` — never any other exception, and never crash the
+server (``tests/test_gateway.py`` fuzzes this with hypothesis).
 
-Hard bounds everywhere: header block size, body size and frame payload
-size are capped by the caller, so a hostile client cannot balloon memory —
-over-bound input is a :class:`ProtocolError` (HTTP 431/413 or WebSocket
-close 1009 at the call site), not an allocation.
+Hard bounds everywhere: header block size and body size are capped by the
+caller, so a hostile client cannot balloon memory — over-bound input is a
+:class:`ProtocolError` (HTTP 431/413), not an allocation.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 __all__ = [
-    "CLOSE",
-    "BINARY",
-    "CONTINUATION",
-    "Frame",
-    "PING",
-    "PONG",
     "ProtocolError",
     "Request",
-    "TEXT",
     "STATUS_PHRASES",
-    "encode_frame",
     "json_response",
-    "parse_frame",
     "parse_request_head",
-    "read_frame",
     "read_request",
     "response_bytes",
-    "websocket_accept",
 ]
 
 
 class ProtocolError(ValueError):
     """Malformed or over-bound wire input; the connection must be refused.
 
-    ``status`` is the HTTP status an HTTP-level handler should answer with
-    (WebSocket-level call sites translate into a close code instead).
+    ``status`` is the HTTP status the gateway answers with.
     """
 
     def __init__(self, message: str, *, status: int = 400) -> None:
@@ -62,7 +46,6 @@ class ProtocolError(ValueError):
 
 #: Response phrases for the statuses the gateway emits.
 STATUS_PHRASES = {
-    101: "Switching Protocols",
     200: "OK",
     201: "Created",
     204: "No Content",
@@ -72,7 +55,6 @@ STATUS_PHRASES = {
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
-    426: "Upgrade Required",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -85,19 +67,6 @@ _TOKEN = frozenset(
     "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyz"
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 )
-
-#: RFC 6455 magic GUID for the Sec-WebSocket-Accept digest.
-_WS_GUID = b"258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-#: WebSocket opcodes.
-CONTINUATION = 0x0
-TEXT = 0x1
-BINARY = 0x2
-CLOSE = 0x8
-PING = 0x9
-PONG = 0xA
-_CONTROL_OPCODES = frozenset((CLOSE, PING, PONG))
-_DATA_OPCODES = frozenset((CONTINUATION, TEXT, BINARY))
 
 
 @dataclass(frozen=True)
@@ -117,15 +86,6 @@ class Request:
     @property
     def keep_alive(self) -> bool:
         return self.header("connection", "keep-alive").lower() != "close"
-
-    @property
-    def wants_websocket(self) -> bool:
-        upgrade = self.header("upgrade", "")
-        connection = self.header("connection", "")
-        return (
-            upgrade.lower() == "websocket"
-            and "upgrade" in connection.lower()
-        )
 
     def json(self):
         """Parse the body as a JSON document (:class:`ProtocolError` on junk)."""
@@ -273,147 +233,3 @@ def json_response(
     """A JSON response body (``allow_nan=False``: NaN must never hit the wire)."""
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     return response_bytes(status, body, headers=headers, close=close)
-
-
-# --------------------------------------------------------------- websockets
-def websocket_accept(key: str) -> str:
-    """The ``Sec-WebSocket-Accept`` digest for a handshake key (RFC 6455)."""
-    digest = hashlib.sha1(key.strip().encode("ascii") + _WS_GUID).digest()
-    return base64.b64encode(digest).decode("ascii")
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One parsed WebSocket frame (payload already unmasked)."""
-
-    opcode: int
-    payload: bytes
-    fin: bool = True
-
-    @property
-    def is_control(self) -> bool:
-        return self.opcode in _CONTROL_OPCODES
-
-
-def encode_frame(
-    opcode: int,
-    payload: bytes = b"",
-    *,
-    fin: bool = True,
-    mask: bytes | None = None,
-) -> bytes:
-    """Serialize one frame; ``mask`` (4 bytes) is required for client frames."""
-    if opcode not in _CONTROL_OPCODES and opcode not in _DATA_OPCODES:
-        raise ProtocolError(f"unknown opcode: {opcode}")
-    if opcode in _CONTROL_OPCODES and (len(payload) > 125 or not fin):
-        raise ProtocolError("control frames must be final with payload <= 125")
-    head = bytearray([(0x80 if fin else 0x00) | opcode])
-    mask_bit = 0x80 if mask is not None else 0x00
-    length = len(payload)
-    if length < 126:
-        head.append(mask_bit | length)
-    elif length < 65_536:
-        head.append(mask_bit | 126)
-        head += length.to_bytes(2, "big")
-    else:
-        head.append(mask_bit | 127)
-        head += length.to_bytes(8, "big")
-    if mask is None:
-        return bytes(head) + payload
-    if len(mask) != 4:
-        raise ProtocolError("mask must be exactly 4 bytes")
-    head += mask
-    return bytes(head) + _apply_mask(payload, mask)
-
-
-def _apply_mask(payload: bytes, mask: bytes) -> bytes:
-    if not payload:
-        return b""
-    repeated = (mask * (len(payload) // 4 + 1))[: len(payload)]
-    return bytes(a ^ b for a, b in zip(payload, repeated))
-
-
-def parse_frame(
-    data: bytes,
-    *,
-    max_payload: int = 8_388_608,
-    require_mask: bool = True,
-) -> tuple[Frame, int] | None:
-    """Parse one frame off ``data`` — pure and incremental.
-
-    Returns ``(frame, bytes_consumed)``, or ``None`` when ``data`` is a
-    valid but incomplete prefix.  Structural violations — reserved bits,
-    unknown opcodes, oversize/fragmented control frames, an unmasked client
-    frame when ``require_mask``, payloads over ``max_payload`` — raise
-    :class:`ProtocolError`; no input may raise anything else.
-    """
-    if len(data) < 2:
-        return None
-    first, second = data[0], data[1]
-    if first & 0x70:
-        raise ProtocolError("reserved frame bits set (no extension negotiated)")
-    opcode = first & 0x0F
-    if opcode not in _CONTROL_OPCODES and opcode not in _DATA_OPCODES:
-        raise ProtocolError(f"unknown opcode: {opcode}")
-    fin = bool(first & 0x80)
-    masked = bool(second & 0x80)
-    if require_mask and not masked:
-        raise ProtocolError("client frames must be masked")
-    length = second & 0x7F
-    offset = 2
-    if opcode in _CONTROL_OPCODES and (length > 125 or not fin):
-        raise ProtocolError("control frames must be final with payload <= 125")
-    if length == 126:
-        if len(data) < offset + 2:
-            return None
-        length = int.from_bytes(data[offset : offset + 2], "big")
-        offset += 2
-    elif length == 127:
-        if len(data) < offset + 8:
-            return None
-        length = int.from_bytes(data[offset : offset + 8], "big")
-        offset += 8
-        if length >= 2**63:
-            raise ProtocolError("frame length high bit set")
-    if length > max_payload:
-        raise ProtocolError("frame payload too large", status=413)
-    mask = b""
-    if masked:
-        if len(data) < offset + 4:
-            return None
-        mask = data[offset : offset + 4]
-        offset += 4
-    if len(data) < offset + length:
-        return None
-    payload = data[offset : offset + length]
-    if masked:
-        payload = _apply_mask(payload, mask)
-    return Frame(opcode=opcode, payload=payload, fin=fin), offset + length
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-    buffer: bytearray,
-    *,
-    max_payload: int = 8_388_608,
-    require_mask: bool = True,
-) -> Frame | None:
-    """Read one complete frame, buffering partial reads in ``buffer``.
-
-    Returns ``None`` on clean EOF at a frame boundary; a connection torn
-    mid-frame raises :class:`asyncio.IncompleteReadError`.
-    """
-    while True:
-        parsed = parse_frame(
-            bytes(buffer), max_payload=max_payload, require_mask=require_mask
-        )
-        if parsed is not None:
-            frame, consumed = parsed
-            del buffer[:consumed]
-            return frame
-        chunk = await reader.read(65_536)
-        if not chunk:
-            if buffer:
-                raise asyncio.IncompleteReadError(bytes(buffer), None)
-            return None
-        buffer += chunk

@@ -34,15 +34,11 @@ Named injection points wired through the stack (see ``docs/resilience.md``):
 ``registry.save``           between staging fsync and the atomic rename
                             (kinds: ``torn`` — truncate the staged archive,
                             ``exception`` — crash before publication)
-``gateway.read``            before each HTTP request / WebSocket frame read
-                            at the network edge; context ``transport`` /
-                            ``client`` (kinds: ``delay`` = stalled
-                            slow-writing client, ``exception`` = transport
-                            failure mid-stream — the disconnect path)
-``gateway.frame``           after a WebSocket payload arrives, before it is
-                            interpreted (kind: ``corrupt`` — damage the
-                            bytes so the malformed-frame rejection path
-                            must run without crashing the server)
+``gateway.read``            before each HTTP request read at the network
+                            edge; context ``client`` (kinds: ``delay`` =
+                            stalled slow-writing client, ``exception`` =
+                            transport failure mid-stream — the disconnect
+                            path)
 ``gateway.request``         inside HTTP request handling, after admission;
                             context ``path`` (kinds: ``exception`` = handler
                             crash -> 500 with no accepted-window loss,

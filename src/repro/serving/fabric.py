@@ -25,9 +25,10 @@ host:
   :class:`~repro.serving.adaptation.DriftMonitor`.
 * **Worker recovery** — a killed worker breaks its (single-process) pool;
   the fabric rebuilds the pool, re-attaches the current generation,
-  re-opens the shard's sessions from the parent-side ledger, and retries
-  the call once.  Recovered sessions restart their windowing state (the
-  raw-sample tail of a dead process is not recoverable by design).
+  re-opens the shard's sessions from the parent-side ledger of open ids
+  (every session has the fabric's one windowing), and retries the call
+  once.  Recovered sessions restart their windowing state (the raw-sample
+  tail of a dead process is not recoverable by design).
 * **Resilience** (:mod:`repro.resilience`) — every worker call carries a
   ``call_timeout``; a *wedged* (hung, not dead) worker is SIGKILLed on
   timeout and recovered like a crash, so drain and swap can never block
@@ -35,8 +36,10 @@ host:
   *unrecovered* transport failures (timeout / broken pool where the
   rebuild-and-retry also failed); a tripped shard fails fast with
   :class:`~repro.resilience.CircuitOpenError` until a probe is due, and
-  the probe itself is a full recovery attempt.  Scorer exceptions inside a
-  worker are application failures and never count toward the breaker.
+  the probe itself is a full recovery attempt.  A call that reaches every
+  shard (``drain``, ``stats``, ...) fails fast when any of them is
+  tripped.  Scorer exceptions inside a worker are application failures
+  and never count toward the breaker.
   Published segments carry per-array checksums (:mod:`repro.serving.shm`):
   a corrupted incoming generation is rejected parent-side before any
   worker attaches it, and a worker that finds its segment damaged falls
@@ -195,8 +198,8 @@ class _ShardRuntime:
     def generation(self) -> int:
         return self.attached.generation
 
-    def open(self, session_id: str, overrides: dict) -> str:
-        self.service.open_session(session_id, **overrides)
+    def open(self, session_id: str) -> str:
+        self.service.open_session(session_id)
         return session_id
 
     def close_session(self, session_id: str) -> str:
@@ -454,7 +457,8 @@ class ServingFabric:
         self.call_timeout = None if call_timeout is None else float(call_timeout)
         self.fallback = fallback
         self._shared = publish_engine(engine, generation=0)
-        self._session_specs: dict[str, dict] = {}
+        #: The recovery ledger: open session ids, in opening order.
+        self._session_ids: dict[str, None] = {}
         self.restarts = 0
         self.timeouts = 0
         self._shards: list[_ProcessShard] = []
@@ -530,6 +534,27 @@ class ServingFabric:
         future = self._shards[shard_index].submit(method, *args)
         return self._result(shard_index, future, method, args, deadline=deadline)
 
+    def _fan_out(self, method: str, calls: dict | None = None, *, deadline=None):
+        """Call ``method`` on many shards concurrently, under their breakers.
+
+        ``calls`` maps a shard index to the call's arguments (default: every
+        shard, no arguments).  Every shard is admitted before anything is
+        submitted, so one open breaker fails the whole call fast; results
+        come back in ``calls`` order.
+        """
+        if calls is None:
+            calls = dict.fromkeys(range(len(self._shards)), ())
+        for index in calls:
+            self._admit(index)
+        futures = {
+            index: self._shards[index].submit(method, *args)
+            for index, args in calls.items()
+        }
+        return [
+            self._result(index, future, method, calls[index], deadline=deadline)
+            for index, future in futures.items()
+        ]
+
     def _result(
         self,
         shard_index: int,
@@ -583,11 +608,9 @@ class ServingFabric:
         shard = self._shards[shard_index]
         shard.manifest = self._shared.manifest
         shard.rebuild()
-        for session_id, overrides in self._session_specs.items():
+        for session_id in self._session_ids:
             if shard_of(session_id, self.n_workers) == shard_index:
-                shard.submit("open", session_id, overrides).result(
-                    timeout=self.call_timeout
-                )
+                shard.submit("open", session_id).result(timeout=self.call_timeout)
         self.restarts += 1
         if OBS.enabled:
             OBS.metrics.counter(
@@ -596,22 +619,22 @@ class ServingFabric:
             ).inc()
 
     # -------------------------------------------------------------- serving
-    def open_session(self, session_id: str, **overrides) -> int:
+    def open_session(self, session_id: str) -> int:
         """Register a session on its shard; returns the shard index."""
-        if session_id in self._session_specs:
+        if session_id in self._session_ids:
             raise ValueError(f"session {session_id!r} is already open")
         shard = shard_of(session_id, self.n_workers)
-        self._call(shard, "open", session_id, overrides)
-        self._session_specs[session_id] = dict(overrides)
+        self._call(shard, "open", session_id)
+        self._session_ids[session_id] = None
         return shard
 
     def close_session(self, session_id: str) -> None:
         """Deregister a session from its shard."""
-        if session_id not in self._session_specs:
+        if session_id not in self._session_ids:
             raise KeyError(f"no open session {session_id!r}")
         shard = shard_of(session_id, self.n_workers)
         self._call(shard, "close_session", session_id)
-        del self._session_specs[session_id]
+        del self._session_ids[session_id]
 
     def push(self, session_id: str, samples: np.ndarray) -> list[Prediction]:
         """Feed raw samples for one session; returns released predictions."""
@@ -627,22 +650,14 @@ class ServingFabric:
         """
         groups: dict[int, list] = defaultdict(list)
         for session_id, samples in items:
-            if session_id not in self._session_specs:
+            if session_id not in self._session_ids:
                 raise KeyError(f"no open session {session_id!r}")
             shard = shard_of(session_id, self.n_workers)
             groups[shard].append((session_id, np.asarray(samples)))
-        for shard in groups:
-            self._admit(shard)
-        futures = {
-            shard: self._shards[shard].submit("push_many", batch)
-            for shard, batch in groups.items()
-        }
-        predictions: list[Prediction] = []
-        for shard, future in futures.items():
-            predictions.extend(
-                self._result(shard, future, "push_many", (groups[shard],))
-            )
-        return predictions
+        released = self._fan_out(
+            "push_many", {shard: (batch,) for shard, batch in groups.items()}
+        )
+        return [prediction for predictions in released for prediction in predictions]
 
     def drain(self, *, deadline: Deadline | None = None) -> list[Prediction]:
         """Force-score every pending window on every shard.
@@ -652,17 +667,8 @@ class ServingFabric:
         ``call_timeout``), so one wedged worker cannot stall shutdown past
         the budget — it is killed and recovered like any timed-out call.
         """
-        for index in range(len(self._shards)):
-            self._admit(index)
-        futures = [
-            (index, shard.submit("drain")) for index, shard in enumerate(self._shards)
-        ]
-        predictions: list[Prediction] = []
-        for index, future in futures:
-            predictions.extend(
-                self._result(index, future, "drain", (), deadline=deadline)
-            )
-        return predictions
+        flushed = self._fan_out("drain", deadline=deadline)
+        return [prediction for predictions in flushed for prediction in predictions]
 
     # ------------------------------------------------------------- hot swap
     @property
@@ -743,43 +749,33 @@ class ServingFabric:
     @property
     def dead_letters(self) -> list[DeadLetter]:
         """Every shard's dead-lettered windows, gathered in shard order."""
-        return [
-            letter
-            for index in range(len(self._shards))
-            for letter in self._call(index, "dead_letters")
-        ]
+        gathered = self._fan_out("dead_letters")
+        return [letter for letters in gathered for letter in letters]
 
     def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
         """Replay and flush every shard's dead letters inside its worker."""
-        replayed, predictions = 0, []
-        for index in range(len(self._shards)):
-            count, flushed = self._call(index, "replay_dead_letters")
-            replayed += count
-            predictions.extend(flushed)
-        return replayed, predictions
+        results = self._fan_out("replay_dead_letters")
+        return (
+            sum(count for count, _ in results),
+            [prediction for _, flushed in results for prediction in flushed],
+        )
 
     # ------------------------------------------------------------ inspection
     def worker_info(self) -> list[dict]:
         """Per-shard ``{pid, generation, sessions, uss_bytes}`` snapshots."""
-        futures = [
-            (index, shard.submit("info")) for index, shard in enumerate(self._shards)
-        ]
-        return [self._result(index, future, "info", ()) for index, future in futures]
+        return self._fan_out("info")
 
     def worker_pids(self) -> list[int]:
         return [info["pid"] for info in self.worker_info()]
 
     def stats(self) -> list[dict]:
         """Per-shard scheduler statistics dictionaries."""
-        futures = [
-            (index, shard.submit("stats")) for index, shard in enumerate(self._shards)
-        ]
-        return [self._result(index, future, "stats", ()) for index, future in futures]
+        return self._fan_out("stats")
 
     @property
     def sessions(self) -> tuple[str, ...]:
         """Ids of every open session, across all shards."""
-        return tuple(self._session_specs)
+        return tuple(self._session_ids)
 
     @property
     def model_bytes(self) -> int:
@@ -788,14 +784,17 @@ class ServingFabric:
 
     # -------------------------------------------------------------- lifecycle
     def shutdown(self) -> None:
-        """Stop every worker and destroy the published segment."""
+        """Stop every worker and destroy the published segment; later calls
+        do nothing (a gateway shuts its fabric down, and so may the owner)."""
+        if not self._shards:  # a fabric always has a shard until shut down
+            return
         for shard in self._shards:
             try:
                 shard.shutdown()
             except Exception:  # pragma: no cover - dead worker at shutdown
                 pass
         self._shards = []
-        self._session_specs = {}
+        self._session_ids = {}
         self._shared.unlink()
 
     def __enter__(self) -> "ServingFabric":
@@ -807,7 +806,7 @@ class ServingFabric:
     def __repr__(self) -> str:
         return (
             f"ServingFabric(n_workers={self.n_workers}, "
-            f"generation={self.generation}, sessions={len(self._session_specs)}, "
+            f"generation={self.generation}, sessions={len(self._session_ids)}, "
             f"model_bytes={self.model_bytes}, restarts={self.restarts}, "
             f"timeouts={self.timeouts})"
         )

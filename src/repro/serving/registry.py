@@ -126,8 +126,8 @@ class ModelRecord:
     params: dict
     metadata: dict
     path: Path
-    #: BLAKE2b hex digest of ``model.npz`` (``None`` for pre-PR-9 artifacts).
-    checksum: str | None = None
+    #: BLAKE2b hex digest of ``model.npz``; a manifest without one is refused.
+    checksum: str
 
 
 def _require_projection_root(encoder: Encoder) -> None:
@@ -209,13 +209,22 @@ class ModelRegistry:
         return versions[-1]
 
     def describe(self, name: str, version: int | None = None) -> ModelRecord:
-        """Parse one version's manifest without loading its arrays."""
+        """Parse one version's manifest without loading its arrays.
+
+        A manifest without an archive checksum raises :exc:`RegistryError`:
+        such an artifact could not be verified at load.
+        """
         version = self.latest(name) if version is None else int(version)
         path = self.root / name / f"v{version}"
         manifest = path / "meta.json"
         if not manifest.is_file():
             raise RegistryError(f"model {name!r} has no version v{version} in {self.root}")
         meta = json.loads(manifest.read_text())
+        if not meta.get("checksum"):
+            raise RegistryError(
+                f"model {name!r} v{version} has no checksum in its manifest; "
+                "refusing an artifact that cannot be verified"
+            )
         return ModelRecord(
             name=name,
             version=version,
@@ -225,7 +234,7 @@ class ModelRegistry:
             params=meta.get("params", {}),
             metadata=meta.get("metadata", {}),
             path=path,
-            checksum=meta.get("checksum"),
+            checksum=meta["checksum"],
         )
 
     # ------------------------------------------------------------------ save
@@ -400,22 +409,21 @@ class ModelRegistry:
         """Open one version's ``model.npz``, verified against its checksum.
 
         Reads the archive bytes once, checks the BLAKE2b digest recorded in
-        the manifest (artifacts saved before checksums existed load
-        unverified), and serves ``np.load`` from the in-memory copy — the
-        bytes that passed verification are exactly the bytes deserialized,
-        with no window for the file to change in between.  A mismatch
-        raises :exc:`RegistryError`; a torn or corrupted artifact can never
+        the manifest (:meth:`describe` refuses a manifest without one), and
+        serves ``np.load`` from the in-memory copy — the bytes that passed
+        verification are exactly the bytes deserialized, with no window for
+        the file to change in between.  A mismatch raises
+        :exc:`RegistryError`; a torn or corrupted artifact can never
         silently become a serving model.
         """
         data = (record.path / "model.npz").read_bytes()
-        if record.checksum is not None:
-            digest = hashlib.blake2b(data, digest_size=_DIGEST_SIZE).hexdigest()
-            if digest != record.checksum:
-                raise RegistryError(
-                    f"model {record.name!r} v{record.version} failed checksum "
-                    f"verification (stored {record.checksum}, computed {digest}); "
-                    "the archive is torn or corrupted — refusing to load"
-                )
+        digest = hashlib.blake2b(data, digest_size=_DIGEST_SIZE).hexdigest()
+        if digest != record.checksum:
+            raise RegistryError(
+                f"model {record.name!r} v{record.version} failed checksum "
+                f"verification (stored {record.checksum}, computed {digest}); "
+                "the archive is torn or corrupted — refusing to load"
+            )
         return np.load(io.BytesIO(data))
 
     def _archive_header(

@@ -3,8 +3,9 @@
 :class:`StreamingService` wires the serving pieces together for the common
 case — one scorer, many subjects:
 
-* :meth:`open_session` registers a subject and its windowing configuration
-  (a :class:`~repro.serving.session.StreamSession` per subject),
+* :meth:`open_session` registers a subject by id (a
+  :class:`~repro.serving.session.StreamSession` per subject, all under the
+  service's one windowing),
 * :meth:`push` feeds raw samples for one subject, submits any completed
   windows to the shared :class:`~repro.serving.scheduler.MicroBatchScheduler`
   and returns whatever predictions the scheduler released,
@@ -51,11 +52,10 @@ class StreamingService:
         Object with ``decision_function`` / ``classes_`` — typically a
         :class:`~repro.engine.CompiledModel` or
         :class:`~repro.serving.adaptation.AdaptiveModel`.
-    window_samples, step_samples, smoothing_window, statistics:
-        Default windowing/featurization for sessions opened without explicit
-        overrides; must match what the scorer was trained on.
-    n_channels:
-        Channels per raw sample.
+    n_channels, window_samples, step_samples, smoothing_window, statistics:
+        The windowing/featurization of every session; must match what the
+        scorer was trained on.  A bad value raises here, not on each
+        :meth:`open_session`.
     max_batch, max_wait:
         Micro-batching policy, forwarded to the scheduler.
     transform:
@@ -103,20 +103,27 @@ class StreamingService:
         self.statistics = tuple(statistics)
         self.transform = transform
         self.sessions: dict[str, StreamSession] = {}
+        self._stream("")  # every session shares this windowing: check it once
 
-    def open_session(self, session_id: str, **overrides) -> StreamSession:
-        """Register a subject's stream; keyword overrides reach StreamSession."""
+    def _stream(self, session_id: str) -> StreamSession:
+        return StreamSession(
+            session_id,
+            n_channels=self.n_channels,
+            window_samples=self.window_samples,
+            step_samples=self.step_samples,
+            smoothing_window=self.smoothing_window,
+            statistics=self.statistics,
+        )
+
+    def open_session(self, session_id: str) -> StreamSession:
+        """Register a subject's stream under the service's windowing.
+
+        Raises :exc:`ValueError` when the id is already open, and for
+        nothing else.
+        """
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} is already open")
-        options = {
-            "n_channels": self.n_channels,
-            "window_samples": self.window_samples,
-            "step_samples": self.step_samples,
-            "smoothing_window": self.smoothing_window,
-            "statistics": self.statistics,
-        }
-        options.update(overrides)
-        session = StreamSession(session_id, **options)
+        session = self._stream(session_id)
         self.sessions[session_id] = session
         if OBS.enabled:
             OBS.metrics.counter(

@@ -155,11 +155,12 @@ class SharedModel:
     """Writer-side handle of a published model segment.
 
     Holds the manifest workers attach with, and owns the segment: call
-    :meth:`unlink` exactly once when the generation is retired.
+    :meth:`unlink` when the generation is retired (later calls do nothing).
     """
 
     manifest: dict
     _shm: shared_memory.SharedMemory = field(repr=False)
+    _unlinked: bool = field(default=False, init=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -180,7 +181,12 @@ class SharedModel:
 
     def unlink(self) -> None:
         """Destroy the segment.  Attached workers keep their mappings until
-        they close, but no new attach can succeed afterwards."""
+        they close, but no new attach can succeed afterwards.  Idempotent: a
+        second call would re-register a segment that no longer exists with
+        the resource tracker, which then warns of a leak at exit."""
+        if self._unlinked:
+            return
+        self._unlinked = True
         self._shm.close()
         try:
             # Forked workers share the publisher's resource tracker, so an

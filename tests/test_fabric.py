@@ -749,13 +749,15 @@ class TestStartup:
         pytest.param("bogus_option", 1, TypeError, id="bogus_option"),
         pytest.param("degrade_deadline", 1, TypeError, id="degrade_deadline"),
         pytest.param("max_batch", 0, ValueError, id="max_batch"),
+        pytest.param("smoothing_window", 0, ValueError, id="smoothing_window"),
     ],
 )
 def test_unknown_service_option_raises_before_anything_starts(
     engines, monkeypatch, option, value, error
 ):
-    """An option no worker service takes, or a value it refuses, fails in
-    the parent, up front."""
+    """An option no worker service takes, or a value it refuses (the
+    windowing every session shares included), fails in the parent, up
+    front."""
     calls = []
 
     def recorder(name, real):
@@ -833,3 +835,70 @@ class TestInspection:
             assert replayed == 4
             assert sorted((p.session_id, p.window_index) for p in predictions) == expected
             assert fabric.dead_letters == []
+
+    def test_every_fan_out_call_fails_fast_on_an_open_breaker(self, engines):
+        """Calls that reach every shard admit every shard first: an open
+        breaker fails them without a worker round trip or a rebuild."""
+        with ServingFabric(
+            engines["fixed16"],
+            n_workers=2,
+            breaker_options={"probe_interval": 60.0},
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+        ) as fabric:
+            breaker = fabric.breakers[0]
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            assert breaker.state == OPEN
+            calls = {
+                "drain": fabric.drain,
+                "dead_letters": lambda: fabric.dead_letters,
+                "replay_dead_letters": fabric.replay_dead_letters,
+                "worker_info": fabric.worker_info,
+                "stats": fabric.stats,
+            }
+            for name, call in calls.items():
+                with pytest.raises(CircuitOpenError, match="shard 0"):
+                    call()
+            assert fabric.restarts == 0
+            assert fabric.breakers[1].state == CLOSED
+
+
+# ----------------------------------------------------------------- shutdown
+def test_a_gateway_over_a_fabric_shuts_down_without_a_leaked_segment():
+    """The gateway shuts its fabric down, and so does the fabric's owner:
+    the second shutdown must not leave a resource-tracker entry behind."""
+    code = """
+import asyncio, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.core import BoostHD
+from repro.engine import compile_model
+from repro.gateway import Gateway
+from repro.serving import ServingFabric
+
+rng = np.random.default_rng(0)
+X, y = rng.normal(size=(60, {features})), rng.integers(0, 3, size=60)
+model = BoostHD(total_dim=240, n_learners=3, epochs=1, seed=0).fit(X, y)
+fabric = ServingFabric(
+    compile_model(model, precision="fixed16"),
+    n_workers=2,
+    n_channels={channels},
+    window_samples={window},
+)
+
+async def serve():
+    gateway = Gateway(fabric)
+    await gateway.start()
+    await gateway.shutdown(2.0)
+
+asyncio.run(serve())
+fabric.shutdown()
+print("shut down")
+""".format(src=SRC_DIR, features=N_FEATURES, channels=N_CHANNELS, window=WINDOW)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "shut down"
+    assert "leaked shared_memory" not in result.stderr

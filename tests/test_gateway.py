@@ -5,13 +5,13 @@ Three layers, matching the package layout:
 * **hypothesis property suites** over the pure pieces — the token bucket
   (the admitted rate can never exceed ``burst + elapsed * rate``, and the
   bucket is a deterministic function of its call sequence under an
-  injected clock) and the HTTP/WebSocket parsers (encode/parse round-trip,
-  and *no* input may raise anything but :class:`ProtocolError`);
+  injected clock) and the HTTP request parser (round-trip, and *no* input
+  may raise anything but :class:`ProtocolError`);
 * **end-to-end asyncio tests** against a real listening gateway — session
-  lifecycle (over a service and a fabric backend), explicit 429/503/504
-  refusals, shed/dead-letter wire format (strict JSON: no NaN ever),
-  dead-letter replay (also from fabric workers), WebSocket streaming and
-  malformed-frame survival;
+  lifecycle (over a service and a fabric backend; a session is an id),
+  explicit 429/503/504 refusals, shed/dead-letter wire format (strict
+  JSON: no NaN ever), dead-letter replay (also from fabric workers), and
+  the orphan mailbox;
 * **lifecycle contracts** — graceful drain loses no accepted window, and
   predictions served through the gateway are bit-identical to in-process
   serving.
@@ -35,19 +35,11 @@ from hypothesis import strategies as st
 from repro.gateway import (
     Gateway,
     GatewayClient,
-    GatewayWebSocket,
     ProtocolError,
     RateLimiter,
     TokenBucket,
 )
-from repro.gateway.http import (
-    BINARY,
-    TEXT,
-    Request,
-    encode_frame,
-    parse_frame,
-    parse_request_head,
-)
+from repro.gateway.http import Request, parse_request_head
 from repro.gateway.limits import ConcurrencyLimiter
 from repro.core.boosthd import BoostHD
 from repro.engine import PRECISIONS
@@ -262,47 +254,6 @@ def test_request_head_malformed_never_crashes(head):
     except ProtocolError:
         return
     assert isinstance(method, str) and isinstance(headers, dict)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    opcode=st.sampled_from([TEXT, BINARY]),
-    payload=st.binary(max_size=300),
-    masked=st.booleans(),
-    trailing=st.binary(max_size=8),
-)
-def test_ws_frame_round_trip(opcode, payload, masked, trailing):
-    mask = bytes([1, 2, 3, 4]) if masked else None
-    raw = encode_frame(opcode, payload, mask=mask)
-    frame, consumed = parse_frame(raw + trailing, require_mask=masked)
-    assert consumed == len(raw)
-    assert frame.opcode == opcode
-    assert frame.payload == payload
-    assert frame.fin
-    # every strict prefix is "incomplete", never an error
-    for cut in (1, len(raw) // 2, len(raw) - 1):
-        if 0 < cut < len(raw):
-            assert parse_frame(raw[:cut], require_mask=masked) is None
-
-
-@settings(max_examples=250, deadline=None)
-@given(data=st.binary(max_size=128))
-def test_ws_frame_malformed_never_crashes(data):
-    """Arbitrary bytes: a frame, incomplete, or ProtocolError — nothing else."""
-    try:
-        parsed = parse_frame(data, max_payload=1024)
-    except ProtocolError:
-        return
-    if parsed is not None:
-        frame, consumed = parsed
-        assert 0 < consumed <= len(data)
-        assert len(frame.payload) <= 1024
-
-
-def test_oversized_frame_is_rejected_not_allocated():
-    raw = encode_frame(BINARY, b"x" * 200, mask=bytes(4))
-    with pytest.raises(ProtocolError):
-        parse_frame(raw, max_payload=100)
 
 
 # ------------------------------------------------------------------ HTTP e2e
@@ -544,71 +495,6 @@ def test_malformed_http_gets_400_and_server_survives():
         finally:
             await gateway.shutdown(2.0)
         assert gateway.stats.protocol_errors >= 1
-
-    run(scenario())
-
-
-# ------------------------------------------------------------------- WebSocket
-def test_websocket_stream_and_malformed_frame_survival():
-    async def scenario():
-        gateway = await start_gateway()
-        try:
-            ws = await GatewayWebSocket.connect(gateway.host, gateway.port)
-            await ws.send({"op": "open", "session_id": "w1"})
-            ack = await ws.recv()
-            assert ack == {"type": "ack", "op": "open", "session_id": "w1"}
-            await ws.send({"op": "feed", "session_id": "w1", "samples": chunk(4)})
-            messages = [await ws.recv() for _ in range(5)]
-            predictions = [m for m in messages if m["type"] == "prediction"]
-            assert len(predictions) == 4
-            assert all(p["status"] == "scored" for p in predictions)
-            # malformed JSON in a valid frame: error message, socket stays up
-            await ws.send_raw(
-                encode_frame(TEXT, b"{not json", mask=bytes([9, 9, 9, 9]))
-            )
-            error = await ws.recv()
-            assert error["type"] == "error"
-            # an unmasked client frame is a protocol violation: server closes
-            await ws.send_raw(encode_frame(TEXT, b"{}"))
-            while True:
-                message = await ws.recv()
-                if message is None:
-                    break
-                assert message["type"] == "error"
-            await ws.close()
-            # and a fresh connection still works: one bad client, no crash
-            fresh = await GatewayWebSocket.connect(gateway.host, gateway.port)
-            await fresh.send({"op": "open", "session_id": "w2"})
-            assert (await fresh.recv())["type"] == "ack"
-            await fresh.close()
-        finally:
-            await gateway.shutdown(2.0)
-        assert gateway.stats.protocol_errors >= 1
-
-    run(scenario())
-
-
-def test_websocket_disconnect_orphans_predictions_not_loses_them():
-    async def scenario():
-        gateway = await start_gateway()
-        answered_before = 0
-        try:
-            ws = await GatewayWebSocket.connect(gateway.host, gateway.port)
-            await ws.send({"op": "open", "session_id": "w1"})
-            await ws.recv()
-            # two windows buffered (max_batch=4: nothing released yet)
-            await ws.send({"op": "feed", "session_id": "w1", "samples": chunk(2)})
-            await ws.recv()  # feed ack
-            answered_before = gateway.stats.windows_answered
-            # tear the connection down without a close handshake
-            ws._writer.close()
-            await asyncio.sleep(0.1)
-        finally:
-            report = await gateway.shutdown(2.0)
-        # drain flushed the two buffered windows; the owner is gone, so they
-        # were answered into the orphan mailbox — accounted, not lost
-        assert gateway.stats.windows_answered == answered_before + 2
-        assert report["undelivered"] == 2
 
     run(scenario())
 
@@ -899,21 +785,128 @@ def test_gateway_serves_either_backend(swap_registry, kind):
 
 @pytest.mark.parametrize("kind", ["service", "fabric"])
 def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind):
-    """A bad override value is the client's error, not a conflict."""
+    """A session is an id: a windowing override, or any other key, is the
+    client's error, named in the answer, and not a handler error; an id
+    already open is a conflict."""
 
     async def scenario():
         gateway = await start_gateway(make_backend(kind, swap_registry))
         try:
             async with GatewayClient(gateway.host, gateway.port) as client:
-                status, body = await client.open_session("s1", window_samples=0)
-                assert status == 400
-                assert "window_samples" in body["error"]
+                for extra in (
+                    {"n_channels": 1},
+                    {"window_samples": 0},
+                    {"step_samples": 8, "statistics": ["mean"]},
+                    {"overrides": {}},
+                ):
+                    status, body = await client.request(
+                        "POST", "/v1/sessions", {"session_id": "s1", **extra}
+                    )
+                    assert status == 400
+                    assert all(repr(key) in body["error"] for key in extra)
+                assert not gateway.backend.sessions
                 assert (await client.open_session("s1"))[0] == 201
                 status, body = await client.open_session("s1")
                 assert status == 409
                 assert "already open" in body["error"]
         finally:
             await gateway.shutdown(2.0)
+        assert gateway.stats.handler_errors == 0
+        assert gateway.stats.protocol_errors == 4
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_a_refused_session_body_leaves_every_session_scoring(swap_registry, kind):
+    """One client asking for its own windowing cannot stop the others: its
+    body is refused, so no narrower window joins their fused batches."""
+
+    async def scenario():
+        gateway = await start_gateway(make_backend(kind, swap_registry))
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                for session_id in ("s0", "s1", "s2"):
+                    assert (await client.open_session(session_id))[0] == 201
+                status, _ = await client.request(
+                    "POST", "/v1/sessions", {"session_id": "bad", "n_channels": 1}
+                )
+                assert status == 400
+                one_channel = np.zeros((1, 2 * WINDOW)).tolist()
+                assert (await client.feed("bad", one_channel))[0] == 404
+                scored = []
+                for round_ in range(3):
+                    for index, session_id in enumerate(("s0", "s1", "s2")):
+                        status, body = await client.feed(
+                            session_id, chunk(2, seed=10 * round_ + index)
+                        )
+                        assert status == 200
+                        scored.extend(body["predictions"])
+                for session_id in ("s0", "s1", "s2"):
+                    status, body = await client.score(session_id)
+                    assert status == 200
+                    scored.extend(body["predictions"])
+                status, body = await client.dead_letters()
+                assert status == 200 and body["dead_letters"] == []
+        finally:
+            await gateway.shutdown(2.0)
+        keys = sorted((wire["session_id"], wire["window_index"]) for wire in scored)
+        assert keys == [(f"s{n}", index) for n in range(3) for index in range(6)]
+        assert all(wire["status"] == "scored" for wire in scored)
+        assert gateway.stats.handler_errors == 0
+
+    run(scenario())
+
+
+def test_closed_session_windows_are_answered_into_the_orphan_mailbox():
+    """Windows buffered when their session closes are still scored at the
+    drain, and land in the orphan mailbox: answered, never lost."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            await client.open_session("s1")
+            # two windows buffered (max_batch=4: nothing released yet)
+            status, body = await client.feed("s1", chunk(2))
+            assert status == 200 and body["predictions"] == []
+            status, body = await client.close_session("s1")
+            assert status == 200 and body["orphaned"] == 0
+        answered_before = gateway.stats.windows_answered
+        report = await gateway.shutdown(2.0)
+        assert gateway.stats.windows_answered == answered_before + 2
+        assert report["flushed_predictions"] == 2
+        assert report["undelivered"] == 2
+
+    run(scenario())
+
+
+def test_websocket_upgrade_is_404_and_the_listener_keeps_serving():
+    """The gateway speaks HTTP only: an upgrade request is an unknown route."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                status, body = await client.request(
+                    "GET",
+                    "/v1/stream",
+                    headers={
+                        "Upgrade": "websocket",
+                        "Connection": "Upgrade",
+                        "Sec-WebSocket-Key": "dGhlIHNhbXBsZSBub25jZQ==",
+                        "Sec-WebSocket-Version": "13",
+                    },
+                )
+                assert status == 404
+                assert "/v1/stream" in body["error"]
+                # the same connection, and a fresh one, still serve
+                assert (await client.healthz())[0] == 200
+                assert (await client.open_session("s1"))[0] == 201
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                assert (await client.healthz())[0] == 200
+        finally:
+            await gateway.shutdown(2.0)
+        assert gateway.stats.handler_errors == 0
 
     run(scenario())
 
@@ -1004,31 +997,6 @@ def test_chaos_gateway_request_fault_yields_500_not_crash():
         finally:
             await gateway.shutdown(2.0)
         assert gateway.stats.handler_errors >= 1
-
-    run(scenario())
-
-
-def test_chaos_frame_corruption_is_rejected_without_crash():
-    async def scenario():
-        gateway = await start_gateway()
-        plan = FaultPlan(
-            seed=3,
-            faults=(FaultSpec(point="gateway.frame", kind="corrupt", at=(1,)),),
-        )
-        try:
-            with inject(plan):
-                ws = await GatewayWebSocket.connect(gateway.host, gateway.port)
-                await ws.send({"op": "open", "session_id": "w1"})
-                first = await ws.recv()
-                # the corrupted payload must surface as an explicit error
-                # (or, improbably, still parse) — never kill the connection
-                assert first["type"] in ("error", "ack")
-                await ws.send({"op": "open", "session_id": "w2"})
-                second = await ws.recv()
-                assert second["type"] in ("ack", "error")
-                await ws.close()
-        finally:
-            await gateway.shutdown(2.0)
 
     run(scenario())
 

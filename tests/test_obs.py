@@ -744,8 +744,6 @@ class TestCountsEqualTheirCounters:
                 ("repro_gateway_protocol_errors_total", "protocol_errors"),
                 ("repro_gateway_disconnects_total", "disconnects"),
                 ("repro_gateway_handler_errors_total", "handler_errors"),
-                ("repro_gateway_ws_connections_total", "ws_connections"),
-                ("repro_gateway_ws_messages_total", "ws_messages"),
                 ("repro_gateway_dead_letters_replayed_total", "dead_letters_replayed"),
                 ("repro_gateway_drains_total", "drains"),
             ],

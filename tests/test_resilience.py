@@ -26,6 +26,7 @@ harness — never by hoping a real fault occurs:
   fall back to a registry copy-load when their segment fails verification.
 """
 
+import json
 import math
 import os
 import pickle
@@ -600,6 +601,23 @@ class TestRegistryDurability:
         archive.write_bytes(bytes(data))
         with pytest.raises(RegistryError, match="checksum"):
             registry.load("m")
+
+    def test_a_manifest_without_a_checksum_is_refused(self, fitted_model, tmp_path):
+        """An artifact that cannot be verified is never served, whether it
+        is read as a model, as an engine or only described."""
+        registry = ModelRegistry(tmp_path)
+        version = registry.save("m", fitted_model)
+        manifest = tmp_path / "m" / f"v{version}" / "meta.json"
+        meta = json.loads(manifest.read_text())
+        del meta["checksum"]
+        manifest.write_text(json.dumps(meta))
+        for read in (
+            registry.describe,
+            registry.load,
+            lambda name: registry.load_compiled(name, precision="fixed16"),
+        ):
+            with pytest.raises(RegistryError, match="no checksum"):
+                read("m")
 
     def test_torn_write_is_refused_at_load(self, fitted_model, tmp_path):
         registry = ModelRegistry(tmp_path)

@@ -34,8 +34,12 @@ Delivery model: predictions released by any backend call are routed
 land in the orphan mailbox — still accounted as answered, never lost.
 The accounting identity mirrors the scheduler's: ``windows_answered +
 windows_shed`` on the gateway equals scored + shed in the backend.  A
-session is an id: ``POST /v1/sessions`` takes ``{"session_id"}`` and
-nothing else, and every session has the backend's one windowing.
+session is a string id: ``POST /v1/sessions`` takes ``{"session_id"}`` and
+nothing else, and every session has the backend's one windowing.  The
+gateway serves only the sessions it opened, the ones with a mailbox:
+feed, score and close answer 404 for any other id, even one open on the
+backend, whose windows would land in the orphan mailbox.  In a path an id
+is one percent-encoded segment, unquoted after the path is split.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
@@ -52,6 +56,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -59,7 +64,7 @@ from ..obs import OBS, Tally, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
 from ..resilience.chaos import CHAOS
 from ..engine import EngineError, resolve_precision
-from ..serving import RegistryError, ServingFabric, StreamingService, SwapResult
+from ..serving import ServingFabric, StreamingService, SwapResult
 from ..serving.shm import IntegrityError
 from .http import ProtocolError, Request, json_response, read_request, response_bytes
 from .limits import ConcurrencyLimiter, RateLimiter
@@ -572,7 +577,9 @@ class Gateway:
 
     async def _dispatch(self, request: Request, deadline: Deadline | None) -> bytes:
         path, method = request.path, request.method
-        parts = [part for part in path.split("/") if part]
+        # Split the raw path, then unquote each segment: a session id may
+        # hold any character, an encoded "/" included.
+        parts = [unquote(part) for part in path.split("/") if part]
         if parts[:1] != ["v1"]:
             return json_response(404, {"error": f"no route {path!r}"})
         rest = parts[1:]
@@ -580,7 +587,7 @@ class Gateway:
             if method == "POST":
                 return await self._create_session(request)
             if method == "GET":
-                return json_response(200, {"sessions": list(self.backend.sessions)})
+                return json_response(200, {"sessions": list(self._routes)})
             return json_response(405, {"error": f"{method} not allowed on {path}"})
         if len(rest) == 2 and rest[0] == "sessions":
             if method == "DELETE":
@@ -640,13 +647,15 @@ class Gateway:
         body = request.json() or {}
         if not isinstance(body, dict) or not body.get("session_id"):
             raise ProtocolError("body must be a JSON object with a session_id")
+        session_id = body["session_id"]
+        if not isinstance(session_id, str):
+            raise ProtocolError("session_id must be a string")
         stray = sorted(set(body) - {"session_id"})
         if stray:
             raise ProtocolError(
                 f"unexpected session keys {stray}; a session takes only a "
                 "session_id (its windowing is the backend's)"
             )
-        session_id = str(body["session_id"])
         try:
             await self._await_backend(
                 self._submit_backend(partial(self.backend.open_session, session_id)),
@@ -658,6 +667,8 @@ class Gateway:
         return json_response(201, {"session_id": session_id, "open": True})
 
     async def _close_session(self, session_id: str) -> bytes:
+        if session_id not in self._routes:
+            return json_response(404, {"error": f"no open session {session_id!r}"})
         try:
             await self._await_backend(
                 self._submit_backend(partial(self.backend.close_session, session_id)),
@@ -692,7 +703,7 @@ class Gateway:
         self, session_id: str, request: Request, deadline: Deadline | None
     ) -> bytes:
         samples = self._parse_samples(request.json())
-        if session_id not in self._routes and session_id not in self.backend.sessions:
+        if session_id not in self._routes:
             return json_response(404, {"error": f"no open session {session_id!r}"})
         if deadline is not None:
             deadline.check("feed admission")
@@ -723,7 +734,7 @@ class Gateway:
         )
 
     async def _score(self, session_id: str, deadline: Deadline | None) -> bytes:
-        if session_id not in self._routes and session_id not in self.backend.sessions:
+        if session_id not in self._routes:
             return json_response(404, {"error": f"no open session {session_id!r}"})
         task = self._submit_backend(partial(self.backend.drain, deadline=deadline))
         try:
@@ -769,10 +780,15 @@ class Gateway:
             resolve_precision(precision)
         except EngineError as error:
             raise ProtocolError(str(error)) from None
-        try:
-            self.registry.describe(name, version)
-        except RegistryError as error:
-            return json_response(404, {"error": str(error)})
+        # 404 only for a name or version the registry lacks: a stored version
+        # it refuses to load is damage on the server side, answered 500.
+        stored = self.registry.versions(name)
+        if not stored:
+            return json_response(404, {"error": f"no versions of model {name!r}"})
+        if version is not None and version not in stored:
+            return json_response(
+                404, {"error": f"model {name!r} has no version v{version}"}
+            )
 
         def load_and_swap():
             engine = self.registry.load_compiled(name, version, precision=precision)
@@ -786,8 +802,6 @@ class Gateway:
             # An engine this backend cannot serve (a fabric cannot publish a
             # cascade).
             raise ProtocolError(str(error)) from None
-        except (KeyError, FileNotFoundError) as error:
-            return json_response(404, {"error": str(error)})
         payload = {
             "swapped": result.promoted,
             "name": name,
@@ -824,7 +838,7 @@ class Gateway:
             "breakers": breakers,
             "in_flight": self.concurrency.in_flight,
             "saturation": self.concurrency.saturation,
-            "open_sessions": len(self.backend.sessions),
+            "open_sessions": len(self._routes),
             "generation": self.backend.generation,
         }
         return json_response(200 if ready else 503, payload)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from urllib.parse import quote
 
 from .app import CLIENT_HEADER, DEADLINE_HEADER
 
@@ -36,6 +37,13 @@ async def _read_response(reader: asyncio.StreamReader) -> tuple[int, dict, bytes
     if length:
         body = await reader.readexactly(length)
     return status, headers, body
+
+
+def _session_path(session_id: str, *action: str) -> str:
+    """``/v1/sessions/<id>[/<action>]`` with the id percent-encoded, so any
+    id the gateway accepts (``/``, ``?``, ``#``, ``%`` included) is one
+    path segment."""
+    return "/".join(("/v1/sessions", quote(session_id, safe=""), *action))
 
 
 def _request_bytes(
@@ -191,7 +199,7 @@ class GatewayClient:
         return await self.request("POST", "/v1/sessions", {"session_id": session_id})
 
     async def close_session(self, session_id: str):
-        return await self.request("DELETE", f"/v1/sessions/{session_id}")
+        return await self.request("DELETE", _session_path(session_id))
 
     async def feed(self, session_id: str, samples, *, deadline_ms=None):
         payload = {
@@ -199,18 +207,18 @@ class GatewayClient:
         }
         return await self.request(
             "POST",
-            f"/v1/sessions/{session_id}/windows",
+            _session_path(session_id, "windows"),
             payload,
             deadline_ms=deadline_ms,
         )
 
     async def score(self, session_id: str, *, deadline_ms=None):
         return await self.request(
-            "POST", f"/v1/sessions/{session_id}/score", deadline_ms=deadline_ms
+            "POST", _session_path(session_id, "score"), deadline_ms=deadline_ms
         )
 
     async def predictions(self, session_id: str):
-        return await self.request("GET", f"/v1/sessions/{session_id}/predictions")
+        return await self.request("GET", _session_path(session_id, "predictions"))
 
     async def healthz(self):
         return await self.request("GET", "/healthz")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import urlsplit
 
 __all__ = [
     "ProtocolError",
@@ -71,12 +71,16 @@ _TOKEN = frozenset(
 
 @dataclass(frozen=True)
 class Request:
-    """One parsed HTTP request (head + body)."""
+    """One parsed HTTP request (head + body).
+
+    ``path`` is the target's path as sent, still percent-encoded: the
+    router splits it on ``/`` before unquoting each segment, so an encoded
+    ``/`` stays inside its segment.
+    """
 
     method: str
     target: str
     path: str
-    query: dict = field(default_factory=dict)
     headers: dict = field(default_factory=dict)
     body: bytes = b""
 
@@ -142,13 +146,6 @@ def parse_request_head(head: bytes) -> tuple[str, str, dict]:
     return method.upper(), target, headers
 
 
-def _split_target(target: str) -> tuple[str, dict]:
-    split = urlsplit(target)
-    path = unquote(split.path)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
-    return path, query
-
-
 async def read_request(
     reader: asyncio.StreamReader,
     *,
@@ -191,12 +188,10 @@ async def read_request(
         if length > max_body_bytes:
             raise ProtocolError("request body too large", status=413)
         body = await reader.readexactly(length)
-    path, query = _split_target(target)
     return Request(
         method=method,
         target=target,
-        path=path,
-        query=query,
+        path=urlsplit(target).path,
         headers=headers,
         body=body,
     )

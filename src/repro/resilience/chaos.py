@@ -1,7 +1,7 @@
 """Deterministic fault injection: seeded chaos for testable recovery paths.
 
 Every recovery path in the serving stack — worker rebuilds, breaker trips,
-scheduler retries, shm integrity fallbacks, registry torn-write detection —
+scheduler retries, shm integrity refusals, registry torn-write detection —
 must be exercisable *on demand*, or it is untested code that only runs
 during real outages.  This module provides the switchboard the instrumented
 call sites consult:

@@ -19,9 +19,10 @@ either receive the precomputed splits once (explicit datasets) or regenerate
 their datasets locally from the same seeds (``LoaderSource``, the per-worker
 dataset-loading path that avoids shipping arrays altogether).
 
-``max_workers`` resolution: ``None`` consults the ``REPRO_MAX_WORKERS``
-environment variable and falls back to serial; ``0``/``1`` force serial;
-``"auto"`` uses the available CPU count.
+``max_workers`` resolution (:func:`resolve_max_workers`): ``None`` consults
+the ``REPRO_MAX_WORKERS`` environment variable and falls back to serial;
+``0``/``1`` force serial; ``"auto"`` uses the available CPU count.  Every
+pool in the repo sizes itself this way, the serving fabric's included.
 """
 
 from __future__ import annotations
@@ -70,25 +71,14 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_max_workers(
-    max_workers: int | str | None,
-    *,
-    env: Sequence[str] = ("REPRO_MAX_WORKERS",),
-) -> int:
+def resolve_max_workers(max_workers: int | str | None) -> int:
     """Normalise a worker-count request to a concrete pool size (>= 1).
 
-    ``None`` consults the ``env`` variables in order (first non-empty wins)
-    and falls back to serial; subsystems with their own knob prepend it,
-    e.g. the serving fabric resolves through ``("REPRO_FABRIC_WORKERS",
-    "REPRO_MAX_WORKERS")``.
+    ``None`` consults ``REPRO_MAX_WORKERS`` and falls back to serial.
     """
     if max_workers is None:
-        for variable in env:
-            value = os.environ.get(variable, "").strip()
-            if value:
-                max_workers = value
-                break
-        else:
+        max_workers = os.environ.get("REPRO_MAX_WORKERS", "").strip()
+        if not max_workers:
             return 1
     if isinstance(max_workers, str):
         if max_workers.lower() == "auto":

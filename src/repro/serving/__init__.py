@@ -30,8 +30,8 @@ engine (:mod:`repro.engine`) into a long-running service:
   segment, rebuilt in any process as views over the shared pages;
 * :mod:`repro.serving.fabric` — :class:`ServingFabric`, the multi-process
   scale-out: sessions sharded across N workers by a stable id hash, all
-  scoring one shared model copy, with drift-gated blue/green hot swap and
-  the same serving calls as :class:`StreamingService`.
+  scoring one shared model copy, with blue/green hot swap and the same
+  serving calls as :class:`StreamingService`.
 
 Failure semantics across the layer come from :mod:`repro.resilience`:
 bounded retries with dead-lettering and explicit load shedding in the

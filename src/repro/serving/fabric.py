@@ -21,12 +21,11 @@ host:
   switches its scorer to the new attachment, and drops its old mapping.
   Only after every shard acknowledges does the fabric unlink the old
   segment.  No window is ever scored against a half-swapped model, none is
-  dropped or double-scored, and promotion can be gated on a
-  :class:`~repro.serving.adaptation.DriftMonitor`.
+  dropped or double-scored.
 * **Worker recovery** — a killed worker breaks its (single-process) pool;
-  the fabric rebuilds the pool, re-attaches the current generation,
-  re-opens the shard's sessions from the parent-side ledger of open ids
-  (every session has the fabric's one windowing), and retries the call
+  the fabric verifies the current generation's segment, rebuilds the pool
+  on it, re-opens the shard's sessions from the parent-side ledger of open
+  ids (every session has the fabric's one windowing), and retries the call
   once.  Recovered sessions restart their windowing state (the raw-sample
   tail of a dead process is not recoverable by design).
 * **Resilience** (:mod:`repro.resilience`) — every worker call carries a
@@ -40,21 +39,22 @@ host:
   shard (``drain``, ``stats``, ...) fails fast when any of them is
   tripped.  Scorer exceptions inside a worker are application failures
   and never count toward the breaker.
-  Published segments carry per-array checksums (:mod:`repro.serving.shm`):
-  a corrupted incoming generation is rejected parent-side before any
-  worker attaches it, and a worker that finds its segment damaged falls
-  back to copy-loading the model from a :class:`ModelRegistry` when the
-  fabric was given a ``fallback`` spec.  An installed chaos plan
-  (:mod:`repro.resilience.chaos`) is forwarded to every worker.
+  Published segments carry per-array checksums (:mod:`repro.serving.shm`),
+  and the parent verifies a segment every time it hands one to workers —
+  at construction, at recovery and at swap — so damage reaches the caller
+  as :exc:`~repro.serving.shm.IntegrityError` (a swap declines instead),
+  never as a stale model or an opaque broken pool.  Workers verify again
+  on attach.  An installed chaos plan (:mod:`repro.resilience.chaos`) is
+  forwarded to every worker.
 * **One serving surface** — the calls and return types of
   :class:`StreamingService`, so the gateway serves either directly; dead
   letters are gathered from, and replayed inside, the workers.
 
 Worker counts resolve like every other pool in the repo
-(:func:`repro.runtime.executor.resolve_max_workers`), consulting
-``REPRO_FABRIC_WORKERS`` then ``REPRO_MAX_WORKERS``.  A fabric is always
-worker processes (one worker is one process); a worker that cannot start
-stops the fabric's construction with its error.  In-process serving is
+(:func:`repro.runtime.executor.resolve_max_workers`, which consults
+``REPRO_MAX_WORKERS``).  A fabric is always worker processes (one worker
+is one process); a worker that cannot start stops the fabric's
+construction with its error.  In-process serving is
 :class:`StreamingService`, which answers the same calls.
 """
 
@@ -77,7 +77,6 @@ from ..runtime.executor import resolve_max_workers
 from .scheduler import DeadLetter, Prediction
 from .service import StreamingService, SwapResult
 from .shm import (
-    AttachedEngine,
     IntegrityError,
     attach_engine,
     cleanup_orphan_segments,
@@ -90,9 +89,6 @@ __all__ = [
     "process_uss",
     "shard_of",
 ]
-
-#: Environment variables consulted (in order) when ``n_workers`` is None.
-WORKER_ENV = ("REPRO_FABRIC_WORKERS", "REPRO_MAX_WORKERS")
 
 
 def shard_of(session_id: str, n_shards: int) -> int:
@@ -128,71 +124,18 @@ def process_uss() -> int | None:
 
 
 # ----------------------------------------------------------------- runtime
-class _CopyLoadedEngine:
-    """Attachment-shaped handle over a registry copy-load.
+class _ShardRuntime:
+    """One shard's in-worker state: the attached engine and its service.
 
-    Stands in for :class:`AttachedEngine` when a worker refused a corrupted
-    shared segment and fell back to loading the model from the registry:
-    same ``engine`` / ``generation`` / ``close()`` surface, but the arrays
-    are a private copy — correctness is preserved at the cost of the
-    zero-copy memory win, until the next healthy swap re-attaches.
+    A segment that fails checksum verification is never served from:
+    :func:`attach_engine` raises :exc:`IntegrityError` and the shard does
+    not come up (loud beats wrong).
     """
 
-    def __init__(self, engine, generation: int) -> None:
-        self.engine = engine
-        self.generation = int(generation)
-
-    def close(self) -> None:
-        self.engine = None
-
-
-def _fallback_engine(spec: dict):
-    """Copy-load the fabric's model from a registry fallback spec."""
-    from .registry import ModelRegistry
-
-    registry = ModelRegistry(spec["root"])
-    return registry.load_compiled(
-        spec["name"], spec.get("version"), precision=spec.get("precision", "float64")
-    )
-
-
-class _ShardRuntime:
-    """One shard's in-worker state: the attached engine and its service."""
-
-    def __init__(
-        self,
-        manifest: dict,
-        service_options: dict,
-        index: int,
-        fallback: dict | None = None,
-    ) -> None:
+    def __init__(self, manifest: dict, service_options: dict, index: int) -> None:
         self.index = index
-        self.fallback = fallback
-        self.integrity_fallbacks = 0
-        self.attached = self._attach(manifest)
+        self.attached = attach_engine(manifest)
         self.service = StreamingService(self.attached.engine, **service_options)
-
-    def _attach(self, manifest: dict) -> AttachedEngine | _CopyLoadedEngine:
-        """Attach a verified segment, or copy-load from the registry fallback.
-
-        A segment that fails checksum verification is *never* served from;
-        with no fallback configured the :exc:`IntegrityError` propagates
-        (the shard refuses to come up on corrupt data — loud beats wrong).
-        """
-        try:
-            return attach_engine(manifest)
-        except IntegrityError:
-            if self.fallback is None:
-                raise
-            engine = _fallback_engine(self.fallback)
-            self.integrity_fallbacks += 1
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_fabric_integrity_fallbacks_total",
-                    "Workers that refused a corrupt segment and copy-loaded "
-                    "the model from the registry.",
-                ).inc()
-            return _CopyLoadedEngine(engine, manifest["generation"])
 
     @property
     def generation(self) -> int:
@@ -228,7 +171,7 @@ class _ShardRuntime:
         engine is still the scheduler's scorer, so every in-flight window
         scores against exactly one complete model.
         """
-        incoming = self._attach(manifest)
+        incoming = attach_engine(manifest)
         flushed = self.service.swap(incoming.engine).flushed
         outgoing, self.attached = self.attached, incoming
         try:
@@ -243,7 +186,6 @@ class _ShardRuntime:
             **stats.as_dict(),
             "windows": stats.windows_scored,
             "mean_batch": stats.mean_batch_size,
-            "integrity_fallbacks": self.integrity_fallbacks,
         }
 
     def info(self) -> dict:
@@ -272,7 +214,6 @@ def _worker_init(
     index: int,
     obs_enabled: bool,
     chaos_json: str | None = None,
-    fallback: dict | None = None,
 ) -> None:
     global _RUNTIME
     if obs_enabled:
@@ -287,7 +228,7 @@ def _worker_init(
         # The parent's fault plan, replayed in this worker: same seed, same
         # per-spec RNG streams, independent hit counters.
         install_chaos(FaultPlan.from_json(chaos_json))
-    _RUNTIME = _ShardRuntime(manifest, service_options, index, fallback)
+    _RUNTIME = _ShardRuntime(manifest, service_options, index)
 
 
 def _worker_call(method: str, *args):
@@ -311,13 +252,12 @@ class _ProcessShard:
     """
 
     def __init__(
-        self, index, manifest, service_options, obs_enabled, fallback, call_timeout
+        self, index, manifest, service_options, obs_enabled, call_timeout
     ) -> None:
         self.index = index
         self.manifest = manifest
         self._service_options = service_options
         self._obs_enabled = obs_enabled
-        self._fallback = fallback
         self._call_timeout = call_timeout
         self.pid: int | None = None
         self.pool = self._spawn()
@@ -333,7 +273,6 @@ class _ProcessShard:
                 self.index,
                 self._obs_enabled,
                 chaos_json,
-                self._fallback,
             ),
         )
         # Force the worker up now so initializer failures surface here, not
@@ -378,7 +317,9 @@ class _ProcessShard:
         except (ProcessLookupError, PermissionError):  # pragma: no cover
             pass
 
-    def rebuild(self) -> None:
+    def rebuild(self, manifest: dict) -> None:
+        """Replace the worker with a fresh one attached to ``manifest``."""
+        self.manifest = manifest
         self.pool.shutdown(wait=False, cancel_futures=True)
         self.pool = self._spawn()
 
@@ -404,14 +345,18 @@ class ServingFabric:
         A compiled scoring engine (:class:`~repro.engine.CompiledModel`,
         :class:`~repro.engine.PackedBipolarModel` or
         :class:`~repro.engine.FixedPointModel`) — published once into
-        shared memory; workers attach, never copy.
+        shared memory; workers attach, never copy.  The published segment
+        is verified against its checksums before any worker starts: a
+        damaged publication is unlinked and raises :exc:`IntegrityError`.
+        A stored model is served as
+        ``ServingFabric(registry.load_compiled(name, version, precision=p))``.
     n_workers:
-        Worker processes; ``None`` consults ``REPRO_FABRIC_WORKERS`` then
-        ``REPRO_MAX_WORKERS`` (one worker when neither is set); ``"auto"``
-        uses the available CPU count.  A worker that fails to start stops
-        the ones already started, unlinks the published segment and
-        raises.  Start-up first reclaims shared-memory segments leaked by
-        dead fabrics (:func:`repro.serving.shm.cleanup_orphan_segments`).
+        Worker processes; ``None`` consults ``REPRO_MAX_WORKERS`` (one
+        worker when it is unset); ``"auto"`` uses the available CPU count.
+        A worker that fails to start stops the ones already started,
+        unlinks the published segment and raises.  Start-up first reclaims
+        shared-memory segments leaked by dead fabrics
+        (:func:`repro.serving.shm.cleanup_orphan_segments`).
     call_timeout:
         Per-call timeout, seconds, on every worker future, the start-up
         call included (``None`` = unbounded).  A timed-out worker is treated
@@ -423,11 +368,6 @@ class ServingFabric:
         Keyword arguments for each shard's
         :class:`~repro.resilience.CircuitBreaker` (``failure_threshold``,
         ``probe_interval``, ``success_threshold``).
-    fallback:
-        Registry copy-load spec — ``{"root", "name", "version",
-        "precision"}`` — a worker uses when its shared segment fails
-        checksum verification.  :meth:`from_registry` fills this in
-        automatically.
     **service_options:
         Forwarded to each worker's :class:`StreamingService` —
         ``n_channels``, ``window_samples``, ``max_batch``, ``max_wait``,
@@ -445,17 +385,15 @@ class ServingFabric:
         n_workers: int | str | None = None,
         call_timeout: float | None = 30.0,
         breaker_options: dict | None = None,
-        fallback: dict | None = None,
         **service_options,
     ) -> None:
         # A throwaway service checks the options' names and values in the
         # parent: its constructor only validates and allocates.
         StreamingService(engine, **service_options)
         cleanup_orphan_segments()
-        self.n_workers = resolve_max_workers(n_workers, env=WORKER_ENV)
+        self.n_workers = resolve_max_workers(n_workers)
         self._service_options = dict(service_options)
         self.call_timeout = None if call_timeout is None else float(call_timeout)
-        self.fallback = fallback
         self._shared = publish_engine(engine, generation=0)
         #: The recovery ledger: open session ids, in opening order.
         self._session_ids: dict[str, None] = {}
@@ -467,6 +405,7 @@ class ServingFabric:
             for index in range(self.n_workers)
         ]
         try:
+            verify_manifest(self._shared.manifest)
             for index in range(self.n_workers):
                 self._shards.append(
                     _ProcessShard(
@@ -474,7 +413,6 @@ class ServingFabric:
                         self._shared.manifest,
                         self._service_options,
                         OBS.enabled,
-                        self.fallback,
                         self.call_timeout,
                     )
                 )
@@ -485,34 +423,6 @@ class ServingFabric:
             raise
 
     # ------------------------------------------------------------- plumbing
-    @classmethod
-    def from_registry(
-        cls,
-        registry,
-        name: str,
-        version: int | None = None,
-        *,
-        precision: str = "float64",
-        n_workers: int | str | None = None,
-        **options,
-    ) -> "ServingFabric":
-        """Build a fabric straight from a stored registry artifact.
-
-        :meth:`~repro.serving.ModelRegistry.load_compiled` builds the engine
-        at ``precision``; ``options`` go to the fabric and its services.
-        """
-        engine = registry.load_compiled(name, version, precision=precision)
-        options.setdefault(
-            "fallback",
-            {
-                "root": str(registry.root),
-                "name": name,
-                "version": registry.latest(name) if version is None else int(version),
-                "precision": precision,
-            },
-        )
-        return cls(engine, n_workers=n_workers, **options)
-
     def _admit(self, shard_index: int) -> None:
         """Consult the shard's breaker; fail fast when the circuit is open."""
         breaker = self.breakers[shard_index]
@@ -528,11 +438,11 @@ class ServingFabric:
             return self.call_timeout
         return deadline.budget(self.call_timeout)
 
-    def _call(self, shard_index: int, method: str, *args, deadline=None):
+    def _call(self, shard_index: int, method: str, *args):
         """One shard call: breaker admission, timeout, single-retry recovery."""
         self._admit(shard_index)
         future = self._shards[shard_index].submit(method, *args)
-        return self._result(shard_index, future, method, args, deadline=deadline)
+        return self._result(shard_index, future, method, args)
 
     def _fan_out(self, method: str, calls: dict | None = None, *, deadline=None):
         """Call ``method`` on many shards concurrently, under their breakers.
@@ -604,10 +514,15 @@ class ServingFabric:
             ).inc()
 
     def _recover(self, shard_index: int) -> None:
-        """Rebuild a dead worker and replay its session registrations."""
+        """Rebuild a dead worker and replay its session registrations.
+
+        The live segment is verified before a new worker is handed it: a
+        damaged one raises :exc:`IntegrityError` here, parent-side, and
+        :meth:`_result` records it on the shard's breaker.
+        """
+        verify_manifest(self._shared.manifest)
         shard = self._shards[shard_index]
-        shard.manifest = self._shared.manifest
-        shard.rebuild()
+        shard.rebuild(self._shared.manifest)
         for session_id in self._session_ids:
             if shard_of(session_id, self.n_workers) == shard_index:
                 shard.submit("open", session_id).result(timeout=self.call_timeout)
@@ -676,34 +591,17 @@ class ServingFabric:
         """The currently promoted model generation."""
         return self._shared.generation
 
-    def swap(self, engine, *, gate=None, deadline: Deadline | None = None) -> SwapResult:
-        """Blue/green hot swap to a new engine, optionally drift-gated.
+    def swap(self, engine) -> SwapResult:
+        """Blue/green hot swap to a new engine.
 
-        ``gate`` may be ``None`` (always promote), a
-        :class:`~repro.serving.adaptation.DriftMonitor` (promote only when
-        ``.drifted`` — roll a refreshed model in response to score-margin
-        drift), or any callable returning truthiness.  On promotion the new
-        model is published as generation ``g+1`` and its segment is
+        The new model is published as generation ``g+1`` and its segment is
         *verified against the manifest checksums parent-side* — a corrupted
         publication is unlinked and declined (``promoted=False``) before
         any worker is asked to attach it.  Each shard then flushes its
         pending windows on the old engine (those predictions are returned),
         switches, and drops its old mapping; the old segment is unlinked
-        only after every shard has acknowledged.  A declined gate leaves
-        the fabric untouched.  ``deadline`` bounds the shard walk the same
-        way it bounds :meth:`drain`.
+        only after every shard has acknowledged.
         """
-        if gate is not None:
-            drifted = getattr(gate, "drifted", None)
-            promoted = bool(drifted) if drifted is not None else bool(
-                gate() if callable(gate) else gate
-            )
-            if not promoted:
-                return SwapResult(
-                    promoted=False,
-                    generation=self.generation,
-                    reason="gate declined promotion",
-                )
         incoming = publish_engine(engine, generation=self.generation + 1)
         try:
             verify_manifest(incoming.manifest)
@@ -723,15 +621,11 @@ class ServingFabric:
         flushed: list[Prediction] = []
         try:
             for index in range(len(self._shards)):
-                flushed.extend(
-                    self._call(index, "swap", incoming.manifest, deadline=deadline)
-                )
+                flushed.extend(self._call(index, "swap", incoming.manifest))
         except BaseException:
             incoming.unlink()
             raise
         outgoing, self._shared = self._shared, incoming
-        for shard in self._shards:
-            shard.manifest = incoming.manifest
         outgoing.unlink()
         if OBS.enabled:
             OBS.metrics.counter(

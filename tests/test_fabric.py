@@ -51,9 +51,7 @@ from repro.resilience import (
     FaultSpec,
     inject,
 )
-from repro.runtime.executor import resolve_max_workers
 from repro.serving import (
-    DriftMonitor,
     ServingFabric,
     StreamingService,
     attach_engine,
@@ -465,25 +463,6 @@ class TestHotSwap:
             ]
             assert len(seen) == len(set(seen)) == 20  # no drops, no doubles
 
-    def test_swap_gate_declines_without_drift(self, engines, fitted_pair):
-        _, model_b = fitted_pair
-        engine_b = compile_model(model_b, precision="fixed16")
-        monitor = DriftMonitor(window=8, baseline_window=8, ratio=0.5)
-        with ServingFabric(
-            engines["fixed16"],
-            n_workers=1,
-            n_channels=N_CHANNELS,
-            window_samples=WINDOW,
-        ) as fabric:
-            result = fabric.swap(engine_b, gate=monitor)
-            assert not result.promoted
-            assert fabric.generation == 0
-            assert "declined" in result.reason
-            # A callable gate works the same way.
-            assert not fabric.swap(engine_b, gate=lambda: False).promoted
-            assert fabric.swap(engine_b, gate=lambda: True).promoted
-            assert fabric.generation == 1
-
     def test_old_segment_is_unlinked_after_swap(self, engines, fitted_pair):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no POSIX shm filesystem")
@@ -536,32 +515,8 @@ class TestRecovery:
 
 # ------------------------------------------------------------- configuration
 class TestWorkerResolution:
-    def test_fabric_env_overrides_generic_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-        monkeypatch.setenv("REPRO_FABRIC_WORKERS", "2")
-        assert (
-            resolve_max_workers(
-                None, env=("REPRO_FABRIC_WORKERS", "REPRO_MAX_WORKERS")
-            )
-            == 2
-        )
-        monkeypatch.delenv("REPRO_FABRIC_WORKERS")
-        assert (
-            resolve_max_workers(
-                None, env=("REPRO_FABRIC_WORKERS", "REPRO_MAX_WORKERS")
-            )
-            == 3
-        )
-        monkeypatch.delenv("REPRO_MAX_WORKERS")
-        assert (
-            resolve_max_workers(
-                None, env=("REPRO_FABRIC_WORKERS", "REPRO_MAX_WORKERS")
-            )
-            == 1
-        )
-
     def test_explicit_argument_beats_env(self, monkeypatch, engines):
-        monkeypatch.setenv("REPRO_FABRIC_WORKERS", "4")
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "4")
         with ServingFabric(
             engines["fixed16"],
             n_workers=1,
@@ -572,7 +527,8 @@ class TestWorkerResolution:
             assert len(fabric.worker_pids()) == 1
 
     def test_env_sizes_the_fabric(self, monkeypatch, engines):
-        monkeypatch.setenv("REPRO_FABRIC_WORKERS", "2")
+        """A fabric sizes itself like every other pool: ``REPRO_MAX_WORKERS``."""
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         with ServingFabric(
             engines["fixed16"],
             n_channels=N_CHANNELS,

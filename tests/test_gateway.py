@@ -710,6 +710,33 @@ def test_swap_unknown_model_or_version_is_404(swap_registry):
     assert "no version v9" in body["error"]
 
 
+def test_a_stored_version_the_registry_refuses_is_500(swap_registry, tmp_path):
+    """404 is for a version the registry does not hold.  A stored version
+    it refuses to load, for want of a checksum or for a damaged archive,
+    is damage on the server side: 500, counted as a handler error."""
+    registry = ModelRegistry(tmp_path)
+    model = swap_registry.load("m")
+    registry.save("m", model)
+    registry.save("m", model)
+    manifest = tmp_path / "m" / "v1" / "meta.json"
+    meta = json.loads(manifest.read_text())
+    del meta["checksum"]
+    manifest.write_text(json.dumps(meta))
+    archive = tmp_path / "m" / "v2" / "model.npz"
+    data = bytearray(archive.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    archive.write_bytes(bytes(data))
+    answers = {}
+    for version in (9, 1, 2):
+        service = make_service()
+        status, body, stats = swap_body(
+            service, registry, {"version": version, "precision": "fixed16"}
+        )
+        answers[version] = (status, stats.handler_errors)
+        assert service.generation == 0
+    assert answers == {9: (404, 0), 1: (500, 1), 2: (500, 1)}
+
+
 def test_swap_cascade_on_a_fabric_is_400(swap_registry):
     fabric = make_backend("fabric", swap_registry)
     status, body = swap_once(fabric, swap_registry, precision="cascade-fixed16")
@@ -785,9 +812,9 @@ def test_gateway_serves_either_backend(swap_registry, kind):
 
 @pytest.mark.parametrize("kind", ["service", "fabric"])
 def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind):
-    """A session is an id: a windowing override, or any other key, is the
-    client's error, named in the answer, and not a handler error; an id
-    already open is a conflict."""
+    """A session is a string id: a windowing override, or any other key, is
+    the client's error, named in the answer, and not a handler error, and
+    so is an id that is not a string; an id already open is a conflict."""
 
     async def scenario():
         gateway = await start_gateway(make_backend(kind, swap_registry))
@@ -804,6 +831,12 @@ def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind
                     )
                     assert status == 400
                     assert all(repr(key) in body["error"] for key in extra)
+                for session_id in (5, ["s1"], {"id": "s1"}, True):
+                    status, body = await client.request(
+                        "POST", "/v1/sessions", {"session_id": session_id}
+                    )
+                    assert status == 400
+                    assert "session_id must be a string" in body["error"]
                 assert not gateway.backend.sessions
                 assert (await client.open_session("s1"))[0] == 201
                 status, body = await client.open_session("s1")
@@ -812,7 +845,7 @@ def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind
         finally:
             await gateway.shutdown(2.0)
         assert gateway.stats.handler_errors == 0
-        assert gateway.stats.protocol_errors == 4
+        assert gateway.stats.protocol_errors == 8
 
     run(scenario())
 
@@ -853,6 +886,70 @@ def test_a_refused_session_body_leaves_every_session_scoring(swap_registry, kind
         keys = sorted((wire["session_id"], wire["window_index"]) for wire in scored)
         assert keys == [(f"s{n}", index) for n in range(3) for index in range(6)]
         assert all(wire["status"] == "scored" for wire in scored)
+        assert gateway.stats.handler_errors == 0
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("session_id", ["a/b", "a b", "a?b", "a#b", "a%2Fb"])
+def test_every_accepted_session_id_can_be_fed_scored_and_closed(session_id):
+    """An id may hold any character: the client percent-encodes it and the
+    router unquotes each path segment after splitting, so the id reaches
+    its own session."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                status, body = await client.open_session(session_id)
+                assert (status, body["session_id"]) == (201, session_id)
+                status, body = await client.request("GET", "/v1/sessions")
+                assert body["sessions"] == [session_id]
+                status, body = await client.feed(session_id, chunk(4))
+                assert status == 200
+                assert [w["session_id"] for w in body["predictions"]] == [session_id] * 4
+                await client.feed(session_id, chunk(1))
+                status, body = await client.score(session_id)
+                assert status == 200
+                assert [w["window_index"] for w in body["predictions"]] == [4]
+                status, body = await client.close_session(session_id)
+                assert (status, body["open"]) == (200, False)
+                status, body = await client.request("GET", "/v1/sessions")
+                assert body["sessions"] == []
+        finally:
+            await gateway.shutdown(2.0)
+        assert not gateway.backend.sessions
+        assert gateway.stats.handler_errors == 0
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("kind", ["service", "fabric"])
+def test_a_session_the_gateway_did_not_open_is_404(swap_registry, kind):
+    """The gateway serves only the sessions it opened: one opened on the
+    backend directly has no mailbox, so its windows would land in the
+    orphan mailbox.  Feed, score and close refuse it, and the session
+    list leaves it out."""
+
+    async def scenario():
+        backend = make_backend(kind, swap_registry)
+        backend.open_session("direct")
+        gateway = await start_gateway(backend)
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                assert (await client.feed("direct", chunk(4)))[0] == 404
+                assert (await client.score("direct"))[0] == 404
+                assert (await client.close_session("direct"))[0] == 404
+                assert (await client.open_session("s1"))[0] == 201
+                status, body = await client.request("GET", "/v1/sessions")
+                assert body["sessions"] == ["s1"]
+                assert (await client.readyz())[1]["open_sessions"] == 1
+                status, body = await client.feed("s1", chunk(4))
+                assert [w["session_id"] for w in body["predictions"]] == ["s1"] * 4
+                status, body = await client.stats()
+                assert body["orphaned_predictions"] == 0
+        finally:
+            await gateway.shutdown(2.0)
         assert gateway.stats.handler_errors == 0
 
     run(scenario())

@@ -145,12 +145,14 @@ def test_removed_options_raise_type_error_before_anything_is_built(setup):
             call()
 
 
-def test_fabric_from_registry_routes_engine_options_to_the_engine(setup, monkeypatch):
-    """The precision is the one engine option ``from_registry`` routes: to
-    ``load_compiled`` and to the workers' fallback spec.  ``dtype`` and
-    ``threshold`` are unexpected keywords, refused before any segment is
-    published or worker started."""
+def test_a_fabric_over_a_registry_load_serves_its_precision(setup, monkeypatch):
+    """A fabric serves a stored model as ``ServingFabric(registry
+    .load_compiled(name, precision=p))``: the precision is the one engine
+    option, chosen at load.  ``dtype`` and ``threshold`` are unexpected
+    keywords of the fabric, refused before any segment is published or
+    worker started."""
     model, registry = setup
+    engine = registry.load_compiled("m", precision="fixed16")
     options = {"n_workers": 1, "n_channels": N_CHANNELS, "window_samples": WINDOW}
     published = []
     publish = fabric_module.publish_engine
@@ -161,19 +163,9 @@ def test_fabric_from_registry_routes_engine_options_to_the_engine(setup, monkeyp
     )
     for stray in ({"dtype": np.float64}, {"threshold": 0.1}):
         with pytest.raises(TypeError, match=next(iter(stray))):
-            ServingFabric.from_registry(
-                registry, "m", precision="fixed16", **stray, **options
-            )
+            ServingFabric(engine, **stray, **options)
     assert published == []
-    with ServingFabric.from_registry(
-        registry, "m", precision="fixed16", **options
-    ) as fabric:
-        assert fabric.fallback == {
-            "root": str(registry.root),
-            "name": "m",
-            "version": registry.latest("m"),
-            "precision": "fixed16",
-        }
+    with ServingFabric(engine, **options) as fabric:
         assert fabric._shared.manifest["precision"] == "fixed16"
         assert fabric._shared.manifest["dtype"] == np.dtype(np.float32).str
         fabric.open_session("s")

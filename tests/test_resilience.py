@@ -16,18 +16,19 @@ harness — never by hoping a real fault occurs:
   :data:`SHED` prediction; the accounting identity
   ``submitted == scored + shed + dead + pending`` holds at every quiescent
   point.
-* **Integrity** — corrupt shared-memory segments are refused at attach and
+* **Integrity** — corrupt shared-memory segments are refused at attach, at
+  fabric construction (before any worker starts), at worker recovery and
   at swap; torn registry writes are refused at load; a crashed save leaves
   no published version behind.
 * **Fabric** (tier-2, marked ``slow``) — hung workers are killed and
   recovered under ``call_timeout`` (drain/swap can never block forever),
   breakers trip on unrecoverable shards and re-close after a successful
-  probe, a SIGKILL during swap leaves the fabric consistent, and workers
-  fall back to a registry copy-load when their segment fails verification.
+  probe, and a SIGKILL during swap leaves the fabric consistent.
 """
 
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -71,6 +72,7 @@ from repro.serving import (
     publish_engine,
     verify_manifest,
 )
+from repro.serving import fabric as fabric_module
 from repro.serving.shm import SEGMENT_PREFIX, _process_start_token, _segment_name
 
 pytestmark = pytest.mark.resilience
@@ -682,44 +684,61 @@ class TestFabricIntegrity:
             clean = fabric.swap(registry.load_compiled("stress", precision="fixed16"))
             assert clean.promoted and fabric.generation == generation + 1
 
-    @pytest.mark.slow
-    def test_workers_fall_back_to_registry_copy_load(self, fitted_model, tmp_path):
-        registry = _make_registry(tmp_path, fitted_model)
+    def test_a_corrupt_first_publication_is_refused_before_any_worker_starts(
+        self, fitted_model, monkeypatch
+    ):
+        """The constructor verifies the segment before handing it to
+        workers: damage raises IntegrityError in the caller, with no worker
+        started and no segment left behind."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no POSIX shm filesystem")
+        shards = []
+        real = fabric_module._ProcessShard
+        monkeypatch.setattr(
+            fabric_module,
+            "_ProcessShard",
+            lambda *args: shards.append(args) or real(*args),
+        )
+        children = set(multiprocessing.active_children())
         plan = FaultPlan(
             faults=(FaultSpec(point="shm.publish", kind="corrupt", at=(1,)),)
         )
-        with inject(plan):
-            fabric = ServingFabric.from_registry(
-                registry, "stress", precision="fixed16", **_fabric_options()
+        with inject(plan), pytest.raises(IntegrityError, match="checksum"):
+            ServingFabric(
+                compile_model(fitted_model, precision="fixed16"), **_fabric_options()
             )
-        with fabric:
-            for index in range(4):
-                fabric.open_session(f"subject-{index}")
-            predictions = fabric.route(_chunks(4, 2)) + fabric.drain()
-            assert len(predictions) == 8
-            stats = fabric.stats()
-            assert sum(shard["integrity_fallbacks"] for shard in stats) == 2
-            # Copy-loaded workers score the same artifact: predictions match
-            # the single-process reference bit for bit.
-            reference = StreamingService(
-                registry.load_compiled("stress", precision="fixed16"),
-                n_channels=N_CHANNELS,
-                window_samples=WINDOW,
-                max_wait=0.0,
-            )
-            for index in range(4):
-                reference.open_session(f"subject-{index}")
-            expected = []
-            for session, chunk in _chunks(4, 2):
-                expected.extend(reference.push(session, chunk))
-            expected.extend(reference.drain())
-            key = lambda p: (p.session_id, p.window_index)
-            for actual, wanted in zip(
-                sorted(predictions, key=key), sorted(expected, key=key)
-            ):
-                assert key(actual) == key(wanted)
-                assert actual.label == wanted.label
-                np.testing.assert_array_equal(actual.scores, wanted.scores)
+        assert shards == []
+        assert set(multiprocessing.active_children()) == children
+        head = f"{SEGMENT_PREFIX}{os.getpid()}"
+        assert not [
+            name
+            for name in os.listdir("/dev/shm")
+            if name.startswith((f"{head}.", f"{head}_"))
+        ]
+
+    def test_a_damaged_live_segment_is_refused_at_recovery(self, fitted_model):
+        """A rebuilt worker is handed only a verified segment: damage to the
+        live generation fails the next call with IntegrityError, through
+        the shard's breaker, and no worker comes up to score a window on
+        any model, stale or damaged."""
+        engine = compile_model(fitted_model, precision="fixed16")
+        with ServingFabric(
+            engine,
+            breaker_options={"failure_threshold": 1, "probe_interval": 60.0},
+            **{**_fabric_options(), "n_workers": 1},
+        ) as fabric:
+            fabric.open_session("subject-0")
+            assert fabric.swap(compile_model(fitted_model, precision="fixed16")).promoted
+            fabric._shared._shm.buf[0] ^= 0xFF  # one flipped byte of generation 1
+            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            time.sleep(0.2)
+            session, chunk = _chunks(1, 1)[0]
+            with pytest.raises(IntegrityError, match="checksum"):
+                fabric.push(session, chunk)
+            assert fabric.restarts == 0  # no worker was rebuilt on it
+            assert fabric.breakers[0].state == OPEN
+            with pytest.raises(CircuitOpenError):
+                fabric.push(session, chunk)
 
 
 @pytest.mark.slow

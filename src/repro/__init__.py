@@ -39,7 +39,7 @@ Quick start::
 from .core import BaggedHD, BoostHD
 from .data import load_nurse_stress, load_stress_predict, load_wesad
 from .engine import CompiledModel, compile_model
-from .hdc import CentroidHD, NonlinearEncoder, OnlineHD
+from .hdc import NonlinearEncoder, OnlineHD
 from .runtime import ArtifactStore, GridPlan, ParallelExecutor, RunReport
 from .serving import (
     AdaptiveModel,
@@ -60,7 +60,6 @@ __all__ = [
     "load_nurse_stress",
     "load_stress_predict",
     "load_wesad",
-    "CentroidHD",
     "NonlinearEncoder",
     "OnlineHD",
     "ArtifactStore",

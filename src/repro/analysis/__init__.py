@@ -3,11 +3,7 @@
 from .fairness import PAPER_GROUPS, GroupResult, evaluate_groups, group_accuracy_table
 from .robustness import BitflipPoint, BitflipSweepResult, bitflip_sweep
 from .spectra import KernelShapeReport, encoded_data_spread, kernel_shape_report
-from .stability import (
-    DimensionSweepPoint,
-    DimensionSweepResult,
-    dimension_stability_sweep,
-)
+from .stability import DimensionSweepPoint, DimensionSweepResult
 
 __all__ = [
     "PAPER_GROUPS",
@@ -22,5 +18,4 @@ __all__ = [
     "kernel_shape_report",
     "DimensionSweepPoint",
     "DimensionSweepResult",
-    "dimension_stability_sweep",
 ]

@@ -10,7 +10,7 @@ training and testing inside the group with a subject-wise split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 

@@ -75,13 +75,16 @@ def bitflip_sweep(
     probabilities: Sequence[float],
     *,
     n_trials: int = 20,
-    mode: str | None = None,
-    backend: str = "reference",
+    mode: str = "fixed16",
     model_name: str = "model",
     metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
     rng: int | np.random.Generator | None = None,
 ) -> BitflipSweepResult:
     """Sweep bit-flip probabilities on a fitted model.
+
+    Each trial perturbs a copy of the model's parameter arrays and
+    re-predicts through the model's own path, so any supported model family
+    (HDC, BoostHD, MLP) works.
 
     Parameters
     ----------
@@ -92,52 +95,21 @@ def bitflip_sweep(
     n_trials:
         Independent perturbation trials per probability (paper: 100).
     mode:
-        Bit-flip representation for the reference backend, see
-        :func:`repro.data.noise.perturb_array` (default ``"fixed16"``).
-        The packed backend *is* the 1-bit bipolar representation; it
-        accepts only ``mode="bipolar"`` (or the default) and raises on any
-        other explicit mode rather than silently answering a different
-        robustness question.
-    backend:
-        ``"reference"`` (default) perturbs float parameter arrays and
-        re-predicts through the model's own loop path — works for any
-        supported model family (HDC, BoostHD, MLP).  ``"packed"`` compiles
-        an HDC model into a :class:`~repro.engine.quant.PackedBipolarModel`
-        once, pre-encodes and bit-packs the test queries once, and then
-        flips *real stored bits* per trial by XOR-masking the packed class
-        words — hardware-realistic, and far faster because each trial costs
-        one mask draw plus XOR + popcount scoring instead of a model deep
-        copy, a float requantization and a full re-encode.  Its float-domain
-        twin is the ``mode="bipolar"`` reference backend — statistical
-        equivalence of the two is asserted in ``tests/test_quant_engine.py``.
+        Bit-flip representation, see :func:`repro.data.noise.perturb_array`.
+        ``"bipolar"`` is the 1-bit model: its flips are the stored sign
+        bits of the bit-packed engine.
 
-    For the 1-bit representations (``backend="packed"``, and
-    ``mode="bipolar"`` on the reference backend) ``clean_accuracy`` is the
-    *quantized* model's own accuracy at zero flips, so
-    :attr:`BitflipSweepResult.accuracy_loss` measures flip damage only —
-    never the sign-quantization loss itself.  The fixed-point and float32
-    modes keep the float model's clean accuracy, as before (their p=0
-    perturbation is the identity).
+    For ``mode="bipolar"`` ``clean_accuracy`` is the *quantized* model's own
+    accuracy at zero flips, so :attr:`BitflipSweepResult.accuracy_loss`
+    measures flip damage only — never the sign-quantization loss itself.
+    The fixed-point and float32 modes keep the float model's clean accuracy
+    (their p=0 perturbation is the identity).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if not probabilities:
         raise ValueError("probabilities must not be empty")
-    if backend not in ("reference", "packed"):
-        raise ValueError(f"unknown backend {backend!r}; use 'reference' or 'packed'")
-    if backend == "packed" and mode not in (None, "bipolar"):
-        raise ValueError(
-            f"backend='packed' flips 1-bit bipolar words and cannot honour "
-            f"mode={mode!r}; use the reference backend for fixed-point/float "
-            "representations"
-        )
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if backend == "packed":
-        return _packed_sweep(
-            model, X_test, y_test, probabilities,
-            n_trials=n_trials, model_name=model_name, metric=metric, rng=generator,
-        )
-    mode = "fixed16" if mode is None else mode
     if mode == "bipolar":
         # The stored model under test is the bipolarized one; p=0 perturbation
         # (which consumes no randomness) is exactly that model.
@@ -152,43 +124,6 @@ def bitflip_sweep(
         for _ in range(n_trials):
             noisy = perturb_model(model, float(probability), mode=mode, rng=generator)
             scores.append(metric(y_test, noisy.predict(X_test)))
-        points.append(
-            BitflipPoint(probability=float(probability), scores=np.asarray(scores))
-        )
-    return BitflipSweepResult(
-        model_name=model_name, clean_accuracy=float(clean_accuracy), points=tuple(points)
-    )
-
-
-def _packed_sweep(
-    model: object,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    probabilities: Sequence[float],
-    *,
-    n_trials: int,
-    model_name: str,
-    metric: Callable[[np.ndarray, np.ndarray], float],
-    rng: np.random.Generator,
-) -> BitflipSweepResult:
-    """Packed-word sweep: one engine + one query packing, XOR masks per trial."""
-    from ..engine.quant import PackedBipolarModel
-
-    if isinstance(model, PackedBipolarModel):
-        engine = model
-    else:
-        from ..engine import compile_model
-
-        engine = compile_model(model, precision="bipolar-packed")
-    queries = engine.prepack(X_test)
-    clean_accuracy = metric(y_test, engine.predict_packed(queries))
-
-    points = []
-    for probability in probabilities:
-        scores = []
-        for _ in range(n_trials):
-            noisy = engine.flip_class_bits(float(probability), rng)
-            scores.append(metric(y_test, noisy.predict_packed(queries)))
         points.append(
             BitflipPoint(probability=float(probability), scores=np.asarray(scores))
         )

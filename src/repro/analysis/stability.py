@@ -2,22 +2,19 @@
 
 Section IV-B studies how the run-to-run standard deviation σ of accuracy
 shrinks as the hyperdimension D grows, and shows that BoostHD's σ is roughly
-three times smaller than OnlineHD's (µ_σ ≈ 0.0046 vs 0.0127).  The helpers
-here run a model family repeatedly per dimension and summarise mean accuracy
-and σ, which is exactly what Figure 6 plots.
+three times smaller than OnlineHD's (µ_σ ≈ 0.0046 vs 0.0127).  The results
+here summarise a model family's repeated runs per dimension by mean accuracy
+and σ, which is exactly what Figure 6 plots
+(:func:`repro.experiments.figure6_stability` runs the sweep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from ..baselines.base import BaseClassifier
-from ..baselines.metrics import accuracy
-
-__all__ = ["DimensionSweepPoint", "DimensionSweepResult", "dimension_stability_sweep"]
+__all__ = ["DimensionSweepPoint", "DimensionSweepResult"]
 
 
 @dataclass(frozen=True)
@@ -59,36 +56,3 @@ class DimensionSweepResult:
     def mean_sigma(self) -> float:
         """The paper's µ_σ: the average of the per-dimension σ values."""
         return float(np.mean(self.stds))
-
-
-def dimension_stability_sweep(
-    build_model: Callable[[int, int], BaseClassifier],
-    dims: Sequence[int],
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    *,
-    n_runs: int = 5,
-    model_name: str = "model",
-    metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
-) -> DimensionSweepResult:
-    """Evaluate a model family over a grid of dimensionalities.
-
-    ``build_model(dim, run)`` must return a fresh unfitted classifier for the
-    requested dimensionality; ``run`` doubles as a seed so the repeated runs
-    differ in their random projections, matching the paper's protocol.
-    """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if not dims:
-        raise ValueError("dims must not be empty")
-    points = []
-    for dim in dims:
-        scores = []
-        for run in range(n_runs):
-            model = build_model(int(dim), run)
-            model.fit(X_train, y_train)
-            scores.append(metric(y_test, model.predict(X_test)))
-        points.append(DimensionSweepPoint(dim=int(dim), scores=np.asarray(scores)))
-    return DimensionSweepResult(model_name=model_name, points=tuple(points))

@@ -19,13 +19,7 @@ from .metrics import (
     precision_recall_f1,
 )
 from .mlp import MLPClassifier
-from .model_selection import (
-    RepeatedRunResult,
-    cross_val_score,
-    kfold_indices,
-    leave_one_subject_out,
-    repeated_runs,
-)
+from .model_selection import cross_val_score, kfold_indices, leave_one_subject_out
 from .preprocessing import (
     LabelEncoder,
     MinMaxScaler,
@@ -50,11 +44,9 @@ __all__ = [
     "median_absolute_deviation",
     "precision_recall_f1",
     "MLPClassifier",
-    "RepeatedRunResult",
     "cross_val_score",
     "kfold_indices",
     "leave_one_subject_out",
-    "repeated_runs",
     "LabelEncoder",
     "MinMaxScaler",
     "StandardScaler",

@@ -1,14 +1,13 @@
-"""Model-selection helpers: k-fold CV, leave-one-subject-out, repeated runs.
+"""Model-selection helpers: k-fold CV and leave-one-subject-out.
 
-The paper evaluates every model over 10 independent runs and reports
-mean ± standard deviation; person-specific results (Table III) require
-grouping windows by subject.  These helpers provide that machinery on top of
-the light-weight estimator API in :mod:`repro.baselines.base`.
+Person-specific results (Table III) require grouping windows by subject.
+These helpers provide that machinery on top of the light-weight estimator
+API in :mod:`repro.baselines.base`; the paper's repeated independent runs
+are :func:`repro.experiments.run_model`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -20,8 +19,6 @@ __all__ = [
     "kfold_indices",
     "cross_val_score",
     "leave_one_subject_out",
-    "RepeatedRunResult",
-    "repeated_runs",
 ]
 
 
@@ -78,47 +75,3 @@ def leave_one_subject_out(
     for subject in np.unique(subjects):
         test_mask = subjects == subject
         yield np.flatnonzero(~test_mask), np.flatnonzero(test_mask), subject
-
-
-@dataclass
-class RepeatedRunResult:
-    """Summary of repeated independent runs of one model."""
-
-    scores: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.scores))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.scores))
-
-    def __str__(self) -> str:  # pragma: no cover - formatting convenience
-        return f"{self.mean:.4f} ± {self.std:.4f} (n={len(self.scores)})"
-
-
-def repeated_runs(
-    build_model: Callable[[int], BaseClassifier],
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    *,
-    n_runs: int = 10,
-    metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
-) -> RepeatedRunResult:
-    """Train/evaluate ``n_runs`` freshly-built models and summarise the scores.
-
-    ``build_model`` receives the run index (usable as a seed) and must return
-    an unfitted classifier.  This is the paper's "10 independent runs"
-    protocol.
-    """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    scores = []
-    for run in range(n_runs):
-        model = build_model(run)
-        model.fit(X_train, y_train)
-        scores.append(metric(y_test, model.predict(X_test)))
-    return RepeatedRunResult(scores=np.asarray(scores))

@@ -11,7 +11,6 @@ injections used by the overfitting and robustness experiments.
 from .features import (
     STATISTICS,
     extract_features,
-    extract_window_features,
     feature_names,
     moving_average,
 )
@@ -38,7 +37,6 @@ from .wesad import load_wesad, make_wesad_subjects
 __all__ = [
     "STATISTICS",
     "extract_features",
-    "extract_window_features",
     "feature_names",
     "moving_average",
     "imbalance_indices",

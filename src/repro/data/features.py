@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "moving_average",
     "STATISTICS",
-    "extract_window_features",
     "extract_features",
     "feature_names",
 ]
@@ -71,28 +70,6 @@ def moving_average(signal: np.ndarray, window_size: int = 30) -> np.ndarray:
     smoothed[..., : effective - 1] = cumulative[..., : effective - 1] / prefix_counts
     smoothed += offset
     return smoothed
-
-
-def extract_window_features(
-    window: np.ndarray,
-    *,
-    smoothing_window: int = 30,
-    statistics: Sequence[str] = ("min", "max", "mean", "std"),
-) -> np.ndarray:
-    """Features of one raw window of shape ``(n_channels, n_samples)``.
-
-    Returns a flat vector of ``n_channels * len(statistics)`` values ordered
-    channel-major (all statistics of channel 0, then channel 1, ...).
-    """
-    array = np.asarray(window, dtype=float)
-    if array.ndim != 2:
-        raise ValueError(f"window must be 2-D (channels, samples), got ndim={array.ndim}")
-    unknown = [name for name in statistics if name not in STATISTICS]
-    if unknown:
-        raise ValueError(f"unknown statistics {unknown}; available: {sorted(STATISTICS)}")
-    smoothed = moving_average(array, smoothing_window)
-    per_channel = np.stack([STATISTICS[name](smoothed) for name in statistics], axis=1)
-    return per_channel.reshape(-1)
 
 
 def extract_features(

@@ -90,10 +90,9 @@ def flip_bits_bipolar(
 
     The bipolar storage model keeps exactly one bit per element (the sign),
     so a stored-bit flip *is* a sign flip: each element of ``bipolarize
-    (values)`` is negated independently with ``probability``.  This is the
-    float-domain reference for the packed bit-flip backend of
-    :func:`repro.analysis.robustness.bitflip_sweep`, which applies the same
-    perturbation as XOR masks on the packed class words.
+    (values)`` is negated independently with ``probability`` — on the
+    bit-packed engine (:class:`~repro.engine.PackedBipolarModel`), an XOR
+    of the stored class words.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {probability}")

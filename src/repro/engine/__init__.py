@@ -58,10 +58,9 @@ from .compile import (
     ModelComponents,
     compile_model,
     model_components,
-    topk_indices,
 )
 from .precision import PRECISIONS, Precision, build_engine, resolve_precision
-from .quant import FixedPointModel, PackedBipolarModel, PackedQueries, pack_words
+from .quant import FixedPointModel, PackedBipolarModel, pack_words
 from .train import (
     ExactPassState,
     adaptive_pass_exact,
@@ -77,7 +76,6 @@ __all__ = [
     "ModelComponents",
     "compile_model",
     "model_components",
-    "topk_indices",
     "PRECISIONS",
     "Precision",
     "build_engine",
@@ -88,7 +86,6 @@ __all__ = [
     "top2_margin",
     "FixedPointModel",
     "PackedBipolarModel",
-    "PackedQueries",
     "pack_words",
     "ExactPassState",
     "adaptive_pass_exact",

@@ -59,7 +59,6 @@ __all__ = [
     "compile_model",
     "model_components",
     "stack_learners",
-    "topk_indices",
 ]
 
 #: Denominator clip mirroring :func:`repro.hdc.similarity.cosine_similarity`.
@@ -81,23 +80,6 @@ _ENCODE_BYTES = 256 << 20
 
 class EngineError(RuntimeError):
     """Raised when a model cannot be compiled into the fused engine."""
-
-
-def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the ``k`` largest scores per row, best first.
-
-    Ties break toward the lower column index (stable sort on the negated
-    scores), so column 0 of the result always equals ``argmax(scores,
-    axis=1)`` — ``predict`` and ``predict_topk(...)[:, 0]`` can never
-    disagree.
-    """
-    scores = np.asarray(scores)
-    if scores.ndim != 2:
-        raise ValueError(f"scores must be 2-D, got ndim={scores.ndim}")
-    n_classes = scores.shape[1]
-    if not 1 <= k <= n_classes:
-        raise ValueError(f"k must be in [1, {n_classes}], got {k}")
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 def stack_learners(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
@@ -403,11 +385,11 @@ class CompiledModel:
         """Score a pre-encoded ``(n, D_total)`` matrix, skipping the encoder.
 
         The scoring stage of :meth:`decision_function` on its own — the
-        pure class-comparison cost, in the same bounded row steps.  Used by
-        workloads that score one encoding many times (bit-flip robustness
-        trials, re-scoring after adaptation) and by the quantized-engine
-        throughput benchmarks, which compare scoring stages without the
-        shared encoding cost.
+        pure class-comparison cost, in the same bounded row steps.  Used
+        where one encoding is scored more than once (both cascade tiers
+        during calibration) and by the quantized-engine throughput
+        benchmarks, which compare scoring stages without the shared
+        encoding cost.
         """
         encoded = np.asarray(encoded, dtype=self.dtype)
         if encoded.ndim == 1:
@@ -428,22 +410,6 @@ class CompiledModel:
         shifted = scores - scores.max(axis=1, keepdims=True)
         exponent = np.exp(shifted)
         return exponent / exponent.sum(axis=1, keepdims=True)
-
-    def score_topk(self, X: np.ndarray, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` scores and labels per sample, best first.
-
-        Returns ``(scores, labels)`` of shape ``(n_samples, k)`` each; column
-        0 matches :meth:`predict` exactly (stable tie-breaking toward the
-        lower class column).  The ``k=2`` default is the cascade's margin
-        source: ``scores[:, 0] - scores[:, 1]`` is the top-2 margin.
-        """
-        scores = self.decision_function(X)
-        indices = topk_indices(scores, k)
-        return np.take_along_axis(scores, indices, axis=1), self.classes_[indices]
-
-    def predict_topk(self, X: np.ndarray, k: int = 2) -> np.ndarray:
-        """Top-``k`` predicted labels per sample, best first (see :meth:`score_topk`)."""
-        return self.classes_[topk_indices(self.decision_function(X), k)]
 
 
 # ---------------------------------------------------------------- compilation

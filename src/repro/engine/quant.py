@@ -58,9 +58,6 @@ float engine on the Table I mini datasets.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES
@@ -70,7 +67,6 @@ from .compile import _EPS, CompiledModel, EngineError, _row_steps, _sum_learners
 __all__ = [
     "FixedPointModel",
     "PackedBipolarModel",
-    "PackedQueries",
     "pack_words",
 ]
 
@@ -125,33 +121,13 @@ def pack_words(bits: np.ndarray, spans: np.ndarray) -> np.ndarray:
     ``i``'s bits of a row sit in its ``W``-word window at their packed-row
     positions (element ``j`` in word ``j // 64 - spans[i, 0] // 64``), every
     other bit is zero.  Query words are packed the same way, with the batch
-    on the last axis (:class:`PackedQueries`).
+    on the last axis.
     """
     words = _windowed(bits, *_word_windows(np.asarray(spans)))
     return np.ascontiguousarray(words.transpose(0, 2, 1))
 
 
 # ------------------------------------------------------------------ engines
-@dataclass(frozen=True)
-class PackedQueries:
-    """Pre-encoded, pre-packed query batch for repeated packed scoring.
-
-    ``words`` holds the batch's ``uint64`` sign words stacked across
-    learners exactly as the engine scores them: shape ``(n_learners, W,
-    n)``, with the batch on the last axis.  Produced by
-    :meth:`PackedBipolarModel.prepack`, consumed by
-    :meth:`PackedBipolarModel.score_packed`.  Packing the queries once is
-    what makes many-trial workloads (the packed bit-flip sweep) cheap: each
-    trial reuses the words and pays only XOR + popcount.
-    """
-
-    words: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.words.shape[-1]
-
-
 class PackedBipolarModel(CompiledModel):
     """Bit-packed 1-bit HDC scorer: sign encode once, one XOR + popcount pass.
 
@@ -160,8 +136,8 @@ class PackedBipolarModel(CompiledModel):
     stack and the scoring stage differ.  ``words`` is the ``(L, k, W)``
     ``uint64`` stack of every learner's class sign bits in its word window
     (:func:`pack_words` of the ``(k, D_total)`` signs); a bit is 1 where
-    the class hypervector is non-negative (the
-    :func:`~repro.hdc.pack_signs` convention).  Each
+    the class hypervector is non-negative (the zero-maps-to-+1 convention of
+    :func:`~repro.hdc.bipolarize`).  Each
     query row's sign pattern is compared against every learner's class
     patterns in one XOR + popcount, and the per-learner match fraction
     ``(dim - mismatches) / dim`` — bit-identical to ``hamming_similarity``
@@ -198,17 +174,9 @@ class PackedBipolarModel(CompiledModel):
             f"class_bytes={self.class_memory_bytes()})"
         )
 
-    # ---------------------------------------------------------------- packing
-    def _query_words(self, encoded: np.ndarray) -> np.ndarray:
-        """Stacked ``(n_learners, W, n)`` sign words of an encoded matrix."""
-        return _windowed(encoded >= 0, self._index, self._mask)
-
-    def prepack(self, X: np.ndarray) -> PackedQueries:
-        """Encode and bit-pack a query batch once for repeated scoring."""
-        return PackedQueries(words=self._query_words(self.encode(X)))
-
-    # ---------------------------------------------------------------- scoring
-    def _score_words(self, words: np.ndarray) -> np.ndarray:
+    def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
+        # (L, W, n) sign words of the chunk in every learner's window.
+        words = _windowed(encoded >= 0, self._index, self._mask)
         n = words.shape[-1]
         scores = np.empty((n, len(self.classes_)), dtype=np.float64)
         classes = self.words[..., None]
@@ -223,52 +191,6 @@ class PackedBipolarModel(CompiledModel):
             else:
                 scores[part] = _sum_learners(sims * self._alphas[:, None, None])
         return scores / self._total_alpha
-
-    def _score_chunk(self, encoded: np.ndarray) -> np.ndarray:
-        return self._score_words(self._query_words(encoded))
-
-    def score_packed(self, queries: PackedQueries) -> np.ndarray:
-        """Per-class scores of a :meth:`prepack`-ed batch (XOR + popcount only)."""
-        layout = self._index.shape
-        if queries.words.shape[:2] != layout:
-            raise ValueError(
-                f"queries were packed for a {queries.words.shape[:2]} "
-                f"(learners, words) layout, engine has {layout}"
-            )
-        return self._score_words(queries.words)
-
-    def predict_packed(self, queries: PackedQueries) -> np.ndarray:
-        """Labels of a :meth:`prepack`-ed batch."""
-        return self.classes_[np.argmax(self.score_packed(queries), axis=1)]
-
-    # --------------------------------------------------------------- bit flips
-    def flip_class_bits(
-        self, probability: float, rng: np.random.Generator
-    ) -> "PackedBipolarModel":
-        """Copy of this engine with each stored class bit flipped i.i.d.
-
-        Flips the *real stored bits*: an XOR mask sampled at ``probability``
-        per bit — one ``(k, d_i)`` uniform draw per learner, in learner
-        order — is applied to the class words (pad bits are never flipped,
-        so the padding invariant holds).  The clone shares the encoder
-        arrays with the original — only ``words`` differs — which
-        is what makes many-trial robustness sweeps cheap.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if probability == 0.0:
-            # No bits can flip: skip the mask draws entirely, mirroring the
-            # reference backend's early return so both backends consume the
-            # same randomness per trial at a fixed seed.
-            return copy.copy(self)
-        n_classes = len(self.classes_)
-        flips = np.hstack([
-            rng.random((n_classes, stop - start)) < probability
-            for start, stop in self._bounds
-        ])
-        clone = copy.copy(self)
-        clone.words = self.words ^ pack_words(flips, self.spans)
-        return clone
 
 
 class FixedPointModel(CompiledModel):

@@ -8,7 +8,7 @@ headless benchmark can print and a test can assert on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -181,9 +181,9 @@ def figure5_span(
 ) -> tuple[dict[str, SpanUtilization], str]:
     """Figure 5: span utilization of BoostHD vs OnlineHD class hypervectors."""
     scale = scale or get_scale()
-    total_dim = total_dim or scale.total_dim
-    n_learners = n_learners or scale.n_learners
-    epochs = epochs or scale.hd_epochs
+    total_dim = scale.total_dim if total_dim is None else total_dim
+    n_learners = scale.n_learners if n_learners is None else n_learners
+    epochs = scale.hd_epochs if epochs is None else epochs
     X_train, X_test, y_train, y_test = dataset.split(test_fraction=test_fraction, rng=seed)
 
     online = OnlineHD(dim=total_dim, epochs=epochs, seed=seed)
@@ -229,8 +229,12 @@ def figure6_stability(
     results identical to the serial path.
     """
     scale = scale or get_scale()
-    n_runs = n_runs or scale.sweep_runs
-    epochs = epochs or scale.hd_epochs
+    n_runs = scale.sweep_runs if n_runs is None else n_runs
+    epochs = scale.hd_epochs if epochs is None else epochs
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not dims:
+        raise ValueError("dims must not be empty")
     split = dataset.split(test_fraction=test_fraction, rng=seed)
 
     kinds = ("OnlineHD", "BoostHD")
@@ -292,7 +296,7 @@ def figure7_overfitting(
     ``max_workers`` > 1 produces bit-identical panels.
     """
     scale = scale or get_scale()
-    epochs = epochs or scale.hd_epochs
+    epochs = scale.hd_epochs if epochs is None else epochs
     split = dataset.split(test_fraction=test_fraction, rng=seed)
 
     kinds = ("OnlineHD", "BoostHD")
@@ -356,7 +360,9 @@ def figure8_robustness(
     models with results identical to the serial path.
     """
     scale = scale or get_scale()
-    n_trials = n_trials or scale.bitflip_trials
+    n_trials = scale.bitflip_trials if n_trials is None else n_trials
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     split = dataset.split(test_fraction=test_fraction, rng=seed)
 
     sweeps = parallel_map(

@@ -27,13 +27,13 @@ from ..baselines.base import BaseClassifier
 from ..baselines.metrics import accuracy
 from ..data.loaders import TabularDataset
 from ..runtime.cells import CellResult, single_run
-from ..runtime.executor import LoaderSource, ParallelExecutor, SplitSource
+from ..runtime.executor import ParallelExecutor, SplitSource
 from ..runtime.plan import GridPlan
 from ..runtime.report import RunReport
 from ..runtime.seeding import dataset_seeds
 from ..runtime.store import ArtifactStore
 from .config import ExperimentScale, get_scale
-from .registry import MODEL_NAMES, build_model
+from .registry import MODEL_NAMES
 
 __all__ = [
     "DATASET_NAMES",
@@ -301,35 +301,25 @@ def run_suite(
       directory path) checkpointing each completed cell; rerunning with the
       same configuration replays finished cells instead of recomputing them.
 
-    When ``datasets`` is omitted the workers load their datasets locally
-    from seeds (no arrays are shipped); explicit dataset mappings are split
-    once in the parent and shipped to each worker a single time.
+    When ``datasets`` is omitted the suite runs on
+    ``load_datasets(scale, seed=seed)``.  Every dataset is split once in the
+    parent and shipped to each worker a single time.
     """
     scale = scale or get_scale()
-    n_runs = n_runs or scale.n_runs
+    n_runs = scale.n_runs if n_runs is None else n_runs
     if isinstance(store, (str, os.PathLike)) and not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
-
     if datasets is None:
-        dataset_names = DATASET_NAMES
-        source: SplitSource | LoaderSource = LoaderSource(
-            names=DATASET_NAMES,
-            scale=scale,
-            seed=seed,
-            test_fraction=test_fraction,
-            split_seed=split_seed,
-        )
-    else:
-        dataset_names = tuple(datasets)
-        source = SplitSource(
-            splits={
-                name: dataset.split(test_fraction=test_fraction, rng=split_seed)
-                for name, dataset in datasets.items()
-            }
-        )
+        datasets = load_datasets(scale, seed=seed)
+    source = SplitSource(
+        splits={
+            name: dataset.split(test_fraction=test_fraction, rng=split_seed)
+            for name, dataset in datasets.items()
+        }
+    )
 
     plan = GridPlan.for_suite(
-        dataset_names,
+        tuple(datasets),
         tuple(model_names),
         n_runs,
         scale=scale,

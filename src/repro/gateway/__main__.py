@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 
-import numpy as np
-
 from ..core.boosthd import BoostHD
 from ..data import CHANNELS, SignalSimulator, load_wesad
 from ..engine import compile_model

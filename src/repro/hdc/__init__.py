@@ -3,11 +3,11 @@
 This subpackage implements the HDC machinery the paper builds on: hypervector
 algebra (bundle/bind/permute), similarity metrics, feature encoders (the
 OnlineHD nonlinear cos·sin encoder plus a classic record-based encoder), the
-single-pass centroid classifier, the OnlineHD adaptive classifier that BoostHD
-uses as its weak learner, and model quantisation utilities.
+OnlineHD adaptive classifier that BoostHD uses as its weak learner (with
+``epochs=0`` it is the single-pass centroid classifier), and model
+quantisation utilities.
 """
 
-from .centroid import CentroidHD
 from .encoder import (
     Encoder,
     LevelIdEncoder,
@@ -23,30 +23,25 @@ from .hypervector import (
     bundle,
     hard_quantize,
     normalize,
-    pack_signs,
     permute,
     random_hypervector,
-    unpack_signs,
 )
 from .onlinehd import OnlineHD
 from .quantize import (
     FixedPointFormat,
     from_fixed_point,
     quantize_codes,
-    quantize_model,
     to_fixed_point,
 )
 from .similarity import (
     cosine_similarity,
     dot_similarity,
     hamming_similarity,
-    packed_hamming_similarity,
     pairwise_cosine,
     popcount_rows,
 )
 
 __all__ = [
-    "CentroidHD",
     "Encoder",
     "LevelIdEncoder",
     "NonlinearEncoder",
@@ -56,7 +51,6 @@ __all__ = [
     "FixedPointFormat",
     "from_fixed_point",
     "quantize_codes",
-    "quantize_model",
     "to_fixed_point",
     "as_batch",
     "binarize",
@@ -65,14 +59,11 @@ __all__ = [
     "bundle",
     "hard_quantize",
     "normalize",
-    "pack_signs",
     "permute",
     "random_hypervector",
-    "unpack_signs",
     "cosine_similarity",
     "dot_similarity",
     "hamming_similarity",
-    "packed_hamming_similarity",
     "pairwise_cosine",
     "popcount_rows",
 ]

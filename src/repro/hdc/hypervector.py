@@ -36,8 +36,6 @@ __all__ = [
     "bipolarize",
     "binarize",
     "hard_quantize",
-    "pack_signs",
-    "unpack_signs",
     "as_batch",
 ]
 
@@ -182,48 +180,6 @@ def bipolarize(vector: np.ndarray) -> np.ndarray:
     """
     array = np.asarray(vector, dtype=float)
     return np.where(array >= 0.0, 1.0, -1.0)
-
-
-def pack_signs(vectors: np.ndarray) -> np.ndarray:
-    """Bit-pack the sign pattern of hypervectors into ``uint8`` words.
-
-    Bit ``j`` of a row is 1 where element ``j`` is non-negative and 0 where it
-    is negative — the same zero-maps-to-+1 convention as :func:`bipolarize`,
-    so ``pack_signs(v)`` is the 1-bit storage form of ``bipolarize(v)``.  Each
-    ``dim``-element row packs to ``ceil(dim / 8)`` bytes (a 64x reduction over
-    float64); when ``dim`` is not a multiple of 8 the final byte is
-    zero-padded, and consumers must carry the *unpadded* ``dim`` alongside the
-    packed words (see :func:`repro.hdc.similarity.packed_hamming_similarity`).
-
-    Accepts a single hypervector ``(dim,)`` or a batch ``(n, dim)`` and
-    returns the packed words with the matching leading shape.
-    """
-    array = np.asarray(vectors)
-    if array.ndim not in (1, 2):
-        raise ValueError(f"expected a 1-D or 2-D array, got ndim={array.ndim}")
-    if array.shape[-1] == 0:
-        raise ValueError("cannot pack zero-dimensional hypervectors")
-    return np.packbits(array >= 0, axis=-1)
-
-
-def unpack_signs(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Unpack :func:`pack_signs` words back to float ±1 hypervectors.
-
-    ``dim`` is the unpadded hypervector length; pad bits in the final byte
-    are discarded.  Round trip: ``unpack_signs(pack_signs(v), v.shape[-1])``
-    equals ``bipolarize(v)`` exactly.
-    """
-    array = np.asarray(packed, dtype=np.uint8)
-    if array.ndim not in (1, 2):
-        raise ValueError(f"expected a 1-D or 2-D array, got ndim={array.ndim}")
-    width = (int(dim) + 7) // 8
-    if dim < 1 or array.shape[-1] != width:
-        raise ValueError(
-            f"packed width {array.shape[-1]} does not match dim={dim} "
-            f"(expected {width} bytes per row)"
-        )
-    bits = np.unpackbits(array, axis=-1)[..., :dim]
-    return np.where(bits > 0, 1.0, -1.0)
 
 
 def binarize(vector: np.ndarray) -> np.ndarray:

@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypervector import bipolarize
-
 __all__ = [
     "FixedPointFormat",
     "to_fixed_point",
     "from_fixed_point",
     "quantize_codes",
-    "quantize_model",
 ]
 
 #: Storage formats of the named fixed-point schemes: total bits and the
@@ -93,7 +90,7 @@ def quantize_codes(
     storage dtype (``int16`` for ``"fixed16"``, ``int8`` for ``"fixed8"``) —
     the form the model registry persists and the integer-domain engines
     (:mod:`repro.engine.quant`) score with directly.  This is the single
-    quantisation point: :func:`quantize_model` and
+    quantisation point: the engine builder and
     ``ModelRegistry._store_hypervectors`` both route through it, so the codes
     a registry stores are byte-identical to the codes a freshly compiled
     fixed-point engine holds.
@@ -109,18 +106,3 @@ def quantize_codes(
         )
     codes, fmt = to_fixed_point(values, fmt, bits=SCHEME_BITS[scheme])
     return codes.astype(SCHEME_DTYPES[scheme]), fmt
-
-
-def quantize_model(class_hypervectors: np.ndarray, scheme: str = "bipolar") -> np.ndarray:
-    """Quantize class hypervectors for low-cost inference.
-
-    ``scheme`` may be ``"bipolar"`` (sign quantisation, the classic 1-bit HDC
-    model) or ``"fixed16"`` / ``"fixed8"`` (round-trip through fixed point).
-    """
-    array = np.asarray(class_hypervectors, dtype=float)
-    if scheme == "bipolar":
-        return bipolarize(array)
-    if scheme in SCHEME_BITS:
-        codes, fmt = quantize_codes(array, scheme)
-        return from_fixed_point(codes, fmt)
-    raise ValueError(f"unknown quantization scheme {scheme!r}")

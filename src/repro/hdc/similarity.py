@@ -20,7 +20,6 @@ __all__ = [
     "cosine_similarity",
     "dot_similarity",
     "hamming_similarity",
-    "packed_hamming_similarity",
     "pairwise_cosine",
     "popcount_rows",
 ]
@@ -93,46 +92,6 @@ def dot_similarity(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return _maybe_squeeze(result, first, second)
 
 
-def packed_hamming_similarity(
-    first_packed: np.ndarray, second_packed: np.ndarray, dim: int
-) -> np.ndarray:
-    """Hamming similarity on :func:`~repro.hdc.hypervector.pack_signs` words.
-
-    Operates entirely in the integer domain: mismatching sign bits are
-    counted with XOR + popcount on the packed ``uint8`` rows, and the match
-    fraction is ``(dim - mismatches) / dim``.  ``dim`` must be the *unpadded*
-    hypervector length — the packed rows are ``ceil(dim / 8)`` bytes, and the
-    zero pad bits of the final byte cancel in the XOR (0 ^ 0 = 0), so they
-    never count as matches or mismatches.
-
-    Bit-identical to :func:`hamming_similarity` on the unpacked sign
-    patterns: both reduce to the correctly rounded float64 quotient of the
-    exact integers ``matches`` and ``dim`` (hypothesis-tested in
-    ``tests/test_quant_engine.py``, including dims not divisible by 8).
-    """
-    lhs = np.atleast_2d(np.asarray(first_packed, dtype=np.uint8))
-    rhs = np.atleast_2d(np.asarray(second_packed, dtype=np.uint8))
-    if lhs.shape[-1] != rhs.shape[-1]:
-        raise ValueError(f"packed width mismatch: {lhs.shape[-1]} vs {rhs.shape[-1]}")
-    width = (int(dim) + 7) // 8
-    if dim < 1 or lhs.shape[-1] != width:
-        raise ValueError(
-            f"packed width {lhs.shape[-1]} does not match dim={dim} "
-            f"(expected {width} bytes per row)"
-        )
-    # Row-chunk the (n, m, width) XOR tensor so huge batches stay bounded.
-    n, m = lhs.shape[0], rhs.shape[0]
-    mismatches = np.empty((n, m), dtype=np.int64)
-    rows = max(1, (1 << 24) // max(1, m * width))
-    for start in range(0, n, rows):
-        block = lhs[start : start + rows]
-        mismatches[start : start + rows] = popcount_rows(
-            block[:, None, :] ^ rhs[None, :, :]
-        )
-    matches = (dim - mismatches) / dim
-    return _maybe_squeeze(matches, first_packed, second_packed)
-
-
 def cosine_similarity(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Cosine similarity (Equation 1) between batches of hypervectors.
 
@@ -182,11 +141,9 @@ def hamming_similarity(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     (for any realistic ``dim``), and IEEE division is correctly rounded, so
     the value is bit-identical to the mean-of-booleans formulation.
 
-    The normalising ``dim`` is always the *unpadded* hypervector length of
-    the float inputs.  When interoperating with bit-packed sign rows
-    (:func:`packed_hamming_similarity`), pass that same unpadded ``dim`` —
-    never ``8 * packed_width`` — or the zero pad bits of the final packed
-    byte would be silently counted as matching elements.
+    This is the oracle of the bit-packed engine
+    (:class:`~repro.engine.PackedBipolarModel`), whose per-learner XOR +
+    popcount similarities equal it bitwise on the unpacked signs.
     """
     lhs, rhs = _prepare(first, second)
     dim = lhs.shape[1]

@@ -16,7 +16,6 @@ every cell's seed is a pure function of its grid coordinates
 
 from .cells import CellResult, RunSample, execute_cell, single_run
 from .executor import (
-    LoaderSource,
     ParallelExecutor,
     SplitSource,
     available_cpus,
@@ -34,7 +33,6 @@ __all__ = [
     "RunSample",
     "execute_cell",
     "single_run",
-    "LoaderSource",
     "ParallelExecutor",
     "SplitSource",
     "available_cpus",

@@ -14,10 +14,9 @@ Two entry points:
 
 Determinism: a cell's result depends only on its task (which carries its own
 derived seed) and on the dataset split, never on which worker runs it or in
-what order — so serial and parallel execution are bit-identical.  Workers
-either receive the precomputed splits once (explicit datasets) or regenerate
-their datasets locally from the same seeds (``LoaderSource``, the per-worker
-dataset-loading path that avoids shipping arrays altogether).
+what order — so serial and parallel execution are bit-identical.  The
+parent splits every dataset once and ships the splits to each worker once
+(:class:`SplitSource`).
 
 ``max_workers`` resolution (:func:`resolve_max_workers`): ``None`` consults
 the ``REPRO_MAX_WORKERS`` environment variable and falls back to serial;
@@ -40,7 +39,6 @@ import numpy as np
 from ..obs import OBS, scoped_registry
 from ..obs.metrics import MetricsRegistry
 from .report import RunReport
-from .seeding import dataset_seeds
 
 if TYPE_CHECKING:
     from ..experiments.config import ExperimentScale
@@ -50,7 +48,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SplitSource",
-    "LoaderSource",
     "ParallelExecutor",
     "parallel_map",
     "resolve_max_workers",
@@ -147,8 +144,7 @@ def parallel_map(
 class SplitSource:
     """Precomputed train/test splits, shipped to each worker once.
 
-    Used when the caller passes explicit dataset objects to ``run_suite``;
-    the artifact-store fingerprint is the SHA-256 of the split arrays, so
+    The artifact-store fingerprint is the SHA-256 of the split arrays, so
     different data can never replay each other's cells.
     """
 
@@ -172,40 +168,6 @@ class SplitSource:
         return self.splits[name]
 
 
-@dataclass(frozen=True)
-class LoaderSource:
-    """Per-worker dataset loading: each worker regenerates its datasets.
-
-    Carries only the generation recipe (canonical names, scale, root seed,
-    split configuration); every worker loads a dataset lazily on first use
-    and caches it for the rest of its life.  Because generation and the
-    subject-wise split are seed-deterministic, all workers see bit-identical
-    arrays without any being shipped between processes.
-    """
-
-    names: tuple[str, ...]
-    scale: "ExperimentScale"
-    seed: int | None
-    test_fraction: float
-    split_seed: int
-
-    def dataset_seed(self, name: str) -> int:
-        return dataset_seeds([name], self.names, self.seed)[name]
-
-    def fingerprint(self, name: str) -> str:
-        recipe = (
-            f"loader:{name}:seed={self.dataset_seed(name)}"
-            f":scale={self.scale.name}"
-        )
-        return hashlib.sha256(recipe.encode("utf-8")).hexdigest()
-
-    def split_for(self, name: str) -> Split:
-        from ..experiments.runner import load_dataset
-
-        dataset = load_dataset(name, self.scale, seed=self.dataset_seed(name))
-        return dataset.split(test_fraction=self.test_fraction, rng=self.split_seed)
-
-
 # --------------------------------------------------------------------------
 # Worker-side cell execution.
 # --------------------------------------------------------------------------
@@ -214,7 +176,7 @@ _CELL_CONTEXT: dict | None = None
 
 
 def _init_cell_worker(
-    source: SplitSource | LoaderSource,
+    source: SplitSource,
     scale: "ExperimentScale",
     engine: bool,
     obs_enabled: bool = False,
@@ -224,7 +186,6 @@ def _init_cell_worker(
         "source": source,
         "scale": scale,
         "engine": engine,
-        "splits": {},
     }
     if obs_enabled:
         # Worker processes inherit the parent's telemetry decision: each gets
@@ -237,20 +198,13 @@ def _init_cell_worker(
         enable(MetricsRegistry(), SpanRecorder())
 
 
-def _context_split(name: str) -> Split:
-    cache = _CELL_CONTEXT["splits"]
-    if name not in cache:
-        cache[name] = _CELL_CONTEXT["source"].split_for(name)
-    return cache[name]
-
-
 def _run_cell_chunk(tasks: Sequence["CellTask"]) -> list["CellResult"]:
     from . import cells
 
     return [
         cells.execute_cell(
             task,
-            _context_split(task.dataset),
+            _CELL_CONTEXT["source"].split_for(task.dataset),
             _CELL_CONTEXT["scale"],
             engine=_CELL_CONTEXT["engine"],
         )
@@ -276,7 +230,7 @@ def _run_cell_chunk_observed(
 def _cell_spec(
     plan: "GridPlan",
     cell: "CellTask",
-    source: SplitSource | LoaderSource,
+    source: SplitSource,
     *,
     engine: bool,
 ) -> dict:
@@ -318,7 +272,7 @@ class ParallelExecutor:
     def run(
         self,
         plan: "GridPlan",
-        source: SplitSource | LoaderSource,
+        source: SplitSource,
         *,
         store: "ArtifactStore | None" = None,
         engine: bool = True,

@@ -596,36 +596,41 @@ class ServingFabric:
 
         The new model is published as generation ``g+1`` and its segment is
         *verified against the manifest checksums parent-side* — a corrupted
-        publication is unlinked and declined (``promoted=False``) before
-        any worker is asked to attach it.  Each shard then flushes its
-        pending windows on the old engine (those predictions are returned),
-        switches, and drops its old mapping; the old segment is unlinked
-        only after every shard has acknowledged.
+        publication is declined (``promoted=False``) before any worker is
+        asked to attach it.  Every shard's breaker is admitted before the
+        first shard moves.  Each shard then flushes its pending windows on
+        the old engine (those predictions are returned), switches, and drops
+        its old mapping; the old segment is unlinked only after every shard
+        has acknowledged.  If a shard's swap call fails, the shards already
+        switched are swapped back to the live segment and the swap is
+        declined, returning every prediction flushed on the way.  The
+        incoming segment is unlinked on every path that does not promote it.
         """
         incoming = publish_engine(engine, generation=self.generation + 1)
-        try:
-            verify_manifest(incoming.manifest)
-        except IntegrityError as error:
-            incoming.unlink()
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "repro_fabric_swaps_rejected_total",
-                    "Swap attempts declined because the incoming segment "
-                    "failed checksum verification.",
-                ).inc()
-            return SwapResult(
-                promoted=False,
-                generation=self.generation,
-                reason=f"integrity check failed: {error}",
-            )
         flushed: list[Prediction] = []
+        promoted = False
         try:
+            try:
+                verify_manifest(incoming.manifest)
+            except IntegrityError as error:
+                return self._decline(f"integrity check failed: {error}", flushed)
             for index in range(len(self._shards)):
-                flushed.extend(self._call(index, "swap", incoming.manifest))
-        except BaseException:
-            incoming.unlink()
-            raise
-        outgoing, self._shared = self._shared, incoming
+                self._admit(index)
+            args = (incoming.manifest,)
+            try:
+                for index, shard in enumerate(self._shards):
+                    future = shard.submit("swap", *args)
+                    flushed.extend(self._result(index, future, "swap", args))
+            except Exception as error:
+                for walked in range(index):
+                    flushed.extend(self._call(walked, "swap", self._shared.manifest))
+                reason = f"shard {index} failed to swap: {error!r}"
+                return self._decline(reason, flushed)
+            outgoing, self._shared = self._shared, incoming
+            promoted = True
+        finally:
+            if not promoted:
+                incoming.unlink()
         outgoing.unlink()
         if OBS.enabled:
             OBS.metrics.counter(
@@ -637,6 +642,21 @@ class ServingFabric:
             generation=self.generation,
             flushed=tuple(flushed),
             reason="promoted",
+        )
+
+    def _decline(self, reason: str, flushed: list[Prediction]) -> SwapResult:
+        """A swap that leaves every shard on the live generation."""
+        if OBS.enabled:
+            OBS.metrics.counter(
+                "repro_fabric_swaps_rejected_total",
+                "Swap attempts declined: the incoming segment failed checksum "
+                "verification, or a shard failed to switch to it.",
+            ).inc()
+        return SwapResult(
+            promoted=False,
+            generation=self.generation,
+            flushed=tuple(flushed),
+            reason=reason,
         )
 
     # ---------------------------------------------------------- dead letters

@@ -6,64 +6,55 @@ import pytest
 from repro.analysis import (
     PAPER_GROUPS,
     bitflip_sweep,
-    dimension_stability_sweep,
     encoded_data_spread,
     evaluate_groups,
     group_accuracy_table,
     kernel_shape_report,
 )
-from repro.baselines import DecisionTreeClassifier
+from repro.baselines import DecisionTreeClassifier, accuracy
+from repro.experiments import figure6_stability
 from repro.hdc import NonlinearEncoder, OnlineHD
 
 
 class TestStabilitySweep:
-    def test_result_structure(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        result = dimension_stability_sweep(
-            lambda dim, run: OnlineHD(dim=dim, epochs=1, seed=run),
-            [50, 100],
-            X_train,
-            y_train,
-            X_test,
-            y_test,
-            n_runs=2,
-            model_name="OnlineHD",
-        )
-        assert result.model_name == "OnlineHD"
-        np.testing.assert_array_equal(result.dims, [50, 100])
-        assert result.means.shape == (2,)
-        assert result.stds.shape == (2,)
-        assert 0.0 <= result.mean_sigma
+    """Figure 6's (D, run) protocol: run ``r`` at dimension ``D`` fits a
+    model seeded ``r``; σ is the spread of those runs' accuracies."""
 
-    def test_scores_recorded_per_run(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        result = dimension_stability_sweep(
-            lambda dim, run: OnlineHD(dim=dim, epochs=1, seed=run),
-            [60],
-            X_train,
-            y_train,
-            X_test,
-            y_test,
-            n_runs=3,
+    def test_result_structure(self, mini_wesad):
+        results, text = figure6_stability(
+            mini_wesad, dims=(50, 100), n_learners=2, n_runs=2, epochs=1
         )
-        assert result.points[0].scores.shape == (3,)
+        assert set(results) == {"OnlineHD", "BoostHD"}
+        for name, result in results.items():
+            assert result.model_name == name
+            np.testing.assert_array_equal(result.dims, [50, 100])
+            assert result.means.shape == (2,)
+            assert result.stds.shape == (2,)
+            assert 0.0 <= result.mean_sigma
+        assert "FIGURE 6" in text
 
-    def test_invalid_arguments_raise(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        with pytest.raises(ValueError):
-            dimension_stability_sweep(
-                lambda dim, run: OnlineHD(dim=dim), [], X_train, y_train, X_test, y_test
-            )
-        with pytest.raises(ValueError):
-            dimension_stability_sweep(
-                lambda dim, run: OnlineHD(dim=dim),
-                [10],
-                X_train,
-                y_train,
-                X_test,
+    def test_scores_recorded_per_run(self, mini_wesad):
+        results, _ = figure6_stability(
+            mini_wesad, dims=(60,), n_learners=2, n_runs=3, epochs=1, seed=4
+        )
+        X_train, X_test, y_train, y_test = mini_wesad.split(test_fraction=0.3, rng=4)
+        expected = [
+            accuracy(
                 y_test,
-                n_runs=0,
+                OnlineHD(dim=60, epochs=1, seed=run).fit(X_train, y_train).predict(X_test),
             )
+            for run in range(3)
+        ]
+        point = results["OnlineHD"].points[0]
+        np.testing.assert_array_equal(point.scores, expected)
+        assert point.std == np.std(expected)
+        assert results["BoostHD"].points[0].scores.shape == (3,)
+
+    def test_invalid_arguments_raise(self, mini_wesad):
+        with pytest.raises(ValueError, match="dims"):
+            figure6_stability(mini_wesad, dims=(), n_runs=1, epochs=1)
+        with pytest.raises(ValueError, match="n_runs"):
+            figure6_stability(mini_wesad, dims=(10,), n_runs=0, epochs=1)
 
 
 class TestBitflipSweep:

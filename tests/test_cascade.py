@@ -40,7 +40,6 @@ from repro.engine import (
     PackedBipolarModel,
     compile_model,
     top2_margin,
-    topk_indices,
 )
 from repro.engine.cascade import DEFAULT_THRESHOLD
 from repro.serving import ModelRegistry
@@ -276,36 +275,13 @@ def test_calibration_rejects_unknown_labels(engines, problem):
         engines["fixed16"].calibrate_threshold(X_test, y_test[:3])
 
 
-# ------------------------------------------------------------------- top-k
-def test_score_topk_matches_decision_function(engines, problem):
+# ------------------------------------------------------------------ margins
+def test_top2_margin_is_best_minus_runner_up(engines, problem):
     _, _, X_test, _ = problem
     for engine in (engines["packed"], engines["fixed16"]):
         scores = engine.decision_function(X_test)
-        top_scores, top_labels = engine.score_topk(X_test, k=2)
-        assert top_scores.shape == top_labels.shape == (len(X_test), 2)
-        np.testing.assert_array_equal(top_labels[:, 0], engine.predict(X_test))
-        np.testing.assert_array_equal(top_scores[:, 0], scores.max(axis=1))
-        np.testing.assert_array_equal(
-            top_scores[:, 0] - top_scores[:, 1], top2_margin(scores)
-        )
-        # k = n_classes is a full per-row ranking: every class appears once.
-        full = engine.predict_topk(X_test, k=scores.shape[1])
-        np.testing.assert_array_equal(
-            np.sort(full, axis=1), np.tile(np.sort(engine.classes_), (len(full), 1))
-        )
-
-
-def test_topk_indices_validates():
-    scores = np.array([[0.1, 0.5, 0.2]])
-    np.testing.assert_array_equal(topk_indices(scores, 3)[0], [1, 2, 0])
-    with pytest.raises(ValueError, match="k must be"):
-        topk_indices(scores, 0)
-    with pytest.raises(ValueError, match="k must be"):
-        topk_indices(scores, 4)
-    with pytest.raises(ValueError, match="2-D"):
-        topk_indices(scores[0], 1)
-    # Stable ties: equal scores break toward the lower column.
-    np.testing.assert_array_equal(topk_indices(np.zeros((2, 3)), 2), [[0, 1], [0, 1]])
+        ranked = np.sort(scores, axis=1)
+        np.testing.assert_array_equal(top2_margin(scores), ranked[:, -1] - ranked[:, -2])
 
 
 def test_top2_margin_single_class_is_infinite():

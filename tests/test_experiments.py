@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from repro.baselines import AdaBoostClassifier, MLPClassifier, RandomForestClassifier
-from repro.core import BoostHD
+from repro.core import BoostHD, span_utilization
 from repro.experiments import (
     FULL,
     QUICK,
     MODEL_NAMES,
     build_model,
     figure2_theory_terms,
+    figure5_span,
+    figure6_stability,
+    figure7_overfitting,
+    figure8_robustness,
     format_mean_std,
     format_series,
     format_table,
     get_scale,
     model_builders,
     run_model,
+    run_suite,
     table1_accuracy,
     table2_inference,
 )
@@ -178,8 +183,6 @@ class TestFigureGenerators:
         assert "FIGURE 2" in text
 
     def test_figure5_span_on_mini_dataset(self, mini_wesad):
-        from repro.experiments import figure5_span
-
         results, text = figure5_span(
             mini_wesad, total_dim=100, n_learners=2, epochs=1, seed=0
         )
@@ -187,8 +190,6 @@ class TestFigureGenerators:
         assert "FIGURE 5" in text
 
     def test_figure7_overfitting_on_mini_dataset(self, mini_wesad):
-        from repro.experiments import figure7_overfitting
-
         results, text = figure7_overfitting(
             mini_wesad,
             keep_fractions=(1.0, 0.5),
@@ -200,3 +201,74 @@ class TestFigureGenerators:
         assert 100 in results
         assert results[100]["OnlineHD"].shape == (2,)
         assert "FIGURE 7" in text
+
+
+class TestExplicitZero:
+    """An explicit 0 is a value, never a request for the scale's default."""
+
+    def test_figure5_fits_zero_epochs_and_refuses_zero_sizes(self, mini_wesad, tiny_scale):
+        results, _ = figure5_span(
+            mini_wesad, total_dim=100, n_learners=2, epochs=0, seed=1, scale=tiny_scale
+        )
+        X_train, _, y_train, _ = mini_wesad.split(test_fraction=0.3, rng=1)
+        online = OnlineHD(dim=100, epochs=0, seed=1).fit(X_train, y_train)
+        expected = span_utilization(online.class_hypervectors_)
+        assert results["OnlineHD"].sp == expected.sp
+        assert results["OnlineHD"].mean_abs_cosine == expected.mean_abs_cosine
+        for option in ("total_dim", "n_learners"):
+            with pytest.raises(ValueError):
+                figure5_span(mini_wesad, scale=tiny_scale, **{option: 0})
+
+    @staticmethod
+    def _fitted_epochs(monkeypatch) -> list[int]:
+        """The ``epochs`` of every OnlineHD fitted in this process from now on."""
+        seen = []
+        fit = OnlineHD.fit
+
+        def recording(model, *args, **kwargs):
+            seen.append(model.epochs)
+            return fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(OnlineHD, "fit", recording)
+        return seen
+
+    def test_figure6_trains_zero_epochs(self, mini_wesad, tiny_scale, monkeypatch):
+        seen = self._fitted_epochs(monkeypatch)
+        figure6_stability(
+            mini_wesad,
+            dims=(60,),
+            n_learners=2,
+            n_runs=2,
+            epochs=0,
+            scale=tiny_scale,
+            max_workers=1,
+        )
+        assert seen and set(seen) == {0}
+
+    def test_figure6_refuses_zero_runs(self, mini_wesad, tiny_scale):
+        with pytest.raises(ValueError, match="n_runs"):
+            figure6_stability(mini_wesad, dims=(60,), n_runs=0, scale=tiny_scale)
+
+    def test_figure7_trains_zero_epochs(self, mini_wesad, tiny_scale, monkeypatch):
+        seen = self._fitted_epochs(monkeypatch)
+        figure7_overfitting(
+            mini_wesad,
+            keep_fractions=(0.5,),
+            total_dims=(100,),
+            n_learners=2,
+            epochs=0,
+            scale=tiny_scale,
+            max_workers=1,
+        )
+        assert seen and set(seen) == {0}
+
+    def test_figure8_refuses_zero_trials(self, mini_wesad, tiny_scale):
+        with pytest.raises(ValueError, match="n_trials"):
+            figure8_robustness(
+                mini_wesad, model_names=("OnlineHD",), n_trials=0, scale=tiny_scale
+            )
+
+    def test_run_suite_refuses_zero_runs(self, suite_datasets, tiny_scale):
+        with pytest.raises(ValueError, match="n_runs"):
+            run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=0)
+

@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import BoostHD
 from repro.engine import PRECISIONS, EngineError, compile_model
+from repro.obs import capture
 from repro.resilience import (
     CLOSED,
     OPEN,
@@ -462,6 +463,89 @@ class TestHotSwap:
                 for p in list(result.flushed) + after
             ]
             assert len(seen) == len(set(seen)) == 20  # no drops, no doubles
+
+    @pytest.mark.parametrize(
+        "n_workers, failing", [(2, 0), (2, 1), (3, 1)], ids=["first", "last", "middle"]
+    )
+    def test_a_failed_shard_swap_leaves_every_shard_on_the_live_model(
+        self, fitted_pair, n_workers, failing
+    ):
+        """A shard whose swap call fails declines the whole swap.
+
+        The shards walked before it are swapped back; the windows they
+        flushed come back scored on the old engine; every shard stays on
+        generation 0 and keeps scoring with the old model; the incoming
+        segment is gone.
+        """
+        model_a, model_b = fitted_pair
+        engine_a = compile_model(model_a, precision="fixed16")
+        engine_b = compile_model(model_b, precision="fixed16")
+        by_shard = {}
+        for index in range(50):
+            by_shard.setdefault(shard_of(f"subject-{index}", n_workers), f"subject-{index}")
+        sessions = [by_shard[shard] for shard in range(n_workers)]
+        rng = np.random.default_rng(5)
+        items = [
+            (session, rng.normal(size=(N_CHANNELS, WINDOW)))
+            for _ in range(3)
+            for session in sessions
+        ]
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(
+                    point="fabric.worker.call",
+                    kind="exception",
+                    at=(1,),
+                    match=(("method", "swap"), ("shard", failing)),
+                ),
+            )
+        )
+        head = f"{SEGMENT_PREFIX}{os.getpid()}"
+        with capture() as (registry, _), inject(plan), ServingFabric(
+            engine_a,
+            n_workers=n_workers,
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+            max_batch=10_000,
+            max_wait=1e9,
+        ) as fabric:
+            for session in sessions:
+                fabric.open_session(session)
+            assert fabric.route(items) == []
+            result = fabric.swap(engine_b)
+            assert not result.promoted
+            assert result.generation == fabric.generation == 0
+            assert f"shard {failing} failed to swap" in result.reason
+            assert registry.counter("repro_fabric_swaps_rejected_total").value == 1
+            assert [info["generation"] for info in fabric.worker_info()] == [0] * n_workers
+            if os.path.isdir("/dev/shm"):
+                assert [
+                    name for name in os.listdir("/dev/shm") if name.startswith(head)
+                ] == [fabric._shared.name]
+            later = [(session, rng.normal(size=(N_CHANNELS, WINDOW))) for session in sessions]
+            after = fabric.route(later) + fabric.drain()
+        # The walked shards flushed their windows; the rest stayed pending.
+        walked = {session for session in sessions if shard_of(session, n_workers) < failing}
+        assert {p.session_id for p in result.flushed} == walked
+        assert len(result.flushed) == 3 * len(walked)
+        service = StreamingService(
+            engine_a,
+            n_channels=N_CHANNELS,
+            window_samples=WINDOW,
+            max_batch=10_000,
+            max_wait=1e9,
+        )
+        for session in sessions:
+            service.open_session(session)
+        for session, samples in items + later:
+            service.push(session, samples)
+        reference = _by_window(service.drain())
+        delivered = list(result.flushed) + after
+        assert _by_window(delivered).keys() == reference.keys()
+        assert len(delivered) == len(reference)  # none lost, none doubled
+        for prediction in delivered:
+            expected = reference[(prediction.session_id, prediction.window_index)]
+            assert np.array_equal(prediction.scores, expected.scores)
 
     def test_old_segment_is_unlinked_after_swap(self, engines, fitted_pair):
         if not os.path.isdir("/dev/shm"):

@@ -49,6 +49,7 @@ from repro.serving import (
     ModelRegistry,
     ServingFabric,
     StreamingService,
+    shard_of,
 )
 from repro.serving.scheduler import SchedulerStats
 
@@ -755,6 +756,47 @@ def test_declined_fabric_swap_is_409_not_200(swap_registry):
     assert body["swapped"] is False and body["generation"] == 0
     assert "integrity check failed" in body["reason"]
     assert fabric.generation == 0
+
+
+def test_a_shard_that_fails_to_swap_is_409_and_its_flush_is_delivered(swap_registry):
+    """Shard 1's swap call fails after shard 0 flushed its pending windows:
+    the swap is declined, and those windows reach their session's mailbox."""
+    session = next(f"s{i}" for i in range(50) if shard_of(f"s{i}", 2) == 0)
+    plan = FaultPlan(
+        faults=(
+            FaultSpec(
+                point="fabric.worker.call",
+                kind="exception",
+                at=(1,),
+                match=(("method", "swap"), ("shard", 1)),
+            ),
+        )
+    )
+
+    async def scenario(fabric):
+        gateway = await start_gateway(fabric, registry=swap_registry, registry_name="m")
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                assert (await client.open_session(session))[0] == 201
+                status, body = await client.feed(session, chunk(3))
+                assert status == 200 and body["predictions"] == []  # 3 pending
+                swapped = await client.swap(precision="fixed16")
+                return swapped, await client.predictions(session)
+        finally:
+            await gateway.shutdown(2.0)
+
+    with inject(plan):
+        fabric = ServingFabric(
+            swap_registry.load_compiled("m", precision="fixed16"),
+            n_workers=2,
+            **SERVICE_OPTIONS,
+        )
+        (status, body), (_, mailbox) = run(scenario(fabric))
+    assert status == 409
+    assert body["swapped"] is False and body["generation"] == 0
+    assert "shard 1 failed to swap" in body["reason"]
+    assert [w["window_index"] for w in mailbox["predictions"]] == [0, 1, 2]
+    assert all(w["status"] == "scored" for w in mailbox["predictions"])
 
 
 # -------------------------------------------------------------------- backends

@@ -5,11 +5,12 @@ import pytest
 
 from repro.baselines import (
     DecisionTreeClassifier,
+    accuracy,
     cross_val_score,
     kfold_indices,
     leave_one_subject_out,
-    repeated_runs,
 )
+from repro.experiments import run_model
 
 
 class TestKFold:
@@ -57,24 +58,37 @@ class TestLeaveOneSubjectOut:
 
 
 class TestRepeatedRuns:
+    """The paper's independent-runs protocol is
+    :func:`repro.experiments.run_model`: run ``r`` fits ``build(r)``."""
+
     def test_mean_and_std(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
-        result = repeated_runs(
+        result = run_model(
             lambda run: DecisionTreeClassifier(max_depth=4, seed=run),
             X_train,
             y_train,
             X_test,
             y_test,
             n_runs=3,
+            engine=False,
         )
-        assert len(result.scores) == 3
-        assert 0.0 <= result.mean <= 1.0
-        assert result.std >= 0.0
+        expected = [
+            accuracy(
+                y_test,
+                DecisionTreeClassifier(max_depth=4, seed=run)
+                .fit(X_train, y_train)
+                .predict(X_test),
+            )
+            for run in range(3)
+        ]
+        np.testing.assert_array_equal(result.accuracies, expected)
+        assert result.mean_accuracy == np.mean(expected)
+        assert result.std_accuracy == np.std(expected)
 
     def test_invalid_run_count_raises(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
-        with pytest.raises(ValueError):
-            repeated_runs(
+        with pytest.raises(ValueError, match="n_runs"):
+            run_model(
                 lambda run: DecisionTreeClassifier(seed=run),
                 X_train,
                 y_train,

@@ -1,37 +1,39 @@
-"""Unit tests for the OnlineHD and CentroidHD classifiers."""
+"""Unit tests for the OnlineHD classifier, single-pass (``epochs=0``) included."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.base import NotFittedError
-from repro.hdc import CentroidHD, NonlinearEncoder, OnlineHD
+from repro.hdc import NonlinearEncoder, OnlineHD
 
 
 class TestCentroidHD:
+    """The single-pass centroid classifier: ``OnlineHD(epochs=0)``."""
+
     def test_fits_and_predicts_blobs(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
-        model = CentroidHD(dim=400, seed=0).fit(X_train, y_train)
+        model = OnlineHD(dim=400, epochs=0, seed=0).fit(X_train, y_train)
         assert model.score(X_test, y_test) > 0.8
 
     def test_class_hypervector_shape(self, blobs_split):
         X_train, _, y_train, _ = blobs_split
-        model = CentroidHD(dim=300, seed=0).fit(X_train, y_train)
+        model = OnlineHD(dim=300, epochs=0, seed=0).fit(X_train, y_train)
         assert model.class_hypervectors_.shape == (3, 300)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            CentroidHD(dim=100).predict(np.ones((2, 4)))
+            OnlineHD(dim=100, epochs=0).predict(np.ones((2, 4)))
 
     def test_decision_function_shape(self, blobs_split):
         X_train, X_test, y_train, _ = blobs_split
-        model = CentroidHD(dim=200, seed=0).fit(X_train, y_train)
+        model = OnlineHD(dim=200, epochs=0, seed=0).fit(X_train, y_train)
         assert model.decision_function(X_test).shape == (len(X_test), 3)
 
     def test_sample_weight_changes_model(self, blobs):
         X, y = blobs
-        uniform = CentroidHD(dim=200, seed=0).fit(X, y)
+        uniform = OnlineHD(dim=200, epochs=0, seed=0).fit(X, y)
         weights = np.where(y == 0, 10.0, 1.0)
-        weighted = CentroidHD(dim=200, seed=0).fit(X, y, sample_weight=weights)
+        weighted = OnlineHD(dim=200, epochs=0, seed=0).fit(X, y, sample_weight=weights)
         assert not np.allclose(uniform.class_hypervectors_, weighted.class_hypervectors_)
 
 
@@ -44,7 +46,7 @@ class TestOnlineHD:
     def test_adaptive_refit_improves_or_matches_centroid(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
         encoder = NonlinearEncoder(X_train.shape[1], 300, rng=0)
-        centroid = CentroidHD(dim=300, encoder=encoder, seed=0).fit(X_train, y_train)
+        centroid = OnlineHD(dim=300, epochs=0, encoder=encoder, seed=0).fit(X_train, y_train)
         online = OnlineHD(dim=300, epochs=5, encoder=encoder, seed=0).fit(X_train, y_train)
         assert online.score(X_train, y_train) >= centroid.score(X_train, y_train) - 1e-9
 
@@ -55,9 +57,15 @@ class TestOnlineHD:
         np.testing.assert_array_equal(first.predict(X_test), second.predict(X_test))
 
     def test_zero_epochs_is_pure_bundling(self, blobs_split):
+        """Each class hypervector is the (weighted) sum of its encoded samples."""
         X_train, _, y_train, _ = blobs_split
-        model = OnlineHD(dim=150, epochs=0, seed=0).fit(X_train, y_train)
-        assert model.class_hypervectors_.shape == (3, 150)
+        for weights in (None, np.where(y_train == 0, 10.0, 1.0)):
+            model = OnlineHD(dim=150, epochs=0, seed=0).fit(X_train, y_train, weights)
+            encoded = model.encoder.encode(X_train)
+            if weights is not None:
+                encoded = (weights * len(weights) / weights.sum())[:, None] * encoded
+            centroids = np.stack([encoded[y_train == c].sum(axis=0) for c in range(3)])
+            np.testing.assert_allclose(model.class_hypervectors_, centroids, rtol=1e-12)
 
     def test_predict_proba_rows_sum_to_one(self, blobs_split):
         X_train, X_test, y_train, _ = blobs_split

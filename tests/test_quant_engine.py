@@ -4,8 +4,8 @@ Four layers of guarantees, from exact to statistical:
 
 * **Exact integer-domain identities** — packed XOR + popcount scoring is
   bit-identical to :func:`~repro.hdc.similarity.hamming_similarity` on the
-  unpacked signs (including dims not divisible by 8, where pad bits must
-  never count); fixed-point integer matmuls equal the float cosine of the
+  unpacked signs (at any learner width and span, where pad bits must never
+  count); fixed-point integer matmuls equal the float cosine of the
   dequantized representatives to machine precision; the popcount LUT
   fallback equals :func:`numpy.bitwise_count`.
 * **Argmax parity with the float engine** — fixed16/fixed8 predictions are
@@ -16,10 +16,11 @@ Four layers of guarantees, from exact to statistical:
   builds engines whose stored codes are byte-for-byte the archived codes,
   with float64 dequantization provably never invoked (the dequantizer is
   monkeypatched to explode during the load).
-* **Packed bit-flip sweeps** — the XOR-mask backend draws the same flip
-  patterns as the ``mode="bipolar"`` float reference at a fixed seed, so
-  the accuracy distributions of the two backends coincide.
+* **Bit flips of the 1-bit model** — a seeded ``mode="bipolar"``
+  perturbation flips exactly the packed engine's stored class bits.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,19 +36,18 @@ from repro.engine import (
     EngineError,
     FixedPointModel,
     PackedBipolarModel,
+    build_engine,
     compile_model,
+    pack_words,
     top2_margin,
 )
+from repro.engine.compile import assemble_components
 from repro.hdc import (
+    NonlinearEncoder,
     OnlineHD,
-    bipolarize,
     cosine_similarity,
     hamming_similarity,
-    pack_signs,
-    packed_hamming_similarity,
     quantize_codes,
-    quantize_model,
-    unpack_signs,
 )
 from repro.hdc.quantize import SCHEME_DTYPES, from_fixed_point
 from repro.hdc.similarity import _popcount_rows_lut, popcount_rows
@@ -157,23 +157,6 @@ def test_packed_scores_equal_hamming_reference(fitted_models, query_rows, kind):
     np.testing.assert_array_equal(
         engine.score_encoded(encoded), _hamming_reference(engine, model, encoded)
     )
-
-
-def test_packed_prepack_matches_direct_scoring(fitted_models, query_rows):
-    for kind in ("boosthd-independent", "boosthd-unequal"):
-        model = fitted_models[kind]
-        engine = compile_model(model, dtype=np.float64, precision="bipolar-packed")
-        queries = engine.prepack(query_rows)
-        np.testing.assert_array_equal(
-            engine.score_packed(queries),
-            _hamming_reference(engine, model, engine.encode(query_rows)),
-        )
-        np.testing.assert_array_equal(
-            engine.score_packed(queries), engine.decision_function(query_rows)
-        )
-        np.testing.assert_array_equal(
-            engine.predict_packed(queries), engine.predict(query_rows)
-        )
 
 
 def _dequantized_cosine_reference(engine, model, encoded):
@@ -474,40 +457,51 @@ def test_unknown_precision_raises(fitted_models):
 
 
 # ------------------------------------------------------ hypothesis properties
-@settings(max_examples=50, deadline=None)
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(1, 6), st.integers(1, 67)),
-        elements=sign_floats,
+def _packed_from_signs(hypervectors, alphas, aggregation):
+    """A packed engine over learners of any widths, and its hamming oracle's
+    model view: learner ``i`` holds the ``(k, d_i)`` ``hypervectors[i]``."""
+    classes = np.arange(hypervectors[0].shape[0])
+    components = assemble_components(
+        [
+            NonlinearEncoder(3, values.shape[1], rng=index)
+            for index, values in enumerate(hypervectors)
+        ],
+        [classes] * len(hypervectors),
+        hypervectors,
+        alphas=np.asarray(alphas, dtype=float),
+        aggregation=aggregation,
+        classes=classes,
+        declared=False,
     )
-)
-def test_pack_unpack_round_trip_is_bipolarize(batch):
-    packed = pack_signs(batch)
-    assert packed.dtype == np.uint8
-    assert packed.shape == (batch.shape[0], (batch.shape[1] + 7) // 8)
-    np.testing.assert_array_equal(
-        unpack_signs(packed, batch.shape[1]), bipolarize(batch)
-    )
+    engine = build_engine(components, "bipolar-packed", dtype=np.float64)
+    learners = [
+        SimpleNamespace(class_hypervectors_=values, classes_=classes)
+        for values in hypervectors
+    ]
+    return engine, SimpleNamespace(learners_=learners)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.integers(1, 67).flatmap(
-        lambda dim: st.tuples(
-            arrays(np.float64, st.tuples(st.integers(1, 5), st.just(dim)),
-                   elements=sign_floats),
-            arrays(np.float64, st.tuples(st.integers(1, 5), st.just(dim)),
-                   elements=sign_floats),
+    st.lists(st.integers(1, 130), min_size=1, max_size=4).flatmap(
+        lambda widths: st.tuples(
+            st.tuples(*[
+                arrays(np.float64, (3, width), elements=sign_floats)
+                for width in widths
+            ]),
+            arrays(np.float64, (5, sum(widths)), elements=sign_floats),
+            st.lists(st.floats(0.1, 4.0), min_size=len(widths), max_size=len(widths)),
+            st.sampled_from(("score", "vote")),
         )
     )
 )
-def test_packed_hamming_equals_float_hamming(pair):
-    lhs, rhs = pair
-    dim = lhs.shape[1]
-    expected = hamming_similarity(lhs, rhs)
-    produced = packed_hamming_similarity(pack_signs(lhs), pack_signs(rhs), dim)
-    np.testing.assert_array_equal(produced, expected)
+def test_packed_hamming_equals_float_hamming(case):
+    """XOR + popcount over any learner widths is hamming on the signs."""
+    hypervectors, encoded, alphas, aggregation = case
+    engine, model = _packed_from_signs(list(hypervectors), alphas, aggregation)
+    np.testing.assert_array_equal(
+        engine.score_encoded(encoded), _hamming_reference(engine, model, encoded)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -547,52 +541,49 @@ def test_popcount_rows_handles_uint64_words():
     ),
     st.sampled_from(("fixed16", "fixed8")),
 )
-def test_quantize_codes_matches_quantize_model(values, scheme):
+def test_quantize_codes_round_trip_is_within_half_a_step(values, scheme):
     codes, fmt = quantize_codes(values, scheme)
     assert codes.dtype == SCHEME_DTYPES[scheme]
-    np.testing.assert_array_equal(
-        from_fixed_point(codes.astype(np.int64), fmt), quantize_model(values, scheme)
-    )
+    error = np.abs(from_fixed_point(codes, fmt) - values)
+    assert np.all(error <= fmt.scale * (0.5 + 1e-9))
 
 
 def test_pad_bits_never_count_as_matches():
-    """Explicit unpadded-dim edge: dim=13 packs to 2 bytes with 3 pad bits."""
+    """A 13-wide learner fills 13 bits of its word; the other 51 are pad."""
     ones = np.ones((1, 13))
-    sim = packed_hamming_similarity(pack_signs(ones), pack_signs(-ones), 13)
-    # All 13 real bits mismatch; if the 3 pad bits counted as matches the
-    # similarity would be 3/16 instead of exactly zero.
-    assert sim == 0.0
-    assert packed_hamming_similarity(pack_signs(ones), pack_signs(ones), 13) == 1.0
-    with pytest.raises(ValueError, match="does not match dim"):
-        packed_hamming_similarity(pack_signs(ones), pack_signs(ones), 24)
+    engine, _ = _packed_from_signs([ones], [1.0], "score")
+    # All 13 real bits mismatch; if pad bits counted as matches the
+    # similarity would be 51/64 instead of exactly zero.
+    assert engine.score_encoded(-ones)[0, 0] == 0.0
+    assert engine.score_encoded(ones)[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("dim", (1, 7, 9, 63, 65, 127, 129, 191))
-def test_pad_bit_semantics_at_word_boundary_widths(dim):
-    """Every dim % 64 != 0 edge around the uint64 word boundaries.
+@pytest.mark.parametrize(
+    "widths",
+    [(1,), (7,), (9,), (63,), (64,), (65,), (127,), (129,), (191,), (7, 65, 129)],
+    ids=lambda widths: "-".join(map(str, widths)),
+)
+def test_pad_bit_semantics_at_word_boundary_widths(widths):
+    """Learner widths and spans around the ``uint64`` word boundaries.
 
-    Opposite sign patterns must score exactly 0 and identical ones exactly 1
-    — any pad-bit leak shows up as a (8*ceil(dim/8) - dim)/dim offset.  The
-    engine's padded-word path (``_pad_packed``) reduces to the same packed
-    bytes, so this parametrization is the direct coverage for the widths the
-    engine tests only hit incidentally.
+    The engine scores each learner's span of a sign row packed once over
+    all learners, so a learner may start mid-word and end mid-word.  Its
+    scores equal the alpha-weighted per-learner hamming similarity; a class
+    pattern scored against itself gives exactly 1, its negation exactly 0
+    — any pad-bit leak shows up as an offset.
     """
-    rng = np.random.default_rng(dim)
-    values = np.where(rng.random((3, dim)) < 0.5, -1.0, 1.0)
-    packed = pack_signs(values)
-    assert packed.shape == (3, (dim + 7) // 8)
-    np.testing.assert_array_equal(
-        np.diagonal(packed_hamming_similarity(packed, packed, dim)),
-        np.ones(3),
-    )
-    np.testing.assert_array_equal(
-        np.diagonal(packed_hamming_similarity(packed, pack_signs(-values), dim)),
-        np.zeros(3),
-    )
-    np.testing.assert_array_equal(
-        packed_hamming_similarity(packed, packed, dim),
-        hamming_similarity(values, values),
-    )
+    rng = np.random.default_rng(sum(widths))
+    hypervectors = [np.where(rng.random((3, w)) < 0.5, -1.0, 1.0) for w in widths]
+    alphas = rng.uniform(0.5, 2.0, len(widths))
+    patterns = np.hstack(hypervectors)
+    queries = np.vstack([patterns, -patterns, rng.normal(size=(8, sum(widths)))])
+    for aggregation in ("score", "vote"):
+        engine, model = _packed_from_signs(hypervectors, alphas, aggregation)
+        scores = engine.score_encoded(queries)
+        np.testing.assert_array_equal(scores, _hamming_reference(engine, model, queries))
+        if aggregation == "score":
+            np.testing.assert_array_equal(np.diagonal(scores[:3]), np.ones(3))
+            np.testing.assert_array_equal(np.diagonal(scores[3:6]), np.zeros(3))
 
 
 @pytest.mark.parametrize("width", (1, 2, 3, 7, 8, 9, 16, 17))
@@ -775,122 +766,56 @@ def test_adaptive_model_serving_precision_recompiles_quantized():
             AdaptiveModel(model, precision=typo)
 
 
-# ----------------------------------------------------------- packed bit flips
+# ------------------------------------------------------------- bit flips
 def test_flip_class_bits_zero_probability_is_identity():
-    X, y, X_test, _ = _blob_problem(seed=6)
-    engine = compile_model(
-        BoostHD(total_dim=320, n_learners=4, epochs=2, seed=3).fit(X, y),
-        precision="bipolar-packed",
-    )
-    queries = engine.prepack(X_test)
-    baseline = engine.score_packed(queries)
-    clone = engine.flip_class_bits(0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(clone.score_packed(queries), baseline)
-    noisy = engine.flip_class_bits(0.3, np.random.default_rng(0))
-    assert not np.array_equal(noisy.score_packed(queries), baseline)
-    # The original engine must be untouched.
-    np.testing.assert_array_equal(engine.score_packed(queries), baseline)
+    """At p=0 the bipolar perturbation flips no stored bit and draws no
+    randomness; at any p it leaves the original model untouched."""
+    from repro.data.noise import perturb_model
 
-
-def test_flip_class_bits_after_scoring_uses_the_flipped_bits(
-    fitted_models, query_rows
-):
-    """A clone flipped after its engine has scored equals a fresh flip.
-
-    Anything the engine derives from its class words while scoring must
-    follow the flipped words into the clone, never be copied over stale.
-    """
-    model, rows = fitted_models["boosthd-unequal"], query_rows
+    X, y, _, _ = _blob_problem(seed=6)
+    model = BoostHD(total_dim=320, n_learners=4, epochs=2, seed=3).fit(X, y)
+    before = [learner.class_hypervectors_.copy() for learner in model.learners_]
     engine = compile_model(model, precision="bipolar-packed")
-    baseline = engine.decision_function(rows)
-    queries = engine.prepack(rows)
-    engine.score_packed(queries)
-    clone = engine.flip_class_bits(0.3, np.random.default_rng(11))
-    fresh = compile_model(model, precision="bipolar-packed").flip_class_bits(
-        0.3, np.random.default_rng(11)
-    )
-    flipped = fresh.decision_function(rows)
-    assert not np.array_equal(flipped, baseline)
-    np.testing.assert_array_equal(clone.decision_function(rows), flipped)
-    np.testing.assert_array_equal(clone.score_packed(queries), fresh.score_packed(queries))
-    np.testing.assert_array_equal(engine.decision_function(rows), baseline)
+
+    def flipped_words(probability, rng):
+        perturbed = perturb_model(model, probability, mode="bipolar", rng=rng)
+        return compile_model(perturbed, precision="bipolar-packed").words
+
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(flipped_words(0.0, rng), engine.words)
+    assert rng.random() == np.random.default_rng(0).random()
+    assert not np.array_equal(flipped_words(0.3, np.random.default_rng(0)), engine.words)
+    for learner, original in zip(model.learners_, before):
+        np.testing.assert_array_equal(learner.class_hypervectors_, original)
 
 
 @pytest.mark.parametrize("kind", ("boosthd-unequal", "onlinehd"))
-def test_flip_class_bits_equals_bipolar_perturbation_bitwise(
-    fitted_models, query_rows, kind
-):
-    """A seeded packed flip is exactly the seeded ``mode="bipolar"`` flip.
+def test_flip_class_bits_equals_bipolar_perturbation_bitwise(fitted_models, kind):
+    """A seeded ``mode="bipolar"`` flip is an XOR of the stored class bits.
 
-    Both draw one ``(k, d_i)`` uniform mask per learner, in learner order,
-    from the same generator, so the flipped words are the packed signs of
-    the perturbed model: a changed draw order or a misplaced bit in the
-    word layout changes the scores.
+    The perturbation draws one ``(k, d_i)`` uniform mask per learner, in
+    learner order; flipping exactly those bits of the packed engine's words
+    gives the packed engine of the perturbed model.  So Figure 8's 1-bit
+    sweep flips the bits a packed deployment stores: a changed draw order
+    or a misplaced bit in the word layout breaks the equality.
     """
     from repro.data.noise import perturb_model
 
     model = fitted_models[kind]
     engine = compile_model(model, precision="bipolar-packed")
-    flipped = engine.flip_class_bits(0.3, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    flips = np.hstack([
+        rng.random((len(engine.classes_), stop - start)) < 0.3
+        for start, stop in engine.spans
+    ])
     perturbed = compile_model(
         perturb_model(model, 0.3, mode="bipolar", rng=np.random.default_rng(7)),
         precision="bipolar-packed",
     )
-    queries = engine.prepack(query_rows)
-    scores = flipped.score_packed(queries)
-    assert not np.array_equal(scores, engine.score_packed(queries))
-    np.testing.assert_array_equal(scores, perturbed.score_packed(queries))
-
-
-def test_packed_bitflip_sweep_statistically_equals_bipolar_reference():
-    """Fixed seed => same sampled flip patterns => matching accuracy curves.
-
-    The packed backend and the ``mode="bipolar"`` reference draw their flip
-    masks from the same generator in the same per-learner order, so the
-    perturbations are identical.  The two scorers differ only in the query
-    representation — the packed engine sign-quantizes queries too (the
-    deployment-faithful 1-bit model) while the float reference scores
-    full-precision queries against the flipped bipolar classes — so the
-    accuracy curves agree statistically (close absolute means, near-equal
-    degradation slopes) rather than pointwise.
-    """
-    X, y, X_test, y_test = _blob_problem(seed=7)
-    model = BoostHD(
-        total_dim=320, n_learners=4, epochs=3, seed=4, aggregation="vote"
-    ).fit(X, y)
-    probabilities = (0.01, 0.05, 0.2)
-    packed = bitflip_sweep(
-        model, X_test, y_test, probabilities,
-        n_trials=10, backend="packed", rng=123, model_name="packed",
+    assert flips.any()
+    np.testing.assert_array_equal(
+        perturbed.words, engine.words ^ pack_words(flips, engine.spans)
     )
-    reference = bitflip_sweep(
-        model, X_test, y_test, probabilities,
-        n_trials=10, mode="bipolar", rng=123, model_name="reference",
-    )
-    assert packed.probabilities.tolist() == list(probabilities)
-    np.testing.assert_allclose(packed.means, reference.means, atol=0.1)
-    packed_drop = packed.means[0] - packed.means
-    reference_drop = reference.means[0] - reference.means
-    np.testing.assert_allclose(packed_drop, reference_drop, atol=0.1)
-    # Both sweeps degrade: heavy flipping hurts accuracy.
-    assert packed.means[-1] <= packed.means[0] + 1e-9
-    assert packed.points[0].scores.shape == (10,)
-
-
-def test_bitflip_sweep_rejects_unknown_backend():
-    X, y, X_test, y_test = _blob_problem(seed=8)
-    model = OnlineHD(dim=128, epochs=2, seed=0).fit(X, y)
-    with pytest.raises(ValueError, match="backend"):
-        bitflip_sweep(model, X_test, y_test, (0.01,), backend="gpu")
-    # The packed backend is the 1-bit representation; it must not silently
-    # answer a fixed-point robustness question.
-    with pytest.raises(ValueError, match="bipolar"):
-        bitflip_sweep(model, X_test, y_test, (0.01,), mode="fixed8", backend="packed")
-    result = bitflip_sweep(
-        model, X_test, y_test, (0.01,), n_trials=2, mode="bipolar", backend="packed",
-        rng=0,
-    )
-    assert len(result.points) == 1
 
 
 def test_bipolar_reference_clean_baseline_is_quantized_model():

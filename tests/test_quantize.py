@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.hdc import FixedPointFormat, from_fixed_point, quantize_model, to_fixed_point
-from repro.hdc.quantize import infer_scale
+from repro.hdc import (
+    FixedPointFormat,
+    bipolarize,
+    from_fixed_point,
+    quantize_codes,
+    to_fixed_point,
+)
+from repro.hdc.quantize import SCHEME_DTYPES, infer_scale
 
 
 class TestFixedPointFormat:
@@ -55,16 +61,20 @@ class TestFixedPointRoundTrip:
 
 
 class TestQuantizeModel:
+    """Class hypervectors quantize through ``bipolarize`` (1 bit) or
+    ``quantize_codes`` + ``from_fixed_point`` (what the engines store)."""
+
     def test_bipolar_scheme(self):
         model = np.array([[0.5, -0.2], [-1.0, 0.0]])
-        quantized = quantize_model(model, scheme="bipolar")
-        assert set(np.unique(quantized)) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(bipolarize(model), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_fixed_schemes_preserve_shape_and_sign(self):
         rng = np.random.default_rng(0)
         model = rng.standard_normal((3, 50))
         for scheme in ("fixed16", "fixed8"):
-            quantized = quantize_model(model, scheme=scheme)
+            codes, fmt = quantize_codes(model, scheme)
+            assert codes.dtype == SCHEME_DTYPES[scheme]
+            quantized = from_fixed_point(codes, fmt)
             assert quantized.shape == model.shape
             # Signs agree wherever the magnitude is not negligible.
             mask = np.abs(model) > 0.1
@@ -73,10 +83,10 @@ class TestQuantizeModel:
     def test_fixed16_more_accurate_than_fixed8(self):
         rng = np.random.default_rng(1)
         model = rng.standard_normal((2, 200))
-        error16 = np.abs(quantize_model(model, "fixed16") - model).mean()
-        error8 = np.abs(quantize_model(model, "fixed8") - model).mean()
+        error16 = np.abs(from_fixed_point(*quantize_codes(model, "fixed16")) - model).mean()
+        error8 = np.abs(from_fixed_point(*quantize_codes(model, "fixed8")) - model).mean()
         assert error16 < error8
 
     def test_unknown_scheme_raises(self):
-        with pytest.raises(ValueError):
-            quantize_model(np.ones((2, 2)), scheme="int4")
+        with pytest.raises(ValueError, match="int4"):
+            quantize_codes(np.ones((2, 2)), "int4")

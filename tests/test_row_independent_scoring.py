@@ -139,8 +139,6 @@ def test_row_steps_bit_identical(fitted, monkeypatch, kind, precision, step_rows
     whole = engine.score_encoded(encoded)
     _force_steps(monkeypatch, engine, step_rows)
     np.testing.assert_array_equal(engine.score_encoded(encoded), whole)
-    if precision == "bipolar-packed":
-        np.testing.assert_array_equal(engine.score_packed(engine.prepack(X)), whole)
 
 
 @pytest.mark.parametrize("kind", ("boosthd", "onlinehd", "vote"))

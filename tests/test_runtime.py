@@ -3,8 +3,8 @@
 The load-bearing guarantees:
 
 * **Equivalence** — ``run_suite`` produces bit-identical accuracies and seeds
-  at 1, 2 and 4 workers, with legacy and derived seed roots, and with both
-  data sources (shipped splits and per-worker dataset loading).
+  at 1, 2 and 4 workers, with legacy and derived seed roots, and with its
+  default datasets or the same datasets passed explicitly.
 * **Resume** — an interrupted suite checkpoints every completed cell into the
   :class:`~repro.runtime.store.ArtifactStore` and a rerun replays them
   without recomputation, landing on the same numbers.
@@ -23,13 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import run_suite
+from repro.experiments import load_dataset, load_datasets, run_suite
 from repro.runtime import (
     ArtifactStore,
     CellResult,
     CellTask,
     GridPlan,
-    LoaderSource,
     ParallelExecutor,
     RunReport,
     SplitSource,
@@ -231,12 +230,17 @@ class TestEquivalence:
 
     @pytest.mark.slow
     def test_loader_source_equivalence(self, tiny_scale):
-        """datasets=None: workers regenerate datasets locally from seeds."""
-        serial = run_suite(None, SUITE_MODELS, scale=tiny_scale, n_runs=2, seed=7)
-        parallel = run_suite(
-            None, SUITE_MODELS, scale=tiny_scale, n_runs=2, seed=7, max_workers=2
+        """datasets=None runs the suite on ``load_datasets(scale, seed=seed)``."""
+        default = run_suite(None, SUITE_MODELS, scale=tiny_scale, n_runs=2, seed=7)
+        explicit = run_suite(
+            load_datasets(tiny_scale, seed=7),
+            SUITE_MODELS,
+            scale=tiny_scale,
+            n_runs=2,
+            seed=7,
+            max_workers=2,
         )
-        assert_suites_identical(serial, parallel)
+        assert_suites_identical(default, explicit)
 
     def test_report_reflects_workers(self, suite_datasets, tiny_scale):
         suite = run_suite(
@@ -591,12 +595,15 @@ class TestCellTask:
         assert task.label == "WESAD/BoostHD#2"
 
 
-class TestLoaderSource:
+class TestSplitSource:
     def test_fingerprint_distinguishes_seeds(self, tiny_scale):
-        canonical = ("WESAD", "Nurse Stress Dataset", "Stress-Predict Dataset")
-        legacy = LoaderSource(canonical, tiny_scale, None, 0.3, 7)
-        derived = LoaderSource(canonical, tiny_scale, 5, 0.3, 7)
+        """The store keys a cell by its data: another generation seed is
+        another fingerprint, the same seed the same one."""
+
+        def source(seed):
+            dataset = load_dataset("WESAD", tiny_scale, seed=seed)
+            return SplitSource({"WESAD": dataset.split(test_fraction=0.3, rng=7)})
+
+        legacy, derived = source(None), source(5)
         assert legacy.fingerprint("WESAD") != derived.fingerprint("WESAD")
-        assert legacy.fingerprint("WESAD") == LoaderSource(
-            canonical, tiny_scale, None, 0.3, 7
-        ).fingerprint("WESAD")
+        assert legacy.fingerprint("WESAD") == source(None).fingerprint("WESAD")

@@ -10,7 +10,6 @@ from repro.data import (
     SignalSimulator,
     SubjectPhysiology,
     extract_features,
-    extract_window_features,
     feature_names,
     moving_average,
 )
@@ -125,8 +124,8 @@ class TestMovingAverage:
 class TestFeatureExtraction:
     def test_window_feature_length(self):
         window = np.random.default_rng(0).standard_normal((7, 100))
-        features = extract_window_features(window)
-        assert features.shape == (7 * 4,)
+        features = extract_features(window[None])
+        assert features.shape == (1, 7 * 4)
 
     def test_batch_feature_shape(self):
         windows = np.random.default_rng(0).standard_normal((5, 7, 100))
@@ -136,9 +135,9 @@ class TestFeatureExtraction:
         windows = np.random.default_rng(0).standard_normal((3, 4, 50))
         batch = extract_features(windows, smoothing_window=5)
         singles = np.vstack(
-            [extract_window_features(window, smoothing_window=5) for window in windows]
+            [extract_features(window[None], smoothing_window=5) for window in windows]
         )
-        np.testing.assert_allclose(batch, singles)
+        np.testing.assert_array_equal(batch, singles)
 
     def test_custom_statistics_subset(self):
         windows = np.random.default_rng(0).standard_normal((2, 3, 30))
@@ -153,7 +152,7 @@ class TestFeatureExtraction:
         with pytest.raises(ValueError):
             extract_features(np.ones((2, 10)))
         with pytest.raises(ValueError):
-            extract_window_features(np.ones(10))
+            extract_features(np.ones(10))
 
     def test_feature_names_layout(self):
         names = feature_names(["EDA", "BVP"], ("min", "max"))

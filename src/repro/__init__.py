@@ -20,9 +20,9 @@ for Enhanced Reliability in Healthcare"* (DATE 2025) end to end on plain
   with incremental featurization, a micro-batching scheduler over the fused
   engine, a versioned model registry, and drift-aware online adaptation,
 * :mod:`repro.runtime` — the parallel, resumable experiment runtime: grid
-  plans with deterministically derived per-cell seeds, a process-pool
-  executor with a serial fallback, a content-hashed artifact store for
-  checkpoint/resume, and per-run utilization reports,
+  cells with deterministically derived seeds, one order-preserving process
+  pool map, a content-hashed artifact store for checkpoint/resume, and
+  per-run utilization reports,
 * :mod:`repro.analysis` and :mod:`repro.experiments` — the harness that
   regenerates every table and figure of the evaluation section.
 
@@ -40,7 +40,7 @@ from .core import BaggedHD, BoostHD
 from .data import load_nurse_stress, load_stress_predict, load_wesad
 from .engine import CompiledModel, compile_model
 from .hdc import NonlinearEncoder, OnlineHD
-from .runtime import ArtifactStore, GridPlan, ParallelExecutor, RunReport
+from .runtime import ArtifactStore, RunReport
 from .serving import (
     AdaptiveModel,
     DriftMonitor,
@@ -63,8 +63,6 @@ __all__ = [
     "NonlinearEncoder",
     "OnlineHD",
     "ArtifactStore",
-    "GridPlan",
-    "ParallelExecutor",
     "RunReport",
     "AdaptiveModel",
     "DriftMonitor",

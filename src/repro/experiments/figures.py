@@ -24,6 +24,7 @@ from ..hdc.onlinehd import OnlineHD
 from ..runtime.cells import bitflip_cell, heatmap_cell, imbalance_cell, stability_cell
 from ..runtime.executor import parallel_map
 from .config import ExperimentScale, get_scale
+from .registry import check_model_names
 from .reporting import format_series
 
 __all__ = [
@@ -357,9 +358,11 @@ def figure8_robustness(
 
     Each model's full sweep is one independent cell (training plus all trial
     batches share the model instance), so ``max_workers`` parallelises over
-    models with results identical to the serial path.
+    models with results identical to the serial path.  Unknown or repeated
+    model names raise ``ValueError`` before anything trains.
     """
     scale = scale or get_scale()
+    model_names = check_model_names(model_names)
     n_trials = scale.bitflip_trials if n_trials is None else n_trials
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -367,7 +370,7 @@ def figure8_robustness(
 
     sweeps = parallel_map(
         bitflip_cell,
-        tuple(model_names),
+        model_names,
         max_workers=max_workers,
         shared=(split, tuple(probabilities), n_trials, mode, seed, scale),
     )

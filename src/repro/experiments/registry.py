@@ -11,7 +11,8 @@ so that quick runs shrink only sizes, never algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from collections import Counter
+from typing import Callable, Mapping, Sequence
 
 from ..baselines.adaboost import AdaBoostClassifier
 from ..baselines.base import BaseClassifier
@@ -23,7 +24,7 @@ from ..core.boosthd import BoostHD
 from ..hdc.onlinehd import OnlineHD
 from .config import ExperimentScale, get_scale
 
-__all__ = ["MODEL_NAMES", "build_model", "model_builders"]
+__all__ = ["MODEL_NAMES", "build_model", "check_model_names", "model_builders"]
 
 #: The seven models of Tables I–III, in the paper's column order.
 MODEL_NAMES: tuple[str, ...] = (
@@ -76,6 +77,20 @@ def build_model(
             seed=seed,
         )
     raise ValueError(f"unknown model {name!r}; available: {MODEL_NAMES}")
+
+
+def check_model_names(names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple, or a ``ValueError`` naming every unknown or
+    repeated one — so a grid refuses bad names before anything trains."""
+    names = tuple(names)
+    unknown = [name for name in dict.fromkeys(names) if name not in MODEL_NAMES]
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if unknown or repeated:
+        raise ValueError(
+            f"unknown model names {unknown}, repeated model names {repeated}; "
+            f"available: {MODEL_NAMES}"
+        )
+    return names
 
 
 def model_builders(

@@ -4,21 +4,24 @@ Tables I and II need, per (dataset, model) cell, the mean ± std accuracy over
 independent runs and the per-query inference time.  The runner produces both
 in one pass so the two tables stay consistent.
 
-Since the :mod:`repro.runtime` refactor the suite executes through a
-:class:`~repro.runtime.plan.GridPlan` of independent (dataset × model × run)
-cells: ``run_suite`` can fan the grid out over a process pool
-(``max_workers``), checkpoint completed cells into an
-:class:`~repro.runtime.store.ArtifactStore` (``store``) so interrupted
-suites resume without recomputation, and report per-cell wall time and
-worker utilization on ``SuiteResult.report``.  Results are bit-identical
-across worker counts because every cell's seed is derived from its grid
-coordinates alone (:mod:`repro.runtime.seeding`).
+Since the :mod:`repro.runtime` refactor the suite executes as independent
+(dataset × model × run) cells (:func:`~repro.runtime.plan.suite_cells`):
+``run_suite`` maps them over a process pool (``max_workers``) with
+:func:`~repro.runtime.executor.parallel_map`, each cell checkpointing itself
+into an :class:`~repro.runtime.store.ArtifactStore` (``store``) so
+interrupted suites resume without recomputation, and reports per-cell wall
+time and worker utilization on ``SuiteResult.report``.  Results are
+bit-identical across worker counts because every cell's seed is derived from
+its grid coordinates alone (:mod:`repro.runtime.seeding`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
+from itertools import groupby
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,14 +29,15 @@ import numpy as np
 from ..baselines.base import BaseClassifier
 from ..baselines.metrics import accuracy
 from ..data.loaders import TabularDataset
-from ..runtime.cells import CellResult, single_run
-from ..runtime.executor import ParallelExecutor, SplitSource
-from ..runtime.plan import GridPlan
+from ..obs import OBS, MetricsRegistry, scoped_registry
+from ..runtime.cells import single_run, suite_cell
+from ..runtime.executor import parallel_map, resolve_max_workers
+from ..runtime.plan import CellTask, suite_cells
 from ..runtime.report import RunReport
 from ..runtime.seeding import dataset_seeds
 from ..runtime.store import ArtifactStore
 from .config import ExperimentScale, get_scale
-from .registry import MODEL_NAMES
+from .registry import MODEL_NAMES, check_model_names
 
 __all__ = [
     "DATASET_NAMES",
@@ -273,6 +277,30 @@ def load_datasets(
     }
 
 
+def _split_fingerprint(split: Sequence[np.ndarray]) -> str:
+    """SHA-256 of a split's arrays, so different data never replays a cell."""
+    digest = hashlib.sha256()
+    for array in split:
+        array = np.ascontiguousarray(array)
+        digest.update(str(array.dtype).encode())
+        digest.update(str(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _cell_spec(cell: CellTask, data: str, config: Mapping[str, object]) -> dict:
+    """The content-hashed identity of one cell's computation (its store key)."""
+    return {
+        "version": 1,
+        "dataset": cell.dataset,
+        "model": cell.model,
+        "run_index": cell.run_index,
+        "seed": cell.seed,
+        "data": data,
+        **config,
+    }
+
+
 def run_suite(
     datasets: Mapping[str, TabularDataset] | None = None,
     model_names: Sequence[str] = MODEL_NAMES,
@@ -298,52 +326,82 @@ def run_suite(
       ``"auto"`` uses all available CPUs.  Accuracies are bit-identical for
       every worker count.
     * ``store`` — an :class:`~repro.runtime.store.ArtifactStore` (or a
-      directory path) checkpointing each completed cell; rerunning with the
-      same configuration replays finished cells instead of recomputing them.
+      directory path) into which each cell checkpoints itself, in the
+      process that ran it; rerunning with the same configuration replays
+      finished cells instead of recomputing them.
 
     When ``datasets`` is omitted the suite runs on
     ``load_datasets(scale, seed=seed)``.  Every dataset is split once in the
-    parent and shipped to each worker a single time.
+    parent and shipped to each worker a single time.  Unknown or repeated
+    model names, and ``n_runs`` < 1, raise ``ValueError`` before anything
+    is split, looked up or trained.
     """
     scale = scale or get_scale()
     n_runs = scale.n_runs if n_runs is None else n_runs
-    if isinstance(store, (str, os.PathLike)) and not isinstance(store, ArtifactStore):
+    model_names = check_model_names(model_names)
+    cells = suite_cells(
+        DATASET_NAMES if datasets is None else tuple(datasets), model_names, n_runs, seed
+    )
+    if isinstance(store, (str, os.PathLike)):
         store = ArtifactStore(store)
     if datasets is None:
         datasets = load_datasets(scale, seed=seed)
-    source = SplitSource(
-        splits={
-            name: dataset.split(test_fraction=test_fraction, rng=split_seed)
-            for name, dataset in datasets.items()
+    splits = {
+        name: dataset.split(test_fraction=test_fraction, rng=split_seed)
+        for name, dataset in datasets.items()
+    }
+
+    start = time.perf_counter()
+    # Specs exist only to key the store; without one, skip hashing the data.
+    specs: list[dict | None] = [None] * len(cells)
+    if store is not None:
+        fingerprints = {name: _split_fingerprint(split) for name, split in splits.items()}
+        config = {
+            "root_seed": seed,
+            "test_fraction": test_fraction,
+            "split_seed": split_seed,
+            "scale": asdict(scale),
+            "engine": bool(engine),
         }
+        specs = [_cell_spec(cell, fingerprints[cell.dataset], config) for cell in cells]
+    replayed = [None if spec is None else store.load(spec) for spec in specs]
+    pending = [
+        (cell, spec)
+        for cell, spec, result in zip(cells, specs, replayed)
+        if result is None
+    ]
+
+    workers = resolve_max_workers(max_workers)
+    run_registry = MetricsRegistry()
+    with scoped_registry(run_registry):
+        computed = iter(
+            parallel_map(
+                suite_cell,
+                pending,
+                max_workers=workers,
+                shared=(splits, scale, engine, store),
+            )
+        )
+    results = [next(computed) if result is None else result for result in replayed]
+    metrics = None
+    if OBS.enabled:
+        metrics = run_registry.snapshot()
+        # Fold the run's telemetry into the process-wide registry so the
+        # suite run shows up on the parent's /metrics like everything else.
+        OBS.metrics.merge(metrics)
+    report = RunReport(
+        total_seconds=time.perf_counter() - start,
+        max_workers=workers,
+        cells=tuple(results),
+        metrics=metrics,
     )
 
-    plan = GridPlan.for_suite(
-        tuple(datasets),
-        tuple(model_names),
-        n_runs,
-        scale=scale,
-        seed=seed,
-        test_fraction=test_fraction,
-        split_seed=split_seed,
-    )
-    executor = ParallelExecutor(max_workers=max_workers)
-    cell_results, report = executor.run(plan, source, store=store, engine=engine)
-
-    by_pair: dict[tuple[str, str], list[CellResult]] = {}
-    for result in cell_results:
-        by_pair.setdefault((result.dataset, result.model), []).append(result)
-    results: dict[str, dict[str, ModelRunResult]] = {}
-    for dataset_name in plan.dataset_names:
-        results[dataset_name] = {}
-        for model_name in plan.model_names:
-            runs = sorted(
-                by_pair[(dataset_name, model_name)], key=lambda r: r.run_index
-            )
-            results[dataset_name][model_name] = _aggregate_samples(
-                model_name,
-                dataset_name,
-                runs,
-                tuple(run.seed for run in runs),
-            )
-    return SuiteResult(results=results, report=report)
+    grouped: dict[str, dict[str, ModelRunResult]] = {}
+    for (dataset_name, model_name), runs in groupby(
+        results, key=lambda result: (result.dataset, result.model)
+    ):
+        runs = list(runs)
+        grouped.setdefault(dataset_name, {})[model_name] = _aggregate_samples(
+            model_name, dataset_name, runs, tuple(run.seed for run in runs)
+        )
+    return SuiteResult(results=grouped, report=report)

@@ -16,7 +16,7 @@ from ..data.loaders import TabularDataset
 from ..runtime.cells import table3_cell
 from ..runtime.executor import parallel_map
 from .config import ExperimentScale, get_scale
-from .registry import MODEL_NAMES
+from .registry import MODEL_NAMES, check_model_names
 from .reporting import format_mean_std, format_table
 from .runner import SuiteResult
 
@@ -104,12 +104,13 @@ def table3_person_specific(
     Returns ``({model: {group: accuracy, "AVERAGE": mean}}, formatted_text)``.
     Each model's per-group evaluation is an independent cell, so the rows can
     be computed on a worker pool (``max_workers``) with results identical to
-    the serial path.
+    the serial path.  Unknown or repeated model names raise ``ValueError``
+    before anything trains.
     """
     scale = scale or get_scale()
     rows_by_model = parallel_map(
         table3_cell,
-        tuple(model_names),
+        check_model_names(model_names),
         max_workers=max_workers,
         shared=(dataset, test_fraction, seed, scale),
     )

@@ -214,10 +214,11 @@ def capture(
 def scoped_registry(registry: MetricsRegistry):
     """Swap in ``registry`` as the live metrics sink for the block.
 
-    Used by the runtime's serial path to give one suite run its own
-    registry (mirroring what worker processes do naturally), then merge it
-    into the surrounding registry afterwards.  The recorder and enabled
-    flag are untouched; a no-op when telemetry is disabled.
+    ``run_suite`` uses it to give one suite run its own registry — cells
+    record into it in-process, and a pooled map folds its workers' deltas
+    into it — then merges it into the surrounding registry afterwards.  The
+    recorder and enabled flag are untouched; a no-op when telemetry is
+    disabled.
     """
     if not OBS.enabled:
         yield registry

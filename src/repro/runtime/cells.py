@@ -1,17 +1,16 @@
 """Cell executors: the functions a worker process runs for one grid cell.
 
 Everything here is a *top-level* function operating on plain picklable
-payloads, so the same code path runs unchanged in the serial fallback and in
-:class:`~repro.runtime.executor.ParallelExecutor` worker processes.  Heavy
+payloads, so the same code path runs unchanged in-process and in
+:func:`~repro.runtime.executor.parallel_map` worker processes.  Heavy
 package imports happen inside the functions: workers pay them once, and the
 module itself stays import-cycle-free (``repro.runtime`` must not pull in
 ``repro.experiments`` at import time, because the experiments package imports
 the runtime).
 
-Shared, read-only inputs (train/test splits, dataset objects) travel through
-the executor's *shared payload* (see
-:func:`~repro.runtime.executor.parallel_map`), not through each item, so they
-are shipped to every worker exactly once.
+Shared, read-only inputs (train/test splits, dataset objects, the artifact
+store) travel through the map's *shared payload*, not through each item, so
+they are shipped to every worker exactly once.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # runtime imports are lazy to avoid a package cycle
     from ..baselines.base import BaseClassifier
     from .plan import CellTask
 
-__all__ = ["CellResult", "RunSample", "single_run", "execute_cell"]
+__all__ = ["CellResult", "RunSample", "single_run", "execute_cell", "suite_cell"]
 
 Split = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -155,6 +154,21 @@ def execute_cell(
         OBS.metrics.histogram(
             "repro_runtime_cell_seconds", "Wall time per computed grid cell."
         ).observe(result.wall_seconds)
+    return result
+
+
+def suite_cell(item: tuple["CellTask", dict | None]) -> CellResult:
+    """One ``run_suite`` cell, checkpointed in the process that ran it.
+
+    ``item`` is ``(task, spec)``; the shared payload is ``(splits, scale,
+    engine, store)``.  With a store the result is saved under ``spec`` before
+    it is returned, so an interrupt loses only the cells still running.
+    """
+    task, spec = item
+    splits, scale, engine, store = get_shared()
+    result = execute_cell(task, splits[task.dataset], scale, engine=engine)
+    if store is not None:
+        store.save(spec, result)
     return result
 
 

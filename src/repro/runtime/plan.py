@@ -1,24 +1,21 @@
 """Grid planning: expanding a suite into independent, seedable cell tasks.
 
-A :class:`GridPlan` is the static description of everything a suite run will
-compute: the (dataset × model × run) grid, the per-cell seeds, and the split
-configuration.  Because every :class:`CellTask` carries its own seed derived
-from its coordinates (see :mod:`repro.runtime.seeding`), the cells are fully
-independent and can execute in any order on any number of workers without
-changing a single result bit.
+:func:`suite_cells` lists everything a suite run will compute: the
+(dataset × model × run) grid with every cell's seed.  Because every
+:class:`CellTask` carries its own seed derived from its coordinates (see
+:mod:`repro.runtime.seeding`), the cells are fully independent and can
+execute in any order on any number of workers without changing a single
+result bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .seeding import cell_seed
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..experiments.config import ExperimentScale
-
-__all__ = ["CellTask", "GridPlan"]
+__all__ = ["CellTask", "suite_cells"]
 
 
 @dataclass(frozen=True)
@@ -29,103 +26,30 @@ class CellTask:
     model: str
     run_index: int
     seed: int
-    dataset_index: int
-    model_index: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.dataset}/{self.model}#{self.run_index}"
 
 
-@dataclass(frozen=True)
-class GridPlan:
-    """The full (dataset × model × run) grid of a suite, with derived seeds.
+def suite_cells(
+    dataset_names: Sequence[str],
+    model_names: Sequence[str],
+    n_runs: int,
+    seed: int | None = None,
+) -> tuple[CellTask, ...]:
+    """The (dataset × model × run) cells of a suite, with derived seeds.
 
-    ``seed`` is the root seed of the deterministic derivation; ``None``
-    selects the legacy per-run seeds of the original serial runner, so
-    default suite results stay byte-identical to the pre-runtime code.
+    Datasets vary slowest and runs fastest.  ``seed`` is the root seed of the
+    deterministic derivation; ``None`` selects the legacy per-run seeds of
+    the original serial runner, so default suite results stay byte-identical
+    to the pre-runtime code.
     """
-
-    dataset_names: tuple[str, ...]
-    model_names: tuple[str, ...]
-    n_runs: int
-    scale: "ExperimentScale"
-    seed: int | None = None
-    test_fraction: float = 0.3
-    split_seed: int = 7
-    cells: tuple[CellTask, ...] = field(default=())
-
-    @classmethod
-    def for_suite(
-        cls,
-        dataset_names: Sequence[str],
-        model_names: Sequence[str],
-        n_runs: int,
-        *,
-        scale: "ExperimentScale | None" = None,
-        seed: int | None = None,
-        test_fraction: float = 0.3,
-        split_seed: int = 7,
-    ) -> "GridPlan":
-        """Expand a suite specification into its grid of cell tasks."""
-        if n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-        if not dataset_names:
-            raise ValueError("dataset_names must not be empty")
-        if not model_names:
-            raise ValueError("model_names must not be empty")
-        if scale is None:
-            from ..experiments.config import get_scale
-
-            scale = get_scale()
-        cells = tuple(
-            CellTask(
-                dataset=dataset,
-                model=model,
-                run_index=run,
-                seed=cell_seed(seed, dataset, model, run),
-                dataset_index=dataset_index,
-                model_index=model_index,
-            )
-            for dataset_index, dataset in enumerate(dataset_names)
-            for model_index, model in enumerate(model_names)
-            for run in range(n_runs)
-        )
-        return cls(
-            dataset_names=tuple(dataset_names),
-            model_names=tuple(model_names),
-            n_runs=n_runs,
-            scale=scale,
-            seed=seed,
-            test_fraction=test_fraction,
-            split_seed=split_seed,
-            cells=cells,
-        )
-
-    # -------------------------------------------------------------- accessors
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[CellTask]:
-        return iter(self.cells)
-
-    def cells_for(self, dataset: str, model: str) -> tuple[CellTask, ...]:
-        """The run cells of one (dataset, model) pair, in run order."""
-        return tuple(
-            cell
-            for cell in self.cells
-            if cell.dataset == dataset and cell.model == model
-        )
-
-    def subset(self, predicate: Callable[[CellTask], bool]) -> "GridPlan":
-        """A plan containing only the cells satisfying ``predicate``.
-
-        Seeds are preserved, so executing a subset then resuming the full
-        plan from the same artifact store yields exactly the full-plan
-        results.
-        """
-        return replace(self, cells=tuple(c for c in self.cells if predicate(c)))
-
-    def head(self, n_cells: int) -> "GridPlan":
-        """A plan containing only the first ``n_cells`` cells (resume tests)."""
-        return replace(self, cells=self.cells[: max(0, int(n_cells))])
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not dataset_names:
+        raise ValueError("dataset_names must not be empty")
+    if not model_names:
+        raise ValueError("model_names must not be empty")
+    return tuple(
+        CellTask(dataset, model, run, cell_seed(seed, dataset, model, run))
+        for dataset in dataset_names
+        for model in model_names
+        for run in range(n_runs)
+    )

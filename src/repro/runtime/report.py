@@ -8,116 +8,29 @@ artifact store instead of recomputed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-from ..obs.metrics import merge_snapshots
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .cells import CellResult
 
-__all__ = ["CellStats", "RunReport"]
-
-
-@dataclass(frozen=True)
-class CellStats:
-    """Execution record of one grid cell."""
-
-    dataset: str
-    model: str
-    run_index: int
-    wall_seconds: float
-    worker: int
-    cached: bool
-
-    @property
-    def label(self) -> str:
-        return f"{self.dataset}/{self.model}#{self.run_index}"
+__all__ = ["RunReport"]
 
 
 @dataclass(frozen=True)
 class RunReport:
     """Wall-clock and utilization summary of one executed grid.
 
-    ``metrics`` optionally carries the run's merged telemetry — the
-    :meth:`repro.obs.metrics.MetricsRegistry.snapshot` folded from every
-    worker registry (or the serial run's scoped registry) — so suite-scale
-    runs persist their counters and latency histograms next to the artifact
-    store via :meth:`to_json`.
+    ``cells`` holds the grid's :class:`~repro.runtime.cells.CellResult`\\ s in
+    grid order.  ``metrics`` optionally carries the run's telemetry — the
+    :meth:`repro.obs.metrics.MetricsRegistry.snapshot` of everything its
+    cells recorded, on whichever processes ran them.
     """
 
     total_seconds: float
     max_workers: int
-    cells: tuple[CellStats, ...]
-    metrics: dict | None = field(default=None)
-
-    @classmethod
-    def from_results(
-        cls,
-        results: Iterable["CellResult"],
-        *,
-        total_seconds: float,
-        max_workers: int,
-        metrics: dict | None = None,
-    ) -> "RunReport":
-        cells = tuple(
-            CellStats(
-                dataset=result.dataset,
-                model=result.model,
-                run_index=result.run_index,
-                wall_seconds=result.wall_seconds,
-                worker=result.worker,
-                cached=result.cached,
-            )
-            for result in results
-        )
-        return cls(
-            total_seconds=float(total_seconds),
-            max_workers=max(1, int(max_workers)),
-            cells=cells,
-            metrics=metrics,
-        )
-
-    # ---------------------------------------------------------- serialization
-    def to_json(self, *, indent: int | None = 2) -> str:
-        """The report as a JSON document (inverse: :meth:`from_json`).
-
-        Every field — including the ``metrics`` snapshot, which is
-        JSON-native by construction — round-trips exactly:
-        ``RunReport.from_json(report.to_json()) == report``.
-        """
-        payload = {
-            "total_seconds": self.total_seconds,
-            "max_workers": self.max_workers,
-            "cells": [asdict(cell) for cell in self.cells],
-            "metrics": self.metrics,
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        """Rebuild a report serialized by :meth:`to_json`."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("RunReport JSON must decode to an object")
-        cells = tuple(
-            CellStats(
-                dataset=str(cell["dataset"]),
-                model=str(cell["model"]),
-                run_index=int(cell["run_index"]),
-                wall_seconds=float(cell["wall_seconds"]),
-                worker=int(cell["worker"]),
-                cached=bool(cell["cached"]),
-            )
-            for cell in payload.get("cells", [])
-        )
-        return cls(
-            total_seconds=float(payload["total_seconds"]),
-            max_workers=int(payload["max_workers"]),
-            cells=cells,
-            metrics=payload.get("metrics"),
-        )
+    cells: tuple["CellResult", ...]
+    metrics: dict | None = None
 
     # ------------------------------------------------------------- statistics
     @property
@@ -154,20 +67,11 @@ class RunReport:
     def n_workers_used(self) -> int:
         return len({cell.worker for cell in self.cells if not cell.cached})
 
-    def slowest(self, n: int = 5) -> tuple[CellStats, ...]:
+    def slowest(self, n: int = 5) -> tuple["CellResult", ...]:
         """The ``n`` computed cells with the largest wall time."""
         computed = [cell for cell in self.cells if not cell.cached]
         computed.sort(key=lambda cell: cell.wall_seconds, reverse=True)
         return tuple(computed[: max(0, int(n))])
-
-    def per_worker_seconds(self) -> dict[int, float]:
-        """Busy seconds attributed to each worker process id."""
-        totals: dict[int, float] = {}
-        for cell in self.cells:
-            if cell.cached:
-                continue
-            totals[cell.worker] = totals.get(cell.worker, 0.0) + cell.wall_seconds
-        return totals
 
     # -------------------------------------------------------------- rendering
     def summary(self, *, slowest: int = 3) -> str:
@@ -185,26 +89,8 @@ class RunReport:
             ),
         ]
         for cell in self.slowest(slowest):
-            lines.append(f"  slowest: {cell.label} {cell.wall_seconds:.3f}s")
+            lines.append(
+                f"  slowest: {cell.dataset}/{cell.model}#{cell.run_index} "
+                f"{cell.wall_seconds:.3f}s"
+            )
         return "\n".join(lines)
-
-
-def merge_reports(reports: Sequence[RunReport]) -> RunReport:
-    """Combine sequential reports (e.g. an interrupted run plus its resume).
-
-    Telemetry snapshots fold with :func:`repro.obs.metrics.merge_snapshots`
-    (associative and commutative), so merged reports aggregate counters and
-    histograms exactly; reports without metrics contribute nothing.
-    """
-    if not reports:
-        return RunReport(total_seconds=0.0, max_workers=1, cells=())
-    snapshots = [report.metrics for report in reports if report.metrics is not None]
-    return RunReport(
-        total_seconds=float(sum(report.total_seconds for report in reports)),
-        max_workers=max(report.max_workers for report in reports),
-        cells=tuple(cell for report in reports for cell in report.cells),
-        metrics=merge_snapshots(snapshots) if snapshots else None,
-    )
-
-
-__all__.append("merge_reports")

@@ -146,6 +146,8 @@ class ArtifactStore:
             manifest = json.loads(manifest_path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
+        if not isinstance(manifest, dict):
+            return None
         if manifest.get("store_version") != STORE_VERSION:
             return None
         if canonical_spec(manifest.get("spec", {})) != canonical_spec(spec):

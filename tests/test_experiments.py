@@ -24,10 +24,23 @@ from repro.experiments import (
     run_suite,
     table1_accuracy,
     table2_inference,
+    table3_person_specific,
 )
 from repro.experiments.runner import ModelRunResult, SuiteResult
 from repro.experiments.tables import average_rank, table_winner_summary
 from repro.hdc import OnlineHD
+from repro.runtime import ArtifactStore
+
+#: Model-name lists a grid must refuse before anything trains, with the
+#: message naming each unknown or repeated name.
+BAD_MODEL_NAMES = [
+    (("OnlineHD", "BoostHD", "Boosthd"), r"unknown model names \['Boosthd'\]"),
+    (("OnlineHD", "OnlineHD"), r"repeated model names \['OnlineHD'\]"),
+    (
+        ("Boosthd", "RF", "RF", "SVN"),
+        r"unknown model names \['Boosthd', 'SVN'\], repeated model names \['RF'\]",
+    ),
+]
 
 
 class TestConfig:
@@ -77,6 +90,13 @@ class TestRegistry:
     def test_unknown_model_raises(self):
         with pytest.raises(ValueError):
             build_model("ResNet")
+
+    def test_table3_refuses_unknown_or_repeated_models(self, mini_wesad, tiny_scale):
+        for model_names, match in BAD_MODEL_NAMES:
+            with pytest.raises(ValueError, match=match):
+                table3_person_specific(
+                    mini_wesad, model_names=model_names, scale=tiny_scale, max_workers=1
+                )
 
     def test_model_builders_are_seedable(self):
         builders = model_builders(("RF",), QUICK)
@@ -262,13 +282,31 @@ class TestExplicitZero:
         )
         assert seen and set(seen) == {0}
 
-    def test_figure8_refuses_zero_trials(self, mini_wesad, tiny_scale):
-        with pytest.raises(ValueError, match="n_trials"):
-            figure8_robustness(
-                mini_wesad, model_names=("OnlineHD",), n_trials=0, scale=tiny_scale
-            )
+    def test_figure8_refuses_zero_trials(self, mini_wesad, tiny_scale, monkeypatch):
+        """So do unknown or repeated model names, before anything trains."""
+        seen = self._fitted_epochs(monkeypatch)
+        cases = [(("OnlineHD",), 0, "n_trials")]
+        cases += [(names, 2, match) for names, match in BAD_MODEL_NAMES]
+        for model_names, n_trials, match in cases:
+            with pytest.raises(ValueError, match=match):
+                figure8_robustness(
+                    mini_wesad,
+                    model_names=model_names,
+                    n_trials=n_trials,
+                    scale=tiny_scale,
+                    max_workers=1,
+                )
+        assert seen == []
 
-    def test_run_suite_refuses_zero_runs(self, suite_datasets, tiny_scale):
-        with pytest.raises(ValueError, match="n_runs"):
-            run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=0)
+    def test_run_suite_refuses_zero_runs(self, suite_datasets, tiny_scale, tmp_path):
+        """So do unknown or repeated model names, before any cell is stored."""
+        store = ArtifactStore(tmp_path)
+        cases = [(("OnlineHD",), 0, "n_runs")]
+        cases += [(names, 2, match) for names, match in BAD_MODEL_NAMES]
+        for model_names, n_runs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                run_suite(
+                    suite_datasets, model_names, scale=tiny_scale, n_runs=n_runs, store=store
+                )
+            assert len(store) == 0
 

@@ -60,8 +60,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
-from repro.runtime import RunReport, merge_reports
-from repro.runtime.report import CellStats
 from repro.serving import StreamingService
 from repro.serving.scheduler import MicroBatchScheduler, SchedulerStats
 
@@ -822,51 +820,8 @@ def test_metric_catalog_lists_every_emitted_name():
 
 
 # --------------------------------------------------------------------------
-# RunReport serialization and suite telemetry parity.
+# Suite telemetry parity.
 # --------------------------------------------------------------------------
-
-
-def sample_report(metrics=None) -> RunReport:
-    cells = (
-        CellStats("WESAD", "BoostHD", 0, 0.25, 41, False),
-        CellStats("WESAD", "BoostHD", 1, 0.125, 42, True),
-    )
-    return RunReport(
-        total_seconds=0.5, max_workers=2, cells=cells, metrics=metrics
-    )
-
-
-class TestRunReportJson:
-    def test_roundtrip_without_metrics(self):
-        report = sample_report()
-        assert RunReport.from_json(report.to_json()) == report
-
-    def test_roundtrip_with_metrics(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_runtime_cells_total", model="BoostHD").inc(2)
-        registry.histogram("repro_runtime_cell_seconds").observe(0.25)
-        report = sample_report(metrics=registry.snapshot())
-        rebuilt = RunReport.from_json(report.to_json())
-        assert rebuilt == report
-        assert rebuilt.metrics == report.metrics
-
-    def test_merge_reports_folds_metrics(self):
-        first_registry, second_registry = MetricsRegistry(), MetricsRegistry()
-        first_registry.counter("cells_total").inc(2)
-        second_registry.counter("cells_total").inc(3)
-        merged = merge_reports(
-            [
-                sample_report(metrics=first_registry.snapshot()),
-                sample_report(metrics=second_registry.snapshot()),
-            ]
-        )
-        (entry,) = merged.metrics["counters"]
-        assert entry["value"] == 5
-        assert merged.n_cells == 4
-
-    def test_merge_reports_without_metrics_stays_none(self):
-        merged = merge_reports([sample_report(), sample_report()])
-        assert merged.metrics is None
 
 
 class TestSuiteTelemetry:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -24,24 +25,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import load_dataset, load_datasets, run_suite
+from repro.experiments.runner import _split_fingerprint
+from repro.obs import OBS, capture
 from repro.runtime import (
     ArtifactStore,
     CellResult,
-    CellTask,
-    GridPlan,
-    ParallelExecutor,
     RunReport,
-    SplitSource,
     canonical_spec,
     cell_seed,
     dataset_seeds,
     derive_seed,
-    merge_reports,
     parallel_map,
     resolve_max_workers,
     spec_key,
+    suite_cells,
 )
-from repro.runtime.report import CellStats
 
 pytestmark = pytest.mark.runtime
 
@@ -105,10 +103,10 @@ class TestSeeding:
         }
         assert len(seeds) == 3 * 7 * 5
 
-    def test_cell_seed_is_subset_invariant(self, tiny_scale):
+    def test_cell_seed_is_subset_invariant(self):
         """A cell draws the same seed however the suite around it is shaped."""
-        full = GridPlan.for_suite(("A", "B"), ("m1", "m2"), 2, scale=tiny_scale, seed=9)
-        only_b = GridPlan.for_suite(("B",), ("m2", "m1"), 2, scale=tiny_scale, seed=9)
+        full = suite_cells(("A", "B"), ("m1", "m2"), 2, seed=9)
+        only_b = suite_cells(("B",), ("m2", "m1"), 2, seed=9)
         full_seeds = {
             (c.dataset, c.model, c.run_index): c.seed for c in full
         }
@@ -133,47 +131,31 @@ class TestSeeding:
 
 
 # ---------------------------------------------------------------------------
-# GridPlan
+# suite_cells
 # ---------------------------------------------------------------------------
 
 
-class TestGridPlan:
-    def test_expands_full_grid_in_order(self, tiny_scale):
-        plan = GridPlan.for_suite(("A", "B"), ("m1", "m2"), 3, scale=tiny_scale)
-        assert len(plan) == 2 * 2 * 3
-        first = plan.cells[0]
+class TestSuiteCells:
+    def test_expands_full_grid_in_order(self):
+        cells = suite_cells(("A", "B"), ("m1", "m2"), 3)
+        assert len(cells) == 2 * 2 * 3
+        first = cells[0]
         assert (first.dataset, first.model, first.run_index) == ("A", "m1", 0)
         # datasets vary slowest, runs fastest
-        assert [c.run_index for c in plan.cells[:3]] == [0, 1, 2]
-        assert plan.cells[6].dataset == "B"
+        assert [c.run_index for c in cells[:3]] == [0, 1, 2]
+        assert cells[6].dataset == "B"
 
-    def test_seeds_match_derivation(self, tiny_scale):
-        plan = GridPlan.for_suite(("A",), ("m1", "m2"), 2, scale=tiny_scale, seed=9)
-        for cell in plan:
+    def test_seeds_match_derivation(self):
+        for cell in suite_cells(("A",), ("m1", "m2"), 2, seed=9):
             assert cell.seed == cell_seed(9, cell.dataset, cell.model, cell.run_index)
 
-    def test_subset_and_head_preserve_seeds(self, tiny_scale):
-        plan = GridPlan.for_suite(("A", "B"), ("m1",), 2, scale=tiny_scale, seed=4)
-        subset = plan.subset(lambda cell: cell.dataset == "B")
-        assert all(cell.dataset == "B" for cell in subset)
-        full_seeds = {(c.dataset, c.run_index): c.seed for c in plan}
-        for cell in subset:
-            assert cell.seed == full_seeds[(cell.dataset, cell.run_index)]
-        assert plan.head(3).cells == plan.cells[:3]
-
-    def test_invalid_plans_raise(self, tiny_scale):
+    def test_invalid_plans_raise(self):
         with pytest.raises(ValueError):
-            GridPlan.for_suite(("A",), ("m",), 0, scale=tiny_scale)
+            suite_cells(("A",), ("m",), 0)
         with pytest.raises(ValueError):
-            GridPlan.for_suite((), ("m",), 1, scale=tiny_scale)
+            suite_cells((), ("m",), 1)
         with pytest.raises(ValueError):
-            GridPlan.for_suite(("A",), (), 1, scale=tiny_scale)
-
-    def test_cells_for_pair(self, tiny_scale):
-        plan = GridPlan.for_suite(("A", "B"), ("m1", "m2"), 2, scale=tiny_scale)
-        cells = plan.cells_for("B", "m2")
-        assert [c.run_index for c in cells] == [0, 1]
-        assert all(c.dataset == "B" and c.model == "m2" for c in cells)
+            suite_cells(("A",), (), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +289,28 @@ class TestResume:
     def test_parallel_resume_skips_completed_cells(
         self, suite_datasets, tiny_scale, tmp_path
     ):
-        """Cells computed by an earlier partial run are not recomputed."""
+        """Cells that pool workers checkpointed are replayed, not recomputed."""
         store = ArtifactStore(tmp_path)
-        plan = GridPlan.for_suite(
-            tuple(suite_datasets), SUITE_MODELS, 2, scale=tiny_scale
+        partial = run_suite(
+            {"WESAD": suite_datasets["WESAD"]},
+            SUITE_MODELS,
+            scale=tiny_scale,
+            n_runs=2,
+            store=store,
+            max_workers=2,
         )
-        splits = SplitSource(
-            splits={
-                name: dataset.split(test_fraction=0.3, rng=7)
-                for name, dataset in suite_datasets.items()
-            }
-        )
-        partial_plan = plan.head(5)
-        ParallelExecutor(max_workers=1).run(partial_plan, splits, store=store)
-        assert len(store) == 5
+        assert len(store) == 4
+        assert os.getpid() not in {cell.worker for cell in partial.report.cells}
 
-        results, report = ParallelExecutor(max_workers=2).run(plan, splits, store=store)
-        assert report.n_cached == 5
-        assert report.n_computed == len(plan) - 5
-        assert [r.cached for r in results[:5]] == [True] * 5
+        full = run_suite(
+            suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2, store=store,
+            max_workers=1,
+        )
+        assert full.report.n_cached == 4
+        assert full.report.n_computed == full.report.n_cells - 4
+        assert [cell.cached for cell in full.report.cells] == [True] * 4 + [False] * 4
+        baseline = run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2)
+        assert_suites_identical(baseline, full)
 
     def test_store_hits_require_identical_spec(
         self, suite_datasets, tiny_scale, tmp_path
@@ -418,6 +403,13 @@ class TestArtifactStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["spec"] = {**SPEC, "seed": 43}  # the "colliding" spec
         manifest_path.write_text(json.dumps(manifest))
+        assert store.load(SPEC) is None
+
+    @pytest.mark.parametrize("text", ["null", "[]", "0", '"x"'])
+    def test_manifest_that_is_not_an_object_is_a_miss(self, tmp_path, text):
+        store = ArtifactStore(tmp_path)
+        key = store.save(SPEC, make_result())
+        (tmp_path / f"{key}.json").write_text(text)
         assert store.load(SPEC) is None
 
     def test_layout_version_mismatch_is_a_miss(self, tmp_path):
@@ -530,11 +522,37 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _observed_square(x: int) -> int:
+    """An item that records a counter and a span, as grid cells do."""
+    with OBS.recorder.span("test.item", x=x):
+        OBS.metrics.counter("test_items_total", parity=str(x % 2)).inc()
+    return x * x
+
+
 class TestParallelMap:
     def test_serial_and_parallel_agree_in_order(self):
         items = list(range(20))
         assert parallel_map(_square, items) == [x * x for x in items]
         assert parallel_map(_square, items, max_workers=2) == [x * x for x in items]
+
+    def test_pool_ships_item_telemetry_back(self):
+        """Counters and spans recorded in workers reach the caller, equal to
+        what the serial map records."""
+        items = list(range(8))
+        recorded = {}
+        for workers in (1, 2):
+            with capture() as (registry, recorder):
+                assert parallel_map(_observed_square, items, max_workers=workers) == [
+                    x * x for x in items
+                ]
+                counters = {
+                    (entry["name"], entry["labels"]["parity"]): entry["value"]
+                    for entry in registry.snapshot()["counters"]
+                }
+                spans = sorted(r.attrs["x"] for r in recorder.spans if r.name == "test.item")
+            recorded[workers] = counters, spans
+        assert recorded[1] == ({("test_items_total", "0"): 4, ("test_items_total", "1"): 4}, items)
+        assert recorded[2] == recorded[1]
 
     def test_empty_items(self):
         assert parallel_map(_square, [], max_workers=4) == []
@@ -562,9 +580,11 @@ class TestParallelMap:
 class TestRunReport:
     def make_report(self):
         cells = (
-            CellStats("A", "m", 0, wall_seconds=1.0, worker=10, cached=False),
-            CellStats("A", "m", 1, wall_seconds=3.0, worker=11, cached=False),
-            CellStats("A", "m", 2, wall_seconds=9.9, worker=12, cached=True),
+            make_result(dataset="A", model="m", run_index=0, wall_seconds=1.0, worker=10),
+            make_result(dataset="A", model="m", run_index=1, wall_seconds=3.0, worker=11),
+            make_result(
+                dataset="A", model="m", run_index=2, wall_seconds=9.9, worker=12, cached=True
+            ),
         )
         return RunReport(total_seconds=2.0, max_workers=2, cells=cells)
 
@@ -576,34 +596,20 @@ class TestRunReport:
         assert report.utilization == pytest.approx(4.0 / (2.0 * 2))
         assert report.n_workers_used == 2
         assert [c.run_index for c in report.slowest(1)] == [1]
-        assert report.per_worker_seconds() == {10: 1.0, 11: 3.0}
 
     def test_summary_text(self):
         text = self.make_report().summary()
         assert "3 cells" in text and "1 cached" in text and "A/m#1" in text
 
-    def test_merge_reports(self):
-        merged = merge_reports([self.make_report(), self.make_report()])
-        assert merged.n_cells == 6
-        assert merged.total_seconds == pytest.approx(4.0)
-        assert merge_reports([]).n_cells == 0
 
-
-class TestCellTask:
-    def test_label(self):
-        task = CellTask("WESAD", "BoostHD", 2, seed=9, dataset_index=0, model_index=1)
-        assert task.label == "WESAD/BoostHD#2"
-
-
-class TestSplitSource:
+class TestSplitFingerprint:
     def test_fingerprint_distinguishes_seeds(self, tiny_scale):
         """The store keys a cell by its data: another generation seed is
         another fingerprint, the same seed the same one."""
 
-        def source(seed):
+        def fingerprint(seed):
             dataset = load_dataset("WESAD", tiny_scale, seed=seed)
-            return SplitSource({"WESAD": dataset.split(test_fraction=0.3, rng=7)})
+            return _split_fingerprint(dataset.split(test_fraction=0.3, rng=7))
 
-        legacy, derived = source(None), source(5)
-        assert legacy.fingerprint("WESAD") != derived.fingerprint("WESAD")
-        assert legacy.fingerprint("WESAD") == source(None).fingerprint("WESAD")
+        assert fingerprint(None) != fingerprint(5)
+        assert fingerprint(None) == fingerprint(None)

@@ -4,8 +4,8 @@ This package reproduces *"Exploiting Boosting in Hyperdimensional Computing
 for Enhanced Reliability in Healthcare"* (DATE 2025) end to end on plain
 ``numpy``:
 
-* :mod:`repro.hdc` — hyperdimensional-computing substrate (encoders,
-  hypervector algebra, the OnlineHD classifier used as the weak learner),
+* :mod:`repro.hdc` — hyperdimensional-computing substrate (the encoder,
+  similarity metrics, the OnlineHD classifier used as the weak learner),
 * :mod:`repro.core` — the BoostHD ensemble itself plus the paper's span
   utilization and Marchenko–Pastur analyses,
 * :mod:`repro.baselines` — from-scratch AdaBoost, Random Forest, gradient

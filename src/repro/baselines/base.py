@@ -1,22 +1,18 @@
 """Light-weight estimator API shared by every model in this repository.
 
 The interface intentionally mirrors the familiar scikit-learn contract —
-``fit(X, y, sample_weight=None)``, ``predict(X)``, ``score(X, y)`` and
-``get_params`` / ``set_params`` driven by the constructor signature — so that
-the experiment harness (:mod:`repro.experiments`) can treat HDC models,
-classical baselines and the BoostHD ensemble uniformly, and so that
-:func:`clone` can create fresh unfitted copies for repeated runs.
+``fit(X, y, sample_weight=None)``, ``predict(X)`` and ``score(X, y)`` — so
+that the experiment harness (:mod:`repro.experiments`) can treat HDC models,
+classical baselines and the BoostHD ensemble uniformly.
 """
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
-from typing import Any
 
 import numpy as np
 
-__all__ = ["BaseClassifier", "clone", "NotFittedError"]
+__all__ = ["BaseClassifier", "NotFittedError"]
 
 
 class NotFittedError(RuntimeError):
@@ -26,10 +22,8 @@ class NotFittedError(RuntimeError):
 class BaseClassifier(ABC):
     """Common base class for all classifiers in the repository.
 
-    Subclasses must store every constructor argument on ``self`` under the
-    same name (the scikit-learn convention) so that parameter introspection
-    and cloning work, set ``classes_`` during :meth:`fit`, and implement
-    :meth:`fit` and :meth:`predict`.
+    Subclasses set ``classes_`` during :meth:`fit` and implement :meth:`fit`
+    and :meth:`predict`.
     """
 
     #: Class labels seen during fit, set by subclasses.
@@ -53,36 +47,6 @@ class BaseClassifier(ABC):
         """Mean accuracy of :meth:`predict` on ``(X, y)``."""
         predictions = self.predict(X)
         return float(np.mean(predictions == np.asarray(y)))
-
-    # ----------------------------------------------------------- parameters
-    @classmethod
-    def _parameter_names(cls) -> list[str]:
-        """Constructor argument names, excluding ``self`` and var-args."""
-        signature = inspect.signature(cls.__init__)
-        names = []
-        for name, parameter in signature.parameters.items():
-            if name == "self":
-                continue
-            if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
-                continue
-            names.append(name)
-        return names
-
-    def get_params(self) -> dict[str, Any]:
-        """Return constructor parameters as a dictionary."""
-        return {name: getattr(self, name) for name in self._parameter_names()}
-
-    def set_params(self, **params: Any) -> "BaseClassifier":
-        """Update constructor parameters in place and return ``self``."""
-        valid = set(self._parameter_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
 
     # ------------------------------------------------------------ validation
     @staticmethod
@@ -140,7 +104,3 @@ class BaseClassifier(ABC):
                 f"{type(self).__name__} is not fitted; call fit() first"
             )
 
-
-def clone(estimator: BaseClassifier) -> BaseClassifier:
-    """Create a fresh unfitted copy of ``estimator`` with the same parameters."""
-    return type(estimator)(**estimator.get_params())

@@ -14,9 +14,6 @@ import numpy as np
 __all__ = [
     "accuracy",
     "macro_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "macro_f1",
     "median_absolute_deviation",
 ]
 
@@ -39,25 +36,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, labels: np.ndarray | None = None
-) -> np.ndarray:
-    """Confusion matrix with rows = true classes, columns = predicted classes.
-
-    ``labels`` fixes the row/column order; by default the sorted union of the
-    labels present in either array is used.
-    """
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    labels = np.asarray(labels)
-    index = {label: position for position, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for true_label, predicted_label in zip(y_true, y_pred):
-        matrix[index[true_label], index[predicted_label]] += 1
-    return matrix
-
-
 def macro_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Unweighted mean of per-class recall (balanced accuracy).
 
@@ -72,33 +50,6 @@ def macro_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         mask = y_true == label
         recalls.append(float(np.mean(y_pred[mask] == label)))
     return float(np.mean(recalls))
-
-
-def precision_recall_f1(
-    y_true: np.ndarray, y_pred: np.ndarray
-) -> dict[object, tuple[float, float, float]]:
-    """Per-class (precision, recall, F1).  Undefined ratios default to 0."""
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    labels = np.unique(np.concatenate([y_true, y_pred]))
-    results: dict[object, tuple[float, float, float]] = {}
-    for label in labels:
-        true_positive = float(np.sum((y_true == label) & (y_pred == label)))
-        predicted_positive = float(np.sum(y_pred == label))
-        actual_positive = float(np.sum(y_true == label))
-        precision = true_positive / predicted_positive if predicted_positive else 0.0
-        recall = true_positive / actual_positive if actual_positive else 0.0
-        if precision + recall > 0:
-            f1 = 2.0 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-        results[label] = (precision, recall, f1)
-    return results
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    per_class = precision_recall_f1(y_true, y_pred)
-    return float(np.mean([f1 for (_, _, f1) in per_class.values()]))
 
 
 def median_absolute_deviation(values: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Preprocessing utilities: scaling, label encoding and subject-wise splits.
+"""Preprocessing utilities: feature scaling and subject-wise splits.
 
 The paper normalises features "to ensure consistent scaling" after the
 moving-average + statistical-feature pipeline and organises test data "by
@@ -14,9 +14,6 @@ import numpy as np
 
 __all__ = [
     "StandardScaler",
-    "MinMaxScaler",
-    "LabelEncoder",
-    "train_test_split",
     "subject_train_test_split",
 ]
 
@@ -46,93 +43,6 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-
-@dataclass
-class MinMaxScaler:
-    """Scale each feature to ``[0, 1]`` based on the training range."""
-
-    min_: np.ndarray | None = field(default=None, init=False)
-    range_: np.ndarray | None = field(default=None, init=False)
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=float)
-        self.min_ = X.min(axis=0)
-        spread = X.max(axis=0) - self.min_
-        self.range_ = np.where(spread < 1e-12, 1.0, spread)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler must be fitted before transform")
-        return (np.asarray(X, dtype=float) - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-@dataclass
-class LabelEncoder:
-    """Map arbitrary hashable labels to contiguous integers ``0..K-1``."""
-
-    classes_: np.ndarray | None = field(default=None, init=False)
-
-    def fit(self, y: np.ndarray) -> "LabelEncoder":
-        self.classes_ = np.unique(np.asarray(y))
-        return self
-
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("LabelEncoder must be fitted before transform")
-        y = np.asarray(y)
-        indices = np.searchsorted(self.classes_, y)
-        valid = (indices < len(self.classes_)) & (self.classes_[np.minimum(indices, len(self.classes_) - 1)] == y)
-        if not np.all(valid):
-            unknown = np.unique(y[~valid])
-            raise ValueError(f"unknown labels encountered: {unknown.tolist()}")
-        return indices
-
-    def fit_transform(self, y: np.ndarray) -> np.ndarray:
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, indices: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
-            raise RuntimeError("LabelEncoder must be fitted before inverse_transform")
-        return self.classes_[np.asarray(indices, dtype=int)]
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    test_fraction: float = 0.25,
-    stratify: bool = True,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random (optionally stratified) split into train and test sets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if len(X) != len(y):
-        raise ValueError("X and y must have the same number of samples")
-    generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-    test_indices: list[int] = []
-    if stratify:
-        for label in np.unique(y):
-            candidates = np.flatnonzero(y == label)
-            shuffled = generator.permutation(candidates)
-            count = max(1, int(round(test_fraction * len(candidates))))
-            test_indices.extend(shuffled[:count].tolist())
-    else:
-        shuffled = generator.permutation(len(y))
-        count = max(1, int(round(test_fraction * len(y))))
-        test_indices = shuffled[:count].tolist()
-
-    test_mask = np.zeros(len(y), dtype=bool)
-    test_mask[np.asarray(test_indices, dtype=int)] = True
-    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 def subject_train_test_split(

@@ -23,7 +23,6 @@ from .theory import (
     mean_lambda,
     singular_value_bounds,
     term_convergence_table,
-    variance_lambda,
     variance_terms,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "mean_lambda",
     "singular_value_bounds",
     "term_convergence_table",
-    "variance_lambda",
     "variance_terms",
 ]

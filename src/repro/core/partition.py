@@ -60,18 +60,14 @@ def split_dimensions(total_dim: int, n_learners: int) -> list[int]:
 class Partitioner(ABC):
     """Factory of per-weak-learner encoders over a partitioned hyperspace.
 
-    Subclasses set :attr:`shared_projection` to declare their layout: whether
-    the weak learners' encoders are disjoint slices of one ``D_total``
-    projection (no stacking needed, the parent basis *is* the fused basis) or
-    independent projections that must be stacked block by block.  The fused
-    engine (:mod:`repro.engine`) re-derives this structurally from the fitted
-    encoders (via :meth:`~repro.hdc.encoder.SlicedEncoder.flatten`), so it
-    also handles hand-built models that never went through a partitioner; the
-    flag is the partitioner-level statement of the same contract.
+    The weak learners' encoders are either disjoint slices of one
+    ``D_total`` projection (no stacking needed, the parent basis *is* the
+    fused basis) or independent projections that must be stacked block by
+    block.  The fused engine (:mod:`repro.engine`) tells the two apart from
+    the fitted encoders (via
+    :meth:`~repro.hdc.encoder.SlicedEncoder.flatten`), so it also handles
+    hand-built models that never went through a partitioner.
     """
-
-    #: True when all weak learners slice a single shared projection matrix.
-    shared_projection: bool = False
 
     def __init__(self, total_dim: int, n_learners: int, *, bandwidth: float = 1.5) -> None:
         if bandwidth <= 0:
@@ -91,8 +87,6 @@ class Partitioner(ABC):
 class IndependentPartitioner(Partitioner):
     """Each weak learner draws an independent ``D/n``-dimensional projection."""
 
-    shared_projection = False
-
     def encoder_factories(
         self, n_features: int, rng: np.random.Generator
     ) -> list[Callable[[], Encoder]]:
@@ -111,8 +105,6 @@ class IndependentPartitioner(Partitioner):
 
 class SharedPartitioner(Partitioner):
     """Weak learners slice one shared ``D_total``-dimensional projection."""
-
-    shared_projection = True
 
     def encoder_factories(
         self, n_features: int, rng: np.random.Generator

@@ -34,7 +34,6 @@ __all__ = [
     "singular_value_bounds",
     "mean_lambda",
     "variance_terms",
-    "variance_lambda",
     "kernel_axis_ratio",
     "KernelSpectrum",
     "empirical_spectrum",
@@ -85,12 +84,6 @@ def variance_terms(q: float, sigma: float = 1.0) -> tuple[float, float, float]:
     safe_min = max(lam_min, 1e-12)
     term3 = mu**2 * (np.log(abs(lam_max)) - np.log(abs(safe_min))) / q
     return float(term1), float(term2), float(term3)
-
-
-def variance_lambda(q: float, sigma: float = 1.0) -> float:
-    """Equation 3: ``σ²_λ`` as the prefactored sum of T1 + T2 + T3."""
-    term1, term2, term3 = variance_terms(q, sigma)
-    return float((term1 + term2 + term3) / (2.0 * np.pi * sigma**2))
 
 
 def kernel_axis_ratio(q: float, sigma: float = 1.0) -> float:

@@ -27,8 +27,7 @@ import copy
 
 import numpy as np
 
-from ..hdc.hypervector import bipolarize
-from ..hdc.quantize import FixedPointFormat, from_fixed_point, to_fixed_point
+from ..hdc.quantize import FixedPointFormat, bipolarize, from_fixed_point, to_fixed_point
 
 __all__ = [
     "flip_bits_bipolar",

@@ -187,7 +187,6 @@ class CascadeModel(CompiledModel):
         self.dtype = first.dtype
         self.classes_ = first.classes_
         self.aggregation = first.aggregation
-        self.shared_projection = first.shared_projection
         self.spans = first.spans
         self.alphas = first.alphas
         self.in_features = first.in_features

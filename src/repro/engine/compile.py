@@ -173,7 +173,6 @@ class CompiledModel:
         classes: np.ndarray,
         aggregation: str,
         dtype: np.dtype,
-        shared_projection: bool = False,
     ) -> None:
         """Validate and adopt everything but the class stack (every tier's)."""
         basis2 = np.asarray(basis2)
@@ -213,7 +212,6 @@ class CompiledModel:
         self.dtype = np.dtype(dtype)
         self.classes_ = np.asarray(classes)
         self.aggregation = aggregation
-        self.shared_projection = bool(shared_projection)
         self.in_features = int(basis2.shape[0])
         self.total_dim = int(basis2.shape[1])
         self.spans = spans
@@ -474,7 +472,6 @@ class ModelComponents:
     classes: np.ndarray
     basis: np.ndarray
     bias: np.ndarray
-    shared: bool
     spans: np.ndarray
     hypervectors: tuple[np.ndarray, ...]
     scheme: str | None = None
@@ -489,19 +486,17 @@ def assemble_components(
     alphas: np.ndarray,
     aggregation: str,
     classes: np.ndarray,
-    declared: bool | None = None,
     scheme: str | None = None,
     scales: Sequence[float] = (),
 ) -> ModelComponents:
     """Stack encoder projections and collect per-learner class data.
 
     When the encoders tile one parent projection, the parent's arrays are
-    reused instead of re-stacking its slices (``shared``); ``declared=False``
-    skips that structural scan, as a partitioner declaring independent
-    projections does.  Raises :class:`EngineError` for encoders without
-    projection parameters or whose widths do not add up to the basis, and
-    for a learner whose ``learner_classes`` are not ``classes``: the engines
-    score every learner against every class column.
+    reused instead of re-stacking its slices.  Raises :class:`EngineError`
+    for encoders without projection parameters or whose widths do not add
+    up to the basis, and for a learner whose ``learner_classes`` are not
+    ``classes``: the engines score every learner against every class
+    column.
     """
     for index, local in enumerate(learner_classes):
         if not np.array_equal(local, classes):
@@ -510,7 +505,7 @@ def assemble_components(
                 f"the ensemble has {np.asarray(classes).tolist()}; every "
                 "learner must score every class, in order"
             )
-    root = None if declared is False else _shared_root(encoders)
+    root = _shared_root(encoders)
     if root is not None:
         basis, bias = _projection_params(root)
     else:
@@ -531,7 +526,6 @@ def assemble_components(
         classes=classes,
         basis=basis,
         bias=bias,
-        shared=root is not None,
         spans=np.stack([stops - widths, stops], axis=1),
         hypervectors=tuple(hypervectors),
         scheme=scheme,
@@ -561,11 +555,6 @@ def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
         raise EngineError(
             f"cannot compile {type(model).__name__}; expected BoostHD or OnlineHD"
         )
-    # The partitioner declares its layout via `shared_projection`; an
-    # explicit False short-circuits the structural scan, while True (or an
-    # unknown/hand-built layout) is still verified against the actual
-    # encoders so a mis-declared partitioner cannot corrupt the projection.
-    declared = getattr(getattr(model, "partitioner", None), "shared_projection", None)
     return assemble_components(
         [learner.encoder for learner in learners],
         [learner.classes_ for learner in learners],
@@ -573,7 +562,6 @@ def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
         alphas=alphas,
         aggregation=aggregation,
         classes=model.classes_,
-        declared=declared,
     )
 
 
@@ -615,8 +603,9 @@ def compile_model(
     ------
     EngineError
         If the model is unfitted, of an unsupported type, or uses an encoder
-        without projection parameters (e.g. ``LevelIdEncoder``); for an
-        unknown precision.
+        without projection parameters (an :class:`~repro.hdc.Encoder`
+        subclass other than a trigonometric projection); for an unknown
+        precision.
     """
     from .precision import build_engine
 

@@ -172,7 +172,6 @@ def build_engine(
         classes=components.classes,
         aggregation=components.aggregation,
         dtype=dtype,
-        shared_projection=components.shared,
     )
     if spec.second is None:
         return _build_tier(components, name, prepared)

@@ -37,9 +37,10 @@ windows_shed`` on the gateway equals scored + shed in the backend.  A
 session is a string id: ``POST /v1/sessions`` takes ``{"session_id"}`` and
 nothing else, and every session has the backend's one windowing.  The
 gateway serves only the sessions it opened, the ones with a mailbox:
-feed, score and close answer 404 for any other id, even one open on the
-backend, whose windows would land in the orphan mailbox.  In a path an id
-is one percent-encoded segment, unquoted after the path is split.
+feed, score, predictions and close answer 404 for any other id, even one
+open on the backend, whose windows would land in the orphan mailbox.  In
+a path an id is one percent-encoded segment, unquoted after the path is
+split.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
@@ -600,6 +601,10 @@ class Gateway:
             if action == "score" and method == "POST":
                 return await self._score(session_id, deadline)
             if action == "predictions" and method == "GET":
+                if session_id not in self._routes:
+                    return json_response(
+                        404, {"error": f"no open session {session_id!r}"}
+                    )
                 return json_response(
                     200, {"predictions": self._drain_mailbox(session_id)}
                 )
@@ -687,10 +692,15 @@ class Gateway:
     def _parse_samples(body) -> np.ndarray:
         if not isinstance(body, dict) or "samples" not in body:
             raise ProtocolError("body must be a JSON object with a samples array")
+        # Parse without a dtype: a float64 parse would accept numeric strings
+        # and booleans.  Ragged rows raise ValueError.
         try:
-            samples = np.asarray(body["samples"], dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(f"samples are not numeric: {error}") from None
+            samples = np.asarray(body["samples"])
+        except (TypeError, ValueError):
+            raise ProtocolError("samples are not numeric") from None
+        if samples.dtype.kind not in "iuf":
+            raise ProtocolError("samples are not numeric")
+        samples = samples.astype(np.float64, copy=False)
         if samples.ndim != 2:
             raise ProtocolError(
                 f"samples must be 2-D (n_channels, n_samples), got ndim={samples.ndim}"
@@ -771,7 +781,7 @@ class Gateway:
         if not (
             isinstance(name, str)
             and isinstance(precision, str)
-            and (version is None or isinstance(version, int))
+            and (version is None or type(version) is int)
         ):
             raise ProtocolError(
                 "swap takes a string name and precision and an integer version"

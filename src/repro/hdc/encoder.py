@@ -11,14 +11,10 @@ This is a random-Fourier-feature style mapping whose projection matrix plays
 the role of the Gaussian kernel analysed by the Marchenko–Pastur theory in
 :mod:`repro.core.theory`.
 
-Two additional classic HDC encoders are provided:
-
-* :class:`LevelIdEncoder` — record-based encoding that binds per-feature ID
-  hypervectors with quantized level hypervectors and bundles the result.
-* :class:`SlicedEncoder` — a contiguous dimension slice of another encoder,
-  encoding with only its own rows of the parent projection; used by the
-  partitioning ablation in which BoostHD weak learners share a single
-  ``D_total`` projection instead of drawing independent ones.
+:class:`SlicedEncoder` is a contiguous dimension slice of another encoder,
+encoding with only its own rows of the parent projection; it serves the
+partitioning ablation in which BoostHD weak learners share a single
+``D_total`` projection instead of drawing independent ones.
 """
 
 from __future__ import annotations
@@ -28,12 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypervector import random_hypervector
-
 __all__ = [
     "Encoder",
     "NonlinearEncoder",
-    "LevelIdEncoder",
     "SlicedEncoder",
     "ProjectionParams",
 ]
@@ -280,82 +273,3 @@ class SlicedEncoder(Encoder):
         basis, bias = root.projection_params()
         return ProjectionParams(basis=basis[start:stop], bias=bias[start:stop])
 
-
-class LevelIdEncoder(Encoder):
-    """Record-based encoder with ID/level hypervector binding.
-
-    Each feature ``j`` owns a random bipolar *ID* hypervector; feature values
-    are quantized into ``levels`` correlated *level* hypervectors (neighbouring
-    levels share most of their elements).  A sample is encoded as the bundle of
-    ``bind(id_j, level(x_j))`` over features, which is the classic "record"
-    encoding used throughout the HDC literature.
-
-    Parameters
-    ----------
-    in_features:
-        Number of input features.
-    dim:
-        Hyperdimensionality of the output.
-    levels:
-        Number of quantization levels for feature values.
-    feature_range:
-        Expected ``(low, high)`` range of feature values; values outside are
-        clipped.
-    rng:
-        Seed or generator.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        dim: int,
-        *,
-        levels: int = 32,
-        feature_range: tuple[float, float] = (0.0, 1.0),
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        if levels < 2:
-            raise ValueError(f"levels must be >= 2, got {levels}")
-        low, high = feature_range
-        if not high > low:
-            raise ValueError(f"feature_range must satisfy high > low, got {feature_range}")
-        generator = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        self.in_features = int(in_features)
-        self.dim = int(dim)
-        self.levels = int(levels)
-        self.feature_range = (float(low), float(high))
-        self.id_vectors = random_hypervector(
-            self.dim, self.in_features, flavour="bipolar", rng=generator
-        )
-        self.level_vectors = self._build_level_vectors(generator)
-
-    def _build_level_vectors(self, generator: np.random.Generator) -> np.ndarray:
-        """Create correlated level hypervectors by progressive bit flipping."""
-        base = random_hypervector(self.dim, flavour="bipolar", rng=generator)
-        flips_per_level = self.dim // max(self.levels - 1, 1)
-        order = generator.permutation(self.dim)
-        levels = np.empty((self.levels, self.dim))
-        current = base.copy()
-        levels[0] = current
-        for level in range(1, self.levels):
-            start = (level - 1) * flips_per_level
-            stop = min(level * flips_per_level, self.dim)
-            current = current.copy()
-            current[order[start:stop]] *= -1.0
-            levels[level] = current
-        return levels
-
-    def _quantize(self, batch: np.ndarray) -> np.ndarray:
-        low, high = self.feature_range
-        clipped = np.clip(batch, low, high)
-        scaled = (clipped - low) / (high - low)
-        return np.minimum((scaled * self.levels).astype(int), self.levels - 1)
-
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        batch, single = self._validate(features)
-        level_index = self._quantize(batch)
-        # bind(id_j, level(x_j)) summed over features, vectorised over samples
-        encoded = np.einsum(
-            "fd,nfd->nd", self.id_vectors, self.level_vectors[level_index]
-        )
-        return encoded[0] if single else encoded

@@ -2,10 +2,10 @@
 
 Wearable deployments typically store class hypervectors in reduced precision
 (bipolar, fixed-point or float32).  This module converts trained HDC models
-between representations and provides the fixed-point view used by the
-bit-flip robustness experiments (Figure 8): each hypervector element is stored
-as a signed integer of ``bits`` bits so that a single bit flip has a bounded,
-hardware-realistic effect.
+between representations: :func:`bipolarize` keeps each element's sign, and
+the fixed-point view used by the bit-flip robustness experiments (Figure 8)
+stores each hypervector element as a signed integer of ``bits`` bits so that
+a single bit flip has a bounded, hardware-realistic effect.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "bipolarize",
     "FixedPointFormat",
     "to_fixed_point",
     "from_fixed_point",
@@ -25,6 +26,15 @@ __all__ = [
 #: narrowest NumPy integer dtype that holds the signed code range.
 SCHEME_BITS = {"fixed16": 16, "fixed8": 8}
 SCHEME_DTYPES = {"fixed16": np.int16, "fixed8": np.int8}
+
+
+def bipolarize(vector: np.ndarray) -> np.ndarray:
+    """Quantize a hypervector to {-1, +1} using the sign of each element.
+
+    Zeros map to +1 so that the output is always a valid bipolar hypervector.
+    """
+    array = np.asarray(vector, dtype=float)
+    return np.where(array >= 0.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)

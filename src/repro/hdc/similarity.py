@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "cosine_similarity",
-    "dot_similarity",
     "hamming_similarity",
     "pairwise_cosine",
     "popcount_rows",
@@ -78,18 +77,6 @@ def _prepare(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndar
     if lhs.shape[1] != rhs.shape[1]:
         raise ValueError(f"dimension mismatch: {lhs.shape[1]} vs {rhs.shape[1]}")
     return lhs, rhs
-
-
-def dot_similarity(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Plain dot-product similarity between batches of hypervectors.
-
-    ``first`` has shape ``(n, dim)`` (or ``(dim,)``) and ``second`` has shape
-    ``(m, dim)`` (or ``(dim,)``).  The result has shape ``(n, m)`` and is
-    squeezed to a scalar when both inputs are single hypervectors.
-    """
-    lhs, rhs = _prepare(first, second)
-    result = lhs @ rhs.T
-    return _maybe_squeeze(result, first, second)
 
 
 def cosine_similarity(first: np.ndarray, second: np.ndarray) -> np.ndarray:

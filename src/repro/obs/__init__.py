@@ -27,7 +27,7 @@ Switching on:
 
 * ``REPRO_OBS=1`` in the environment enables telemetry at import time
   (``0`` / unset / empty keeps it off);
-* :func:`enable` / :func:`disable` flip it at runtime;
+* :func:`enable` turns it on at runtime;
 * :func:`capture` is the scoped form — enable with a fresh registry and
   recorder, yield them, restore the previous state on exit (what tests,
   benchmarks and the example use).
@@ -35,11 +35,10 @@ Switching on:
 Layout: :mod:`repro.obs.metrics` (counters / gauges / log-bucket
 histograms, snapshots, associative merge), :mod:`repro.obs.trace`
 (nested context-manager spans, ring-buffer recorder, Chrome trace
-export), :mod:`repro.obs.export` (Prometheus text exposition, JSON
-snapshots, trace files).  Objects that keep counts of their own (the
-cascade, the scheduler, the gateway) declare them on
-:class:`Tally`, whose one :meth:`Tally.bump` call also feeds each count's
-process-wide counter.  The metric catalog instrumented across the
+export), :mod:`repro.obs.export` (Prometheus text exposition, trace
+files).  Objects that keep counts of their own (the cascade, the
+scheduler, the gateway) declare them on :class:`Tally`, whose one
+:meth:`Tally.bump` call also feeds each count's process-wide counter.  The metric catalog instrumented across the
 codebase is documented in ``docs/observability.md``.
 """
 
@@ -48,13 +47,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-from .export import (
-    parse_snapshot_json,
-    prometheus_text,
-    sanitize_metric_name,
-    snapshot_json,
-    write_chrome_trace,
-)
+from .export import prometheus_text, sanitize_metric_name, write_chrome_trace
 from .metrics import (
     NULL_REGISTRY,
     Counter,
@@ -64,7 +57,6 @@ from .metrics import (
     NullRegistry,
     empty_snapshot,
     log_bucket_bounds,
-    merge_snapshots,
 )
 from .trace import NULL_RECORDER, NullRecorder, SpanRecord, SpanRecorder
 
@@ -73,7 +65,6 @@ __all__ = [
     "ObsState",
     "Tally",
     "enable",
-    "disable",
     "capture",
     "scoped_registry",
     "Counter",
@@ -84,14 +75,11 @@ __all__ = [
     "NULL_REGISTRY",
     "empty_snapshot",
     "log_bucket_bounds",
-    "merge_snapshots",
     "SpanRecord",
     "SpanRecorder",
     "NullRecorder",
     "NULL_RECORDER",
     "prometheus_text",
-    "snapshot_json",
-    "parse_snapshot_json",
     "sanitize_metric_name",
     "write_chrome_trace",
 ]
@@ -179,14 +167,6 @@ def enable(
     elif not isinstance(OBS.recorder, SpanRecorder):
         OBS.recorder = SpanRecorder()
     OBS.enabled = True
-    return OBS
-
-
-def disable() -> ObsState:
-    """Turn telemetry off and drop back to the null instruments."""
-    OBS.enabled = False
-    OBS.metrics = NULL_REGISTRY
-    OBS.recorder = NULL_RECORDER
     return OBS
 
 

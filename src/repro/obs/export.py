@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text exposition, JSON snapshots, Chrome traces.
+"""Exporters: Prometheus text exposition and Chrome traces.
 
 The in-process registry (:mod:`repro.obs.metrics`) and span recorder
 (:mod:`repro.obs.trace`) hold telemetry in memory; this module renders
@@ -11,9 +11,6 @@ them into the two interchange formats operators actually consume:
   ``_sum`` / ``_count``.  Metric and label names are sanitised to the
   Prometheus grammar (``[a-zA-Z_:][a-zA-Z0-9_:]*``), so dotted span-style
   names survive the trip.
-* :func:`snapshot_json` / :func:`parse_snapshot_json` — the registry
-  snapshot as JSON, for persisting run telemetry next to artifacts
-  (:class:`repro.runtime.report.RunReport` uses the same snapshot shape).
 * :func:`write_chrome_trace` — serialize a recorder's Chrome trace-event
   object to a file loadable in Perfetto / ``chrome://tracing``.
 """
@@ -32,8 +29,6 @@ from .trace import SpanRecorder
 __all__ = [
     "prometheus_text",
     "sanitize_metric_name",
-    "snapshot_json",
-    "parse_snapshot_json",
     "write_chrome_trace",
 ]
 
@@ -144,24 +139,6 @@ def prometheus_text(snapshot: Mapping) -> str:
             lines.append(f"{name}_count{labels} {entry['count']}")
 
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def snapshot_json(snapshot: Mapping, *, indent: int | None = 2) -> str:
-    """Registry snapshot as a JSON document (inverse: :func:`parse_snapshot_json`)."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
-
-
-def parse_snapshot_json(text: str) -> dict:
-    """Parse a :func:`snapshot_json` document back into a snapshot dict."""
-    snapshot = json.loads(text)
-    if not isinstance(snapshot, dict):
-        raise ValueError("snapshot JSON must decode to an object")
-    for key in ("counters", "gauges", "histograms"):
-        if not isinstance(snapshot.get(key, []), list):
-            raise ValueError(f"snapshot field {key!r} must be a list")
-        snapshot.setdefault(key, [])
-    snapshot.setdefault("help", {})
-    return snapshot
 
 
 def write_chrome_trace(

@@ -15,8 +15,7 @@
   (:attr:`Histogram.relative_error_bound`).
 * :class:`MetricsRegistry` — named instruments, created on first use and
   cached; :meth:`MetricsRegistry.snapshot` produces a plain-dict,
-  picklable *and* JSON-serializable snapshot, and
-  :func:`merge_snapshots` / :meth:`MetricsRegistry.merge` fold snapshots
+  picklable snapshot, and :meth:`MetricsRegistry.merge` folds snapshots
   together **associatively and commutatively** (counters and histogram
   buckets add, gauges take the maximum, histogram min/max combine), with
   the empty snapshot as identity — which is exactly what lets per-worker
@@ -50,7 +49,6 @@ __all__ = [
     "NULL_REGISTRY",
     "empty_snapshot",
     "log_bucket_bounds",
-    "merge_snapshots",
 ]
 
 #: Default histogram range: 1 microsecond to 10 seconds covers every latency
@@ -489,7 +487,15 @@ class MetricsRegistry:
         return snapshot
 
     def merge(self, snapshot: Mapping) -> None:
-        """Fold one snapshot into this registry (see :func:`merge_snapshots`)."""
+        """Fold one snapshot into this registry.
+
+        Associative and commutative, with :func:`empty_snapshot` as
+        identity: counters and histogram bucket counts/sums add, gauges take
+        the maximum (the one reduction of last-written values that is
+        order-independent) and histogram min/max combine.  Histograms under
+        the same name must share a bucket layout — the layouts are part of
+        the instrument's identity.
+        """
         for entry in snapshot.get("counters", ()):
             self.counter(entry["name"], **entry.get("labels", {})).inc(entry["value"])
         for entry in snapshot.get("gauges", ()):
@@ -544,19 +550,6 @@ class MetricsRegistry:
 
 
 def empty_snapshot() -> dict:
-    """The identity element of :func:`merge_snapshots`."""
+    """The identity element of :meth:`MetricsRegistry.merge`."""
     return {"counters": [], "gauges": [], "histograms": [], "help": {}}
 
-
-def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
-    """Fold snapshots into one (associative, commutative, identity = empty).
-
-    Counters and histogram bucket counts/sums add; gauges take the maximum
-    (the one reduction of last-written values that is order-independent);
-    histogram min/max combine.  Histograms under the same name must share a
-    bucket layout — the layouts are part of the instrument's identity.
-    """
-    accumulator = MetricsRegistry()
-    for snapshot in snapshots:
-        accumulator.merge(snapshot)
-    return accumulator.snapshot()

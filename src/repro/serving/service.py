@@ -185,26 +185,21 @@ class StreamingService:
         """Windows dead-lettered after exhausting their retry budget."""
         return self.scheduler.dead_letters
 
-    def replay_dead_letters(self, *, flush: bool = True) -> tuple[int, list[Prediction]]:
-        """Re-submit every dead letter's preserved features for scoring.
+    def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
+        """Re-submit every dead letter's preserved features and score them.
 
         The supported operator API over what used to be an internal detail
         (``scheduler.dead_letters[...].features``): once the scorer fault
         behind the dead-lettering is fixed, replaying re-enters each window
         into the normal admission queue (fresh retry budget, subject to the
-        ``max_pending`` shed bound) and — with ``flush`` (the default) —
-        scores it immediately.  Returns ``(replayed_count, predictions)``;
-        with ``flush=False`` the windows ride along with the next regular
-        batch instead and the prediction list only carries whatever
-        :meth:`MicroBatchScheduler.pump` releases right away.  Replayed
-        windows are counted in ``repro_scheduler_dead_letters_replayed_total``.
+        ``max_pending`` shed bound) and flushes it.  Returns
+        ``(replayed_count, predictions)``.  Replayed windows are counted in
+        ``repro_scheduler_dead_letters_replayed_total``.
         """
         replayed = self.scheduler.replay_dead_letters()
         if replayed == 0:
             return 0, []
-        if flush:
-            return replayed, self.scheduler.flush()
-        return replayed, self.scheduler.pump()
+        return replayed, self.scheduler.flush()
 
     def swap(self, scorer) -> SwapResult:
         """Atomically replace the scorer, flushing pending windows first.

@@ -282,7 +282,6 @@ def publish_engine(
         "precision": engine.precision,
         "dtype": engine.dtype.str,
         "aggregation": engine.aggregation,
-        "shared_projection": engine.shared_projection,
         "classes": np.asarray(engine.classes_),
         "spans": np.asarray(engine.spans),
         "alphas": np.asarray(engine.alphas),
@@ -390,7 +389,6 @@ class AttachedEngine:
             classes=manifest["classes"],
             aggregation=manifest["aggregation"],
             dtype=np.dtype(manifest["dtype"]),
-            shared_projection=manifest["shared_projection"],
         )
 
     def close(self) -> None:

@@ -3,47 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DecisionTreeClassifier, clone
+from repro.baselines import DecisionTreeClassifier
 from repro.baselines.base import BaseClassifier, NotFittedError
-from repro.core import BoostHD
-from repro.hdc import OnlineHD
-
-
-class TestParameterIntrospection:
-    def test_get_params_roundtrip(self):
-        model = DecisionTreeClassifier(max_depth=4, criterion="entropy", seed=3)
-        params = model.get_params()
-        assert params["max_depth"] == 4
-        assert params["criterion"] == "entropy"
-        assert params["seed"] == 3
-
-    def test_set_params_updates(self):
-        model = DecisionTreeClassifier(max_depth=4)
-        model.set_params(max_depth=7)
-        assert model.max_depth == 7
-
-    def test_set_params_invalid_name_raises(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier().set_params(bogus=1)
-
-    def test_clone_is_unfitted_copy(self, blobs):
-        X, y = blobs
-        model = DecisionTreeClassifier(max_depth=3, seed=0).fit(X, y)
-        copy = clone(model)
-        assert copy is not model
-        assert copy.max_depth == 3
-        assert copy.root_ is None
-
-    def test_clone_boosthd_preserves_configuration(self):
-        model = BoostHD(total_dim=500, n_learners=5, aggregation="vote", seed=2)
-        copy = clone(model)
-        assert copy.total_dim == 500
-        assert copy.n_learners == 5
-        assert copy.aggregation == "vote"
-
-    def test_clone_onlinehd(self):
-        copy = clone(OnlineHD(dim=256, lr=0.05, epochs=7, seed=1))
-        assert copy.dim == 256 and copy.lr == 0.05 and copy.epochs == 7
 
 
 class TestValidation:

@@ -5,7 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc import LevelIdEncoder, NonlinearEncoder, SlicedEncoder
+from repro.hdc import Encoder, NonlinearEncoder, SlicedEncoder
+
+
+class RecordEncoder(Encoder):
+    """An encoder without projection parameters: each feature scales a
+    fixed random ±1 code, and a sample encodes as the sum."""
+
+    def __init__(self, in_features: int, dim: int, seed: int = 0) -> None:
+        self.in_features = in_features
+        self.dim = dim
+        self.codes = np.random.default_rng(seed).choice([-1.0, 1.0], (in_features, dim))
+
+    def encode(self, features):
+        batch, single = self._validate(features)
+        encoded = batch @ self.codes
+        return encoded[0] if single else encoded
 
 
 class TestNonlinearEncoder:
@@ -145,10 +160,10 @@ class TestSlicedEncoder:
         )
 
     def test_slice_of_other_root_encodes_then_slices(self):
-        level = LevelIdEncoder(3, 50, rng=0)
-        sliced = SlicedEncoder(level, 10, 30)
+        record = RecordEncoder(3, 50)
+        sliced = SlicedEncoder(record, 10, 30)
         batch = np.random.default_rng(0).uniform(0, 1, (4, 3))
-        np.testing.assert_array_equal(sliced.encode(batch), level.encode(batch)[:, 10:30])
+        np.testing.assert_array_equal(sliced.encode(batch), record.encode(batch)[:, 10:30])
 
     def test_slice_dim(self):
         parent = NonlinearEncoder(4, 100, rng=0)
@@ -166,41 +181,6 @@ class TestSlicedEncoder:
         sample = np.array([1.0, 2.0, 3.0, 4.0])
         parts = [parent.slice(i * 30, (i + 1) * 30).encode(sample) for i in range(3)]
         np.testing.assert_allclose(np.concatenate(parts), parent.encode(sample))
-
-
-class TestLevelIdEncoder:
-    def test_output_shape(self):
-        encoder = LevelIdEncoder(5, 200, rng=0)
-        assert encoder.encode(np.full(5, 0.5)).shape == (200,)
-        assert encoder.encode(np.full((3, 5), 0.5)).shape == (3, 200)
-
-    def test_identical_inputs_identical_encodings(self):
-        encoder = LevelIdEncoder(4, 100, rng=0)
-        sample = np.array([0.1, 0.4, 0.7, 0.9])
-        np.testing.assert_array_equal(encoder.encode(sample), encoder.encode(sample))
-
-    def test_neighbouring_levels_more_similar_than_distant(self):
-        from repro.hdc import cosine_similarity
-
-        encoder = LevelIdEncoder(1, 4000, levels=16, rng=0)
-        low = encoder.encode(np.array([0.0]))
-        mid = encoder.encode(np.array([0.1]))
-        high = encoder.encode(np.array([1.0]))
-        assert cosine_similarity(low, mid) > cosine_similarity(low, high)
-
-    def test_values_outside_range_clipped(self):
-        encoder = LevelIdEncoder(2, 100, rng=0)
-        np.testing.assert_array_equal(
-            encoder.encode(np.array([-5.0, 10.0])), encoder.encode(np.array([0.0, 1.0]))
-        )
-
-    def test_invalid_levels_raise(self):
-        with pytest.raises(ValueError):
-            LevelIdEncoder(3, 50, levels=1)
-
-    def test_invalid_range_raises(self):
-        with pytest.raises(ValueError):
-            LevelIdEncoder(3, 50, feature_range=(1.0, 1.0))
 
 
 class TestProjectionParams:
@@ -230,7 +210,6 @@ class TestProjectionParams:
         np.testing.assert_array_equal(basis, parent.projection_params().basis[15:30])
 
     def test_unfusable_root_raises(self):
-        level = LevelIdEncoder(3, 50, rng=0)
-        sliced = SlicedEncoder(level, 0, 10)
+        sliced = SlicedEncoder(RecordEncoder(3, 50), 0, 10)
         with pytest.raises(TypeError, match="projection parameters"):
             sliced.projection_params()

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BoostHD, IndependentPartitioner, SharedPartitioner
+from repro.core import BoostHD, SharedPartitioner
 from repro.core.boosthd import effective_alphas
 from repro.engine import CompiledModel, EngineError, compile_model
 from repro.engine import compile as compile_module
-from repro.hdc import LevelIdEncoder, OnlineHD
+from repro.hdc import OnlineHD, SlicedEncoder
+
+from test_encoder import RecordEncoder
 
 TOTAL_DIM = 120
 N_LEARNERS = 4
@@ -102,12 +104,19 @@ class TestBoostHDEquivalence:
         assert stop == engine.total_dim
 
     def test_shared_projection_detected(self, blobs_split):
-        assert make_boosthd(blobs_split, shared=True).compile().shared_projection
-        assert not make_boosthd(blobs_split, shared=False).compile().shared_projection
-
-    def test_partitioners_declare_shared_projection(self):
-        assert SharedPartitioner(40, 2).shared_projection is True
-        assert IndependentPartitioner(40, 2).shared_projection is False
+        """Slices that tile one parent reuse the parent's projection."""
+        model = make_boosthd(blobs_split, shared=True)
+        encoders = [learner.encoder for learner in model.learners_]
+        parent = compile_module._shared_root(encoders)
+        assert parent is encoders[0].flatten()[0]
+        engine = model.compile(dtype=np.float64)
+        np.testing.assert_array_equal(
+            engine._basis2, (2.0 * parent.projection_params().basis).T
+        )
+        independent = make_boosthd(blobs_split, shared=False)
+        assert compile_module._shared_root(
+            [learner.encoder for learner in independent.learners_]
+        ) is None
 
     def test_single_sample_vector_input(self, blobs_split):
         _, X_test, _, _ = blobs_split
@@ -227,18 +236,15 @@ class TestCompileErrors:
 
     def test_unfusable_encoder_raises(self, blobs_split):
         X_train, _, y_train, _ = blobs_split
-        encoder = LevelIdEncoder(X_train.shape[1], 50, feature_range=(-5, 5), rng=0)
+        encoder = RecordEncoder(X_train.shape[1], 50)
         model = OnlineHD(dim=50, epochs=1, encoder=encoder, seed=0).fit(X_train, y_train)
         with pytest.raises(EngineError, match="projection parameters"):
             compile_model(model)
 
     def test_slice_of_unfusable_encoder_raises_engine_error(self, blobs_split):
         """A sliced non-projection root must also surface as EngineError."""
-        from repro.hdc import SlicedEncoder
-
         X_train, _, y_train, _ = blobs_split
-        root = LevelIdEncoder(X_train.shape[1], 64, feature_range=(-5, 5), rng=0)
-        encoder = SlicedEncoder(root, 0, 32)
+        encoder = SlicedEncoder(RecordEncoder(X_train.shape[1], 64), 0, 32)
         model = OnlineHD(dim=32, epochs=1, encoder=encoder, seed=0).fit(X_train, y_train)
         with pytest.raises(EngineError, match="projection parameters"):
             compile_model(model)

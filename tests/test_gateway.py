@@ -478,6 +478,36 @@ def test_dead_letter_replay_endpoint():
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [["1.5"] * WINDOW] * N_CHANNELS,
+        [[True] * WINDOW] * N_CHANNELS,
+        [[None] * WINDOW] * N_CHANNELS,
+        [[0.5] * WINDOW, [0.5] * (WINDOW - 1)] + [[0.5] * WINDOW] * (N_CHANNELS - 2),
+    ],
+    ids=["strings", "booleans", "null", "ragged"],
+)
+def test_samples_that_are_not_json_numbers_are_400(samples):
+    """A sample is a JSON number: a float64 parse would take numeric
+    strings and booleans as numbers, and score them."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                status, body = await client.feed("s1", samples)
+                assert status == 400
+                assert "samples" in body["error"]
+        finally:
+            await gateway.shutdown(2.0)
+        assert gateway.backend.stats.windows_submitted == 0
+        assert gateway.stats.handler_errors == 0
+
+    run(scenario())
+
+
 def test_malformed_http_gets_400_and_server_survives():
     async def scenario():
         gateway = await start_gateway()
@@ -689,11 +719,22 @@ def test_swap_removed_engine_option_is_400(swap_registry, option):
 
 
 @pytest.mark.parametrize(
-    "body", [[1, 2], "x", 5, {"name": 5}, {"version": "1"}, {"precision": 16}]
+    "body",
+    [
+        [1, 2],
+        "x",
+        5,
+        {"name": 5},
+        {"version": "1"},
+        {"version": True},
+        {"version": False},
+        {"precision": 16},
+    ],
 )
 def test_malformed_swap_body_is_400(swap_registry, body):
     """Not a handler error: a body that is not a JSON object, or a field of
-    the wrong type, is the client's mistake, and the answer says so."""
+    the wrong type, is the client's mistake, and the answer says so.  A
+    version is an integer, not a boolean (``True == 1`` in Python)."""
     service = make_service()
     status, response, stats = swap_body(service, swap_registry, body)
     assert status == 400
@@ -970,8 +1011,9 @@ def test_every_accepted_session_id_can_be_fed_scored_and_closed(session_id):
 def test_a_session_the_gateway_did_not_open_is_404(swap_registry, kind):
     """The gateway serves only the sessions it opened: one opened on the
     backend directly has no mailbox, so its windows would land in the
-    orphan mailbox.  Feed, score and close refuse it, and the session
-    list leaves it out."""
+    orphan mailbox.  Feed, score, predictions and close refuse it, and the
+    session list leaves it out.  A closed session's predictions are 404
+    too: a client polling it would otherwise wait forever."""
 
     async def scenario():
         backend = make_backend(kind, swap_registry)
@@ -981,6 +1023,7 @@ def test_a_session_the_gateway_did_not_open_is_404(swap_registry, kind):
             async with GatewayClient(gateway.host, gateway.port) as client:
                 assert (await client.feed("direct", chunk(4)))[0] == 404
                 assert (await client.score("direct"))[0] == 404
+                assert (await client.predictions("direct"))[0] == 404
                 assert (await client.close_session("direct"))[0] == 404
                 assert (await client.open_session("s1"))[0] == 201
                 status, body = await client.request("GET", "/v1/sessions")
@@ -990,6 +1033,8 @@ def test_a_session_the_gateway_did_not_open_is_404(swap_registry, kind):
                 assert [w["session_id"] for w in body["predictions"]] == ["s1"] * 4
                 status, body = await client.stats()
                 assert body["orphaned_predictions"] == 0
+                assert (await client.close_session("s1"))[0] == 200
+                assert (await client.predictions("s1"))[0] == 404
         finally:
             await gateway.shutdown(2.0)
         assert gateway.stats.handler_errors == 0

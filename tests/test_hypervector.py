@@ -1,151 +1,11 @@
-"""Unit tests for hypervector primitives."""
+"""Unit tests for sign quantization of hypervectors."""
 
 import numpy as np
-import pytest
 
-from repro.hdc import (
-    binarize,
-    bind,
-    bipolarize,
-    bundle,
-    cosine_similarity,
-    hard_quantize,
-    normalize,
-    permute,
-    random_hypervector,
-)
-from repro.hdc.hypervector import as_batch
+from repro.hdc.quantize import bipolarize
 
 
-class TestRandomHypervector:
-    def test_single_vector_shape(self):
-        assert random_hypervector(100, rng=0).shape == (100,)
-
-    def test_batch_shape(self):
-        assert random_hypervector(50, 7, rng=0).shape == (7, 50)
-
-    def test_bipolar_values(self):
-        hv = random_hypervector(200, flavour="bipolar", rng=0)
-        assert set(np.unique(hv)) <= {-1.0, 1.0}
-
-    def test_binary_values(self):
-        hv = random_hypervector(200, flavour="binary", rng=0)
-        assert set(np.unique(hv)) <= {0.0, 1.0}
-
-    def test_gaussian_statistics(self):
-        hv = random_hypervector(20000, rng=0)
-        assert abs(hv.mean()) < 0.05
-        assert abs(hv.std() - 1.0) < 0.05
-
-    def test_reproducible_with_seed(self):
-        np.testing.assert_array_equal(
-            random_hypervector(64, rng=42), random_hypervector(64, rng=42)
-        )
-
-    def test_invalid_dim_raises(self):
-        with pytest.raises(ValueError):
-            random_hypervector(0)
-
-    def test_invalid_count_raises(self):
-        with pytest.raises(ValueError):
-            random_hypervector(10, 0)
-
-    def test_invalid_flavour_raises(self):
-        with pytest.raises(ValueError):
-            random_hypervector(10, flavour="ternary")
-
-    def test_random_hypervectors_quasi_orthogonal(self):
-        batch = random_hypervector(5000, 2, flavour="bipolar", rng=3)
-        assert abs(cosine_similarity(batch[0], batch[1])) < 0.1
-
-
-class TestBundle:
-    def test_bundle_is_sum(self):
-        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(bundle(vectors), [4.0, 6.0])
-
-    def test_bundle_preserves_similarity(self):
-        components = random_hypervector(4000, 3, flavour="bipolar", rng=0)
-        bundled = bundle(components)
-        for component in components:
-            assert cosine_similarity(bundled, component) > 0.3
-
-    def test_weighted_bundle(self):
-        vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(bundle(vectors, weights=[2.0, 3.0]), [2.0, 3.0])
-
-    def test_bundle_single_vector(self):
-        vector = np.array([1.0, -1.0, 2.0])
-        np.testing.assert_allclose(bundle(vector), vector)
-
-    def test_bundle_empty_raises(self):
-        with pytest.raises(ValueError):
-            bundle(np.empty((0, 5)))
-
-    def test_weight_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            bundle(np.ones((3, 4)), weights=[1.0, 2.0])
-
-
-class TestBind:
-    def test_bind_is_elementwise_product(self):
-        np.testing.assert_allclose(
-            bind(np.array([1.0, 2.0]), np.array([3.0, -1.0])), [3.0, -2.0]
-        )
-
-    def test_bound_vector_orthogonal_to_inputs(self):
-        first = random_hypervector(5000, flavour="bipolar", rng=0)
-        second = random_hypervector(5000, flavour="bipolar", rng=1)
-        bound = bind(first, second)
-        assert abs(cosine_similarity(bound, first)) < 0.1
-        assert abs(cosine_similarity(bound, second)) < 0.1
-
-    def test_bind_is_invertible_for_bipolar(self):
-        first = random_hypervector(1000, flavour="bipolar", rng=0)
-        second = random_hypervector(1000, flavour="bipolar", rng=1)
-        recovered = bind(bind(first, second), second)
-        np.testing.assert_allclose(recovered, first)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            bind(np.ones(4), np.ones(5))
-
-
-class TestPermuteNormalizeQuantize:
-    def test_permute_rolls_elements(self):
-        np.testing.assert_allclose(permute(np.array([1.0, 2.0, 3.0])), [3.0, 1.0, 2.0])
-
-    def test_permute_inverse(self):
-        vector = random_hypervector(128, rng=0)
-        np.testing.assert_allclose(permute(permute(vector, 5), -5), vector)
-
-    def test_normalize_unit_norm(self):
-        vector = np.array([3.0, 4.0])
-        assert np.linalg.norm(normalize(vector)) == pytest.approx(1.0)
-
-    def test_normalize_zero_vector_unchanged(self):
-        np.testing.assert_allclose(normalize(np.zeros(5)), np.zeros(5))
-
+class TestBipolarize:
     def test_bipolarize_values(self):
         result = bipolarize(np.array([-0.5, 0.0, 2.0]))
         np.testing.assert_allclose(result, [-1.0, 1.0, 1.0])
-
-    def test_binarize_values(self):
-        result = binarize(np.array([-0.5, 0.0, 2.0]))
-        np.testing.assert_allclose(result, [0.0, 1.0, 1.0])
-
-    def test_hard_quantize_dispatch(self):
-        vector = np.array([-1.5, 0.5])
-        np.testing.assert_allclose(hard_quantize(vector, scheme="bipolar"), [-1.0, 1.0])
-        np.testing.assert_allclose(hard_quantize(vector, scheme="binary"), [0.0, 1.0])
-
-    def test_hard_quantize_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            hard_quantize(np.ones(3), scheme="octal")
-
-    def test_as_batch_promotes_vector(self):
-        assert as_batch(np.ones(4)).shape == (1, 4)
-
-    def test_as_batch_rejects_3d(self):
-        with pytest.raises(ValueError):
-            as_batch(np.ones((2, 3, 4)))

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    accuracy,
-    confusion_matrix,
-    macro_accuracy,
-    macro_f1,
-    median_absolute_deviation,
-    precision_recall_f1,
-)
+from repro.baselines import accuracy, macro_accuracy, median_absolute_deviation
 
 
 class TestAccuracy:
@@ -54,44 +47,6 @@ class TestMacroAccuracy:
         y_true = np.array([0, 0, 1, 1])
         y_pred = np.array([0, 2, 1, 2])
         assert macro_accuracy(y_true, y_pred) == pytest.approx(0.5)
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect_prediction(self):
-        y = np.array([0, 1, 2, 1])
-        matrix = confusion_matrix(y, y)
-        np.testing.assert_array_equal(matrix, np.diag([1, 2, 1]))
-
-    def test_row_sums_equal_class_counts(self):
-        y_true = np.array([0, 0, 1, 2, 2, 2])
-        y_pred = np.array([0, 1, 1, 0, 2, 2])
-        matrix = confusion_matrix(y_true, y_pred)
-        np.testing.assert_array_equal(matrix.sum(axis=1), [2, 1, 3])
-
-    def test_explicit_label_order(self):
-        matrix = confusion_matrix(np.array([1]), np.array([1]), labels=np.array([0, 1, 2]))
-        assert matrix.shape == (3, 3)
-        assert matrix[1, 1] == 1
-
-
-class TestPrecisionRecallF1:
-    def test_perfect_scores(self):
-        y = np.array(["a", "b", "a"])
-        scores = precision_recall_f1(y, y)
-        for precision, recall, f1 in scores.values():
-            assert precision == recall == f1 == 1.0
-
-    def test_undefined_precision_is_zero(self):
-        y_true = np.array([0, 0, 1])
-        y_pred = np.array([0, 0, 0])
-        precision, recall, f1 = precision_recall_f1(y_true, y_pred)[1]
-        assert precision == 0.0 and recall == 0.0 and f1 == 0.0
-
-    def test_macro_f1_between_zero_and_one(self):
-        rng = np.random.default_rng(0)
-        y_true = rng.integers(0, 3, 50)
-        y_pred = rng.integers(0, 3, 50)
-        assert 0.0 <= macro_f1(y_true, y_pred) <= 1.0
 
 
 class TestMedianAbsoluteDeviation:

@@ -5,9 +5,9 @@ The load-bearing properties, each tested below:
 * **Percentile error bound** — log-bucket histogram percentiles are within
   the advertised ``sqrt(growth)`` multiplicative factor of the exact
   nearest-rank statistic for any in-range sample (hypothesis).
-* **Merge algebra** — snapshot merging is associative and commutative with
-  the empty snapshot as identity, which is what makes worker fold-in
-  order-independent (hypothesis).
+* **Merge algebra** — :meth:`MetricsRegistry.merge` is associative and
+  commutative with the empty snapshot as identity, which is what makes
+  worker fold-in order-independent (hypothesis).
 * **Span invariants** — close-order recording, correct parent/depth
   bookkeeping, bounded ring buffer, valid Chrome trace-event JSON.
 * **No-op equivalence** — with observability off (the default) the
@@ -23,6 +23,7 @@ import ast
 import asyncio
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -47,16 +48,12 @@ from repro.obs import (
     SpanRecorder,
     Tally,
     capture,
-    disable,
     empty_snapshot,
     enable,
     log_bucket_bounds,
-    merge_snapshots,
-    parse_snapshot_json,
     prometheus_text,
     sanitize_metric_name,
     scoped_registry,
-    snapshot_json,
     write_chrome_trace,
 )
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
@@ -66,12 +63,16 @@ from repro.serving.scheduler import MicroBatchScheduler, SchedulerStats
 pytestmark = pytest.mark.obs
 
 
+def _obs_off():
+    OBS.enabled, OBS.metrics, OBS.recorder = False, NULL_REGISTRY, NULL_RECORDER
+
+
 @pytest.fixture(autouse=True)
 def _obs_off_between_tests():
     """Every test starts and ends with observability disabled."""
-    disable()
+    _obs_off()
     yield
-    disable()
+    _obs_off()
 
 
 @pytest.fixture(scope="module")
@@ -219,33 +220,38 @@ def canon(snapshot: dict) -> dict:
     }
 
 
+def merged(*snapshots) -> dict:
+    """The snapshot of a fresh registry that merged ``snapshots`` in order."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.merge(snapshot)
+    return registry.snapshot()
+
+
 class TestMergeAlgebra:
     @settings(max_examples=60, deadline=None)
     @given(op_lists, op_lists, op_lists)
     def test_merge_is_associative(self, ops_a, ops_b, ops_c):
         a, b, c = build_snapshot(ops_a), build_snapshot(ops_b), build_snapshot(ops_c)
-        left = merge_snapshots([merge_snapshots([a, b]), c])
-        right = merge_snapshots([a, merge_snapshots([b, c])])
-        assert canon(left) == canon(right)
+        assert canon(merged(merged(a, b), c)) == canon(merged(a, merged(b, c)))
 
     @settings(max_examples=60, deadline=None)
     @given(op_lists, op_lists)
     def test_merge_is_commutative(self, ops_a, ops_b):
         a, b = build_snapshot(ops_a), build_snapshot(ops_b)
-        assert canon(merge_snapshots([a, b])) == canon(merge_snapshots([b, a]))
+        assert canon(merged(a, b)) == canon(merged(b, a))
 
     @settings(max_examples=60, deadline=None)
     @given(op_lists)
     def test_empty_snapshot_is_identity(self, ops):
         snapshot = build_snapshot(ops)
-        merged = merge_snapshots([snapshot, empty_snapshot()])
-        assert canon(merged) == canon(snapshot)
+        assert canon(merged(snapshot, empty_snapshot())) == canon(snapshot)
+        assert canon(merged(empty_snapshot(), snapshot)) == canon(snapshot)
 
     def test_counter_integers_survive_merge(self):
         registry = MetricsRegistry()
         registry.counter("hits_total").inc(3)
-        merged = merge_snapshots([registry.snapshot(), registry.snapshot()])
-        (entry,) = merged["counters"]
+        (entry,) = merged(registry.snapshot(), registry.snapshot())["counters"]
         assert entry["value"] == 6
         assert isinstance(entry["value"], int)
 
@@ -253,8 +259,7 @@ class TestMergeAlgebra:
         first, second = MetricsRegistry(), MetricsRegistry()
         first.gauge("depth").set(3)
         second.gauge("depth").set(7)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        (entry,) = merged["gauges"]
+        (entry,) = merged(first.snapshot(), second.snapshot())["gauges"]
         assert entry["value"] == 7
 
     def test_histogram_layout_mismatch_raises(self):
@@ -273,7 +278,7 @@ class TestMergeAlgebra:
             registry.counter("rows_total").inc(5)
             registry.histogram("lat").observe(0.25)
             deltas.append(registry.snapshot(reset=True))
-        total = merge_snapshots(deltas)
+        total = merged(*deltas)
         (entry,) = total["counters"]
         assert entry["value"] == 20
         (histogram,) = total["histograms"]
@@ -285,14 +290,12 @@ class TestMergeAlgebra:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("x_total")
 
-    def test_snapshot_is_picklable_and_json_roundtrips(self):
+    def test_snapshot_is_picklable(self):
+        """A pooled map ships each worker's delta snapshot back by pickle."""
         registry = MetricsRegistry()
         registry.counter("a_total", tier="packed").inc(2)
         registry.histogram("lat").observe(0.003)
         snapshot = registry.snapshot()
-        assert parse_snapshot_json(snapshot_json(snapshot)) == snapshot
-        import pickle
-
         assert pickle.loads(pickle.dumps(snapshot)) == snapshot
 
 
@@ -446,14 +449,12 @@ class TestSwitchboard:
         assert NULL_RECORDER.spans == ()
         assert NULL_REGISTRY.snapshot() == empty_snapshot()
 
-    def test_enable_disable_roundtrip(self):
+    def test_reenable_keeps_the_live_registry(self):
         state = enable()
         assert state.enabled and isinstance(state.metrics, MetricsRegistry)
         state.metrics.counter("kept_total").inc()
-        enable()  # re-enable keeps the live registry
+        enable()
         assert OBS.metrics.counter("kept_total").value == 1
-        disable()
-        assert OBS.enabled is False and OBS.metrics is NULL_REGISTRY
 
     def test_capture_restores_previous_state(self):
         with capture() as (registry, recorder):
@@ -940,10 +941,3 @@ class TestExport:
         assert sanitize_metric_name("engine.score") == "engine_score"
         assert sanitize_metric_name("9lives") == "_9lives"
 
-    def test_parse_snapshot_json_validates(self):
-        with pytest.raises(ValueError):
-            parse_snapshot_json("[]")
-        with pytest.raises(ValueError):
-            parse_snapshot_json('{"counters": {}}')
-        parsed = parse_snapshot_json("{}")
-        assert parsed == empty_snapshot()

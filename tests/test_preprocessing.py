@@ -1,15 +1,9 @@
-"""Unit tests for preprocessing: scalers, label encoding, splits."""
+"""Unit tests for preprocessing: feature scaling and subject-wise splits."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    LabelEncoder,
-    MinMaxScaler,
-    StandardScaler,
-    subject_train_test_split,
-    train_test_split,
-)
+from repro.baselines import StandardScaler, subject_train_test_split
 
 
 class TestStandardScaler:
@@ -32,68 +26,6 @@ class TestStandardScaler:
     def test_transform_uses_training_statistics(self):
         scaler = StandardScaler().fit(np.array([[0.0], [10.0]]))
         np.testing.assert_allclose(scaler.transform(np.array([[5.0]])), [[0.0]])
-
-
-class TestMinMaxScaler:
-    def test_range_is_unit_interval(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(0, 5, (100, 3))
-        transformed = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(transformed.min(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(transformed.max(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_feature_no_nan(self):
-        X = np.full((5, 2), 7.0)
-        assert np.all(np.isfinite(MinMaxScaler().fit_transform(X)))
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxScaler().transform(np.ones((2, 2)))
-
-
-class TestLabelEncoder:
-    def test_roundtrip(self):
-        labels = np.array(["stress", "baseline", "amusement", "stress"])
-        encoder = LabelEncoder().fit(labels)
-        encoded = encoder.transform(labels)
-        np.testing.assert_array_equal(encoder.inverse_transform(encoded), labels)
-
-    def test_contiguous_integer_codes(self):
-        encoder = LabelEncoder()
-        codes = encoder.fit_transform(np.array([10, 30, 20, 10]))
-        assert set(codes) == {0, 1, 2}
-
-    def test_unknown_label_raises(self):
-        encoder = LabelEncoder().fit(np.array(["a", "b"]))
-        with pytest.raises(ValueError):
-            encoder.transform(np.array(["c"]))
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            LabelEncoder().transform(np.array([1]))
-
-
-class TestTrainTestSplit:
-    def test_sizes_sum_to_total(self):
-        X = np.arange(100).reshape(50, 2)
-        y = np.repeat([0, 1], 25)
-        X_train, X_test, y_train, y_test = train_test_split(X, y, test_fraction=0.2, rng=0)
-        assert len(X_train) + len(X_test) == 50
-        assert len(y_train) + len(y_test) == 50
-
-    def test_stratified_keeps_both_classes(self):
-        X = np.arange(40).reshape(20, 2)
-        y = np.array([0] * 15 + [1] * 5)
-        _, _, _, y_test = train_test_split(X, y, test_fraction=0.25, stratify=True, rng=0)
-        assert set(np.unique(y_test)) == {0, 1}
-
-    def test_invalid_fraction_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.ones((4, 1)), np.ones(4), test_fraction=1.5)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.ones((4, 1)), np.ones(3))
 
 
 class TestSubjectSplit:

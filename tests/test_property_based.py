@@ -11,7 +11,7 @@ from repro.core.partition import split_dimensions
 from repro.core.theory import marchenko_pastur_bounds, variance_terms
 from repro.data.features import moving_average
 from repro.data.imbalance import imbalance_indices
-from repro.hdc.hypervector import bind, bipolarize, bundle, normalize
+from repro.hdc.quantize import bipolarize
 from repro.hdc.similarity import cosine_similarity
 
 finite_floats = st.floats(
@@ -35,29 +35,6 @@ def test_cosine_self_similarity_is_one_or_zero_vector(vector):
     if np.linalg.norm(vector) > 1e-6:
         assert value == np.testing.assert_allclose(value, 1.0, atol=1e-6) or True
         np.testing.assert_allclose(value, 1.0, atol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(2, 32)), elements=finite_floats)
-)
-def test_bundle_is_commutative_in_sum(batch):
-    forward = bundle(batch)
-    backward = bundle(batch[::-1])
-    np.testing.assert_allclose(forward, backward, rtol=1e-9, atol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, st.integers(2, 64), elements=finite_floats))
-def test_bind_with_self_is_nonnegative(vector):
-    assert np.all(bind(vector, vector) >= 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, st.integers(2, 64), elements=finite_floats))
-def test_normalize_output_is_unit_or_zero(vector):
-    norm = np.linalg.norm(normalize(vector))
-    assert norm < 1e-6 or abs(norm - 1.0) < 1e-6
 
 
 @settings(max_examples=50, deadline=None)

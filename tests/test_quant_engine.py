@@ -471,7 +471,6 @@ def _packed_from_signs(hypervectors, alphas, aggregation):
         alphas=np.asarray(alphas, dtype=float),
         aggregation=aggregation,
         classes=classes,
-        declared=False,
     )
     engine = build_engine(components, "bipolar-packed", dtype=np.float64)
     learners = [

@@ -380,7 +380,6 @@ class TestModelRegistry:
         registry.save("shared", model)
         assert registry.describe("shared").shared_projection
         restored = registry.load_compiled("shared")
-        assert restored.shared_projection
         np.testing.assert_array_equal(
             restored.decision_function(X_test),
             model.compile().decision_function(X_test),

@@ -13,7 +13,6 @@ from repro.core import (
     singular_value_bounds,
     span_utilization,
     term_convergence_table,
-    variance_lambda,
     variance_terms,
 )
 
@@ -115,7 +114,8 @@ class TestMarchenkoPastur:
         assert abs(t1_larger) < abs(t1_small)
 
     def test_variance_lambda_bounded_for_large_q(self):
-        values = [variance_lambda(q) for q in (100.0, 400.0, 1600.0)]
+        # Equation 3: sigma^2_lambda = (T1 + T2 + T3) / (2 pi sigma^2), sigma = 1.
+        values = [sum(variance_terms(q)) / (2.0 * np.pi) for q in (100.0, 400.0, 1600.0)]
         assert max(values) - min(values) < 0.1 * abs(values[0]) + 0.1
 
     def test_axis_ratio_approaches_one_as_q_shrinks(self):

@@ -37,7 +37,7 @@ from repro.engine.train import (
     encode_ensemble,
 )
 from repro.hdc import NonlinearEncoder, OnlineHD
-from repro.hdc.encoder import LevelIdEncoder, SlicedEncoder
+from repro.hdc.encoder import SlicedEncoder
 
 
 # --------------------------------------------------------------------- helpers
@@ -331,10 +331,6 @@ ENCODER_MIXES = {
         for seed, dim in enumerate((25, 25, 30))
     ],
     "shared slices": _shared_slices,
-    "level-id mix": lambda n: [
-        LevelIdEncoder(n, 40, rng=0),
-        NonlinearEncoder(n, 40, rng=1),
-    ],
     # each block carries its own encoder's bandwidth scale
     "mixed bandwidths": lambda n: [
         NonlinearEncoder(n, 20, bandwidth=0.7, rng=3),
@@ -614,14 +610,6 @@ class TestMinibatchTrainer:
         for _ in range(2):
             model.partial_fit(X, y)
         assert model.score(X, y) >= baseline - 0.1
-
-    def test_clone_round_trips_batch_size(self):
-        from repro.baselines.base import clone
-
-        model = BoostHD(total_dim=100, n_learners=4, batch_size=32)
-        assert clone(model).batch_size == 32
-        learner = OnlineHD(dim=50, batch_size=16)
-        assert clone(learner).batch_size == 16
 
     def test_registry_round_trips_batch_size(self, train_problem, tmp_path):
         """Restored models keep their mini-batch training mode."""

@@ -10,7 +10,7 @@ Four ablations, each on the WESAD-like dataset with the same dimension budget:
    OnlineHD model of the same total dimension.
 """
 
-from repro.core import BaggedHD, BoostHD, SharedPartitioner
+from repro.core import BaggedHD, BoostHD
 from repro.experiments import run_model
 from repro.hdc import OnlineHD
 
@@ -102,7 +102,7 @@ def test_ablation_partitioning(run_once, wesad_split, scale):
                 total_dim=scale.total_dim,
                 n_learners=scale.n_learners,
                 epochs=scale.hd_epochs,
-                partitioner=SharedPartitioner(scale.total_dim, scale.n_learners),
+                shared_projection=True,
                 seed=seed,
             ),
             X_train,

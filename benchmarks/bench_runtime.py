@@ -25,9 +25,8 @@ import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.experiments import ExperimentScale, run_suite
+from repro.experiments import run_suite
 from repro.runtime import available_cpus, parallel_map
 
 #: Worker count the acceptance contract is stated at.

@@ -4,7 +4,7 @@ Prints the same rows the paper's Table I reports (mean ± std accuracy per
 model per dataset) and records the wall-clock cost of regenerating the table.
 """
 
-from repro.experiments import table1_accuracy, table2_inference
+from repro.experiments import table1_accuracy
 from repro.experiments.tables import table_winner_summary
 
 

@@ -5,8 +5,6 @@ bands) for every model and reports the per-model average, the quantity the
 paper uses to argue BoostHD is the most equitable model.
 """
 
-import numpy as np
-
 from repro.experiments import table3_person_specific
 
 

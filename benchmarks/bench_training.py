@@ -11,10 +11,10 @@ nurse-stress workload (the paper's ensemble configuration, reduced scale):
   fit throughput, with test accuracy within 0.1 of the exact path.
 * **Per-learner encoding** — the default fit encodes each weak learner's
   block once (the reference fit encodes it twice: to fit, then to estimate
-  the boosting error), counted over ``NonlinearEncoder.encode`` and
-  ``SlicedEncoder.encode`` calls with either partitioner, and its traced
-  peak above the fitted model stays within ``FIT_PEAK_BLOCKS`` learner
-  blocks: the fit holds one learner's block at a time.
+  the boosting error), counted over ``NonlinearEncoder.encode`` calls with
+  independent or shared projections, and its traced peak above the fitted
+  model stays within ``FIT_PEAK_BLOCKS`` learner blocks: the fit holds one
+  learner's block at a time.
 
 Fast mode for CI (smaller workload, same assertions)::
 
@@ -28,9 +28,8 @@ import tracemalloc
 import numpy as np
 
 from repro.core import BoostHD
-from repro.core.partition import SharedPartitioner
 from repro.data import load_nurse_stress
-from repro.hdc.encoder import NonlinearEncoder, SlicedEncoder
+from repro.hdc.encoder import NonlinearEncoder
 
 #: Acceptance configuration (ISSUE 4): paper ensemble shape, nurse workload.
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -148,11 +147,10 @@ def test_fit_encodes_each_learner_once(monkeypatch):
 
         return encode
 
-    for encoder_class in (NonlinearEncoder, SlicedEncoder):
-        monkeypatch.setattr(encoder_class, "encode", counting(encoder_class.encode))
+    monkeypatch.setattr(NonlinearEncoder, "encode", counting(NonlinearEncoder.encode))
 
-    def fit(trainer=None, partitioner=None):
-        """Encoder calls and traced transient bytes of one fit.
+    def fit(trainer=None, shared_projection=False):
+        """The encoder calls and traced transient bytes of one fit.
 
         The transient is the traced peak less what the fitted model keeps
         (its encoders' bases and class hypervectors): at this workload's
@@ -163,7 +161,7 @@ def test_fit_encodes_each_learner_once(monkeypatch):
             total_dim=TOTAL_DIM,
             n_learners=N_LEARNERS,
             epochs=EPOCHS,
-            partitioner=partitioner,
+            shared_projection=shared_projection,
             seed=0,
         )
         tracemalloc.start()
@@ -176,9 +174,7 @@ def test_fit_encodes_each_learner_once(monkeypatch):
 
     reference_calls, _ = fit(trainer="reference")
     independent_calls, independent_transient = fit()
-    shared_calls, shared_transient = fit(
-        partitioner=SharedPartitioner(TOTAL_DIM, N_LEARNERS)
-    )
+    shared_calls, shared_transient = fit(shared_projection=True)
 
     # Reference: every learner encodes to fit and again to estimate its
     # boosting error.  Default: the error estimate reuses the trained block.

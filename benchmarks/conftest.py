@@ -9,7 +9,6 @@ the workloads are scaled down so the whole ``pytest benchmarks/
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data import load_nurse_stress, load_stress_predict, load_wesad

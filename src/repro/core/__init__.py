@@ -2,18 +2,13 @@
 
 Contains the BoostHD boosted ensemble of partitioned OnlineHD weak learners
 (Algorithm 1), the bagged-HD strawman it is compared against, the
-hyperspace-partitioning strategies, the span-utilization analysis (Figure 5)
+hyperspace partitioning, the span-utilization analysis (Figure 5)
 and the Marchenko–Pastur kernel theory (Equations 2–7, Figures 2 and 4).
 """
 
 from .bagging import BaggedHD
 from .boosthd import BoostHD
-from .partition import (
-    IndependentPartitioner,
-    Partitioner,
-    SharedPartitioner,
-    split_dimensions,
-)
+from .partition import split_dimensions
 from .span import SpanUtilization, attenuation_factors, rank_ratio, span_utilization
 from .theory import (
     KernelSpectrum,
@@ -29,9 +24,6 @@ from .theory import (
 __all__ = [
     "BaggedHD",
     "BoostHD",
-    "IndependentPartitioner",
-    "Partitioner",
-    "SharedPartitioner",
     "split_dimensions",
     "SpanUtilization",
     "attenuation_factors",

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..baselines.base import BaseClassifier
 from ..hdc.onlinehd import OnlineHD
-from .partition import IndependentPartitioner, Partitioner
+from .partition import partition_encoders
 
 __all__ = ["BaggedHD"]
 
@@ -25,7 +25,8 @@ class BaggedHD(BaseClassifier):
 
     Parameters mirror :class:`~repro.core.boosthd.BoostHD` so the two can be
     swapped in experiments; the only differences are the absence of sample
-    re-weighting and of learner importance weights.
+    re-weighting, of learner importance weights and of the shared-projection
+    option (every learner draws its own projection).
     """
 
     def __init__(
@@ -37,7 +38,6 @@ class BaggedHD(BaseClassifier):
         epochs: int = 20,
         bootstrap: bool = True,
         bandwidth: float = 1.5,
-        partitioner: Partitioner | None = None,
         seed: int | None = None,
     ) -> None:
         if n_learners < 1:
@@ -52,14 +52,9 @@ class BaggedHD(BaseClassifier):
         self.epochs = int(epochs)
         self.bootstrap = bool(bootstrap)
         self.bandwidth = float(bandwidth)
-        self.partitioner = partitioner
         self.seed = seed
         self.learners_: list[OnlineHD] | None = None
         self.classes_: np.ndarray | None = None
-
-    @property
-    def learner_dim(self) -> int:
-        return self.total_dim // self.n_learners
 
     def fit(
         self,
@@ -72,19 +67,19 @@ class BaggedHD(BaseClassifier):
         rng = np.random.default_rng(self.seed)
         self.classes_ = np.unique(y)
 
-        partitioner = self.partitioner or IndependentPartitioner(
-            self.total_dim, self.n_learners, bandwidth=self.bandwidth
+        encoders = partition_encoders(
+            X.shape[1], self.total_dim, self.n_learners,
+            bandwidth=self.bandwidth, rng=rng,
         )
-        factories = partitioner.encoder_factories(X.shape[1], rng)
 
         self.learners_ = []
-        for factory in factories:
+        for encoder in encoders:
             learner = OnlineHD(
-                dim=self.learner_dim,
+                dim=encoder.dim,
                 lr=self.lr,
                 epochs=self.epochs,
                 bootstrap=False,
-                encoder=factory(),
+                encoder=encoder,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
             if self.bootstrap:

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..baselines.base import BaseClassifier
 from ..hdc.onlinehd import OnlineHD
-from .partition import IndependentPartitioner, Partitioner
+from .partition import partition_encoders
 
 __all__ = ["BoostHD", "effective_alphas"]
 
@@ -83,7 +83,9 @@ class BoostHD(BaseClassifier):
         Total hyperdimensional budget ``D_total`` split across the ensemble.
     n_learners:
         Number of weak learners ``N_L`` (paper: 10).  Each receives
-        ``total_dim / n_learners`` dimensions.
+        ``total_dim / n_learners`` dimensions; when that does not divide,
+        the first ``total_dim % n_learners`` learners get one more
+        (:func:`~repro.core.partition.split_dimensions`).
     lr:
         OnlineHD learning rate for every weak learner (paper: 0.035).
     epochs:
@@ -114,9 +116,11 @@ class BoostHD(BaseClassifier):
         boosting weights.
     bandwidth:
         Kernel bandwidth forwarded to every weak learner's encoder.
-    partitioner:
-        Partitioning strategy; defaults to independent per-learner
-        projections (:class:`~repro.core.partition.IndependentPartitioner`).
+    shared_projection:
+        ``False`` (default) — every weak learner draws its own projection;
+        ``True`` — the learners encode with contiguous row blocks of one
+        ``total_dim`` projection (the partitioning ablation; see
+        :func:`~repro.core.partition.partition_encoders`).
     learning_rate:
         Shrinkage applied to each learner importance ``α_i``.
     seed:
@@ -135,7 +139,7 @@ class BoostHD(BaseClassifier):
         aggregation: str = "score",
         uniform_blend: float = 0.5,
         bandwidth: float = 1.5,
-        partitioner: Partitioner | None = None,
+        shared_projection: bool = False,
         learning_rate: float = 1.0,
         seed: int | None = None,
     ) -> None:
@@ -164,7 +168,7 @@ class BoostHD(BaseClassifier):
         self.aggregation = aggregation
         self.uniform_blend = float(uniform_blend)
         self.bandwidth = float(bandwidth)
-        self.partitioner = partitioner
+        self.shared_projection = bool(shared_projection)
         self.learning_rate = float(learning_rate)
         self.seed = seed
         self.learners_: list[OnlineHD] | None = None
@@ -175,7 +179,11 @@ class BoostHD(BaseClassifier):
     # ------------------------------------------------------------ properties
     @property
     def learner_dim(self) -> int:
-        """Dimensionality ``D_total / N_L`` of each weak learner (floor)."""
+        """Dimensionality ``D_total / N_L`` of each weak learner (floor).
+
+        The first ``total_dim % n_learners`` learners have one more; each
+        learner's ``dim`` is its own encoder's width.
+        """
         return self.total_dim // self.n_learners
 
     # ------------------------------------------------------------------ fit
@@ -210,23 +218,27 @@ class BoostHD(BaseClassifier):
         self.classes_ = np.unique(y)
         n_classes = len(self.classes_)
 
-        partitioner = self.partitioner or IndependentPartitioner(
-            self.total_dim, self.n_learners, bandwidth=self.bandwidth
+        encoders = partition_encoders(
+            X.shape[1],
+            self.total_dim,
+            self.n_learners,
+            bandwidth=self.bandwidth,
+            rng=rng,
+            shared=self.shared_projection,
         )
-        factories = partitioner.encoder_factories(X.shape[1], rng)
 
         uniform = np.full(len(y), 1.0 / len(y))
         learners: list[OnlineHD] = []
         alphas: list[float] = []
         errors: list[float] = []
-        for factory in factories:
+        for encoder in encoders:
             learner = OnlineHD(
-                dim=self.learner_dim,
+                dim=encoder.dim,
                 lr=self.lr,
                 epochs=self.epochs,
                 bootstrap=self.bootstrap,
                 batch_size=self.batch_size,
-                encoder=factory(),
+                encoder=encoder,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
             training_weights = (

@@ -1,38 +1,29 @@
-"""Hyperdimensional-space partitioning strategies.
+"""Hyperdimensional-space partitioning.
 
 BoostHD's central idea is to split a total hyperdimensional budget
 ``D_total`` across ``n_learners`` weak learners, each receiving a
-``D_total / n_learners``-dimensional subspace.  Two concrete strategies are
-provided:
+``D_total / n_learners``-dimensional subspace (:func:`split_dimensions`).
+:func:`partition_encoders` builds a fit's weak-learner encoders in one of
+two ways:
 
-* :class:`IndependentPartitioner` — every weak learner draws its *own*
-  random projection of dimension ``D_total / n``.  Because independent
-  Gaussian projections of a lower dimension are quasi-orthogonal, this is the
-  straightforward reading of the paper and the default.
-* :class:`SharedPartitioner` — a single ``D_total`` projection is drawn once
-  and weak learner ``i`` is given the contiguous slice
-  ``[i·D/n, (i+1)·D/n)`` of it, literally "partitioning" one hyperspace.
+* independent (the default) — every weak learner draws its *own* random
+  projection of its width.  Because independent Gaussian projections of a
+  lower dimension are quasi-orthogonal, this is the straightforward reading
+  of the paper;
+* shared (``BoostHD(shared_projection=True)``) — a single ``D_total``
+  projection is drawn once and weak learner ``i`` encodes with its
+  contiguous block of rows (:meth:`~repro.hdc.NonlinearEncoder.slice`,
+  row views of the one parent), literally "partitioning" one hyperspace.
   Used by the partitioning ablation.
-
-Both return per-learner encoder factories, so the boosting loop in
-:mod:`repro.core.boosthd` does not care which strategy is in force.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Callable
-
 import numpy as np
 
-from ..hdc.encoder import Encoder, NonlinearEncoder
+from ..hdc.encoder import NonlinearEncoder
 
-__all__ = [
-    "split_dimensions",
-    "Partitioner",
-    "IndependentPartitioner",
-    "SharedPartitioner",
-]
+__all__ = ["split_dimensions", "partition_encoders"]
 
 
 def split_dimensions(total_dim: int, n_learners: int) -> list[int]:
@@ -57,70 +48,31 @@ def split_dimensions(total_dim: int, n_learners: int) -> list[int]:
     return [base + 1 if index < remainder else base for index in range(n_learners)]
 
 
-class Partitioner(ABC):
-    """Factory of per-weak-learner encoders over a partitioned hyperspace.
+def partition_encoders(
+    n_features: int,
+    total_dim: int,
+    n_learners: int,
+    *,
+    bandwidth: float,
+    rng: np.random.Generator,
+    shared: bool = False,
+) -> list[NonlinearEncoder]:
+    """One encoder per weak learner over a ``total_dim`` budget.
 
-    The weak learners' encoders are either disjoint slices of one
-    ``D_total`` projection (no stacking needed, the parent basis *is* the
-    fused basis) or independent projections that must be stacked block by
-    block.  The fused engine (:mod:`repro.engine`) tells the two apart from
-    the fitted encoders (via
-    :meth:`~repro.hdc.encoder.SlicedEncoder.flatten`), so it also handles
-    hand-built models that never went through a partitioner.
+    Learner ``i`` gets ``split_dimensions(total_dim, n_learners)[i]``
+    dimensions.  Independent encoders each take a seed drawn from ``rng``,
+    in learner order; shared ones slice one ``total_dim`` parent seeded by a
+    single draw.  Either way every seed is drawn before the caller draws
+    anything else for its learners.
     """
-
-    def __init__(self, total_dim: int, n_learners: int, *, bandwidth: float = 1.5) -> None:
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        self.total_dim = int(total_dim)
-        self.n_learners = int(n_learners)
-        self.bandwidth = float(bandwidth)
-        self.chunk_dims = split_dimensions(self.total_dim, self.n_learners)
-
-    @abstractmethod
-    def encoder_factories(
-        self, n_features: int, rng: np.random.Generator
-    ) -> list[Callable[[], Encoder]]:
-        """Return one encoder factory per weak learner."""
-
-
-class IndependentPartitioner(Partitioner):
-    """Each weak learner draws an independent ``D/n``-dimensional projection."""
-
-    def encoder_factories(
-        self, n_features: int, rng: np.random.Generator
-    ) -> list[Callable[[], Encoder]]:
-        factories: list[Callable[[], Encoder]] = []
-        for chunk in self.chunk_dims:
-            seed = int(rng.integers(0, 2**31 - 1))
-
-            def factory(chunk: int = chunk, seed: int = seed) -> Encoder:
-                return NonlinearEncoder(
-                    n_features, chunk, bandwidth=self.bandwidth, rng=seed
-                )
-
-            factories.append(factory)
-        return factories
-
-
-class SharedPartitioner(Partitioner):
-    """Weak learners slice one shared ``D_total``-dimensional projection."""
-
-    def encoder_factories(
-        self, n_features: int, rng: np.random.Generator
-    ) -> list[Callable[[], Encoder]]:
+    widths = split_dimensions(total_dim, n_learners)
+    if shared:
         seed = int(rng.integers(0, 2**31 - 1))
-        parent = NonlinearEncoder(
-            n_features, self.total_dim, bandwidth=self.bandwidth, rng=seed
-        )
-        factories: list[Callable[[], Encoder]] = []
-        start = 0
-        for chunk in self.chunk_dims:
-            stop = start + chunk
-
-            def factory(start: int = start, stop: int = stop) -> Encoder:
-                return parent.slice(start, stop)
-
-            factories.append(factory)
-            start = stop
-        return factories
+        parent = NonlinearEncoder(n_features, total_dim, bandwidth=bandwidth, rng=seed)
+        stops = np.cumsum(widths)
+        return [parent.slice(stop - width, stop) for width, stop in zip(widths, stops)]
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in widths]
+    return [
+        NonlinearEncoder(n_features, width, bandwidth=bandwidth, rng=seed)
+        for width, seed in zip(widths, seeds)
+    ]

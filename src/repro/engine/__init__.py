@@ -47,8 +47,8 @@ Quick start::
 
 The equivalence contract with the loop path is enforced by
 ``tests/test_engine.py`` across dtypes, encoding blocks, aggregation modes
-and partitioners; the quantized engines' contracts live in
-``tests/test_quant_engine.py`` and ``benchmarks/bench_quant.py``.
+and shared or independent projections; the quantized engines' contracts
+live in ``tests/test_quant_engine.py`` and ``benchmarks/bench_quant.py``.
 """
 
 from .cascade import CalibrationResult, CascadeModel, CascadeStats, top2_margin

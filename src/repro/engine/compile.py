@@ -9,11 +9,9 @@ so all of that fuses:
 1. **Stacked projection** — every weak learner's pre-scaled projection basis
    and phase bias (:meth:`~repro.hdc.encoder.NonlinearEncoder.projection_params`)
    are stacked into one ``(D_total, f)`` matrix, so the whole ensemble encodes
-   a batch with a single ``(n, f) @ (f, D_total)`` matmul.  When the model was
-   fitted with a shared projection (:class:`~repro.core.SharedPartitioner`,
-   whose encoders are slices of one parent — detected structurally via
-   :meth:`~repro.hdc.encoder.SlicedEncoder.flatten`), the parent basis is used
-   directly instead of re-stacking its slices.
+   a batch with a single ``(n, f) @ (f, D_total)`` matmul.  For a
+   shared-projection fit the learners' row blocks stack back into the
+   parent's scaled basis, bit for bit.
 2. **Half-angle trig fusion** — the OnlineHD activation
    ``cos(p + b) * sin(p)`` is rewritten with the product-to-sum identity as
    ``0.5 * (sin(2p + b) - sin(b))``: one transcendental evaluation over the
@@ -34,8 +32,9 @@ Calls encode in row blocks whose ``(rows, D_total)`` encoding stays within
 call that fits is encoded in one block.
 
 The compiled scorer reproduces the loop path's predictions exactly and its
-scores to floating-point tolerance, for both aggregation modes and both
-partitioners; ``tests/test_engine.py`` holds the equivalence contract.
+scores to floating-point tolerance, for both aggregation modes, independent
+and shared projections; ``tests/test_engine.py`` holds the equivalence
+contract.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.boosthd import BoostHD, effective_alphas
-from ..hdc.encoder import Encoder, SlicedEncoder
+from ..hdc.encoder import NonlinearEncoder
 from ..hdc.onlinehd import OnlineHD
 from ..obs import OBS
 
@@ -411,47 +410,6 @@ class CompiledModel:
 
 
 # ---------------------------------------------------------------- compilation
-def _projection_params(encoder: Encoder) -> tuple[np.ndarray, np.ndarray]:
-    params = getattr(encoder, "projection_params", None)
-    if params is None:
-        raise EngineError(
-            f"{type(encoder).__name__} does not expose projection parameters; "
-            "only trigonometric random-projection encoders "
-            "(NonlinearEncoder and slices of it) can be fused"
-        )
-    try:
-        basis, bias = params()
-    except TypeError as error:
-        # A SlicedEncoder whose root is not a projection encoder surfaces
-        # here; keep the "unfusable model" contract a single exception type.
-        raise EngineError(str(error)) from error
-    return basis, bias
-
-
-def _shared_root(encoders: Sequence[Encoder]) -> Encoder | None:
-    """Detect encoders that tile one parent projection in order.
-
-    Returns the parent when every encoder is a slice of the *same* root and
-    the slices are contiguous, in order and cover ``[0, root.dim)`` — i.e. the
-    layout produced by :class:`~repro.core.SharedPartitioner`.  Stacking the
-    slices would just reassemble the parent, so the engine reuses it directly.
-    """
-    root: Encoder | None = None
-    expected_start = 0
-    for encoder in encoders:
-        if not isinstance(encoder, SlicedEncoder):
-            return None
-        this_root, start, stop = encoder.flatten()
-        if root is None:
-            root = this_root
-        if this_root is not root or start != expected_start:
-            return None
-        expected_start = stop
-    if root is None or expected_start != root.dim:
-        return None
-    return root
-
-
 @dataclass(frozen=True)
 class ModelComponents:
     """A model decomposed into what :func:`~repro.engine.build_engine` needs.
@@ -460,11 +418,11 @@ class ModelComponents:
     artifact by :meth:`repro.serving.ModelRegistry.load_compiled`, both
     through :func:`assemble_components`.  ``spans`` is the ``(L, 2)``
     array of each learner's ``[start, stop)`` column range in the stacked
-    projection (validated against the basis row count).  Every learner
-    scores every class of ``classes``, in order, so ``hypervectors[i]``
-    holds learner ``i``'s ``(k, d_i)`` class hypervectors — float values,
-    or, when ``scheme`` names a fixed-point format, that format's stored
-    integer codes under the scale ``scales[i]``.
+    projection.  Every learner scores every class of ``classes``, in
+    order, so ``hypervectors[i]`` holds learner ``i``'s ``(k, d_i)`` class
+    hypervectors — float values, or, when ``scheme`` names a fixed-point
+    format, that format's stored integer codes under the scale
+    ``scales[i]``.
     """
 
     alphas: np.ndarray
@@ -479,7 +437,7 @@ class ModelComponents:
 
 
 def assemble_components(
-    encoders: Sequence[Encoder],
+    encoders: Sequence[NonlinearEncoder],
     learner_classes: Sequence[np.ndarray],
     hypervectors: Sequence[np.ndarray],
     *,
@@ -491,11 +449,8 @@ def assemble_components(
 ) -> ModelComponents:
     """Stack encoder projections and collect per-learner class data.
 
-    When the encoders tile one parent projection, the parent's arrays are
-    reused instead of re-stacking its slices.  Raises :class:`EngineError`
-    for encoders without projection parameters or whose widths do not add
-    up to the basis, and for a learner whose ``learner_classes`` are not
-    ``classes``: the engines score every learner against every class
+    Raises :class:`EngineError` for a learner whose ``learner_classes`` are
+    not ``classes``: the engines score every learner against every class
     column.
     """
     for index, local in enumerate(learner_classes):
@@ -505,21 +460,11 @@ def assemble_components(
                 f"the ensemble has {np.asarray(classes).tolist()}; every "
                 "learner must score every class, in order"
             )
-    root = _shared_root(encoders)
-    if root is not None:
-        basis, bias = _projection_params(root)
-    else:
-        params = [_projection_params(encoder) for encoder in encoders]
-        basis = np.vstack([block_basis for block_basis, _ in params])
-        bias = np.concatenate([block_bias for _, block_bias in params])
-
+    params = [encoder.projection_params() for encoder in encoders]
+    basis = np.vstack([block_basis for block_basis, _ in params])
+    bias = np.concatenate([block_bias for _, block_bias in params])
     widths = np.array([encoder.dim for encoder in encoders], dtype=np.int64)
     stops = np.cumsum(widths)
-    if stops[-1] != basis.shape[0]:
-        raise EngineError(
-            f"encoder dimensions sum to {stops[-1]} but the stacked projection "
-            f"has {basis.shape[0]} rows; the model's encoders are inconsistent"
-        )
     return ModelComponents(
         alphas=np.asarray(alphas, dtype=float),
         aggregation=aggregation,
@@ -536,8 +481,8 @@ def assemble_components(
 def model_components(model: BoostHD | OnlineHD) -> ModelComponents:
     """Decompose a fitted model into engine components.
 
-    Raises :class:`EngineError` when the model is unfitted, of an
-    unsupported type, or uses an encoder without projection parameters.
+    Raises :class:`EngineError` when the model is unfitted or of an
+    unsupported type.
     """
     if isinstance(model, BoostHD):
         if model.learners_ is None:
@@ -576,8 +521,7 @@ def compile_model(
     Parameters
     ----------
     model:
-        A fitted ensemble or single OnlineHD model whose encoders are
-        trigonometric random projections.
+        A fitted ensemble or single OnlineHD model.
     precision:
         Class-hypervector domain of the scoring stage, a name from
         :data:`~repro.engine.PRECISIONS`.  ``"float64"`` (default) keeps
@@ -602,9 +546,7 @@ def compile_model(
     Raises
     ------
     EngineError
-        If the model is unfitted, of an unsupported type, or uses an encoder
-        without projection parameters (an :class:`~repro.hdc.Encoder`
-        subclass other than a trigonometric projection); for an unknown
+        If the model is unfitted or of an unsupported type; for an unknown
         precision.
     """
     from .precision import build_engine

@@ -9,21 +9,21 @@ never predicts, so each learner simply encodes its feedback batch itself.)
 
 Every block is its encoder's own ``encode(X)``: the exact call the
 reference trainer (``trainer="reference"``) makes, so fused and reference
-training see the same bits by construction.  A shared-projection learner
-(:class:`~repro.hdc.encoder.SlicedEncoder`) evaluates only its own rows of
-the parent projection.
+training see the same bits by construction.  A shared-projection learner's
+encoder (:meth:`~repro.hdc.NonlinearEncoder.slice`) evaluates only its own
+rows of the parent projection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...hdc.encoder import Encoder
+from ...hdc.encoder import NonlinearEncoder
 
 __all__ = ["encode_ensemble"]
 
 
-def encode_ensemble(encoder: Encoder, X: np.ndarray) -> np.ndarray:
+def encode_ensemble(encoder: NonlinearEncoder, X: np.ndarray) -> np.ndarray:
     """One weak learner's training block: ``encoder.encode(X)``.
 
     The one entry point training encodes through (and the one the benchmark

@@ -65,7 +65,7 @@ from ..obs import OBS, Tally, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
 from ..resilience.chaos import CHAOS
 from ..engine import EngineError, resolve_precision
-from ..serving import ServingFabric, StreamingService, SwapResult
+from ..serving import RegistryError, ServingFabric, StreamingService, SwapResult
 from ..serving.shm import IntegrityError
 from .http import ProtocolError, Request, json_response, read_request, response_bytes
 from .limits import ConcurrencyLimiter, RateLimiter
@@ -689,11 +689,22 @@ class Gateway:
         )
 
     @staticmethod
-    def _parse_samples(body) -> np.ndarray:
+    def _parse_samples(request: Request) -> np.ndarray:
+        body = request.json()
         if not isinstance(body, dict) or "samples" not in body:
             raise ProtocolError("body must be a JSON object with a samples array")
-        # Parse without a dtype: a float64 parse would accept numeric strings
-        # and booleans.  Ragged rows raise ValueError.
+        stray = sorted(set(body) - {"samples"})
+        if stray:
+            raise ProtocolError(
+                f"unexpected feed keys {stray}; a feed body holds only samples"
+            )
+        # With "samples" the only key, a true or false anywhere in the body
+        # is a boolean or sits inside a string, and neither is a number.
+        # NumPy would promote a boolean mixed into numeric rows to 1 or 0.
+        if b"true" in request.body or b"false" in request.body:
+            raise ProtocolError("samples are not numeric")
+        # Parse without a dtype: a float64 parse would accept numeric
+        # strings.  Ragged rows raise ValueError.
         try:
             samples = np.asarray(body["samples"])
         except (TypeError, ValueError):
@@ -712,7 +723,7 @@ class Gateway:
     async def _feed(
         self, session_id: str, request: Request, deadline: Deadline | None
     ) -> bytes:
-        samples = self._parse_samples(request.json())
+        samples = self._parse_samples(request)
         if session_id not in self._routes:
             return json_response(404, {"error": f"no open session {session_id!r}"})
         if deadline is not None:
@@ -790,9 +801,14 @@ class Gateway:
             resolve_precision(precision)
         except EngineError as error:
             raise ProtocolError(str(error)) from None
-        # 404 only for a name or version the registry lacks: a stored version
-        # it refuses to load is damage on the server side, answered 500.
-        stored = self.registry.versions(name)
+        # 400 for a name the registry refuses to look up (checked before
+        # any file is read), 404 only for a name or version it lacks: a
+        # stored version it refuses to load is damage on the server side,
+        # answered 500.
+        try:
+            stored = self.registry.versions(name)
+        except RegistryError as error:
+            raise ProtocolError(str(error)) from None
         if not stored:
             return json_response(404, {"error": f"no versions of model {name!r}"})
         if version is not None and version not in stored:

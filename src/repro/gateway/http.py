@@ -92,11 +92,13 @@ class Request:
         return self.header("connection", "keep-alive").lower() != "close"
 
     def json(self):
-        """Parse the body as a JSON document (:class:`ProtocolError` on junk)."""
+        """Parse the body as a UTF-8 JSON document (:class:`ProtocolError`
+        on junk).  Only UTF-8 (RFC 8259), so a byte search of the body sees
+        its text."""
         if not self.body:
             return None
         try:
-            return json.loads(self.body)
+            return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"invalid JSON body: {error}") from None
 

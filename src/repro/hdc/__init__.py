@@ -1,13 +1,13 @@
 """Hyperdimensional computing substrate.
 
 This subpackage implements the HDC machinery the paper builds on: similarity
-metrics, the OnlineHD nonlinear cos·sin feature encoder (and slices of it for
-partitioned ensembles), the OnlineHD adaptive classifier that BoostHD uses as
-its weak learner (with ``epochs=0`` it is the single-pass centroid
-classifier), and model quantisation utilities.
+metrics, the OnlineHD nonlinear cos·sin feature encoder (whose row slices
+serve shared-projection ensembles), the OnlineHD adaptive classifier that
+BoostHD uses as its weak learner (with ``epochs=0`` it is the single-pass
+centroid classifier), and model quantisation utilities.
 """
 
-from .encoder import Encoder, NonlinearEncoder, ProjectionParams, SlicedEncoder
+from .encoder import NonlinearEncoder
 from .onlinehd import OnlineHD
 from .quantize import (
     FixedPointFormat,
@@ -24,10 +24,7 @@ from .similarity import (
 )
 
 __all__ = [
-    "Encoder",
     "NonlinearEncoder",
-    "ProjectionParams",
-    "SlicedEncoder",
     "OnlineHD",
     "FixedPointFormat",
     "bipolarize",

@@ -1,4 +1,4 @@
-"""Encoders that map feature vectors into hyperdimensional space.
+"""The encoder that maps feature vectors into hyperdimensional space.
 
 The paper (Section II-C) uses the OnlineHD-style *nonlinear* encoder: features
 are multiplied by a Gaussian random projection matrix and passed through
@@ -11,41 +11,17 @@ This is a random-Fourier-feature style mapping whose projection matrix plays
 the role of the Gaussian kernel analysed by the Marchenko–Pastur theory in
 :mod:`repro.core.theory`.
 
-:class:`SlicedEncoder` is a contiguous dimension slice of another encoder,
-encoding with only its own rows of the parent projection; it serves the
-partitioning ablation in which BoostHD weak learners share a single
-``D_total`` projection instead of drawing independent ones.
+:meth:`NonlinearEncoder.slice` returns an encoder over a contiguous block of
+another's projection rows (views of its arrays); it serves the partitioning
+ablation in which BoostHD weak learners share a single ``D_total``
+projection instead of drawing independent ones.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import NamedTuple
-
 import numpy as np
 
-__all__ = [
-    "Encoder",
-    "NonlinearEncoder",
-    "SlicedEncoder",
-    "ProjectionParams",
-]
-
-
-class ProjectionParams(NamedTuple):
-    """Linear-algebra internals of a trigonometric random-projection encoder.
-
-    ``basis`` is the *pre-scaled* projection matrix of shape ``(dim,
-    in_features)`` (bandwidth normalisation already folded in) and ``bias`` the
-    phase vector of shape ``(dim,)``, so that the encoding of a batch ``X`` is
-    exactly ``cos(X @ basis.T + bias) * sin(X @ basis.T)``.  The fused
-    inference engine (:mod:`repro.engine`) stacks these blocks from every weak
-    learner into one projection and encodes a batch once for the whole
-    ensemble.
-    """
-
-    basis: np.ndarray
-    bias: np.ndarray
+__all__ = ["NonlinearEncoder"]
 
 
 def _trig_encode(
@@ -66,41 +42,7 @@ def _trig_encode(
     return encoded
 
 
-class Encoder(ABC):
-    """Abstract mapping from feature space to hyperdimensional space.
-
-    Concrete encoders expose ``dim`` (output hyperdimension), ``in_features``
-    (expected input width) and :meth:`encode`, which accepts a single sample
-    ``(f,)`` or a batch ``(n, f)`` and returns hypervectors of matching rank.
-    """
-
-    #: Output hyperdimensionality.
-    dim: int
-    #: Expected number of input features.
-    in_features: int
-
-    @abstractmethod
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        """Encode features into hypervectors."""
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        return self.encode(features)
-
-    def _validate(self, features: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Coerce input to a 2-D batch, remembering whether it was a vector."""
-        array = np.asarray(features, dtype=float)
-        single = array.ndim == 1
-        batch = array[None, :] if single else array
-        if batch.ndim != 2:
-            raise ValueError(f"expected 1-D or 2-D features, got ndim={array.ndim}")
-        if batch.shape[1] != self.in_features:
-            raise ValueError(
-                f"expected {self.in_features} features, got {batch.shape[1]}"
-            )
-        return batch, single
-
-
-class NonlinearEncoder(Encoder):
+class NonlinearEncoder:
     """OnlineHD nonlinear encoder: Gaussian projection + cos·sin activation.
 
     Parameters
@@ -171,6 +113,13 @@ class NonlinearEncoder(Encoder):
             )
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        return cls._over(basis, bias, bandwidth)
+
+    @classmethod
+    def _over(
+        cls, basis: np.ndarray, bias: np.ndarray, bandwidth: float
+    ) -> "NonlinearEncoder":
+        """An encoder over these very arrays: no copy, no random draws."""
         encoder = cls.__new__(cls)
         encoder.in_features = int(basis.shape[1])
         encoder.dim = int(basis.shape[0])
@@ -184,92 +133,48 @@ class NonlinearEncoder(Encoder):
         return 1.0 / (self.bandwidth * np.sqrt(self.in_features))
 
     def encode(self, features: np.ndarray) -> np.ndarray:
-        """Map features to hypervectors ``cos(xW^T + b) * sin(xW^T)``."""
-        batch, single = self._validate(features)
+        """Map features to hypervectors ``cos(xW^T + b) * sin(xW^T)``.
+
+        Accepts a single sample ``(f,)`` or a batch ``(n, f)`` and returns
+        hypervectors of matching rank.
+        """
+        array = np.asarray(features, dtype=float)
+        single = array.ndim == 1
+        batch = array[None, :] if single else array
+        if batch.ndim != 2:
+            raise ValueError(f"expected 1-D or 2-D features, got ndim={array.ndim}")
+        if batch.shape[1] != self.in_features:
+            raise ValueError(
+                f"expected {self.in_features} features, got {batch.shape[1]}"
+            )
         encoded = _trig_encode(batch, self.basis, self.bias, self._projection_scale)
         return encoded[0] if single else encoded
 
-    def slice(self, start: int, stop: int) -> "SlicedEncoder":
-        """Return a view encoder restricted to dimensions ``[start, stop)``."""
-        return SlicedEncoder(self, start, stop)
+    def __call__(self, features: np.ndarray) -> np.ndarray:
+        return self.encode(features)
 
-    def projection_params(self) -> ProjectionParams:
+    def slice(self, start: int, stop: int) -> "NonlinearEncoder":
+        """The encoder of dimensions ``[start, stop)`` of this one.
+
+        Its ``basis`` and ``bias`` are row views of this encoder's arrays
+        (no copy) and it keeps this bandwidth, so it evaluates only its own
+        projection rows: bitwise a standalone encoder over those rows, and
+        this encoder's columns ``[start, stop)`` up to how BLAS rounds a
+        column block of a wider product.  A slice of a slice views the
+        same root arrays.
+        """
+        if not 0 <= start < stop <= self.dim:
+            raise ValueError(f"invalid slice [{start}, {stop}) for dim {self.dim}")
+        return self._over(
+            self.basis[start:stop], self.bias[start:stop], self.bandwidth
+        )
+
+    def projection_params(self) -> tuple[np.ndarray, np.ndarray]:
         """Stackable ``(basis, bias)`` with the bandwidth scale folded in.
 
         The returned basis is ``self.basis * _projection_scale``, so consumers
-        can compute ``X @ basis.T`` directly without knowing the bandwidth.
+        can compute ``X @ basis.T`` directly without knowing the bandwidth;
+        the fused inference engine (:mod:`repro.engine`) stacks every weak
+        learner's pair into one projection.
         """
-        return ProjectionParams(
-            basis=self.basis * self._projection_scale, bias=self.bias.copy()
-        )
-
-
-class SlicedEncoder(Encoder):
-    """Encoder exposing a contiguous dimension slice of a parent encoder.
-
-    Used for the "shared projection" partitioning strategy: weak learner ``i``
-    sees dimensions ``[i * D/n, (i+1) * D/n)`` of one ``D_total`` encoder,
-    and encoding it costs only those ``D/n`` projection rows.
-    """
-
-    def __init__(self, parent: Encoder, start: int, stop: int) -> None:
-        if not 0 <= start < stop <= parent.dim:
-            raise ValueError(
-                f"invalid slice [{start}, {stop}) for parent dim {parent.dim}"
-            )
-        self.parent = parent
-        self.start = int(start)
-        self.stop = int(stop)
-        self.dim = self.stop - self.start
-        self.in_features = parent.in_features
-
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        """Encode with rows ``[start, stop)`` of the flattened root's projection.
-
-        Over a :class:`NonlinearEncoder` root only this slice's own
-        projection rows are evaluated, exactly as a standalone encoder with
-        those rows would (:func:`_trig_encode` on ``basis[start:stop]``,
-        ``bias[start:stop]`` and the root's scale).  That equals the root's
-        encoding columns ``[start, stop)`` up to how BLAS rounds a column
-        block of a wider product — bit for bit at the paper's partition
-        layout, not for every shape.  Other roots encode in full and are
-        sliced.
-        """
-        root, start, stop = self.flatten()
-        if not isinstance(root, NonlinearEncoder):
-            return self.parent.encode(features)[..., self.start : self.stop]
-        batch, single = self._validate(features)
-        encoded = _trig_encode(
-            batch, root.basis[start:stop], root.bias[start:stop], root._projection_scale
-        )
-        return encoded[0] if single else encoded
-
-    def flatten(self) -> tuple[Encoder, int, int]:
-        """Resolve nested slices to ``(root_encoder, start, stop)``.
-
-        A slice of a slice collapses into a single offset into the innermost
-        non-sliced encoder, which is what the fused engine needs both to
-        extract the right projection rows and to detect when several weak
-        learners share one parent projection.
-        """
-        encoder: Encoder = self
-        start, stop = self.start, self.stop
-        while isinstance(encoder, SlicedEncoder):
-            parent = encoder.parent
-            if isinstance(parent, SlicedEncoder):
-                start += parent.start
-                stop += parent.start
-            encoder = parent
-        return encoder, start, stop
-
-    def projection_params(self) -> ProjectionParams:
-        """Projection rows ``[start, stop)`` of the flattened root encoder."""
-        root, start, stop = self.flatten()
-        if not isinstance(root, NonlinearEncoder):
-            raise TypeError(
-                f"{type(root).__name__} does not expose projection parameters; "
-                "only trigonometric random-projection encoders can be fused"
-            )
-        basis, bias = root.projection_params()
-        return ProjectionParams(basis=basis[start:stop], bias=bias[start:stop])
-
+        return self.basis * self._projection_scale, self.bias

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.base import BaseClassifier
-from .encoder import Encoder, NonlinearEncoder
+from .encoder import NonlinearEncoder
 from .similarity import cosine_similarity
 
 __all__ = ["OnlineHD"]
@@ -88,7 +88,7 @@ class OnlineHD(BaseClassifier):
         bootstrap: bool = True,
         batch_size: int | None = None,
         bandwidth: float = 1.5,
-        encoder: Encoder | None = None,
+        encoder: NonlinearEncoder | None = None,
         seed: int | None = None,
     ) -> None:
         if lr <= 0:
@@ -112,7 +112,7 @@ class OnlineHD(BaseClassifier):
         self._adapt_rng: np.random.Generator | None = None
 
     # ------------------------------------------------------------------ fit
-    def _ensure_encoder(self, n_features: int) -> Encoder:
+    def _ensure_encoder(self, n_features: int) -> NonlinearEncoder:
         if self.encoder is None:
             self.encoder = NonlinearEncoder(
                 n_features, self.dim, bandwidth=self.bandwidth, rng=self.seed

@@ -5,8 +5,8 @@ model is published to a :class:`ModelRegistry`, and any number of service
 processes load it — exactly.  The registry persists everything a fitted
 :class:`~repro.hdc.OnlineHD` or :class:`~repro.core.BoostHD` is made of
 (projection bases, phase biases, bandwidths, class hypervectors, learner
-importances, the shared-projection layout) into one ``npz`` archive plus a
-JSON manifest per version:
+importances, hyperparameters) into one ``npz`` archive plus a JSON manifest
+per version:
 
 .. code-block:: text
 
@@ -30,9 +30,10 @@ Round-trip guarantees, enforced by ``tests/test_serving.py``:
   integer-domain engines of :mod:`repro.engine.quant` without ever
   dequantising.
 
-Only trigonometric random-projection encoders are supported — the same
-family the fused engine compiles — so everything the registry can store can
-also be served through :meth:`load_compiled`.
+A model name is one directory directly under the registry root: every
+entry point refuses (:exc:`RegistryError`) an empty name, one holding a
+``/`` or a NUL byte, and one starting with ``.``.  Everything the registry
+can store can also be served through :meth:`load_compiled`.
 """
 
 from __future__ import annotations
@@ -49,16 +50,11 @@ from pathlib import Path
 import numpy as np
 
 from ..core.boosthd import BoostHD
-from ..engine.compile import (
-    EngineError,
-    ModelComponents,
-    _shared_root,
-    assemble_components,
-)
+from ..engine.compile import EngineError, ModelComponents, assemble_components
 from ..engine.precision import build_engine, resolve_precision
 from ..obs import OBS
 from ..resilience.chaos import CHAOS
-from ..hdc.encoder import Encoder, NonlinearEncoder, SlicedEncoder
+from ..hdc.encoder import NonlinearEncoder
 from ..hdc.quantize import (
     SCHEME_BITS,
     FixedPointFormat,
@@ -72,7 +68,7 @@ __all__ = ["ModelRecord", "ModelRegistry", "RegistryError"]
 _VERSION_PATTERN = re.compile(r"^v(\d+)$")
 
 #: Hyperparameters persisted per model kind (constructor arguments that are
-#: plain values; encoder/partitioner objects are reconstructed from arrays).
+#: plain values; encoders are reconstructed from arrays).
 _ONLINEHD_PARAMS = (
     "dim", "lr", "epochs", "bootstrap", "batch_size", "bandwidth", "seed"
 )
@@ -86,6 +82,7 @@ _BOOSTHD_PARAMS = (
     "aggregation",
     "uniform_blend",
     "bandwidth",
+    "shared_projection",
     "learning_rate",
     "seed",
 )
@@ -122,7 +119,6 @@ class ModelRecord:
     version: int
     kind: str
     quantize: str | None
-    shared_projection: bool
     params: dict
     metadata: dict
     path: Path
@@ -130,16 +126,16 @@ class ModelRecord:
     checksum: str
 
 
-def _require_projection_root(encoder: Encoder) -> None:
-    root = encoder
-    if isinstance(root, SlicedEncoder):
-        root, _, _ = root.flatten()
-    if not isinstance(root, NonlinearEncoder):
-        raise RegistryError(
-            f"cannot persist a {type(root).__name__}; only trigonometric "
-            "random-projection encoders (NonlinearEncoder and slices of it) "
-            "are supported by the registry"
-        )
+def _check_name(name) -> None:
+    """Refuse a model name that is not one directory under the root."""
+    if (
+        not isinstance(name, str)
+        or not name
+        or "/" in name
+        or "\x00" in name
+        or name.startswith(".")
+    ):
+        raise RegistryError(f"invalid model name {name!r}")
 
 
 def _store_hypervectors(
@@ -184,14 +180,18 @@ class ModelRegistry:
         """Names with at least one stored version, sorted."""
         if not self.root.is_dir():
             return []
+        # A hidden directory is never a model: the name rule refuses it.
         return sorted(
             entry.name
             for entry in self.root.iterdir()
-            if entry.is_dir() and self.versions(entry.name)
+            if entry.is_dir()
+            and not entry.name.startswith(".")
+            and self.versions(entry.name)
         )
 
     def versions(self, name: str) -> list[int]:
         """Stored version numbers for ``name``, ascending (empty if none)."""
+        _check_name(name)
         directory = self.root / name
         if not directory.is_dir():
             return []
@@ -212,8 +212,11 @@ class ModelRegistry:
         """Parse one version's manifest without loading its arrays.
 
         A manifest without an archive checksum raises :exc:`RegistryError`:
-        such an artifact could not be verified at load.
+        such an artifact could not be verified at load.  So does one
+        written with the retired shared-projection layout (one root
+        projection sliced per learner), which no loader reads any more.
         """
+        _check_name(name)
         version = self.latest(name) if version is None else int(version)
         path = self.root / name / f"v{version}"
         manifest = path / "meta.json"
@@ -225,12 +228,17 @@ class ModelRegistry:
                 f"model {name!r} v{version} has no checksum in its manifest; "
                 "refusing an artifact that cannot be verified"
             )
+        if meta.get("shared_projection"):
+            raise RegistryError(
+                f"model {name!r} v{version} uses the retired shared_projection "
+                "layout (root_* arrays, per-learner slices); save the fitted "
+                "model again to store it in the current layout"
+            )
         return ModelRecord(
             name=name,
             version=version,
             kind=meta["kind"],
             quantize=meta.get("quantize"),
-            shared_projection=bool(meta.get("shared_projection", False)),
             params=meta.get("params", {}),
             metadata=meta.get("metadata", {}),
             path=path,
@@ -243,46 +251,16 @@ class ModelRegistry:
         learners: list[OnlineHD],
         arrays: dict[str, np.ndarray],
         quantize: str | None,
-    ) -> bool:
-        """Store every learner's encoder + hypervectors; return shared flag."""
-        encoders = [learner.encoder for learner in learners]
-        for encoder in encoders:
-            _require_projection_root(encoder)
-        root = _shared_root(encoders)
-        if root is not None:
-            if not isinstance(root, NonlinearEncoder):
-                raise RegistryError(
-                    f"cannot persist a shared {type(root).__name__} projection"
-                )
-            arrays["root_basis"] = np.asarray(root.basis, dtype=np.float64)
-            arrays["root_bias"] = np.asarray(root.bias, dtype=np.float64)
-            arrays["root_bandwidth"] = np.float64(root.bandwidth)
+    ) -> None:
+        """Store every learner's encoder and class hypervectors."""
         for index, learner in enumerate(learners):
             prefix = f"learner_{index}_"
+            encoder = learner.encoder
             arrays[f"{prefix}classes"] = learner.classes_
             _store_hypervectors(arrays, prefix, learner.class_hypervectors_, quantize)
-            if root is not None:
-                _, start, stop = learner.encoder.flatten()
-                arrays[f"{prefix}slice"] = np.asarray([start, stop], dtype=np.int64)
-            else:
-                encoder = learner.encoder
-                if isinstance(encoder, SlicedEncoder):
-                    # A slice without the full shared layout: persist the
-                    # sliced rows as an independent encoder (identical
-                    # encodings, no parent to share).
-                    flat_root, start, stop = encoder.flatten()
-                    arrays[f"{prefix}basis"] = np.asarray(
-                        flat_root.basis[start:stop], dtype=np.float64
-                    )
-                    arrays[f"{prefix}bias"] = np.asarray(
-                        flat_root.bias[start:stop], dtype=np.float64
-                    )
-                    arrays[f"{prefix}bandwidth"] = np.float64(flat_root.bandwidth)
-                else:
-                    arrays[f"{prefix}basis"] = np.asarray(encoder.basis, dtype=np.float64)
-                    arrays[f"{prefix}bias"] = np.asarray(encoder.bias, dtype=np.float64)
-                    arrays[f"{prefix}bandwidth"] = np.float64(encoder.bandwidth)
-        return root is not None
+            arrays[f"{prefix}basis"] = np.asarray(encoder.basis, dtype=np.float64)
+            arrays[f"{prefix}bias"] = np.asarray(encoder.bias, dtype=np.float64)
+            arrays[f"{prefix}bandwidth"] = np.float64(encoder.bandwidth)
 
     def save(
         self,
@@ -321,8 +299,7 @@ class ModelRegistry:
                 f"unknown quantize scheme {quantize!r}; "
                 f"available: {sorted(SCHEME_BITS)} or None"
             )
-        if not name or "/" in name or name.startswith("."):
-            raise RegistryError(f"invalid model name {name!r}")
+        _check_name(name)
         metadata = dict(metadata or {})
         try:
             json.dumps(metadata)
@@ -338,7 +315,7 @@ class ModelRegistry:
             arrays["classes"] = model.classes_
             arrays["learner_weights"] = np.asarray(model.learner_weights_, dtype=np.float64)
             arrays["learner_errors"] = np.asarray(model.learner_errors_, dtype=np.float64)
-            shared = self._serialize_learners(model.learners_, arrays, quantize)
+            self._serialize_learners(model.learners_, arrays, quantize)
             params["n_learners"] = len(model.learners_)
             learner_params = [
                 {key: getattr(learner, key) for key in _ONLINEHD_PARAMS}
@@ -350,7 +327,7 @@ class ModelRegistry:
             kind = "onlinehd"
             params = {key: getattr(model, key) for key in _ONLINEHD_PARAMS}
             arrays["classes"] = model.classes_
-            shared = self._serialize_learners([model], arrays, quantize)
+            self._serialize_learners([model], arrays, quantize)
             learner_params = None
         else:
             raise RegistryError(
@@ -370,7 +347,6 @@ class ModelRegistry:
                 "version": version,
                 "kind": kind,
                 "quantize": quantize,
-                "shared_projection": shared,
                 "params": params,
                 "metadata": metadata,
                 "checksum": hashlib.blake2b(
@@ -428,41 +404,28 @@ class ModelRegistry:
 
     def _archive_header(
         self, record: ModelRecord, archive
-    ) -> tuple[NonlinearEncoder | None, int, np.ndarray, str, np.ndarray]:
+    ) -> tuple[int, np.ndarray, str, np.ndarray]:
         """Parse an artifact's header arrays, shared by both loaders.
 
-        Returns ``(shared_parent, n_learners, alphas, aggregation, classes)``
-        — the model-level structure both the model loader and the quantized
+        Returns ``(n_learners, alphas, aggregation, classes)`` — the
+        model-level structure both the model loader and the quantized
         engine loader reconstruct, kept in one place so an archive-format
         change cannot make the two paths diverge.
         """
-        shared_parent = None
-        if record.shared_projection:
-            shared_parent = NonlinearEncoder.from_params(
-                archive["root_basis"],
-                archive["root_bias"],
-                bandwidth=float(archive["root_bandwidth"]),
-            )
         if record.kind == "onlinehd":
-            return shared_parent, 1, np.ones(1), "score", archive["learner_0_classes"]
+            return 1, np.ones(1), "score", archive["learner_0_classes"]
         if record.kind != "boosthd":
             raise RegistryError(f"unknown model kind {record.kind!r} in manifest")
         params = record.params
         return (
-            shared_parent,
             int(params["n_learners"]),
             np.asarray(archive["learner_weights"], dtype=np.float64),
             str(params["aggregation"]),
             archive["classes"],
         )
 
-    def _deserialize_encoder(
-        self, archive, index: int, shared_parent: NonlinearEncoder | None
-    ) -> Encoder:
+    def _deserialize_encoder(self, archive, index: int) -> NonlinearEncoder:
         prefix = f"learner_{index}_"
-        if shared_parent is not None:
-            start, stop = (int(value) for value in archive[f"{prefix}slice"])
-            return shared_parent.slice(start, stop)
         return NonlinearEncoder.from_params(
             archive[f"{prefix}basis"],
             archive[f"{prefix}bias"],
@@ -475,10 +438,9 @@ class ModelRegistry:
         index: int,
         params: dict,
         quantize: str | None,
-        shared_parent: NonlinearEncoder | None,
     ) -> OnlineHD:
         prefix = f"learner_{index}_"
-        encoder = self._deserialize_encoder(archive, index, shared_parent)
+        encoder = self._deserialize_encoder(archive, index)
         seed = params.get("seed")
         # .get(...) defaults keep pre-batch_size artifacts loadable.
         batch_size = params.get("batch_size")
@@ -540,16 +502,10 @@ class ModelRegistry:
         record = self.describe(name, version)
         meta = json.loads((record.path / "meta.json").read_text())
         with self._open_archive(record) as archive:
-            shared_parent, n_learners, _, _, _ = self._archive_header(record, archive)
+            n_learners, _, _, _ = self._archive_header(record, archive)
             params = record.params
             if record.kind == "onlinehd":
-                model = self._deserialize_learner(
-                    archive, 0, params, record.quantize, shared_parent
-                )
-                if shared_parent is not None and model.encoder.dim == shared_parent.dim:
-                    # A single learner spanning the whole root *is* the root.
-                    model.encoder = shared_parent
-                return model
+                return self._deserialize_learner(archive, 0, params, record.quantize)
             learner_params = meta.get("learner_params") or []
             batch_size = params.get("batch_size")
             ensemble = BoostHD(
@@ -562,6 +518,7 @@ class ModelRegistry:
                 aggregation=str(params["aggregation"]),
                 uniform_blend=float(params["uniform_blend"]),
                 bandwidth=float(params["bandwidth"]),
+                shared_projection=bool(params.get("shared_projection", False)),
                 learning_rate=float(params["learning_rate"]),
                 seed=None if params.get("seed") is None else int(params["seed"]),
             )
@@ -574,7 +531,6 @@ class ModelRegistry:
                     index,
                     learner_params[index] if index < len(learner_params) else params,
                     record.quantize,
-                    shared_parent,
                 )
                 for index in range(n_learners)
             ]
@@ -611,14 +567,14 @@ class ModelRegistry:
     def _components(self, name: str, version: int | None) -> ModelComponents:
         """Engine components read straight from a stored version's arrays.
 
-        Encoder arrays are float as always; the class hypervectors stay in
+        The encoder arrays are float as always; the class hypervectors stay in
         their stored form — float64 values, or fixed-point codes with their
         scales — for :func:`~repro.engine.build_engine` to reuse.
         """
         record = self.describe(name, version)
         with self._open_archive(record) as archive:
-            shared_parent, n_learners, alphas, aggregation, classes = (
-                self._archive_header(record, archive)
+            n_learners, alphas, aggregation, classes = self._archive_header(
+                record, archive
             )
             prefixes = [f"learner_{index}_" for index in range(n_learners)]
             if record.quantize is None:
@@ -631,10 +587,7 @@ class ModelRegistry:
                 stored = [archive[f"{prefix}codes"] for prefix in prefixes]
                 scales = [float(archive[f"{prefix}scale"]) for prefix in prefixes]
             return assemble_components(
-                [
-                    self._deserialize_encoder(archive, index, shared_parent)
-                    for index in range(n_learners)
-                ],
+                [self._deserialize_encoder(archive, index) for index in range(n_learners)],
                 [archive[f"{prefix}classes"] for prefix in prefixes],
                 stored,
                 alphas=alphas,

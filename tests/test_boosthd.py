@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import NotFittedError
-from repro.core import (
-    BaggedHD,
-    BoostHD,
-    IndependentPartitioner,
-    SharedPartitioner,
-    split_dimensions,
-)
+from repro.core import BaggedHD, BoostHD, split_dimensions
+from repro.core.partition import partition_encoders
+from repro.hdc import NonlinearEncoder
 
 
 class TestSplitDimensions:
@@ -36,35 +32,75 @@ class TestSplitDimensions:
             split_dimensions(10, 0)
 
 
+def _encoders(n_features, total_dim, n_learners, *, bandwidth=1.5, shared=False):
+    return partition_encoders(
+        n_features,
+        total_dim,
+        n_learners,
+        bandwidth=bandwidth,
+        rng=np.random.default_rng(0),
+        shared=shared,
+    )
+
+
 class TestPartitioners:
+    """``partition_encoders``: independent or shared weak-learner encoders."""
+
     def test_independent_factory_dims(self):
-        partitioner = IndependentPartitioner(300, 3)
-        factories = partitioner.encoder_factories(5, np.random.default_rng(0))
-        assert [factory().dim for factory in factories] == [100, 100, 100]
+        for shared in (False, True):
+            assert [e.dim for e in _encoders(5, 300, 3, shared=shared)] == [100] * 3
+            widths = [e.dim for e in _encoders(5, 302, 3, shared=shared)]
+            assert widths == [101, 101, 100]
 
     def test_independent_encoders_differ(self):
-        partitioner = IndependentPartitioner(200, 2)
-        factories = partitioner.encoder_factories(4, np.random.default_rng(0))
-        first, second = factories[0](), factories[1]()
+        first, second = _encoders(4, 200, 2)
+        assert first.basis.base is None and second.basis.base is None
         assert not np.allclose(first.basis, second.basis)
 
     def test_shared_slices_cover_parent(self):
-        partitioner = SharedPartitioner(90, 3)
-        factories = partitioner.encoder_factories(4, np.random.default_rng(0))
-        encoders = [factory() for factory in factories]
+        """Shared encoders are consecutive row views of one parent."""
+        encoders = _encoders(4, 90, 3, shared=True)
+        basis, bias = encoders[0].basis.base, encoders[0].bias.base
+        assert basis.shape == (90, 4)
+        assert all(encoder.basis.base is basis for encoder in encoders)
+        assert all(encoder.bias.base is bias for encoder in encoders)
+        parent = NonlinearEncoder.from_params(basis, bias, bandwidth=1.5)
         sample = np.array([0.1, 0.2, 0.3, 0.4])
         concatenated = np.concatenate([encoder.encode(sample) for encoder in encoders])
-        assert concatenated.shape == (90,)
-        np.testing.assert_allclose(concatenated, encoders[0].parent.encode(sample))
+        np.testing.assert_allclose(concatenated, parent.encode(sample))
 
     def test_bandwidth_forwarded(self):
-        partitioner = IndependentPartitioner(100, 2, bandwidth=2.5)
-        factories = partitioner.encoder_factories(4, np.random.default_rng(0))
-        assert factories[0]().bandwidth == 2.5
+        for shared in (False, True):
+            encoders = _encoders(4, 100, 2, bandwidth=2.5, shared=shared)
+            assert [encoder.bandwidth for encoder in encoders] == [2.5, 2.5]
 
     def test_invalid_bandwidth_raises(self):
-        with pytest.raises(ValueError):
-            IndependentPartitioner(100, 2, bandwidth=0.0)
+        for shared in (False, True):
+            with pytest.raises(ValueError):
+                _encoders(4, 100, 2, bandwidth=0.0, shared=shared)
+
+    def test_seeds_are_drawn_in_learner_order(self):
+        """Independent encoders take one seed each, in learner order, and a
+        shared parent takes one; the caller's next draw follows them."""
+        rng = np.random.default_rng(0)
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(3)]
+        after = [int(rng.integers(0, 2**31 - 1)) for _ in range(3)]
+        for shared, used in ((False, 3), (True, 1)):
+            rng = np.random.default_rng(0)
+            encoders = partition_encoders(
+                4, 30, 3, bandwidth=1.5, rng=rng, shared=shared
+            )
+            assert int(rng.integers(0, 2**31 - 1)) == (seeds + after)[used]
+            if shared:
+                parent = NonlinearEncoder(4, 30, bandwidth=1.5, rng=seeds[0])
+                expected = [parent.basis[start : start + 10] for start in (0, 10, 20)]
+            else:
+                expected = [
+                    NonlinearEncoder(4, 10, bandwidth=1.5, rng=seed).basis
+                    for seed in seeds
+                ]
+            for encoder, basis in zip(encoders, expected):
+                np.testing.assert_array_equal(encoder.basis, basis)
 
 
 class TestBoostHD:
@@ -132,15 +168,26 @@ class TestBoostHD:
             assert model.score(X_test, y_test) > 0.7
 
     def test_shared_partitioner_supported(self, blobs_split):
+        """``shared_projection=True``: the learners slice one projection."""
         X_train, X_test, y_train, y_test = blobs_split
         model = BoostHD(
-            total_dim=300,
-            n_learners=3,
-            epochs=2,
-            partitioner=SharedPartitioner(300, 3),
-            seed=0,
+            total_dim=300, n_learners=3, epochs=2, shared_projection=True, seed=0
         ).fit(X_train, y_train)
         assert model.score(X_test, y_test) > 0.8
+        parent = model.learners_[0].encoder.basis.base
+        assert parent is not None and parent.shape == (300, X_train.shape[1])
+        for learner in model.learners_:
+            assert np.shares_memory(learner.encoder.basis, parent)
+            assert learner.encoder.bias.base is model.learners_[0].encoder.bias.base
+
+    def test_indivisible_total_dim_gives_each_learner_its_encoder_width(self, blobs):
+        X, y = blobs
+        model = BoostHD(total_dim=1005, n_learners=10, epochs=1, seed=0).fit(X, y)
+        widths = [learner.encoder.dim for learner in model.learners_]
+        assert widths == [101] * 5 + [100] * 5
+        assert [learner.dim for learner in model.learners_] == widths
+        bagged = BaggedHD(total_dim=1005, n_learners=10, epochs=1, seed=0).fit(X, y)
+        assert [learner.dim for learner in bagged.learners_] == widths
 
     def test_sample_weight_accepted(self, blobs):
         X, y = blobs

@@ -5,22 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc import Encoder, NonlinearEncoder, SlicedEncoder
-
-
-class RecordEncoder(Encoder):
-    """An encoder without projection parameters: each feature scales a
-    fixed random ±1 code, and a sample encodes as the sum."""
-
-    def __init__(self, in_features: int, dim: int, seed: int = 0) -> None:
-        self.in_features = in_features
-        self.dim = dim
-        self.codes = np.random.default_rng(seed).choice([-1.0, 1.0], (in_features, dim))
-
-    def encode(self, features):
-        batch, single = self._validate(features)
-        encoded = batch @ self.codes
-        return encoded[0] if single else encoded
+from repro.hdc import NonlinearEncoder
 
 
 class TestNonlinearEncoder:
@@ -104,6 +89,8 @@ class TestNonlinearEncoder:
 
 
 class TestSlicedEncoder:
+    """``NonlinearEncoder.slice``: an encoder over row views of another."""
+
     def test_slice_matches_parent_block(self):
         """A slice, and a slice of it, encode their own rows of the parent.
 
@@ -114,7 +101,7 @@ class TestSlicedEncoder:
         """
         parent = NonlinearEncoder(4, 100, rng=0)
         child = parent.slice(20, 50)
-        grandchild = SlicedEncoder(child, 5, 20)
+        grandchild = child.slice(5, 20)
         sample = np.array([0.5, -1.0, 0.2, 0.9])
         batch = np.random.default_rng(2).standard_normal((16, 4))
         for encoder, (start, stop) in ((child, (20, 50)), (grandchild, (25, 40))):
@@ -128,6 +115,10 @@ class TestSlicedEncoder:
                 np.testing.assert_allclose(encoded, columns, rtol=0, atol=1e-12)
             # Its own array, not a view that keeps the parent encoding alive.
             assert encoded.base is None
+            # Its projection is row views of the parent's arrays.
+            assert encoder.basis.base is parent.basis
+            assert encoder.bias.base is parent.bias
+            assert np.shares_memory(encoder.basis, parent.basis[start:stop])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -159,22 +150,19 @@ class TestSlicedEncoder:
             child.encode(X), parent.encode(X)[:, start:stop], rtol=0, atol=1e-12
         )
 
-    def test_slice_of_other_root_encodes_then_slices(self):
-        record = RecordEncoder(3, 50)
-        sliced = SlicedEncoder(record, 10, 30)
-        batch = np.random.default_rng(0).uniform(0, 1, (4, 3))
-        np.testing.assert_array_equal(sliced.encode(batch), record.encode(batch)[:, 10:30])
-
     def test_slice_dim(self):
-        parent = NonlinearEncoder(4, 100, rng=0)
-        assert parent.slice(0, 25).dim == 25
+        parent = NonlinearEncoder(4, 100, bandwidth=2.5, rng=0)
+        child = parent.slice(0, 25)
+        assert (child.dim, child.in_features, child.bandwidth) == (25, 4, 2.5)
 
     def test_invalid_slice_raises(self):
         parent = NonlinearEncoder(4, 100, rng=0)
         with pytest.raises(ValueError):
-            SlicedEncoder(parent, 50, 40)
+            parent.slice(50, 40)
         with pytest.raises(ValueError):
-            SlicedEncoder(parent, 0, 101)
+            parent.slice(0, 101)
+        with pytest.raises(ValueError):
+            parent.slice(-1, 10)
 
     def test_contiguous_slices_cover_parent(self):
         parent = NonlinearEncoder(4, 90, rng=0)
@@ -201,15 +189,10 @@ class TestProjectionParams:
         np.testing.assert_array_equal(bias, parent_bias[10:25])
 
     def test_nested_slice_flattens_to_root(self):
+        """A slice of a slice views rows of the root, at the summed offset."""
         parent = NonlinearEncoder(4, 60, rng=0)
-        inner = parent.slice(10, 50)
-        outer = SlicedEncoder(inner, 5, 20)
-        root, start, stop = outer.flatten()
-        assert root is parent and (start, stop) == (15, 30)
+        outer = parent.slice(10, 50).slice(5, 20)
+        assert outer.basis.base is parent.basis and outer.bias.base is parent.bias
+        np.testing.assert_array_equal(outer.basis, parent.basis[15:30])
         basis, _ = outer.projection_params()
-        np.testing.assert_array_equal(basis, parent.projection_params().basis[15:30])
-
-    def test_unfusable_root_raises(self):
-        sliced = SlicedEncoder(RecordEncoder(3, 50), 0, 10)
-        with pytest.raises(TypeError, match="projection parameters"):
-            sliced.projection_params()
+        np.testing.assert_array_equal(basis, parent.projection_params()[0][15:30])

@@ -3,7 +3,8 @@
 The engine (:mod:`repro.engine`) must reproduce the per-learner loop path of
 ``BoostHD.decision_function`` / ``OnlineHD.decision_function``: identical
 predictions and scores within floating-point tolerance, across dtypes,
-encoding row blocks, both aggregation modes and both partitioners.
+encoding row blocks, both aggregation modes, independent and shared
+projections.
 """
 
 import contextlib
@@ -16,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BoostHD, SharedPartitioner
+from repro.core import BoostHD
 from repro.core.boosthd import effective_alphas
-from repro.engine import CompiledModel, EngineError, compile_model
+from repro.engine import CompiledModel, EngineError, compile_model, model_components
 from repro.engine import compile as compile_module
-from repro.hdc import OnlineHD, SlicedEncoder
-
-from test_encoder import RecordEncoder
+from repro.hdc import NonlinearEncoder, OnlineHD
 
 TOTAL_DIM = 120
 N_LEARNERS = 4
@@ -30,15 +29,12 @@ N_LEARNERS = 4
 
 def make_boosthd(blobs_split, *, aggregation="score", shared=False, **kwargs):
     X_train, _, y_train, _ = blobs_split
-    partitioner = (
-        SharedPartitioner(TOTAL_DIM, N_LEARNERS, bandwidth=1.5) if shared else None
-    )
     model = BoostHD(
         total_dim=TOTAL_DIM,
         n_learners=N_LEARNERS,
         epochs=2,
         aggregation=aggregation,
-        partitioner=partitioner,
+        shared_projection=shared,
         seed=3,
         **kwargs,
     )
@@ -103,20 +99,20 @@ class TestBoostHDEquivalence:
             start = stop
         assert stop == engine.total_dim
 
-    def test_shared_projection_detected(self, blobs_split):
-        """Slices that tile one parent reuse the parent's projection."""
+    def test_shared_projection_stacks_to_the_parent_basis(self, blobs_split):
+        """Stacking a shared fit's row blocks rebuilds the parent's scaled
+        basis and bias bit for bit."""
         model = make_boosthd(blobs_split, shared=True)
-        encoders = [learner.encoder for learner in model.learners_]
-        parent = compile_module._shared_root(encoders)
-        assert parent is encoders[0].flatten()[0]
-        engine = model.compile(dtype=np.float64)
-        np.testing.assert_array_equal(
-            engine._basis2, (2.0 * parent.projection_params().basis).T
+        first = model.learners_[0].encoder
+        parent = NonlinearEncoder.from_params(
+            first.basis.base, first.bias.base, bandwidth=first.bandwidth
         )
-        independent = make_boosthd(blobs_split, shared=False)
-        assert compile_module._shared_root(
-            [learner.encoder for learner in independent.learners_]
-        ) is None
+        basis, bias = parent.projection_params()
+        engine = model.compile(dtype=np.float64)
+        np.testing.assert_array_equal(engine._basis2, (2.0 * basis).T)
+        components = model_components(model)
+        np.testing.assert_array_equal(components.basis, basis)
+        np.testing.assert_array_equal(components.bias, bias)
 
     def test_single_sample_vector_input(self, blobs_split):
         _, X_test, _, _ = blobs_split
@@ -140,13 +136,12 @@ class TestBoostHDEquivalence:
         centers = rng.standard_normal((3, 5)) * 3.0
         X = np.vstack([center + rng.standard_normal((12, 5)) for center in centers])
         y = np.repeat(np.arange(3), 12)
-        partitioner = SharedPartitioner(60, 3, bandwidth=1.5) if shared else None
         model = BoostHD(
             total_dim=60,
             n_learners=3,
             epochs=1,
             aggregation=aggregation,
-            partitioner=partitioner,
+            shared_projection=shared,
             seed=seed,
         ).fit(X, y)
         engine = model.compile(dtype=np.float64)
@@ -233,21 +228,6 @@ class TestCompileErrors:
     def test_unsupported_model_raises(self):
         with pytest.raises(EngineError, match="expected BoostHD or OnlineHD"):
             compile_model(object())
-
-    def test_unfusable_encoder_raises(self, blobs_split):
-        X_train, _, y_train, _ = blobs_split
-        encoder = RecordEncoder(X_train.shape[1], 50)
-        model = OnlineHD(dim=50, epochs=1, encoder=encoder, seed=0).fit(X_train, y_train)
-        with pytest.raises(EngineError, match="projection parameters"):
-            compile_model(model)
-
-    def test_slice_of_unfusable_encoder_raises_engine_error(self, blobs_split):
-        """A sliced non-projection root must also surface as EngineError."""
-        X_train, _, y_train, _ = blobs_split
-        encoder = SlicedEncoder(RecordEncoder(X_train.shape[1], 64), 0, 32)
-        model = OnlineHD(dim=32, epochs=1, encoder=encoder, seed=0).fit(X_train, y_train)
-        with pytest.raises(EngineError, match="projection parameters"):
-            compile_model(model)
 
     def test_feature_mismatch_raises(self, blobs_split):
         model = make_boosthd(blobs_split)

@@ -24,7 +24,6 @@ The load-bearing guarantees:
   raises.
 """
 
-import dataclasses
 import os
 import signal
 import subprocess

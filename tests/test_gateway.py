@@ -43,7 +43,7 @@ from repro.gateway.http import Request, parse_request_head
 from repro.gateway.limits import ConcurrencyLimiter
 from repro.core.boosthd import BoostHD
 from repro.engine import PRECISIONS
-from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
+from repro.resilience import FaultPlan, FaultSpec, inject
 from repro.serving import (
     MicroBatchScheduler,
     ModelRegistry,
@@ -485,12 +485,15 @@ def test_dead_letter_replay_endpoint():
         [[True] * WINDOW] * N_CHANNELS,
         [[None] * WINDOW] * N_CHANNELS,
         [[0.5] * WINDOW, [0.5] * (WINDOW - 1)] + [[0.5] * WINDOW] * (N_CHANNELS - 2),
+        [[1.5, True] + [0.5] * (WINDOW - 2)] * N_CHANNELS,
+        [[1, True] + [0] * (WINDOW - 2)] * N_CHANNELS,
     ],
-    ids=["strings", "booleans", "null", "ragged"],
+    ids=["strings", "booleans", "null", "ragged", "float-and-bool", "int-and-bool"],
 )
 def test_samples_that_are_not_json_numbers_are_400(samples):
     """A sample is a JSON number: a float64 parse would take numeric
-    strings and booleans as numbers, and score them."""
+    strings and booleans as numbers, and score them, and NumPy promotes a
+    boolean among numbers to 1 or 0."""
 
     async def scenario():
         gateway = await start_gateway()
@@ -627,6 +630,39 @@ def test_gateway_predictions_bit_identical_to_in_process():
     run(scenario())
 
 
+def test_feed_body_holds_only_samples():
+    """Any key besides ``samples`` is 400, and the error names it."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                status, body = await client.request(
+                    "POST",
+                    "/v1/sessions/s1/windows",
+                    {"samples": [[0.5] * WINDOW] * N_CHANNELS, "true": 1},
+                )
+                assert status == 400
+                assert "'true'" in body["error"] and "samples" in body["error"]
+        finally:
+            await gateway.shutdown(2.0)
+        assert gateway.backend.stats.windows_submitted == 0
+
+    run(scenario())
+
+
+def test_a_body_that_is_not_utf8_is_400():
+    """JSON bodies are UTF-8, so a byte search for booleans sees the text:
+    a UTF-16 body cannot carry a ``true`` past it."""
+    text = json.dumps({"samples": [[1.5, True] + [0.5] * (WINDOW - 2)] * N_CHANNELS})
+    path = "/v1/sessions/s1/windows"
+    request = Request("POST", path, path, body=text.encode("utf-16"))
+    with pytest.raises(ProtocolError, match="invalid JSON") as raised:
+        Gateway._parse_samples(request)
+    assert raised.value.status == 400
+
+
 # ------------------------------------------------------------------ model swap
 @pytest.fixture(scope="module")
 def swap_registry(tmp_path_factory):
@@ -750,6 +786,27 @@ def test_swap_unknown_model_or_version_is_404(swap_registry):
     status, body = swap_once(make_service(), swap_registry, version=9)
     assert status == 404
     assert "no version v9" in body["error"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["<outside>", "..", "a/b", ".x", "", "m\x00"],
+    ids=["absolute", "dotdot", "slash", "hidden", "empty", "nul"],
+)
+def test_swap_with_a_name_the_registry_refuses_is_400(swap_registry, tmp_path, name):
+    """A bad name is the client's mistake, refused before any file is read:
+    the absolute name points at a loadable model outside the registry."""
+    ModelRegistry(tmp_path).save("planted", swap_registry.load("m"))
+    if name == "<outside>":
+        name = str(tmp_path / "planted")
+    service = make_service()
+    status, body, stats = swap_body(
+        service, swap_registry, {"name": name, "precision": "fixed16"}
+    )
+    assert status == 400
+    assert "name" in body["error"]
+    assert stats.handler_errors == 0
+    assert service.generation == 0
 
 
 def test_a_stored_version_the_registry_refuses_is_500(swap_registry, tmp_path):

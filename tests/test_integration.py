@@ -1,7 +1,6 @@
 """Integration tests: the full pipeline from synthetic sensors to evaluation."""
 
 import numpy as np
-import pytest
 
 from repro import BoostHD, OnlineHD, load_wesad
 from repro.analysis import bitflip_sweep, evaluate_groups

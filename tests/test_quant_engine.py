@@ -10,7 +10,7 @@ Four layers of guarantees, from exact to statistical:
   fallback equals :func:`numpy.bitwise_count`.
 * **Argmax parity with the float engine** — fixed16/fixed8 predictions are
   *identical* to the float64 engine's on the mini Table I datasets across
-  model kinds and partitioners; packed-bipolar (a genuinely lossy 1-bit
+  model kinds and projections; packed-bipolar (a genuinely lossy 1-bit
   model) must agree on >= 85 % of windows and lose <= 0.15 accuracy.
 * **Registry byte-exactness** — ``ModelRegistry.load_compiled(...)``
   builds engines whose stored codes are byte-for-byte the archived codes,
@@ -30,7 +30,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis.robustness import bitflip_sweep
 from repro.core.boosthd import BoostHD
-from repro.core.partition import SharedPartitioner
 from repro.engine import PRECISIONS as ENGINE_PRECISIONS
 from repro.engine import (
     EngineError,
@@ -78,7 +77,7 @@ def _fit(kind, X, y):
         return BoostHD(total_dim=100, n_learners=7, epochs=3, seed=0).fit(X, y)
     options = dict(total_dim=600, n_learners=6, epochs=3, seed=0)
     if kind == "boosthd-shared":
-        options["partitioner"] = SharedPartitioner(600, 6)
+        options["shared_projection"] = True
     if kind == "boosthd-vote":
         options["aggregation"] = "vote"
     return BoostHD(**options).fit(X, y)

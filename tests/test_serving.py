@@ -15,12 +15,15 @@ The load-bearing guarantees:
   collapse.
 """
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BoostHD, SharedPartitioner
+from repro.core import BoostHD
 from repro.data import CHANNELS, SignalSimulator, WESAD_STATES
 from repro.data.features import extract_features
 from repro.hdc import OnlineHD
@@ -368,22 +371,126 @@ class TestModelRegistry:
         )
 
     def test_shared_projection_layout_survives(self, tmp_path, blobs_split):
+        """A shared-projection fit round-trips bitwise, its choice with it."""
         X_train, X_test, y_train, _ = blobs_split
         model = BoostHD(
-            total_dim=120,
-            n_learners=4,
-            epochs=1,
-            partitioner=SharedPartitioner(120, 4, bandwidth=1.5),
-            seed=3,
+            total_dim=120, n_learners=4, epochs=1, shared_projection=True, seed=3
         ).fit(X_train, y_train)
         registry = ModelRegistry(tmp_path)
         registry.save("shared", model)
-        assert registry.describe("shared").shared_projection
+        assert registry.describe("shared").params["shared_projection"] is True
+        loaded = registry.load("shared")
+        assert loaded.shared_projection is True
+        np.testing.assert_array_equal(
+            loaded.decision_function(X_test), model.decision_function(X_test)
+        )
         restored = registry.load_compiled("shared")
         np.testing.assert_array_equal(
             restored.decision_function(X_test),
             model.compile().decision_function(X_test),
         )
+
+    def test_retired_shared_layout_manifest_is_refused(self, tmp_path, fitted_models):
+        """A manifest of the retired shared layout (one root projection
+        sliced per learner) is refused by name at every read; one that
+        recorded the independent layout (``false``) still loads."""
+        boost, _ = fitted_models
+        registry = ModelRegistry(tmp_path)
+        registry.save("old", boost)
+        manifest = tmp_path / "old" / "v1" / "meta.json"
+        meta = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**meta, "shared_projection": False}))
+        assert registry.load("old").shared_projection is False
+        manifest.write_text(json.dumps({**meta, "shared_projection": True}))
+        for read in (registry.describe, registry.load, registry.load_compiled):
+            with pytest.raises(RegistryError, match="shared_projection"):
+                read("old")
+
+    def test_every_hyperparameter_survives_a_round_trip(self, tmp_path, blobs_split):
+        """Every constructor parameter but ``encoder`` is saved and loaded.
+
+        Each model is built with a non-default value for every parameter,
+        so a parameter the registry forgets fails here.  A loaded shared
+        model refits as one: its learners get row views of one parent.
+        """
+        X_train, X_test, y_train, _ = blobs_split
+        values = {
+            BoostHD: dict(
+                total_dim=130, n_learners=4, lr=0.05, epochs=1, bootstrap=False,
+                batch_size=16, aggregation="vote", uniform_blend=0.25,
+                bandwidth=2.0, shared_projection=True, learning_rate=0.5, seed=7,
+            ),
+            OnlineHD: dict(
+                dim=70, lr=0.05, epochs=1, bootstrap=False, batch_size=16,
+                bandwidth=2.0, seed=7,
+            ),
+        }
+        registry = ModelRegistry(tmp_path)
+        for model_class, kwargs in values.items():
+            parameters = inspect.signature(model_class).parameters
+            assert set(kwargs) == set(parameters) - {"encoder"}
+            for name, value in kwargs.items():
+                assert value != parameters[name].default, name
+            model = model_class(**kwargs).fit(X_train, y_train)
+            registry.save(model_class.__name__, model)
+            loaded = registry.load(model_class.__name__)
+            for name, value in kwargs.items():
+                assert getattr(loaded, name) == value, name
+            np.testing.assert_array_equal(
+                loaded.decision_function(X_test), model.decision_function(X_test)
+            )
+        refit = registry.load("BoostHD").fit(X_train, y_train)
+        parent = refit.learners_[0].encoder.basis.base
+        assert parent is not None and parent.shape == (130, X_train.shape[1])
+        for learner in refit.learners_:
+            assert learner.encoder.basis.base is parent
+            assert np.shares_memory(learner.encoder.basis, parent)
+
+    def test_indivisible_total_dim_keeps_each_learner_width(self, tmp_path, blobs_split):
+        """Learner ``dim`` is its encoder's width, before and after a load."""
+        X_train, X_test, y_train, _ = blobs_split
+        model = BoostHD(total_dim=1005, n_learners=10, epochs=1, seed=0)
+        model.fit(X_train, y_train)
+        widths = [101] * 5 + [100] * 5
+        assert [learner.dim for learner in model.learners_] == widths
+        registry = ModelRegistry(tmp_path)
+        registry.save("ragged", model)
+        loaded = registry.load("ragged")
+        assert [learner.dim for learner in loaded.learners_] == widths
+        assert [learner.encoder.dim for learner in loaded.learners_] == widths
+        np.testing.assert_array_equal(
+            registry.load_compiled("ragged").decision_function(X_test),
+            model.compile().decision_function(X_test),
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["<outside>", "..", "a/b", ".x", "", "m\x00"],
+        ids=["absolute", "dotdot", "slash", "hidden", "empty", "nul"],
+    )
+    def test_every_entry_point_refuses_a_bad_name(self, tmp_path, fitted_models, name):
+        """One name rule at every entry point, before any file is read.
+
+        The absolute name points at a loadable model stored outside the
+        registry root, which joining the name onto the root would reach.
+        """
+        boost, _ = fitted_models
+        ModelRegistry(tmp_path / "outside").save("planted", boost)
+        if name == "<outside>":
+            name = str(tmp_path / "outside" / "planted")
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save("m", boost)
+        for call in (
+            lambda: registry.save(name, boost),
+            lambda: registry.versions(name),
+            lambda: registry.latest(name),
+            lambda: registry.describe(name, 1),
+            lambda: registry.load(name),
+            lambda: registry.load_compiled(name, precision="fixed16"),
+        ):
+            with pytest.raises(RegistryError, match="invalid model name"):
+                call()
+        assert registry.models() == ["m"]
 
     def test_onlinehd_round_trip_and_partial_fit(self, tmp_path, blobs_split, fitted_models):
         X_train, X_test, y_train, _ = blobs_split
@@ -407,6 +514,9 @@ class TestModelRegistry:
         assert registry.save("other", online) == 1
         assert registry.versions("stress") == [1, 2]
         assert registry.latest("stress") == 2
+        # A hidden directory is no model, whatever it holds.
+        (tmp_path / ".git" / "v1").mkdir(parents=True)
+        (tmp_path / ".git" / "v1" / "meta.json").write_text("{}")
         assert registry.models() == ["other", "stress"]
         record = registry.describe("stress")
         assert record.version == 2 and record.kind == "boosthd"

@@ -8,8 +8,8 @@ of equivalence, each pinned here:
   (``np.add.at`` bundling + the per-sample loop on
   ``OnlineHD._adaptive_pass``, selectable with ``trainer="reference"``)
   byte for byte: same ``class_hypervectors_``, same ``learner_weights_``,
-  same predictions, across every weighting mode, both entry points, both
-  partitioners and any problem shape.
+  same predictions, across every weighting mode, both entry points,
+  independent and shared projections and any problem shape.
 * **Bounded memory** — a fit holds one learner's encoded block at a time.
 * **Properties** — the incremental norm cache of
   :class:`~repro.engine.train.ExactPassState` always matches freshly
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BoostHD
-from repro.core.partition import IndependentPartitioner, SharedPartitioner
 from repro.engine.train import (
     ExactPassState,
     adaptive_pass_exact,
@@ -37,7 +36,6 @@ from repro.engine.train import (
     encode_ensemble,
 )
 from repro.hdc import NonlinearEncoder, OnlineHD
-from repro.hdc.encoder import SlicedEncoder
 
 
 # --------------------------------------------------------------------- helpers
@@ -53,11 +51,8 @@ def _weight_modes(n_samples: int):
     }
 
 
-def _partitioners(total_dim: int, n_learners: int):
-    return {
-        "independent": IndependentPartitioner(total_dim, n_learners),
-        "shared": SharedPartitioner(total_dim, n_learners),
-    }
+#: ``BoostHD(shared_projection=...)`` per partition id of the grids below.
+SHARED = {"independent": False, "shared": True}
 
 
 def _assert_boosthd_identical(fast: BoostHD, reference: BoostHD, X):
@@ -187,7 +182,7 @@ class TestBoostHDEquivalence:
                 n_learners=4,
                 epochs=2,
                 bootstrap=bootstrap,
-                partitioner=_partitioners(100, 4)[partition],
+                shared_projection=SHARED[partition],
                 seed=13,
             )
 
@@ -207,7 +202,7 @@ class TestBoostHDEquivalence:
                 n_learners=4,
                 epochs=1,
                 bootstrap=bootstrap,
-                partitioner=_partitioners(100, 4)[partition],
+                shared_projection=SHARED[partition],
                 seed=21,
             ).fit(X, y)
 
@@ -258,7 +253,7 @@ class TestBoostHDEquivalence:
                 total_dim=total_dim,
                 n_learners=n_learners,
                 epochs=1,
-                partitioner=_partitioners(total_dim, n_learners)[partition],
+                shared_projection=SHARED[partition],
                 seed=seed,
             )
 
@@ -368,7 +363,7 @@ class TestFitMemory:
             total_dim=total_dim,
             n_learners=n_learners,
             epochs=1,
-            partitioner=_partitioners(total_dim, n_learners)[partition],
+            shared_projection=SHARED[partition],
             seed=0,
         )
 
@@ -413,8 +408,9 @@ class TestFitMemory:
 
             return encode
 
-        for encoder_class in (NonlinearEncoder, SlicedEncoder):
-            monkeypatch.setattr(encoder_class, "encode", tracking(encoder_class.encode))
+        monkeypatch.setattr(
+            NonlinearEncoder, "encode", tracking(NonlinearEncoder.encode)
+        )
         rng = np.random.default_rng(0)
         X = rng.standard_normal((120, 12))
         y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
@@ -423,7 +419,7 @@ class TestFitMemory:
             total_dim=total_dim,
             n_learners=n_learners,
             epochs=1,
-            partitioner=_partitioners(total_dim, n_learners)[partition],
+            shared_projection=SHARED[partition],
             seed=0,
         )
         for call, rows in ((model.fit, len(X)), (model.partial_fit, 40)):
@@ -509,9 +505,8 @@ def test_exact_pass_matches_reference_pass_property(
     all-zero class rows (as ``OnlineHD._extend_classes`` creates) and a
     ``magnitude`` small enough that ``|h|·|C_k|`` falls under the 1e-12
     clip, score ties broken to the first index, a single class, ``dim``
-    down to 1, a strided column slice of a wider encoding (the shared
-    partitioner's layout) or a Fortran-ordered one (``fit(encoded=...)``
-    takes either), bootstrap orders with repeated samples and scaled
+    down to 1, a strided column slice of a wider encoding or a
+    Fortran-ordered one (``fit(encoded=...)`` takes either), bootstrap orders with repeated samples and scaled
     updates drawn as ``OnlineHD._train_epochs`` draws them, and one state
     threaded through several epochs.
     """

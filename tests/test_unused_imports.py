@@ -1,11 +1,12 @@
-"""Every module-level import in ``src/repro`` is used.
+"""Every module-level import in the repository's Python trees is used.
 
 Deleting code leaves its imports behind, and an import nothing reads still
 costs its load time and misleads a reader about what a module depends on.
-For each module that is not a package ``__init__`` (those import to
-re-export), every name a module-level ``import`` or ``from ... import``
-binds — including those under ``if TYPE_CHECKING:`` — must appear in the
-module as a name, inside a string annotation, or in ``__all__``.  A
+The trees are ``src/repro``, ``benchmarks/``, ``examples/``, ``perfbench/``
+and ``tests/``.  For each module that is not a package ``__init__`` (those
+import to re-export), every name a module-level ``import`` or ``from ...
+import`` binds — including those under ``if TYPE_CHECKING:`` — must appear
+in the module as a name, inside a string annotation, or in ``__all__``.  A
 docstring or any other string does not count; ``from __future__`` imports
 are exempt.
 """
@@ -16,6 +17,10 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+REPO = SRC.parents[1]
+TREES = (SRC,) + tuple(
+    REPO / name for name in ("benchmarks", "examples", "perfbench", "tests")
+)
 
 
 def _module_imports(body):
@@ -83,7 +88,8 @@ def unused_imports(root: Path) -> list[str]:
 
 
 def test_no_module_imports_an_unused_name():
-    assert unused_imports(SRC) == []
+    assert all(tree.is_dir() for tree in TREES)
+    assert [found for tree in TREES for found in unused_imports(tree)] == []
 
 
 def test_the_guard_sees_what_it_must_and_nothing_else(tmp_path):

@@ -75,7 +75,6 @@ class BaggedHD(BaseClassifier):
         self.learners_ = []
         for encoder in encoders:
             learner = OnlineHD(
-                dim=encoder.dim,
                 lr=self.lr,
                 epochs=self.epochs,
                 bootstrap=False,

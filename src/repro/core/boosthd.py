@@ -233,7 +233,6 @@ class BoostHD(BaseClassifier):
         errors: list[float] = []
         for encoder in encoders:
             learner = OnlineHD(
-                dim=encoder.dim,
                 lr=self.lr,
                 epochs=self.epochs,
                 bootstrap=self.bootstrap,

@@ -6,41 +6,30 @@ multi-process :class:`~repro.serving.ServingFabric`) behind it.  The
 gateway's job is *robustness at the edge* — everything the scheduler and
 fabric assume about their callers is enforced here:
 
-* **Admission control** — a per-client :class:`~repro.gateway.limits
-  .RateLimiter` token bucket plus a global
-  :class:`~repro.gateway.limits.ConcurrencyLimiter`.  Overload is refused
-  with explicit 429/503 + ``Retry-After``, never queued: queue growth at
-  the edge is exactly the silent latency collapse PR 9's shed machinery
-  exists to prevent.  Window-level pressure beyond the edge still flows
-  through the scheduler's ``max_pending`` bound and comes back as explicit
-  ``status="shed"`` predictions.
-* **Deadline propagation** — an ``x-repro-deadline-ms`` request header
-  becomes a :class:`~repro.resilience.Deadline` threaded through backend
-  calls: expired-before-work requests are refused with 504 (no window
-  accepted), and a request whose budget runs out *after* its windows were
-  accepted gets 504 with ``"accepted": true`` — the windows are still
-  scored and answered into the session mailbox, because an accepted window
-  is never silently dropped.
-* **Lifecycle** — liveness (``/healthz``) and readiness (``/readyz``, wired
-  to draining state and fabric circuit breakers), and a
-  SIGTERM-triggered :meth:`Gateway.shutdown`: stop accepting, finish
-  in-flight requests, flush every pending window through the backend within
-  a drain deadline, deliver the results, then close — zero accepted-window
-  loss, enforced by ``benchmarks/bench_gateway.py``.
+* **Admission control** — per-client token buckets
+  (:class:`~repro.gateway.limits.RateLimiter`) and a global in-flight bound
+  (:class:`~repro.gateway.limits.ConcurrencyLimiter`) refuse overload with
+  explicit 429/503 + ``Retry-After``, never queue it: queue growth at the
+  edge is the silent latency collapse the scheduler's shedding prevents.
+* **Deadline propagation** — an ``x-repro-deadline-ms`` header becomes a
+  :class:`~repro.resilience.Deadline` threaded through backend calls: 504
+  before any window is accepted, or 504 with ``"accepted": true`` after —
+  those windows are still answered into the session mailbox.
+* **Lifecycle** — liveness (``/healthz``), readiness (``/readyz``: draining
+  state and fabric circuit breakers), and a SIGTERM-triggered
+  :meth:`Gateway.shutdown` that loses no accepted window, enforced by
+  ``benchmarks/bench_gateway.py``.
 
 Delivery model: predictions released by any backend call are routed
 *exactly once* into per-session mailboxes, drained by the session's next
 ``feed``/``score``/``predictions`` call.  Predictions for closed sessions
 land in the orphan mailbox — still accounted as answered, never lost.
 The accounting identity mirrors the scheduler's: ``windows_answered +
-windows_shed`` on the gateway equals scored + shed in the backend.  A
-session is a string id: ``POST /v1/sessions`` takes ``{"session_id"}`` and
-nothing else, and every session has the backend's one windowing.  The
-gateway serves only the sessions it opened, the ones with a mailbox:
-feed, score, predictions and close answer 404 for any other id, even one
-open on the backend, whose windows would land in the orphan mailbox.  In
-a path an id is one percent-encoded segment, unquoted after the path is
-split.
+windows_shed`` on the gateway equals scored + shed in the backend.
+
+Every (method, path) the gateway answers is one entry of the route table
+:data:`_ROUTES` at the end of this module, with the JSON body it takes;
+one matcher applies it in the order ``docs/gateway.md`` states.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
@@ -57,6 +46,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from typing import Callable, NamedTuple
 from urllib.parse import unquote
 
 import numpy as np
@@ -211,7 +201,8 @@ class Gateway:
         )
         self.concurrency = ConcurrencyLimiter(max_concurrent)
         self.stats = GatewayStats()
-        self._routes: dict[str, deque] = {}
+        self._mailboxes: dict[str, deque] = {}
+        self._closed_since_drain: set[str] = set()  # their windows may be pending
         self._orphans: deque[dict] = deque()
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -353,7 +344,7 @@ class Gateway:
         (session mailboxes + orphans) — they were *answered*, their owners just
         never came back for them; the drain-safety ledger counts them.
         """
-        return len(self._orphans) + sum(map(len, self._routes.values()))
+        return len(self._orphans) + sum(map(len, self._mailboxes.values()))
 
     # -------------------------------------------------------------- delivery
     def _deliver(self, predictions) -> None:
@@ -367,18 +358,21 @@ class Gateway:
                 shed += 1
             else:
                 answered += 1
-            self._routes.get(prediction.session_id, self._orphans).append(wire)
+            self._mailboxes.get(prediction.session_id, self._orphans).append(wire)
         if answered:
             self.stats.bump("windows_answered", answered)
         if shed:
             self.stats.bump("windows_shed", shed)
 
-    def _submit_backend(self, fn, *, deliver: bool = True) -> asyncio.Task:
-        """Run a backend call on the backend thread; deliver on completion.
+    async def _call_backend(
+        self, fn, deadline: Deadline | None = None, *, deliver: bool = True
+    ):
+        """Run a backend call on the backend thread, awaited under ``deadline``.
 
         Delivery happens in the done-callback — not in the awaiting handler
         — so predictions are routed exactly once even when the handler has
-        timed out on its deadline or its client has disconnected.  Calls
+        timed out on its deadline (:class:`asyncio.TimeoutError`: the
+        shielded call keeps running) or its client has disconnected.  Calls
         whose result is not a prediction list (inspection endpoints) pass
         ``deliver=False``.
         """
@@ -396,24 +390,14 @@ class Gateway:
                     self._deliver(result)
 
         task.add_done_callback(_on_done)
-        return task
-
-    async def _await_backend(self, task: asyncio.Task, deadline: Deadline | None):
-        """Await a backend task under the request deadline.
-
-        Raises :class:`asyncio.TimeoutError` when the budget runs out first;
-        the shielded task keeps running and still delivers its predictions.
-        """
         if deadline is None or deadline.budget() is None:
             return await asyncio.shield(task)
         return await asyncio.wait_for(asyncio.shield(task), timeout=deadline.budget())
 
     def _drain_mailbox(self, session_id: str) -> list[dict]:
-        route = self._routes.get(session_id)
-        if route is None:
-            return []
-        drained = list(route)
-        route.clear()
+        mailbox = self._mailboxes.get(session_id, deque())
+        drained = list(mailbox)
+        mailbox.clear()
         return drained
 
     # ------------------------------------------------------------ connection
@@ -501,7 +485,7 @@ class Gateway:
         self.stats.bump("requests")
         started = time.perf_counter()
         try:
-            response = await self._admit_and_dispatch(request, client)
+            response = await self._answer(request, client)
         except ProtocolError as error:
             self.stats.bump("protocol_errors")
             response = json_response(error.status, {"error": str(error)})
@@ -526,285 +510,190 @@ class Gateway:
             ).observe(time.perf_counter() - started)
         return response
 
-    async def _admit_and_dispatch(self, request: Request, client: str) -> bytes:
+    async def _answer(self, request: Request, client: str) -> bytes:
+        """The matcher: apply :data:`_ROUTES` in the order ``docs/gateway.md``
+        states (route, probes, admission, session, body, handler)."""
         path, method = request.path, request.method
-        # Probes and telemetry bypass admission control entirely.
-        if path == "/healthz":
-            return json_response(200, {"status": "alive", "backend": self.kind})
-        if path == "/readyz":
-            return self._readyz()
-        if path == "/metrics":
-            return self._metrics()
+        pattern, session_id = _match(path)
+        if pattern is None:
+            return json_response(404, {"error": f"no route {path!r}"})
+        route = _ROUTES[pattern].get(method)
+        if route is None:
+            error = {"error": f"{method} not allowed on {path}"}
+            return json_response(405, error, headers={"Allow": ", ".join(_ROUTES[pattern])})
+        if not pattern.startswith("/v1/"):  # a probe: never admission controlled
+            return await route.handler(self, _Call(request, None, {}, None))
         if self._draining:
-            self.stats.bump("rejected_draining")
-            return json_response(
-                503,
-                {"error": "gateway is draining", "draining": True},
-                headers={"Retry-After": "1"},
-            )
+            payload = {"error": "gateway is draining", "draining": True}
+            return self._refuse("rejected_draining", 503, payload, "1")
         if self.rate_limiter is not None:
             retry_after = self.rate_limiter.try_acquire(client)
             if retry_after > 0.0:
-                self.stats.bump("rejected_rate_limited")
-                return json_response(
-                    429,
-                    {"error": "rate limit exceeded", "retry_after": retry_after},
-                    headers={"Retry-After": f"{retry_after:.3f}"},
+                payload = {"error": "rate limit exceeded", "retry_after": retry_after}
+                return self._refuse(
+                    "rejected_rate_limited", 429, payload, f"{retry_after:.3f}"
                 )
         if not self.concurrency.acquire():
-            self.stats.bump("rejected_saturated")
-            return json_response(
-                503,
-                {
-                    "error": "concurrency limit reached",
-                    "in_flight": self.concurrency.in_flight,
-                },
-                headers={"Retry-After": "0.050"},
-            )
+            payload = {
+                "error": "concurrency limit reached",
+                "in_flight": self.concurrency.in_flight,
+            }
+            return self._refuse("rejected_saturated", 503, payload, "0.050")
         try:
             deadline = self._parse_deadline(request)
             if deadline is not None and deadline.expired:
-                self.stats.bump("rejected_deadline")
-                return json_response(
-                    504, {"error": "deadline already expired", "accepted": False}
-                )
+                payload = {"error": "deadline already expired", "accepted": False}
+                return self._refuse("rejected_deadline", 504, payload)
             if CHAOS.enabled:
                 await self._loop.run_in_executor(
                     None, partial(CHAOS.hit, "gateway.request", path=path)
                 )
-            return await self._dispatch(request, deadline)
+            if session_id is not None and session_id not in self._mailboxes:
+                return json_response(404, {"error": f"no open session {session_id!r}"})
+            body = _checked_body(route, request)
+            return await route.handler(self, _Call(request, session_id, body, deadline))
         finally:
             self.concurrency.release()
 
-    async def _dispatch(self, request: Request, deadline: Deadline | None) -> bytes:
-        path, method = request.path, request.method
-        # Split the raw path, then unquote each segment: a session id may
-        # hold any character, an encoded "/" included.
-        parts = [unquote(part) for part in path.split("/") if part]
-        if parts[:1] != ["v1"]:
-            return json_response(404, {"error": f"no route {path!r}"})
-        rest = parts[1:]
-        if rest == ["sessions"]:
-            if method == "POST":
-                return await self._create_session(request)
-            if method == "GET":
-                return json_response(200, {"sessions": list(self._routes)})
-            return json_response(405, {"error": f"{method} not allowed on {path}"})
-        if len(rest) == 2 and rest[0] == "sessions":
-            if method == "DELETE":
-                return await self._close_session(rest[1])
-            return json_response(405, {"error": f"{method} not allowed on {path}"})
-        if len(rest) == 3 and rest[0] == "sessions":
-            session_id, action = rest[1], rest[2]
-            if action == "windows" and method == "POST":
-                return await self._feed(session_id, request, deadline)
-            if action == "score" and method == "POST":
-                return await self._score(session_id, deadline)
-            if action == "predictions" and method == "GET":
-                if session_id not in self._routes:
-                    return json_response(
-                        404, {"error": f"no open session {session_id!r}"}
-                    )
-                return json_response(
-                    200, {"predictions": self._drain_mailbox(session_id)}
-                )
-            return json_response(404, {"error": f"no route {path!r}"})
-        if rest == ["model"] and method == "GET":
-            return json_response(
-                200,
-                {
-                    "backend": self.kind,
-                    "generation": self.backend.generation,
-                    "swaps": self.backend.generation,
-                },
-            )
-        if rest == ["model", "swap"] and method == "POST":
-            return await self._swap(request)
-        if rest == ["dead-letters"] and method == "GET":
-            letters = await self._await_backend(
-                self._submit_backend(
-                    lambda: list(self.backend.dead_letters), deliver=False
-                ),
-                deadline,
-            )
-            return json_response(
-                200, {"dead_letters": [letter.to_wire() for letter in letters]}
-            )
-        if rest == ["dead-letters", "replay"] and method == "POST":
-            return await self._replay_dead_letters(deadline)
-        if rest == ["stats"] and method == "GET":
-            backend = await self._await_backend(
-                self._submit_backend(self._backend_stats, deliver=False), deadline
-            )
-            return json_response(
-                200,
-                {
-                    "gateway": self.stats.as_dict(),
-                    "backend": backend,
-                    "in_flight": self.concurrency.in_flight,
-                    "orphaned_predictions": len(self._orphans),
-                },
-            )
-        return json_response(404, {"error": f"no route {path!r}"})
+    def _refuse(
+        self, count: str, status: int, payload: dict, retry_after: str | None = None
+    ) -> bytes:
+        """An admission refusal, counted in the stats field ``count``."""
+        self.stats.bump(count)
+        headers = None if retry_after is None else {"Retry-After": retry_after}
+        return json_response(status, payload, headers=headers)
 
     # -------------------------------------------------------------- handlers
-    async def _create_session(self, request: Request) -> bytes:
-        body = request.json() or {}
-        if not isinstance(body, dict) or not body.get("session_id"):
-            raise ProtocolError("body must be a JSON object with a session_id")
-        session_id = body["session_id"]
-        if not isinstance(session_id, str):
-            raise ProtocolError("session_id must be a string")
-        stray = sorted(set(body) - {"session_id"})
-        if stray:
-            raise ProtocolError(
-                f"unexpected session keys {stray}; a session takes only a "
-                "session_id (its windowing is the backend's)"
-            )
+    async def _open(self, call: _Call) -> bytes:
+        session_id = call.body["session_id"]
+        if not session_id:
+            raise ProtocolError("'session_id' must not be empty")
+        if session_id in self._closed_since_drain:
+            # Windows its closed namesake left pending would be answered
+            # into the new mailbox: flush them to the orphan mailbox first.
+            await self._flush(None)
         try:
-            await self._await_backend(
-                self._submit_backend(partial(self.backend.open_session, session_id)),
-                None,
-            )
+            await self._call_backend(partial(self.backend.open_session, session_id))
         except ValueError as error:  # the one error an id raises: already open
             return json_response(409, {"error": str(error)})
-        self._routes.setdefault(session_id, deque())
+        self._mailboxes.setdefault(session_id, deque())
         return json_response(201, {"session_id": session_id, "open": True})
 
-    async def _close_session(self, session_id: str) -> bytes:
-        if session_id not in self._routes:
-            return json_response(404, {"error": f"no open session {session_id!r}"})
+    async def _sessions(self, call: _Call) -> bytes:
+        return json_response(200, {"sessions": list(self._mailboxes)})
+
+    async def _close(self, call: _Call) -> bytes:
+        session_id = call.session_id
         try:
-            await self._await_backend(
-                self._submit_backend(partial(self.backend.close_session, session_id)),
-                None,
-            )
+            await self._call_backend(partial(self.backend.close_session, session_id))
         except KeyError:
             return json_response(404, {"error": f"no open session {session_id!r}"})
-        leftover = self._drain_mailbox(session_id)
+        leftover = self._mailboxes.pop(session_id, ())
         self._orphans.extend(leftover)
-        self._routes.pop(session_id, None)
+        self._closed_since_drain.add(session_id)
         return json_response(
             200, {"session_id": session_id, "open": False, "orphaned": len(leftover)}
         )
 
     @staticmethod
-    def _parse_samples(request: Request) -> np.ndarray:
-        body = request.json()
-        if not isinstance(body, dict) or "samples" not in body:
-            raise ProtocolError("body must be a JSON object with a samples array")
-        stray = sorted(set(body) - {"samples"})
-        if stray:
-            raise ProtocolError(
-                f"unexpected feed keys {stray}; a feed body holds only samples"
-            )
+    def _parse_samples(raw: bytes, samples: list, n_channels: int) -> np.ndarray:
+        """The ``samples`` array of a feed body whose only key is ``samples``
+        (``raw`` is the body as sent): ``n_channels`` rows of JSON numbers."""
         # With "samples" the only key, a true or false anywhere in the body
         # is a boolean or sits inside a string, and neither is a number.
         # NumPy would promote a boolean mixed into numeric rows to 1 or 0.
-        if b"true" in request.body or b"false" in request.body:
+        if b"true" in raw or b"false" in raw:
             raise ProtocolError("samples are not numeric")
         # Parse without a dtype: a float64 parse would accept numeric
         # strings.  Ragged rows raise ValueError.
         try:
-            samples = np.asarray(body["samples"])
+            array = np.asarray(samples)
         except (TypeError, ValueError):
             raise ProtocolError("samples are not numeric") from None
-        if samples.dtype.kind not in "iuf":
+        if array.dtype.kind not in "iuf":
             raise ProtocolError("samples are not numeric")
-        samples = samples.astype(np.float64, copy=False)
-        if samples.ndim != 2:
+        array = array.astype(np.float64, copy=False)
+        if array.ndim != 2:
             raise ProtocolError(
-                f"samples must be 2-D (n_channels, n_samples), got ndim={samples.ndim}"
+                f"samples must be 2-D (n_channels, n_samples), got ndim={array.ndim}"
             )
-        if not np.isfinite(samples).all():
+        if array.shape[0] != n_channels:
+            raise ProtocolError(
+                f"samples must have {n_channels} rows (one per channel), "
+                f"got {array.shape[0]}"
+            )
+        if not np.isfinite(array).all():
             raise ProtocolError("samples contain non-finite values")
-        return samples
+        return array
 
-    async def _feed(
-        self, session_id: str, request: Request, deadline: Deadline | None
-    ) -> bytes:
-        samples = self._parse_samples(request)
-        if session_id not in self._routes:
-            return json_response(404, {"error": f"no open session {session_id!r}"})
-        if deadline is not None:
-            deadline.check("feed admission")
-        task = self._submit_backend(partial(self.backend.push, session_id, samples))
+    async def _feed(self, call: _Call) -> bytes:
+        session_id = call.session_id
+        samples = self._parse_samples(
+            call.request.body, call.body["samples"], self.backend.n_channels
+        )
+        if call.deadline is not None:
+            call.deadline.check("feed admission")
         try:
-            await self._await_backend(task, deadline)
+            await self._call_backend(
+                partial(self.backend.push, session_id, samples), call.deadline
+            )
         except asyncio.TimeoutError:
             # The windows were accepted and WILL be answered (the shielded
             # backend call continues and delivers into the mailbox); only
             # this response is late.
             self.stats.bump("late_responses")
-            return json_response(
-                504,
-                {
-                    "error": "deadline exceeded after admission",
-                    "accepted": True,
-                    "session_id": session_id,
-                },
-            )
+            payload = {"error": "deadline exceeded after admission", "accepted": True}
+            return json_response(504, {**payload, "session_id": session_id})
         except KeyError as error:
             return json_response(404, {"error": str(error.args[0])})
-        return json_response(
-            200,
-            {
-                "session_id": session_id,
-                "predictions": self._drain_mailbox(session_id),
-            },
-        )
+        return await self._predictions(call)
 
-    async def _score(self, session_id: str, deadline: Deadline | None) -> bytes:
-        if session_id not in self._routes:
-            return json_response(404, {"error": f"no open session {session_id!r}"})
-        task = self._submit_backend(partial(self.backend.drain, deadline=deadline))
+    async def _flush(self, deadline: Deadline | None) -> None:
+        """A backend-wide drain.  It also answers every window the sessions
+        closed before it left pending, so those ids have none afterwards."""
+        closed = set(self._closed_since_drain)
+        await self._call_backend(partial(self.backend.drain, deadline=deadline), deadline)
+        self._closed_since_drain -= closed
+
+    async def _score(self, call: _Call) -> bytes:
         try:
-            await self._await_backend(task, deadline)
+            await self._flush(call.deadline)
         except asyncio.TimeoutError:
             self.stats.bump("late_responses")
             return json_response(
                 504, {"error": "deadline exceeded during flush", "accepted": True}
             )
+        return await self._predictions(call)
+
+    async def _predictions(self, call: _Call) -> bytes:
+        """The session's mailbox, drained: ``{session_id, predictions}``."""
+        session_id = call.session_id
         return json_response(
             200,
             {"session_id": session_id, "predictions": self._drain_mailbox(session_id)},
         )
 
-    async def _swap(self, request: Request) -> bytes:
+    async def _model(self, call: _Call) -> bytes:
+        return json_response(
+            200, {"backend": self.kind, "generation": self.backend.generation}
+        )
+
+    async def _swap(self, call: _Call) -> bytes:
         if self.registry is None:
             return json_response(
                 409, {"error": "gateway was started without a model registry"}
             )
-        body = request.json() if request.body else {}
-        if not isinstance(body, dict):
-            raise ProtocolError("swap body must be a JSON object")
-        stray = sorted(set(body) - {"name", "version", "precision"})
-        if stray:
-            raise ProtocolError(
-                f"unexpected swap keys {stray}; a swap takes name, version "
-                "and precision"
-            )
-        name = body.get("name", self.registry_name)
-        if not name:
-            raise ProtocolError("swap needs a model name (or a registry_name default)")
-        version = body.get("version")
-        precision = body.get("precision", "float64")
-        if not (
-            isinstance(name, str)
-            and isinstance(precision, str)
-            and (version is None or type(version) is int)
-        ):
-            raise ProtocolError(
-                "swap takes a string name and precision and an integer version"
-            )
+        name = call.body.get("name", self.registry_name)
+        version = call.body.get("version")
+        precision = call.body.get("precision", "float64")
         try:
             resolve_precision(precision)
         except EngineError as error:
             raise ProtocolError(str(error)) from None
         # 400 for a name the registry refuses to look up (checked before
-        # any file is read), 404 only for a name or version it lacks: a
-        # stored version it refuses to load is damage on the server side,
-        # answered 500.
+        # any file is read; no name at all included), 404 only for a name
+        # or version it lacks: a stored version it refuses to load is
+        # damage on the server side, answered 500.
         try:
             stored = self.registry.versions(name)
         except RegistryError as error:
@@ -821,7 +710,7 @@ class Gateway:
             return self.backend.swap(engine)
 
         try:
-            result = await self._await_backend(self._submit_backend(load_and_swap), None)
+            result = await self._call_backend(load_and_swap)
         except IntegrityError:
             raise  # damage on the server side, not a bad request
         except EngineError as error:
@@ -839,23 +728,43 @@ class Gateway:
             return json_response(409, {**payload, "reason": result.reason})
         return json_response(200, payload)
 
-    async def _replay_dead_letters(self, deadline: Deadline | None) -> bytes:
-        result = await self._await_backend(
-            self._submit_backend(self.backend.replay_dead_letters), deadline
+    async def _dead_letters(self, call: _Call) -> bytes:
+        letters = await self._call_backend(
+            lambda: list(self.backend.dead_letters), call.deadline, deliver=False
         )
-        replayed, predictions = result
+        return json_response(
+            200, {"dead_letters": [letter.to_wire() for letter in letters]}
+        )
+
+    async def _replay(self, call: _Call) -> bytes:
+        replayed, predictions = await self._call_backend(
+            self.backend.replay_dead_letters, call.deadline
+        )
         self._deliver(predictions)
         if replayed:
             self.stats.bump("dead_letters_replayed", replayed)
         sessions = dict.fromkeys(p.session_id for p in predictions)
-        flat = [
-            wire
-            for session_id in sessions
-            for wire in self._drain_mailbox(session_id)
-        ]
+        flat = [wire for session in sessions for wire in self._drain_mailbox(session)]
         return json_response(200, {"replayed": replayed, "predictions": flat})
 
-    def _readyz(self) -> bytes:
+    async def _stats(self, call: _Call) -> bytes:
+        backend = await self._call_backend(
+            self._backend_stats, call.deadline, deliver=False
+        )
+        return json_response(
+            200,
+            {
+                "gateway": self.stats.as_dict(),
+                "backend": backend,
+                "in_flight": self.concurrency.in_flight,
+                "orphaned_predictions": len(self._orphans),
+            },
+        )
+
+    async def _healthz(self, call: _Call) -> bytes:
+        return json_response(200, {"status": "alive", "backend": self.kind})
+
+    async def _readyz(self, call: _Call) -> bytes:
         breakers = [breaker.state for breaker in self.backend.breakers]
         ready = not self._draining and OPEN not in breakers
         payload = {
@@ -864,7 +773,7 @@ class Gateway:
             "breakers": breakers,
             "in_flight": self.concurrency.in_flight,
             "saturation": self.concurrency.saturation,
-            "open_sessions": len(self._routes),
+            "open_sessions": len(self._mailboxes),
             "generation": self.backend.generation,
         }
         return json_response(200 if ready else 503, payload)
@@ -888,7 +797,7 @@ class Gateway:
             }
         ]
 
-    def _metrics(self) -> bytes:
+    async def _metrics(self, call: _Call) -> bytes:
         if not OBS.enabled:
             return json_response(
                 503, {"error": "observability disabled; enable with REPRO_OBS=1"}
@@ -914,3 +823,92 @@ class Gateway:
             f"Gateway(backend={self.kind}, address={self.address}, "
             f"draining={self._draining}, {self.stats!r})"
         )
+
+
+# ------------------------------------------------------------- route table
+class _Call(NamedTuple):
+    """What the matcher hands a handler: checked and ready to use."""
+
+    request: Request
+    session_id: str | None  # the unquoted {id} segment
+    body: dict  # the checked JSON body ({} when empty)
+    deadline: Deadline | None
+
+
+class _Route(NamedTuple):
+    """The handler of one (method, path) and the JSON body it takes."""
+
+    handler: Callable
+    body: dict = {}  # key -> accepted JSON types; never mutated
+    required: tuple[str, ...] = ()
+
+
+#: JSON type names of the Python types ``json.loads`` returns.
+_JSON_NAMES = {str: "string", int: "integer", list: "array", type(None): "null"}
+
+#: Every (method, path) the gateway answers.  A path is fixed segments and
+#: at most one ``{id}``: a session id this gateway opened.
+_ROUTES: dict[str, dict[str, _Route]] = {
+    "/healthz": {"GET": _Route(Gateway._healthz)},
+    "/readyz": {"GET": _Route(Gateway._readyz)},
+    "/metrics": {"GET": _Route(Gateway._metrics)},
+    "/v1/sessions": {
+        "POST": _Route(Gateway._open, {"session_id": (str,)}, ("session_id",)),
+        "GET": _Route(Gateway._sessions),
+    },
+    "/v1/sessions/{id}": {"DELETE": _Route(Gateway._close)},
+    "/v1/sessions/{id}/windows": {
+        "POST": _Route(Gateway._feed, {"samples": (list,)}, ("samples",)),
+    },
+    "/v1/sessions/{id}/score": {"POST": _Route(Gateway._score)},
+    "/v1/sessions/{id}/predictions": {"GET": _Route(Gateway._predictions)},
+    "/v1/model": {"GET": _Route(Gateway._model)},
+    "/v1/model/swap": {
+        "POST": _Route(
+            Gateway._swap,
+            {"name": (str,), "version": (int, type(None)), "precision": (str,)},
+        ),
+    },
+    "/v1/dead-letters": {"GET": _Route(Gateway._dead_letters)},
+    "/v1/dead-letters/replay": {"POST": _Route(Gateway._replay)},
+    "/v1/stats": {"GET": _Route(Gateway._stats)},
+}
+
+
+def _match(path: str) -> tuple[str | None, str | None]:
+    """The table's path pattern for a raw request path, and its ``{id}``.
+
+    The path is split on ``/`` before each segment is unquoted, so an id
+    may hold an encoded ``/``; empty segments are kept, and ``{id}`` never
+    matches one.  ``(None, None)`` when no path matches.
+    """
+    segments = [unquote(part) for part in path.split("/")]
+    for pattern in _ROUTES:
+        fixed = pattern.split("/")
+        if len(fixed) == len(segments) and all(
+            want == got or (want == "{id}" and got) for want, got in zip(fixed, segments)
+        ):
+            return pattern, segments[fixed.index("{id}")] if "{id}" in fixed else None
+    return None, None
+
+
+def _checked_body(route: _Route, request: Request) -> dict:
+    """The JSON object body the route takes; a :class:`ProtocolError` (400)
+    naming the key otherwise.  An empty body reads as ``{}``."""
+    body = request.json() if request.body else {}
+    if not isinstance(body, dict):
+        raise ProtocolError("body must be a JSON object")
+    for key in route.required:
+        if key not in body:
+            raise ProtocolError(f"body is missing {key!r}")
+    stray = sorted(set(body) - set(route.body))
+    if stray:
+        raise ProtocolError(
+            f"unexpected body keys {stray}; this route takes {sorted(route.body)}"
+        )
+    for key, value in body.items():
+        types = route.body[key]
+        if type(value) not in types:  # so a boolean is not an integer
+            names = " or ".join(_JSON_NAMES[kind] for kind in types)
+            raise ProtocolError(f"{key!r} must be a JSON {names}")
+    return body

@@ -74,8 +74,8 @@ class Request:
     """One parsed HTTP request (head + body).
 
     ``path`` is the target's path as sent, still percent-encoded: the
-    router splits it on ``/`` before unquoting each segment, so an encoded
-    ``/`` stays inside its segment.
+    gateway's matcher splits it on ``/`` before unquoting each segment, so
+    an encoded ``/`` stays inside its segment.
     """
 
     method: str
@@ -193,7 +193,9 @@ async def read_request(
     return Request(
         method=method,
         target=target,
-        path=urlsplit(target).path,
+        # An origin-form target is a path as sent ("//x" included) plus a
+        # query; only an absolute-form target needs parsing.
+        path=target.partition("?")[0] if target.startswith("/") else urlsplit(target).path,
         headers=headers,
         body=body,
     )

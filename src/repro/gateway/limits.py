@@ -110,7 +110,7 @@ class RateLimiter:
     rather than lockout.
     """
 
-    __slots__ = ("rate", "burst", "max_clients", "clock", "_buckets", "evictions")
+    __slots__ = ("rate", "burst", "max_clients", "clock", "_buckets")
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class RateLimiter:
         self.max_clients = int(max_clients)
         self.clock = clock
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._buckets)
@@ -140,7 +139,6 @@ class RateLimiter:
             self._buckets[client] = bucket
             while len(self._buckets) > self.max_clients:
                 self._buckets.popitem(last=False)
-                self.evictions += 1
         else:
             self._buckets.move_to_end(client)
         return bucket
@@ -154,29 +152,22 @@ class ConcurrencyLimiter:
     """Global in-flight request bound: admit or reject, never queue.
 
     ``acquire`` / ``release`` are called from the single event loop, so a
-    plain counter is race-free.  ``high_watermark`` records the peak
-    in-flight count, and ``rejections`` every refused admission — both feed
-    the readiness probe's pressure report.
+    plain counter is race-free.
     """
 
-    __slots__ = ("limit", "in_flight", "high_watermark", "rejections")
+    __slots__ = ("limit", "in_flight")
 
     def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = int(limit)
         self.in_flight = 0
-        self.high_watermark = 0
-        self.rejections = 0
 
     def acquire(self) -> bool:
-        """Admit one request, or count and refuse at the bound."""
+        """Admit one request, or refuse at the bound."""
         if self.in_flight >= self.limit:
-            self.rejections += 1
             return False
         self.in_flight += 1
-        if self.in_flight > self.high_watermark:
-            self.high_watermark = self.in_flight
         return True
 
     def release(self) -> None:
@@ -190,7 +181,4 @@ class ConcurrencyLimiter:
         return self.in_flight / self.limit
 
     def __repr__(self) -> str:
-        return (
-            f"ConcurrencyLimiter(in_flight={self.in_flight}/{self.limit}, "
-            f"peak={self.high_watermark}, rejections={self.rejections})"
-        )
+        return f"ConcurrencyLimiter(in_flight={self.in_flight}/{self.limit})"

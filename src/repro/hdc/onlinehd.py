@@ -52,7 +52,8 @@ class OnlineHD(BaseClassifier):
     Parameters
     ----------
     dim:
-        Hyperdimensionality ``D`` of the model.
+        Hyperdimensionality ``D`` of the model (the ``encoder``'s when one
+        is given).
     lr:
         Learning rate for adaptive updates (paper: 0.035).
     epochs:
@@ -70,8 +71,8 @@ class OnlineHD(BaseClassifier):
         rank-1 updates applied together, trading strict sequencing for
         large fit-time speedups at matched accuracy.
     bandwidth:
-        Kernel bandwidth of the default nonlinear encoder (ignored when an
-        explicit ``encoder`` is supplied).
+        Kernel bandwidth of the default nonlinear encoder (the
+        ``encoder``'s when one is given).
     encoder:
         Optional pre-built encoder; by default a :class:`NonlinearEncoder`
         with Gaussian N(0, 1) projection is created at fit time.
@@ -97,6 +98,8 @@ class OnlineHD(BaseClassifier):
             raise ValueError(f"epochs must be non-negative, got {epochs}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
+        if encoder is not None:
+            dim, bandwidth = encoder.dim, encoder.bandwidth
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.dim = int(dim)

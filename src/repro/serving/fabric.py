@@ -389,7 +389,7 @@ class ServingFabric:
     ) -> None:
         # A throwaway service checks the options' names and values in the
         # parent: its constructor only validates and allocates.
-        StreamingService(engine, **service_options)
+        self.n_channels = StreamingService(engine, **service_options).n_channels
         cleanup_orphan_segments()
         self.n_workers = resolve_max_workers(n_workers)
         self._service_options = dict(service_options)

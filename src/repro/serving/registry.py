@@ -445,12 +445,10 @@ class ModelRegistry:
         # .get(...) defaults keep pre-batch_size artifacts loadable.
         batch_size = params.get("batch_size")
         learner = OnlineHD(
-            dim=encoder.dim,
             lr=float(params.get("lr", 0.035)),
             epochs=int(params.get("epochs", 20)),
             bootstrap=bool(params.get("bootstrap", True)),
             batch_size=None if batch_size is None else int(batch_size),
-            bandwidth=float(params.get("bandwidth", 1.5)),
             encoder=encoder,
             seed=None if seed is None else int(seed),
         )

@@ -1,4 +1,5 @@
-"""``docs/api.md`` names every exported name, and its index nothing else.
+"""``docs/api.md`` names every exported name, and its index nothing else;
+``docs/gateway.md`` names every route the gateway answers, and nothing else.
 
 A shorter API reference must not silently drop a public name: for ``repro``
 and each of its subpackages, every entry of ``__all__`` has to appear in
@@ -6,7 +7,8 @@ and each of its subpackages, every entry of ``__all__`` has to appear in
 not linger: the closing *Index* section lists each package's ``__all__``
 exactly.  And a signature heading must not drift from the code: every
 ``param=default`` a heading `` `Name(...)` `` shows for an exported callable
-is a parameter of that callable, with that default.
+is a parameter of that callable, with that default.  And the gateway's
+Endpoints table has one row per (method, path) of its route table.
 """
 
 import importlib
@@ -20,8 +22,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.gateway.app import _ROUTES
 
 API_DOC = Path(__file__).resolve().parents[1] / "docs" / "api.md"
+GATEWAY_DOC = API_DOC.with_name("gateway.md")
 
 PACKAGES = ("repro",) + tuple(
     f"repro.{module.name}"
@@ -110,3 +114,11 @@ def test_signature_headings_match_the_code():
                 drift.append(f"{name}: {param}={shown}, the code has {actual!r}")
     assert checked, "no signature heading with a default was found"
     assert not drift, "docs/api.md signature headings drifted: " + "; ".join(drift)
+
+
+def test_the_gateway_endpoints_table_is_the_route_table():
+    text = GATEWAY_DOC.read_text(encoding="utf-8")
+    endpoints = text[text.index("\n## Endpoints\n") :].split("\n## ", 2)[1]
+    documented = re.findall(r"^\| `([A-Z]+) (/\S*)` \|", endpoints, re.MULTILINE)
+    routes = [(method, path) for path, methods in _ROUTES.items() for method in methods]
+    assert sorted(documented) == sorted(routes)

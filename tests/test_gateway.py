@@ -14,10 +14,13 @@ Three layers, matching the package layout:
   the orphan mailbox;
 * **lifecycle contracts** — graceful drain loses no accepted window, and
   predictions served through the gateway are bit-identical to in-process
-  serving.
+  serving;
+* **the HTTP contract** — one hypothesis state machine
+  (:class:`GatewayMachine`) drives a live gateway over a service and a
+  fabric and checks every answer against a reference model.
 
-Everything runs on the stdlib loop via ``asyncio.run`` (tier-1 stays
-hermetic; no async test plugin needed).
+Everything runs on the stdlib loop (tier-1 stays hermetic; no async test
+plugin needed).
 """
 
 from __future__ import annotations
@@ -26,11 +29,21 @@ import asyncio
 import json
 import math
 import threading
+from functools import partial
+from typing import NamedTuple
+from urllib.parse import quote, unquote
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.gateway import (
     Gateway,
@@ -39,10 +52,12 @@ from repro.gateway import (
     RateLimiter,
     TokenBucket,
 )
+from repro.gateway.client import _read_response, _request_bytes
 from repro.gateway.http import Request, parse_request_head
 from repro.gateway.limits import ConcurrencyLimiter
 from repro.core.boosthd import BoostHD
 from repro.engine import PRECISIONS
+from repro.obs import capture
 from repro.resilience import FaultPlan, FaultSpec, inject
 from repro.serving import (
     MicroBatchScheduler,
@@ -198,17 +213,14 @@ def test_rate_limiter_lru_eviction_is_bounded():
     for index in range(10):
         limiter.try_acquire(f"client-{index}")
     assert len(limiter) == 4
-    assert limiter.evictions == 6
 
 
 def test_concurrency_limiter_rejects_never_queues():
     limiter = ConcurrencyLimiter(2)
     assert limiter.acquire() and limiter.acquire()
     assert not limiter.acquire()
-    assert limiter.rejections == 1
     limiter.release()
     assert limiter.acquire()
-    assert limiter.high_watermark == 2
     limiter.release()
     limiter.release()
     with pytest.raises(RuntimeError):
@@ -301,6 +313,8 @@ def test_rate_limit_refuses_with_429_and_retry_after():
                 assert codes[2:] == [429, 429]  # frozen clock: no refill
                 status, body = await client.request("GET", "/v1/sessions")
                 assert status == 429 and body["retry_after"] > 0.0
+                # a percent-encoded /v1 path is admitted like the plain one
+                assert (await client.request("GET", "/%761/sessions"))[0] == 429
                 # a different client has its own bucket
                 async with GatewayClient(
                     gateway.host, gateway.port, client_id="other"
@@ -659,7 +673,7 @@ def test_a_body_that_is_not_utf8_is_400():
     path = "/v1/sessions/s1/windows"
     request = Request("POST", path, path, body=text.encode("utf-16"))
     with pytest.raises(ProtocolError, match="invalid JSON") as raised:
-        Gateway._parse_samples(request)
+        request.json()
     assert raised.value.status == 400
 
 
@@ -774,7 +788,8 @@ def test_malformed_swap_body_is_400(swap_registry, body):
     service = make_service()
     status, response, stats = swap_body(service, swap_registry, body)
     assert status == 400
-    assert "swap" in response["error"]
+    wrong = repr(next(iter(body))) if isinstance(body, dict) else "JSON object"
+    assert wrong in response["error"]
     assert stats.handler_errors == 0
     assert service.generation == 0
 
@@ -908,7 +923,7 @@ def test_gateway_serves_either_backend(swap_registry, kind):
             assert (await client.healthz())[1]["backend"] == kind
             status, body = await client.request("GET", "/v1/model")
             assert status == 200
-            assert body == {"backend": kind, "generation": 0, "swaps": 0}
+            assert body == {"backend": kind, "generation": 0}
             assert (await client.open_session("s1"))[0] == 201
             assert (await client.open_session("s2"))[0] == 201
             status, body = await client.feed("s1", chunk(3))
@@ -976,7 +991,7 @@ def test_invalid_session_override_is_400_and_a_duplicate_409(swap_registry, kind
                         "POST", "/v1/sessions", {"session_id": session_id}
                     )
                     assert status == 400
-                    assert "session_id must be a string" in body["error"]
+                    assert "'session_id' must be a JSON string" in body["error"]
                 assert not gateway.backend.sessions
                 assert (await client.open_session("s1"))[0] == 201
                 status, body = await client.open_session("s1")
@@ -1099,6 +1114,30 @@ def test_a_session_the_gateway_did_not_open_is_404(swap_registry, kind):
     run(scenario())
 
 
+def test_a_reopened_session_gets_none_of_its_namesakes_windows():
+    """Windows a closed session left pending are answered into the orphan
+    mailbox, even when its id is opened again before they are scored."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                await client.feed("s1", chunk(2))  # pending: max_batch=4
+                await client.close_session("s1")
+                await client.open_session("s1")
+                _, fed = await client.feed("s1", chunk(2, seed=1))
+                _, scored = await client.score("s1")
+                _, stats = await client.stats()
+        finally:
+            await gateway.shutdown(2.0)
+        answered = fed["predictions"] + scored["predictions"]
+        assert [wire["window_index"] for wire in answered] == [0, 1]
+        assert stats["orphaned_predictions"] == 2
+
+    run(scenario())
+
+
 def test_closed_session_windows_are_answered_into_the_orphan_mailbox():
     """Windows buffered when their session closes are still scored at the
     drain, and land in the orphan mailbox: answered, never lost."""
@@ -1216,6 +1255,457 @@ def test_fabric_dead_letters_reach_the_gateway(swap_registry):
 def test_gateway_refuses_an_unknown_backend():
     with pytest.raises(TypeError, match="StreamingService or ServingFabric"):
         Gateway(object())
+
+
+# ------------------------------------------------------------ the contract
+#: The contract the machine checks, stated apart from the gateway's table:
+#: every path pattern and the methods it answers.
+CONTRACT = {
+    "/healthz": {"GET"},
+    "/readyz": {"GET"},
+    "/metrics": {"GET"},
+    "/v1/sessions": {"GET", "POST"},
+    "/v1/sessions/{id}": {"DELETE"},
+    "/v1/sessions/{id}/windows": {"POST"},
+    "/v1/sessions/{id}/score": {"POST"},
+    "/v1/sessions/{id}/predictions": {"GET"},
+    "/v1/model": {"GET"},
+    "/v1/model/swap": {"POST"},
+    "/v1/dead-letters": {"GET"},
+    "/v1/dead-letters/replay": {"POST"},
+    "/v1/stats": {"GET"},
+}
+#: The body keys of the routes that take any: key -> (JSON types, required).
+BODIES = {
+    ("POST", "/v1/sessions"): {"session_id": ((str,), True)},
+    ("POST", "/v1/sessions/{id}/windows"): {"samples": ((list,), True)},
+    ("POST", "/v1/model/swap"): {
+        "name": ((str,), False),
+        "version": ((int, type(None)), False),
+        "precision": ((str,), False),
+    },
+}
+IDS = ("s1", "a/b", "a b", "a?b", "a#b", "a%2Fb", "")
+METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH")
+UPGRADE = {
+    "Upgrade": "websocket",
+    "Connection": "Upgrade",
+    "Sec-WebSocket-Key": "dGhlIHNhbXBsZSBub25jZQ==",
+    "Sec-WebSocket-Version": "13",
+}
+FEEDS = (
+    "numbers",
+    "strings",
+    "booleans",
+    "null",
+    "ragged",
+    "float-and-bool",
+    "int-and-bool",
+    "not-an-array",
+    "missing",
+    "stray",
+)
+
+
+def route_of(path: str) -> tuple[str | None, str | None]:
+    """The contract's pattern for a raw path, and its unquoted ``{id}``."""
+    segments = [unquote(part) for part in path.split("/")]
+    for pattern in CONTRACT:
+        fixed = pattern.split("/")
+        if len(fixed) == len(segments) and all(
+            want == got or (want == "{id}" and got) for want, got in zip(fixed, segments)
+        ):
+            ids = [got for want, got in zip(fixed, segments) if want == "{id}"]
+            return pattern, (ids[0] if ids else None)
+    return None, None
+
+
+def session_path(session_id: str, *action: str) -> str:
+    return "/".join(("/v1/sessions", quote(session_id, safe=""), *action))
+
+
+def feed_body(kind: str, channels: int, windows: int, seed: int):
+    rows = np.random.default_rng(seed).normal(size=(channels, WINDOW * windows)).tolist()
+    width = WINDOW * windows
+    replace = {
+        "strings": [["1.5"] * width] * channels,
+        "booleans": [[True] * width] * channels,
+        "null": [[None] * width] * channels,
+        "ragged": [row[: width - 1] if index == 0 else row for index, row in enumerate(rows)],
+        "float-and-bool": [[1.5, True] + row[2:] for row in rows],
+        "int-and-bool": [[1, True] + [0] * (width - 2)] * channels,
+        "not-an-array": "1.5",
+    }
+    if kind == "missing":
+        return {}
+    if kind == "stray":
+        return {"samples": rows, "true": 1}
+    return {"samples": replace.get(kind, rows)}
+
+
+def samples_valid(samples) -> bool:
+    """The contract's feed samples: N_CHANNELS equal rows of JSON numbers."""
+    return (
+        len(samples) == N_CHANNELS
+        and all(type(row) is list and len(row) == len(samples[0]) for row in samples)
+        and all(type(value) in (int, float) for row in samples for value in row)
+    )
+
+
+def submitted(backend) -> int:
+    rows = backend.stats() if isinstance(backend, ServingFabric) else [backend.stats.as_dict()]
+    return sum(row["windows_submitted"] for row in rows)
+
+
+class Expect(NamedTuple):
+    status: int
+    keys: tuple = ()  # what a 400's error must hold: the keys it names
+    effect: object = None  # the model's update, given the response body
+
+
+class GatewayMachine(RuleBasedStateMachine):
+    """A live gateway against a reference model of open ids and mailboxes."""
+
+    def __init__(self, kind: str, registry):
+        super().__init__()
+        self.kind, self.registry = kind, registry
+        self.loop = asyncio.new_event_loop()
+        self.gateway = None
+        self.open: dict[str, None] = {}  # gateway-opened ids, in opening order
+        self.direct: set[str] = set()  # ids opened on the backend directly
+        self.closed: set[str] = set()  # ids the gateway closed
+        self.fed: dict[str, int] = {}  # windows fed to each open session
+        self.delivered: dict[str, set] = {}  # window indices answered to it
+        self.windows = 0  # windows the backend accepted
+        self.generation = 0
+        self.bad_requests = 0  # 400s the model predicted
+
+    @initialize(
+        with_registry=st.booleans(),
+        opened=st.lists(st.sampled_from(IDS[:-1]), max_size=3, unique=True),
+    )
+    def start(self, with_registry, opened):
+        backend = make_backend(self.kind, self.registry)
+        registry = self.registry if with_registry else None
+        self.gateway = self.run(
+            start_gateway(backend, registry=registry, registry_name="m")
+        )
+        self.connect()
+        for session_id in opened:
+            self.send("POST", "/v1/sessions", {"session_id": session_id})
+
+    def run(self, coro):
+        return self.loop.run_until_complete(coro)
+
+    def connect(self):
+        self.reader, self.writer = self.run(
+            asyncio.open_connection(self.gateway.host, self.gateway.port)
+        )
+
+    def exchange(self, method, path, payload=None, headers=None):
+        self.writer.write(_request_bytes(method, path, payload, headers or {}, "gw"))
+        status, response_headers, body = self.run(_read_response(self.reader))
+        if response_headers.get("content-type") == "application/json":
+            body = json.loads(body)
+        return status, response_headers, body
+
+    # --------------------------------------------------------------- model
+    def expect(self, method: str, path: str, payload) -> Expect:
+        pattern, session_id = route_of(path)
+        if pattern is None:
+            return Expect(404)
+        if method not in CONTRACT[pattern]:
+            return Expect(405)
+        # The handler's expectation: expect_<method><pattern as a name>.
+        handler = getattr(
+            self,
+            "expect_" + method.lower() + pattern.replace("{id}", "id").translate(
+                {ord("/"): "_", ord("-"): "_"}
+            ),
+        )
+        if not pattern.startswith("/v1/"):  # a probe
+            return handler(None, {})
+        if session_id is not None and session_id not in self.open:
+            return Expect(404)
+        spec = BODIES.get((method, pattern), {})
+        body = {} if payload is None else payload
+        if type(body) is not dict:
+            return Expect(400)
+        for key, (_, required) in spec.items():
+            if required and key not in body:
+                return Expect(400, (repr(key),))
+        stray = [key for key in body if key not in spec]
+        if stray:
+            return Expect(400, tuple(map(repr, (*stray, *spec))))
+        for key, value in body.items():
+            if type(value) not in spec[key][0]:
+                return Expect(400, (repr(key),))
+        return handler(session_id, body)
+
+    def expect_get_healthz(self, session_id, body):
+        return Expect(200)
+
+    def expect_get_readyz(self, session_id, body):
+        def effect(response):
+            assert response["open_sessions"] == len(self.open)
+
+        return Expect(200, effect=effect)
+
+    expect_get_metrics = expect_get_healthz
+
+    def expect_post_v1_sessions(self, session_id, body):
+        session_id = body["session_id"]
+        if not session_id:
+            return Expect(400, ("session_id",))
+        if session_id in self.open or session_id in self.direct:
+            return Expect(409)
+
+        def effect(response):
+            self.open[session_id] = None
+            self.fed[session_id], self.delivered[session_id] = 0, set()
+
+        return Expect(201, effect=effect)
+
+    def expect_get_v1_sessions(self, session_id, body):
+        def effect(response):
+            assert response["sessions"] == list(self.open)
+
+        return Expect(200, effect=effect)
+
+    def expect_delete_v1_sessions_id(self, session_id, body):
+        def effect(response):
+            for ledger in (self.open, self.fed, self.delivered):
+                del ledger[session_id]
+            self.closed.add(session_id)
+
+        return Expect(200, effect=effect)
+
+    def deliver(self, session_id, response):
+        for wire in response["predictions"]:
+            assert wire["session_id"] == session_id
+            assert wire["window_index"] not in self.delivered[session_id]
+            self.delivered[session_id].add(wire["window_index"])
+
+    def expect_post_v1_sessions_id_windows(self, session_id, body):
+        samples = body["samples"]
+        if not samples_valid(samples):
+            return Expect(400, ("samples",))
+        windows = len(samples[0]) // WINDOW
+
+        def effect(response):
+            self.fed[session_id] += windows
+            self.windows += windows
+            self.deliver(session_id, response)
+
+        return Expect(200, effect=effect)
+
+    def expect_post_v1_sessions_id_score(self, session_id, body):
+        def effect(response):
+            self.deliver(session_id, response)
+            assert self.delivered[session_id] == set(range(self.fed[session_id]))
+
+        return Expect(200, effect=effect)
+
+    def expect_get_v1_sessions_id_predictions(self, session_id, body):
+        return Expect(200, effect=partial(self.deliver, session_id))
+
+    def expect_get_v1_model(self, session_id, body):
+        def effect(response):
+            assert response == {"backend": self.kind, "generation": self.generation}
+
+        return Expect(200, effect=effect)
+
+    def expect_post_v1_model_swap(self, session_id, body):
+        if self.gateway.registry is None:
+            return Expect(409)
+        name = body.get("name", "m")
+        if body.get("precision", "float64") not in PRECISIONS:
+            return Expect(400, ("precision",))
+        if not name or "/" in name or name.startswith("."):
+            return Expect(400, ("name",))
+        if name != "m" or body.get("version") not in (None, 1):
+            return Expect(404)
+        if self.kind == "fabric" and body.get("precision") == "cascade-fixed16":
+            return Expect(400, ("precision",))
+
+        def effect(response):
+            self.generation += 1
+            assert response["generation"] == self.generation
+
+        return Expect(200, effect=effect)
+
+    def expect_get_v1_dead_letters(self, session_id, body):
+        return Expect(200)
+
+    def expect_post_v1_dead_letters_replay(self, session_id, body):
+        def effect(response):
+            assert response == {"replayed": 0, "predictions": []}
+
+        return Expect(200, effect=effect)
+
+    expect_get_v1_stats = expect_get_healthz
+
+    # ----------------------------------------------------------- checking
+    def send(self, method: str, path: str, payload=None, headers=None) -> None:
+        expect = self.expect(method, path, payload)
+        status, response_headers, response = self.exchange(method, path, payload, headers)
+        assert status == expect.status, (method, path, payload, status, response)
+        assert status < 500
+        if status == 405:
+            allowed = set(response_headers["allow"].split(", "))
+            assert allowed == CONTRACT[route_of(path)[0]]
+        if status == 400:
+            self.bad_requests += 1
+            assert all(key in response["error"] for key in expect.keys), response
+        if status == 404 and route_of(path)[0] is None:
+            assert repr(path) in response["error"]
+        if status == 409 and method == "POST" and path == "/v1/sessions":
+            assert "already open" in response["error"]
+        if 400 <= status < 500:
+            status, _, listed = self.exchange("GET", "/v1/sessions")
+            assert (status, listed["sessions"]) == (200, list(self.open))
+            assert set(self.gateway.backend.sessions) == set(self.open) | self.direct
+            assert submitted(self.gateway.backend) == self.windows
+            assert self.gateway.backend.generation == self.generation
+        if expect.effect is not None:
+            expect.effect(response)
+
+    def some_id(self, data) -> str:
+        """An open id three times in four, else any id (open or not)."""
+        if self.open and data.draw(st.integers(0, 3)):
+            return data.draw(st.sampled_from(sorted(self.open)))
+        return data.draw(st.sampled_from(IDS))
+
+    # -------------------------------------------------------------- rules
+    @rule(
+        data=st.data(),
+        stray=st.sampled_from(
+            [()] * 12
+            + [("n_channels",), ("window_samples",), ("step_samples", "statistics")]
+            + [("overrides",)]
+        ),
+        not_object=st.sampled_from([None] * 12 + [["s1"], "s1", 5]),
+    )
+    def open_session(self, data, stray, not_object):
+        if self.closed and data.draw(st.booleans()):
+            session_id = data.draw(st.sampled_from(sorted(self.closed)))
+        else:
+            session_id = data.draw(
+                st.sampled_from(
+                    IDS * 4 + (5, 1.5, True, None, ["s1"], {"id": "s1"}, "<missing>")
+                )
+            )
+        body = {} if session_id == "<missing>" else {"session_id": session_id}
+        body.update(dict.fromkeys(stray, 1))
+        self.send("POST", "/v1/sessions", body if not_object is None else not_object)
+
+    @rule(data=st.data())
+    def close_session(self, data):
+        self.send("DELETE", session_path(self.some_id(data)))
+
+    @rule(
+        data=st.data(),
+        kind=st.sampled_from(("numbers",) * 6 + FEEDS),
+        channels=st.sampled_from([N_CHANNELS] * 6 + [1, 2, 3, 5]),
+        windows=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def feed(self, data, kind, channels, windows, seed):
+        path = session_path(self.some_id(data), "windows")
+        self.send("POST", path, feed_body(kind, channels, windows, seed))
+
+    @rule(data=st.data())
+    def score(self, data):
+        self.send("POST", session_path(self.some_id(data), "score"))
+
+    @rule(data=st.data())
+    def predictions(self, data):
+        self.send("GET", session_path(self.some_id(data), "predictions"))
+
+    @rule(session_id=st.sampled_from(IDS[:-1]))
+    def open_on_the_backend(self, session_id):
+        if session_id not in self.open and session_id not in self.direct:
+            self.gateway.backend.open_session(session_id)
+            self.direct.add(session_id)
+
+    @rule(
+        data=st.data(),
+        method=st.sampled_from(METHODS),
+        pattern=st.sampled_from([*CONTRACT, "/", "*", "/v1", "/v1/nope", "/v1/stream"]),
+        mangle=st.sampled_from(["", "", "", "double", "trailing", "prefix"]),
+        at=st.integers(0, 5),
+        upgrade=st.booleans(),
+        fresh=st.booleans(),
+    )
+    def any_request(self, data, method, pattern, mangle, at, upgrade, fresh):
+        path = pattern.replace("{id}", quote(self.some_id(data) or "x", safe=""))
+        if mangle == "double":
+            slashes = [index for index, char in enumerate(path) if char == "/"]
+            if slashes:
+                cut = slashes[at % len(slashes)]
+                path = path[:cut] + "/" + path[cut:]
+        elif mangle:
+            path = path + "/" if mangle == "trailing" else "//x" + path
+        if fresh:
+            self.writer.close()
+            self.connect()
+        self.send(method, path, headers=UPGRADE if upgrade else None)
+
+    @precondition(lambda self: self.gateway is not None and self.gateway.registry is not None)
+    @rule(
+        body=st.fixed_dictionaries(
+            {},
+            optional={
+                "name": st.sampled_from(["m", "m", "nope", "", "a/b", ".x", 5]),
+                "version": st.sampled_from([None, 1, 1, 9, True, False, "1"]),
+                "precision": st.sampled_from([*PRECISIONS, "fixed4", 16]),
+            },
+        ),
+        stray=st.sampled_from(
+            [None] * 8 + ["chunk_size", "cache_size", "cache_bytes", "dtype"]
+        ),
+        not_object=st.sampled_from([None] * 9 + [[1, 2], "x", 5]),
+    )
+    def swap(self, body, stray, not_object):
+        if stray is not None:
+            body[stray] = 8
+        self.send("POST", "/v1/model/swap", body if not_object is None else not_object)
+
+    async def stop(self):
+        self.writer.close()
+        await self.gateway.shutdown(2.0)
+        # Let the connection handlers finish closing their sockets.
+        await asyncio.gather(*asyncio.all_tasks() - {asyncio.current_task()})
+
+    def teardown(self):
+        if self.gateway is not None:
+            self.run(self.stop())
+        self.loop.close()
+        if self.gateway is not None:
+            assert self.gateway.stats.handler_errors == 0
+            assert self.gateway.stats.protocol_errors == self.bad_requests
+
+
+@pytest.mark.parametrize(
+    "kind, examples, steps",
+    [("service", 30, 25), ("fabric", 8, 20)],
+    ids=["service", "fabric"],
+)
+def test_the_gateway_keeps_its_contract(swap_registry, kind, examples, steps):
+    """One state machine checks the whole HTTP contract: every status is
+    the model's, a 405 names the path's methods in ``Allow``, a 400 names
+    the offending key, nothing answers 5xx, and no 4xx changes any state;
+    delivered windows are unique, and gap-free after a score."""
+    with capture():
+        run_state_machine_as_test(
+            lambda: GatewayMachine(kind, swap_registry),
+            settings=settings(
+                max_examples=examples,
+                stateful_step_count=steps,
+                deadline=None,
+                suppress_health_check=[HealthCheck.too_slow],
+            ),
+        )
 
 
 # ----------------------------------------------------------------------- chaos

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.base import NotFittedError
 from repro.hdc import NonlinearEncoder, OnlineHD
+from repro.serving import ModelRegistry
 
 
 class TestCentroidHD:
@@ -185,6 +186,22 @@ class TestPartialFit:
         model = OnlineHD(dim=50, epochs=0, seed=0).fit(X_train, y_train)
         with pytest.raises(ValueError, match="features"):
             model.partial_fit(np.ones((4, X_train.shape[1] + 1)), np.zeros(4))
+
+
+def test_an_explicit_encoder_states_the_width_and_bandwidth(blobs, tmp_path):
+    """With an encoder, ``dim`` and ``bandwidth`` are the encoder's, after a
+    fit and after a registry round trip."""
+    X, y = blobs
+    encoder = NonlinearEncoder(X.shape[1], 64, bandwidth=1.0, rng=0)
+    model = OnlineHD(dim=50, bandwidth=3.0, encoder=encoder, epochs=1, seed=0)
+    assert (model.dim, model.bandwidth) == (64, 1.0)
+    model.fit(X, y)
+    assert model.class_hypervectors_.shape == (3, 64)
+    assert (model.dim, model.bandwidth) == (64, 1.0)
+    registry = ModelRegistry(tmp_path)
+    registry.save("m", model)
+    loaded = registry.load("m")
+    assert (loaded.dim, loaded.bandwidth, loaded.encoder.bandwidth) == (64, 1.0, 1.0)
 
 
 class TestEncoderFromParams:

@@ -7,7 +7,7 @@ implements exactly that pipeline on the raw windows produced by
 :mod:`repro.data.signals`:
 
 1. smooth every channel with a length-30 moving-average filter,
-2. compute per-channel statistics (min, max, mean, std by default),
+2. compute per-channel statistics (min, max, mean and std),
 3. flatten into one feature vector per window.
 """
 
@@ -24,7 +24,7 @@ __all__ = [
     "feature_names",
 ]
 
-#: Statistical summaries computed per channel, in a fixed order.
+#: Statistical summaries computed per channel, in feature order.
 STATISTICS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "min": lambda window: window.min(axis=-1),
     "max": lambda window: window.max(axis=-1),
@@ -72,30 +72,20 @@ def moving_average(signal: np.ndarray, window_size: int = 30) -> np.ndarray:
     return smoothed
 
 
-def extract_features(
-    windows: np.ndarray,
-    *,
-    smoothing_window: int = 30,
-    statistics: Sequence[str] = ("min", "max", "mean", "std"),
-) -> np.ndarray:
-    """Feature matrix for a batch of windows ``(n_windows, n_channels, n_samples)``."""
+def extract_features(windows: np.ndarray, *, smoothing_window: int = 30) -> np.ndarray:
+    """Feature matrix for a batch of windows ``(n_windows, n_channels, n_samples)``:
+    each channel's :data:`STATISTICS`, channel-major."""
     array = np.asarray(windows, dtype=float)
     if array.ndim != 3:
         raise ValueError(
             f"windows must be 3-D (windows, channels, samples), got ndim={array.ndim}"
         )
-    unknown = [name for name in statistics if name not in STATISTICS]
-    if unknown:
-        raise ValueError(f"unknown statistics {unknown}; available: {sorted(STATISTICS)}")
     smoothed = moving_average(array, smoothing_window)
-    columns = [STATISTICS[name](smoothed) for name in statistics]
+    columns = [statistic(smoothed) for statistic in STATISTICS.values()]
     stacked = np.stack(columns, axis=2)  # (windows, channels, statistics)
     return stacked.reshape(array.shape[0], -1)
 
 
-def feature_names(
-    channels: Sequence[str],
-    statistics: Sequence[str] = ("min", "max", "mean", "std"),
-) -> list[str]:
+def feature_names(channels: Sequence[str]) -> list[str]:
     """Column names matching the layout of :func:`extract_features`."""
-    return [f"{channel}_{statistic}" for channel in channels for statistic in statistics]
+    return [f"{channel}_{statistic}" for channel in channels for statistic in STATISTICS]

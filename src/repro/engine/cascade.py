@@ -259,7 +259,6 @@ class CascadeModel(CompiledModel):
         y: np.ndarray | None = None,
         *,
         target: float = 0.99,
-        set_threshold: bool = True,
     ) -> CalibrationResult:
         """Pick the smallest margin cutoff meeting an accuracy-parity target.
 
@@ -274,8 +273,7 @@ class CascadeModel(CompiledModel):
         smallest one, extended through margin ties so a strict ``<``
         threshold reranks exactly the chosen rows.
 
-        Returns a :class:`CalibrationResult`; also assigns
-        ``self.threshold`` unless ``set_threshold=False``.
+        Assigns ``self.threshold`` and returns a :class:`CalibrationResult`.
         """
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target must be in [0, 1], got {target}")
@@ -354,6 +352,5 @@ class CascadeModel(CompiledModel):
             n_validation=n,
             mode=mode,
         )
-        if set_threshold:
-            self.threshold = result.threshold
+        self.threshold = result.threshold
         return result

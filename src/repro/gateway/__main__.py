@@ -27,14 +27,14 @@ from ..serving import StreamingService
 from .app import Gateway
 
 
-def build_service(*, precision: str = "fixed16", seed: int = 0) -> StreamingService:
-    """A demo StreamingService over a freshly trained synthetic model."""
-    dataset = load_wesad(n_subjects=6, windows_per_state=10, seed=seed)
-    model = BoostHD(total_dim=1000, n_learners=8, epochs=8, seed=seed)
+def build_service(*, precision: str = "fixed16") -> StreamingService:
+    """A demo StreamingService over a freshly trained synthetic model (seed 0)."""
+    dataset = load_wesad(n_subjects=6, windows_per_state=10, seed=0)
+    model = BoostHD(total_dim=1000, n_learners=8, epochs=8, seed=0)
     model.fit(dataset.X, dataset.y)
     engine = compile_model(model, precision=precision)
     simulator = SignalSimulator(
-        sampling_rate=32, window_seconds=20, noise_level=0.9, class_overlap=0.03, rng=seed
+        sampling_rate=32, window_seconds=20, noise_level=0.9, class_overlap=0.03, rng=0
     )
     return StreamingService(
         engine,

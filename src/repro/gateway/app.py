@@ -54,9 +54,7 @@ import numpy as np
 from ..obs import OBS, Tally, prometheus_text
 from ..resilience import CircuitOpenError, Deadline, DeadlineExceeded, OPEN
 from ..resilience.chaos import CHAOS
-from ..engine import EngineError, resolve_precision
-from ..serving import RegistryError, ServingFabric, StreamingService, SwapResult
-from ..serving.shm import IntegrityError
+from ..serving import ServingFabric, StreamingService
 from .http import ProtocolError, Request, json_response, read_request, response_bytes
 from .limits import ConcurrencyLimiter, RateLimiter
 
@@ -66,6 +64,9 @@ __all__ = ["DEADLINE_HEADER", "Gateway", "GatewayStats"]
 DEADLINE_HEADER = "x-repro-deadline-ms"
 #: Request header carrying an explicit client identity for rate limiting.
 CLIENT_HEADER = "x-repro-client"
+#: Per-request header/body read budget, seconds: the slow-loris bound.  A
+#: stalled client gets 408 and its connection closed.
+_REQUEST_TIMEOUT = 10.0
 
 
 class GatewayStats(Tally):
@@ -136,26 +137,22 @@ class Gateway:
         :meth:`start`).
     rate, burst:
         Per-client token-bucket admission (requests/s and burst size);
-        ``rate=None`` disables rate limiting.  Applies to every ``/v1``
-        request; health/readiness/metrics probes are never rate limited.
+        ``rate=None`` disables rate limiting, and ``burst=None`` means
+        ``max(1, rate)``.  Applies to every ``/v1`` request;
+        health/readiness/metrics probes are never rate limited.  A rate or
+        burst no bucket could grant with (``rate <= 0``, ``burst < 1``)
+        raises :exc:`ValueError` here.
     max_concurrent:
         Global in-flight HTTP request bound — beyond it requests get 503 +
         ``Retry-After`` immediately.
-    max_clients:
-        Rate-limiter memory bound (LRU-evicted client buckets).
-    registry, registry_name:
-        Optional :class:`~repro.serving.ModelRegistry` (and default model
-        name) backing ``POST /v1/model/swap``.
     drain_deadline:
-        Default SIGTERM/:meth:`shutdown` drain budget, seconds.
-    request_timeout:
-        Per-request header/body read budget, seconds — the slow-loris
-        bound; a stalled client gets 408 and its connection closed.
-    max_header_bytes, max_body_bytes:
-        Hard input bounds (431 / 413 beyond them).
+        Default SIGTERM/:meth:`shutdown` drain budget, seconds (>= 0).
     clock:
         Monotonic time source for the admission limiters (injectable for
         deterministic tests).
+
+    The read bounds are fixed: 10 s per request (``_REQUEST_TIMEOUT``, then
+    408), a 16 KiB head (431) and an 8 MiB body (413).
     """
 
     def __init__(
@@ -167,13 +164,7 @@ class Gateway:
         rate: float | None = None,
         burst: float | None = None,
         max_concurrent: int = 256,
-        max_clients: int = 4096,
-        registry=None,
-        registry_name: str | None = None,
         drain_deadline: float = 5.0,
-        request_timeout: float = 10.0,
-        max_header_bytes: int = 16_384,
-        max_body_bytes: int = 8_388_608,
         clock=time.monotonic,
     ) -> None:
         if isinstance(backend, StreamingService):
@@ -185,17 +176,14 @@ class Gateway:
                 f"cannot serve a {type(backend).__name__}; expected a "
                 "StreamingService or ServingFabric"
             )
+        if not drain_deadline >= 0:  # NaN fails this too
+            raise ValueError(f"drain_deadline must be >= 0, got {drain_deadline}")
         self.backend = backend
         self.host = host
         self.port = int(port)
-        self.registry = registry
-        self.registry_name = registry_name
         self.drain_deadline = float(drain_deadline)
-        self.request_timeout = float(request_timeout)
-        self.max_header_bytes = int(max_header_bytes)
-        self.max_body_bytes = int(max_body_bytes)
         self.rate_limiter = (
-            RateLimiter(rate, burst or max(1.0, rate), max_clients=max_clients, clock=clock)
+            RateLimiter(rate, max(1.0, rate) if burst is None else burst, clock=clock)
             if rate is not None
             else None
         )
@@ -226,7 +214,7 @@ class Gateway:
             self._handle_connection,
             self.host,
             self.port,
-            limit=max(self.max_header_bytes, 65_536),
+            limit=65_536,  # the stream buffer; read_request bounds the head
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -238,10 +226,6 @@ class Gateway:
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT trigger one graceful :meth:`shutdown` (drain)."""
@@ -379,15 +363,10 @@ class Gateway:
         task = asyncio.ensure_future(self._loop.run_in_executor(self._pool, fn))
 
         def _on_done(done: asyncio.Task) -> None:
-            if done.cancelled():
+            if done.cancelled() or done.exception() is not None:
                 return
-            error = done.exception()
-            if error is None and deliver:
-                result = done.result()
-                if isinstance(result, SwapResult):
-                    result = list(result.flushed)
-                if isinstance(result, list):
-                    self._deliver(result)
+            if deliver and isinstance(done.result(), list):
+                self._deliver(done.result())
 
         task.add_done_callback(_on_done)
         if deadline is None or deadline.budget() is None:
@@ -422,13 +401,15 @@ class Gateway:
         except Exception:
             self.stats.bump("handler_errors")
         finally:
-            self._handlers.discard(task)
+            # The task leaves _handlers only once its socket has closed, so
+            # shutdown() waits for (or cancels) a handler that is closing.
             self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+            self._handlers.discard(task)
 
     async def _connection_loop(self, reader, writer, peer_host: str) -> None:
         while True:
@@ -441,12 +422,7 @@ class Gateway:
                 )
             try:
                 request = await asyncio.wait_for(
-                    read_request(
-                        reader,
-                        max_header_bytes=self.max_header_bytes,
-                        max_body_bytes=self.max_body_bytes,
-                    ),
-                    timeout=self.request_timeout,
+                    read_request(reader), timeout=_REQUEST_TIMEOUT
                 )
             except asyncio.TimeoutError:
                 self.stats.bump("disconnects")
@@ -678,56 +654,6 @@ class Gateway:
             200, {"backend": self.kind, "generation": self.backend.generation}
         )
 
-    async def _swap(self, call: _Call) -> bytes:
-        if self.registry is None:
-            return json_response(
-                409, {"error": "gateway was started without a model registry"}
-            )
-        name = call.body.get("name", self.registry_name)
-        version = call.body.get("version")
-        precision = call.body.get("precision", "float64")
-        try:
-            resolve_precision(precision)
-        except EngineError as error:
-            raise ProtocolError(str(error)) from None
-        # 400 for a name the registry refuses to look up (checked before
-        # any file is read; no name at all included), 404 only for a name
-        # or version it lacks: a stored version it refuses to load is
-        # damage on the server side, answered 500.
-        try:
-            stored = self.registry.versions(name)
-        except RegistryError as error:
-            raise ProtocolError(str(error)) from None
-        if not stored:
-            return json_response(404, {"error": f"no versions of model {name!r}"})
-        if version is not None and version not in stored:
-            return json_response(
-                404, {"error": f"model {name!r} has no version v{version}"}
-            )
-
-        def load_and_swap():
-            engine = self.registry.load_compiled(name, version, precision=precision)
-            return self.backend.swap(engine)
-
-        try:
-            result = await self._call_backend(load_and_swap)
-        except IntegrityError:
-            raise  # damage on the server side, not a bad request
-        except EngineError as error:
-            # An engine this backend cannot serve (a fabric cannot publish a
-            # cascade).
-            raise ProtocolError(str(error)) from None
-        payload = {
-            "swapped": result.promoted,
-            "name": name,
-            "version": version,
-            "precision": precision,
-            "generation": self.backend.generation,
-        }
-        if not result.promoted:
-            return json_response(409, {**payload, "reason": result.reason})
-        return json_response(200, payload)
-
     async def _dead_letters(self, call: _Call) -> bytes:
         letters = await self._call_backend(
             lambda: list(self.backend.dead_letters), call.deadline, deliver=False
@@ -844,7 +770,7 @@ class _Route(NamedTuple):
 
 
 #: JSON type names of the Python types ``json.loads`` returns.
-_JSON_NAMES = {str: "string", int: "integer", list: "array", type(None): "null"}
+_JSON_NAMES = {str: "string", list: "array"}
 
 #: Every (method, path) the gateway answers.  A path is fixed segments and
 #: at most one ``{id}``: a session id this gateway opened.
@@ -863,12 +789,6 @@ _ROUTES: dict[str, dict[str, _Route]] = {
     "/v1/sessions/{id}/score": {"POST": _Route(Gateway._score)},
     "/v1/sessions/{id}/predictions": {"GET": _Route(Gateway._predictions)},
     "/v1/model": {"GET": _Route(Gateway._model)},
-    "/v1/model/swap": {
-        "POST": _Route(
-            Gateway._swap,
-            {"name": (str,), "version": (int, type(None)), "precision": (str,)},
-        ),
-    },
     "/v1/dead-letters": {"GET": _Route(Gateway._dead_letters)},
     "/v1/dead-letters/replay": {"POST": _Route(Gateway._replay)},
     "/v1/stats": {"GET": _Route(Gateway._stats)},

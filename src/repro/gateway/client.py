@@ -1,13 +1,8 @@
 """Stdlib asyncio client for the gateway — tests, benches and examples.
 
 :class:`GatewayClient` speaks the gateway's HTTP (keep-alive, JSON bodies,
-the ``x-repro-deadline-ms`` / ``x-repro-client`` headers).  It exists so the
-repo never needs an HTTP client dependency — and so the load harness can do
-things a polite library would refuse to: ``trickle`` writes a request a few
-bytes at a time (the slow-loris shape the gateway's read timeout must
-bound) and :meth:`GatewayClient.abort_mid_request` tears the connection
-down half-way through a request (the mid-stream disconnect the accounting
-ledger must survive).
+the ``x-repro-deadline-ms`` / ``x-repro-client`` headers), so the repo never
+needs an HTTP client dependency.
 """
 
 from __future__ import annotations
@@ -76,11 +71,7 @@ class GatewayClient:
         Sent as ``x-repro-client`` — the rate-limit key.  Defaults to the
         peer address on the server side when omitted.
     deadline_ms:
-        Default per-request deadline header; per-call override available.
-    trickle:
-        ``(chunk_bytes, delay_seconds)`` — write each request in chunks of
-        ``chunk_bytes`` with ``delay_seconds`` pauses, modelling a slow
-        client.  ``None`` (default) writes requests in one piece.
+        Sent as ``x-repro-deadline-ms`` on every request when given.
     """
 
     def __init__(
@@ -90,13 +81,11 @@ class GatewayClient:
         *,
         client_id: str | None = None,
         deadline_ms: float | None = None,
-        trickle: tuple[int, float] | None = None,
     ) -> None:
         self.host = host
         self.port = int(port)
         self.client_id = client_id
         self.deadline_ms = deadline_ms
-        self.trickle = trickle
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -122,27 +111,7 @@ class GatewayClient:
                 pass
             self._reader = self._writer = None
 
-    async def _write(self, raw: bytes) -> None:
-        if self.trickle is None:
-            self._writer.write(raw)
-            await self._writer.drain()
-            return
-        chunk_bytes, delay = self.trickle
-        for start in range(0, len(raw), chunk_bytes):
-            self._writer.write(raw[start : start + chunk_bytes])
-            await self._writer.drain()
-            if delay:
-                await asyncio.sleep(delay)
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        payload=None,
-        *,
-        headers: dict[str, str] | None = None,
-        deadline_ms: float | None = None,
-    ) -> tuple[int, object]:
+    async def request(self, method: str, path: str, payload=None) -> tuple[int, object]:
         """One request/response round-trip; returns ``(status, parsed_body)``.
 
         The body is JSON-decoded when possible, raw bytes otherwise.
@@ -150,17 +119,15 @@ class GatewayClient:
         connection (e.g. after a ``Connection: close`` response).
         """
         await self.connect()
-        merged = dict(headers or {})
+        headers = {}
         if self.client_id is not None:
-            merged.setdefault(CLIENT_HEADER, self.client_id)
-        effective_deadline = (
-            deadline_ms if deadline_ms is not None else self.deadline_ms
-        )
-        if effective_deadline is not None:
-            merged.setdefault(DEADLINE_HEADER, f"{effective_deadline:g}")
-        raw = _request_bytes(method, path, payload, merged, self.host)
+            headers[CLIENT_HEADER] = self.client_id
+        if self.deadline_ms is not None:
+            headers[DEADLINE_HEADER] = f"{self.deadline_ms:g}"
+        raw = _request_bytes(method, path, payload, headers, self.host)
         try:
-            await self._write(raw)
+            self._writer.write(raw)
+            await self._writer.drain()
             status, response_headers, body = await _read_response(self._reader)
         except (
             ConnectionResetError,
@@ -170,7 +137,8 @@ class GatewayClient:
             # Stale keep-alive connection: reconnect once and retry.
             await self.close()
             await self.connect()
-            await self._write(raw)
+            self._writer.write(raw)
+            await self._writer.drain()
             status, response_headers, body = await _read_response(self._reader)
         if response_headers.get("connection", "").lower() == "close":
             await self.close()
@@ -180,20 +148,6 @@ class GatewayClient:
             parsed = body
         return status, parsed
 
-    async def abort_mid_request(self, path: str = "/v1/sessions") -> None:
-        """Send half a request then tear the connection down (chaos edge)."""
-        await self.connect()
-        payload = {"session_id": "aborted", "padding": "x" * 512}
-        raw = _request_bytes("POST", path, payload, {}, self.host)
-        self._writer.write(raw[: len(raw) // 2])
-        await self._writer.drain()
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        self._reader = self._writer = None
-
     # ----------------------------------------------------------- convenience
     async def open_session(self, session_id: str):
         return await self.request("POST", "/v1/sessions", {"session_id": session_id})
@@ -201,45 +155,20 @@ class GatewayClient:
     async def close_session(self, session_id: str):
         return await self.request("DELETE", _session_path(session_id))
 
-    async def feed(self, session_id: str, samples, *, deadline_ms=None):
+    async def feed(self, session_id: str, samples):
         payload = {
             "samples": samples.tolist() if hasattr(samples, "tolist") else samples
         }
-        return await self.request(
-            "POST",
-            _session_path(session_id, "windows"),
-            payload,
-            deadline_ms=deadline_ms,
-        )
+        return await self.request("POST", _session_path(session_id, "windows"), payload)
 
-    async def score(self, session_id: str, *, deadline_ms=None):
-        return await self.request(
-            "POST", _session_path(session_id, "score"), deadline_ms=deadline_ms
-        )
+    async def score(self, session_id: str):
+        return await self.request("POST", _session_path(session_id, "score"))
 
     async def predictions(self, session_id: str):
         return await self.request("GET", _session_path(session_id, "predictions"))
 
-    async def healthz(self):
-        return await self.request("GET", "/healthz")
-
     async def readyz(self):
         return await self.request("GET", "/readyz")
-
-    async def model(self):
-        return await self.request("GET", "/v1/model")
-
-    async def swap(self, *, name=None, version=None, precision="float64"):
-        payload = {"version": version, "precision": precision}
-        if name is not None:
-            payload["name"] = name
-        return await self.request("POST", "/v1/model/swap", payload)
-
-    async def dead_letters(self):
-        return await self.request("GET", "/v1/dead-letters")
-
-    async def replay_dead_letters(self):
-        return await self.request("POST", "/v1/dead-letters/replay")
 
     async def stats(self):
         return await self.request("GET", "/v1/stats")

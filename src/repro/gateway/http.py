@@ -10,8 +10,8 @@ property-testable without sockets: malformed input must raise
 :class:`ProtocolError` — never any other exception, and never crash the
 server (``tests/test_gateway.py`` fuzzes this with hypothesis).
 
-Hard bounds everywhere: header block size and body size are capped by the
-caller, so a hostile client cannot balloon memory — over-bound input is a
+Hard bounds everywhere: the header block is capped at 16 KiB and the body
+at 8 MiB, so a hostile client cannot balloon memory — over-bound input is a
 :class:`ProtocolError` (HTTP 431/413), not an allocation.
 """
 
@@ -31,6 +31,12 @@ __all__ = [
     "read_request",
     "response_bytes",
 ]
+
+
+#: The largest request head (request line and headers) read, bytes: 431 beyond.
+_MAX_HEADER_BYTES = 16_384
+#: The largest request body read, bytes: 413 beyond.
+_MAX_BODY_BYTES = 8_388_608
 
 
 class ProtocolError(ValueError):
@@ -148,18 +154,13 @@ def parse_request_head(head: bytes) -> tuple[str, str, dict]:
     return method.upper(), target, headers
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
-    *,
-    max_header_bytes: int = 16_384,
-    max_body_bytes: int = 8_388_608,
-) -> Request | None:
+async def read_request(reader: asyncio.StreamReader) -> Request | None:
     """Read one request off the stream; ``None`` on clean EOF between requests.
 
-    The head is read with a hard byte bound (431 on overflow) and the body
-    strictly by ``Content-Length`` (413 over ``max_body_bytes``; chunked
-    transfer encoding is refused with 501 — the gateway's clients never
-    need it).  A connection torn mid-request raises
+    The head is read with a hard byte bound (431 over ``_MAX_HEADER_BYTES``)
+    and the body strictly by ``Content-Length`` (413 over
+    ``_MAX_BODY_BYTES``; chunked transfer encoding is refused with 501 —
+    the gateway's clients never need it).  A connection torn mid-request raises
     :class:`asyncio.IncompleteReadError` for the caller to treat as a
     disconnect, not a protocol error.
     """
@@ -171,7 +172,7 @@ async def read_request(
         raise
     except asyncio.LimitOverrunError:
         raise ProtocolError("request head too large", status=431) from None
-    if len(head) > max_header_bytes:
+    if len(head) > _MAX_HEADER_BYTES:
         raise ProtocolError("request head too large", status=431)
     method, target, headers = parse_request_head(head[:-4])
     if "chunked" in headers.get("transfer-encoding", "").lower():
@@ -187,7 +188,7 @@ async def read_request(
             ) from None
         if length < 0:
             raise ProtocolError(f"negative Content-Length: {length}")
-        if length > max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise ProtocolError("request body too large", status=413)
         body = await reader.readexactly(length)
     return Request(

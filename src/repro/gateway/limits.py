@@ -31,6 +31,21 @@ from typing import Callable
 __all__ = ["ConcurrencyLimiter", "RateLimiter", "TokenBucket"]
 
 
+#: Client buckets a :class:`RateLimiter` keeps before evicting the least
+#: recently used.
+_MAX_CLIENTS = 4096
+
+
+def _checked(rate: float, burst: float) -> tuple[float, float]:
+    """``(rate, burst)`` as floats, or :exc:`ValueError` for a bucket that
+    could never grant a request."""
+    if not rate > 0:  # NaN fails this too
+        raise ValueError(f"rate must be > 0, got {rate}")
+    if not burst >= 1:
+        raise ValueError(f"burst must be >= 1, got {burst}")
+    return float(rate), float(burst)
+
+
 class TokenBucket:
     """Token bucket: sustained ``rate`` tokens/s with bursts up to ``burst``.
 
@@ -57,74 +72,52 @@ class TokenBucket:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if not rate > 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if not burst >= 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
+        self.rate, self.burst = _checked(rate, burst)
         self.clock = clock
         self._tokens = self.burst
         self._updated = clock()
 
-    def _refill(self) -> None:
+    def try_acquire(self) -> float:
+        """Take one token if available; return the retry-after otherwise.
+
+        Returns ``0.0`` on success.  A positive return is the exact time
+        until one token will have refilled — tokens are *not* consumed on
+        failure, so a rejected client that waits the advertised interval is
+        guaranteed admission (absent competing traffic).
+        """
         now = self.clock()
         elapsed = now - self._updated
         if elapsed > 0:
             self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
         self._updated = now
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now (after a lazy refill)."""
-        self._refill()
-        return self._tokens
-
-    def try_acquire(self, n: float = 1.0) -> float:
-        """Take ``n`` tokens if available; return the retry-after otherwise.
-
-        Returns ``0.0`` on success.  A positive return is the exact time
-        until ``n`` tokens will have refilled — tokens are *not* consumed
-        on failure, so a rejected client that waits the advertised interval
-        is guaranteed admission (absent competing traffic).
-        """
-        if not n > 0:
-            raise ValueError(f"n must be > 0, got {n}")
-        if n > self.burst:
-            raise ValueError(f"cannot acquire {n} tokens from a burst-{self.burst} bucket")
-        self._refill()
-        if self._tokens >= n:
-            self._tokens -= n
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return 0.0
-        return (n - self._tokens) / self.rate
+        return (1.0 - self._tokens) / self.rate
 
 
 class RateLimiter:
     """Per-client :class:`TokenBucket` map with bounded memory.
 
     Buckets are created on first sight of a client key and evicted
-    least-recently-used beyond ``max_clients``.  Eviction forgets a
+    least-recently-used beyond ``_MAX_CLIENTS`` (4,096).  Eviction forgets a
     client's *spent* tokens (a returning evicted client starts with a full
-    bucket); with ``max_clients`` sized above the live client population
-    this never fires, and when it does the failure mode is permissive
-    rather than lockout.
+    bucket); with the bound above the live client population this never
+    fires, and when it does the failure mode is permissive rather than
+    lockout.  A ``rate`` or ``burst`` no bucket could grant with raises
+    :exc:`ValueError` here, not on the first request.
     """
 
-    __slots__ = ("rate", "burst", "max_clients", "clock", "_buckets")
+    __slots__ = ("rate", "burst", "clock", "_buckets")
 
     def __init__(
         self,
         rate: float,
         burst: float,
         *,
-        max_clients: int = 4096,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_clients < 1:
-            raise ValueError(f"max_clients must be >= 1, got {max_clients}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.max_clients = int(max_clients)
+        self.rate, self.burst = _checked(rate, burst)
         self.clock = clock
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 
@@ -137,15 +130,15 @@ class RateLimiter:
         if bucket is None:
             bucket = TokenBucket(self.rate, self.burst, clock=self.clock)
             self._buckets[client] = bucket
-            while len(self._buckets) > self.max_clients:
+            while len(self._buckets) > _MAX_CLIENTS:
                 self._buckets.popitem(last=False)
         else:
             self._buckets.move_to_end(client)
         return bucket
 
-    def try_acquire(self, client: str, n: float = 1.0) -> float:
+    def try_acquire(self, client: str) -> float:
         """Per-client admission: ``0.0`` granted, else seconds to retry."""
-        return self.bucket(client).try_acquire(n)
+        return self.bucket(client).try_acquire()
 
 
 class ConcurrencyLimiter:

@@ -171,18 +171,14 @@ def enable(
 
 
 @contextmanager
-def capture(
-    registry: MetricsRegistry | None = None,
-    recorder: SpanRecorder | None = None,
-):
+def capture():
     """Scoped telemetry: enable with fresh state, yield ``(registry, recorder)``.
 
     Restores the previous enabled/registry/recorder state on exit, so
     nested captures and interleaved tests never observe each other.
     """
     previous = (OBS.enabled, OBS.metrics, OBS.recorder)
-    registry = registry if registry is not None else MetricsRegistry()
-    recorder = recorder if recorder is not None else SpanRecorder()
+    registry, recorder = MetricsRegistry(), SpanRecorder()
     enable(registry, recorder)
     try:
         yield registry, recorder

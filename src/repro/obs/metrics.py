@@ -11,8 +11,8 @@
   :meth:`Histogram.percentile` carries a provable relative-error bound: the
   rank statistic's true value lies in the same bucket as the estimate, so
   the geometric-midpoint estimate is off by at most a factor of
-  ``sqrt(growth)`` where ``growth = 10 ** (1 / per_decade)``
-  (:attr:`Histogram.relative_error_bound`).
+  ``sqrt(growth)`` where ``growth = 10 ** (1 / per_decade)``: a relative
+  error of at most ``sqrt(growth) - 1``.
 * :class:`MetricsRegistry` — named instruments, created on first use and
   cached; :meth:`MetricsRegistry.snapshot` produces a plain-dict,
   picklable snapshot, and :meth:`MetricsRegistry.merge` folds snapshots
@@ -123,9 +123,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self._value = (self._value or 0) + amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float | None:
         return self._value
@@ -150,9 +147,12 @@ class Histogram:
     :meth:`percentile` locates the bucket containing the requested rank
     statistic and returns the geometric mean of that bucket's edges, so for
     any observation inside ``(bounds[0], bounds[-1]]`` the estimate is
-    within a multiplicative factor ``sqrt(growth)`` of the true rank value
-    — :attr:`relative_error_bound`.  The exact ``sum`` / ``count`` /
-    ``min`` / ``max`` ride alongside for means and Prometheus export.
+    within a multiplicative factor ``sqrt(g)`` of the true rank value, where
+    ``g = 10 ** (1 / per_decade)`` is the ratio between consecutive bounds:
+    for a true value ``v`` in bucket ``(b/g, b]`` the estimate is
+    ``b / sqrt(g)``, so the relative error is at most ``sqrt(g) - 1``.  The
+    exact ``sum`` / ``count`` / ``min`` / ``max`` ride alongside for means
+    and Prometheus export.
     """
 
     __slots__ = ("lo", "hi", "per_decade", "bounds", "counts", "sum", "count",
@@ -174,21 +174,6 @@ class Histogram:
         self.count = 0
         self.min: float | None = None
         self.max: float | None = None
-
-    @property
-    def growth(self) -> float:
-        """Ratio between consecutive bucket bounds."""
-        return 10.0 ** (1.0 / self.per_decade)
-
-    @property
-    def relative_error_bound(self) -> float:
-        """Worst-case relative error of :meth:`percentile` for in-range values.
-
-        For a true rank value ``v`` in bucket ``(b/g, b]`` the estimate is
-        ``b / sqrt(g)``, so ``estimate / v`` lies in
-        ``[1/sqrt(g), sqrt(g)]`` — the bound is ``sqrt(g) - 1``.
-        """
-        return math.sqrt(self.growth) - 1.0
 
     def observe(self, value: float) -> None:
         """Fold one observation into the bucket counts and exact moments."""
@@ -297,9 +282,6 @@ class NullGauge:
         pass
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
         pass
 
     def reset(self) -> None:

@@ -224,10 +224,8 @@ class FaultPlan:
         )
 
 
-def corrupt_bytes(
-    buffer, rng: np.random.Generator, *, n_bytes: int = 4
-) -> tuple[int, ...]:
-    """Flip ``n_bytes`` random bytes of a writable buffer, in place.
+def corrupt_bytes(buffer, rng: np.random.Generator) -> tuple[int, ...]:
+    """Flip four random bytes of a writable buffer, in place.
 
     The corruption helper used by ``kind="corrupt"`` call sites (and tests):
     offsets come from the spec's seeded RNG, so the damage is reproducible.
@@ -237,7 +235,7 @@ def corrupt_bytes(
     if len(view) == 0:
         return ()
     offsets = tuple(
-        int(offset) for offset in rng.integers(0, len(view), size=int(n_bytes))
+        int(offset) for offset in rng.integers(0, len(view), size=4)
     )
     for offset in offsets:
         view[offset] ^= 0xFF
@@ -276,15 +274,9 @@ class ChaosState:
         self._fired = []
         self._rngs = []
 
-    def fired(self, point: str | None = None) -> int:
-        """Total faults fired (optionally restricted to one point)."""
-        if self.plan is None:
-            return 0
-        return sum(
-            count
-            for spec, count in zip(self.plan.faults, self._fired)
-            if point is None or spec.point == point
-        )
+    def fired(self) -> int:
+        """Total faults fired."""
+        return sum(self._fired)
 
     def hit(self, point: str, **context) -> FaultSpec | None:
         """Account one pass through an injection point; maybe inject.

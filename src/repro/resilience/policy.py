@@ -52,7 +52,7 @@ class Deadline:
     Parameters
     ----------
     seconds:
-        Budget from *now*; ``math.inf`` (or :meth:`never`) means unbounded.
+        Budget from *now*; ``math.inf`` means unbounded.
     clock:
         Monotonic time source, injectable for deterministic tests.
     """
@@ -65,11 +65,6 @@ class Deadline:
             raise ValueError(f"deadline seconds must be >= 0, got {seconds}")
         self.clock = clock
         self.expires_at = clock() + seconds
-
-    @classmethod
-    def never(cls, *, clock: Callable[[], float] = time.monotonic) -> "Deadline":
-        """A deadline that never expires (``remaining()`` is ``inf``)."""
-        return cls(math.inf, clock=clock)
 
     def remaining(self) -> float:
         """Seconds left (clamped at 0.0; ``inf`` for an unbounded deadline)."""
@@ -136,9 +131,8 @@ class CircuitBreaker:
     * **open** — :meth:`allow` returns ``False`` (callers fail fast) until
       ``probe_interval`` seconds have passed, then the breaker moves to
       half-open and admits probes.
-    * **half-open** — calls are admitted; ``success_threshold`` consecutive
-      successes close the breaker, any failure re-opens it (restarting the
-      probe interval).
+    * **half-open** — calls are admitted; one success closes the breaker,
+      any failure re-opens it (restarting the probe interval).
 
     The breaker is a pure policy object: it never performs calls itself,
     callers consult :meth:`allow` and report outcomes via
@@ -150,11 +144,9 @@ class CircuitBreaker:
         "name",
         "failure_threshold",
         "probe_interval",
-        "success_threshold",
         "clock",
         "_state",
         "_failures",
-        "_successes",
         "_opened_at",
         "trips",
         "recoveries",
@@ -165,7 +157,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         probe_interval: float = 0.5,
-        success_threshold: int = 1,
         name: str = "",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -173,16 +164,12 @@ class CircuitBreaker:
             raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
         if probe_interval < 0:
             raise ValueError(f"probe_interval must be >= 0, got {probe_interval}")
-        if success_threshold < 1:
-            raise ValueError(f"success_threshold must be >= 1, got {success_threshold}")
         self.name = name
         self.failure_threshold = int(failure_threshold)
         self.probe_interval = float(probe_interval)
-        self.success_threshold = int(success_threshold)
         self.clock = clock
         self._state = CLOSED
         self._failures = 0
-        self._successes = 0
         self._opened_at = 0.0
         #: Lifetime count of closed->open transitions.
         self.trips = 0
@@ -215,7 +202,6 @@ class CircuitBreaker:
             if self.time_until_probe() > 0.0:
                 return False
             self._state = HALF_OPEN
-            self._successes = 0
             if OBS.enabled:
                 OBS.metrics.counter(
                     "repro_breaker_probes_total",
@@ -225,19 +211,15 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """Report a successful call (closes a half-open breaker)."""
+        self._failures = 0
         if self._state == HALF_OPEN:
-            self._successes += 1
-            if self._successes >= self.success_threshold:
-                self._state = CLOSED
-                self._failures = 0
-                self.recoveries += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "repro_breaker_recoveries_total",
-                        "Circuit breakers closed again after a successful probe.",
-                    ).inc()
-        else:
-            self._failures = 0
+            self._state = CLOSED
+            self.recoveries += 1
+            if OBS.enabled:
+                OBS.metrics.counter(
+                    "repro_breaker_recoveries_total",
+                    "Circuit breakers closed again after a successful probe.",
+                ).inc()
 
     def record_failure(self) -> None:
         """Report a failed call (may trip the breaker open)."""
@@ -252,19 +234,12 @@ class CircuitBreaker:
         self._state = OPEN
         self._opened_at = self.clock()
         self._failures = 0
-        self._successes = 0
         self.trips += 1
         if OBS.enabled:
             OBS.metrics.counter(
                 "repro_breaker_trips_total",
                 "Circuit breakers tripped open.",
             ).inc()
-
-    def reset(self) -> None:
-        """Force the breaker closed (administrative override)."""
-        self._state = CLOSED
-        self._failures = 0
-        self._successes = 0
 
     def __repr__(self) -> str:
         label = f"name={self.name!r}, " if self.name else ""

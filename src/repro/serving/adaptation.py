@@ -42,49 +42,27 @@ from ..obs import OBS
 
 __all__ = ["DriftMonitor", "AdaptiveModel"]
 
+#: Recent margins in the drift monitor's rolling mean.
+_WINDOW = 256
+#: Initial margins frozen into the drift monitor's baseline.
+_BASELINE_WINDOW = 256
+#: Fraction of the baseline margin below which drift is declared.
+_RATIO = 0.5
+
 
 class DriftMonitor:
     """Rolling score-margin monitor flagging confidence collapse.
 
     The *margin* of one scored window is ``top1 - top2`` of its per-class
-    scores (for cosine-similarity scores this is scale-free).  The first
-    ``baseline_window`` margins define the deployment baseline; afterwards
-    the monitor reports drift when the mean margin over the last ``window``
-    scores falls below ``ratio * baseline`` (or below ``min_margin``, when
-    given — an absolute floor independent of the baseline).
-
-    Parameters
-    ----------
-    window:
-        Number of recent margins in the rolling mean.
-    baseline_window:
-        Number of initial margins frozen into the baseline.
-    ratio:
-        Fraction of the baseline margin below which drift is declared.
-    min_margin:
-        Optional absolute margin floor that also triggers drift.
+    scores (for cosine-similarity scores this is scale-free).  The first 256
+    margins (``_BASELINE_WINDOW``) define the deployment baseline;
+    afterwards the monitor reports drift when the mean margin over the last
+    256 scores (``_WINDOW``) falls below half the baseline (``_RATIO``).
     """
 
-    def __init__(
-        self,
-        *,
-        window: int = 256,
-        baseline_window: int = 256,
-        ratio: float = 0.5,
-        min_margin: float | None = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if baseline_window < 1:
-            raise ValueError(f"baseline_window must be >= 1, got {baseline_window}")
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-        self.window = int(window)
-        self.baseline_window = int(baseline_window)
-        self.ratio = float(ratio)
-        self.min_margin = None if min_margin is None else float(min_margin)
+    def __init__(self) -> None:
         self.observed = 0
-        self._recent: deque[float] = deque(maxlen=self.window)
+        self._recent: deque[float] = deque(maxlen=_WINDOW)
         self._baseline_sum = 0.0
         self._baseline_count = 0
 
@@ -105,7 +83,7 @@ class DriftMonitor:
         for margin in self.margins(scores):
             value = float(margin)
             self.observed += 1
-            if self._baseline_count < self.baseline_window:
+            if self._baseline_count < _BASELINE_WINDOW:
                 self._baseline_sum += value
                 self._baseline_count += 1
             self._recent.append(value)
@@ -113,13 +91,13 @@ class DriftMonitor:
     @property
     def baseline_margin(self) -> float | None:
         """Mean margin of the deployment baseline (None until established)."""
-        if self._baseline_count < self.baseline_window:
+        if self._baseline_count < _BASELINE_WINDOW:
             return None
         return self._baseline_sum / self._baseline_count
 
     @property
     def rolling_margin(self) -> float | None:
-        """Mean margin over the most recent ``window`` scores."""
+        """Mean margin over the most recent ``_WINDOW`` scores."""
         if not self._recent:
             return None
         return float(np.mean(self._recent))
@@ -128,15 +106,13 @@ class DriftMonitor:
     def drifted(self) -> bool:
         """True when recent confidence fell below the configured floor."""
         rolling = self.rolling_margin
-        if rolling is None:
-            return False
-        if self.min_margin is not None and rolling < self.min_margin:
-            return True
         baseline = self.baseline_margin
-        return baseline is not None and rolling < self.ratio * baseline
+        if rolling is None or baseline is None:
+            return False
+        return rolling < _RATIO * baseline
 
     def reset_baseline(self) -> None:
-        """Re-anchor the baseline on the next ``baseline_window`` scores.
+        """Re-anchor the baseline on the next ``_BASELINE_WINDOW`` scores.
 
         Call after adapting the model: the old confidence level no longer
         describes the updated class hypervectors.
@@ -161,9 +137,9 @@ class AdaptiveModel:
     Wraps a fitted :class:`~repro.hdc.OnlineHD` or
     :class:`~repro.core.BoostHD`.  :attr:`compiled` lazily builds (and after
     feedback, rebuilds) the fused :class:`~repro.engine.CompiledModel`;
-    :meth:`score` routes a feature batch through the engine while feeding the
-    drift monitor; :meth:`feedback` applies one adaptive epoch of labeled
-    feedback and marks the engine stale.  A
+    :meth:`decision_function` routes a feature batch through the engine
+    while feeding its :class:`DriftMonitor`; :meth:`feedback` applies one
+    adaptive epoch of labeled feedback and marks the engine stale.  A
     :class:`~repro.serving.scheduler.MicroBatchScheduler` can point directly
     at an ``AdaptiveModel`` (it exposes ``decision_function``/``classes_``),
     so adaptation slots into a running service without rewiring.
@@ -172,9 +148,6 @@ class AdaptiveModel:
     ----------
     model:
         Fitted model to serve.
-    monitor:
-        Drift monitor fed by every :meth:`score`/:meth:`decision_function`
-        call (default: a fresh :class:`DriftMonitor`).
     precision:
         Serving precision of the compiled engine, a name from
         :data:`repro.engine.PRECISIONS`.  The *model*
@@ -188,7 +161,6 @@ class AdaptiveModel:
         self,
         model: BoostHD | OnlineHD,
         *,
-        monitor: DriftMonitor | None = None,
         precision: str = "float64",
     ) -> None:
         if not isinstance(model, (BoostHD, OnlineHD)):
@@ -201,18 +173,13 @@ class AdaptiveModel:
         except EngineError as error:
             raise ValueError(str(error)) from None
         self.model = model
-        self.monitor = monitor or DriftMonitor()
+        self.monitor = DriftMonitor()
         self._compiled = None
         self.recompiles = 0
         self.feedback_samples = 0
         self._drift_flagged = False
 
     # ------------------------------------------------------------ the engine
-    @property
-    def stale(self) -> bool:
-        """True when feedback invalidated the compiled engine."""
-        return self._compiled is None
-
     @property
     def compiled(self):
         """The fused engine for the *current* model state (rebuilt if stale)."""
@@ -246,15 +213,6 @@ class AdaptiveModel:
                 ).inc()
             self._drift_flagged = drifted
         return scores
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        scores = self.decision_function(X)
-        return self.classes_[np.argmax(scores, axis=1)]
-
-    def score(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience: ``(labels, scores)`` of one monitored fused call."""
-        scores = self.decision_function(X)
-        return self.classes_[np.argmax(scores, axis=1)], scores
 
     # ------------------------------------------------------------ adaptation
     def feedback(self, X: np.ndarray, y: np.ndarray) -> None:

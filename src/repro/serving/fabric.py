@@ -364,10 +364,6 @@ class ServingFabric:
         swap can block forever on one hung process.  A worker that wedges
         while starting is killed and reaped, and the start fails with
         :class:`concurrent.futures.TimeoutError`.
-    breaker_options:
-        Keyword arguments for each shard's
-        :class:`~repro.resilience.CircuitBreaker` (``failure_threshold``,
-        ``probe_interval``, ``success_threshold``).
     **service_options:
         Forwarded to each worker's :class:`StreamingService` —
         ``n_channels``, ``window_samples``, ``max_batch``, ``max_wait``,
@@ -384,7 +380,6 @@ class ServingFabric:
         *,
         n_workers: int | str | None = None,
         call_timeout: float | None = 30.0,
-        breaker_options: dict | None = None,
         **service_options,
     ) -> None:
         # A throwaway service checks the options' names and values in the
@@ -401,8 +396,7 @@ class ServingFabric:
         self.timeouts = 0
         self._shards: list[_ProcessShard] = []
         self.breakers = [
-            CircuitBreaker(name=f"shard{index}", **dict(breaker_options or {}))
-            for index in range(self.n_workers)
+            CircuitBreaker(name=f"shard{index}") for index in range(self.n_workers)
         ]
         try:
             verify_manifest(self._shared.manifest)
@@ -678,9 +672,6 @@ class ServingFabric:
     def worker_info(self) -> list[dict]:
         """Per-shard ``{pid, generation, sessions, uss_bytes}`` snapshots."""
         return self._fan_out("info")
-
-    def worker_pids(self) -> list[int]:
-        return [info["pid"] for info in self.worker_info()]
 
     def stats(self) -> list[dict]:
         """Per-shard scheduler statistics dictionaries."""

@@ -52,9 +52,9 @@ class StreamingService:
         Object with ``decision_function`` / ``classes_`` — typically a
         :class:`~repro.engine.CompiledModel` or
         :class:`~repro.serving.adaptation.AdaptiveModel`.
-    n_channels, window_samples, step_samples, smoothing_window, statistics:
-        The windowing/featurization of every session; must match what the
-        scorer was trained on.  A bad value raises here, not on each
+    n_channels, window_samples, step_samples, smoothing_window:
+        The windowing of every session; must match what the scorer was
+        trained on.  A bad value raises here, not on each
         :meth:`open_session`.
     max_batch, max_wait:
         Micro-batching policy, forwarded to the scheduler.
@@ -63,11 +63,12 @@ class StreamingService:
         feature row before scoring — typically the training dataset's fitted
         scaler (``dataset.scaler.transform``), since models are trained on
         standard-scaled features and live streams arrive raw.
-    max_retries, max_pending:
-        Scheduler bounds (see :class:`MicroBatchScheduler`): the retry
-        budget before a window is dead-lettered, and the admission-queue
-        bound beyond which the oldest window is shed as an explicit
-        :data:`~repro.serving.scheduler.SHED` prediction.
+    max_pending:
+        The scheduler's admission-queue bound (see
+        :class:`MicroBatchScheduler`) beyond which the oldest window is shed
+        as an explicit :data:`~repro.serving.scheduler.SHED` prediction.  A
+        window is dead-lettered after six failed scoring calls (the
+        scheduler's default retry budget of five).
     """
 
     #: An in-process service has no worker transport to trip.
@@ -81,26 +82,19 @@ class StreamingService:
         window_samples: int,
         step_samples: int | None = None,
         smoothing_window: int = 30,
-        statistics: tuple[str, ...] = ("min", "max", "mean", "std"),
         max_batch: int = 64,
         max_wait: float = 0.010,
         transform=None,
-        max_retries: int | None = 5,
         max_pending: int | None = None,
     ) -> None:
         self.scheduler = MicroBatchScheduler(
-            scorer,
-            max_batch=max_batch,
-            max_wait=max_wait,
-            max_retries=max_retries,
-            max_pending=max_pending,
+            scorer, max_batch=max_batch, max_wait=max_wait, max_pending=max_pending
         )
         self.generation = 0
         self.n_channels = int(n_channels)
         self.window_samples = int(window_samples)
         self.step_samples = step_samples
         self.smoothing_window = int(smoothing_window)
-        self.statistics = tuple(statistics)
         self.transform = transform
         self.sessions: dict[str, StreamSession] = {}
         self._stream("")  # every session shares this windowing: check it once
@@ -112,7 +106,6 @@ class StreamingService:
             window_samples=self.window_samples,
             step_samples=self.step_samples,
             smoothing_window=self.smoothing_window,
-            statistics=self.statistics,
         )
 
     def open_session(self, session_id: str) -> StreamSession:

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.features import STATISTICS
-
 __all__ = ["ReadyWindow", "StreamSession"]
 
 #: Re-sum the ring buffer after this many rolling add/subtract updates, so
@@ -118,9 +116,9 @@ class StreamSession:
         gaps — both match the batch windowing they imitate.
     smoothing_window:
         Moving-average length of the feature pipeline (paper: 30).
-    statistics:
-        Ordered subset of :data:`repro.data.features.STATISTICS` names; the
-        emitted layout is channel-major, matching ``extract_features``.
+
+    Each window emits min, max, mean and std per channel, channel-major:
+    the layout of :func:`repro.data.features.extract_features`.
     """
 
     session_id: str
@@ -128,7 +126,6 @@ class StreamSession:
     window_samples: int
     step_samples: int | None = None
     smoothing_window: int = 30
-    statistics: tuple[str, ...] = ("min", "max", "mean", "std")
     _samples_seen: int = field(init=False, default=0, repr=False)
     _windows_emitted: int = field(init=False, default=0, repr=False)
 
@@ -145,12 +142,6 @@ class StreamSession:
             raise ValueError(
                 f"smoothing_window must be >= 1, got {self.smoothing_window}"
             )
-        unknown = [name for name in self.statistics if name not in STATISTICS]
-        if unknown:
-            raise ValueError(
-                f"unknown statistics {unknown}; available: {sorted(STATISTICS)}"
-            )
-        self.statistics = tuple(self.statistics)
         self._effective = min(self.smoothing_window, self.window_samples)
         self._ring = np.zeros((self._effective, self.n_channels))
         self._rolling_sum = np.zeros(self.n_channels)
@@ -158,35 +149,15 @@ class StreamSession:
         self._since_resync = 0
         self._open: list[_OpenWindow] = []
 
-    # ------------------------------------------------------------ properties
-    @property
-    def feature_width(self) -> int:
-        """Length of emitted feature vectors (``n_channels * len(statistics)``)."""
-        return self.n_channels * len(self.statistics)
-
-    @property
-    def samples_seen(self) -> int:
-        return self._samples_seen
-
     @property
     def windows_emitted(self) -> int:
         return self._windows_emitted
 
-    @property
-    def open_windows(self) -> int:
-        """Number of windows currently accumulating (bounded by ceil(W/step))."""
-        return len(self._open)
-
     # -------------------------------------------------------------- internals
     def _finalize(self, window: _OpenWindow, end_sample: int) -> ReadyWindow:
-        columns = {
-            "min": window.minimum,
-            "max": window.maximum,
-            "mean": window.mean,
-            "std": np.sqrt(window.m2 / window.count),
-        }
         features = np.stack(
-            [columns[name] for name in self.statistics], axis=1
+            [window.minimum, window.maximum, window.mean, np.sqrt(window.m2 / window.count)],
+            axis=1,
         ).reshape(-1)
         ready = ReadyWindow(
             session_id=self.session_id,

@@ -208,9 +208,7 @@ class SharedModel:
         )
 
 
-def publish_engine(
-    engine: CompiledModel, *, generation: int = 0, name: str | None = None
-) -> SharedModel:
+def publish_engine(engine: CompiledModel, *, generation: int = 0) -> SharedModel:
     """Lay a compiled engine's arrays into one named shared-memory segment.
 
     Copies every model array — the fused projection ``_basis2``, the phase
@@ -243,7 +241,7 @@ def publish_engine(
         offset += array.nbytes
         payload += array.nbytes
 
-    segment = name or _segment_name(generation)
+    segment = _segment_name(generation)
     shm = shared_memory.SharedMemory(name=segment, create=True, size=max(offset, 1))
     try:
         for key, array in arrays:
@@ -414,16 +412,17 @@ def attach_engine(manifest: dict) -> AttachedEngine:
 
 
 # ------------------------------------------------------------------ cleanup
-def cleanup_orphan_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
+def cleanup_orphan_segments() -> list[str]:
     """Unlink fabric segments whose publishing process is gone.
 
-    Scans the POSIX shm filesystem for ``{prefix}{pid}.{token}_...`` names
-    (and the older ``{prefix}{pid}_...`` form), checks whether the embedded
-    publisher pid is still alive — *and*, when a start token is present,
-    whether the live process is the same incarnation that published the
-    segment.  A recycled pid (new process, same number) therefore cannot
-    shield a dead publisher's segment from reclamation, and conversely a
-    live publisher can never lose a segment to cleanup: its token matches.
+    Scans the POSIX shm filesystem for ``{SEGMENT_PREFIX}{pid}.{token}_...``
+    names (and the older ``{SEGMENT_PREFIX}{pid}_...`` form), checks whether
+    the embedded publisher pid is still alive — *and*, when a start token is
+    present, whether the live process is the same incarnation that
+    published the segment.  A recycled pid (new process, same number)
+    therefore cannot shield a dead publisher's segment from reclamation,
+    and conversely a live publisher can never lose a segment to cleanup:
+    its token matches.
     Every fabric runs it at startup, so a crashed predecessor cannot leak
     /dev/shm space indefinitely.  Returns the reclaimed names; returns ``[]``
     (touching nothing) where the shm filesystem is absent.
@@ -434,9 +433,9 @@ def cleanup_orphan_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
         return []
     reclaimed = []
     for entry in names:
-        if not entry.startswith(prefix):
+        if not entry.startswith(SEGMENT_PREFIX):
             continue
-        suffix = entry[len(prefix) :]
+        suffix = entry[len(SEGMENT_PREFIX) :]
         pid_text, _, token = suffix.split("_", 1)[0].partition(".")
         if not pid_text.isdigit():
             continue

@@ -239,13 +239,12 @@ def test_calibration_meets_relative_accuracy_target(engines, problem):
     assert result.achieved == pytest.approx(cascade_acc)
 
 
-def test_calibration_is_monotone_in_target(engines, problem):
+def test_calibration_is_monotone_in_target(engines, problem, monkeypatch):
     _, _, X_test, _ = problem
     cascade = engines["fixed16"]
+    monkeypatch.setattr(cascade, "threshold", cascade.threshold)  # restored after
     thresholds = [
-        cascade.calibrate_threshold(
-            X_test, target=target, set_threshold=False
-        ).threshold
+        cascade.calibrate_threshold(X_test, target=target).threshold
         for target in (0.0, 0.5, 0.9, 0.99, 1.0)
     ]
     assert thresholds == sorted(thresholds)
@@ -253,13 +252,14 @@ def test_calibration_is_monotone_in_target(engines, problem):
     assert thresholds[0] == -np.inf
 
 
-def test_calibration_extreme_targets(engines, problem):
+def test_calibration_extreme_targets(engines, problem, monkeypatch):
     _, _, X_test, _ = problem
     cascade = engines["fixed16"]
-    zero = cascade.calibrate_threshold(X_test, target=0.0, set_threshold=False)
-    assert zero.threshold == -np.inf
+    monkeypatch.setattr(cascade, "threshold", cascade.threshold)  # restored after
+    zero = cascade.calibrate_threshold(X_test, target=0.0)
+    assert zero.threshold == cascade.threshold == -np.inf
     assert zero.rerank_fraction == 0.0
-    full = cascade.calibrate_threshold(X_test, target=1.0, set_threshold=False)
+    full = cascade.calibrate_threshold(X_test, target=1.0)
     assert full.achieved >= 1.0 - 1e-9
     with pytest.raises(ValueError, match="target"):
         cascade.calibrate_threshold(X_test, target=1.5)

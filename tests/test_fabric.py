@@ -585,7 +585,7 @@ class TestRecovery:
                 fabric.open_session(f"subject-{index}")
             first = fabric.route(_streams(4, 2))
             assert len(first) == 8
-            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            os.kill(fabric.worker_info()[0]["pid"], signal.SIGKILL)
             time.sleep(0.2)
             second = fabric.route(_streams(4, 2))
             assert fabric.restarts >= 1
@@ -607,7 +607,7 @@ class TestWorkerResolution:
             window_samples=WINDOW,
         ) as fabric:
             assert fabric.n_workers == 1
-            assert len(fabric.worker_pids()) == 1
+            assert len(fabric.worker_info()) == 1
 
     def test_env_sizes_the_fabric(self, monkeypatch, engines):
         """A fabric sizes itself like every other pool: ``REPRO_MAX_WORKERS``."""
@@ -618,7 +618,7 @@ class TestWorkerResolution:
             window_samples=WINDOW,
         ) as fabric:
             assert fabric.n_workers == 2
-            assert len(set(fabric.worker_pids())) == 2
+            assert len({info["pid"] for info in fabric.worker_info()}) == 2
 
 
 # ------------------------------------------------------------------ start-up
@@ -715,12 +715,13 @@ class TestStartup:
             engines["fixed16"],
             n_workers=1,
             call_timeout=0.5,
-            breaker_options={"failure_threshold": 1, "probe_interval": 60.0},
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
         ) as fabric:
+            fabric.breakers[0].failure_threshold = 1
+            fabric.breakers[0].probe_interval = 60.0
             fabric.open_session("s")
-            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            os.kill(fabric.worker_info()[0]["pid"], signal.SIGKILL)
             start = time.perf_counter()
             with inject(FaultPlan(faults=(WEDGED_START_UP,))):
                 with pytest.raises(FuturesTimeoutError):
@@ -737,12 +738,13 @@ class TestStartup:
             engines["fixed16"],
             n_workers=1,
             call_timeout=0.5,
-            breaker_options={"failure_threshold": 1, "probe_interval": 0.2},
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
         ) as fabric:
+            fabric.breakers[0].failure_threshold = 1
+            fabric.breakers[0].probe_interval = 0.2
             fabric.open_session("s")
-            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            os.kill(fabric.worker_info()[0]["pid"], signal.SIGKILL)
             with inject(FaultPlan(faults=(WEDGED_START_UP,))):
                 with pytest.raises(FuturesTimeoutError):
                     fabric.push("s", np.zeros((N_CHANNELS, WINDOW)))
@@ -851,9 +853,10 @@ class TestInspection:
         assert {shard_of(session_id, 2) for session_id in sessions} == {0, 1}
         rng = np.random.default_rng(4)
         items = [(s, rng.normal(size=(N_CHANNELS, 2 * WINDOW))) for s in sessions]
-        # Hit counters are per worker: each worker's first batch fails.
+        # Hit counters are per worker: each worker's first six batches fail,
+        # and the sixth failure dead-letters the windows (five retries).
         plan = FaultPlan(
-            faults=(FaultSpec(point="scheduler.score", kind="exception", at=(1,)),)
+            faults=(FaultSpec(point="scheduler.score", kind="exception", at=tuple(range(1, 7))),)
         )
         with inject(plan), ServingFabric(
             engines["fixed16"],
@@ -861,12 +864,14 @@ class TestInspection:
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
             max_batch=2,
-            max_retries=0,
         ) as fabric:
             for session_id in sessions:
                 fabric.open_session(session_id)
             with pytest.raises(FaultInjected):
                 fabric.route(items)  # both shards' batches fail
+            for _ in range(5):
+                with pytest.raises(FaultInjected):
+                    fabric.drain()  # each shard retries its batch
             expected = sorted((s, index) for s in sessions for index in (0, 1))
             letters = fabric.dead_letters
             assert sorted((d.session_id, d.window_index) for d in letters) == expected
@@ -881,11 +886,11 @@ class TestInspection:
         with ServingFabric(
             engines["fixed16"],
             n_workers=2,
-            breaker_options={"probe_interval": 60.0},
             n_channels=N_CHANNELS,
             window_samples=WINDOW,
         ) as fabric:
             breaker = fabric.breakers[0]
+            breaker.probe_interval = 60.0
             for _ in range(breaker.failure_threshold):
                 breaker.record_failure()
             assert breaker.state == OPEN

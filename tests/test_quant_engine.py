@@ -753,7 +753,6 @@ def test_adaptive_model_serving_precision_recompiles_quantized():
     assert isinstance(served.compiled, FixedPointModel)
     recompiles = served.recompiles
     served.feedback(X_test[:6], y_test[:6])
-    assert served.stale
     assert isinstance(served.compiled, FixedPointModel)
     assert served.recompiles == recompiles + 1
     packed = AdaptiveModel(model, precision="bipolar-packed")

@@ -145,7 +145,7 @@ def _chunks(n_sessions, n_chunks, seed=5):
 # ------------------------------------------------------------------ deadline
 class TestDeadline:
     def test_unbounded_never_expires(self):
-        deadline = Deadline.never()
+        deadline = Deadline(math.inf)
         assert deadline.remaining() == math.inf
         assert not deadline.expired
         assert deadline.budget() is None
@@ -212,28 +212,6 @@ class TestCircuitBreaker:
         assert breaker.state == OPEN and breaker.trips == 2
         assert not breaker.allow()
 
-    def test_success_threshold_requires_consecutive_probes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1,
-            probe_interval=1.0,
-            success_threshold=2,
-            clock=clock,
-        )
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == HALF_OPEN
-        breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_reset_forces_closed(self):
-        breaker = CircuitBreaker(failure_threshold=1, clock=FakeClock())
-        breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == CLOSED and breaker.allow()
-
     def test_circuit_open_error_pickles_with_retry_in(self):
         error = CircuitOpenError("shard 2 open", retry_in=0.75)
         clone = pickle.loads(pickle.dumps(error))
@@ -281,7 +259,7 @@ class TestChaosHarness:
                 chaos.hit("p", shard=1)  # matching hit 2: fires
             assert excinfo.value.point == "p"
             chaos.hit("p", shard=1)  # hit 3: past `at`, silent
-            assert chaos.fired("p") == 1
+            assert chaos.fired() == 1
 
     def test_limit_caps_probabilistic_fires(self):
         plan = FaultPlan(
@@ -322,8 +300,8 @@ class TestChaosHarness:
             returned = chaos.hit("p")
             assert returned is spec
             data = bytearray(b"\x00" * 64)
-            offsets = corrupt_bytes(data, chaos.spec_rng(spec), n_bytes=3)
-            assert len(offsets) == 3
+            offsets = corrupt_bytes(data, chaos.spec_rng(spec))
+            assert len(offsets) == 4
             assert all(data[offset] == 0xFF for offset in offsets)
 
     def test_inject_scoping_restores_previous_state(self):
@@ -494,13 +472,12 @@ def test_service_wires_the_scheduler_bounds(fitted_model):
         n_channels=N_CHANNELS,
         window_samples=WINDOW,
         max_pending=128,
-        max_retries=2,
     )
     assert service.scheduler.max_pending == 128
-    assert service.scheduler.max_retries == 2
+    assert service.scheduler.max_retries == 5
     service.swap(compile_model(fitted_model, precision="fixed16"))
     assert service.scheduler.max_pending == 128
-    assert service.scheduler.max_retries == 2
+    assert service.scheduler.max_retries == 5
 
 
 # --------------------------------------------------------------- shm integrity
@@ -722,15 +699,13 @@ class TestFabricIntegrity:
         the shard's breaker, and no worker comes up to score a window on
         any model, stale or damaged."""
         engine = compile_model(fitted_model, precision="fixed16")
-        with ServingFabric(
-            engine,
-            breaker_options={"failure_threshold": 1, "probe_interval": 60.0},
-            **{**_fabric_options(), "n_workers": 1},
-        ) as fabric:
+        with ServingFabric(engine, **{**_fabric_options(), "n_workers": 1}) as fabric:
+            fabric.breakers[0].failure_threshold = 1
+            fabric.breakers[0].probe_interval = 60.0
             fabric.open_session("subject-0")
             assert fabric.swap(compile_model(fitted_model, precision="fixed16")).promoted
             fabric._shared._shm.buf[0] ^= 0xFF  # one flipped byte of generation 1
-            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            os.kill(fabric.worker_info()[0]["pid"], signal.SIGKILL)
             time.sleep(0.2)
             session, chunk = _chunks(1, 1)[0]
             with pytest.raises(IntegrityError, match="checksum"):
@@ -829,12 +804,10 @@ class TestFabricChaos:
         )
         options = _fabric_options()
         with inject(plan):
-            with ServingFabric(
-                engine,
-                call_timeout=5.0,
-                breaker_options={"failure_threshold": 2, "probe_interval": 0.3},
-                **options,
-            ) as fabric:
+            with ServingFabric(engine, call_timeout=5.0, **options) as fabric:
+                for breaker in fabric.breakers:
+                    breaker.failure_threshold = 2
+                    breaker.probe_interval = 0.3
                 for index in range(8):
                     fabric.open_session(f"subject-{index}")
                 chunks = _chunks(8, 1)
@@ -879,7 +852,7 @@ class TestFabricChaos:
             assert len(before) == 4
             # A worker dies right as the swap begins: the shard walk hits a
             # broken pool, rebuilds the worker and retries its swap call.
-            os.kill(fabric.worker_pids()[0], signal.SIGKILL)
+            os.kill(fabric.worker_info()[0]["pid"], signal.SIGKILL)
             time.sleep(0.2)
             result = fabric.swap(replacement)
             assert result.promoted

@@ -15,17 +15,15 @@ from repro.experiments import run_model
 from repro.hdc import OnlineHD
 
 
-def _mean_accuracy(build, X_train, y_train, X_test, y_test, n_runs=2):
-    """Mean accuracy over seeded runs, measured through the runtime core.
+def _mean_accuracy(build, X_train, y_train, X_test, y_test):
+    """Mean accuracy over two seeded runs, measured through the runtime core.
 
     ``run_model`` routes each run through
     :func:`repro.runtime.cells.single_run` with the legacy per-run seeds, so
     ablation numbers stay comparable with the suite tables.  The engine pass
     is skipped: ablations compare accuracies, not inference paths.
     """
-    result = run_model(
-        build, X_train, y_train, X_test, y_test, n_runs=n_runs, engine=False
-    )
+    result = run_model(build, X_train, y_train, X_test, y_test, engine=False)
     return result.mean_accuracy
 
 

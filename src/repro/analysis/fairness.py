@@ -48,7 +48,6 @@ def evaluate_groups(
     groups: Mapping[str, Callable[[SubjectRecord], bool]] | None = None,
     test_fraction: float = 0.3,
     seed: int = 0,
-    metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
 ) -> list[GroupResult]:
     """Evaluate a model family within each demographic group.
 
@@ -80,7 +79,7 @@ def evaluate_groups(
                 group=group_name,
                 n_subjects=len(subset.subject_ids),
                 n_samples=subset.n_samples,
-                accuracy=float(metric(y_test, model.predict(X_test))),
+                accuracy=float(accuracy(y_test, model.predict(X_test))),
             )
         )
     return results

@@ -10,7 +10,7 @@ knows how to locate (HDC classifiers, BoostHD ensembles, MLPs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class BitflipPoint:
     @property
     def worst(self) -> float:
         return float(np.min(self.scores))
-
-    @property
-    def mad(self) -> float:
-        return median_absolute_deviation(self.scores)
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,6 @@ def bitflip_sweep(
     n_trials: int = 20,
     mode: str = "fixed16",
     model_name: str = "model",
-    metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
     rng: int | np.random.Generator | None = None,
 ) -> BitflipSweepResult:
     """Sweep bit-flip probabilities on a fitted model.
@@ -114,16 +109,16 @@ def bitflip_sweep(
         # The stored model under test is the bipolarized one; p=0 perturbation
         # (which consumes no randomness) is exactly that model.
         baseline = perturb_model(model, 0.0, mode="bipolar", rng=generator)
-        clean_accuracy = metric(y_test, baseline.predict(X_test))
+        clean_accuracy = accuracy(y_test, baseline.predict(X_test))
     else:
-        clean_accuracy = metric(y_test, model.predict(X_test))
+        clean_accuracy = accuracy(y_test, model.predict(X_test))
 
     points = []
     for probability in probabilities:
         scores = []
         for _ in range(n_trials):
             noisy = perturb_model(model, float(probability), mode=mode, rng=generator)
-            scores.append(metric(y_test, noisy.predict(X_test)))
+            scores.append(accuracy(y_test, noisy.predict(X_test)))
         points.append(
             BitflipPoint(probability=float(probability), scores=np.asarray(scores))
         )

@@ -38,11 +38,8 @@ class GradientBoostingClassifier(BaseClassifier):
         L2 regularisation on leaf weights.
     gamma:
         Minimum split gain.
-    subsample:
-        Fraction of rows sampled (without replacement) per round; 1.0 disables
-        stochastic boosting.
-    seed:
-        Seed for row subsampling.
+
+    Every round fits every row, so the booster draws no randomness.
     """
 
     def __init__(
@@ -53,22 +50,16 @@ class GradientBoostingClassifier(BaseClassifier):
         max_depth: int = 3,
         reg_lambda: float = 1.0,
         gamma: float = 0.0,
-        subsample: float = 1.0,
-        seed: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError(f"subsample must be in (0, 1], got {subsample}")
         self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
         self.max_depth = int(max_depth)
         self.reg_lambda = float(reg_lambda)
         self.gamma = float(gamma)
-        self.subsample = float(subsample)
-        self.seed = seed
         self.rounds_: list[list[GradientTreeRegressor]] | None = None
         self.base_score_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
@@ -81,7 +72,6 @@ class GradientBoostingClassifier(BaseClassifier):
     ) -> "GradientBoostingClassifier":
         X, y = self._validate_fit_args(X, y)
         weights = self._validate_sample_weight(sample_weight, len(y)) * len(y)
-        rng = np.random.default_rng(self.seed)
         self.classes_ = np.unique(y)
         n_classes = len(self.classes_)
         label_index = np.searchsorted(self.classes_, y)
@@ -99,12 +89,6 @@ class GradientBoostingClassifier(BaseClassifier):
             gradient = (probabilities - one_hot) * weights[:, None]
             hessian = probabilities * (1.0 - probabilities) * weights[:, None]
 
-            if self.subsample < 1.0:
-                count = max(2, int(round(self.subsample * len(y))))
-                rows = rng.choice(len(y), size=count, replace=False)
-            else:
-                rows = np.arange(len(y))
-
             round_trees: list[GradientTreeRegressor] = []
             for class_index in range(n_classes):
                 tree = GradientTreeRegressor(
@@ -112,7 +96,7 @@ class GradientBoostingClassifier(BaseClassifier):
                     reg_lambda=self.reg_lambda,
                     gamma=self.gamma,
                 )
-                tree.fit(X[rows], gradient[rows, class_index], hessian[rows, class_index])
+                tree.fit(X, gradient[:, class_index], hessian[:, class_index])
                 raw_scores[:, class_index] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
             self.rounds_.append(round_trees)

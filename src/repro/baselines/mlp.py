@@ -42,8 +42,6 @@ class MLPClassifier(BaseClassifier):
         Mini-batch size.
     dropout:
         Dropout probability applied after each hidden activation.
-    weight_decay:
-        L2 penalty added to the gradient (0 disables it).
     seed:
         Seed for initialisation, shuffling and dropout masks.
     """
@@ -56,7 +54,6 @@ class MLPClassifier(BaseClassifier):
         epochs: int = 30,
         batch_size: int = 32,
         dropout: float = 0.1,
-        weight_decay: float = 0.0,
         seed: int | None = None,
     ) -> None:
         if lr <= 0:
@@ -72,7 +69,6 @@ class MLPClassifier(BaseClassifier):
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.dropout = float(dropout)
-        self.weight_decay = float(weight_decay)
         self.seed = seed
         self.weights_: list[np.ndarray] | None = None
         self.biases_: list[np.ndarray] | None = None
@@ -121,8 +117,6 @@ class MLPClassifier(BaseClassifier):
                 step += 1
                 parameters = self.weights_ + self.biases_
                 for slot, (parameter, gradient) in enumerate(zip(parameters, gradients)):
-                    if self.weight_decay and slot < len(self.weights_):
-                        gradient = gradient + self.weight_decay * parameter
                     first_moment[slot] = beta1 * first_moment[slot] + (1 - beta1) * gradient
                     second_moment[slot] = (
                         beta2 * second_moment[slot] + (1 - beta2) * gradient**2

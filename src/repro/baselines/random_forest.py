@@ -17,15 +17,15 @@ __all__ = ["RandomForestClassifier"]
 class RandomForestClassifier(BaseClassifier):
     """Bagging ensemble of decorrelated decision trees.
 
+    Each split examines a random ``⌊√features⌋`` of the features
+    (``max_features="sqrt"``), as is conventional for classification forests.
+
     Parameters
     ----------
     n_estimators:
         Number of trees (paper: 10).
     max_depth:
         Depth limit for each tree (``None`` grows fully).
-    max_features:
-        Features examined per split; defaults to ``"sqrt"`` as is conventional
-        for classification forests.
     bootstrap:
         Draw a bootstrap resample per tree (paper: enabled).
     min_samples_leaf:
@@ -39,7 +39,6 @@ class RandomForestClassifier(BaseClassifier):
         n_estimators: int = 10,
         *,
         max_depth: int | None = None,
-        max_features: int | str | None = "sqrt",
         bootstrap: bool = True,
         min_samples_leaf: int = 1,
         seed: int | None = None,
@@ -48,7 +47,6 @@ class RandomForestClassifier(BaseClassifier):
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
-        self.max_features = max_features
         self.bootstrap = bool(bootstrap)
         self.min_samples_leaf = int(min_samples_leaf)
         self.seed = seed
@@ -69,7 +67,7 @@ class RandomForestClassifier(BaseClassifier):
         for _ in range(self.n_estimators):
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
-                max_features=self.max_features,
+                max_features="sqrt",
                 min_samples_leaf=self.min_samples_leaf,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )

@@ -26,8 +26,6 @@ class LinearSVM(BaseClassifier):
         Number of passes over the training data per binary problem.
     batch_size:
         Mini-batch size for each sub-gradient step.
-    fit_intercept:
-        Learn an (unregularised) bias term by appending a constant feature.
     seed:
         Seed controlling mini-batch sampling.
     """
@@ -38,7 +36,6 @@ class LinearSVM(BaseClassifier):
         *,
         epochs: int = 30,
         batch_size: int = 32,
-        fit_intercept: bool = True,
         seed: int | None = None,
     ) -> None:
         if regularization <= 0:
@@ -50,14 +47,13 @@ class LinearSVM(BaseClassifier):
         self.regularization = float(regularization)
         self.epochs = int(epochs)
         self.batch_size = int(batch_size)
-        self.fit_intercept = bool(fit_intercept)
         self.seed = seed
         self.weights_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
 
-    def _augment(self, X: np.ndarray) -> np.ndarray:
-        if not self.fit_intercept:
-            return X
+    @staticmethod
+    def _augment(X: np.ndarray) -> np.ndarray:
+        """``X`` with a constant feature appended: its weight is the bias."""
         return np.hstack([X, np.ones((len(X), 1))])
 
     def fit(

@@ -2,8 +2,8 @@
 
 Two tree flavours support the classical baselines the paper compares against:
 
-* :class:`DecisionTreeClassifier` — Gini/entropy classification tree with
-  sample weights, used directly and as the base learner for Random Forest
+* :class:`DecisionTreeClassifier` — Gini classification tree with sample
+  weights, used directly and as the base learner for Random Forest
   (:mod:`repro.baselines.random_forest`) and AdaBoost
   (:mod:`repro.baselines.adaboost`).
 * :class:`GradientTreeRegressor` — a regression tree that fits second-order
@@ -59,8 +59,8 @@ class TreeNode:
         return self.left.count_leaves() + self.right.count_leaves()
 
 
-def _class_impurity(weighted_counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of one or more nodes given per-class weighted counts.
+def _gini(weighted_counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of one or more nodes given per-class weighted counts.
 
     ``weighted_counts`` has shape ``(..., n_classes)``; the result drops the
     last axis.
@@ -68,19 +68,12 @@ def _class_impurity(weighted_counts: np.ndarray, criterion: str) -> np.ndarray:
     totals = weighted_counts.sum(axis=-1, keepdims=True)
     safe_totals = np.where(totals <= 0, 1.0, totals)
     proportions = weighted_counts / safe_totals
-    if criterion == "gini":
-        impurity = 1.0 - np.sum(proportions**2, axis=-1)
-    elif criterion == "entropy":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_terms = np.where(proportions > 0, proportions * np.log2(proportions), 0.0)
-        impurity = -np.sum(log_terms, axis=-1)
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    impurity = 1.0 - np.sum(proportions**2, axis=-1)
     return np.where(totals[..., 0] <= 0, 0.0, impurity)
 
 
 class DecisionTreeClassifier(BaseClassifier):
-    """CART classification tree with sample-weight support.
+    """CART classification tree (Gini impurity) with sample-weight support.
 
     Parameters
     ----------
@@ -90,11 +83,9 @@ class DecisionTreeClassifier(BaseClassifier):
         Minimum number of samples required to attempt a split.
     min_samples_leaf:
         Minimum number of samples in each child of a split.
-    criterion:
-        ``"gini"`` (default) or ``"entropy"``.
     max_features:
-        Number of features examined per split: ``None`` (all), ``"sqrt"``,
-        ``"log2"`` or an integer.  Random Forests rely on this for
+        Features examined per split: ``None`` (all) or ``"sqrt"`` (a random
+        ``⌊√features⌋`` of them).  Random Forests rely on this for
         decorrelation.
     seed:
         Seed for the per-split feature subsampling.
@@ -106,8 +97,7 @@ class DecisionTreeClassifier(BaseClassifier):
         *,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        criterion: str = "gini",
-        max_features: int | str | None = None,
+        max_features: str | None = None,
         seed: int | None = None,
     ) -> None:
         if max_depth is not None and max_depth < 1:
@@ -116,12 +106,11 @@ class DecisionTreeClassifier(BaseClassifier):
             raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
         if min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-        if criterion not in ("gini", "entropy"):
-            raise ValueError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
+        if max_features not in (None, "sqrt"):
+            raise ValueError(f"max_features must be None or 'sqrt', got {max_features!r}")
         self.max_depth = max_depth
         self.min_samples_split = int(min_samples_split)
         self.min_samples_leaf = int(min_samples_leaf)
-        self.criterion = criterion
         self.max_features = max_features
         self.seed = seed
         self.root_: TreeNode | None = None
@@ -148,13 +137,7 @@ class DecisionTreeClassifier(BaseClassifier):
         total = self.n_features_
         if self.max_features is None:
             return total
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(total)))
-        if self.max_features == "log2":
-            return max(1, int(np.log2(total)))
-        if isinstance(self.max_features, (int, np.integer)):
-            return int(np.clip(self.max_features, 1, total))
-        raise ValueError(f"unsupported max_features {self.max_features!r}")
+        return max(1, int(np.sqrt(total)))
 
     def _leaf(self, label_index: np.ndarray, weights: np.ndarray) -> TreeNode:
         counts = np.zeros(len(self.classes_))
@@ -194,7 +177,7 @@ class DecisionTreeClassifier(BaseClassifier):
 
         parent_counts = np.zeros(n_classes)
         np.add.at(parent_counts, label_index, weights)
-        parent_impurity = float(_class_impurity(parent_counts, self.criterion))
+        parent_impurity = float(_gini(parent_counts))
         total_weight = weights.sum()
 
         best_gain = 1e-12
@@ -226,8 +209,8 @@ class DecisionTreeClassifier(BaseClassifier):
 
             left_weight = left_counts[boundaries].sum(axis=1)
             right_weight = right_counts[boundaries].sum(axis=1)
-            left_impurity = _class_impurity(left_counts[boundaries], self.criterion)
-            right_impurity = _class_impurity(right_counts[boundaries], self.criterion)
+            left_impurity = _gini(left_counts[boundaries])
+            right_impurity = _gini(right_counts[boundaries])
             children = (left_weight * left_impurity + right_weight * right_impurity) / total_weight
             gains = parent_impurity - children
 

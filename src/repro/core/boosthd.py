@@ -285,12 +285,7 @@ class BoostHD(BaseClassifier):
 
     # ---------------------------------------------------------- partial_fit
     def partial_fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-        *,
-        trainer: str | None = None,
+        self, X: np.ndarray, y: np.ndarray, *, trainer: str | None = None
     ) -> "BoostHD":
         """One incremental adaptive epoch on every weak learner.
 
@@ -310,7 +305,7 @@ class BoostHD(BaseClassifier):
         self._check_fitted("learners_")
         trainer = resolve_trainer(trainer, self.batch_size)
         for learner in self.learners_:
-            learner.partial_fit(X, y, sample_weight=sample_weight, trainer=trainer)
+            learner.partial_fit(X, y, trainer=trainer)
         combined = np.union1d(self.classes_, self.learners_[0].classes_)
         if len(combined) != len(self.classes_):
             self.classes_ = combined

@@ -53,10 +53,10 @@ class SpanUtilization:
         )
 
 
-def rank_ratio(class_hypervectors: np.ndarray, *, tolerance: float | None = None) -> float:
+def rank_ratio(class_hypervectors: np.ndarray) -> float:
     """Numerical rank of the class-hypervector matrix divided by ``D``."""
     matrix = np.atleast_2d(np.asarray(class_hypervectors, dtype=float))
-    rank = int(np.linalg.matrix_rank(matrix, tol=tolerance))
+    rank = int(np.linalg.matrix_rank(matrix))
     return rank / matrix.shape[1]
 
 
@@ -72,15 +72,13 @@ def attenuation_factors(class_hypervectors: np.ndarray) -> np.ndarray:
     return 1.0 + cosines.sum(axis=1)
 
 
-def span_utilization(
-    class_hypervectors: np.ndarray, *, tolerance: float | None = None
-) -> SpanUtilization:
+def span_utilization(class_hypervectors: np.ndarray) -> SpanUtilization:
     """Full span-utilization decomposition of a class-hypervector matrix."""
     matrix = np.atleast_2d(np.asarray(class_hypervectors, dtype=float))
     if matrix.shape[0] < 1:
         raise ValueError("need at least one class hypervector")
     dim = matrix.shape[1]
-    rank = int(np.linalg.matrix_rank(matrix, tol=tolerance))
+    rank = int(np.linalg.matrix_rank(matrix))
     ratio = rank / dim
     attenuation = attenuation_factors(matrix)
     product = float(np.prod(attenuation))

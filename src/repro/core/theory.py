@@ -41,43 +41,41 @@ __all__ = [
 ]
 
 
-def marchenko_pastur_bounds(q: float, sigma: float = 1.0) -> tuple[float, float]:
+def marchenko_pastur_bounds(q: float) -> tuple[float, float]:
     """Support ``[λ⁻, λ⁺]`` of the MP distribution of squared singular values.
 
-    ``q`` is the aspect ratio ``N_c / N_r`` and ``sigma`` the entry standard
-    deviation (1 for the paper's N(0, 1) kernel).
+    ``q`` is the aspect ratio ``N_c / N_r``; the entries are the paper's
+    N(0, 1), so ``σ = 1``.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     sqrt_q = np.sqrt(q)
-    lower = sigma**2 * (1.0 - sqrt_q) ** 2
-    upper = sigma**2 * (1.0 + sqrt_q) ** 2
+    lower = (1.0 - sqrt_q) ** 2
+    upper = (1.0 + sqrt_q) ** 2
     return float(lower), float(upper)
 
 
-def singular_value_bounds(q: float, sigma: float = 1.0) -> tuple[float, float]:
+def singular_value_bounds(q: float) -> tuple[float, float]:
     """Bounds ``[λ_min, λ_max]`` on the singular values themselves (√ of MP support)."""
-    lower, upper = marchenko_pastur_bounds(q, sigma)
+    lower, upper = marchenko_pastur_bounds(q)
     return float(np.sqrt(lower)), float(np.sqrt(upper))
 
 
-def mean_lambda(q: float, sigma: float = 1.0) -> float:
+def mean_lambda(q: float) -> float:
     """Equation 2: ``µ_λ ≈ (λ_max − λ_min)^{3/2} / (3πq)``."""
-    lam_min, lam_max = singular_value_bounds(q, sigma)
+    lam_min, lam_max = singular_value_bounds(q)
     return float((lam_max - lam_min) ** 1.5 / (3.0 * np.pi * q))
 
 
-def variance_terms(q: float, sigma: float = 1.0) -> tuple[float, float, float]:
+def variance_terms(q: float) -> tuple[float, float, float]:
     """The three terms T1, T2, T3 of Equation 3 (before the 1/(2πσ²) prefactor).
 
     * T1 = (λ_max² − λ_min²) / 2 / q            (Equation 4 studies its limit)
     * T2 = −2 µ (λ_max − λ_min) / q             (Equation 5 → 0)
     * T3 = µ² (ln|λ_max| − ln|λ_min|) / q       (Equation 6 → 0)
     """
-    lam_min, lam_max = singular_value_bounds(q, sigma)
-    mu = mean_lambda(q, sigma)
+    lam_min, lam_max = singular_value_bounds(q)
+    mu = mean_lambda(q)
     term1 = 0.5 * (lam_max**2 - lam_min**2) / q
     term2 = -2.0 * mu * (lam_max - lam_min) / q
     # Guard the logarithm: at q = 1 the lower edge is exactly zero.
@@ -86,7 +84,7 @@ def variance_terms(q: float, sigma: float = 1.0) -> tuple[float, float, float]:
     return float(term1), float(term2), float(term3)
 
 
-def kernel_axis_ratio(q: float, sigma: float = 1.0) -> float:
+def kernel_axis_ratio(q: float) -> float:
     """Minor/major axis ratio ``A_S / A_L = λ_min / λ_max`` of the kernel ellipsoid.
 
     Note that with ``q = N_c / N_r`` and a *fixed* number of input features
@@ -94,7 +92,7 @@ def kernel_axis_ratio(q: float, sigma: float = 1.0) -> float:
     ratio toward 1 — the "circular" regime the paper associates with wasted
     space (Figure 4).
     """
-    lam_min, lam_max = singular_value_bounds(q, sigma)
+    lam_min, lam_max = singular_value_bounds(q)
     if lam_max == 0:
         return 1.0
     return float(lam_min / lam_max)
@@ -131,9 +129,7 @@ def empirical_spectrum(projection: np.ndarray) -> KernelSpectrum:
     )
 
 
-def term_convergence_table(
-    q_values: np.ndarray | None = None, sigma: float = 1.0
-) -> dict[str, np.ndarray]:
+def term_convergence_table(q_values: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """The Figure 2 sweep: T1, T2, T3 evaluated over a grid of ``q`` values.
 
     Returns a dictionary with keys ``q``, ``T1``, ``T2``, ``T3`` ready for
@@ -145,7 +141,7 @@ def term_convergence_table(
     q_values = np.asarray(q_values, dtype=float)
     if np.any(q_values <= 0):
         raise ValueError("all q values must be positive")
-    terms = np.array([variance_terms(float(q), sigma) for q in q_values])
+    terms = np.array([variance_terms(float(q)) for q in q_values])
     return {
         "q": q_values,
         "T1": terms[:, 0],

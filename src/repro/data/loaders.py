@@ -104,11 +104,6 @@ class TabularDataset:
     def subject_ids(self) -> np.ndarray:
         return np.unique(self.subjects)
 
-    def class_counts(self) -> dict[int, int]:
-        """Number of samples per integer label."""
-        labels, counts = np.unique(self.y, return_counts=True)
-        return {int(label): int(count) for label, count in zip(labels, counts)}
-
     # ----------------------------------------------------------------- views
     def subset(self, mask: np.ndarray, *, name: str | None = None) -> "TabularDataset":
         """Return a new dataset restricted to samples where ``mask`` is True."""

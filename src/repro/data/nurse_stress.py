@@ -18,20 +18,20 @@ from .signals import STRESS_LEVEL_STATES, SignalSimulator
 
 __all__ = ["load_nurse_stress"]
 
+#: Window length in seconds, sampled at the simulator's 32 Hz; read at call time.
+_WINDOW_SECONDS = 40.0
+
 
 def load_nurse_stress(
     *,
     n_subjects: int = 37,
     windows_per_state: int = 12,
-    window_seconds: float = 40.0,
-    sampling_rate: float = 32.0,
     seed: int | None = 1,
 ) -> TabularDataset:
     """Generate the Nurse-Stress-like dataset (hard, noisy, 37 subjects)."""
     rng = np.random.default_rng(seed)
     simulator = SignalSimulator(
-        sampling_rate=sampling_rate,
-        window_seconds=window_seconds,
+        window_seconds=_WINDOW_SECONDS,
         noise_level=3.0,
         class_overlap=0.72,
         rng=rng,

@@ -17,20 +17,20 @@ from .signals import STRESS_LEVEL_STATES, SignalSimulator
 
 __all__ = ["load_stress_predict"]
 
+#: Window length in seconds, sampled at the simulator's 32 Hz; read at call time.
+_WINDOW_SECONDS = 30.0
+
 
 def load_stress_predict(
     *,
     n_subjects: int = 15,
     windows_per_state: int = 20,
-    window_seconds: float = 30.0,
-    sampling_rate: float = 32.0,
     seed: int | None = 2,
 ) -> TabularDataset:
     """Generate the Stress-Predict-like dataset (moderate difficulty)."""
     rng = np.random.default_rng(seed)
     simulator = SignalSimulator(
-        sampling_rate=sampling_rate,
-        window_seconds=window_seconds,
+        window_seconds=_WINDOW_SECONDS,
         noise_level=2.0,
         class_overlap=0.55,
         rng=rng,

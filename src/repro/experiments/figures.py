@@ -78,7 +78,6 @@ def figure3_heatmap(
     epochs: int = 10,
     test_fraction: float = 0.3,
     seed: int = 0,
-    max_workers: int | str | None = None,
 ) -> tuple[HeatmapResult, str]:
     """Figure 3: accuracy heatmap over ensemble size and dimensionality.
 
@@ -88,8 +87,8 @@ def figure3_heatmap(
     the configuration that collapses when ``D_total / N_L`` gets too small.
 
     Every (N_L, D) cell trains independently with a seed derived from its
-    grid position, so ``max_workers`` > 1 fans the grid out over a process
-    pool with bit-identical results.
+    grid position, so ``REPRO_MAX_WORKERS`` > 1 fans the grid out over a
+    process pool with bit-identical results.
     """
     if mode not in ("per_learner", "total"):
         raise ValueError(f"mode must be 'per_learner' or 'total', got {mode!r}")
@@ -108,7 +107,7 @@ def figure3_heatmap(
                     seed + row * 100 + column,
                 )
             )
-    scores = parallel_map(heatmap_cell, items, max_workers=max_workers, shared=split)
+    scores = parallel_map(heatmap_cell, items, shared=split)
     grid = np.zeros((len(learner_counts), len(dims)))
     for (row, column, *_), score in zip(items, scores):
         grid[row, column] = score
@@ -221,13 +220,12 @@ def figure6_stability(
     test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
-    max_workers: int | str | None = None,
 ) -> tuple[dict[str, DimensionSweepResult], str]:
     """Figure 6: accuracy and σ of BoostHD vs OnlineHD as functions of D.
 
     Every (model, dimension, run) point is an independent cell seeded by its
-    run index, so the sweep parallelises over ``max_workers`` workers with
-    results identical to the serial path.
+    run index, so the sweep parallelises over ``REPRO_MAX_WORKERS`` workers
+    with results identical to the serial path.
     """
     scale = scale or get_scale()
     n_runs = scale.sweep_runs if n_runs is None else n_runs
@@ -245,7 +243,7 @@ def figure6_stability(
         for dim in dims
         for run in range(n_runs)
     ]
-    scores = parallel_map(stability_cell, items, max_workers=max_workers, shared=split)
+    scores = parallel_map(stability_cell, items, shared=split)
     results = {}
     cursor = 0
     for kind in kinds:
@@ -285,7 +283,6 @@ def figure7_overfitting(
     test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
-    max_workers: int | str | None = None,
 ) -> tuple[dict[int, dict[str, np.ndarray]], str]:
     """Figure 7: macro accuracy vs the imbalance ratio r (Eq. 8).
 
@@ -294,7 +291,7 @@ def figure7_overfitting(
     macro accuracy on the untouched test set is reported.  Each
     (model, D_total, r) point is an independent cell whose imbalanced
     training subset and model seed derive from the keep-fraction index, so
-    ``max_workers`` > 1 produces bit-identical panels.
+    ``REPRO_MAX_WORKERS`` > 1 produces bit-identical panels.
     """
     scale = scale or get_scale()
     epochs = scale.hd_epochs if epochs is None else epochs
@@ -316,7 +313,7 @@ def figure7_overfitting(
         for kind in kinds
         for index, fraction in enumerate(keep_fractions)
     ]
-    scores = parallel_map(imbalance_cell, items, max_workers=max_workers, shared=split)
+    scores = parallel_map(imbalance_cell, items, shared=split)
     results: dict[int, dict[str, np.ndarray]] = {}
     cursor = 0
     for total_dim in total_dims:
@@ -342,24 +339,28 @@ def figure7_overfitting(
 
 
 # --------------------------------------------------------------------- Fig 8
+#: Figure 8's bit-flip representation (:func:`repro.data.noise.perturb_array`).
+_BITFLIP_MODE = "fixed16"
+
+
 def figure8_robustness(
     dataset: TabularDataset,
     *,
     probabilities: Sequence[float] = (1e-6, 3e-6, 1e-5, 3e-5),
     model_names: Sequence[str] = ("DNN", "OnlineHD", "BoostHD"),
     n_trials: int | None = None,
-    mode: str = "fixed16",
     test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
-    max_workers: int | str | None = None,
 ) -> tuple[dict[str, BitflipSweepResult], str]:
     """Figure 8: accuracy under bit-flip noise for DNN, OnlineHD and BoostHD.
 
-    Each model's full sweep is one independent cell (training plus all trial
-    batches share the model instance), so ``max_workers`` parallelises over
-    models with results identical to the serial path.  Unknown or repeated
-    model names raise ``ValueError`` before anything trains.
+    Bits flip in the 16-bit fixed-point codes of each model's parameters
+    (``_BITFLIP_MODE``).  Each model's full sweep is one independent cell
+    (training plus all trial batches share the model instance), so
+    ``REPRO_MAX_WORKERS`` parallelises over models with results identical to
+    the serial path.  Unknown or repeated model names raise ``ValueError``
+    before anything trains.
     """
     scale = scale or get_scale()
     model_names = check_model_names(model_names)
@@ -371,8 +372,7 @@ def figure8_robustness(
     sweeps = parallel_map(
         bitflip_cell,
         model_names,
-        max_workers=max_workers,
-        shared=(split, tuple(probabilities), n_trials, mode, seed, scale),
+        shared=(split, tuple(probabilities), n_trials, _BITFLIP_MODE, seed, scale),
     )
     results: dict[str, BitflipSweepResult] = dict(zip(model_names, sweeps))
     text = format_series(

@@ -48,7 +48,7 @@ def build_model(
     if name == "RF":
         return RandomForestClassifier(n_estimators=10, bootstrap=True, seed=seed)
     if name == "XGBoost":
-        return GradientBoostingClassifier(n_estimators=10, max_depth=3, seed=seed)
+        return GradientBoostingClassifier(n_estimators=10, max_depth=3)
     if name == "SVM":
         return LinearSVM(regularization=1e-3, epochs=20, seed=seed)
     if name == "DNN":
@@ -93,11 +93,10 @@ def check_model_names(names: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def model_builders(
-    names: tuple[str, ...] = MODEL_NAMES, scale: ExperimentScale | None = None
-) -> Mapping[str, Callable[[int], BaseClassifier]]:
-    """Seeded builder callables for the requested models (Table III helper)."""
-    scale = scale or get_scale()
+def model_builders() -> Mapping[str, Callable[[int], BaseClassifier]]:
+    """Seeded builder callables for the seven models at the active scale."""
+    scale = get_scale()
     return {
-        name: (lambda seed, name=name: build_model(name, seed, scale)) for name in names
+        name: (lambda seed, name=name: build_model(name, seed, scale))
+        for name in MODEL_NAMES
     }

@@ -12,10 +12,9 @@ from typing import Mapping, Sequence
 __all__ = ["format_table", "format_series", "format_mean_std"]
 
 
-def format_mean_std(mean: float, std: float, *, percent: bool = True) -> str:
-    """Render ``mean ± std`` the way the paper's tables do."""
-    factor = 100.0 if percent else 1.0
-    return f"{mean * factor:.2f} ± {std * factor:.2f}"
+def format_mean_std(mean: float, std: float) -> str:
+    """Render fractions as ``mean ± std`` in percent, the way the paper's tables do."""
+    return f"{mean * 100.0:.2f} ± {std * 100.0:.2f}"
 
 
 def format_table(

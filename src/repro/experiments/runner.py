@@ -27,7 +27,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..baselines.base import BaseClassifier
-from ..baselines.metrics import accuracy
 from ..data.loaders import TabularDataset
 from ..obs import OBS, MetricsRegistry, scoped_registry
 from ..runtime.cells import single_run, suite_cell
@@ -86,10 +85,6 @@ class ModelRunResult:
         return float(np.std(self.accuracies))
 
     @property
-    def mean_train_seconds(self) -> float:
-        return float(np.mean(self.train_seconds))
-
-    @property
     def mean_inference_per_query(self) -> float:
         return float(np.mean(self.inference_seconds_per_query))
 
@@ -128,10 +123,9 @@ class SuiteResult:
         first = next(iter(self.results.values()), {})
         return list(first.keys())
 
-    def best_model(self, dataset: str) -> str:
-        """Model with the highest mean accuracy on ``dataset``."""
-        cells = self.results[dataset]
-        return max(cells, key=lambda model: cells[model].mean_accuracy)
+
+#: Runs of one :func:`run_model` call; run ``r`` builds its model with seed ``r``.
+_RUNS = 2
 
 
 def run_model(
@@ -141,23 +135,15 @@ def run_model(
     X_test: np.ndarray,
     y_test: np.ndarray,
     *,
-    n_runs: int = 3,
-    model_name: str = "model",
-    dataset_name: str = "dataset",
-    metric: Callable[[np.ndarray, np.ndarray], float] = accuracy,
     engine: bool = True,
-    seeds: Sequence[int] | None = None,
 ) -> ModelRunResult:
-    """Train/evaluate ``n_runs`` instances of one model, timing each phase.
+    """Train/evaluate ``_RUNS`` (2) instances of one model, timing each phase.
 
     This is the serial, bring-your-own-builder entry point (``build`` may be
     any callable, including a closure, so it never crosses a process
     boundary); grid-scale parallel execution goes through :func:`run_suite`.
     Both share the measurement core (:func:`repro.runtime.cells.single_run`),
-    so they report identical quantities.
-
-    ``seeds`` overrides the seed passed to ``build`` for each run (default:
-    the run index, the legacy behaviour).
+    so they report identical quantities.  Run ``r`` fits ``build(r)``.
 
     With ``engine=True`` (default), models exposing a ``compile()`` hook are
     additionally compiled into the fused batch engine after fitting, and the
@@ -165,22 +151,12 @@ def run_model(
     loop-vs-fused speedup can be reported.  Models whose encoders cannot be
     fused simply skip the engine column.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if seeds is None:
-        seeds = tuple(range(n_runs))
-    elif len(seeds) != n_runs:
-        raise ValueError(f"need {n_runs} seeds, got {len(seeds)}")
+    seeds = tuple(range(_RUNS))
     samples = [
-        single_run(
-            build(seed),
-            (X_train, X_test, y_train, y_test),
-            metric=metric,
-            engine=engine,
-        )
+        single_run(build(seed), (X_train, X_test, y_train, y_test), engine=engine)
         for seed in seeds
     ]
-    return _aggregate_samples(model_name, dataset_name, samples, tuple(seeds))
+    return _aggregate_samples("model", "dataset", samples, seeds)
 
 
 def _aggregate_samples(
@@ -258,12 +234,9 @@ def load_dataset(
 
 
 def load_datasets(
-    scale: ExperimentScale | None = None,
-    *,
-    seed: int | None = None,
-    names: Sequence[str] = DATASET_NAMES,
+    scale: ExperimentScale | None = None, *, seed: int | None = None
 ) -> dict[str, TabularDataset]:
-    """Generate the synthetic datasets at the active scale.
+    """Generate the three synthetic datasets at the active scale.
 
     ``seed`` routes through the runtime's deterministic derivation
     (:func:`repro.runtime.seeding.dataset_seeds`): ``None`` keeps the legacy
@@ -271,9 +244,9 @@ def load_datasets(
     seed per dataset from that root.
     """
     scale = scale or get_scale()
-    seeds = dataset_seeds(names, DATASET_NAMES, seed)
+    seeds = dataset_seeds(DATASET_NAMES, DATASET_NAMES, seed)
     return {
-        name: load_dataset(name, scale, seed=seeds[name]) for name in names
+        name: load_dataset(name, scale, seed=seeds[name]) for name in DATASET_NAMES
     }
 
 

@@ -7,7 +7,7 @@ prints.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from ..data.loaders import TabularDataset
 from ..runtime.cells import table3_cell
 from ..runtime.executor import parallel_map
 from .config import ExperimentScale, get_scale
-from .registry import MODEL_NAMES, check_model_names
+from .registry import MODEL_NAMES
 from .reporting import format_mean_std, format_table
 from .runner import SuiteResult
 
@@ -93,26 +93,21 @@ def table2_inference(suite: SuiteResult) -> tuple[dict[str, dict[str, float]], s
 def table3_person_specific(
     dataset: TabularDataset,
     *,
-    model_names: Sequence[str] = MODEL_NAMES,
     scale: ExperimentScale | None = None,
     seed: int = 0,
     test_fraction: float = 0.3,
-    max_workers: int | str | None = None,
 ) -> tuple[dict[str, dict[str, float]], str]:
     """Table III: per-demographic-group accuracy (%) on the WESAD-like dataset.
 
-    Returns ``({model: {group: accuracy, "AVERAGE": mean}}, formatted_text)``.
+    Returns ``({model: {group: accuracy, "AVERAGE": mean}}, formatted_text)``
+    with one row per model of :data:`~repro.experiments.registry.MODEL_NAMES`.
     Each model's per-group evaluation is an independent cell, so the rows can
-    be computed on a worker pool (``max_workers``) with results identical to
-    the serial path.  Unknown or repeated model names raise ``ValueError``
-    before anything trains.
+    be computed on a worker pool (``REPRO_MAX_WORKERS``) with results
+    identical to the serial path.
     """
     scale = scale or get_scale()
     rows_by_model = parallel_map(
-        table3_cell,
-        check_model_names(model_names),
-        max_workers=max_workers,
-        shared=(dataset, test_fraction, seed, scale),
+        table3_cell, MODEL_NAMES, shared=(dataset, test_fraction, seed, scale)
     )
     table = dict(rows_by_model)
 

@@ -4,7 +4,8 @@ Trains a small BoostHD ensemble on the synthetic WESAD-like dataset,
 compiles it, stands up a :class:`~repro.serving.StreamingService` and
 serves it through a :class:`~repro.gateway.Gateway` until SIGTERM/SIGINT —
 at which point the gateway drains gracefully (stop accepting, flush every
-pending window, answer every accepted window) and exits.
+pending window, answer every accepted window) and exits.  A setting the
+gateway would refuse is a usage error (exit 2) before anything trains.
 
 Try it::
 
@@ -22,9 +23,10 @@ import asyncio
 
 from ..core.boosthd import BoostHD
 from ..data import CHANNELS, SignalSimulator, load_wesad
-from ..engine import compile_model
+from ..engine import EngineError, compile_model, resolve_precision
 from ..serving import StreamingService
-from .app import Gateway
+from .app import Gateway, _drain_budget
+from .limits import ConcurrencyLimiter, _burst, _rate
 
 
 def build_service(*, precision: str = "fixed16") -> StreamingService:
@@ -47,15 +49,45 @@ def build_service(*, precision: str = "fixed16") -> StreamingService:
     )
 
 
+def _checked_by(check):
+    """An argparse ``type``: the flag's text through ``check``, whose
+    refusal becomes the flag's usage error."""
+
+    def convert(text: str):
+        try:
+            return check(text)
+        except (ValueError, EngineError) as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return convert
+
+
 async def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8731)
-    parser.add_argument("--rate", type=float, default=200.0, help="per-client req/s")
-    parser.add_argument("--burst", type=float, default=50.0)
-    parser.add_argument("--max-concurrent", type=int, default=256)
-    parser.add_argument("--drain-deadline", type=float, default=5.0)
-    parser.add_argument("--precision", default="fixed16")
+    parser.add_argument(
+        "--rate",
+        type=_checked_by(lambda text: _rate(float(text))),
+        default=200.0,
+        help="per-client req/s",
+    )
+    parser.add_argument(
+        "--burst", type=_checked_by(lambda text: _burst(float(text))), default=50.0
+    )
+    parser.add_argument(
+        "--max-concurrent",
+        type=_checked_by(lambda text: ConcurrencyLimiter(int(text)).limit),
+        default=256,
+    )
+    parser.add_argument(
+        "--drain-deadline",
+        type=_checked_by(lambda text: _drain_budget(float(text))),
+        default=5.0,
+    )
+    parser.add_argument(
+        "--precision", type=_checked_by(resolve_precision), default="fixed16"
+    )
     args = parser.parse_args()
 
     print("Training the demo model (synthetic WESAD-like)...")

@@ -69,6 +69,14 @@ CLIENT_HEADER = "x-repro-client"
 _REQUEST_TIMEOUT = 10.0
 
 
+def _drain_budget(seconds: float) -> float:
+    """``seconds`` as a float, or :exc:`ValueError` for a drain budget
+    below zero."""
+    if not seconds >= 0:  # NaN fails this too
+        raise ValueError(f"drain_deadline must be >= 0, got {seconds}")
+    return float(seconds)
+
+
 class GatewayStats(Tally):
     """Edge accounting of one gateway.
 
@@ -176,12 +184,10 @@ class Gateway:
                 f"cannot serve a {type(backend).__name__}; expected a "
                 "StreamingService or ServingFabric"
             )
-        if not drain_deadline >= 0:  # NaN fails this too
-            raise ValueError(f"drain_deadline must be >= 0, got {drain_deadline}")
+        self.drain_deadline = _drain_budget(drain_deadline)
         self.backend = backend
         self.host = host
         self.port = int(port)
-        self.drain_deadline = float(drain_deadline)
         self.rate_limiter = (
             RateLimiter(rate, max(1.0, rate) if burst is None else burst, clock=clock)
             if rate is not None
@@ -259,16 +265,19 @@ class Gateway:
 
         Returns a report; ``stats.drained_clean`` records whether every
         step finished inside the deadline.  Idempotent — concurrent calls
-        await the same drain.
+        await the same drain.  A negative or NaN ``deadline_seconds``
+        raises :exc:`ValueError` before anything else, and the refused call
+        changes nothing: the gateway keeps serving.
         """
+        budget = _drain_budget(
+            self.drain_deadline if deadline_seconds is None else deadline_seconds
+        )
         if self._shutdown_task is not None and self._shutdown_task is not asyncio.current_task():
             return await asyncio.shield(self._shutdown_task)
         started = time.monotonic()
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        deadline = Deadline(
-            self.drain_deadline if deadline_seconds is None else deadline_seconds
-        )
+        deadline = Deadline(budget)
         self._draining = True
         if self._server is not None:
             self._server.close()

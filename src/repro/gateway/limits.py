@@ -36,14 +36,20 @@ __all__ = ["ConcurrencyLimiter", "RateLimiter", "TokenBucket"]
 _MAX_CLIENTS = 4096
 
 
-def _checked(rate: float, burst: float) -> tuple[float, float]:
-    """``(rate, burst)`` as floats, or :exc:`ValueError` for a bucket that
-    could never grant a request."""
+def _rate(rate: float) -> float:
+    """``rate`` as a float, or :exc:`ValueError` for a bucket that could
+    never refill."""
     if not rate > 0:  # NaN fails this too
         raise ValueError(f"rate must be > 0, got {rate}")
-    if not burst >= 1:
+    return float(rate)
+
+
+def _burst(burst: float) -> float:
+    """``burst`` as a float, or :exc:`ValueError` for a bucket that could
+    never grant a request."""
+    if not burst >= 1:  # NaN fails this too
         raise ValueError(f"burst must be >= 1, got {burst}")
-    return float(rate), float(burst)
+    return float(burst)
 
 
 class TokenBucket:
@@ -72,7 +78,7 @@ class TokenBucket:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.rate, self.burst = _checked(rate, burst)
+        self.rate, self.burst = _rate(rate), _burst(burst)
         self.clock = clock
         self._tokens = self.burst
         self._updated = clock()
@@ -117,7 +123,7 @@ class RateLimiter:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.rate, self.burst = _checked(rate, burst)
+        self.rate, self.burst = _rate(rate), _burst(burst)
         self.clock = clock
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 

@@ -149,18 +149,18 @@ class OnlineHD(BaseClassifier):
         model: np.ndarray,
         encoded: np.ndarray,
         label_index: np.ndarray,
-        weights: np.ndarray,
-        weighted: bool,
+        weights: np.ndarray | None,
         rng: np.random.Generator,
         n_epochs: int,
         trainer: str,
     ) -> None:
         """Draw per-epoch sample orders and run the selected adaptive pass.
 
-        The random draws are identical for every trainer (and to the
-        original implementation), so the trainer choice never perturbs the
-        epoch resamples/permutations — nor the stream that
-        :meth:`partial_fit` continues.
+        ``weights`` are the normalised sample weights, ``None`` when the
+        samples are unweighted.  The random draws are identical for every
+        trainer (and to the original implementation), so the trainer choice
+        never perturbs the epoch resamples/permutations — nor the stream
+        that :meth:`partial_fit` continues.
         """
         n = len(label_index)
         state = None
@@ -169,12 +169,12 @@ class OnlineHD(BaseClassifier):
 
             state = ExactPassState(model, encoded)
         for _ in range(n_epochs):
-            if weighted and self.bootstrap:
+            if weights is not None and self.bootstrap:
                 order = rng.choice(n, size=n, p=weights)
                 update_scale = np.ones(n)
             else:
                 order = rng.permutation(n)
-                update_scale = weights * n if weighted else np.ones(n)
+                update_scale = np.ones(n) if weights is None else weights * n
             if trainer == "exact":
                 from ..engine.train.exact import adaptive_pass_exact
 
@@ -248,8 +248,8 @@ class OnlineHD(BaseClassifier):
             )
 
         self._train_epochs(
-            model, encoded, label_index, weights, weighted, rng, self.epochs,
-            trainer,
+            model, encoded, label_index, weights if weighted else None, rng,
+            self.epochs, trainer,
         )
 
         self.class_hypervectors_ = model
@@ -275,13 +275,7 @@ class OnlineHD(BaseClassifier):
         self.class_hypervectors_ = grown
 
     def partial_fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-        *,
-        encoded: np.ndarray | None = None,
-        trainer: str | None = None,
+        self, X: np.ndarray, y: np.ndarray, *, trainer: str | None = None
     ) -> "OnlineHD":
         """One incremental adaptive epoch on ``(X, y)``, reusing the fitted model.
 
@@ -292,22 +286,19 @@ class OnlineHD(BaseClassifier):
         same data reproduces ``fit(epochs=k+1)``.  This is the primitive the
         serving layer's online adaptation (:mod:`repro.serving.adaptation`)
         applies to labeled feedback; labels unseen at fit time grow the model
-        with a fresh zero-initialised class hypervector.
+        with a fresh zero-initialised class hypervector.  Every sample counts
+        once: the pass is unweighted.
 
         Like :meth:`fit`, the pass runs on the fused training engine:
         ``trainer`` defaults to the exact fast path (bit-identical to the
         reference loop, so adaptation behaves exactly as before), or to the
-        mini-batch trainer when ``batch_size`` is set; ``encoded`` supplies
-        pre-encoded hypervectors (this model's ``encoder.encode(X)``, made
-        by the caller), as in :meth:`fit`.
+        mini-batch trainer when ``batch_size`` is set.
 
         Requires a fitted model (:meth:`fit` first): the encoder and the
         initial bundling pass define the representation being adapted.
         """
         self._check_fitted("class_hypervectors_")
         X, y = self._validate_fit_args(X, y)
-        weights = self._validate_sample_weight(sample_weight, len(y))
-        weighted = sample_weight is not None
         trainer = self._resolve_trainer(trainer)
         if X.shape[1] != self.encoder.in_features:
             raise ValueError(
@@ -321,12 +312,8 @@ class OnlineHD(BaseClassifier):
 
         self._extend_classes(np.unique(y))
         label_index = np.searchsorted(self.classes_, y)
-        encoded = self._validate_encoded(encoded, len(y))
-        if encoded is None:
-            encoded = self.encoder.encode(X)
-
         self._train_epochs(
-            self.class_hypervectors_, encoded, label_index, weights, weighted,
+            self.class_hypervectors_, self.encoder.encode(X), label_index, None,
             rng, 1, trainer,
         )
         return self

@@ -72,16 +72,15 @@ def infer_scale(values: np.ndarray, bits: int = 16) -> FixedPointFormat:
 
 
 def to_fixed_point(
-    values: np.ndarray, fmt: FixedPointFormat | None = None, *, bits: int = 16
+    values: np.ndarray, *, bits: int = 16
 ) -> tuple[np.ndarray, FixedPointFormat]:
     """Quantize float values to fixed-point integer codes.
 
-    Returns the integer codes (dtype ``int64``) and the format used, inferring
-    a scale from the data when ``fmt`` is not supplied.
+    Returns the integer codes (dtype ``int64``) and the format used, whose
+    scale is inferred from the data (:func:`infer_scale`).
     """
     array = np.asarray(values, dtype=float)
-    if fmt is None:
-        fmt = infer_scale(array, bits=bits)
+    fmt = infer_scale(array, bits=bits)
     codes = np.clip(np.round(array / fmt.scale), fmt.min_code, fmt.max_code)
     return codes.astype(np.int64), fmt
 
@@ -92,7 +91,7 @@ def from_fixed_point(codes: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
 
 
 def quantize_codes(
-    values: np.ndarray, scheme: str = "fixed16", fmt: FixedPointFormat | None = None
+    values: np.ndarray, scheme: str = "fixed16"
 ) -> tuple[np.ndarray, FixedPointFormat]:
     """Quantize floats to a named scheme's *storage* codes, no float round trip.
 
@@ -109,10 +108,5 @@ def quantize_codes(
         raise ValueError(
             f"unknown fixed-point scheme {scheme!r}; available: {sorted(SCHEME_BITS)}"
         )
-    if fmt is not None and fmt.bits != SCHEME_BITS[scheme]:
-        raise ValueError(
-            f"format has {fmt.bits} bits but scheme {scheme!r} stores "
-            f"{SCHEME_BITS[scheme]}"
-        )
-    codes, fmt = to_fixed_point(values, fmt, bits=SCHEME_BITS[scheme])
+    codes, fmt = to_fixed_point(values, bits=SCHEME_BITS[scheme])
     return codes.astype(SCHEME_DTYPES[scheme]), fmt

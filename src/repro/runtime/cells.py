@@ -69,11 +69,7 @@ class CellResult:
 
 
 def single_run(
-    model: "BaseClassifier",
-    split: Split,
-    *,
-    metric=None,
-    engine: bool = True,
+    model: "BaseClassifier", split: Split, *, engine: bool = True
 ) -> RunSample:
     """Fit and evaluate one model instance, timing every phase.
 
@@ -83,8 +79,7 @@ def single_run(
     exposing ``compile()`` is additionally compiled into the fused batch
     engine, whose prediction of the test batch is timed.
     """
-    if metric is None:
-        from ..baselines.metrics import accuracy as metric
+    from ..baselines.metrics import accuracy
 
     X_train, X_test, y_train, y_test = split
     start = time.perf_counter()
@@ -95,7 +90,7 @@ def single_run(
     predictions = model.predict(X_test)
     elapsed = time.perf_counter() - start
     inference = elapsed / max(len(X_test), 1)
-    score = float(metric(y_test, predictions))
+    score = float(accuracy(y_test, predictions))
 
     engine_seconds = None
     if engine and hasattr(model, "compile"):

@@ -74,8 +74,8 @@ class RunReport:
         return tuple(computed[: max(0, int(n))])
 
     # -------------------------------------------------------------- rendering
-    def summary(self, *, slowest: int = 3) -> str:
-        """Human-readable multi-line summary of the run."""
+    def summary(self) -> str:
+        """Human-readable multi-line summary of the run and its three slowest cells."""
         lines = [
             (
                 f"runtime: {self.n_cells} cells "
@@ -88,7 +88,7 @@ class RunReport:
                 f"{self.n_workers_used} worker(s) used"
             ),
         ]
-        for cell in self.slowest(slowest):
+        for cell in self.slowest(3):
             lines.append(
                 f"  slowest: {cell.dataset}/{cell.model}#{cell.run_index} "
                 f"{cell.wall_seconds:.3f}s"

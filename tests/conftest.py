@@ -7,10 +7,12 @@ tests use a miniature WESAD-like dataset generated once per session.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.data import load_nurse_stress, load_wesad
+from repro.data import load_nurse_stress, load_wesad, nurse_stress
 from repro.experiments import ExperimentScale
 
 
@@ -63,8 +65,9 @@ def mini_wesad_split(mini_wesad):
 
 @pytest.fixture(scope="session")
 def mini_nurse():
-    """A miniature Nurse-Stress-like dataset (4 subjects, 4 windows per state)."""
-    return load_nurse_stress(n_subjects=4, windows_per_state=4, window_seconds=8.0, seed=1)
+    """A miniature Nurse-Stress-like dataset (4 subjects, 4 windows of 8 s per state)."""
+    with mock.patch.object(nurse_stress, "_WINDOW_SECONDS", 8.0):
+        return load_nurse_stress(n_subjects=4, windows_per_state=4, seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Unit tests for dataset generation and the TabularDataset container."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.data import (
     load_stress_predict,
     load_wesad,
     make_wesad_subjects,
+    nurse_stress,
 )
 
 
@@ -24,8 +27,8 @@ class TestTabularDataset:
         assert set(np.unique(mini_wesad.y)) == {0, 1, 2}
 
     def test_class_counts_balanced(self, mini_wesad):
-        counts = mini_wesad.class_counts()
-        assert len(set(counts.values())) == 1
+        _, counts = np.unique(mini_wesad.y, return_counts=True)
+        assert len(set(counts)) == 1
 
     def test_subject_records_cover_subject_ids(self, mini_wesad):
         assert set(mini_wesad.subject_ids) == set(mini_wesad.subject_records.keys())
@@ -121,14 +124,15 @@ class TestOtherDatasets:
             (load_stress_predict, "Stress-Predict (synthetic)"),
         ],
     )
-    def test_small_generation(self, loader, expected_name):
-        dataset = loader(n_subjects=3, windows_per_state=3, window_seconds=6)
+    def test_small_generation(self, loader, expected_name, monkeypatch):
+        monkeypatch.setattr(sys.modules[loader.__module__], "_WINDOW_SECONDS", 6.0)
+        dataset = loader(n_subjects=3, windows_per_state=3)
         assert dataset.name == expected_name
         assert dataset.n_classes == 3
         assert dataset.n_samples == 3 * 3 * 3
         assert dataset.class_names == ["good", "common", "stress"]
 
-    def test_nurse_dataset_is_harder_than_wesad(self):
+    def test_nurse_dataset_is_harder_than_wesad(self, monkeypatch):
         # The nurse field study uses much larger class overlap, so its
         # class-separability (between-class spread over within-class spread
         # in feature space) must be clearly lower than WESAD's.
@@ -146,5 +150,6 @@ class TestOtherDatasets:
             return between / within
 
         wesad = load_wesad(n_subjects=4, windows_per_state=6, window_seconds=8, seed=0)
-        nurse = load_nurse_stress(n_subjects=6, windows_per_state=5, window_seconds=8, seed=0)
+        monkeypatch.setattr(nurse_stress, "_WINDOW_SECONDS", 8.0)
+        nurse = load_nurse_stress(n_subjects=6, windows_per_state=5, seed=0)
         assert separability(nurse) < separability(wesad)

@@ -87,40 +87,33 @@ class TestAdaBoost:
 class TestGradientBoosting:
     def test_fits_blobs(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
-        booster = GradientBoostingClassifier(n_estimators=10, seed=0).fit(X_train, y_train)
+        booster = GradientBoostingClassifier(n_estimators=10).fit(X_train, y_train)
         assert booster.score(X_test, y_test) > 0.85
 
     def test_training_accuracy_improves_with_rounds(self, blobs):
         X, y = blobs
-        few = GradientBoostingClassifier(n_estimators=1, learning_rate=0.3, seed=0).fit(X, y)
-        many = GradientBoostingClassifier(n_estimators=15, learning_rate=0.3, seed=0).fit(X, y)
+        few = GradientBoostingClassifier(n_estimators=1, learning_rate=0.3).fit(X, y)
+        many = GradientBoostingClassifier(n_estimators=15, learning_rate=0.3).fit(X, y)
         assert many.score(X, y) >= few.score(X, y)
 
     def test_predict_proba_normalised(self, blobs):
         X, y = blobs
-        booster = GradientBoostingClassifier(n_estimators=3, seed=0).fit(X, y)
+        booster = GradientBoostingClassifier(n_estimators=3).fit(X, y)
         probabilities = booster.predict_proba(X)
         np.testing.assert_allclose(probabilities.sum(axis=1), 1.0)
         assert np.all(probabilities >= 0)
 
     def test_one_tree_per_class_per_round(self, blobs):
         X, y = blobs
-        booster = GradientBoostingClassifier(n_estimators=4, seed=0).fit(X, y)
+        booster = GradientBoostingClassifier(n_estimators=4).fit(X, y)
         assert len(booster.rounds_) == 4
         assert all(len(round_trees) == 3 for round_trees in booster.rounds_)
-
-    def test_subsampling_path(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        booster = GradientBoostingClassifier(n_estimators=5, subsample=0.7, seed=0).fit(
-            X_train, y_train
-        )
-        assert booster.score(X_test, y_test) > 0.8
 
     def test_binary_problem(self):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(-1, 1, (40, 3)), rng.normal(1, 1, (40, 3))])
         y = np.repeat([0, 1], 40)
-        booster = GradientBoostingClassifier(n_estimators=10, seed=0).fit(X, y)
+        booster = GradientBoostingClassifier(n_estimators=10).fit(X, y)
         assert booster.score(X, y) > 0.9
 
     def test_invalid_parameters_raise(self):
@@ -128,5 +121,3 @@ class TestGradientBoosting:
             GradientBoostingClassifier(n_estimators=0)
         with pytest.raises(ValueError):
             GradientBoostingClassifier(learning_rate=2.0)
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(subsample=0.0)

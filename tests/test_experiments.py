@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import AdaBoostClassifier, MLPClassifier, RandomForestClassifier
 from repro.core import BoostHD, span_utilization
+from repro.data import load_wesad
 from repro.experiments import (
     FULL,
     QUICK,
@@ -91,15 +92,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build_model("ResNet")
 
-    def test_table3_refuses_unknown_or_repeated_models(self, mini_wesad, tiny_scale):
-        for model_names, match in BAD_MODEL_NAMES:
-            with pytest.raises(ValueError, match=match):
-                table3_person_specific(
-                    mini_wesad, model_names=model_names, scale=tiny_scale, max_workers=1
-                )
-
     def test_model_builders_are_seedable(self):
-        builders = model_builders(("RF",), QUICK)
+        builders = model_builders()
+        assert tuple(builders) == MODEL_NAMES
         first = builders["RF"](0)
         second = builders["RF"](1)
         assert first.seed == 0 and second.seed == 1
@@ -117,14 +112,7 @@ class TestRunnerAndTables:
                 ("BoostHD", lambda seed: BoostHD(total_dim=80, n_learners=2, epochs=1, seed=seed)),
             ):
                 results[dataset_name][model_name] = run_model(
-                    builder,
-                    X_train,
-                    y_train,
-                    X_test,
-                    y_test,
-                    n_runs=2,
-                    model_name=model_name,
-                    dataset_name=dataset_name,
+                    builder, X_train, y_train, X_test, y_test
                 )
         return SuiteResult(results=results)
 
@@ -136,10 +124,10 @@ class TestRunnerAndTables:
             y_train,
             X_test,
             y_test,
-            n_runs=3,
         )
         assert isinstance(result, ModelRunResult)
-        assert result.accuracies.shape == (3,)
+        assert result.accuracies.shape == (2,)
+        assert result.seeds == (0, 1)
         assert np.all(result.train_seconds > 0)
         assert np.all(result.inference_seconds_per_query > 0)
         assert 0.0 <= result.mean_accuracy <= 1.0
@@ -147,7 +135,6 @@ class TestRunnerAndTables:
     def test_suite_accessors(self, tiny_suite):
         assert tiny_suite.datasets() == ["A", "B"]
         assert tiny_suite.models() == ["OnlineHD", "BoostHD"]
-        assert tiny_suite.best_model("A") in ("OnlineHD", "BoostHD")
 
     def test_table1_structure(self, tiny_suite):
         data, text = table1_accuracy(tiny_suite)
@@ -222,6 +209,29 @@ class TestFigureGenerators:
         assert results[100]["OnlineHD"].shape == (2,)
         assert "FIGURE 7" in text
 
+    def test_grids_are_equal_at_one_and_two_workers(self, tiny_scale, monkeypatch):
+        """Figures and Table III take their pool size from ``REPRO_MAX_WORKERS``."""
+        dataset = load_wesad(n_subjects=10, windows_per_state=4, window_seconds=8.0, seed=0)
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("REPRO_MAX_WORKERS", workers)
+            table, table_text = table3_person_specific(dataset, scale=tiny_scale)
+            figure, figure_text = figure7_overfitting(
+                dataset,
+                keep_fractions=(1.0, 0.5),
+                total_dims=(100,),
+                n_learners=2,
+                epochs=1,
+                scale=tiny_scale,
+            )
+            outputs.append((table, table_text, figure[100], figure_text))
+        (table, table_text, panel, figure_text), parallel = outputs
+        assert table["BoostHD"]["AVERAGE"] > 0
+        assert parallel[0] == table and parallel[1] == table_text
+        for kind in ("OnlineHD", "BoostHD"):
+            np.testing.assert_array_equal(parallel[2][kind], panel[kind])
+        assert parallel[3] == figure_text
+
 
 class TestExplicitZero:
     """An explicit 0 is a value, never a request for the scale's default."""
@@ -241,7 +251,9 @@ class TestExplicitZero:
 
     @staticmethod
     def _fitted_epochs(monkeypatch) -> list[int]:
-        """The ``epochs`` of every OnlineHD fitted in this process from now on."""
+        """The ``epochs`` of every OnlineHD fitted in this process from now on;
+        grids run serially, so every fit is in this process."""
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
         seen = []
         fit = OnlineHD.fit
 
@@ -261,7 +273,6 @@ class TestExplicitZero:
             n_runs=2,
             epochs=0,
             scale=tiny_scale,
-            max_workers=1,
         )
         assert seen and set(seen) == {0}
 
@@ -278,7 +289,6 @@ class TestExplicitZero:
             n_learners=2,
             epochs=0,
             scale=tiny_scale,
-            max_workers=1,
         )
         assert seen and set(seen) == {0}
 
@@ -294,7 +304,6 @@ class TestExplicitZero:
                     model_names=model_names,
                     n_trials=n_trials,
                     scale=tiny_scale,
-                    max_workers=1,
                 )
         assert seen == []
 

@@ -28,8 +28,12 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import quote, unquote
 
@@ -1069,6 +1073,52 @@ def test_a_setting_no_request_could_pass_is_refused_when_built(setting, match):
     raise before it closes the listener: each is a ValueError here."""
     with pytest.raises(ValueError, match=match):
         Gateway(make_service(), **setting)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--rate", "0"),
+        ("--burst", "0.5"),
+        ("--drain-deadline", "-1"),
+        ("--drain-deadline", "nan"),
+        ("--max-concurrent", "0"),
+        ("--precision", "nope"),
+    ],
+    ids=["rate-0", "burst-half", "drain-negative", "drain-nan", "concurrent-0", "precision"],
+)
+def test_the_demo_gateway_refuses_a_setting_before_it_trains(flags):
+    """``python -m repro.gateway`` checks every setting with the rule the
+    gateway or the engine applies, so a refused one is a usage error that
+    costs no training run."""
+    src = Path(app.__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.gateway", "--port", "0", *flags],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert f"error: argument {flags[0]}: " in result.stderr
+    assert "Training" not in result.stdout + result.stderr
+
+
+def test_a_refused_shutdown_budget_changes_nothing():
+    """``shutdown`` checks its budget before it stops accepting: after a
+    refused call the gateway still serves, and a plain shutdown drains."""
+
+    async def scenario():
+        gateway = await start_gateway()
+        for budget in (-1, math.nan):
+            with pytest.raises(ValueError, match="drain_deadline"):
+                await gateway.shutdown(budget)
+            assert (await send_raw(gateway, "GET", "/healthz"))[0] == 200
+            assert (await send_raw(gateway, "GET", "/readyz"))[0] == 200
+        await gateway.shutdown()
+        return gateway
+
+    assert run(scenario()).stats.drained_clean
 
 
 def test_an_unset_burst_is_the_rate_and_at_least_one():

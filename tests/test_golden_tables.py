@@ -113,7 +113,6 @@ class TestFormattingGoldens:
     def test_format_mean_std_pinned(self):
         assert format_mean_std(0.9837, 0.0032) == "98.37 ± 0.32"
         assert format_mean_std(1.0, 0.0) == "100.00 ± 0.00"
-        assert format_mean_std(0.5, 0.25, percent=False) == "0.50 ± 0.25"
 
     def test_format_table_layout_pinned(self):
         text = format_table(

@@ -90,12 +90,8 @@ class TestEndToEndPipeline:
             y_train,
             X_test,
             y_test,
-            n_runs=2,
-            model_name="OnlineHD",
-            dataset_name="WESAD",
         )
-        assert result.model_name == "OnlineHD"
-        assert result.mean_inference_per_query < result.mean_train_seconds
+        assert result.mean_inference_per_query < np.mean(result.train_seconds)
 
     def test_public_api_quickstart_snippet(self):
         dataset = load_wesad(n_subjects=3, windows_per_state=4, window_seconds=6, seed=1)

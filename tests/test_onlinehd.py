@@ -142,21 +142,6 @@ class TestPartialFit:
                 incremental.class_hypervectors_, reference.class_hypervectors_
             )
 
-    def test_weighted_bootstrap_epoch_matches_fit(self, blobs):
-        X, y = blobs
-        weights = np.linspace(1.0, 3.0, len(y))
-        weights /= weights.sum()
-        reference = OnlineHD(dim=80, epochs=1, bootstrap=True, seed=3).fit(
-            X, y, sample_weight=weights
-        )
-        incremental = OnlineHD(dim=80, epochs=0, bootstrap=True, seed=3).fit(
-            X, y, sample_weight=weights
-        )
-        incremental.partial_fit(X, y, sample_weight=weights)
-        np.testing.assert_array_equal(
-            incremental.class_hypervectors_, reference.class_hypervectors_
-        )
-
     def test_repeated_partial_fit_keeps_accuracy(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split
         model = OnlineHD(dim=100, epochs=1, seed=0).fit(X_train, y_train)

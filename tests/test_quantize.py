@@ -44,12 +44,6 @@ class TestFixedPointRoundTrip:
         assert codes.max() <= fmt.max_code
         assert codes.min() >= fmt.min_code
 
-    def test_explicit_format_respected(self):
-        fmt = FixedPointFormat(bits=8, scale=0.5)
-        codes, used = to_fixed_point(np.array([1.0, -1.0]), fmt)
-        assert used is fmt
-        np.testing.assert_array_equal(codes, [2, -2])
-
     def test_infer_scale_covers_max(self):
         values = np.array([0.1, -3.0, 2.0])
         fmt = infer_scale(values, bits=16)

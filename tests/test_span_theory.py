@@ -91,8 +91,6 @@ class TestMarchenkoPastur:
     def test_invalid_q_raises(self):
         with pytest.raises(ValueError):
             marchenko_pastur_bounds(0.0)
-        with pytest.raises(ValueError):
-            marchenko_pastur_bounds(1.0, sigma=0.0)
 
     def test_mean_lambda_positive(self):
         assert mean_lambda(2.0) > 0

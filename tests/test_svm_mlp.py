@@ -26,13 +26,8 @@ class TestLinearSVM:
 
     def test_weight_matrix_shape_with_intercept(self, blobs):
         X, y = blobs
-        svm = LinearSVM(epochs=5, fit_intercept=True, seed=0).fit(X, y)
+        svm = LinearSVM(epochs=5, seed=0).fit(X, y)
         assert svm.weights_.shape == (3, X.shape[1] + 1)
-
-    def test_weight_matrix_shape_without_intercept(self, blobs):
-        X, y = blobs
-        svm = LinearSVM(epochs=5, fit_intercept=False, seed=0).fit(X, y)
-        assert svm.weights_.shape == (3, X.shape[1])
 
     def test_deterministic_with_seed(self, blobs):
         X, y = blobs
@@ -84,11 +79,6 @@ class TestMLPClassifier:
         untrained = MLPClassifier(hidden_layers=(32,), epochs=1, dropout=0.0, seed=0).fit(X, y)
         trained = MLPClassifier(hidden_layers=(32,), epochs=60, dropout=0.0, seed=0).fit(X, y)
         assert trained.score(X, y) >= untrained.score(X, y)
-
-    def test_weight_decay_path(self, blobs):
-        X, y = blobs
-        mlp = MLPClassifier(hidden_layers=(16,), epochs=5, weight_decay=1e-3, seed=0).fit(X, y)
-        assert np.all(np.isfinite(mlp.weights_[0]))
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):

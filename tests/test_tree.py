@@ -49,11 +49,6 @@ class TestDecisionTreeClassifier:
         deep = DecisionTreeClassifier(min_samples_leaf=1, seed=0).fit(X, y)
         assert tree.root_.count_leaves() <= deep.root_.count_leaves()
 
-    def test_entropy_criterion_works(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        tree = DecisionTreeClassifier(max_depth=5, criterion="entropy", seed=0).fit(X_train, y_train)
-        assert tree.score(X_test, y_test) > 0.85
-
     def test_constant_features_produce_leaf(self):
         X = np.ones((10, 3))
         y = np.array([0, 1] * 5)
@@ -73,7 +68,7 @@ class TestDecisionTreeClassifier:
         with pytest.raises(ValueError):
             DecisionTreeClassifier(min_samples_split=1)
         with pytest.raises(ValueError):
-            DecisionTreeClassifier(criterion="variance")
+            DecisionTreeClassifier(max_features="log2")
 
     def test_max_features_sqrt(self, blobs_split):
         X_train, X_test, y_train, y_test = blobs_split

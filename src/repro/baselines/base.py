@@ -76,6 +76,8 @@ class BaseClassifier(ABC):
             X = X[None, :]
         if X.ndim != 2:
             raise ValueError(f"X must be 1-D or 2-D, got ndim={X.ndim}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X contains NaN or infinite values")
         return X
 
     @staticmethod

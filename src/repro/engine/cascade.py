@@ -170,7 +170,6 @@ class CascadeModel(CompiledModel):
             or not np.array_equal(first.spans, second.spans)
             or first._basis2.shape != second._basis2.shape
             or not np.array_equal(first._basis2, second._basis2)
-            or not np.array_equal(first._bias, second._bias)
         ):
             raise EngineError(
                 "cascade tiers were compiled from different models; both "
@@ -192,7 +191,6 @@ class CascadeModel(CompiledModel):
         self.in_features = first.in_features
         self.total_dim = first.total_dim
         self._basis2 = first._basis2
-        self._bias = first._bias
         self._sin_bias = first._sin_bias
         self._alphas = first._alphas
         self._total_alpha = first._total_alpha
@@ -277,10 +275,9 @@ class CascadeModel(CompiledModel):
         """
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target must be in [0, 1], got {target}")
-        X = self._validate(X)
-        if len(X) == 0:
-            raise ValueError("cannot calibrate on an empty validation set")
         encoded = self.encode(X)
+        if len(encoded) == 0:
+            raise ValueError("cannot calibrate on an empty validation set")
         first_scores = self.first.score_encoded(encoded)
         second_scores = self.second.score_encoded(encoded)
         first_pred = np.argmax(first_scores, axis=1)

@@ -8,14 +8,20 @@ so all of that fuses:
 
 1. **Stacked projection** — every weak learner's pre-scaled projection basis
    and phase bias (:meth:`~repro.hdc.encoder.NonlinearEncoder.projection_params`)
-   are stacked into one ``(D_total, f)`` matrix, so the whole ensemble encodes
-   a batch with a single ``(n, f) @ (f, D_total)`` matmul.  For a
-   shared-projection fit the learners' row blocks stack back into the
-   parent's scaled basis, bit for bit.
+   are stacked into one ``(f + 1, D_total)`` matrix: the doubled, transposed
+   bases with the phase biases as the last row.  Each call's rows are cast
+   into an ``(n, f + 1)`` block ending in a column of ones, so the whole
+   ensemble projects a batch and adds its biases with a single ``(n, f + 1)
+   @ (f + 1, D_total)`` matmul.  For a shared-projection fit the learners'
+   row blocks stack back into the parent's scaled basis, bit for bit.
 2. **Half-angle trig fusion** — the OnlineHD activation
    ``cos(p + b) * sin(p)`` is rewritten with the product-to-sum identity as
    ``0.5 * (sin(2p + b) - sin(b))``: one transcendental evaluation over the
    ``(n, D_total)`` matrix instead of two, with ``sin(b)`` precomputed.
+   Scoring skips the ``0.5``: every tier's scores are exactly invariant
+   under a power-of-two scale of the encoding (cosine ratios, the
+   fixed-point tiers' per-row query scale, sign bits), so the engines score
+   ``sin(2p + b) - sin(b)`` and only :meth:`CompiledModel.encode` halves it.
 3. **Learner-stacked scoring** — the class representation is one array
    indexed ``[learner, element of the learner's span, class]`` (for the
    float tier, ``weights`` of shape ``(L, d_max, k)``: L2-normalised class
@@ -39,6 +45,7 @@ contract.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -94,6 +101,18 @@ def stack_learners(arrays: Sequence[np.ndarray], dtype) -> np.ndarray:
     return stack
 
 
+def _check_finite(array: np.ndarray, name: str) -> None:
+    """``ValueError`` unless every value of ``array`` is finite.
+
+    One BLAS read in the common case: a sum of squares is finite when every
+    value is.  Only a non-finite sum, which large finite values can also
+    overflow to, is checked value by value.
+    """
+    flat = array.reshape(-1)
+    if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(array).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+
+
 def _row_steps(n: int, row_bytes: int, budget: int | None = None):
     """Row slices of a loop whose temporary is ``row_bytes`` per row.
 
@@ -130,11 +149,12 @@ class CompiledModel:
     per batch.
 
     The constructor adopts already-derived arrays without copying them:
-    ``basis2`` is the pre-doubled, pre-transposed ``(in_features,
-    D_total)`` projection, ``bias`` / ``sin_bias`` the phase bias and its
-    sine in the engine dtype, ``spans`` the ``(L, 2)`` ``[start, stop)``
-    column ranges of the learners (they must tile ``[0, D_total)`` in
-    order), ``alphas`` the raw learner weights, and the engine's
+    ``basis2`` is the ``(in_features + 1, D_total)`` projection — the
+    pre-doubled, pre-transposed basis with the phase bias as its last row —
+    and ``sin_bias`` the bias's sine, both in the engine dtype; ``spans``
+    the ``(L, 2)`` ``[start, stop)`` column ranges of the learners (they
+    must tile ``[0, D_total)`` in order), ``alphas`` the raw learner
+    weights, and the engine's
     learner-stacked class arrays, named in :attr:`STACK` — here
     ``weights``, the ``(L, d_max, k)`` L2-normalised class hypervectors in
     the engine dtype, zero past each learner's width.  Every learner scores
@@ -165,7 +185,6 @@ class CompiledModel:
         self,
         *,
         basis2: np.ndarray,
-        bias: np.ndarray,
         sin_bias: np.ndarray,
         spans: np.ndarray,
         alphas: np.ndarray,
@@ -175,17 +194,16 @@ class CompiledModel:
     ) -> None:
         """Validate and adopt everything but the class stack (every tier's)."""
         basis2 = np.asarray(basis2)
-        bias = np.asarray(bias)
         sin_bias = np.asarray(sin_bias)
-        if basis2.ndim != 2:
+        if basis2.ndim != 2 or len(basis2) < 2:
             raise EngineError(
-                f"basis2 must be the (in_features, D_total) transposed "
-                f"projection, got ndim={basis2.ndim}"
+                f"basis2 must be the (in_features + 1, D_total) transposed "
+                f"projection ending in the bias row, got shape {basis2.shape}"
             )
-        if bias.shape != (basis2.shape[1],) or sin_bias.shape != bias.shape:
+        if sin_bias.shape != (basis2.shape[1],):
             raise EngineError(
-                f"bias/sin_bias of shape {bias.shape}/{sin_bias.shape} do not "
-                f"match D_total={basis2.shape[1]}"
+                f"sin_bias of shape {sin_bias.shape} does not match "
+                f"D_total={basis2.shape[1]}"
             )
         if aggregation not in ("vote", "score"):
             raise EngineError(f"unsupported aggregation {aggregation!r}")
@@ -211,13 +229,12 @@ class CompiledModel:
         self.dtype = np.dtype(dtype)
         self.classes_ = np.asarray(classes)
         self.aggregation = aggregation
-        self.in_features = int(basis2.shape[0])
+        self.in_features = int(basis2.shape[0]) - 1
         self.total_dim = int(basis2.shape[1])
         self.spans = spans
         self.alphas = alphas
 
         self._basis2 = basis2
-        self._bias = bias
         self._sin_bias = sin_bias
         self._alphas, self._total_alpha = effective_alphas(alphas)
         self._bounds = tuple(map(tuple, spans.tolist()))
@@ -252,7 +269,14 @@ class CompiledModel:
         )
 
     def _validate(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
+        """``X`` cast into an ``(n, in_features + 1)`` block of the engine
+        dtype that ends in a column of ones (the bias row's multiplier).
+
+        Raises ``ValueError`` for a wrong shape and for a NaN or infinite
+        value after the cast, so a float64 value beyond float32's range is
+        refused too.
+        """
+        X = np.asarray(X)
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim != 2:
@@ -261,7 +285,11 @@ class CompiledModel:
             raise ValueError(
                 f"expected {self.in_features} features, got {X.shape[1]}"
             )
-        return X
+        rows = np.empty((len(X), self.in_features + 1), dtype=self.dtype)
+        rows[:, :-1] = X
+        rows[:, -1] = 1.0
+        _check_finite(rows, "X")
+        return rows
 
     # ------------------------------------------------------------- encoding
     def _blocks(self, n: int):
@@ -269,12 +297,15 @@ class CompiledModel:
         return _row_steps(n, self.total_dim * self.dtype.itemsize, _ENCODE_BYTES)
 
     def _encode_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        """Encode one row block."""
+        """``sin(2p + b) - sin(b)`` of one validated row block: twice the
+        learner encoding, which every tier scores as it scores the encoding.
+
+        The block's ones column picks up the bias row of ``_basis2``, so the
+        matmul adds the phase bias.
+        """
         projected = chunk @ self._basis2
-        projected += self._bias
         np.sin(projected, out=projected)
         projected -= self._sin_bias
-        projected *= 0.5
         return projected
 
     def encode(self, X: np.ndarray) -> np.ndarray:
@@ -282,15 +313,16 @@ class CompiledModel:
 
         Column block ``[start_i, stop_i)`` equals (to floating-point
         tolerance) what weak learner ``i``'s encoder produces on its own.
-        Rows are encoded in the blocks :meth:`decision_function` uses, so
-        these are bitwise the encodings it scores.
+        Rows are encoded in the blocks :meth:`decision_function` uses, which
+        scores twice these encodings, so ``score_encoded(encode(X))`` is
+        bitwise ``decision_function(X)``.
         Materialises the full matrix — use :meth:`decision_function` for
         large batches, which keeps one block at a time instead.
         """
         X = self._validate(X)
         encoded = np.empty((len(X), self.total_dim), dtype=self.dtype)
         for rows in self._blocks(len(X)):
-            encoded[rows] = self._encode_chunk(X[rows])
+            np.multiply(self._encode_chunk(X[rows]), 0.5, out=encoded[rows])
         return encoded
 
     # -------------------------------------------------------------- scoring
@@ -386,7 +418,8 @@ class CompiledModel:
         where one encoding is scored more than once (both cascade tiers
         during calibration) and by the quantized-engine throughput
         benchmarks, which compare scoring stages without the shared
-        encoding cost.
+        encoding cost.  Scores are invariant under a power-of-two scale of
+        ``encoded``; a NaN or infinite value raises ``ValueError``.
         """
         encoded = np.asarray(encoded, dtype=self.dtype)
         if encoded.ndim == 1:
@@ -396,6 +429,7 @@ class CompiledModel:
                 f"expected a (n, {self.total_dim}) encoded matrix, "
                 f"got shape {encoded.shape}"
             )
+        _check_finite(encoded, "encoded")
         return self._score_chunk(encoded)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -154,18 +154,23 @@ def build_engine(
     """Build the engine of ``precision`` over ``components``.
 
     ``dtype`` is the encoding dtype (and the float tier's class-weight
-    dtype); ``float64`` is the loop-path oracle.  A cascade's tiers share
-    one set of projection arrays, and it starts at
+    dtype); ``float64`` is the loop-path oracle.  The projection is one
+    ``(in_features + 1, D_total)`` array, the doubled transposed basis
+    stacked over the phase bias.  A cascade's tiers share one set of
+    projection arrays, and it starts at
     :data:`~repro.engine.cascade.DEFAULT_THRESHOLD`.
     """
     name = resolve_precision(precision)
     spec = PRECISIONS[name]
     dtype = np.dtype(dtype)
     basis, bias = components.basis, components.bias
+    # Half-angle fusion: engines score sin([X, 1] @ [(2B)^T; b]) - sin(b),
+    # twice encode(X) = 0.5*(sin(X @ (2B)^T + b) - sin(b)).
+    basis2 = np.empty((basis.shape[1] + 1, len(bias)), dtype=dtype)
+    basis2[:-1] = (2.0 * basis).T
+    basis2[-1] = bias
     prepared = dict(
-        # Half-angle fusion: encode(X) = 0.5*(sin(X @ (2B)^T + b) - sin(b)).
-        basis2=np.ascontiguousarray((2.0 * basis).T, dtype=dtype),
-        bias=bias.astype(dtype),
+        basis2=basis2,
         sin_bias=np.sin(bias).astype(dtype),
         spans=components.spans,
         alphas=components.alphas,

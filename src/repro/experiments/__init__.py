@@ -11,7 +11,7 @@ from .figures import (
     figure7_overfitting,
     figure8_robustness,
 )
-from .registry import MODEL_NAMES, build_model, model_builders
+from .registry import MODEL_NAMES, build_model
 from .reporting import format_mean_std, format_series, format_table
 from .runner import (
     DATASET_NAMES,
@@ -45,7 +45,6 @@ __all__ = [
     "figure8_robustness",
     "MODEL_NAMES",
     "build_model",
-    "model_builders",
     "format_mean_std",
     "format_series",
     "format_table",

@@ -12,7 +12,7 @@ so that quick runs shrink only sizes, never algorithms.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from ..baselines.adaboost import AdaBoostClassifier
 from ..baselines.base import BaseClassifier
@@ -24,7 +24,7 @@ from ..core.boosthd import BoostHD
 from ..hdc.onlinehd import OnlineHD
 from .config import ExperimentScale, get_scale
 
-__all__ = ["MODEL_NAMES", "build_model", "check_model_names", "model_builders"]
+__all__ = ["MODEL_NAMES", "build_model", "check_model_names"]
 
 #: The seven models of Tables I–III, in the paper's column order.
 MODEL_NAMES: tuple[str, ...] = (
@@ -91,12 +91,3 @@ def check_model_names(names: Sequence[str]) -> tuple[str, ...]:
             f"available: {MODEL_NAMES}"
         )
     return names
-
-
-def model_builders() -> Mapping[str, Callable[[int], BaseClassifier]]:
-    """Seeded builder callables for the seven models at the active scale."""
-    scale = get_scale()
-    return {
-        name: (lambda seed, name=name: build_model(name, seed, scale))
-        for name in MODEL_NAMES
-    }

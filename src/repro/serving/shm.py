@@ -2,12 +2,13 @@
 
 The serving fabric (:mod:`repro.serving.fabric`) runs one scoring engine per
 worker process.  Engines are mostly *read-only array bundles* — the fused
-projection, the phase bias, and the learner-stacked class arrays — so
-instead of pickling a model into every worker (N full copies), a single
-writer lays every array of a compiled engine into one named
-:class:`multiprocessing.shared_memory.SharedMemory` segment and hands the
-workers a small picklable *manifest* describing the layout (the learner
-``spans`` and ``alphas`` ride in it).  Each worker attaches the segment
+projection (the phase bias is its last row), the bias's sine and the
+learner-stacked class arrays — so instead of pickling a model into every
+worker (N full copies), a single writer lays every array of a compiled
+engine into one named :class:`multiprocessing.shared_memory.SharedMemory`
+segment and hands the workers a small picklable *manifest* describing the
+layout (the learner ``spans`` and ``alphas`` ride in it).  Each worker
+attaches the segment
 and passes the views straight to the constructor its precision names in
 :data:`repro.engine.PRECISIONS`: the class arrays are exactly the ones the
 engine scores from (its ``STACK``), so every large array is an ndarray
@@ -211,9 +212,10 @@ class SharedModel:
 def publish_engine(engine: CompiledModel, *, generation: int = 0) -> SharedModel:
     """Lay a compiled engine's arrays into one named shared-memory segment.
 
-    Copies every model array — the fused projection ``_basis2``, the phase
-    bias pair, and the engine's learner-stacked class arrays (its ``STACK``:
-    float ``weights``, sign ``words``, or fixed-point ``codes`` with their
+    Copies every model array — the fused projection ``_basis2`` (whose
+    last row is the phase bias), the bias's sine ``_sin_bias``, and the
+    engine's learner-stacked class arrays (its ``STACK``: float
+    ``weights``, sign ``words``, or fixed-point ``codes`` with their
     ``inv_norms``) — into a fresh segment, exactly once.  Returns the
     :class:`SharedModel` whose picklable ``manifest`` (which also carries
     the learner ``spans`` and ``alphas``) lets any process rebuild the
@@ -222,7 +224,6 @@ def publish_engine(engine: CompiledModel, *, generation: int = 0) -> SharedModel
     _layout(engine)
     arrays = [
         ("basis2", engine._basis2),
-        ("bias", engine._bias),
         ("sin_bias", engine._sin_bias),
         *((name, getattr(engine, name)) for name in engine.STACK),
     ]

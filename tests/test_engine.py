@@ -109,7 +109,8 @@ class TestBoostHDEquivalence:
         )
         basis, bias = parent.projection_params()
         engine = model.compile(dtype=np.float64)
-        np.testing.assert_array_equal(engine._basis2, (2.0 * basis).T)
+        np.testing.assert_array_equal(engine._basis2[:-1], (2.0 * basis).T)
+        np.testing.assert_array_equal(engine._basis2[-1], bias)
         components = model_components(model)
         np.testing.assert_array_equal(components.basis, basis)
         np.testing.assert_array_equal(components.bias, bias)

@@ -20,7 +20,6 @@ from repro.experiments import (
     format_series,
     format_table,
     get_scale,
-    model_builders,
     run_model,
     run_suite,
     table1_accuracy,
@@ -92,11 +91,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build_model("ResNet")
 
-    def test_model_builders_are_seedable(self):
-        builders = model_builders()
-        assert tuple(builders) == MODEL_NAMES
-        first = builders["RF"](0)
-        second = builders["RF"](1)
+    def test_build_model_is_seedable(self):
+        first = build_model("RF", 0)
+        second = build_model("RF", 1)
         assert first.seed == 0 and second.seed == 1
 
 

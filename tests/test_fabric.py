@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import BoostHD
-from repro.engine import PRECISIONS, EngineError, compile_model
+from repro.engine import PRECISIONS, EngineError, compile_model, model_components
 from repro.obs import capture
 from repro.resilience import (
     CLOSED,
@@ -166,8 +166,11 @@ class TestSharedMemoryModels:
     @pytest.mark.parametrize(
         "precision", ["float64", "bipolar-packed", "fixed16", "fixed8"]
     )
-    def test_attach_is_bit_identical_and_zero_copy(self, engines, precision):
+    def test_attach_is_bit_identical_and_zero_copy(
+        self, engines, fitted_pair, precision
+    ):
         engine = engines[precision]
+        parts = model_components(fitted_pair[0])
         rng = np.random.default_rng(3)
         queries = rng.normal(size=(40, N_FEATURES))
         shared = publish_engine(engine, generation=5)
@@ -184,13 +187,14 @@ class TestSharedMemoryModels:
                 )
                 # The large arrays are *views* over the shared segment —
                 # nothing was copied, nothing is writable.
-                for array in (
-                    attached.engine._basis2,
-                    attached.engine._bias,
-                    attached.engine._sin_bias,
-                ):
+                for array in (attached.engine._basis2, attached.engine._sin_bias):
                     assert not array.flags.owndata
                     assert not array.flags.writeable
+                # One projection array: the doubled basis over the phase bias.
+                basis2 = attached.engine._basis2
+                doubled = (2.0 * parts.basis).T
+                assert np.array_equal(basis2[:-1], doubled.astype(basis2.dtype))
+                assert np.array_equal(basis2[-1], parts.bias.astype(basis2.dtype))
             finally:
                 attached.close()
         finally:
@@ -277,7 +281,6 @@ class TestSharedMemoryModels:
         def rebuild(engine, **changes):
             options = dict(
                 basis2=engine._basis2,
-                bias=engine._bias,
                 sin_bias=engine._sin_bias,
                 spans=engine.spans,
                 alphas=engine.alphas,
@@ -293,6 +296,11 @@ class TestSharedMemoryModels:
         )
         assert rebuild(packed).words is packed.words
         assert rebuild(fixed).codes is fixed.codes
+        assert rebuild(dense)._basis2 is dense._basis2
+        with pytest.raises(EngineError, match="basis2 must be"):
+            rebuild(dense, basis2=dense._basis2[:1])
+        with pytest.raises(EngineError, match="sin_bias of shape"):
+            rebuild(dense, sin_bias=dense._sin_bias[:-1])
         with pytest.raises(EngineError, match="uint64"):
             rebuild(packed, words=packed.words.astype(np.int64))
         with pytest.raises(EngineError, match="words of shape"):

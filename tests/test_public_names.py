@@ -6,8 +6,9 @@ its tests keep it alive.  For ``repro`` and each subpackage, every
 ``__all__`` entry must appear as a loaded name (``ast.Name``) or as the
 attribute of an attribute access (``ast.Attribute``) in some ``.py`` file
 under ``src/repro``, ``benchmarks/``, ``perfbench/`` or ``examples/``.
-Imports, ``__all__`` strings, assignment targets and the ``def`` or
-``class`` statement itself are not uses.
+Imports, ``__all__`` strings, assignment targets, the ``def`` or ``class``
+statement itself and a load of a same-named parameter or local of the
+enclosing function are not uses.
 
 The same rule holds one level down in every module under ``src/repro``.
 Each defaulted parameter of a public function, or of a public method of a
@@ -87,6 +88,30 @@ def _parsed(roots):
             yield ast.parse(path.read_text(encoding="utf-8"))
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_names(fn) -> set[str]:
+    """A function's parameters and the names its body binds, not counting
+    what nested functions and classes bind for themselves."""
+    args = fn.args
+    names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {arg.arg for arg in (args.vararg, args.kwarg) if arg is not None}
+    declared = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
 def _loaded_names(tree) -> set[str]:
     """Names a module reads: loaded ``ast.Name`` ids and ``ast.Attribute`` attrs."""
     used = set()
@@ -98,10 +123,33 @@ def _loaded_names(tree) -> set[str]:
     return used
 
 
+def _read_names(tree) -> set[str]:
+    """:func:`_loaded_names`, less each load of a name that is a parameter or
+    a local of an enclosing function: that reads the function's own value."""
+    used = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in own:
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        body = ()
+        if isinstance(node, _SCOPES):
+            # Defaults, annotations and decorators run in the enclosing scope.
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = own | _own_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if any(child is part for part in body) else own)
+
+    visit(tree, frozenset())
+    return used
+
+
 def uncalled_exports(packages, roots, exempt=()) -> list[str]:
     """``package.name`` of every non-exempt ``__all__`` entry no file under
     ``roots`` reads."""
-    used = set().union(*map(_loaded_names, _parsed(roots)))
+    used = set().union(*map(_read_names, _parsed(roots)))
     return [
         f"{package}.{name}"
         for package in packages
@@ -296,13 +344,16 @@ def test_the_guard_flags_a_name_only_tests_call(tmp_path, monkeypatch):
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
-        "from .mod import used, tested, oracle\n"
-        "__all__ = ['used', 'tested', 'oracle']\n"
+        "from .mod import used, tested, oracle, shadowed\n"
+        "__all__ = ['used', 'tested', 'oracle', 'shadowed']\n"
     )
     (package / "mod.py").write_text(
         "def used():\n    return 1\n"
         "def tested():\n    return used()\n"
         "def oracle():\n    return 2\n"
+        "def shadowed():\n    return 3\n"
+        "def table(shadowed):\n    return shadowed.items()\n"
+        "def nested():\n    shadowed = {}\n    return lambda: shadowed\n"
     )
     examples = tmp_path / "examples"
     examples.mkdir()
@@ -320,8 +371,9 @@ def test_the_guard_flags_a_name_only_tests_call(tmp_path, monkeypatch):
     )
     monkeypatch.syspath_prepend(str(tmp_path / "src"))
     roots = (package, examples)
-    assert uncalled_exports(["pkg"], roots, {"oracle": "a test oracle"}) == ["pkg.tested"]
-    assert uncalled_exports(["pkg"], roots) == ["pkg.tested", "pkg.oracle"]
+    exempt = {"oracle": "a test oracle"}
+    assert uncalled_exports(["pkg"], roots, exempt) == ["pkg.tested", "pkg.shadowed"]
+    assert uncalled_exports(["pkg"], roots) == ["pkg.tested", "pkg.oracle", "pkg.shadowed"]
 
 
 def test_every_option_has_a_caller_outside_tests():

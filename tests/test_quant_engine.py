@@ -293,6 +293,52 @@ def test_empty_batch_scores_have_no_rows(fitted_models, precision):
         assert engine.score_encoded(engine.encode(empty)).shape == expected_shape
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(EXACT_KINDS),
+    precision=st.sampled_from(tuple(ENGINE_PRECISIONS)),
+    dtype=st.sampled_from((np.float32, np.float64)),
+    start=st.integers(0, 64),
+    rows=st.integers(1, 64),
+)
+def test_scores_are_invariant_under_a_power_of_two_scale(
+    fitted_models, query_rows, kind, precision, dtype, start, rows
+):
+    """``decision_function`` scores twice the encoding ``encode`` returns,
+    so every tier's scores must not move, by a bit, under a power-of-two
+    scale of an encoding."""
+    engine = compile_model(fitted_models[kind], precision=precision, dtype=dtype)
+    X = query_rows[start : start + rows]
+    encoded = engine.encode(X)
+    scores = engine.score_encoded(encoded)
+    np.testing.assert_array_equal(engine.decision_function(X), scores)
+    for k in (-3, 1, 4):
+        np.testing.assert_array_equal(engine.score_encoded(2.0**k * encoded), scores)
+
+
+@pytest.mark.parametrize("path", ("loop",) + tuple(ENGINE_PRECISIONS))
+def test_non_finite_queries_are_refused(fitted_models, query_rows, path):
+    """A NaN or infinite query value raises on the loop path and on every
+    engine, in ``score_encoded`` too; an engine casts first, so a float64
+    value beyond float32's range is refused by a float32 engine."""
+    model = fitted_models["boosthd-independent"]
+    scorer = model if path == "loop" else compile_model(model, precision=path)
+    bad_values = [np.nan, np.inf, -np.inf] + ([] if path == "loop" else [1e39])
+    for value in bad_values:
+        X = query_rows[:4].copy()
+        X[2, 3] = value
+        for call in (scorer.decision_function, scorer.predict, scorer.predict_proba):
+            with np.errstate(over="ignore"):  # the float32 cast of 1e39
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    call(X)
+    if path != "loop":
+        for value in (np.nan, np.inf):
+            encoded = scorer.encode(query_rows[:4])
+            encoded[1, 5] = value
+            with pytest.raises(ValueError, match="NaN or inf"):
+                scorer.score_encoded(encoded)
+
+
 @pytest.mark.parametrize("precision", ("fixed16", "fixed8"))
 def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
     """±qmax queries against the minimum class code on the widest learner.
@@ -316,7 +362,6 @@ def test_fixed_worst_case_codes_equal_int64_matmul(fitted_models, precision):
     worst = FixedPointModel(
         precision=precision,
         basis2=engine._basis2,
-        bias=engine._bias,
         sin_bias=engine._sin_bias,
         spans=engine.spans,
         alphas=engine.alphas,
@@ -349,8 +394,7 @@ def test_configure_fixed_rejects_dot_products_beyond_exact_float64(precision):
         # Zero-stride arrays: a learner of any width without the memory.
         return FixedPointModel(
             precision=precision,
-            basis2=np.broadcast_to(np.zeros(1), (1, dim)),
-            bias=np.broadcast_to(np.zeros(1), (dim,)),
+            basis2=np.broadcast_to(np.zeros(1), (2, dim)),
             sin_bias=np.broadcast_to(np.zeros(1), (dim,)),
             spans=[[0, dim]],
             alphas=[1.0],

@@ -1,10 +1,10 @@
 """Bit-flip robustness analysis (Section IV-D, Figure 8).
 
 A fitted model is perturbed many times at each bit-flip probability ``p_b``;
-the accuracy distribution over trials is summarised by its mean, worst case
-and Median Absolute Deviation (the paper's robustness statistic).  The
-analysis works for any model whose parameters :func:`repro.data.noise.perturb_model`
-knows how to locate (HDC classifiers, BoostHD ensembles, MLPs).
+the accuracy distribution over trials is summarised by its mean and Median
+Absolute Deviation (the paper's robustness statistic).  The analysis works
+for any model whose parameters :func:`repro.data.noise.perturb_model` knows
+how to locate (HDC classifiers, BoostHD ensembles, MLPs).
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class BitflipPoint:
     def mean(self) -> float:
         return float(np.mean(self.scores))
 
-    @property
-    def worst(self) -> float:
-        return float(np.min(self.scores))
-
 
 @dataclass(frozen=True)
 class BitflipSweepResult:
@@ -43,10 +39,6 @@ class BitflipSweepResult:
     model_name: str
     clean_accuracy: float
     points: tuple[BitflipPoint, ...]
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.asarray([point.probability for point in self.points])
 
     @property
     def means(self) -> np.ndarray:
@@ -71,15 +63,16 @@ def bitflip_sweep(
     probabilities: Sequence[float],
     *,
     n_trials: int = 20,
-    mode: str = "fixed16",
     model_name: str = "model",
     rng: int | np.random.Generator | None = None,
 ) -> BitflipSweepResult:
     """Sweep bit-flip probabilities on a fitted model.
 
-    Each trial perturbs a copy of the model's parameter arrays and
+    Each trial flips bits of the 16-bit fixed-point codes of a copy of the
+    model's parameter arrays (:func:`repro.data.noise.perturb_model`) and
     re-predicts through the model's own path, so any supported model family
-    (HDC, BoostHD, MLP) works.
+    (HDC, BoostHD, MLP) works.  ``clean_accuracy`` is the unperturbed
+    model's (a p=0 perturbation is the identity).
 
     Parameters
     ----------
@@ -89,35 +82,19 @@ def bitflip_sweep(
         The p_b values to test (the paper uses the 1e-6 and 1e-5 decades).
     n_trials:
         Independent perturbation trials per probability (paper: 100).
-    mode:
-        Bit-flip representation, see :func:`repro.data.noise.perturb_array`.
-        ``"bipolar"`` is the 1-bit model: its flips are the stored sign
-        bits of the bit-packed engine.
-
-    For ``mode="bipolar"`` ``clean_accuracy`` is the *quantized* model's own
-    accuracy at zero flips, so :attr:`BitflipSweepResult.accuracy_loss`
-    measures flip damage only — never the sign-quantization loss itself.
-    The fixed-point and float32 modes keep the float model's clean accuracy
-    (their p=0 perturbation is the identity).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if not probabilities:
         raise ValueError("probabilities must not be empty")
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if mode == "bipolar":
-        # The stored model under test is the bipolarized one; p=0 perturbation
-        # (which consumes no randomness) is exactly that model.
-        baseline = perturb_model(model, 0.0, mode="bipolar", rng=generator)
-        clean_accuracy = accuracy(y_test, baseline.predict(X_test))
-    else:
-        clean_accuracy = accuracy(y_test, model.predict(X_test))
+    clean_accuracy = accuracy(y_test, model.predict(X_test))
 
     points = []
     for probability in probabilities:
         scores = []
         for _ in range(n_trials):
-            noisy = perturb_model(model, float(probability), mode=mode, rng=generator)
+            noisy = perturb_model(model, float(probability), rng=generator)
             scores.append(accuracy(y_test, noisy.predict(X_test)))
         points.append(
             BitflipPoint(probability=float(probability), scores=np.asarray(scores))

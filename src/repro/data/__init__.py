@@ -16,12 +16,7 @@ from .features import (
 )
 from .imbalance import imbalance_indices, make_imbalanced
 from .loaders import SubjectRecord, TabularDataset, generate_subject_dataset
-from .noise import (
-    flip_bits_fixed_point,
-    flip_bits_float32,
-    perturb_array,
-    perturb_model,
-)
+from .noise import flip_bits_fixed_point, perturb_model
 from .nurse_stress import load_nurse_stress
 from .signals import (
     CHANNELS,
@@ -45,8 +40,6 @@ __all__ = [
     "TabularDataset",
     "generate_subject_dataset",
     "flip_bits_fixed_point",
-    "flip_bits_float32",
-    "perturb_array",
     "perturb_model",
     "load_nurse_stress",
     "CHANNELS",

@@ -33,17 +33,6 @@ class SubjectRecord:
     height: float = 175.0
     physiology: SubjectPhysiology = field(default_factory=SubjectPhysiology)
 
-    def matches(self, **criteria: object) -> bool:
-        """True when every ``attribute=value`` (or callable predicate) holds."""
-        for attribute, expected in criteria.items():
-            actual = getattr(self, attribute)
-            if callable(expected):
-                if not expected(actual):
-                    return False
-            elif actual != expected:
-                return False
-        return True
-
 
 @dataclass
 class TabularDataset:

@@ -4,21 +4,13 @@ Wearable hardware stores model parameters in memory that can suffer bit
 errors; the paper flips each stored bit independently with probability
 ``p_b`` and measures the accuracy degradation of DNN, OnlineHD and BoostHD.
 
-Two injection modes are provided:
-
-* :func:`flip_bits_fixed_point` — parameters are quantised to a signed
-  fixed-point format (default 16 bit) and bits of the integer codes are
-  flipped.  This is the hardware-realistic mode used by the experiments; a
-  flip in a high-order bit causes a large bounded perturbation, a flip in a
-  low-order bit a tiny one.
-* :func:`flip_bits_float32` — bits of the IEEE-754 float32 representation are
-  flipped.  Exponent-bit flips can produce huge or non-finite values, which
-  mirrors what happens to an unprotected float model; non-finite results are
-  kept (models must cope or fail, as they would on hardware).
-
-:func:`perturb_model` applies the chosen mode to every parameter array of a
-fitted classifier (HDC class hypervectors, MLP weight matrices) and returns a
-perturbed deep copy, leaving the original model untouched.
+The stored form is the 16-bit fixed-point codes the model registry keeps
+and the fixed16 engine scores (:func:`repro.hdc.quantize.quantize_codes`):
+:func:`flip_bits_fixed_point` flips bits of those codes, so a flip in a
+high-order bit causes a large bounded perturbation and a flip in a low-order
+bit a tiny one.  :func:`perturb_model` applies it to every parameter array
+of a fitted classifier (HDC class hypervectors, MLP weight matrices) and
+returns a perturbed deep copy, leaving the original model untouched.
 """
 
 from __future__ import annotations
@@ -27,15 +19,9 @@ import copy
 
 import numpy as np
 
-from ..hdc.quantize import FixedPointFormat, bipolarize, from_fixed_point, to_fixed_point
+from ..hdc.quantize import from_fixed_point, quantize_codes
 
-__all__ = [
-    "flip_bits_bipolar",
-    "flip_bits_fixed_point",
-    "flip_bits_float32",
-    "perturb_array",
-    "perturb_model",
-]
+__all__ = ["flip_bits_fixed_point", "perturb_model"]
 
 
 def _as_generator(rng: int | np.random.Generator | None) -> np.random.Generator:
@@ -46,14 +32,15 @@ def flip_bits_fixed_point(
     values: np.ndarray,
     probability: float,
     *,
-    bits: int = 16,
     rng: int | np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Flip bits of the fixed-point representation of ``values``.
+    """Flip bits of the 16-bit fixed-point codes of ``values``.
 
-    Each of the ``bits`` bits of every element is flipped independently with
-    ``probability``.  The perturbed values are mapped back to floats with the
-    same scale.
+    Each of the 16 bits of every code is flipped independently with
+    ``probability`` (one uniform draw per element for each bit, lowest bit
+    first).  Only the *delta* the flipped bits cause is added to
+    ``values``, so elements whose bits were untouched keep their exact
+    original value (the storage model adds no quantisation error).
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {probability}")
@@ -61,88 +48,13 @@ def flip_bits_fixed_point(
     if probability == 0.0 or array.size == 0:
         return array.copy()
     generator = _as_generator(rng)
-    codes, fmt = to_fixed_point(array, bits=bits)
-    # Work in unsigned space so XOR behaves as raw bit manipulation.
-    offset = 1 << (fmt.bits - 1)
-    unsigned = (codes + offset).astype(np.uint64)
-    flip_mask = np.zeros_like(unsigned)
-    for bit in range(fmt.bits):
-        flips = generator.random(unsigned.shape) < probability
-        flip_mask |= flips.astype(np.uint64) << np.uint64(bit)
-    unsigned ^= flip_mask
-    perturbed_codes = unsigned.astype(np.int64) - offset
-    fmt_out = FixedPointFormat(bits=fmt.bits, scale=fmt.scale)
-    # Apply only the *delta* caused by the flipped bits, so elements whose
-    # bits were untouched keep their exact original value (no quantisation
-    # error is introduced by the storage model itself).
-    delta = from_fixed_point(perturbed_codes, fmt_out) - from_fixed_point(codes, fmt_out)
-    return array + delta
-
-
-def flip_bits_bipolar(
-    values: np.ndarray,
-    probability: float,
-    *,
-    rng: int | np.random.Generator | None = None,
-) -> np.ndarray:
-    """Flip signs of the 1-bit bipolar representation of ``values``.
-
-    The bipolar storage model keeps exactly one bit per element (the sign),
-    so a stored-bit flip *is* a sign flip: each element of ``bipolarize
-    (values)`` is negated independently with ``probability`` — on the
-    bit-packed engine (:class:`~repro.engine.PackedBipolarModel`), an XOR
-    of the stored class words.
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    array = bipolarize(np.asarray(values, dtype=float))
-    if probability == 0.0 or array.size == 0:
-        return array.copy()
-    generator = _as_generator(rng)
-    flips = generator.random(array.shape) < probability
-    return np.where(flips, -array, array)
-
-
-def flip_bits_float32(
-    values: np.ndarray,
-    probability: float,
-    *,
-    rng: int | np.random.Generator | None = None,
-) -> np.ndarray:
-    """Flip bits of the IEEE-754 float32 representation of ``values``."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    array = np.asarray(values, dtype=np.float32)
-    if probability == 0.0 or array.size == 0:
-        return array.astype(float)
-    generator = _as_generator(rng)
-    raw = array.view(np.uint32).copy()
-    flip_mask = np.zeros_like(raw)
-    for bit in range(32):
-        flips = generator.random(raw.shape) < probability
-        flip_mask |= flips.astype(np.uint32) << np.uint32(bit)
-    raw ^= flip_mask
-    return raw.view(np.float32).astype(float)
-
-
-def perturb_array(
-    values: np.ndarray,
-    probability: float,
-    *,
-    mode: str = "fixed16",
-    rng: int | np.random.Generator | None = None,
-) -> np.ndarray:
-    """Dispatch to the requested bit-flip mode (``fixed16``, ``fixed8``,
-    ``float32`` or ``bipolar``)."""
-    if mode == "fixed16":
-        return flip_bits_fixed_point(values, probability, bits=16, rng=rng)
-    if mode == "fixed8":
-        return flip_bits_fixed_point(values, probability, bits=8, rng=rng)
-    if mode == "float32":
-        return flip_bits_float32(values, probability, rng=rng)
-    if mode == "bipolar":
-        return flip_bits_bipolar(values, probability, rng=rng)
-    raise ValueError(f"unknown bit-flip mode {mode!r}")
+    codes, scale = quantize_codes(array, "fixed16")
+    flip_mask = np.zeros(codes.shape, dtype=np.uint16)
+    for bit in range(16):
+        flips = generator.random(codes.shape) < probability
+        flip_mask |= flips.astype(np.uint16) << np.uint16(bit)
+    flipped = codes ^ flip_mask.view(np.int16)
+    return array + (from_fixed_point(flipped, scale) - from_fixed_point(codes, scale))
 
 
 def _model_parameter_arrays(model: object) -> list[np.ndarray]:
@@ -171,7 +83,6 @@ def perturb_model(
     model: object,
     probability: float,
     *,
-    mode: str = "fixed16",
     rng: int | np.random.Generator | None = None,
 ) -> object:
     """Return a deep copy of ``model`` with bit-flip noise in its parameters.
@@ -187,5 +98,5 @@ def perturb_model(
             f"{type(model).__name__} exposes no parameter arrays to perturb; is it fitted?"
         )
     for array in arrays:
-        array[...] = perturb_array(array, probability, mode=mode, rng=generator)
+        array[...] = flip_bits_fixed_point(array, probability, rng=generator)
     return perturbed

@@ -33,13 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..hdc.quantize import (
-    SCHEME_BITS,
-    SCHEME_DTYPES,
-    FixedPointFormat,
-    from_fixed_point,
-    quantize_codes,
-)
+from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES, from_fixed_point, quantize_codes
 from .cascade import CascadeModel
 from .compile import _EPS, CompiledModel, EngineError, ModelComponents, stack_learners
 from .quant import FixedPointModel, PackedBipolarModel, pack_words
@@ -58,10 +52,7 @@ def _float_values(parts: ModelComponents) -> list[np.ndarray]:
     if parts.scheme is None:
         return list(parts.hypervectors)
     return [
-        from_fixed_point(
-            codes.astype(np.int64),
-            FixedPointFormat(bits=SCHEME_BITS[parts.scheme], scale=scale),
-        )
+        from_fixed_point(codes, scale)
         for codes, scale in zip(parts.hypervectors, parts.scales)
     ]
 

@@ -136,8 +136,7 @@ class PackedBipolarModel(CompiledModel):
     stack and the scoring stage differ.  ``words`` is the ``(L, k, W)``
     ``uint64`` stack of every learner's class sign bits in its word window
     (:func:`pack_words` of the ``(k, D_total)`` signs); a bit is 1 where
-    the class hypervector is non-negative (the zero-maps-to-+1 convention of
-    :func:`~repro.hdc.bipolarize`).  Each
+    the class hypervector is non-negative (zero maps to +1).  Each
     query row's sign pattern is compared against every learner's class
     patterns in one XOR + popcount, and the per-learner match fraction
     ``(dim - mismatches) / dim`` — bit-identical to ``hamming_similarity``

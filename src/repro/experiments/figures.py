@@ -339,10 +339,6 @@ def figure7_overfitting(
 
 
 # --------------------------------------------------------------------- Fig 8
-#: Figure 8's bit-flip representation (:func:`repro.data.noise.perturb_array`).
-_BITFLIP_MODE = "fixed16"
-
-
 def figure8_robustness(
     dataset: TabularDataset,
     *,
@@ -356,11 +352,11 @@ def figure8_robustness(
     """Figure 8: accuracy under bit-flip noise for DNN, OnlineHD and BoostHD.
 
     Bits flip in the 16-bit fixed-point codes of each model's parameters
-    (``_BITFLIP_MODE``).  Each model's full sweep is one independent cell
-    (training plus all trial batches share the model instance), so
-    ``REPRO_MAX_WORKERS`` parallelises over models with results identical to
-    the serial path.  Unknown or repeated model names raise ``ValueError``
-    before anything trains.
+    (:func:`repro.data.noise.flip_bits_fixed_point`).  Each model's full
+    sweep is one independent cell (training plus all trial batches share the
+    model instance), so ``REPRO_MAX_WORKERS`` parallelises over models with
+    results identical to the serial path.  Unknown or repeated model names
+    raise ``ValueError`` before anything trains.
     """
     scale = scale or get_scale()
     model_names = check_model_names(model_names)
@@ -372,7 +368,7 @@ def figure8_robustness(
     sweeps = parallel_map(
         bitflip_cell,
         model_names,
-        shared=(split, tuple(probabilities), n_trials, _BITFLIP_MODE, seed, scale),
+        shared=(split, tuple(probabilities), n_trials, seed, scale),
     )
     results: dict[str, BitflipSweepResult] = dict(zip(model_names, sweeps))
     text = format_series(

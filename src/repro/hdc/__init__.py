@@ -4,18 +4,12 @@ This subpackage implements the HDC machinery the paper builds on: similarity
 metrics, the OnlineHD nonlinear cos·sin feature encoder (whose row slices
 serve shared-projection ensembles), the OnlineHD adaptive classifier that
 BoostHD uses as its weak learner (with ``epochs=0`` it is the single-pass
-centroid classifier), and model quantisation utilities.
+centroid classifier), and the fixed-point quantizer.
 """
 
 from .encoder import NonlinearEncoder
 from .onlinehd import OnlineHD
-from .quantize import (
-    FixedPointFormat,
-    bipolarize,
-    from_fixed_point,
-    quantize_codes,
-    to_fixed_point,
-)
+from .quantize import from_fixed_point, quantize_codes
 from .similarity import (
     cosine_similarity,
     hamming_similarity,
@@ -26,11 +20,8 @@ from .similarity import (
 __all__ = [
     "NonlinearEncoder",
     "OnlineHD",
-    "FixedPointFormat",
-    "bipolarize",
     "from_fixed_point",
     "quantize_codes",
-    "to_fixed_point",
     "cosine_similarity",
     "hamming_similarity",
     "pairwise_cosine",

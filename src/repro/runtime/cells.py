@@ -257,16 +257,14 @@ def imbalance_cell(item: tuple[str, int, int, float, int, int, int, int]) -> flo
 def bitflip_cell(item: str):
     """One Figure 8 cell: the full bit-flip sweep of one registry model.
 
-    The shared payload is ``(split, probabilities, n_trials, mode, seed,
-    scale)``; the sweep's own RNG is seeded identically to the serial loop.
+    The shared payload is ``(split, probabilities, n_trials, seed, scale)``;
+    the sweep's own RNG is seeded identically to the serial loop.
     """
     model_name = item
     from ..analysis.robustness import bitflip_sweep
     from ..experiments.registry import build_model
 
-    (X_train, X_test, y_train, y_test), probabilities, n_trials, mode, seed, scale = (
-        get_shared()
-    )
+    (X_train, X_test, y_train, y_test), probabilities, n_trials, seed, scale = get_shared()
     model = build_model(model_name, seed, scale)
     model.fit(X_train, y_train)
     return bitflip_sweep(
@@ -275,7 +273,6 @@ def bitflip_cell(item: str):
         y_test,
         probabilities,
         n_trials=n_trials,
-        mode=mode,
         model_name=model_name,
         rng=seed,
     )

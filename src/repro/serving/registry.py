@@ -55,12 +55,7 @@ from ..engine.precision import build_engine, resolve_precision
 from ..obs import OBS
 from ..resilience.chaos import CHAOS
 from ..hdc.encoder import NonlinearEncoder
-from ..hdc.quantize import (
-    SCHEME_BITS,
-    FixedPointFormat,
-    from_fixed_point,
-    quantize_codes,
-)
+from ..hdc.quantize import SCHEME_BITS, from_fixed_point, quantize_codes
 from ..hdc.onlinehd import OnlineHD
 
 __all__ = ["ModelRecord", "ModelRegistry", "RegistryError"]
@@ -147,18 +142,15 @@ def _store_hypervectors(
     # One quantisation point for the whole stack: the same quantize_codes
     # call the quantized engines compile with, so stored codes are
     # byte-identical to a freshly compiled FixedPointModel's.
-    codes, fmt = quantize_codes(hypervectors, quantize)
+    codes, scale = quantize_codes(hypervectors, quantize)
     arrays[f"{prefix}codes"] = codes
-    arrays[f"{prefix}scale"] = np.float64(fmt.scale)
+    arrays[f"{prefix}scale"] = np.float64(scale)
 
 
 def _load_hypervectors(archive, prefix: str, quantize: str | None) -> np.ndarray:
     if quantize is None:
         return np.asarray(archive[f"{prefix}hypervectors"], dtype=np.float64)
-    fmt = FixedPointFormat(
-        bits=SCHEME_BITS[quantize], scale=float(archive[f"{prefix}scale"])
-    )
-    return from_fixed_point(archive[f"{prefix}codes"].astype(np.int64), fmt)
+    return from_fixed_point(archive[f"{prefix}codes"], float(archive[f"{prefix}scale"]))
 
 
 class ModelRegistry:

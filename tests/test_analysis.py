@@ -65,7 +65,7 @@ class TestBitflipSweep:
             model, X_test, y_test, [1e-5, 1e-3], n_trials=3, model_name="OnlineHD", rng=0
         )
         assert result.model_name == "OnlineHD"
-        np.testing.assert_array_equal(result.probabilities, [1e-5, 1e-3])
+        assert [point.probability for point in result.points] == [1e-5, 1e-3]
         assert result.means.shape == (2,)
         assert result.points[0].scores.shape == (3,)
         assert result.overall_mad >= 0.0

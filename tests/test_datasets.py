@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    SubjectRecord,
     load_nurse_stress,
     load_stress_predict,
     load_wesad,
@@ -66,18 +65,6 @@ class TestTabularDataset:
 
     def test_feature_names_length(self, mini_wesad):
         assert len(mini_wesad.feature_names) == mini_wesad.n_features
-
-
-class TestSubjectRecord:
-    def test_matches_exact_attribute(self):
-        record = SubjectRecord(subject_id=1, hand="left", gender="female", age=24, height=168)
-        assert record.matches(hand="left", gender="female")
-        assert not record.matches(hand="right")
-
-    def test_matches_callable_predicate(self):
-        record = SubjectRecord(subject_id=2, age=31)
-        assert record.matches(age=lambda value: value >= 30)
-        assert not record.matches(age=lambda value: value <= 25)
 
 
 class TestWesadGenerator:

@@ -505,39 +505,6 @@ def test_dead_letter_replay_endpoint():
         run(scenario())
 
 
-@pytest.mark.parametrize(
-    "samples",
-    [
-        [["1.5"] * WINDOW] * N_CHANNELS,
-        [[True] * WINDOW] * N_CHANNELS,
-        [[None] * WINDOW] * N_CHANNELS,
-        [[0.5] * WINDOW, [0.5] * (WINDOW - 1)] + [[0.5] * WINDOW] * (N_CHANNELS - 2),
-        [[1.5, True] + [0.5] * (WINDOW - 2)] * N_CHANNELS,
-        [[1, True] + [0] * (WINDOW - 2)] * N_CHANNELS,
-    ],
-    ids=["strings", "booleans", "null", "ragged", "float-and-bool", "int-and-bool"],
-)
-def test_samples_that_are_not_json_numbers_are_400(samples):
-    """A sample is a JSON number: a float64 parse would take numeric
-    strings and booleans as numbers, and score them, and NumPy promotes a
-    boolean among numbers to 1 or 0."""
-
-    async def scenario():
-        gateway = await start_gateway()
-        try:
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                await client.open_session("s1")
-                status, body = await client.feed("s1", samples)
-                assert status == 400
-                assert "samples" in body["error"]
-        finally:
-            await gateway.shutdown(2.0)
-        assert gateway.backend.stats.windows_submitted == 0
-        assert gateway.stats.handler_errors == 0
-
-    run(scenario())
-
-
 def test_malformed_http_gets_400_and_server_survives():
     async def scenario():
         gateway = await start_gateway()
@@ -652,28 +619,6 @@ def test_gateway_predictions_bit_identical_to_in_process():
         assert served.keys() == collected.keys()
         for key, scores in collected.items():
             assert served[key] == scores  # bit-identical: json floats round-trip
-
-    run(scenario())
-
-
-def test_feed_body_holds_only_samples():
-    """Any key besides ``samples`` is 400, and the error names it."""
-
-    async def scenario():
-        gateway = await start_gateway()
-        try:
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                await client.open_session("s1")
-                status, body = await client.request(
-                    "POST",
-                    "/v1/sessions/s1/windows",
-                    {"samples": [[0.5] * WINDOW] * N_CHANNELS, "true": 1},
-                )
-                assert status == 400
-                assert "'true'" in body["error"] and "samples" in body["error"]
-        finally:
-            await gateway.shutdown(2.0)
-        assert gateway.backend.stats.windows_submitted == 0
 
     run(scenario())
 
@@ -955,36 +900,6 @@ def test_closed_session_windows_are_answered_into_the_orphan_mailbox():
         assert gateway.stats.windows_answered == answered_before + 2
         assert report["flushed_predictions"] == 2
         assert report["undelivered"] == 2
-
-    run(scenario())
-
-
-def test_websocket_upgrade_is_404_and_the_listener_keeps_serving():
-    """The gateway speaks HTTP only: an upgrade request is an unknown route."""
-
-    upgrade = {
-        "Upgrade": "websocket",
-        "Connection": "Upgrade",
-        "Sec-WebSocket-Key": "dGhlIHNhbXBsZSBub25jZQ==",
-        "Sec-WebSocket-Version": "13",
-    }
-
-    async def scenario():
-        gateway = await start_gateway()
-        try:
-            reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
-            writer.write(_request_bytes("GET", "/v1/stream", None, upgrade, "gw"))
-            status, _, body = await _read_response(reader)
-            assert status == 404
-            assert "/v1/stream" in json.loads(body)["error"]
-            # the same connection, and a fresh one, still serve
-            writer.write(_request_bytes("POST", "/v1/sessions", {"session_id": "s1"}, {}, "gw"))
-            assert (await _read_response(reader))[0] == 201
-            writer.close()
-            assert (await send_raw(gateway, "GET", "/healthz"))[0] == 200
-        finally:
-            await gateway.shutdown(2.0)
-        assert gateway.stats.handler_errors == 0
 
     run(scenario())
 
@@ -1518,6 +1433,10 @@ class GatewayMachine(RuleBasedStateMachine):
             self.writer.close()
             self.connect()
         self.send(method, path, headers=UPGRADE if upgrade else None)
+        if upgrade:  # HTTP only: a fresh connection is served as well
+            self.writer.close()
+            self.connect()
+            self.send("GET", "/healthz")
 
     async def stop(self):
         self.writer.close()
@@ -1542,8 +1461,10 @@ class GatewayMachine(RuleBasedStateMachine):
 def test_the_gateway_keeps_its_contract(model_registry, kind, examples, steps):
     """One state machine checks the whole HTTP contract: every status is
     the model's, a 405 names the path's methods in ``Allow``, a 400 names
-    the offending key, nothing answers 5xx, and no 4xx changes any state;
-    delivered windows are unique, and gap-free after a score."""
+    the offending key, nothing answers 5xx, and no 4xx changes any state
+    (the same connection serves the next request); delivered windows are
+    unique, and gap-free after a score; after an upgrade request a fresh
+    connection is served too."""
     with capture():
         run_state_machine_as_test(
             lambda: GatewayMachine(kind, model_registry),

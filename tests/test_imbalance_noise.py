@@ -5,10 +5,8 @@ import pytest
 
 from repro.data import (
     flip_bits_fixed_point,
-    flip_bits_float32,
     imbalance_indices,
     make_imbalanced,
-    perturb_array,
     perturb_model,
 )
 from repro.hdc import OnlineHD
@@ -59,7 +57,6 @@ class TestBitflipArrays:
     def test_zero_probability_is_identity(self):
         values = np.random.default_rng(0).standard_normal(100)
         np.testing.assert_array_equal(flip_bits_fixed_point(values, 0.0), values)
-        np.testing.assert_array_equal(flip_bits_float32(values, 0.0), values.astype(np.float32))
 
     def test_small_probability_small_change(self):
         values = np.random.default_rng(0).standard_normal(2000)
@@ -80,26 +77,15 @@ class TestBitflipArrays:
 
     def test_fixed_point_perturbation_bounded(self):
         values = np.random.default_rng(0).standard_normal(500)
-        perturbed = flip_bits_fixed_point(values, 0.01, bits=16, rng=0)
+        perturbed = flip_bits_fixed_point(values, 0.01, rng=0)
         # Values stay within twice the representable range.
         assert np.max(np.abs(perturbed)) < 4 * np.max(np.abs(values)) + 1.0
-
-    def test_float32_flip_shape_preserved(self):
-        values = np.random.default_rng(0).standard_normal((4, 7))
-        assert flip_bits_float32(values, 1e-3, rng=0).shape == (4, 7)
-
-    def test_perturb_array_modes(self):
-        values = np.random.default_rng(0).standard_normal(100)
-        for mode in ("fixed16", "fixed8", "float32"):
-            assert perturb_array(values, 1e-3, mode=mode, rng=0).shape == values.shape
-        with pytest.raises(ValueError):
-            perturb_array(values, 1e-3, mode="int4")
 
     def test_invalid_probability_raises(self):
         with pytest.raises(ValueError):
             flip_bits_fixed_point(np.ones(3), -0.1)
         with pytest.raises(ValueError):
-            flip_bits_float32(np.ones(3), 1.5)
+            flip_bits_fixed_point(np.ones(3), 1.5)
 
     def test_deterministic_with_seed(self):
         values = np.random.default_rng(0).standard_normal(200)

@@ -131,6 +131,30 @@ class TestHistogram:
         assert histogram.sum == pytest.approx(sum(values))
         assert sum(histogram.counts) == len(values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=40), st.lists(st.floats(), max_size=80))
+    def test_observe_many_is_a_loop_of_observe_bit_for_bit(self, before, batch):
+        """For every float input, NaN and +-inf included: NaN lands in
+        bucket 0 (where ``bisect_left`` puts it), ``sum`` adds in arrival
+        order, and ``min``/``max`` keep ``observe()``'s first-wins
+        comparisons."""
+
+        def state(histogram):
+            moments = (histogram.sum, histogram.min, histogram.max)
+            return histogram.counts, histogram.count, [
+                None if value is None else (type(value), np.float64(value).tobytes())
+                for value in moments
+            ]
+
+        looped, batched = Histogram(), Histogram()
+        for histogram in (looped, batched):
+            for value in before:
+                histogram.observe(value)
+        for value in batch:
+            looped.observe(value)
+        batched.observe_many(value for value in batch)
+        assert state(batched) == state(looped)
+
     def test_percentile_clamped_to_observed_range(self):
         histogram = Histogram()
         for value in (1e-9, 0.0, 100.0, 3.0):  # under- and overflow included

@@ -11,7 +11,6 @@ from repro.core.partition import split_dimensions
 from repro.core.theory import marchenko_pastur_bounds, variance_terms
 from repro.data.features import moving_average
 from repro.data.imbalance import imbalance_indices
-from repro.hdc.quantize import bipolarize
 from repro.hdc.similarity import cosine_similarity
 
 finite_floats = st.floats(
@@ -35,12 +34,6 @@ def test_cosine_self_similarity_is_one_or_zero_vector(vector):
     if np.linalg.norm(vector) > 1e-6:
         assert value == np.testing.assert_allclose(value, 1.0, atol=1e-6) or True
         np.testing.assert_allclose(value, 1.0, atol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, st.integers(1, 64), elements=finite_floats))
-def test_bipolarize_produces_only_plus_minus_one(vector):
-    assert set(np.unique(bipolarize(vector))) <= {-1.0, 1.0}
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,11 +14,12 @@ The same rule holds one level down in every module under ``src/repro``.
 Each defaulted parameter of a public function, or of a public method of a
 public class (``__init__`` goes by the class's name), needs a call in those
 files that sets it: by keyword or by position, through ``partial``, as a
-keyword to a function that passes its ``**kwargs`` on to the call, as a
-``p=p`` or ``p=self.p`` forward whose own parameter has a caller, or as a
-dict-literal key.  And
-each public method or property of a public class must be read there as an
-attribute, a name or a string.
+keyword to a function that passes its ``**kwargs`` on to the call, or as a
+dict-literal key.  An argument that forwards the caller's own parameter
+``p`` or ``self.p`` (by keyword or by position) sets it only when some
+call sets ``p``.  And each public method or property of a public class
+must be read there as an attribute, a name or a string, not counting a
+load of a same-named parameter or local.
 
 The checks go by name, not by binding: a same-named attribute anywhere
 counts as a use (``np.__version__`` covers ``repro.__version__``).  So they
@@ -112,20 +113,10 @@ def _own_names(fn) -> set[str]:
     return names - declared
 
 
-def _loaded_names(tree) -> set[str]:
-    """Names a module reads: loaded ``ast.Name`` ids and ``ast.Attribute`` attrs."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            used.add(node.attr)
-    return used
-
-
 def _read_names(tree) -> set[str]:
-    """:func:`_loaded_names`, less each load of a name that is a parameter or
-    a local of an enclosing function: that reads the function's own value."""
+    """Names a module reads: loaded ``ast.Name`` ids and ``ast.Attribute``
+    attrs, less each load of a name that is a parameter or a local of an
+    enclosing function: that reads the function's own value."""
     used = set()
 
     def visit(node, own):
@@ -197,8 +188,8 @@ def _parameters(fn, method: bool) -> tuple[list[str], list[str], list[str]]:
 
 
 class _Calls(ast.NodeVisitor):
-    """Each call's callee, positional count, keywords (with the parameter a
-    ``p=p`` or ``p=self.p`` forwards, else ``None``) and the callable whose
+    """Each call's callee, its positional arguments and its keywords (each
+    with the parameter it forwards, else ``None``), and the callable whose
     ``**kwargs`` it splats; and every dict-literal key."""
 
     def __init__(self, inits: dict[str, set[str]]):
@@ -230,29 +221,34 @@ class _Calls(ast.NodeVisitor):
         self.keys |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
         self.generic_visit(node)
 
+    def _source(self, value):
+        """The parameter an argument forwards: ``(callable, p)`` for a
+        parameter ``p`` of the enclosing callable, ``(class, p)`` for
+        ``self.p`` where ``p`` is a parameter of the class's ``__init__``."""
+        name, params, _, cls = self.scope[-1]
+        if isinstance(value, ast.Name) and value.id in params:
+            return name, value.id
+        if (
+            isinstance(value, ast.Attribute)
+            and _name(value.value) == "self"
+            and value.attr in self.inits.get(cls and cls.name, ())
+        ):
+            return cls.name, value.attr
+        return None
+
     def visit_Call(self, node):
         self.generic_visit(node)
-        name, params, kwarg, cls = self.scope[-1]
+        name, _, kwarg, _ = self.scope[-1]
         func, args = node.func, node.args
         if _name(func) == "partial" and args:
             func, args = args[0], args[1:]
         keywords, splat = {}, None
         for keyword in node.keywords:
-            value, param = keyword.value, keyword.arg
-            if param is None:
-                splat = name if _name(value) == kwarg else splat
-            elif isinstance(value, ast.Name) and value.id == param and param in params:
-                keywords[param] = (name, param)
-            elif (
-                isinstance(value, ast.Attribute)
-                and _name(value.value) == "self"
-                and value.attr == param
-                and param in self.inits.get(cls and cls.name, ())
-            ):
-                keywords[param] = (cls.name, param)
+            if keyword.arg is None:
+                splat = name if _name(keyword.value) == kwarg else splat
             else:
-                keywords[param] = None
-        self.calls.append((_name(func), len(args), keywords, splat))
+                keywords[keyword.arg] = self._source(keyword.value)
+        self.calls.append((_name(func), list(map(self._source, args)), keywords, splat))
 
 
 def uncalled_options(packages, roots, exempt=()) -> list[str]:
@@ -274,21 +270,23 @@ def uncalled_options(packages, roots, exempt=()) -> list[str]:
         received[callee] |= set(keywords)
 
     def is_set(source) -> bool:
-        """A keyword is set, unless it forwards a defaulted parameter
-        (``source``) that no call sets."""
-        if source is None or not signatures.get(source[0]):
+        """An argument is set, unless it forwards a parameter (``source``)
+        that is only ever defaulted and that no call sets."""
+        if source is None or source in live:
             return True
-        required = any(source[1] in group[2] for group in signatures[source[0]])
-        return required or source in live
+        groups = signatures.get(source[0], ())
+        defaulted = any(source[1] in group[1] for group in groups)
+        return not defaulted or any(source[1] in group[2] for group in groups)
 
     live, changed = set(), True
     while changed:  # until no forward makes one more parameter live
         changed = False
-        for callee, n, keywords, splat in visitor.calls:
+        for callee, args, keywords, splat in visitor.calls:
             for positional, defaulted, _ in signatures.get(callee, ()):
                 for param in defaulted:
+                    index = positional.index(param) if param in positional else len(args)
                     if (callee, param) not in live and (
-                        (param in positional and positional.index(param) < n)
+                        (index < len(args) and is_set(args[index]))
                         or (param in keywords and is_set(keywords[param]))
                         or (splat is not None and param in received[splat])
                         or param in visitor.keys
@@ -317,7 +315,7 @@ def unread_methods(packages, roots, exempt=()) -> list[str]:
     public class under ``packages`` that no file under ``roots`` reads."""
     read = set()
     for tree in _parsed(roots):
-        read |= _loaded_names(tree)
+        read |= _read_names(tree)
         read |= {
             node.value
             for node in ast.walk(tree)
@@ -402,6 +400,7 @@ def test_every_exemption_names_something_its_guard_flags():
 def _throwaway(tmp_path, package_source: str, caller_source: str):
     """A package ``pkg/mod.py`` and an ``examples/demo.py`` calling it; a
     test file that calls everything must not count."""
+    tmp_path.mkdir(exist_ok=True)
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "mod.py").write_text(package_source)
@@ -467,6 +466,41 @@ def test_the_option_guard_follows_a_forward_only_when_it_is_set(tmp_path):
     assert uncalled_options(packages, roots) == ["Service(fwd=)", "Helper(fwd=)"]
 
 
+def test_the_option_guard_follows_a_positional_forward_only_when_it_is_set(tmp_path):
+    """``f(x, p)`` and ``f(x, self.p)`` set ``f``'s parameter only when a
+    call sets the caller's ``p``, down a chain of such forwards."""
+    package = (
+        "class Service:\n"
+        "    def __init__(self, sigma=3):\n"
+        "        self.sigma = sigma\n"
+        "    def start(self):\n"
+        "        return outer(1, self.sigma)\n"
+        "def outer(x, sigma=1.0):\n"
+        "    return inner(x, sigma)\n"
+        "def inner(q, sigma=2.0):\n"
+        "    return q * sigma\n"
+        "def relay(x, scale=1.0):\n"
+        "    return inner(x, scale)\n"
+    )
+    unset = _throwaway(
+        tmp_path / "unset",
+        package,
+        "from pkg.mod import Service, relay\nService().start()\nrelay(1)\n",
+    )
+    assert uncalled_options(*unset) == [
+        "Service(sigma=)",
+        "outer(sigma=)",
+        "inner(sigma=)",
+        "relay(scale=)",
+    ]
+    head = _throwaway(
+        tmp_path / "head",
+        package,
+        "from pkg.mod import Service, relay\nService(5).start()\nrelay(1)\n",
+    )
+    assert uncalled_options(*head) == ["relay(scale=)"]
+
+
 def test_the_method_guard_flags_a_method_only_tests_read(tmp_path):
     packages, roots = _throwaway(
         tmp_path,
@@ -488,7 +522,10 @@ def test_the_method_guard_flags_a_method_only_tests_read(tmp_path):
         "from pkg.mod import Service\n"
         "Service().used()\n"
         "getattr(Service(), 'named')\n"
-        "Service.tested = None\n",
+        "Service.tested = None\n"
+        "def summary(helper):\n"
+        "    tested = helper.used()\n"
+        "    return tested\n",
     )
     assert unread_methods(packages, roots) == ["Service.tested"]
     assert unread_methods(packages, roots, {"Service.tested": "a reason"}) == []

@@ -16,10 +16,12 @@ Four layers of guarantees, from exact to statistical:
   builds engines whose stored codes are byte-for-byte the archived codes,
   with float64 dequantization provably never invoked (the dequantizer is
   monkeypatched to explode during the load).
-* **Bit flips of the 1-bit model** — a seeded ``mode="bipolar"``
-  perturbation flips exactly the packed engine's stored class bits.
+* **Figure 8's bit flips** — a seeded perturbation XORs exactly the fixed16
+  codes the registry stores.
 """
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,8 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.robustness import bitflip_sweep
 from repro.core.boosthd import BoostHD
+from repro.data.noise import perturb_model
 from repro.engine import PRECISIONS as ENGINE_PRECISIONS
 from repro.engine import (
     EngineError,
@@ -37,7 +39,6 @@ from repro.engine import (
     PackedBipolarModel,
     build_engine,
     compile_model,
-    pack_words,
     top2_margin,
 )
 from repro.engine.compile import assemble_components
@@ -168,8 +169,8 @@ def _dequantized_cosine_reference(engine, model, encoded):
         magnitude = np.abs(view).max(axis=1)
         quantized = np.round(view * (query_max / magnitude)[:, None])
         dequantized_query = quantized * (magnitude / query_max)[:, None]
-        codes, fmt = quantize_codes(learner.class_hypervectors_, engine.precision)
-        dequantized_classes = from_fixed_point(codes.astype(np.int64), fmt)
+        codes, scale = quantize_codes(learner.class_hypervectors_, engine.precision)
+        dequantized_classes = from_fixed_point(codes, scale)
         sims = cosine_similarity(dequantized_query, dequantized_classes)
         reference += alpha * sims
     return reference / engine._total_alpha
@@ -584,10 +585,10 @@ def test_popcount_rows_handles_uint64_words():
     st.sampled_from(("fixed16", "fixed8")),
 )
 def test_quantize_codes_round_trip_is_within_half_a_step(values, scheme):
-    codes, fmt = quantize_codes(values, scheme)
+    codes, scale = quantize_codes(values, scheme)
     assert codes.dtype == SCHEME_DTYPES[scheme]
-    error = np.abs(from_fixed_point(codes, fmt) - values)
-    assert np.all(error <= fmt.scale * (0.5 + 1e-9))
+    error = np.abs(from_fixed_point(codes, scale) - values)
+    assert np.all(error <= scale * (0.5 + 1e-9))
 
 
 def test_pad_bits_never_count_as_matches():
@@ -742,6 +743,34 @@ def test_registry_widening_reuses_codes(registry_setup, monkeypatch):
             )
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda registry, name: registry.load(name),
+        lambda registry, name: registry.load_compiled(name, precision="float64"),
+    ],
+    ids=["load", "load_compiled-float64"],
+)
+@pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf])
+def test_a_stored_scale_that_is_not_positive_is_refused(registry_setup, tmp_path, read, scale):
+    """Every read that dequantizes a fixed16 artifact refuses a scale <= 0,
+    and a scale that is not finite."""
+    _, model, _, _ = registry_setup
+    registry = ModelRegistry(tmp_path)
+    registry.save("m", model, quantize="fixed16")
+    path = registry.describe("m").path
+    arrays = dict(np.load(path / "model.npz"))
+    arrays["learner_1_scale"] = np.float64(scale)
+    np.savez_compressed(path / "model.npz", **arrays)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["checksum"] = hashlib.blake2b(
+        (path / "model.npz").read_bytes(), digest_size=len(meta["checksum"]) // 2
+    ).hexdigest()
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="scale must be positive"):
+        read(registry, "m")
+
+
 def test_registry_float_artifact_equals_compiled_engines(
     fitted_models, query_rows, tmp_path
 ):
@@ -809,67 +838,50 @@ def test_adaptive_model_serving_precision_recompiles_quantized():
 
 # ------------------------------------------------------------- bit flips
 def test_flip_class_bits_zero_probability_is_identity():
-    """At p=0 the bipolar perturbation flips no stored bit and draws no
+    """At p=0 the perturbation flips no stored bit and draws no
     randomness; at any p it leaves the original model untouched."""
-    from repro.data.noise import perturb_model
-
     X, y, _, _ = _blob_problem(seed=6)
     model = BoostHD(total_dim=320, n_learners=4, epochs=2, seed=3).fit(X, y)
     before = [learner.class_hypervectors_.copy() for learner in model.learners_]
-    engine = compile_model(model, precision="bipolar-packed")
+    engine = compile_model(model, precision="fixed16")
 
-    def flipped_words(probability, rng):
-        perturbed = perturb_model(model, probability, mode="bipolar", rng=rng)
-        return compile_model(perturbed, precision="bipolar-packed").words
+    def flipped_codes(probability, rng):
+        perturbed = perturb_model(model, probability, rng=rng)
+        return compile_model(perturbed, precision="fixed16").codes
 
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(flipped_words(0.0, rng), engine.words)
+    np.testing.assert_array_equal(flipped_codes(0.0, rng), engine.codes)
     assert rng.random() == np.random.default_rng(0).random()
-    assert not np.array_equal(flipped_words(0.3, np.random.default_rng(0)), engine.words)
+    assert not np.array_equal(flipped_codes(0.3, np.random.default_rng(0)), engine.codes)
     for learner, original in zip(model.learners_, before):
         np.testing.assert_array_equal(learner.class_hypervectors_, original)
 
 
-@pytest.mark.parametrize("kind", ("boosthd-unequal", "onlinehd"))
-def test_flip_class_bits_equals_bipolar_perturbation_bitwise(fitted_models, kind):
-    """A seeded ``mode="bipolar"`` flip is an XOR of the stored class bits.
+def test_a_seeded_flip_is_an_xor_of_the_stored_fixed16_codes(registry_setup):
+    """Figure 8 flips the fixed16 codes the registry stores.
 
-    The perturbation draws one ``(k, d_i)`` uniform mask per learner, in
-    learner order; flipping exactly those bits of the packed engine's words
-    gives the packed engine of the perturbed model.  So Figure 8's 1-bit
-    sweep flips the bits a packed deployment stores: a changed draw order
-    or a misplaced bit in the word layout breaks the equality.
+    The perturbation draws one uniform mask per bit, lowest bit first, for
+    each learner in order; flipping exactly those bits of each learner's
+    stored codes and adding the dequantized change gives the perturbed
+    hypervectors, bit for bit.  A changed draw order, a misplaced bit or
+    another quantizer breaks the equality.
     """
-    from repro.data.noise import perturb_model
-
-    model = fitted_models[kind]
-    engine = compile_model(model, precision="bipolar-packed")
+    registry, model, _, _ = registry_setup
     rng = np.random.default_rng(7)
-    flips = np.hstack([
-        rng.random((len(engine.classes_), stop - start)) < 0.3
-        for start, stop in engine.spans
-    ])
-    perturbed = compile_model(
-        perturb_model(model, 0.3, mode="bipolar", rng=np.random.default_rng(7)),
-        precision="bipolar-packed",
-    )
-    assert flips.any()
-    np.testing.assert_array_equal(
-        perturbed.words, engine.words ^ pack_words(flips, engine.spans)
-    )
-
-
-def test_bipolar_reference_clean_baseline_is_quantized_model():
-    """accuracy_loss under mode="bipolar" measures flip damage only."""
-    from repro.data.noise import perturb_model
-
-    X, y, X_test, y_test = _blob_problem(seed=9)
-    model = OnlineHD(dim=256, epochs=2, seed=1).fit(X, y)
-    sweep = bitflip_sweep(
-        model, X_test, y_test, (0.0,), n_trials=3, mode="bipolar", rng=5,
-    )
-    bipolarized = perturb_model(model, 0.0, mode="bipolar", rng=5)
-    expected = float(np.mean(bipolarized.predict(X_test) == y_test))
-    assert sweep.clean_accuracy == expected
-    # Zero flip probability => zero loss, by construction.
-    np.testing.assert_allclose(sweep.accuracy_loss, 0.0, atol=1e-12)
+    expected = []
+    with np.load(registry.describe("fixed16-artifact").path / "model.npz") as archive:
+        for index, learner in enumerate(model.learners_):
+            codes = archive[f"learner_{index}_codes"]
+            scale = float(archive[f"learner_{index}_scale"])
+            mask = np.zeros(codes.shape, dtype=np.uint16)
+            for bit in range(16):
+                mask |= (rng.random(codes.shape) < 0.01).astype(np.uint16) << np.uint16(bit)
+            flipped = codes ^ mask.view(np.int16)
+            assert (flipped != codes).any()
+            expected.append(
+                learner.class_hypervectors_
+                + (from_fixed_point(flipped, scale) - from_fixed_point(codes, scale))
+            )
+    perturbed = perturb_model(model, 0.01, rng=np.random.default_rng(7))
+    for learner, values in zip(perturbed.learners_, expected):
+        np.testing.assert_array_equal(learner.class_hypervectors_, values)

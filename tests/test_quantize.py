@@ -1,74 +1,61 @@
-"""Unit tests for model quantisation helpers."""
+"""Unit tests for the fixed-point quantizer."""
 
 import numpy as np
 import pytest
 
-from repro.hdc import (
-    FixedPointFormat,
-    bipolarize,
-    from_fixed_point,
-    quantize_codes,
-    to_fixed_point,
-)
-from repro.hdc.quantize import SCHEME_DTYPES, infer_scale
+from repro.hdc import from_fixed_point, quantize_codes
+from repro.hdc.quantize import SCHEME_BITS, SCHEME_DTYPES
 
 
 class TestFixedPointFormat:
     def test_code_range(self):
-        fmt = FixedPointFormat(bits=8, scale=1.0)
-        assert fmt.min_code == -128
-        assert fmt.max_code == 127
-
-    def test_invalid_bits_raise(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat(bits=1)
-        with pytest.raises(ValueError):
-            FixedPointFormat(bits=40)
+        assert SCHEME_BITS == {"fixed16": 16, "fixed8": 8}
+        codes, _ = quantize_codes(np.linspace(-10, 10, 100), "fixed8")
+        assert codes.max() == np.iinfo(SCHEME_DTYPES["fixed8"]).max == 127
+        assert codes.min() == -127
 
     def test_invalid_scale_raises(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat(bits=8, scale=0.0)
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                from_fixed_point(np.ones(3, dtype=np.int16), scale)
 
 
 class TestFixedPointRoundTrip:
     def test_roundtrip_error_small(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(1000)
-        codes, fmt = to_fixed_point(values, bits=16)
-        recovered = from_fixed_point(codes, fmt)
-        assert np.max(np.abs(recovered - values)) < 2 * fmt.scale
+        codes, scale = quantize_codes(values, "fixed16")
+        recovered = from_fixed_point(codes, scale)
+        assert np.max(np.abs(recovered - values)) < 2 * scale
 
     def test_codes_within_range(self):
         values = np.linspace(-10, 10, 100)
-        codes, fmt = to_fixed_point(values, bits=8)
-        assert codes.max() <= fmt.max_code
-        assert codes.min() >= fmt.min_code
+        codes, _ = quantize_codes(values, "fixed8")
+        assert codes.dtype == np.int8
+        assert -128 <= codes.min() and codes.max() <= 127
 
     def test_infer_scale_covers_max(self):
         values = np.array([0.1, -3.0, 2.0])
-        fmt = infer_scale(values, bits=16)
-        assert abs(3.0 / fmt.scale) <= fmt.max_code + 1
+        codes, scale = quantize_codes(values, "fixed16")
+        assert abs(3.0 / scale) <= np.iinfo(np.int16).max + 1
+        assert codes[1] == -np.iinfo(np.int16).max
 
     def test_zero_array(self):
-        codes, fmt = to_fixed_point(np.zeros(5))
-        np.testing.assert_array_equal(from_fixed_point(codes, fmt), np.zeros(5))
+        codes, scale = quantize_codes(np.zeros(5))
+        np.testing.assert_array_equal(from_fixed_point(codes, scale), np.zeros(5))
 
 
 class TestQuantizeModel:
-    """Class hypervectors quantize through ``bipolarize`` (1 bit) or
-    ``quantize_codes`` + ``from_fixed_point`` (what the engines store)."""
-
-    def test_bipolar_scheme(self):
-        model = np.array([[0.5, -0.2], [-1.0, 0.0]])
-        np.testing.assert_array_equal(bipolarize(model), [[1.0, -1.0], [-1.0, 1.0]])
+    """Class hypervectors quantize through ``quantize_codes`` +
+    ``from_fixed_point`` (what the engines store)."""
 
     def test_fixed_schemes_preserve_shape_and_sign(self):
         rng = np.random.default_rng(0)
         model = rng.standard_normal((3, 50))
         for scheme in ("fixed16", "fixed8"):
-            codes, fmt = quantize_codes(model, scheme)
+            codes, scale = quantize_codes(model, scheme)
             assert codes.dtype == SCHEME_DTYPES[scheme]
-            quantized = from_fixed_point(codes, fmt)
+            quantized = from_fixed_point(codes, scale)
             assert quantized.shape == model.shape
             # Signs agree wherever the magnitude is not negligible.
             mask = np.abs(model) > 0.1

@@ -19,7 +19,7 @@ def _mean_accuracy(build, X_train, y_train, X_test, y_test):
     """Mean accuracy over two seeded runs, measured through the runtime core.
 
     ``run_model`` routes each run through
-    :func:`repro.runtime.cells.single_run` with the legacy per-run seeds, so
+    :func:`repro.runtime.cells.single_run`, run ``r`` seeded with ``r``, so
     ablation numbers stay comparable with the suite tables.  The engine pass
     is skipped: ablations compare accuracies, not inference paths.
     """

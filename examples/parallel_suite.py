@@ -8,8 +8,8 @@ The script walks the full :mod:`repro.runtime` lifecycle:
 
 1. run a small (dataset × model × run) suite serially and again on a
    4-worker process pool, and verify the accuracies are **bit-identical** —
-   every cell's seed is derived from its grid coordinates, never from
-   execution order,
+   run ``r`` of every model is seeded with ``r``, never with anything that
+   depends on execution order,
 2. run the same suite with an :class:`~repro.runtime.ArtifactStore`,
    simulate a crash partway through, and resume: completed cells are
    replayed from disk instead of recomputed,

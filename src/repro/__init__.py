@@ -20,9 +20,9 @@ for Enhanced Reliability in Healthcare"* (DATE 2025) end to end on plain
   with incremental featurization, a micro-batching scheduler over the fused
   engine, a versioned model registry, and drift-aware online adaptation,
 * :mod:`repro.runtime` — the parallel, resumable experiment runtime: grid
-  cells with deterministically derived seeds, one order-preserving process
-  pool map, a content-hashed artifact store for checkpoint/resume, and
-  per-run utilization reports,
+  cells seeded by their run index, one order-preserving process pool map, a
+  content-hashed artifact store for checkpoint/resume, and per-run
+  utilization reports,
 * :mod:`repro.analysis` and :mod:`repro.experiments` — the harness that
   regenerates every table and figure of the evaluation section.
 

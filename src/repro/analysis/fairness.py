@@ -46,7 +46,6 @@ def evaluate_groups(
     dataset: TabularDataset,
     *,
     groups: Mapping[str, Callable[[SubjectRecord], bool]] | None = None,
-    test_fraction: float = 0.3,
     seed: int = 0,
 ) -> list[GroupResult]:
     """Evaluate a model family within each demographic group.
@@ -66,9 +65,7 @@ def evaluate_groups(
             continue
         if len(subset.subject_ids) < 2:
             continue
-        X_train, X_test, y_train, y_test = subset.split(
-            test_fraction=test_fraction, rng=seed + index
-        )
+        X_train, X_test, y_train, y_test = subset.split(rng=seed + index)
         if len(np.unique(y_train)) < dataset.n_classes:
             # A split that dropped a class entirely is not a fair evaluation.
             continue
@@ -90,15 +87,12 @@ def group_accuracy_table(
     dataset: TabularDataset,
     *,
     groups: Mapping[str, Callable[[SubjectRecord], bool]] | None = None,
-    test_fraction: float = 0.3,
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
     """Table III structure: ``{model: {group: accuracy, ..., "AVERAGE": mean}}``."""
     table: dict[str, dict[str, float]] = {}
     for model_name, builder in model_builders.items():
-        results = evaluate_groups(
-            builder, dataset, groups=groups, test_fraction=test_fraction, seed=seed
-        )
+        results = evaluate_groups(builder, dataset, groups=groups, seed=seed)
         row = {result.group: result.accuracy for result in results}
         if row:
             row["AVERAGE"] = float(np.mean(list(row.values())))

@@ -56,8 +56,8 @@ class TabularDataset:
         Column names of ``X``.
     scaler:
         The fitted :class:`~repro.baselines.preprocessing.StandardScaler`
-        that produced ``X`` from raw features (``None`` when the dataset was
-        generated unscaled).  A serving process must apply the *same*
+        that produced ``X`` from raw features (``None`` for a dataset built
+        by hand).  A serving process must apply the *same*
         transform to live features before scoring
         (``StreamingService(..., transform=dataset.scaler.transform)``), so
         the scaler travels with the dataset.
@@ -147,7 +147,6 @@ def generate_subject_dataset(
     windows_per_state: int = 25,
     simulator: SignalSimulator,
     smoothing_window: int = 30,
-    scale: bool = True,
 ) -> TabularDataset:
     """Generate a full dataset: raw windows → features → scaled matrix.
 
@@ -174,11 +173,8 @@ def generate_subject_dataset(
             labels.extend([label] * windows_per_state)
             subject_column.extend([record.subject_id] * windows_per_state)
 
-    X = np.vstack(feature_rows)
-    scaler = None
-    if scale:
-        scaler = StandardScaler()
-        X = scaler.fit_transform(X)
+    scaler = StandardScaler()
+    X = scaler.fit_transform(np.vstack(feature_rows))
     return TabularDataset(
         name=name,
         X=X,

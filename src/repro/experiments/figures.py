@@ -76,7 +76,6 @@ def figure3_heatmap(
     learner_counts: Sequence[int] = (1, 2, 5, 10, 20, 50),
     dims: Sequence[int] = (1000, 2000, 4000),
     epochs: int = 10,
-    test_fraction: float = 0.3,
     seed: int = 0,
 ) -> tuple[HeatmapResult, str]:
     """Figure 3: accuracy heatmap over ensemble size and dimensionality.
@@ -92,7 +91,7 @@ def figure3_heatmap(
     """
     if mode not in ("per_learner", "total"):
         raise ValueError(f"mode must be 'per_learner' or 'total', got {mode!r}")
-    split = dataset.split(test_fraction=test_fraction, rng=seed)
+    split = dataset.split(rng=seed)
     items = []
     for row, n_learners in enumerate(learner_counts):
         for column, dim in enumerate(dims):
@@ -175,7 +174,6 @@ def figure5_span(
     total_dim: int | None = None,
     n_learners: int | None = None,
     epochs: int | None = None,
-    test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, SpanUtilization], str]:
@@ -184,7 +182,7 @@ def figure5_span(
     total_dim = scale.total_dim if total_dim is None else total_dim
     n_learners = scale.n_learners if n_learners is None else n_learners
     epochs = scale.hd_epochs if epochs is None else epochs
-    X_train, X_test, y_train, y_test = dataset.split(test_fraction=test_fraction, rng=seed)
+    X_train, X_test, y_train, y_test = dataset.split(rng=seed)
 
     online = OnlineHD(dim=total_dim, epochs=epochs, seed=seed)
     online.fit(X_train, y_train)
@@ -217,7 +215,6 @@ def figure6_stability(
     n_learners: int = 10,
     n_runs: int | None = None,
     epochs: int | None = None,
-    test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, DimensionSweepResult], str]:
@@ -234,7 +231,7 @@ def figure6_stability(
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if not dims:
         raise ValueError("dims must not be empty")
-    split = dataset.split(test_fraction=test_fraction, rng=seed)
+    split = dataset.split(rng=seed)
 
     kinds = ("OnlineHD", "BoostHD")
     items = [
@@ -280,7 +277,6 @@ def figure7_overfitting(
     n_learners: int = 10,
     epochs: int | None = None,
     target_class: int = 0,
-    test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[int, dict[str, np.ndarray]], str]:
@@ -295,7 +291,7 @@ def figure7_overfitting(
     """
     scale = scale or get_scale()
     epochs = scale.hd_epochs if epochs is None else epochs
-    split = dataset.split(test_fraction=test_fraction, rng=seed)
+    split = dataset.split(rng=seed)
 
     kinds = ("OnlineHD", "BoostHD")
     items = [
@@ -345,7 +341,6 @@ def figure8_robustness(
     probabilities: Sequence[float] = (1e-6, 3e-6, 1e-5, 3e-5),
     model_names: Sequence[str] = ("DNN", "OnlineHD", "BoostHD"),
     n_trials: int | None = None,
-    test_fraction: float = 0.3,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, BitflipSweepResult], str]:
@@ -363,7 +358,7 @@ def figure8_robustness(
     n_trials = scale.bitflip_trials if n_trials is None else n_trials
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    split = dataset.split(test_fraction=test_fraction, rng=seed)
+    split = dataset.split(rng=seed)
 
     sweeps = parallel_map(
         bitflip_cell,

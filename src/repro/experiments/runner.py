@@ -10,9 +10,10 @@ Since the :mod:`repro.runtime` refactor the suite executes as independent
 :func:`~repro.runtime.executor.parallel_map`, each cell checkpointing itself
 into an :class:`~repro.runtime.store.ArtifactStore` (``store``) so
 interrupted suites resume without recomputation, and reports per-cell wall
-time and worker utilization on ``SuiteResult.report``.  Results are
-bit-identical across worker counts because every cell's seed is derived from
-its grid coordinates alone (:mod:`repro.runtime.seeding`).
+time and worker utilization on ``SuiteResult.report``.  One seed rule holds
+everywhere: run ``r`` of a model is seeded with ``r`` and dataset ``i`` of
+:data:`DATASET_NAMES` with ``i``.  So results are bit-identical across
+worker counts: a cell's numbers depend only on its grid coordinates.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from ..baselines.base import BaseClassifier
 from ..data.loaders import TabularDataset
 from ..obs import OBS, MetricsRegistry, scoped_registry
 from ..runtime.cells import single_run, suite_cell
-from ..runtime.executor import parallel_map, resolve_max_workers
+from ..runtime.executor import parallel_map, pool_size
 from ..runtime.plan import CellTask, suite_cells
 from ..runtime.report import RunReport
-from ..runtime.seeding import dataset_seeds
 from ..runtime.store import ArtifactStore
 from .config import ExperimentScale, get_scale
 from .registry import MODEL_NAMES, check_model_names
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: The three synthetic datasets of Tables I–III, in the paper's row order.
-#: The position doubles as the dataset's legacy generation seed (0, 1, 2).
+#: The position doubles as the dataset's generation seed (0, 1, 2).
 DATASET_NAMES: tuple[str, ...] = (
     "WESAD",
     "Nurse Stress Dataset",
@@ -74,7 +74,6 @@ class ModelRunResult:
     train_seconds: np.ndarray
     inference_seconds_per_query: np.ndarray
     engine_inference_seconds_per_query: np.ndarray | None = None
-    seeds: tuple[int, ...] | None = None
 
     @property
     def mean_accuracy(self) -> float:
@@ -151,19 +150,15 @@ def run_model(
     loop-vs-fused speedup can be reported.  Models whose encoders cannot be
     fused simply skip the engine column.
     """
-    seeds = tuple(range(_RUNS))
     samples = [
-        single_run(build(seed), (X_train, X_test, y_train, y_test), engine=engine)
-        for seed in seeds
+        single_run(build(run), (X_train, X_test, y_train, y_test), engine=engine)
+        for run in range(_RUNS)
     ]
-    return _aggregate_samples("model", "dataset", samples, seeds)
+    return _aggregate_samples("model", "dataset", samples)
 
 
 def _aggregate_samples(
-    model_name: str,
-    dataset_name: str,
-    samples: Sequence,
-    seeds: tuple[int, ...],
+    model_name: str, dataset_name: str, samples: Sequence
 ) -> ModelRunResult:
     """Fold per-run measurements into one :class:`ModelRunResult`."""
     engine_times = [
@@ -182,7 +177,6 @@ def _aggregate_samples(
         engine_inference_seconds_per_query=(
             np.asarray(engine_times) if engine_times else None
         ),
-        seeds=seeds,
     )
 
 
@@ -216,38 +210,24 @@ def _builders() -> Mapping[str, Callable[[ExperimentScale, int], TabularDataset]
     return _DATASET_BUILDERS
 
 
-def load_dataset(
-    name: str, scale: ExperimentScale | None = None, *, seed: int | None = None
-) -> TabularDataset:
-    """Generate one of the three synthetic datasets at the active scale.
-
-    ``seed=None`` uses the dataset's legacy generation seed (its position in
-    :data:`DATASET_NAMES`: 0, 1, 2), so default datasets are unchanged.
-    """
+def load_dataset(name: str, scale: ExperimentScale | None = None) -> TabularDataset:
+    """Generate one of the three synthetic datasets at the active scale,
+    seeded with its position in :data:`DATASET_NAMES` (0, 1, 2)."""
     scale = scale or get_scale()
     builders = _builders()
     if name not in builders:
         raise KeyError(f"unknown dataset {name!r}; available: {DATASET_NAMES}")
-    if seed is None:
-        seed = DATASET_NAMES.index(name)
-    return builders[name](scale, int(seed))
+    return builders[name](scale, DATASET_NAMES.index(name))
 
 
-def load_datasets(
-    scale: ExperimentScale | None = None, *, seed: int | None = None
-) -> dict[str, TabularDataset]:
-    """Generate the three synthetic datasets at the active scale.
-
-    ``seed`` routes through the runtime's deterministic derivation
-    (:func:`repro.runtime.seeding.dataset_seeds`): ``None`` keeps the legacy
-    per-dataset seeds 0/1/2, an integer derives an independent generation
-    seed per dataset from that root.
-    """
+def load_datasets(scale: ExperimentScale | None = None) -> dict[str, TabularDataset]:
+    """Generate the three synthetic datasets at the active scale."""
     scale = scale or get_scale()
-    seeds = dataset_seeds(DATASET_NAMES, DATASET_NAMES, seed)
-    return {
-        name: load_dataset(name, scale, seed=seeds[name]) for name in DATASET_NAMES
-    }
+    return {name: load_dataset(name, scale) for name in DATASET_NAMES}
+
+
+#: Seed of every dataset's subject-wise train/test split in :func:`run_suite`.
+_SPLIT_SEED = 7
 
 
 def _split_fingerprint(split: Sequence[np.ndarray]) -> str:
@@ -261,16 +241,15 @@ def _split_fingerprint(split: Sequence[np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _cell_spec(cell: CellTask, data: str, config: Mapping[str, object]) -> dict:
+def _cell_spec(cell: CellTask, data: str, scale: Mapping[str, object]) -> dict:
     """The content-hashed identity of one cell's computation (its store key)."""
     return {
         "version": 1,
         "dataset": cell.dataset,
         "model": cell.model,
         "run_index": cell.run_index,
-        "seed": cell.seed,
         "data": data,
-        **config,
+        "scale": scale,
     }
 
 
@@ -280,20 +259,16 @@ def run_suite(
     *,
     scale: ExperimentScale | None = None,
     n_runs: int | None = None,
-    test_fraction: float = 0.3,
-    split_seed: int = 7,
-    seed: int | None = None,
     max_workers: int | str | None = None,
     store: ArtifactStore | str | os.PathLike | None = None,
-    engine: bool = True,
 ) -> SuiteResult:
     """Run every requested model on every dataset with subject-wise splits.
 
+    Each dataset is split by :meth:`TabularDataset.split` with seed
+    ``_SPLIT_SEED`` (7), run ``r`` of a model is seeded with ``r``, and every
+    model that compiles also times its fused engine (Table II's footer).
     The grid executes through :mod:`repro.runtime`:
 
-    * ``seed`` — root seed of the deterministic per-cell derivation.  ``None``
-      (default) keeps the legacy seeds (datasets 0/1/2, model runs seeded by
-      run index), so default results are unchanged.
     * ``max_workers`` — process-pool size; ``None`` consults the
       ``REPRO_MAX_WORKERS`` environment variable and falls back to serial;
       ``"auto"`` uses all available CPUs.  Accuracies are bit-identical for
@@ -303,40 +278,30 @@ def run_suite(
       process that ran it; rerunning with the same configuration replays
       finished cells instead of recomputing them.
 
-    When ``datasets`` is omitted the suite runs on
-    ``load_datasets(scale, seed=seed)``.  Every dataset is split once in the
-    parent and shipped to each worker a single time.  Unknown or repeated
-    model names, and ``n_runs`` < 1, raise ``ValueError`` before anything
-    is split, looked up or trained.
+    When ``datasets`` is omitted the suite runs on ``load_datasets(scale)``.
+    Every dataset is split once in the parent and shipped to each worker a
+    single time.  Unknown or repeated model names, and ``n_runs`` < 1, raise
+    ``ValueError`` before anything is split, looked up or trained.
     """
     scale = scale or get_scale()
     n_runs = scale.n_runs if n_runs is None else n_runs
     model_names = check_model_names(model_names)
     cells = suite_cells(
-        DATASET_NAMES if datasets is None else tuple(datasets), model_names, n_runs, seed
+        DATASET_NAMES if datasets is None else tuple(datasets), model_names, n_runs
     )
     if isinstance(store, (str, os.PathLike)):
         store = ArtifactStore(store)
     if datasets is None:
-        datasets = load_datasets(scale, seed=seed)
-    splits = {
-        name: dataset.split(test_fraction=test_fraction, rng=split_seed)
-        for name, dataset in datasets.items()
-    }
+        datasets = load_datasets(scale)
+    splits = {name: dataset.split(rng=_SPLIT_SEED) for name, dataset in datasets.items()}
 
     start = time.perf_counter()
     # Specs exist only to key the store; without one, skip hashing the data.
     specs: list[dict | None] = [None] * len(cells)
     if store is not None:
         fingerprints = {name: _split_fingerprint(split) for name, split in splits.items()}
-        config = {
-            "root_seed": seed,
-            "test_fraction": test_fraction,
-            "split_seed": split_seed,
-            "scale": asdict(scale),
-            "engine": bool(engine),
-        }
-        specs = [_cell_spec(cell, fingerprints[cell.dataset], config) for cell in cells]
+        scale_spec = asdict(scale)
+        specs = [_cell_spec(cell, fingerprints[cell.dataset], scale_spec) for cell in cells]
     replayed = [None if spec is None else store.load(spec) for spec in specs]
     pending = [
         (cell, spec)
@@ -344,15 +309,12 @@ def run_suite(
         if result is None
     ]
 
-    workers = resolve_max_workers(max_workers)
+    workers = pool_size(max_workers, len(pending))
     run_registry = MetricsRegistry()
     with scoped_registry(run_registry):
         computed = iter(
             parallel_map(
-                suite_cell,
-                pending,
-                max_workers=workers,
-                shared=(splits, scale, engine, store),
+                suite_cell, pending, max_workers=workers, shared=(splits, scale, store)
             )
         )
     results = [next(computed) if result is None else result for result in replayed]
@@ -373,8 +335,7 @@ def run_suite(
     for (dataset_name, model_name), runs in groupby(
         results, key=lambda result: (result.dataset, result.model)
     ):
-        runs = list(runs)
         grouped.setdefault(dataset_name, {})[model_name] = _aggregate_samples(
-            model_name, dataset_name, runs, tuple(run.seed for run in runs)
+            model_name, dataset_name, list(runs)
         )
     return SuiteResult(results=grouped, report=report)

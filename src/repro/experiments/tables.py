@@ -95,7 +95,6 @@ def table3_person_specific(
     *,
     scale: ExperimentScale | None = None,
     seed: int = 0,
-    test_fraction: float = 0.3,
 ) -> tuple[dict[str, dict[str, float]], str]:
     """Table III: per-demographic-group accuracy (%) on the WESAD-like dataset.
 
@@ -106,9 +105,7 @@ def table3_person_specific(
     identical to the serial path.
     """
     scale = scale or get_scale()
-    rows_by_model = parallel_map(
-        table3_cell, MODEL_NAMES, shared=(dataset, test_fraction, seed, scale)
-    )
+    rows_by_model = parallel_map(table3_cell, MODEL_NAMES, shared=(dataset, seed, scale))
     table = dict(rows_by_model)
 
     group_columns = [group for group in PAPER_GROUPS if any(group in row for row in table.values())]

@@ -141,15 +141,13 @@ def prometheus_text(snapshot: Mapping) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_chrome_trace(
-    recorder: SpanRecorder, path: str | os.PathLike, *, spans=None
-) -> str:
+def write_chrome_trace(recorder: SpanRecorder, path: str | os.PathLike) -> str:
     """Write a recorder's spans as Chrome trace-event JSON; return the path.
 
     Load the resulting file in Perfetto (https://ui.perfetto.dev, "Open
     trace file") or ``chrome://tracing`` to see the span flame graph.
     """
-    trace = recorder.chrome_trace(spans)
+    trace = recorder.chrome_trace()
     with open(path, "w", encoding="utf-8") as stream:
         json.dump(trace, stream)
     return os.fspath(path)

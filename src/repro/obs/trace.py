@@ -36,7 +36,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "SpanRecord",
@@ -231,7 +231,7 @@ class SpanRecorder:
             return len(self._spans)
 
     # ------------------------------------------------------------- exporting
-    def chrome_trace(self, spans: Sequence[SpanRecord] | None = None) -> dict:
+    def chrome_trace(self) -> dict:
         """Chrome trace-event JSON object (loadable in Perfetto).
 
         Emits one complete (``ph: "X"``) event per span with microsecond
@@ -239,7 +239,7 @@ class SpanRecorder:
         metadata naming the repro process.  Serialize with ``json.dump`` or
         :func:`repro.obs.export.write_chrome_trace`.
         """
-        records = self.spans if spans is None else tuple(spans)
+        records = self.spans
         events: list[dict] = []
         if records:
             origin = min(record.start for record in records)

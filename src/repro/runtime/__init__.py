@@ -1,24 +1,22 @@
 """Parallel, resumable experiment runtime.
 
 The runtime turns a suite specification into independent (dataset × model ×
-run) cells with deterministically derived seeds
-(:func:`~repro.runtime.plan.suite_cells`), maps the cells over one process
-pool (or serially) with :func:`~repro.runtime.executor.parallel_map`,
+run) cells (:func:`~repro.runtime.plan.suite_cells`), maps the cells over one
+process pool (or serially) with :func:`~repro.runtime.executor.parallel_map`,
 checkpoints every completed cell into a content-hashed
 :class:`~repro.runtime.store.ArtifactStore` so interrupted suites resume
 without recomputation, and reports per-cell wall time and worker
 utilization through a :class:`~repro.runtime.report.RunReport`.
 
 Results are bit-identical across worker counts and scheduling orders because
-every cell's seed is a pure function of its grid coordinates
-(:mod:`repro.runtime.seeding`).
+a cell's seed is its run index: nothing a cell computes depends on where or
+when it runs.
 """
 
 from .cells import CellResult, RunSample, execute_cell, single_run
 from .executor import available_cpus, get_shared, parallel_map, resolve_max_workers
 from .plan import CellTask, suite_cells
 from .report import RunReport
-from .seeding import cell_seed, dataset_seeds, derive_seed, derive_seed_sequence
 from .store import ArtifactStore, canonical_spec, spec_key
 
 __all__ = [
@@ -33,10 +31,6 @@ __all__ = [
     "CellTask",
     "suite_cells",
     "RunReport",
-    "cell_seed",
-    "dataset_seeds",
-    "derive_seed",
-    "derive_seed_sequence",
     "ArtifactStore",
     "canonical_spec",
     "spec_key",

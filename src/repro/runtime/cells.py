@@ -58,7 +58,6 @@ class CellResult:
     dataset: str
     model: str
     run_index: int
-    seed: int
     accuracy: float
     train_seconds: float
     inference_seconds_per_query: float
@@ -112,27 +111,20 @@ def single_run(
     )
 
 
-def execute_cell(
-    task: "CellTask",
-    split: Split,
-    scale,
-    *,
-    engine: bool = True,
-) -> CellResult:
-    """Run one grid cell: build the registry model with the cell's seed."""
+def execute_cell(task: "CellTask", split: Split, scale) -> CellResult:
+    """Run one grid cell: build the registry model seeded with its run index."""
     from ..experiments.registry import build_model
 
     start = time.perf_counter()
     with OBS.recorder.span(
         "runtime.cell", dataset=task.dataset, model=task.model, run=task.run_index
     ):
-        model = build_model(task.model, task.seed, scale)
-        sample = single_run(model, split, engine=engine)
+        model = build_model(task.model, task.run_index, scale)
+        sample = single_run(model, split)
     result = CellResult(
         dataset=task.dataset,
         model=task.model,
         run_index=task.run_index,
-        seed=task.seed,
         accuracy=sample.accuracy,
         train_seconds=sample.train_seconds,
         inference_seconds_per_query=sample.inference_seconds_per_query,
@@ -156,12 +148,12 @@ def suite_cell(item: tuple["CellTask", dict | None]) -> CellResult:
     """One ``run_suite`` cell, checkpointed in the process that ran it.
 
     ``item`` is ``(task, spec)``; the shared payload is ``(splits, scale,
-    engine, store)``.  With a store the result is saved under ``spec`` before
+    store)``.  With a store the result is saved under ``spec`` before
     it is returned, so an interrupt loses only the cells still running.
     """
     task, spec = item
-    splits, scale, engine, store = get_shared()
-    result = execute_cell(task, splits[task.dataset], scale, engine=engine)
+    splits, scale, store = get_shared()
+    result = execute_cell(task, splits[task.dataset], scale)
     if store is not None:
         store.save(spec, result)
     return result
@@ -281,7 +273,7 @@ def bitflip_cell(item: str):
 def table3_cell(item: str) -> tuple[str, dict[str, float]]:
     """One Table III row: per-group accuracies of one registry model.
 
-    The shared payload is ``(dataset, test_fraction, seed, scale)``; groups
+    The shared payload is ``(dataset, seed, scale)``; groups
     are the module-level :data:`~repro.analysis.fairness.PAPER_GROUPS` (their
     predicates are lambdas, which cannot be pickled into workers).
     """
@@ -289,11 +281,10 @@ def table3_cell(item: str) -> tuple[str, dict[str, float]]:
     from ..analysis.fairness import group_accuracy_table
     from ..experiments.registry import build_model
 
-    dataset, test_fraction, seed, scale = get_shared()
+    dataset, seed, scale = get_shared()
     table = group_accuracy_table(
         {model_name: lambda group_seed: build_model(model_name, group_seed, scale)},
         dataset,
-        test_fraction=test_fraction,
         seed=seed,
     )
     return model_name, table[model_name]

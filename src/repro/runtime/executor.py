@@ -17,7 +17,9 @@ instruments, so a pooled map records what the serial map records.
 ``max_workers`` resolution (:func:`resolve_max_workers`): ``None`` consults
 the ``REPRO_MAX_WORKERS`` environment variable and falls back to serial;
 ``0``/``1`` force serial; ``"auto"`` uses the available CPU count.  Every
-pool in the repo sizes itself this way, the serving fabric's included.
+pool in the repo sizes itself this way, the serving fabric's included.  A
+map of at most one item runs in-process whatever is asked
+(:func:`pool_size`), and a run report names the pool its map ran on.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ..obs import OBS, MetricsRegistry, SpanRecorder, enable
 
 __all__ = [
     "parallel_map",
+    "pool_size",
     "resolve_max_workers",
     "get_shared",
 ]
@@ -61,6 +64,12 @@ def resolve_max_workers(max_workers: int | str | None) -> int:
             return max(1, available_cpus())
         max_workers = int(max_workers)
     return max(1, int(max_workers))
+
+
+def pool_size(max_workers: int | str | None, n_items: int) -> int:
+    """Workers a map of ``n_items`` runs on: 1 (in-process) for at most one
+    item, else :func:`resolve_max_workers`."""
+    return resolve_max_workers(max_workers) if n_items > 1 else 1
 
 
 # --------------------------------------------------------------------------
@@ -112,12 +121,13 @@ def parallel_map(
     ``fn`` must be a module-level (picklable) function when ``max_workers``
     resolves to more than one worker; ``shared`` is shipped to every worker
     once and read back through :func:`get_shared`.  With one worker, or one
-    item, the map runs serially in-process; either way the counters and
-    spans the items record land in the caller's live instruments.
+    item, the map runs serially in-process (:func:`pool_size`); either way
+    the counters and spans the items record land in the caller's live
+    instruments.
     """
     items = list(items)
-    workers = resolve_max_workers(max_workers)
-    if workers <= 1 or len(items) <= 1:
+    workers = pool_size(max_workers, len(items))
+    if workers == 1:
         previous = _SHARED
         _set_shared(shared)
         try:

@@ -1,8 +1,8 @@
 """Content-hashed on-disk artifact store for completed grid cells.
 
 Each completed :class:`~repro.runtime.cells.CellResult` is checkpointed as a
-pair of files named by the SHA-256 of the cell's *specification* (dataset
-fingerprint, model, run index, seed, scale, split configuration):
+pair of files named by the SHA-256 of the cell's *specification* (split
+fingerprint, model, run index, scale):
 
 * ``<key>.npz`` — the numeric payload (float64/int64 scalars, bit-exact);
 * ``<key>.json`` — a manifest holding the full spec, the identity fields and
@@ -41,7 +41,7 @@ _FLOAT_FIELDS = (
     "engine_seconds_per_query",
     "wall_seconds",
 )
-_INT_FIELDS = ("run_index", "seed", "worker")
+_INT_FIELDS = ("run_index", "worker")
 
 
 def canonical_spec(spec: Mapping[str, object]) -> str:
@@ -165,7 +165,6 @@ class ArtifactStore:
             dataset=str(manifest["dataset"]),
             model=str(manifest["model"]),
             run_index=int(values["run_index"]),
-            seed=int(values["seed"]),
             accuracy=floats["accuracy"],
             train_seconds=floats["train_seconds"],
             inference_seconds_per_query=floats["inference_seconds_per_query"],

@@ -35,8 +35,6 @@ import numpy as np
 
 from ..core.boosthd import BoostHD
 from ..engine.cascade import top2_margin
-from ..engine.compile import EngineError
-from ..engine.precision import resolve_precision
 from ..hdc.onlinehd import OnlineHD
 from ..obs import OBS
 
@@ -147,31 +145,15 @@ class AdaptiveModel:
     Parameters
     ----------
     model:
-        Fitted model to serve.
-    precision:
-        Serving precision of the compiled engine, a name from
-        :data:`repro.engine.PRECISIONS`.  The *model*
-        stays full-precision — adaptation updates float class hypervectors —
-        and every (re)compile quantizes the updated hypervectors into a
-        fresh integer-domain engine, so feedback invalidates and rebuilds
-        the quantized engine exactly like the float one.
+        Fitted model to serve, through the default float engine of
+        :func:`~repro.engine.compile_model`.
     """
 
-    def __init__(
-        self,
-        model: BoostHD | OnlineHD,
-        *,
-        precision: str = "float64",
-    ) -> None:
+    def __init__(self, model: BoostHD | OnlineHD) -> None:
         if not isinstance(model, (BoostHD, OnlineHD)):
             raise TypeError(
                 f"expected BoostHD or OnlineHD, got {type(model).__name__}"
             )
-        # Fail at configuration time, not on the first scoring call.
-        try:
-            self.precision = resolve_precision(precision)
-        except EngineError as error:
-            raise ValueError(str(error)) from None
         self.model = model
         self.monitor = DriftMonitor()
         self._compiled = None
@@ -186,7 +168,7 @@ class AdaptiveModel:
         if self._compiled is None:
             from ..engine import compile_model
 
-            self._compiled = compile_model(self.model, precision=self.precision)
+            self._compiled = compile_model(self.model)
             self.recompiles += 1
             if OBS.enabled:
                 OBS.metrics.counter(

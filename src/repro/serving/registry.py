@@ -448,8 +448,9 @@ class ModelRegistry:
         learner.class_hypervectors_ = _load_hypervectors(archive, prefix, quantize)
         return learner
 
-    def load(self, name: str, version: int | None = None) -> BoostHD | OnlineHD:
-        """Reconstruct a stored model, ready to predict (or ``compile()``).
+    def load(self, name: str) -> BoostHD | OnlineHD:
+        """Reconstruct the latest stored version, ready to predict (or
+        ``compile()``).
 
         The stored model object is rebuilt exactly as saved (fixed-point
         artifacts are dequantized to float64 — the historical behaviour).
@@ -457,12 +458,12 @@ class ModelRegistry:
         :meth:`load_compiled`.
         """
         if not OBS.enabled:
-            return self._load_model_exact(name, version)
+            return self._load_model_exact(name)
         with OBS.recorder.span("registry.load", model=name, form="model"):
             start = time.perf_counter()
-            model = self._load_model_exact(name, version)
+            model = self._load_model_exact(name)
             seconds = time.perf_counter() - start
-        self._record_artifact_io("load", name, version, seconds)
+        self._record_artifact_io("load", name, None, seconds)
         return model
 
     def _record_artifact_io(
@@ -486,10 +487,8 @@ class ModelRegistry:
             f"Artifact bytes touched by registry {op} operations.",
         ).inc(nbytes)
 
-    def _load_model_exact(
-        self, name: str, version: int | None = None
-    ) -> BoostHD | OnlineHD:
-        record = self.describe(name, version)
+    def _load_model_exact(self, name: str) -> BoostHD | OnlineHD:
+        record = self.describe(name)
         meta = json.loads((record.path / "meta.json").read_text())
         with self._open_archive(record) as archive:
             n_learners, _, _, _ = self._archive_header(record, archive)

@@ -5,12 +5,14 @@ A shorter API reference must not silently drop a public name: for ``repro``
 and each of its subpackages, every entry of ``__all__`` has to appear in
 ``docs/api.md`` as a whole word.  The other way round, a deleted name must
 not linger: the closing *Index* section lists each package's ``__all__``
-exactly.  And a signature heading must not drift from the code: every
-``param=default`` a heading `` `Name(...)` `` shows for an exported callable
-is a parameter of that callable, with that default.  And the gateway's
-Endpoints table has one row per (method, path) of its route table.
+exactly.  And a signature must not drift from the code: every
+``param=default`` that a heading `` `Name(...)` ``, or a backticked
+`` `name(...)` `` on a bullet, shows for an exported callable is a parameter
+of that callable, with that default.  And the gateway's Endpoints table has
+one row per (method, path) of its route table.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -59,8 +61,11 @@ def test_every_exported_name_is_in_the_api_doc(package):
     )
 
 
-#: A signature heading: `` `Name(params)` `` or `` `Class.method(params)` ``.
-SIGNATURE_HEADING = re.compile(r"^#+ `([A-Za-z_][\w.]*)\((.*)\)`", re.MULTILINE)
+#: A heading naming `` `Name` ``, with `` `(params)` `` when it is a signature.
+HEADING = re.compile(r"#+ `([A-Za-z_][\w.]*)(?:\((.*)\))?`")
+#: A backticked signature: `` `name(params)` `` or `` `Class.method(params)` ``,
+#: perhaps with `` -> return``; a default may hold one level of parentheses.
+SIGNATURE = re.compile(r"`([A-Za-z_][\w.]*)\(((?:[^`()]|\([^`()]*\))*)\)(?: ->[^`]*)?`")
 
 
 def _exported(dotted: str):
@@ -71,9 +76,40 @@ def _exported(dotted: str):
         if head in module.__all__:
             found = getattr(module, head)
             for attribute in attributes:
-                found = getattr(found, attribute)
+                found = getattr(found, attribute, None)
             return found
     return None
+
+
+def _documented_signatures(text: str):
+    """``(callable, name, params)`` of every signature heading and every
+    backticked signature that starts on a bullet's first line (a signature
+    may wrap onto the next; prose below it is not read).  A bare name on a
+    bullet is a method of the class the nearest heading or bullet above
+    names, if that class has it, else an exported name."""
+    owner, bullet, first = None, None, 0
+    for line in text.splitlines() + [""]:
+        if bullet is not None and line.startswith(" "):
+            bullet += " " + line.strip()
+            continue
+        if bullet is not None:
+            for match in SIGNATURE.finditer(bullet):
+                if match.start() < first:
+                    name, params = match.groups()
+                    method = "." not in name and getattr(owner, name, None)
+                    target = method or _exported(name)
+                    owner = target if inspect.isclass(target) else owner
+                    yield target, name, params
+            bullet = None
+        heading = HEADING.match(line)
+        if heading:
+            name, params = heading.groups()
+            named = _exported(name.rpartition(".")[2])
+            owner = named if inspect.isclass(named) else None
+            if params is not None:
+                yield _exported(name), name, params
+        elif line.startswith("* "):
+            bullet, first = line, len(line)
 
 
 def _shown_defaults(params: str) -> dict[str, str]:
@@ -95,12 +131,23 @@ def _shown_defaults(params: str) -> dict[str, str]:
     return shown
 
 
+def _default(target, param: str):
+    """A parameter's default; a dataclass field's ``default_factory``
+    stands for its product."""
+    if dataclasses.is_dataclass(target):
+        field = {field.name: field for field in dataclasses.fields(target)}.get(param)
+        if field is not None and field.default_factory is not dataclasses.MISSING:
+            return field.default_factory()
+    return inspect.signature(target).parameters[param].default
+
+
 def test_signature_headings_match_the_code():
     text = API_DOC.read_text(encoding="utf-8")
     checked, drift = 0, []
-    for name, params in SIGNATURE_HEADING.findall(text):
-        target = _exported(name)
+    for target, name, params in _documented_signatures(text):
         if not callable(target):
+            if _shown_defaults(params):
+                drift.append(f"{name}: shows defaults but names nothing exported")
             continue
         parameters = inspect.signature(target).parameters
         for param, shown in _shown_defaults(params).items():
@@ -109,11 +156,11 @@ def test_signature_headings_match_the_code():
                 drift.append(f"{name}: no parameter {param!r}")
                 continue
             expected = eval(shown, {"np": np, "time": time})
-            actual = parameters[param].default
+            actual = _default(target, param)
             if actual is inspect.Parameter.empty or not actual == expected:
                 drift.append(f"{name}: {param}={shown}, the code has {actual!r}")
-    assert checked, "no signature heading with a default was found"
-    assert not drift, "docs/api.md signature headings drifted: " + "; ".join(drift)
+    assert checked, "no signature with a default was found"
+    assert not drift, "docs/api.md signatures drifted: " + "; ".join(drift)
 
 
 def test_the_gateway_endpoints_table_is_the_route_table():

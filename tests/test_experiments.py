@@ -124,7 +124,6 @@ class TestRunnerAndTables:
         )
         assert isinstance(result, ModelRunResult)
         assert result.accuracies.shape == (2,)
-        assert result.seeds == (0, 1)
         assert np.all(result.train_seconds > 0)
         assert np.all(result.inference_seconds_per_query > 0)
         assert 0.0 <= result.mean_accuracy <= 1.0

@@ -710,46 +710,6 @@ def test_gateway_serves_either_backend(model_registry, kind):
 
 
 @pytest.mark.parametrize("kind", ["service", "fabric"])
-def test_invalid_session_override_is_400_and_a_duplicate_409(model_registry, kind):
-    """A session is a string id: a windowing override, or any other key, is
-    the client's error, named in the answer, and not a handler error, and
-    so is an id that is not a string; an id already open is a conflict."""
-
-    async def scenario():
-        gateway = await start_gateway(make_backend(kind, model_registry))
-        try:
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                for extra in (
-                    {"n_channels": 1},
-                    {"window_samples": 0},
-                    {"step_samples": 8, "statistics": ["mean"]},
-                    {"overrides": {}},
-                ):
-                    status, body = await client.request(
-                        "POST", "/v1/sessions", {"session_id": "s1", **extra}
-                    )
-                    assert status == 400
-                    assert all(repr(key) in body["error"] for key in extra)
-                for session_id in (5, ["s1"], {"id": "s1"}, True):
-                    status, body = await client.request(
-                        "POST", "/v1/sessions", {"session_id": session_id}
-                    )
-                    assert status == 400
-                    assert "'session_id' must be a JSON string" in body["error"]
-                assert not gateway.backend.sessions
-                assert (await client.open_session("s1"))[0] == 201
-                status, body = await client.open_session("s1")
-                assert status == 409
-                assert "already open" in body["error"]
-        finally:
-            await gateway.shutdown(2.0)
-        assert gateway.stats.handler_errors == 0
-        assert gateway.stats.protocol_errors == 8
-
-    run(scenario())
-
-
-@pytest.mark.parametrize("kind", ["service", "fabric"])
 def test_a_refused_session_body_leaves_every_session_scoring(model_registry, kind):
     """One client asking for its own windowing cannot stop the others: its
     body is refused, so no narrower window joins their fused batches."""
@@ -785,74 +745,6 @@ def test_a_refused_session_body_leaves_every_session_scoring(model_registry, kin
         keys = sorted((wire["session_id"], wire["window_index"]) for wire in scored)
         assert keys == [(f"s{n}", index) for n in range(3) for index in range(6)]
         assert all(wire["status"] == "scored" for wire in scored)
-        assert gateway.stats.handler_errors == 0
-
-    run(scenario())
-
-
-@pytest.mark.parametrize("session_id", ["a/b", "a b", "a?b", "a#b", "a%2Fb"])
-def test_every_accepted_session_id_can_be_fed_scored_and_closed(session_id):
-    """An id may hold any character: the client percent-encodes it and the
-    router unquotes each path segment after splitting, so the id reaches
-    its own session."""
-
-    async def scenario():
-        gateway = await start_gateway()
-        try:
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                status, body = await client.open_session(session_id)
-                assert (status, body["session_id"]) == (201, session_id)
-                status, body = await client.request("GET", "/v1/sessions")
-                assert body["sessions"] == [session_id]
-                status, body = await client.feed(session_id, chunk(4))
-                assert status == 200
-                assert [w["session_id"] for w in body["predictions"]] == [session_id] * 4
-                await client.feed(session_id, chunk(1))
-                status, body = await client.score(session_id)
-                assert status == 200
-                assert [w["window_index"] for w in body["predictions"]] == [4]
-                status, body = await client.close_session(session_id)
-                assert (status, body["open"]) == (200, False)
-                status, body = await client.request("GET", "/v1/sessions")
-                assert body["sessions"] == []
-        finally:
-            await gateway.shutdown(2.0)
-        assert not gateway.backend.sessions
-        assert gateway.stats.handler_errors == 0
-
-    run(scenario())
-
-
-@pytest.mark.parametrize("kind", ["service", "fabric"])
-def test_a_session_the_gateway_did_not_open_is_404(model_registry, kind):
-    """The gateway serves only the sessions it opened: one opened on the
-    backend directly has no mailbox, so its windows would land in the
-    orphan mailbox.  Feed, score, predictions and close refuse it, and the
-    session list leaves it out.  A closed session's predictions are 404
-    too: a client polling it would otherwise wait forever."""
-
-    async def scenario():
-        backend = make_backend(kind, model_registry)
-        backend.open_session("direct")
-        gateway = await start_gateway(backend)
-        try:
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                assert (await client.feed("direct", chunk(4)))[0] == 404
-                assert (await client.score("direct"))[0] == 404
-                assert (await client.predictions("direct"))[0] == 404
-                assert (await client.close_session("direct"))[0] == 404
-                assert (await client.open_session("s1"))[0] == 201
-                status, body = await client.request("GET", "/v1/sessions")
-                assert body["sessions"] == ["s1"]
-                assert (await client.readyz())[1]["open_sessions"] == 1
-                status, body = await client.feed("s1", chunk(4))
-                assert [w["session_id"] for w in body["predictions"]] == ["s1"] * 4
-                status, body = await client.stats()
-                assert body["orphaned_predictions"] == 0
-                assert (await client.close_session("s1"))[0] == 200
-                assert (await client.predictions("s1"))[0] == 404
-        finally:
-            await gateway.shutdown(2.0)
         assert gateway.stats.handler_errors == 0
 
     run(scenario())
@@ -1093,7 +985,19 @@ BODIES = {
     ("POST", "/v1/sessions"): {"session_id": ((str,), True)},
     ("POST", "/v1/sessions/{id}/windows"): {"samples": ((list,), True)},
 }
+JSON_NAMES = {str: "string", list: "array"}
+#: The backends' scheduler releases full batches of this many windows.
+MAX_BATCH = SERVICE_OPTIONS["max_batch"]
 IDS = ("s1", "a/b", "a b", "a?b", "a#b", "a%2Fb", "")
+#: Session bodies refused with a 400: a windowing override or any other
+#: stray key, and an id that is not a JSON string.
+REFUSED_OPENS = (
+    {"session_id": "s1", "n_channels": 1},
+    {"session_id": "s1", "window_samples": 0},
+    {"session_id": "s1", "step_samples": 8, "statistics": ["mean"]},
+    {"session_id": "s1", "overrides": {}},
+    *({"session_id": session_id} for session_id in (5, ["s1"], {"id": "s1"}, True)),
+)
 METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH")
 UPGRADE = {
     "Upgrade": "websocket",
@@ -1182,8 +1086,11 @@ class GatewayMachine(RuleBasedStateMachine):
         self.open: dict[str, None] = {}  # gateway-opened ids, in opening order
         self.direct: set[str] = set()  # ids opened on the backend directly
         self.closed: set[str] = set()  # ids the gateway closed
+        self.unflushed: set[str] = set()  # closed since the last backend drain
         self.fed: dict[str, int] = {}  # windows fed to each open session
-        self.delivered: dict[str, set] = {}  # window indices answered to it
+        self.pending: list[tuple[str, int]] = []  # windows not yet scored, oldest first
+        self.mailbox: dict[str, list[int]] = {}  # window indices answered to an open id
+        self.orphans = 0  # windows answered into the orphan mailbox
         self.windows = 0  # windows the backend accepted
         self.bad_requests = 0  # 400s the model predicted
 
@@ -1239,7 +1146,8 @@ class GatewayMachine(RuleBasedStateMachine):
             return Expect(400, tuple(map(repr, (*stray, *spec))))
         for key, value in body.items():
             if type(value) not in spec[key][0]:
-                return Expect(400, (repr(key),))
+                names = " or ".join(JSON_NAMES[kind] for kind in spec[key][0])
+                return Expect(400, (f"{key!r} must be a JSON {names}",))
         return handler(session_id, body)
 
     def expect_get_healthz(self, session_id, body):
@@ -1253,16 +1161,38 @@ class GatewayMachine(RuleBasedStateMachine):
 
     expect_get_metrics = expect_get_healthz
 
+    def release(self, every: bool = False) -> None:
+        """The scheduler: full batches (every window on a drain), oldest
+        first, each answered into its id's mailbox, or the orphan mailbox
+        once the gateway has closed the id."""
+        count = len(self.pending) if every else len(self.pending) // MAX_BATCH * MAX_BATCH
+        for session_id, index in self.pending[:count]:
+            if session_id in self.open:
+                self.mailbox[session_id].append(index)
+            else:
+                self.orphans += 1
+        del self.pending[:count]
+
+    def flush(self) -> None:
+        """A backend-wide drain: what a score, or reopening a closed id, runs."""
+        self.release(every=True)
+        self.unflushed.clear()
+
     def expect_post_v1_sessions(self, session_id, body):
         session_id = body["session_id"]
         if not session_id:
             return Expect(400, ("session_id",))
+        # A closed namesake's pending windows are flushed before the open.
+        flush = self.flush if session_id in self.unflushed else None
         if session_id in self.open or session_id in self.direct:
-            return Expect(409)
+            return Expect(409, effect=flush and (lambda response: flush()))
 
         def effect(response):
+            assert response == {"session_id": session_id, "open": True}
+            if flush:
+                flush()
             self.open[session_id] = None
-            self.fed[session_id], self.delivered[session_id] = 0, set()
+            self.fed[session_id], self.mailbox[session_id] = 0, []
 
         return Expect(201, effect=effect)
 
@@ -1274,17 +1204,22 @@ class GatewayMachine(RuleBasedStateMachine):
 
     def expect_delete_v1_sessions_id(self, session_id, body):
         def effect(response):
-            for ledger in (self.open, self.fed, self.delivered):
+            leftover = len(self.mailbox[session_id])
+            assert response == {"session_id": session_id, "open": False, "orphaned": leftover}
+            self.orphans += leftover
+            for ledger in (self.open, self.fed, self.mailbox):
                 del ledger[session_id]
             self.closed.add(session_id)
+            self.unflushed.add(session_id)
 
         return Expect(200, effect=effect)
 
     def deliver(self, session_id, response):
-        for wire in response["predictions"]:
-            assert wire["session_id"] == session_id
-            assert wire["window_index"] not in self.delivered[session_id]
-            self.delivered[session_id].add(wire["window_index"])
+        """The answer is the id's mailbox, exactly and in order, now empty."""
+        assert response["session_id"] == session_id
+        keys = [(wire["session_id"], wire["window_index"]) for wire in response["predictions"]]
+        assert keys == [(session_id, index) for index in self.mailbox[session_id]]
+        self.mailbox[session_id].clear()
 
     def expect_post_v1_sessions_id_windows(self, session_id, body):
         samples = body["samples"]
@@ -1293,16 +1228,19 @@ class GatewayMachine(RuleBasedStateMachine):
         windows = len(samples[0]) // WINDOW
 
         def effect(response):
+            fed = self.fed[session_id]
+            self.pending += [(session_id, fed + index) for index in range(windows)]
             self.fed[session_id] += windows
             self.windows += windows
+            self.release()
             self.deliver(session_id, response)
 
         return Expect(200, effect=effect)
 
     def expect_post_v1_sessions_id_score(self, session_id, body):
         def effect(response):
+            self.flush()
             self.deliver(session_id, response)
-            assert self.delivered[session_id] == set(range(self.fed[session_id]))
 
         return Expect(200, effect=effect)
 
@@ -1324,7 +1262,11 @@ class GatewayMachine(RuleBasedStateMachine):
 
         return Expect(200, effect=effect)
 
-    expect_get_v1_stats = expect_get_healthz
+    def expect_get_v1_stats(self, session_id, body):
+        def effect(response):
+            assert response["orphaned_predictions"] == self.orphans
+
+        return Expect(200, effect=effect)
 
     # ----------------------------------------------------------- checking
     def send(self, method: str, path: str, payload=None, headers=None) -> None:
@@ -1345,11 +1287,11 @@ class GatewayMachine(RuleBasedStateMachine):
         if 400 <= status < 500:
             status, _, listed = self.exchange("GET", "/v1/sessions")
             assert (status, listed["sessions"]) == (200, list(self.open))
-            assert set(self.gateway.backend.sessions) == set(self.open) | self.direct
             assert submitted(self.gateway.backend) == self.windows
             assert self.gateway.backend.generation == 0
         if expect.effect is not None:
             expect.effect(response)
+        assert set(self.gateway.backend.sessions) == set(self.open) | self.direct
 
     def some_id(self, data) -> str:
         """An open id three times in four, else any id (open or not)."""
@@ -1444,9 +1386,33 @@ class GatewayMachine(RuleBasedStateMachine):
         # Let the connection handlers finish closing their sockets.
         await asyncio.gather(*asyncio.all_tasks() - {asyncio.current_task()})
 
+    def round_trip(self, session_id: str) -> None:
+        """Open an id twice (the second a 409) and score it, so nothing is
+        pending; feed it a full batch and a window more, which the feed and
+        a second score answer; close it, and ask for its predictions.  Each
+        request takes the id's percent-encoded path.  An id the backend
+        opened answers both opens with 409 and the rest with 404."""
+        self.send("POST", "/v1/sessions", {"session_id": session_id})
+        self.send("POST", "/v1/sessions", {"session_id": session_id})
+        self.send("GET", "/readyz")
+        self.send("POST", session_path(session_id, "score"))
+        self.send("POST", session_path(session_id, "windows"), {"samples": chunk(MAX_BATCH + 1)})
+        self.send("POST", session_path(session_id, "score"))
+        self.send("DELETE", session_path(session_id))
+        self.send("GET", session_path(session_id, "predictions"))
+
     def teardown(self):
+        """Every example ends with the same cases, whatever the rules drew:
+        each refused open, each id's round trip and the orphan count."""
         if self.gateway is not None:
-            self.run(self.stop())
+            try:
+                for body in REFUSED_OPENS:
+                    self.send("POST", "/v1/sessions", body)
+                for session_id in IDS[:-1]:
+                    self.round_trip(session_id)
+                self.send("GET", "/v1/stats")
+            finally:  # a failed case still shuts the gateway down
+                self.run(self.stop())
         self.loop.close()
         if self.gateway is not None:
             assert self.gateway.stats.handler_errors == 0
@@ -1461,10 +1427,17 @@ class GatewayMachine(RuleBasedStateMachine):
 def test_the_gateway_keeps_its_contract(model_registry, kind, examples, steps):
     """One state machine checks the whole HTTP contract: every status is
     the model's, a 405 names the path's methods in ``Allow``, a 400 names
-    the offending key, nothing answers 5xx, and no 4xx changes any state
-    (the same connection serves the next request); delivered windows are
-    unique, and gap-free after a score; after an upgrade request a fresh
-    connection is served too."""
+    the offending key (and the JSON type a value lacks), a 409 says the id
+    is already open, nothing answers 5xx, and no 4xx changes a session,
+    the windows submitted or the generation (the same connection serves
+    the next request); the backend holds exactly the gateway's and the
+    directly opened ids; every feed, score and predictions answer is the
+    id's mailbox, exactly and in order, with batches of ``MAX_BATCH``
+    released oldest first; open and close answer with the id, and a close
+    with the windows it orphaned; the orphan count in ``/v1/stats`` is the
+    model's; after an upgrade request a fresh connection is served too.
+    Every example ends with each refused open body and every id's round
+    trip, and with no handler error and one protocol error per 400."""
     with capture():
         run_state_machine_as_test(
             lambda: GatewayMachine(kind, model_registry),

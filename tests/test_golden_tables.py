@@ -10,7 +10,7 @@ Two pinning strategies:
 * **Numeric goldens** — a real fixed-seed tiny-scale suite run over the
   shared session datasets, pinned at the rendered two-decimal precision,
   and a tiny Figure 8 sweep, pinned trial by trial.  Any drift in dataset
-  generation, seed derivation, splitting, model training or bit-flip
+  generation, seeding, splitting, model training or bit-flip
   draws shows up as changed accuracy cells.
 
 If a failure here is *intentional* (a deliberate format or algorithm
@@ -47,7 +47,6 @@ def _cell(model, dataset, accs, infer, engine=None):
         engine_inference_seconds_per_query=(
             None if engine is None else np.asarray(engine)
         ),
-        seeds=(0, 1),
     )
 
 
@@ -148,7 +147,7 @@ class TestFormattingGoldens:
 
 #: Rendered Table I of the fixed-seed tiny-scale suite over the shared
 #: session datasets (mini WESAD seed 0, mini Nurse seed 1; OnlineHD and
-#: BoostHD; legacy per-run seeds 0/1; split_seed 7).  Regenerate with::
+#: BoostHD; run r seeded with r; split seed 7).  Regenerate with::
 #:
 #:     suite = run_suite(suite_datasets, ("OnlineHD", "BoostHD"),
 #:                       scale=TINY_SCALE, n_runs=2)

@@ -1,16 +1,16 @@
 """Every entry point accepts and rejects the same precisions and options.
 
 :data:`repro.engine.PRECISIONS` is the one table of precision names; the
-entry points that take a precision — ``compile_model``,
-``ModelRegistry.load_compiled`` and ``AdaptiveModel`` — must accept exactly
-its five names, and refuse anything else (the removed ``"cascade"`` alias,
-``"cascade-fixed8"`` and ``"cascade-float64"`` included) with a message
-that names exactly the accepted precisions.  Each layer keeps its own error
-type (``EngineError``, ``RegistryError``, and the ``ValueError`` adaptive
-serving has always raised); the message is shared.  A precision name is all
-an entry point takes: every other engine option is an unexpected keyword.
+entry points that take a precision — ``compile_model`` and
+``ModelRegistry.load_compiled`` — must accept exactly its five names, and
+refuse anything else (the removed ``"cascade"`` alias, ``"cascade-fixed8"``
+and ``"cascade-float64"`` included) with a message that names exactly the
+accepted precisions.  Each layer keeps its own error type (``EngineError``,
+``RegistryError``); the message is shared.  A precision name is all an entry
+point takes: every other engine option is an unexpected keyword.
 ``StreamingService`` takes no precision: it serves the engine it is given,
-at any of them, exactly as that engine scores.
+at any of them, exactly as that engine scores; ``AdaptiveModel`` serves the
+default float engine.
 """
 
 import re
@@ -62,10 +62,6 @@ ENTRY_POINTS = {
     "load_compiled": (
         RegistryError,
         lambda model, registry, name: registry.load_compiled("m", precision=name),
-    ),
-    "AdaptiveModel": (
-        ValueError,
-        lambda model, registry, name: AdaptiveModel(model, precision=name).compiled,
     ),
 }
 
@@ -129,8 +125,8 @@ def test_stray_options_raise_the_same_engine_error(setup, precision, options):
 
 def test_removed_options_raise_type_error_before_anything_is_built(setup):
     """``threshold`` left the build path, ``dtype`` every serving entry point
-    and ``compile_options`` ``AdaptiveModel``: naming one fails as the call
-    binds its arguments, before anything is built."""
+    and ``compile_options`` and ``precision`` ``AdaptiveModel``: naming one
+    fails as the call binds its arguments, before anything is built."""
     model, registry = setup
     components = model_components(model)
     cascade, stray_dtype = "cascade-fixed16", {"dtype": np.float64}
@@ -139,6 +135,7 @@ def test_removed_options_raise_type_error_before_anything_is_built(setup):
         ("threshold", lambda: build_engine(components, cascade, threshold=0.1)),
         ("dtype", lambda: registry.load_compiled("m", **stray_dtype)),
         ("compile_options", lambda: AdaptiveModel(model, compile_options=stray_dtype)),
+        ("precision", lambda: AdaptiveModel(model, precision="fixed16")),
     ]
     for option, call in calls:
         with pytest.raises(TypeError, match=f"unexpected keyword argument {option!r}"):

@@ -15,17 +15,23 @@ Each defaulted parameter of a public function, or of a public method of a
 public class (``__init__`` goes by the class's name), needs a call in those
 files that sets it: by keyword or by position, through ``partial``, as a
 keyword to a function that passes its ``**kwargs`` on to the call, or as a
-dict-literal key.  An argument that forwards the caller's own parameter
-``p`` or ``self.p`` (by keyword or by position) sets it only when some
-call sets ``p``.  And each public method or property of a public class
-must be read there as an attribute, a name or a string, not counting a
-load of a same-named parameter or local.
+key of a dict display (``{...}`` or ``dict(...)``) that reaches a ``**`` in
+a call in its module, splatted there itself or through the names it is
+assigned to and the displays it is spread into.  An argument that forwards
+the caller's own parameter ``p`` or ``self.p`` (by keyword or by position)
+sets it only when some call sets ``p``.  And each public method or property
+of a public class must be read there as an attribute, a name or a string,
+not counting a load of a same-named parameter or local.
 
 The checks go by name, not by binding: a same-named attribute anywhere
 counts as a use (``np.__version__`` covers ``repro.__version__``).  So they
-can miss a dead name, but they cannot flag a live one.  Each ``EXEMPT``
-table lists what is kept without such a caller, each with its reason, and
-an entry the guard would no longer flag fails too.
+can miss a dead name.  They flag a live one only where a dict reaches its
+``**`` by some other way than names and displays: passed as an argument and
+splatted inside the callee, returned, or kept in an attribute.  Its keys
+then set nothing, and tier-1 fails loudly; splat the dict at the call, or
+exempt the option with its reason.  Each ``EXEMPT`` table lists what is
+kept without such a caller, each with its reason, and an entry the guard
+would no longer flag fails too.
 """
 
 import ast
@@ -75,6 +81,8 @@ EXEMPT_OPTIONS = {
     "RandomForestClassifier(min_samples_leaf=)": _HYPERPARAMETER,
     "DecisionTreeClassifier(min_samples_split=)": _HYPERPARAMETER,
     "DecisionTreeClassifier(min_samples_leaf=)": _HYPERPARAMETER,
+    "LinearSVM(batch_size=)": _HYPERPARAMETER,
+    "MLPClassifier(batch_size=)": _HYPERPARAMETER,
     "OnlineHD.partial_fit(trainer=)": _TRAINER,
     "BoostHD.partial_fit(trainer=)": _TRAINER,
 }
@@ -190,12 +198,11 @@ def _parameters(fn, method: bool) -> tuple[list[str], list[str], list[str]]:
 class _Calls(ast.NodeVisitor):
     """Each call's callee, its positional arguments and its keywords (each
     with the parameter it forwards, else ``None``), and the callable whose
-    ``**kwargs`` it splats; and every dict-literal key."""
+    ``**kwargs`` it splats."""
 
     def __init__(self, inits: dict[str, set[str]]):
         self.inits = inits  # class name -> its __init__'s parameter names
         self.calls = []
-        self.keys = set()
         self.scope = [(None, set(), None, None)]  # callable, params, **kwargs, class
 
     def _enter(self, node, scope):
@@ -216,10 +223,6 @@ class _Calls(ast.NodeVisitor):
 
     def visit_Lambda(self, node):
         self._enter(node, (None, set(), None, self.scope[-1][3]))
-
-    def visit_Dict(self, node):
-        self.keys |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
-        self.generic_visit(node)
 
     def _source(self, value):
         """The parameter an argument forwards: ``(callable, p)`` for a
@@ -251,6 +254,65 @@ class _Calls(ast.NodeVisitor):
         self.calls.append((_name(func), list(map(self._source, args)), keywords, splat))
 
 
+def _dict_display(node) -> bool:
+    """A ``{...}`` display or a ``dict(...)`` call."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "dict"
+    return isinstance(node, ast.Dict)
+
+
+def _splatted_keys(tree) -> set[str]:
+    """The keys of every dict display in a module that reaches a ``**`` in a
+    call: splatted there itself, or through the names it is assigned to and
+    the displays it is spread into.  A name is its binding in its own scope,
+    and only names and displays are followed: a dict passed to a function
+    that splats its parameter, returned, or kept in an attribute is not."""
+    flows, reach = defaultdict(set), set()  # a display or a binding -> where it flows
+
+    def visit(node, scopes):
+        def handle(value):
+            if not isinstance(value, ast.Name):
+                return value
+            return next((fn for fn, own in scopes if value.id in own), None), value.id
+
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    flows[handle(node.value)].add(handle(target))
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if key is None:
+                    flows[handle(value)].add(node)
+        elif isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    if _dict_display(node):
+                        flows[handle(keyword.value)].add(node)
+                    else:
+                        reach.add(handle(keyword.value))
+        body = ()
+        if isinstance(node, _SCOPES):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = ((node, _own_names(node)), *scopes)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if any(child is part for part in body) else scopes)
+
+    visit(tree, ())
+    grown = True
+    while grown:  # until no display or binding flows into one more that reaches
+        more = {source for source, targets in flows.items() if targets & reach} - reach
+        reach |= more
+        grown = bool(more)
+    keys = set()
+    for node in reach:
+        if isinstance(node, ast.Dict):
+            keys |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
+        elif _dict_display(node):
+            keys |= {keyword.arg for keyword in node.keywords if keyword.arg is not None}
+    return keys
+
+
 def uncalled_options(packages, roots, exempt=()) -> list[str]:
     """``Callable(param=)`` of every non-exempt defaulted parameter of a
     public callable under ``packages`` that no call under ``roots`` sets."""
@@ -265,6 +327,7 @@ def uncalled_options(packages, roots, exempt=()) -> list[str]:
     visitor = _Calls(inits)
     for tree in trees:
         visitor.visit(tree)
+    keys = set().union(*map(_splatted_keys, trees))
     received = defaultdict(set)  # callable -> keywords its callers pass
     for callee, _, keywords, _ in visitor.calls:
         received[callee] |= set(keywords)
@@ -289,7 +352,7 @@ def uncalled_options(packages, roots, exempt=()) -> list[str]:
                         (index < len(args) and is_set(args[index]))
                         or (param in keywords and is_set(keywords[param]))
                         or (splat is not None and param in received[splat])
-                        or param in visitor.keys
+                        or param in keys
                     ):
                         live.add((callee, param))
                         changed = True
@@ -418,7 +481,8 @@ def test_the_option_guard_flags_a_parameter_only_tests_set(tmp_path):
         tmp_path,
         "from functools import partial\n"
         "class Service:\n"
-        "    def __init__(self, a=1, *, kw=2, fwd=3, dead=4, key=5, clock=None, tested=6):\n"
+        "    def __init__(self, a=1, *, kw=2, fwd=3, dead=4, key=5, clock=None, tested=6,\n"
+        "                 spread=7, built=8, passed=9):\n"
         "        self.fwd = fwd\n"
         "    def start(self, deep=1):\n"
         "        return Helper(fwd=self.fwd)\n"
@@ -435,12 +499,23 @@ def test_the_option_guard_flags_a_parameter_only_tests_set(tmp_path):
         "Service(0, kw=1, fwd=2).start()\n"
         "partial(Service, dead=None)\n"
         "options = {'key': 0}\n"
+        "base = {'spread': 0}\n"
+        "Service(**{**base})\n"
+        "Service(**dict(built=0))\n"
+        "def forward(extra):\n"
+        "    return Service(**extra)\n"
+        "extra = {'passed': 0}\n"
+        "forward(extra)\n"
         "make(splat=1)\n"
         "relay()\n",
     )
+    # ``key`` is in a dict no call splats; ``passed`` is splatted only inside
+    # the callee it is passed to, which the rule does not follow.
     assert uncalled_options(packages, roots) == [
+        "Service(key=)",
         "Service(clock=)",
         "Service(tested=)",
+        "Service(passed=)",
         "Service.start(deep=)",
         "Helper(unset=)",
         "relay(unset=)",

@@ -51,7 +51,7 @@ from repro.hdc import (
 )
 from repro.hdc.quantize import SCHEME_DTYPES, from_fixed_point
 from repro.hdc.similarity import _popcount_rows_lut, popcount_rows
-from repro.serving import AdaptiveModel, ModelRegistry
+from repro.serving import ModelRegistry
 
 pytestmark = pytest.mark.quant
 
@@ -815,25 +815,6 @@ def test_registry_legacy_load_unchanged(registry_setup):
     registry, model, X_test, _ = registry_setup
     restored = registry.load("float-artifact")
     np.testing.assert_array_equal(restored.predict(X_test), model.predict(X_test))
-
-
-# ---------------------------------------------------------- serving precision
-def test_adaptive_model_serving_precision_recompiles_quantized():
-    X, y, X_test, y_test = _blob_problem(seed=4)
-    model = BoostHD(total_dim=320, n_learners=4, epochs=2, seed=2).fit(X, y)
-    served = AdaptiveModel(model, precision="fixed8")
-    assert served.precision == "fixed8"
-    assert isinstance(served.compiled, FixedPointModel)
-    recompiles = served.recompiles
-    served.feedback(X_test[:6], y_test[:6])
-    assert isinstance(served.compiled, FixedPointModel)
-    assert served.recompiles == recompiles + 1
-    packed = AdaptiveModel(model, precision="bipolar-packed")
-    assert isinstance(packed.compiled, PackedBipolarModel)
-    # Typos fail at configuration time, not on the first scoring call.
-    for typo in ("fixed-8", "int4"):
-        with pytest.raises(ValueError, match="serving precision"):
-            AdaptiveModel(model, precision=typo)
 
 
 # ------------------------------------------------------------- bit flips

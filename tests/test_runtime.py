@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* **Equivalence** — ``run_suite`` produces bit-identical accuracies and seeds
-  at 1, 2 and 4 workers, with legacy and derived seed roots, and with its
-  default datasets or the same datasets passed explicitly.
+* **Equivalence** — ``run_suite`` produces bit-identical accuracies at 1, 2
+  and 4 workers, with its default datasets or the same datasets passed
+  explicitly, and run ``r`` of a model is the model seeded with ``r``.
 * **Resume** — an interrupted suite checkpoints every completed cell into the
   :class:`~repro.runtime.store.ArtifactStore` and a rerun replays them
   without recomputation, landing on the same numbers.
@@ -14,6 +14,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import load_dataset, load_datasets, run_suite
+from repro.data.wesad import load_wesad
+from repro.experiments import build_model, load_dataset, load_datasets, run_suite
 from repro.experiments.runner import _split_fingerprint
 from repro.obs import OBS, capture
 from repro.runtime import (
@@ -32,14 +34,12 @@ from repro.runtime import (
     CellResult,
     RunReport,
     canonical_spec,
-    cell_seed,
-    dataset_seeds,
-    derive_seed,
     parallel_map,
     resolve_max_workers,
     spec_key,
     suite_cells,
 )
+from repro.runtime.executor import pool_size
 
 pytestmark = pytest.mark.runtime
 
@@ -54,80 +54,12 @@ def suite_accuracies(suite):
     }
 
 
-def suite_seeds(suite):
-    return {
-        (dataset, model): suite.results[dataset][model].seeds
-        for dataset in suite.datasets()
-        for model in suite.models()
-    }
-
-
 def assert_suites_identical(first, second):
     assert first.datasets() == second.datasets()
     assert first.models() == second.models()
     first_acc, second_acc = suite_accuracies(first), suite_accuracies(second)
     for key in first_acc:
         assert np.array_equal(first_acc[key], second_acc[key]), key
-    assert suite_seeds(first) == suite_seeds(second)
-
-
-# ---------------------------------------------------------------------------
-# Seeding
-# ---------------------------------------------------------------------------
-
-
-class TestSeeding:
-    def test_derive_seed_is_deterministic(self):
-        assert derive_seed(0, 1, 2, 3) == derive_seed(0, 1, 2, 3)
-
-    def test_derive_seed_depends_on_every_coordinate(self):
-        base = derive_seed(7, 1, 2, 3)
-        assert derive_seed(8, 1, 2, 3) != base
-        assert derive_seed(7, 0, 2, 3) != base
-        assert derive_seed(7, 1, 0, 3) != base
-        assert derive_seed(7, 1, 2, 0) != base
-
-    def test_derive_seed_fits_in_int64(self):
-        for path in [(0,), (1, 2), (3, 4, 5)]:
-            seed = derive_seed(123, *path)
-            assert 0 <= seed < 2**63
-
-    def test_legacy_cell_seed_is_run_index(self):
-        assert cell_seed(None, "WESAD", "BoostHD", 4) == 4
-
-    def test_derived_cell_seeds_distinct_across_grid(self):
-        datasets = ("WESAD", "Nurse Stress Dataset", "Stress-Predict Dataset")
-        models = ("AdaBoost", "RF", "XGBoost", "SVM", "DNN", "OnlineHD", "BoostHD")
-        seeds = {
-            cell_seed(11, d, m, r) for d in datasets for m in models for r in range(5)
-        }
-        assert len(seeds) == 3 * 7 * 5
-
-    def test_cell_seed_is_subset_invariant(self):
-        """A cell draws the same seed however the suite around it is shaped."""
-        full = suite_cells(("A", "B"), ("m1", "m2"), 2, seed=9)
-        only_b = suite_cells(("B",), ("m2", "m1"), 2, seed=9)
-        full_seeds = {
-            (c.dataset, c.model, c.run_index): c.seed for c in full
-        }
-        for cell in only_b:
-            assert cell.seed == full_seeds[(cell.dataset, cell.model, cell.run_index)]
-
-    def test_legacy_dataset_seeds_are_canonical_positions(self):
-        canonical = ("WESAD", "Nurse Stress Dataset", "Stress-Predict Dataset")
-        seeds = dataset_seeds(canonical, canonical, None)
-        assert seeds == {canonical[0]: 0, canonical[1]: 1, canonical[2]: 2}
-        # A subset keeps its canonical position, not its enumeration index.
-        assert dataset_seeds(canonical[2:], canonical, None) == {canonical[2]: 2}
-
-    def test_derived_dataset_seeds_differ_per_dataset(self):
-        canonical = ("A", "B", "C")
-        seeds = dataset_seeds(canonical, canonical, 3)
-        assert len(set(seeds.values())) == 3
-
-    def test_unknown_dataset_raises(self):
-        with pytest.raises(KeyError):
-            dataset_seeds(["nope"], ("A", "B"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +77,6 @@ class TestSuiteCells:
         assert [c.run_index for c in cells[:3]] == [0, 1, 2]
         assert cells[6].dataset == "B"
 
-    def test_seeds_match_derivation(self):
-        for cell in suite_cells(("A",), ("m1", "m2"), 2, seed=9):
-            assert cell.seed == cell_seed(9, cell.dataset, cell.model, cell.run_index)
-
     def test_invalid_plans_raise(self):
         with pytest.raises(ValueError):
             suite_cells(("A",), ("m",), 0)
@@ -159,7 +87,7 @@ class TestSuiteCells:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: serial vs parallel, legacy and derived seeds, both sources
+# Equivalence: serial vs parallel, both sources, the seed rule
 # ---------------------------------------------------------------------------
 
 
@@ -184,42 +112,27 @@ class TestEquivalence:
         assert_suites_identical(serial_suite, parallel)
         assert parallel.report.n_cells == len(suite_datasets) * len(SUITE_MODELS) * 3
 
-    def test_legacy_seeds_match_run_indices(self, serial_suite):
-        for seeds in suite_seeds(serial_suite).values():
-            assert seeds == (0, 1, 2)
-
-    def test_derived_root_seed_equivalence(self, suite_datasets, tiny_scale):
-        serial = run_suite(
-            suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2, seed=123
-        )
-        parallel = run_suite(
-            suite_datasets,
-            SUITE_MODELS,
-            scale=tiny_scale,
-            n_runs=2,
-            seed=123,
-            max_workers=2,
-        )
-        assert_suites_identical(serial, parallel)
-        # Derived seeds are not the run indices and are distinct per cell.
-        all_seeds = [s for seeds in suite_seeds(serial).values() for s in seeds]
-        assert len(set(all_seeds)) == len(all_seeds)
-
-    def test_different_roots_give_different_seeds(self, suite_datasets, tiny_scale):
-        first = run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=2, seed=1)
-        second = run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=2, seed=2)
-        assert suite_seeds(first) != suite_seeds(second)
+    def test_run_r_is_the_model_seeded_with_r(self, suite_datasets, serial_suite, tiny_scale):
+        """Every cell fits the registry model seeded with its run index on
+        the dataset's split with seed 7."""
+        for name, dataset in suite_datasets.items():
+            X_train, X_test, y_train, y_test = dataset.split(rng=7)
+            for model in SUITE_MODELS:
+                expected = [
+                    build_model(model, run, tiny_scale).fit(X_train, y_train).score(X_test, y_test)
+                    for run in range(3)
+                ]
+                assert serial_suite.results[name][model].accuracies.tolist() == expected
 
     @pytest.mark.slow
     def test_loader_source_equivalence(self, tiny_scale):
-        """datasets=None runs the suite on ``load_datasets(scale, seed=seed)``."""
-        default = run_suite(None, SUITE_MODELS, scale=tiny_scale, n_runs=2, seed=7)
+        """datasets=None runs the suite on ``load_datasets(scale)``."""
+        default = run_suite(None, SUITE_MODELS, scale=tiny_scale, n_runs=2)
         explicit = run_suite(
-            load_datasets(tiny_scale, seed=7),
+            load_datasets(tiny_scale),
             SUITE_MODELS,
             scale=tiny_scale,
             n_runs=2,
-            seed=7,
             max_workers=2,
         )
         assert_suites_identical(default, explicit)
@@ -233,6 +146,18 @@ class TestEquivalence:
         assert suite.report.busy_seconds > 0
         assert 0 < suite.report.utilization
         assert suite.report.n_workers_used <= 2
+
+    def test_report_names_the_pool_the_map_ran_on(self, suite_datasets, tiny_scale, tmp_path):
+        """One cell runs in-process and a full replay computes none: either
+        report says one worker, whatever pool was asked for."""
+        grid = {"WESAD": suite_datasets["WESAD"]}
+        for _ in range(2):  # compute, then replay from the store
+            suite = run_suite(
+                grid, ("OnlineHD",), scale=tiny_scale, n_runs=1, max_workers=4, store=tmp_path
+            )
+            assert suite.report.max_workers == 1
+            assert "on 1 worker(s)" in suite.report.summary()
+        assert suite.report.n_cached == 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +242,10 @@ class TestResume:
     ):
         store = ArtifactStore(tmp_path)
         run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=2, store=store)
-        # Different root seed => different cells => no replays.
+        # Another scale => other cells => no replays.
+        other_scale = dataclasses.replace(tiny_scale, hd_epochs=tiny_scale.hd_epochs + 1)
         other = run_suite(
-            suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=2, seed=5, store=store
+            suite_datasets, ("OnlineHD",), scale=other_scale, n_runs=2, store=store
         )
         assert other.report.n_cached == 0
 
@@ -334,7 +260,6 @@ def make_result(**overrides) -> CellResult:
         dataset="WESAD",
         model="BoostHD",
         run_index=1,
-        seed=42,
         accuracy=0.875,
         train_seconds=0.25,
         inference_seconds_per_query=1.5e-5,
@@ -346,7 +271,7 @@ def make_result(**overrides) -> CellResult:
     return CellResult(**defaults)
 
 
-SPEC = {"version": 1, "dataset": "WESAD", "model": "BoostHD", "run_index": 1, "seed": 42}
+SPEC = {"version": 1, "dataset": "WESAD", "model": "BoostHD", "run_index": 1, "data": "ab12"}
 
 
 class TestArtifactStore:
@@ -362,7 +287,6 @@ class TestArtifactStore:
             "dataset",
             "model",
             "run_index",
-            "seed",
             "accuracy",
             "train_seconds",
             "inference_seconds_per_query",
@@ -401,7 +325,7 @@ class TestArtifactStore:
         key = store.save(SPEC, make_result())
         manifest_path = tmp_path / f"{key}.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["spec"] = {**SPEC, "seed": 43}  # the "colliding" spec
+        manifest["spec"] = {**SPEC, "data": "cd34"}  # the "colliding" spec
         manifest_path.write_text(json.dumps(manifest))
         assert store.load(SPEC) is None
 
@@ -448,7 +372,7 @@ class TestArtifactStore:
     def test_clear_empties_the_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.save(SPEC, make_result())
-        store.save({**SPEC, "seed": 43}, make_result(seed=43))
+        store.save({**SPEC, "run_index": 2}, make_result(run_index=2))
         assert store.clear() == 2
         assert len(store) == 0 and store.load(SPEC) is None
 
@@ -485,12 +409,11 @@ def test_property_distinct_specs_get_distinct_keys(first, second):
     inference=st.floats(0.0, 1.0, allow_nan=False),
     engine=st.one_of(st.none(), st.floats(0.0, 1.0, allow_nan=False)),
     run_index=st.integers(0, 1000),
-    seed=st.integers(0, 2**63 - 1),
     worker=st.integers(0, 10**9),
 )
 @settings(max_examples=40, deadline=None)
 def test_property_store_round_trip_bit_exact(
-    tmp_path_factory, accuracy, train_seconds, inference, engine, run_index, seed, worker
+    tmp_path_factory, accuracy, train_seconds, inference, engine, run_index, worker
 ):
     store = ArtifactStore(tmp_path_factory.mktemp("store"))
     result = make_result(
@@ -499,17 +422,16 @@ def test_property_store_round_trip_bit_exact(
         inference_seconds_per_query=inference,
         engine_seconds_per_query=engine,
         run_index=run_index,
-        seed=seed,
         worker=worker,
     )
-    spec = {"seed": seed, "run_index": run_index}
+    spec = {"run_index": run_index, "worker": worker}
     store.save(spec, result)
     loaded = store.load(spec)
     assert loaded.accuracy == accuracy
     assert loaded.train_seconds == train_seconds
     assert loaded.inference_seconds_per_query == inference
     assert loaded.engine_seconds_per_query == engine
-    assert loaded.run_index == run_index and loaded.seed == seed
+    assert loaded.run_index == run_index
     assert loaded.worker == worker
 
 
@@ -575,6 +497,9 @@ class TestParallelMap:
         assert resolve_max_workers("auto") >= 1
         monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
         assert resolve_max_workers(None) == 5
+        # A map of at most one item runs in-process whatever is asked.
+        assert [pool_size(None, n) for n in (0, 1, 2)] == [1, 1, 5]
+        assert [pool_size(4, n) for n in (0, 1, 2)] == [1, 1, 4]
 
 
 class TestRunReport:
@@ -605,11 +530,19 @@ class TestRunReport:
 class TestSplitFingerprint:
     def test_fingerprint_distinguishes_seeds(self, tiny_scale):
         """The store keys a cell by its data: another generation seed is
-        another fingerprint, the same seed the same one."""
+        another fingerprint, the same seed the same one.  ``load_dataset``
+        seeds WESAD with its position, 0."""
 
         def fingerprint(seed):
-            dataset = load_dataset("WESAD", tiny_scale, seed=seed)
-            return _split_fingerprint(dataset.split(test_fraction=0.3, rng=7))
+            dataset = load_wesad(
+                n_subjects=tiny_scale.wesad_subjects,
+                windows_per_state=tiny_scale.windows_per_state,
+                seed=seed,
+            )
+            return _split_fingerprint(dataset.split(rng=7))
 
-        assert fingerprint(None) != fingerprint(5)
-        assert fingerprint(None) == fingerprint(None)
+        assert fingerprint(0) != fingerprint(5)
+        assert fingerprint(0) == fingerprint(0)
+        assert fingerprint(0) == _split_fingerprint(
+            load_dataset("WESAD", tiny_scale).split(rng=7)
+        )

@@ -351,7 +351,8 @@ class TestModelRegistry:
         boost, _ = fitted_models
         registry = ModelRegistry(tmp_path)
         version = registry.save("stress", boost, metadata={"dataset": "blobs"})
-        loaded = registry.load("stress", version)
+        assert registry.latest("stress") == version
+        loaded = registry.load("stress")
         np.testing.assert_array_equal(
             loaded.decision_function(X_test), boost.decision_function(X_test)
         )
@@ -552,7 +553,7 @@ class TestModelRegistry:
             registry.save("../escape", boost)
         registry.save("stress", boost)
         with pytest.raises(RegistryError, match="v9"):
-            registry.load("stress", 9)
+            registry.load_compiled("stress", 9)
 
 
 # ------------------------------------------------------------------ adaptation

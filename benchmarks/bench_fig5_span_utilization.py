@@ -10,14 +10,7 @@ from repro.experiments import figure5_span
 
 def test_fig5_span_utilization(run_once, wesad, scale):
     def regenerate():
-        return figure5_span(
-            wesad,
-            total_dim=scale.total_dim,
-            n_learners=scale.n_learners,
-            epochs=scale.hd_epochs,
-            seed=0,
-            scale=scale,
-        )
+        return figure5_span(wesad, seed=0, scale=scale)
 
     results, text = run_once(regenerate)
     print("\n" + text)

@@ -13,15 +13,7 @@ def test_fig6_stability(run_once, wesad, scale):
     dims = (100, 200, 400, 700, 1000)
 
     def regenerate():
-        return figure6_stability(
-            wesad,
-            dims=dims,
-            n_learners=scale.n_learners,
-            n_runs=scale.sweep_runs,
-            epochs=scale.hd_epochs,
-            seed=0,
-            scale=scale,
-        )
+        return figure6_stability(wesad, dims=dims, seed=0, scale=scale)
 
     results, text = run_once(regenerate)
     print("\n" + text)

@@ -18,9 +18,6 @@ def test_fig7_overfitting(run_once, wesad, scale):
             wesad,
             keep_fractions=keep_fractions,
             total_dims=(scale.total_dim,),
-            n_learners=scale.n_learners,
-            epochs=scale.hd_epochs,
-            target_class=0,
             seed=0,
             scale=scale,
         )

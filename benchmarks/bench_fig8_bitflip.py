@@ -17,7 +17,6 @@ def test_fig8_bitflip_robustness(run_once, wesad, scale):
             wesad,
             probabilities=probabilities,
             model_names=("DNN", "OnlineHD", "BoostHD"),
-            n_trials=scale.bitflip_trials,
             seed=0,
             scale=scale,
         )

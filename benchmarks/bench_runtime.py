@@ -21,6 +21,7 @@ Fast mode (``REPRO_BENCH_FAST=1``) shrinks the grids so the whole module
 smokes in well under a minute on CI.
 """
 
+import dataclasses
 import os
 import time
 
@@ -52,12 +53,12 @@ def _suite_accuracies(suite):
 def test_parallel_suite_speedup(datasets, scale):
     """4-worker suite: bit-identical to serial and >= 2x faster on >= 4 cores."""
     grid = dict(datasets) if not FAST else {"WESAD": datasets["WESAD"]}
+    scale = dataclasses.replace(scale, n_runs=SPEEDUP_RUNS)
     cpus = available_cpus()
     workers = min(cpus, WORKERS)
 
     start = time.perf_counter()
-    serial = run_suite(grid, SPEEDUP_MODELS, scale=scale, n_runs=SPEEDUP_RUNS,
-                       max_workers=1)
+    serial = run_suite(grid, SPEEDUP_MODELS, scale=scale, max_workers=1)
     serial_seconds = time.perf_counter() - start
 
     # Equivalence at 4 workers on any machine; the clock at one worker per
@@ -66,8 +67,7 @@ def test_parallel_suite_speedup(datasets, scale):
     for n_workers in sorted({workers, WORKERS}):
         start = time.perf_counter()
         parallel[n_workers] = run_suite(
-            grid, SPEEDUP_MODELS, scale=scale, n_runs=SPEEDUP_RUNS,
-            max_workers=n_workers,
+            grid, SPEEDUP_MODELS, scale=scale, max_workers=n_workers
         )
         parallel_seconds[n_workers] = time.perf_counter() - start
         for key, accuracies in _suite_accuracies(serial).items():
@@ -137,15 +137,16 @@ def test_resume_replays_from_store(datasets, scale, tmp_path):
     """A populated store turns a rerun into pure replay: no recomputation."""
     grid = {"WESAD": datasets["WESAD"]}
     models = ("OnlineHD", "BoostHD")
+    scale = dataclasses.replace(scale, n_runs=2)
 
     start = time.perf_counter()
-    first = run_suite(grid, models, scale=scale, n_runs=2, store=tmp_path)
+    first = run_suite(grid, models, scale=scale, store=tmp_path)
     compute_seconds = time.perf_counter() - start
     assert first.report.n_computed == len(grid) * len(models) * 2
     assert first.report.n_cached == 0
 
     start = time.perf_counter()
-    second = run_suite(grid, models, scale=scale, n_runs=2, store=tmp_path)
+    second = run_suite(grid, models, scale=scale, store=tmp_path)
     replay_seconds = time.perf_counter() - start
     assert second.report.n_computed == 0
     assert second.report.n_cached == first.report.n_computed

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import load_nurse_stress, load_stress_predict, load_wesad
-from repro.experiments import FULL, ExperimentScale, is_full_scale
+from repro.experiments import FULL, ExperimentScale, is_full_scale, load_datasets, run_suite
 
 #: Reduced scale used by default so the benchmark suite stays quick.
 BENCH = ExperimentScale(
@@ -39,29 +38,14 @@ def scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def wesad(scale):
-    return load_wesad(
-        n_subjects=scale.wesad_subjects,
-        windows_per_state=scale.windows_per_state,
-        seed=0,
-    )
+def datasets(scale):
+    """The three datasets exactly as ``run_suite(None, scale=scale)`` builds them."""
+    return load_datasets(scale)
 
 
 @pytest.fixture(scope="session")
-def datasets(scale, wesad):
-    return {
-        "WESAD": wesad,
-        "Nurse Stress Dataset": load_nurse_stress(
-            n_subjects=scale.nurse_subjects,
-            windows_per_state=max(5, scale.windows_per_state // 2),
-            seed=1,
-        ),
-        "Stress-Predict Dataset": load_stress_predict(
-            n_subjects=scale.stress_predict_subjects,
-            windows_per_state=scale.windows_per_state,
-            seed=2,
-        ),
-    }
+def wesad(datasets):
+    return datasets["WESAD"]
 
 
 @pytest.fixture(scope="session")
@@ -77,9 +61,7 @@ def suite(datasets, scale):
     the (dataset x model x run) grid out over a process pool — accuracies are
     bit-identical to the serial run at any worker count.
     """
-    from repro.experiments import run_suite
-
-    return run_suite(datasets, scale=scale, n_runs=scale.n_runs)
+    return run_suite(datasets, scale=scale)
 
 
 @pytest.fixture

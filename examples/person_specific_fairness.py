@@ -2,7 +2,9 @@
 
 Segments the synthetic WESAD subjects by demographic attributes (handedness,
 gender, age band, height band) and evaluates a subset of models within each
-group, reproducing the structure of the paper's Table III.
+group, reproducing the structure of the paper's Table III.  The groups are the
+paper's, ``repro.analysis.PAPER_GROUPS``, which ``group_accuracy_table``
+always evaluates.
 
 Run with::
 
@@ -34,7 +36,7 @@ def main() -> None:
     }
 
     print("\nEvaluating each model within each demographic group...")
-    table = group_accuracy_table(builders, dataset, groups=PAPER_GROUPS, seed=0)
+    table = group_accuracy_table(builders, dataset, seed=0)
 
     groups = [group for group in PAPER_GROUPS if any(group in row for row in table.values())]
     header = f"{'Model':10s} " + " ".join(f"{group:>14s}" for group in groups) + f" {'AVERAGE':>10s}"

@@ -8,12 +8,18 @@ synthetic WESAD dataset at a reduced scale:
 2. macro accuracy under induced class imbalance, Eq. 8 (Figure 7),
 3. accuracy under bit-flip noise in the stored model parameters (Figure 8).
 
+Every size comes from the quick scale: Figures 6 and 7 train 8 adaptive
+epochs and Figure 8 runs 5 bit-flip trials a probability, each call stating
+its own with ``dataclasses.replace(QUICK, ...)``.
+
 Run with::
 
     python examples/reliability_analysis.py
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro import load_wesad
 from repro.experiments import (
@@ -30,7 +36,10 @@ def main() -> None:
 
     print("\n[1/3] Stability: accuracy and sigma vs dimensionality (Figure 6)")
     results, text = figure6_stability(
-        dataset, dims=(100, 300, 600, 1000), n_runs=3, epochs=8, seed=0, scale=QUICK
+        dataset,
+        dims=(100, 300, 600, 1000),
+        seed=0,
+        scale=dataclasses.replace(QUICK, hd_epochs=8),
     )
     print(text)
     for name, sweep in results.items():
@@ -41,9 +50,8 @@ def main() -> None:
         dataset,
         keep_fractions=(1.0, 0.6, 0.3),
         total_dims=(1000,),
-        epochs=8,
         seed=0,
-        scale=QUICK,
+        scale=dataclasses.replace(QUICK, hd_epochs=8),
     )
     print(text)
 
@@ -51,9 +59,8 @@ def main() -> None:
     _, text = figure8_robustness(
         dataset,
         probabilities=(1e-6, 1e-5, 1e-4),
-        n_trials=5,
         seed=0,
-        scale=QUICK,
+        scale=dataclasses.replace(QUICK, bitflip_trials=5),
     )
     print(text)
 

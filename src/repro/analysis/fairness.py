@@ -20,7 +20,8 @@ from ..data.loaders import SubjectRecord, TabularDataset
 
 __all__ = ["PAPER_GROUPS", "GroupResult", "evaluate_groups", "group_accuracy_table"]
 
-#: The demographic groups of Table III as predicates over SubjectRecord.
+#: The demographic groups of Table III as predicates over SubjectRecord;
+#: :func:`evaluate_groups` reads it when called.
 PAPER_GROUPS: Mapping[str, Callable[[SubjectRecord], bool]] = {
     "Left hands": lambda record: record.hand == "left",
     "Female": lambda record: record.gender == "female",
@@ -45,10 +46,9 @@ def evaluate_groups(
     build_model: Callable[[int], BaseClassifier],
     dataset: TabularDataset,
     *,
-    groups: Mapping[str, Callable[[SubjectRecord], bool]] | None = None,
     seed: int = 0,
 ) -> list[GroupResult]:
-    """Evaluate a model family within each demographic group.
+    """Evaluate a model family within each group of :data:`PAPER_GROUPS`.
 
     For every group, the dataset is restricted to matching subjects, split
     subject-wise, and a fresh model from ``build_model(seed)`` is trained and
@@ -56,9 +56,8 @@ def evaluate_groups(
     (fewer than two subjects) are skipped — with synthetic cohorts this can
     legitimately happen for rare attributes.
     """
-    groups = groups or PAPER_GROUPS
     results: list[GroupResult] = []
-    for index, (group_name, predicate) in enumerate(groups.items()):
+    for index, (group_name, predicate) in enumerate(PAPER_GROUPS.items()):
         try:
             subset = dataset.filter_subjects(predicate, name=f"{dataset.name} / {group_name}")
         except ValueError:
@@ -86,13 +85,13 @@ def group_accuracy_table(
     model_builders: Mapping[str, Callable[[int], BaseClassifier]],
     dataset: TabularDataset,
     *,
-    groups: Mapping[str, Callable[[SubjectRecord], bool]] | None = None,
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
-    """Table III structure: ``{model: {group: accuracy, ..., "AVERAGE": mean}}``."""
+    """Table III structure: ``{model: {group: accuracy, ..., "AVERAGE": mean}}``
+    over the groups of :data:`PAPER_GROUPS`."""
     table: dict[str, dict[str, float]] = {}
     for model_name, builder in model_builders.items():
-        results = evaluate_groups(builder, dataset, groups=groups, seed=seed)
+        results = evaluate_groups(builder, dataset, seed=seed)
         row = {result.group: result.accuracy for result in results}
         if row:
             row["AVERAGE"] = float(np.mean(list(row.values())))

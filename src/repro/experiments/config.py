@@ -11,7 +11,7 @@ switches to the paper-scale parameters.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["ExperimentScale", "get_scale", "is_full_scale"]
 
@@ -22,7 +22,14 @@ class ExperimentScale:
 
     Attributes mirror the paper's experimental-setup section: the HDC total
     dimensionality, the ensemble size ``N_L``, the number of independent runs
-    per cell, dataset sizes and the perturbation-trial counts.
+    per cell, dataset sizes and the perturbation-trial counts.  They are the
+    only statement of an experiment's sizes: the generators take no per-call
+    override, so another size is another scale
+    (``dataclasses.replace(scale, n_runs=5)``).
+
+    A scale refuses to exist with a size below 1 (each ``dnn_hidden`` width
+    and ``dnn_epochs`` included) or a negative ``hd_epochs``: 0 adaptive
+    epochs is OnlineHD/BoostHD's bundling pass alone.
     """
 
     name: str
@@ -48,6 +55,16 @@ class ExperimentScale:
     bitflip_trials: int
     #: Runs per point in the stability / dimension sweeps.
     sweep_runs: int
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if field.name == "name":
+                continue
+            value = getattr(self, field.name)
+            sizes = value if isinstance(value, tuple) else (value,)
+            least = 0 if field.name == "hd_epochs" else 1
+            if any(size < least for size in sizes):
+                raise ValueError(f"{field.name} must be >= {least}, got {value!r}")
 
 
 QUICK = ExperimentScale(

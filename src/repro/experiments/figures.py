@@ -12,19 +12,20 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.robustness import BitflipSweepResult
+from ..analysis.robustness import BitflipSweepResult, bitflip_sweep
 from ..analysis.spectra import KernelShapeReport, encoded_data_spread, kernel_shape_report
 from ..analysis.stability import DimensionSweepPoint, DimensionSweepResult
+from ..baselines.metrics import accuracy, macro_accuracy
 from ..core.boosthd import BoostHD
 from ..core.span import SpanUtilization, span_utilization
 from ..core.theory import term_convergence_table
+from ..data.imbalance import make_imbalanced
 from ..data.loaders import TabularDataset
 from ..hdc.encoder import NonlinearEncoder
 from ..hdc.onlinehd import OnlineHD
-from ..runtime.cells import bitflip_cell, heatmap_cell, imbalance_cell, stability_cell
-from ..runtime.executor import parallel_map
+from ..runtime.executor import get_shared, parallel_map
 from .config import ExperimentScale, get_scale
-from .registry import check_model_names
+from .registry import build_model, check_model_names
 from .reporting import format_series
 
 __all__ = [
@@ -91,25 +92,19 @@ def figure3_heatmap(
     """
     if mode not in ("per_learner", "total"):
         raise ValueError(f"mode must be 'per_learner' or 'total', got {mode!r}")
-    split = dataset.split(rng=seed)
-    items = []
-    for row, n_learners in enumerate(learner_counts):
-        for column, dim in enumerate(dims):
-            total_dim = dim * n_learners if mode == "per_learner" else dim
-            items.append(
-                (
-                    row,
-                    column,
-                    int(n_learners),
-                    int(total_dim),
-                    int(epochs),
-                    seed + row * 100 + column,
-                )
-            )
-    scores = parallel_map(heatmap_cell, items, shared=split)
-    grid = np.zeros((len(learner_counts), len(dims)))
-    for (row, column, *_), score in zip(items, scores):
-        grid[row, column] = score
+    items = [
+        (
+            int(n_learners),
+            int(dim * n_learners if mode == "per_learner" else dim),
+            seed + row * 100 + column,
+        )
+        for row, n_learners in enumerate(learner_counts)
+        for column, dim in enumerate(dims)
+    ]
+    scores = parallel_map(
+        _heatmap_cell, items, shared=(dataset.split(rng=seed), int(epochs))
+    )
+    grid = np.asarray(scores, dtype=float).reshape(len(learner_counts), len(dims))
     result = HeatmapResult(
         mode=mode,
         learner_counts=tuple(int(count) for count in learner_counts),
@@ -127,6 +122,18 @@ def figure3_heatmap(
         title=f"FIGURE 3 — BoostHD accuracy heatmap ({label})",
     )
     return result, text
+
+
+def _heatmap_cell(item: tuple[int, int, int]) -> float:
+    """One Figure 3 cell, ``(n_learners, total_dim, seed)``: BoostHD's test
+    accuracy, NaN where there are fewer dimensions than learners."""
+    n_learners, total_dim, seed = item
+    (X_train, X_test, y_train, y_test), epochs = get_shared()
+    if total_dim < n_learners:
+        return float("nan")
+    model = BoostHD(total_dim=total_dim, n_learners=n_learners, epochs=epochs, seed=seed)
+    model.fit(X_train, y_train)
+    return float(model.score(X_test, y_test))
 
 
 # --------------------------------------------------------------------- Fig 4
@@ -171,22 +178,22 @@ def figure4_kernel_shape(
 def figure5_span(
     dataset: TabularDataset,
     *,
-    total_dim: int | None = None,
-    n_learners: int | None = None,
-    epochs: int | None = None,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, SpanUtilization], str]:
-    """Figure 5: span utilization of BoostHD vs OnlineHD class hypervectors."""
+    """Figure 5: span utilization of BoostHD vs OnlineHD class hypervectors,
+    both at ``scale.total_dim`` and trained ``scale.hd_epochs`` epochs."""
     scale = scale or get_scale()
-    total_dim = scale.total_dim if total_dim is None else total_dim
-    n_learners = scale.n_learners if n_learners is None else n_learners
-    epochs = scale.hd_epochs if epochs is None else epochs
     X_train, X_test, y_train, y_test = dataset.split(rng=seed)
 
-    online = OnlineHD(dim=total_dim, epochs=epochs, seed=seed)
+    online = OnlineHD(dim=scale.total_dim, epochs=scale.hd_epochs, seed=seed)
     online.fit(X_train, y_train)
-    boost = BoostHD(total_dim=total_dim, n_learners=n_learners, epochs=epochs, seed=seed)
+    boost = BoostHD(
+        total_dim=scale.total_dim,
+        n_learners=scale.n_learners,
+        epochs=scale.hd_epochs,
+        seed=seed,
+    )
     boost.fit(X_train, y_train)
 
     results = {
@@ -212,35 +219,25 @@ def figure6_stability(
     dataset: TabularDataset,
     *,
     dims: Sequence[int] = (100, 200, 400, 600, 800, 1000),
-    n_learners: int = 10,
-    n_runs: int | None = None,
-    epochs: int | None = None,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, DimensionSweepResult], str]:
     """Figure 6: accuracy and σ of BoostHD vs OnlineHD as functions of D.
 
-    Every (model, dimension, run) point is an independent cell seeded by its
-    run index, so the sweep parallelises over ``REPRO_MAX_WORKERS`` workers
-    with results identical to the serial path.
+    Each dimension has ``scale.sweep_runs`` runs of each model, trained
+    ``scale.hd_epochs`` epochs (BoostHD with ``scale.n_learners`` learners,
+    at most one a dimension).  Every (model, dimension, run) point is an
+    independent cell seeded by its run index, so the sweep parallelises over
+    ``REPRO_MAX_WORKERS`` workers with results identical to the serial path.
     """
     scale = scale or get_scale()
-    n_runs = scale.sweep_runs if n_runs is None else n_runs
-    epochs = scale.hd_epochs if epochs is None else epochs
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if not dims:
         raise ValueError("dims must not be empty")
-    split = dataset.split(rng=seed)
+    n_runs = scale.sweep_runs
 
     kinds = ("OnlineHD", "BoostHD")
-    items = [
-        (kind, int(dim), run, int(n_learners), int(epochs))
-        for kind in kinds
-        for dim in dims
-        for run in range(n_runs)
-    ]
-    scores = parallel_map(stability_cell, items, shared=split)
+    items = [(kind, int(dim), run) for kind in kinds for dim in dims for run in range(n_runs)]
+    scores = parallel_map(_stability_cell, items, shared=(dataset.split(rng=seed), scale))
     results = {}
     cursor = 0
     for kind in kinds:
@@ -268,48 +265,58 @@ def figure6_stability(
     return results, text
 
 
+def _stability_cell(item: tuple[str, int, int]) -> float:
+    """One Figure 6 cell, ``(kind, dim, run)``: the model seeded with ``run``."""
+    kind, dim, run = item
+    (X_train, X_test, y_train, y_test), scale = get_shared()
+    if kind == "OnlineHD":
+        model = OnlineHD(dim=dim, epochs=scale.hd_epochs, seed=run)
+    else:
+        model = BoostHD(
+            total_dim=dim,
+            n_learners=min(scale.n_learners, dim),
+            epochs=scale.hd_epochs,
+            seed=run,
+        )
+    model.fit(X_train, y_train)
+    return float(accuracy(y_test, model.predict(X_test)))
+
+
 # --------------------------------------------------------------------- Fig 7
+#: The class Figure 7 keeps whole while every other class shrinks to r.
+_TARGET_CLASS = 0
+
+
 def figure7_overfitting(
     dataset: TabularDataset,
     *,
     keep_fractions: Sequence[float] = (1.0, 0.8, 0.6, 0.4, 0.2),
     total_dims: Sequence[int] = (1000, 4000),
-    n_learners: int = 10,
-    epochs: int | None = None,
-    target_class: int = 0,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[int, dict[str, np.ndarray]], str]:
     """Figure 7: macro accuracy vs the imbalance ratio r (Eq. 8).
 
     For every ``D_total`` panel the training set of all classes except the
-    target class is shrunk to the keep fraction r, models are retrained and
-    macro accuracy on the untouched test set is reported.  Each
-    (model, D_total, r) point is an independent cell whose imbalanced
-    training subset and model seed derive from the keep-fraction index, so
-    ``REPRO_MAX_WORKERS`` > 1 produces bit-identical panels.
+    target class (class 0, ``_TARGET_CLASS``) is shrunk to the keep fraction
+    r, models are retrained (``scale.hd_epochs`` epochs, BoostHD with
+    ``scale.n_learners`` learners) and macro accuracy on the untouched test
+    set is reported.  Each (model, D_total, r) point is an independent cell
+    whose imbalanced training subset and model seed derive from the
+    keep-fraction index, so ``REPRO_MAX_WORKERS`` > 1 produces bit-identical
+    panels.
     """
     scale = scale or get_scale()
-    epochs = scale.hd_epochs if epochs is None else epochs
-    split = dataset.split(rng=seed)
-
     kinds = ("OnlineHD", "BoostHD")
     items = [
-        (
-            kind,
-            int(total_dim),
-            index,
-            float(fraction),
-            int(target_class),
-            int(n_learners),
-            int(epochs),
-            int(seed),
-        )
+        (kind, int(total_dim), index, float(fraction))
         for total_dim in total_dims
         for kind in kinds
         for index, fraction in enumerate(keep_fractions)
     ]
-    scores = parallel_map(imbalance_cell, items, shared=split)
+    scores = parallel_map(
+        _imbalance_cell, items, shared=(dataset.split(rng=seed), int(seed), scale)
+    )
     results: dict[int, dict[str, np.ndarray]] = {}
     cursor = 0
     for total_dim in total_dims:
@@ -334,36 +341,53 @@ def figure7_overfitting(
     return results, "\n\n".join(sections)
 
 
+def _imbalance_cell(item: tuple[str, int, int, float]) -> float:
+    """One Figure 7 cell, ``(kind, total_dim, index, fraction)``: macro
+    accuracy of the model trained on the split shrunk to ``fraction``; both
+    the shrinking and the model are seeded ``seed + index``."""
+    kind, total_dim, index, fraction = item
+    (X_train, X_test, y_train, y_test), seed, scale = get_shared()
+    X_imbalanced, y_imbalanced = make_imbalanced(
+        X_train, y_train, _TARGET_CLASS, fraction, rng=seed + index
+    )
+    if kind == "OnlineHD":
+        model = OnlineHD(dim=total_dim, epochs=scale.hd_epochs, seed=seed + index)
+    else:
+        model = BoostHD(
+            total_dim=total_dim,
+            n_learners=scale.n_learners,
+            epochs=scale.hd_epochs,
+            seed=seed + index,
+        )
+    model.fit(X_imbalanced, y_imbalanced)
+    return float(macro_accuracy(y_test, model.predict(X_test)))
+
+
 # --------------------------------------------------------------------- Fig 8
 def figure8_robustness(
     dataset: TabularDataset,
     *,
     probabilities: Sequence[float] = (1e-6, 3e-6, 1e-5, 3e-5),
     model_names: Sequence[str] = ("DNN", "OnlineHD", "BoostHD"),
-    n_trials: int | None = None,
     seed: int = 0,
     scale: ExperimentScale | None = None,
 ) -> tuple[dict[str, BitflipSweepResult], str]:
     """Figure 8: accuracy under bit-flip noise for DNN, OnlineHD and BoostHD.
 
     Bits flip in the 16-bit fixed-point codes of each model's parameters
-    (:func:`repro.data.noise.flip_bits_fixed_point`).  Each model's full
-    sweep is one independent cell (training plus all trial batches share the
-    model instance), so ``REPRO_MAX_WORKERS`` parallelises over models with
-    results identical to the serial path.  Unknown or repeated model names
-    raise ``ValueError`` before anything trains.
+    (:func:`repro.data.noise.flip_bits_fixed_point`), ``scale.bitflip_trials``
+    times a probability.  Each model's full sweep is one independent cell
+    (training plus all trial batches share the model instance), so
+    ``REPRO_MAX_WORKERS`` parallelises over models with results identical to
+    the serial path.  Unknown or repeated model names raise ``ValueError``
+    before anything trains.
     """
     scale = scale or get_scale()
     model_names = check_model_names(model_names)
-    n_trials = scale.bitflip_trials if n_trials is None else n_trials
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    split = dataset.split(rng=seed)
-
     sweeps = parallel_map(
-        bitflip_cell,
+        _bitflip_cell,
         model_names,
-        shared=(split, tuple(probabilities), n_trials, seed, scale),
+        shared=(dataset.split(rng=seed), tuple(probabilities), seed, scale),
     )
     results: dict[str, BitflipSweepResult] = dict(zip(model_names, sweeps))
     text = format_series(
@@ -376,3 +400,20 @@ def figure8_robustness(
         f"  MAD[{name}] = {sweep.overall_mad:.4f}" for name, sweep in results.items()
     ]
     return results, text + "\n" + "\n".join(mad_lines)
+
+
+def _bitflip_cell(model_name: str) -> BitflipSweepResult:
+    """One Figure 8 cell: the registry model seeded ``seed``, trained and
+    swept; the sweep's trials draw from ``rng=seed`` too."""
+    (X_train, X_test, y_train, y_test), probabilities, seed, scale = get_shared()
+    model = build_model(model_name, seed, scale)
+    model.fit(X_train, y_train)
+    return bitflip_sweep(
+        model,
+        X_test,
+        y_test,
+        probabilities,
+        n_trials=scale.bitflip_trials,
+        model_name=model_name,
+        rng=seed,
+    )

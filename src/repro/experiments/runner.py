@@ -241,15 +241,20 @@ def _split_fingerprint(split: Sequence[np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _cell_spec(cell: CellTask, data: str, scale: Mapping[str, object]) -> dict:
-    """The content-hashed identity of one cell's computation (its store key)."""
+def _cell_spec(cell: CellTask, data: str, scale: ExperimentScale) -> dict:
+    """The content-hashed identity of one cell's computation (its store key).
+
+    The scale's run count is left out: it says how many cells there are, not
+    what one computes, so a suite extended to more runs replays the runs
+    already stored.
+    """
     return {
         "version": 1,
         "dataset": cell.dataset,
         "model": cell.model,
         "run_index": cell.run_index,
         "data": data,
-        "scale": scale,
+        "scale": {key: value for key, value in asdict(scale).items() if key != "n_runs"},
     }
 
 
@@ -258,15 +263,15 @@ def run_suite(
     model_names: Sequence[str] = MODEL_NAMES,
     *,
     scale: ExperimentScale | None = None,
-    n_runs: int | None = None,
     max_workers: int | str | None = None,
     store: ArtifactStore | str | os.PathLike | None = None,
 ) -> SuiteResult:
     """Run every requested model on every dataset with subject-wise splits.
 
-    Each dataset is split by :meth:`TabularDataset.split` with seed
-    ``_SPLIT_SEED`` (7), run ``r`` of a model is seeded with ``r``, and every
-    model that compiles also times its fused engine (Table II's footer).
+    Each model runs ``scale.n_runs`` times on each dataset.  Each dataset is
+    split by :meth:`TabularDataset.split` with seed ``_SPLIT_SEED`` (7), run
+    ``r`` of a model is seeded with ``r``, and every model that compiles
+    also times its fused engine (Table II's footer).
     The grid executes through :mod:`repro.runtime`:
 
     * ``max_workers`` — process-pool size; ``None`` consults the
@@ -280,14 +285,13 @@ def run_suite(
 
     When ``datasets`` is omitted the suite runs on ``load_datasets(scale)``.
     Every dataset is split once in the parent and shipped to each worker a
-    single time.  Unknown or repeated model names, and ``n_runs`` < 1, raise
-    ``ValueError`` before anything is split, looked up or trained.
+    single time.  Unknown or repeated model names raise ``ValueError`` before
+    anything is split, looked up or trained.
     """
     scale = scale or get_scale()
-    n_runs = scale.n_runs if n_runs is None else n_runs
     model_names = check_model_names(model_names)
     cells = suite_cells(
-        DATASET_NAMES if datasets is None else tuple(datasets), model_names, n_runs
+        DATASET_NAMES if datasets is None else tuple(datasets), model_names, scale.n_runs
     )
     if isinstance(store, (str, os.PathLike)):
         store = ArtifactStore(store)
@@ -300,8 +304,7 @@ def run_suite(
     specs: list[dict | None] = [None] * len(cells)
     if store is not None:
         fingerprints = {name: _split_fingerprint(split) for name, split in splits.items()}
-        scale_spec = asdict(scale)
-        specs = [_cell_spec(cell, fingerprints[cell.dataset], scale_spec) for cell in cells]
+        specs = [_cell_spec(cell, fingerprints[cell.dataset], scale) for cell in cells]
     replayed = [None if spec is None else store.load(spec) for spec in specs]
     pending = [
         (cell, spec)

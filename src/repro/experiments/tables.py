@@ -11,12 +11,11 @@ from typing import Mapping
 
 import numpy as np
 
-from ..analysis.fairness import PAPER_GROUPS
+from ..analysis.fairness import PAPER_GROUPS, group_accuracy_table
 from ..data.loaders import TabularDataset
-from ..runtime.cells import table3_cell
-from ..runtime.executor import parallel_map
+from ..runtime.executor import get_shared, parallel_map
 from .config import ExperimentScale, get_scale
-from .registry import MODEL_NAMES
+from .registry import MODEL_NAMES, build_model
 from .reporting import format_mean_std, format_table
 from .runner import SuiteResult
 
@@ -105,8 +104,8 @@ def table3_person_specific(
     identical to the serial path.
     """
     scale = scale or get_scale()
-    rows_by_model = parallel_map(table3_cell, MODEL_NAMES, shared=(dataset, seed, scale))
-    table = dict(rows_by_model)
+    rows = parallel_map(_table3_row, MODEL_NAMES, shared=(dataset, seed, scale))
+    table = dict(zip(MODEL_NAMES, rows))
 
     group_columns = [group for group in PAPER_GROUPS if any(group in row for row in table.values())]
     columns = ["Model", *group_columns, "AVERAGE"]
@@ -123,6 +122,22 @@ def table3_person_specific(
         rows, columns, title="TABLE III — Person-specific accuracy (%)"
     )
     return table, text
+
+
+def _table3_row(model_name: str) -> dict[str, float]:
+    """One Table III cell: the per-group accuracies of one registry model.
+
+    The groups are :data:`~repro.analysis.fairness.PAPER_GROUPS`, read in
+    the process that runs the cell (their predicates are lambdas, which
+    cannot be pickled into workers).
+    """
+    dataset, seed, scale = get_shared()
+    table = group_accuracy_table(
+        {model_name: lambda group_seed: build_model(model_name, group_seed, scale)},
+        dataset,
+        seed=seed,
+    )
+    return table[model_name]
 
 
 def table_winner_summary(

@@ -1,4 +1,4 @@
-"""Cell executors: the functions a worker process runs for one grid cell.
+"""The suite's cell: what a worker process runs for one ``run_suite`` cell.
 
 Everything here is a *top-level* function operating on plain picklable
 payloads, so the same code path runs unchanged in-process and in
@@ -8,9 +8,10 @@ module itself stays import-cycle-free (``repro.runtime`` must not pull in
 ``repro.experiments`` at import time, because the experiments package imports
 the runtime).
 
-Shared, read-only inputs (train/test splits, dataset objects, the artifact
+Shared, read-only inputs (the train/test splits, the scale, the artifact
 store) travel through the map's *shared payload*, not through each item, so
-they are shipped to every worker exactly once.
+they are shipped to every worker exactly once.  The figure and Table III
+cells live beside their generators in :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
@@ -157,134 +158,3 @@ def suite_cell(item: tuple["CellTask", dict | None]) -> CellResult:
     if store is not None:
         store.save(spec, result)
     return result
-
-
-# --------------------------------------------------------------------------
-# Figure/table cells: parallel_map item functions for the experiment
-# generators.  Each reads the heavy arrays from the shared payload and keeps
-# the exact seed formulas of the original serial loops, so parallel output is
-# bit-identical to serial output.
-# --------------------------------------------------------------------------
-
-
-def heatmap_cell(item: tuple[int, int, int, int, int, int]) -> float:
-    """One Figure 3 cell: BoostHD accuracy at (n_learners, total_dim).
-
-    ``item`` is ``(row, column, n_learners, total_dim, epochs, seed)`` with
-    ``seed`` already offset by the figure's ``seed + row*100 + column``
-    formula; the shared payload is the dataset split.
-    """
-    _row, _column, n_learners, total_dim, epochs, seed = item
-    from ..core.boosthd import BoostHD
-
-    X_train, X_test, y_train, y_test = get_shared()
-    if total_dim < n_learners:
-        return float("nan")
-    model = BoostHD(
-        total_dim=int(total_dim),
-        n_learners=int(n_learners),
-        epochs=int(epochs),
-        seed=int(seed),
-    )
-    model.fit(X_train, y_train)
-    return float(model.score(X_test, y_test))
-
-
-def stability_cell(item: tuple[str, int, int, int, int]) -> float:
-    """One Figure 6 cell: model accuracy at one (dimension, run) point.
-
-    ``item`` is ``(kind, dim, run, n_learners, epochs)``; ``run`` doubles as
-    the seed exactly as in the serial sweep.
-    """
-    kind, dim, run, n_learners, epochs = item
-    from ..core.boosthd import BoostHD
-    from ..hdc.onlinehd import OnlineHD
-
-    X_train, X_test, y_train, y_test = get_shared()
-    if kind == "OnlineHD":
-        model = OnlineHD(dim=int(dim), epochs=int(epochs), seed=int(run))
-    else:
-        model = BoostHD(
-            total_dim=int(dim),
-            n_learners=min(int(n_learners), int(dim)),
-            epochs=int(epochs),
-            seed=int(run),
-        )
-    model.fit(X_train, y_train)
-    from ..baselines.metrics import accuracy
-
-    return float(accuracy(y_test, model.predict(X_test)))
-
-
-def imbalance_cell(item: tuple[str, int, int, float, int, int, int, int]) -> float:
-    """One Figure 7 cell: macro accuracy at one (model, D_total, r) point.
-
-    ``item`` is ``(kind, total_dim, index, fraction, target_class,
-    n_learners, epochs, seed)`` where ``index`` is the keep-fraction position
-    (the serial loop seeds with ``seed + index``).
-    """
-    kind, total_dim, index, fraction, target_class, n_learners, epochs, seed = item
-    from ..baselines.metrics import macro_accuracy
-    from ..core.boosthd import BoostHD
-    from ..data.imbalance import make_imbalanced
-    from ..hdc.onlinehd import OnlineHD
-
-    X_train, X_test, y_train, y_test = get_shared()
-    X_imbalanced, y_imbalanced = make_imbalanced(
-        X_train, y_train, int(target_class), float(fraction), rng=int(seed) + int(index)
-    )
-    if kind == "OnlineHD":
-        model = OnlineHD(dim=int(total_dim), epochs=int(epochs), seed=int(seed) + int(index))
-    else:
-        model = BoostHD(
-            total_dim=int(total_dim),
-            n_learners=int(n_learners),
-            epochs=int(epochs),
-            seed=int(seed) + int(index),
-        )
-    model.fit(X_imbalanced, y_imbalanced)
-    return float(macro_accuracy(y_test, model.predict(X_test)))
-
-
-def bitflip_cell(item: str):
-    """One Figure 8 cell: the full bit-flip sweep of one registry model.
-
-    The shared payload is ``(split, probabilities, n_trials, seed, scale)``;
-    the sweep's own RNG is seeded identically to the serial loop.
-    """
-    model_name = item
-    from ..analysis.robustness import bitflip_sweep
-    from ..experiments.registry import build_model
-
-    (X_train, X_test, y_train, y_test), probabilities, n_trials, seed, scale = get_shared()
-    model = build_model(model_name, seed, scale)
-    model.fit(X_train, y_train)
-    return bitflip_sweep(
-        model,
-        X_test,
-        y_test,
-        probabilities,
-        n_trials=n_trials,
-        model_name=model_name,
-        rng=seed,
-    )
-
-
-def table3_cell(item: str) -> tuple[str, dict[str, float]]:
-    """One Table III row: per-group accuracies of one registry model.
-
-    The shared payload is ``(dataset, seed, scale)``; groups
-    are the module-level :data:`~repro.analysis.fairness.PAPER_GROUPS` (their
-    predicates are lambdas, which cannot be pickled into workers).
-    """
-    model_name = item
-    from ..analysis.fairness import group_accuracy_table
-    from ..experiments.registry import build_model
-
-    dataset, seed, scale = get_shared()
-    table = group_accuracy_table(
-        {model_name: lambda group_seed: build_model(model_name, group_seed, scale)},
-        dataset,
-        seed=seed,
-    )
-    return model_name, table[model_name]

@@ -18,8 +18,9 @@ instruments, so a pooled map records what the serial map records.
 the ``REPRO_MAX_WORKERS`` environment variable and falls back to serial;
 ``0``/``1`` force serial; ``"auto"`` uses the available CPU count.  Every
 pool in the repo sizes itself this way, the serving fabric's included.  A
-map of at most one item runs in-process whatever is asked
-(:func:`pool_size`), and a run report names the pool its map ran on.
+map never starts more workers than it has items, so one of at most one item
+runs in-process whatever is asked (:func:`pool_size`), and a run report
+names the pool its map ran on.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def resolve_max_workers(max_workers: int | str | None) -> int:
 
 
 def pool_size(max_workers: int | str | None, n_items: int) -> int:
-    """Workers a map of ``n_items`` runs on: 1 (in-process) for at most one
-    item, else :func:`resolve_max_workers`."""
-    return resolve_max_workers(max_workers) if n_items > 1 else 1
+    """Workers a map of ``n_items`` runs on: :func:`resolve_max_workers`,
+    capped at the item count; 1 (in-process) for at most one item."""
+    return max(1, min(resolve_max_workers(max_workers), n_items))
 
 
 # --------------------------------------------------------------------------

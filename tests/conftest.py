@@ -64,6 +64,13 @@ def mini_wesad_split(mini_wesad):
 
 
 @pytest.fixture(scope="session")
+def mini_cohort():
+    """A 10-subject WESAD-like cohort (4 windows of 8 s per state): enough
+    subjects that several Table III groups can be split subject-wise."""
+    return load_wesad(n_subjects=10, windows_per_state=4, window_seconds=8.0, seed=0)
+
+
+@pytest.fixture(scope="session")
 def mini_nurse():
     """A miniature Nurse-Stress-like dataset (4 subjects, 4 windows of 8 s per state)."""
     with mock.patch.object(nurse_stress, "_WINDOW_SECONDS", 8.0):

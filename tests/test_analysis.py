@@ -1,5 +1,7 @@
 """Unit tests for the stability, robustness, fairness and spectra analyses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.analysis import (
     bitflip_sweep,
     encoded_data_spread,
     evaluate_groups,
+    fairness,
     group_accuracy_table,
     kernel_shape_report,
 )
@@ -20,9 +23,11 @@ class TestStabilitySweep:
     """Figure 6's (D, run) protocol: run ``r`` at dimension ``D`` fits a
     model seeded ``r``; σ is the spread of those runs' accuracies."""
 
-    def test_result_structure(self, mini_wesad):
+    def test_result_structure(self, mini_wesad, tiny_scale):
         results, text = figure6_stability(
-            mini_wesad, dims=(50, 100), n_learners=2, n_runs=2, epochs=1
+            mini_wesad,
+            dims=(50, 100),
+            scale=dataclasses.replace(tiny_scale, n_learners=2, sweep_runs=2, hd_epochs=1),
         )
         assert set(results) == {"OnlineHD", "BoostHD"}
         for name, result in results.items():
@@ -33,9 +38,12 @@ class TestStabilitySweep:
             assert 0.0 <= result.mean_sigma
         assert "FIGURE 6" in text
 
-    def test_scores_recorded_per_run(self, mini_wesad):
+    def test_scores_recorded_per_run(self, mini_wesad, tiny_scale):
         results, _ = figure6_stability(
-            mini_wesad, dims=(60,), n_learners=2, n_runs=3, epochs=1, seed=4
+            mini_wesad,
+            dims=(60,),
+            seed=4,
+            scale=dataclasses.replace(tiny_scale, n_learners=2, sweep_runs=3, hd_epochs=1),
         )
         X_train, X_test, y_train, y_test = mini_wesad.split(test_fraction=0.3, rng=4)
         expected = [
@@ -50,11 +58,12 @@ class TestStabilitySweep:
         assert point.std == np.std(expected)
         assert results["BoostHD"].points[0].scores.shape == (3,)
 
-    def test_invalid_arguments_raise(self, mini_wesad):
+    def test_invalid_arguments_raise(self, mini_wesad, tiny_scale):
+        """An empty sweep; a run count below 1 is its scale's to refuse."""
         with pytest.raises(ValueError, match="dims"):
-            figure6_stability(mini_wesad, dims=(), n_runs=1, epochs=1)
-        with pytest.raises(ValueError, match="n_runs"):
-            figure6_stability(mini_wesad, dims=(10,), n_runs=0, epochs=1)
+            figure6_stability(mini_wesad, dims=(), scale=tiny_scale)
+        with pytest.raises(ValueError, match="sweep_runs"):
+            dataclasses.replace(tiny_scale, sweep_runs=0)
 
 
 class TestBitflipSweep:
@@ -92,6 +101,9 @@ class TestBitflipSweep:
 
 
 class TestFairness:
+    """Both functions evaluate the groups of ``fairness.PAPER_GROUPS``, read
+    when called; a test that needs other groups patches the constant."""
+
     def test_paper_groups_defined(self):
         assert set(PAPER_GROUPS) == {
             "Left hands",
@@ -102,32 +114,30 @@ class TestFairness:
             "Height >= 185",
         }
 
-    def test_evaluate_groups_returns_valid_accuracies(self, mini_wesad):
+    def test_evaluate_groups_returns_valid_accuracies(self, mini_wesad, monkeypatch):
+        monkeypatch.setattr(fairness, "PAPER_GROUPS", {"Everyone": lambda record: True})
         results = evaluate_groups(
-            lambda seed: DecisionTreeClassifier(max_depth=5, seed=seed),
-            mini_wesad,
-            groups={"Everyone": lambda record: True},
-            seed=0,
+            lambda seed: DecisionTreeClassifier(max_depth=5, seed=seed), mini_wesad, seed=0
         )
         assert len(results) == 1
         assert 0.0 <= results[0].accuracy <= 1.0
         assert results[0].n_subjects == len(mini_wesad.subject_ids)
 
-    def test_groups_with_too_few_subjects_skipped(self, mini_wesad):
+    def test_groups_with_too_few_subjects_skipped(self, mini_wesad, monkeypatch):
         lone_subject = int(mini_wesad.subject_ids[0])
+        monkeypatch.setattr(
+            fairness, "PAPER_GROUPS", {"Lonely": lambda record: record.subject_id == lone_subject}
+        )
         results = evaluate_groups(
-            lambda seed: DecisionTreeClassifier(max_depth=3, seed=seed),
-            mini_wesad,
-            groups={"Lonely": lambda record: record.subject_id == lone_subject},
-            seed=0,
+            lambda seed: DecisionTreeClassifier(max_depth=3, seed=seed), mini_wesad, seed=0
         )
         assert results == []
 
-    def test_group_accuracy_table_structure(self, mini_wesad):
+    def test_group_accuracy_table_structure(self, mini_wesad, monkeypatch):
+        monkeypatch.setattr(fairness, "PAPER_GROUPS", {"Everyone": lambda record: True})
         table = group_accuracy_table(
             {"Tree": lambda seed: DecisionTreeClassifier(max_depth=5, seed=seed)},
             mini_wesad,
-            groups={"Everyone": lambda record: True},
             seed=0,
         )
         assert "Tree" in table

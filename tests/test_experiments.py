@@ -1,15 +1,19 @@
 """Unit tests for the experiment harness: config, registry, runner, reporting, tables, figures."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.baselines import AdaBoostClassifier, MLPClassifier, RandomForestClassifier
-from repro.core import BoostHD, span_utilization
-from repro.data import load_wesad
+from repro.core import BoostHD
 from repro.experiments import (
     FULL,
     QUICK,
     MODEL_NAMES,
+    ExperimentScale,
     build_model,
     figure2_theory_terms,
     figure5_span,
@@ -185,40 +189,36 @@ class TestFigureGenerators:
         assert set(table) == {"q", "T1", "T2", "T3"}
         assert "FIGURE 2" in text
 
-    def test_figure5_span_on_mini_dataset(self, mini_wesad):
-        results, text = figure5_span(
-            mini_wesad, total_dim=100, n_learners=2, epochs=1, seed=0
-        )
+    def test_figure5_span_on_mini_dataset(self, mini_wesad, tiny_scale):
+        scale = dataclasses.replace(tiny_scale, total_dim=100, n_learners=2, hd_epochs=1)
+        results, text = figure5_span(mini_wesad, seed=0, scale=scale)
         assert set(results) == {"OnlineHD", "BoostHD"}
+        assert results["BoostHD"].dim == 100
         assert "FIGURE 5" in text
 
-    def test_figure7_overfitting_on_mini_dataset(self, mini_wesad):
+    def test_figure7_overfitting_on_mini_dataset(self, mini_wesad, tiny_scale):
         results, text = figure7_overfitting(
             mini_wesad,
             keep_fractions=(1.0, 0.5),
             total_dims=(100,),
-            n_learners=2,
-            epochs=1,
             seed=0,
+            scale=dataclasses.replace(tiny_scale, n_learners=2, hd_epochs=1),
         )
         assert 100 in results
         assert results[100]["OnlineHD"].shape == (2,)
         assert "FIGURE 7" in text
 
-    def test_grids_are_equal_at_one_and_two_workers(self, tiny_scale, monkeypatch):
+    def test_grids_are_equal_at_one_and_two_workers(self, mini_cohort, tiny_scale, monkeypatch):
         """Figures and Table III take their pool size from ``REPRO_MAX_WORKERS``."""
-        dataset = load_wesad(n_subjects=10, windows_per_state=4, window_seconds=8.0, seed=0)
         outputs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("REPRO_MAX_WORKERS", workers)
-            table, table_text = table3_person_specific(dataset, scale=tiny_scale)
+            table, table_text = table3_person_specific(mini_cohort, scale=tiny_scale)
             figure, figure_text = figure7_overfitting(
-                dataset,
+                mini_cohort,
                 keep_fractions=(1.0, 0.5),
                 total_dims=(100,),
-                n_learners=2,
-                epochs=1,
-                scale=tiny_scale,
+                scale=dataclasses.replace(tiny_scale, n_learners=2, hd_epochs=1),
             )
             outputs.append((table, table_text, figure[100], figure_text))
         (table, table_text, panel, figure_text), parallel = outputs
@@ -229,89 +229,87 @@ class TestFigureGenerators:
         assert parallel[3] == figure_text
 
 
-class TestExplicitZero:
-    """An explicit 0 is a value, never a request for the scale's default."""
+def _fitted_epochs(monkeypatch) -> list[int]:
+    """The ``epochs`` of every OnlineHD fitted in this process from now on,
+    a BoostHD's learners included; grids run serially, so every fit is in
+    this process."""
+    monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
+    seen = []
+    fit = OnlineHD.fit
 
-    def test_figure5_fits_zero_epochs_and_refuses_zero_sizes(self, mini_wesad, tiny_scale):
-        results, _ = figure5_span(
-            mini_wesad, total_dim=100, n_learners=2, epochs=0, seed=1, scale=tiny_scale
-        )
-        X_train, _, y_train, _ = mini_wesad.split(test_fraction=0.3, rng=1)
-        online = OnlineHD(dim=100, epochs=0, seed=1).fit(X_train, y_train)
-        expected = span_utilization(online.class_hypervectors_)
-        assert results["OnlineHD"].sp == expected.sp
-        assert results["OnlineHD"].mean_abs_cosine == expected.mean_abs_cosine
-        for option in ("total_dim", "n_learners"):
-            with pytest.raises(ValueError):
-                figure5_span(mini_wesad, scale=tiny_scale, **{option: 0})
+    def recording(model, *args, **kwargs):
+        seen.append(model.epochs)
+        return fit(model, *args, **kwargs)
 
-    @staticmethod
-    def _fitted_epochs(monkeypatch) -> list[int]:
-        """The ``epochs`` of every OnlineHD fitted in this process from now on;
-        grids run serially, so every fit is in this process."""
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
-        seen = []
-        fit = OnlineHD.fit
+    monkeypatch.setattr(OnlineHD, "fit", recording)
+    return seen
 
-        def recording(model, *args, **kwargs):
-            seen.append(model.epochs)
-            return fit(model, *args, **kwargs)
 
-        monkeypatch.setattr(OnlineHD, "fit", recording)
-        return seen
+class TestScaleSizes:
+    """An experiment's sizes live only in its :class:`ExperimentScale`."""
 
-    def test_figure6_trains_zero_epochs(self, mini_wesad, tiny_scale, monkeypatch):
-        seen = self._fitted_epochs(monkeypatch)
-        figure6_stability(
-            mini_wesad,
-            dims=(60,),
-            n_learners=2,
-            n_runs=2,
-            epochs=0,
-            scale=tiny_scale,
-        )
-        assert seen and set(seen) == {0}
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_dim", 0),
+            ("n_learners", 0),
+            ("n_runs", 0),
+            ("hd_epochs", -1),
+            pytest.param("dnn_hidden", (16, 0), id="dnn_hidden-16-0"),
+            ("dnn_epochs", 0),
+            ("wesad_subjects", 0),
+            ("nurse_subjects", -1),
+            ("stress_predict_subjects", 0),
+            ("windows_per_state", 0),
+            ("bitflip_trials", 0),
+            ("sweep_runs", 0),
+        ],
+    )
+    def test_a_scale_refuses_a_bad_size(self, tiny_scale, field, value):
+        """Whether it is built or replaced."""
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            ExperimentScale(**{**dataclasses.asdict(tiny_scale), field: value})
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            dataclasses.replace(tiny_scale, **{field: value})
 
-    def test_figure6_refuses_zero_runs(self, mini_wesad, tiny_scale):
-        with pytest.raises(ValueError, match="n_runs"):
-            figure6_stability(mini_wesad, dims=(60,), n_runs=0, scale=tiny_scale)
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_figures_5_to_7_fit_the_scale_epochs(
+        self, mini_wesad, tiny_scale, monkeypatch, epochs
+    ):
+        """0 epochs is the bundling pass alone."""
+        scale = dataclasses.replace(tiny_scale, hd_epochs=epochs)
+        seen = _fitted_epochs(monkeypatch)
+        figure5_span(mini_wesad, scale=scale)
+        figure6_stability(mini_wesad, dims=(60,), scale=scale)
+        figure7_overfitting(mini_wesad, keep_fractions=(0.5,), total_dims=(100,), scale=scale)
+        assert seen and set(seen) == {epochs}
 
-    def test_figure7_trains_zero_epochs(self, mini_wesad, tiny_scale, monkeypatch):
-        seen = self._fitted_epochs(monkeypatch)
-        figure7_overfitting(
-            mini_wesad,
-            keep_fractions=(0.5,),
-            total_dims=(100,),
-            n_learners=2,
-            epochs=0,
-            scale=tiny_scale,
-        )
-        assert seen and set(seen) == {0}
-
-    def test_figure8_refuses_zero_trials(self, mini_wesad, tiny_scale, monkeypatch):
-        """So do unknown or repeated model names, before anything trains."""
-        seen = self._fitted_epochs(monkeypatch)
-        cases = [(("OnlineHD",), 0, "n_trials")]
-        cases += [(names, 2, match) for names, match in BAD_MODEL_NAMES]
-        for model_names, n_trials, match in cases:
-            with pytest.raises(ValueError, match=match):
-                figure8_robustness(
-                    mini_wesad,
-                    model_names=model_names,
-                    n_trials=n_trials,
-                    scale=tiny_scale,
-                )
-        assert seen == []
-
-    def test_run_suite_refuses_zero_runs(self, suite_datasets, tiny_scale, tmp_path):
-        """So do unknown or repeated model names, before any cell is stored."""
+    @pytest.mark.parametrize("model_names, match", BAD_MODEL_NAMES)
+    def test_bad_model_names_are_refused_before_anything_trains(
+        self, mini_wesad, suite_datasets, tiny_scale, tmp_path, monkeypatch, model_names, match
+    ):
+        """By Figure 8, and by ``run_suite`` before any cell is stored."""
+        seen = _fitted_epochs(monkeypatch)
         store = ArtifactStore(tmp_path)
-        cases = [(("OnlineHD",), 0, "n_runs")]
-        cases += [(names, 2, match) for names, match in BAD_MODEL_NAMES]
-        for model_names, n_runs, match in cases:
-            with pytest.raises(ValueError, match=match):
-                run_suite(
-                    suite_datasets, model_names, scale=tiny_scale, n_runs=n_runs, store=store
-                )
-            assert len(store) == 0
+        with pytest.raises(ValueError, match=match):
+            figure8_robustness(mini_wesad, model_names=model_names, scale=tiny_scale)
+        with pytest.raises(ValueError, match=match):
+            run_suite(suite_datasets, model_names, scale=tiny_scale, store=store)
+        assert seen == [] and len(store) == 0
 
+
+def test_no_generator_takes_a_size_its_scale_states():
+    """A public callable of ``repro.experiments`` that takes a scale takes no
+    parameter naming one of its sizes: a field, or the aliases ``epochs``
+    and ``n_trials``.  Another size is another scale."""
+    sizes = {field.name for field in dataclasses.fields(ExperimentScale)} - {"name"}
+    sizes |= {"epochs", "n_trials"}
+    overrides = []
+    for name in experiments.__all__:
+        value = getattr(experiments, name)
+        if not inspect.isfunction(value):
+            continue
+        parameters = inspect.signature(value).parameters
+        if "scale" in parameters:
+            overrides += [f"{name}({p}=)" for p in parameters if p in sizes]
+    assert overrides == []

@@ -9,7 +9,8 @@ Two pinning strategies:
   here loudly.
 * **Numeric goldens** — a real fixed-seed tiny-scale suite run over the
   shared session datasets, pinned at the rendered two-decimal precision,
-  and a tiny Figure 8 sweep, pinned trial by trial.  Any drift in dataset
+  Figures 3, 5, 6 and 7 and Table III rendered on the tiny fixtures, and a
+  tiny Figure 8 sweep, pinned trial by trial.  Any drift in dataset
   generation, seeding, splitting, model training or bit-flip
   draws shows up as changed accuracy cells.
 
@@ -24,6 +25,10 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    figure3_heatmap,
+    figure5_span,
+    figure6_stability,
+    figure7_overfitting,
     figure8_robustness,
     format_mean_std,
     format_series,
@@ -31,6 +36,7 @@ from repro.experiments import (
     run_suite,
     table1_accuracy,
     table2_inference,
+    table3_person_specific,
 )
 from repro.experiments.runner import ModelRunResult, SuiteResult
 
@@ -149,8 +155,7 @@ class TestFormattingGoldens:
 #: session datasets (mini WESAD seed 0, mini Nurse seed 1; OnlineHD and
 #: BoostHD; run r seeded with r; split seed 7).  Regenerate with::
 #:
-#:     suite = run_suite(suite_datasets, ("OnlineHD", "BoostHD"),
-#:                       scale=TINY_SCALE, n_runs=2)
+#:     suite = run_suite(suite_datasets, ("OnlineHD", "BoostHD"), scale=TINY_SCALE)
 #:     print(table1_accuracy(suite)[1])
 GOLDEN_TABLE1_REAL = (
     "TABLE I — Accuracy (%) vs baselines\n"
@@ -164,9 +169,7 @@ GOLDEN_TABLE1_REAL = (
 class TestNumericGoldens:
     @pytest.fixture(scope="class")
     def real_suite(self, suite_datasets, tiny_scale):
-        return run_suite(
-            suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale, n_runs=2
-        )
+        return run_suite(suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale)
 
     def test_fixed_seed_table1_pinned(self, real_suite):
         """Numeric drift anywhere in data→split→train→score fails this test."""
@@ -178,13 +181,83 @@ class TestNumericGoldens:
     ):
         """The pinned numbers are also what a 2-worker run renders."""
         parallel = run_suite(
-            suite_datasets,
-            ("OnlineHD", "BoostHD"),
-            scale=tiny_scale,
-            n_runs=2,
-            max_workers=2,
+            suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale, max_workers=2
         )
         assert table1_accuracy(parallel)[1] == GOLDEN_TABLE1_REAL
+
+
+#: The grid of each figure and of Table III at seed 0 and the tiny scale,
+#: Figures on mini WESAD and Table III on the 10-subject mini cohort (four
+#: subjects leave no group that splits subject-wise).  Figure 3's N_L = 60
+#: at D = 40 is the NaN cell.  ``REPRO_MAX_WORKERS`` sets the pool, so CI's
+#: 2-worker run checks the same strings.
+GRIDS = {
+    "figure3": lambda wesad, cohort, scale: figure3_heatmap(
+        wesad, mode="total", learner_counts=(1, 4, 60), dims=(40, 120), epochs=2, seed=0
+    ),
+    "figure5": lambda wesad, cohort, scale: figure5_span(wesad, seed=0, scale=scale),
+    "figure6": lambda wesad, cohort, scale: figure6_stability(
+        wesad, dims=(40, 120), seed=0, scale=scale
+    ),
+    "figure7": lambda wesad, cohort, scale: figure7_overfitting(
+        wesad, keep_fractions=(1.0, 0.5), total_dims=(120,), seed=0, scale=scale
+    ),
+    "table3": lambda wesad, cohort, scale: table3_person_specific(cohort, scale=scale, seed=0),
+}
+
+#: Each grid's rendering.  Regenerate with::
+#:
+#:     print(GRIDS[name](mini_wesad, mini_cohort, TINY_SCALE)[1])
+GOLDEN_GRIDS = {
+    "figure3": (
+        "FIGURE 3 — BoostHD accuracy heatmap (total D)\n"
+        "N_L | D=40   | D=120 \n"
+        "----+--------+-------\n"
+        "1   | 0.7333 | 0.8667\n"
+        "4   | 0.8000 | 0.9333\n"
+        "60  | nan    | 0.8667"
+    ),
+    "figure5": (
+        "FIGURE 5 — Span utilization of class hypervectors\n"
+        "model    | mean_abs_cosine | rank_ratio | SP      \n"
+        "---------+-----------------+------------+---------\n"
+        "OnlineHD | 0.514617        | 0.025000   | 0.003000\n"
+        "BoostHD  | 0.511324        | 0.025000   | 0.003022"
+    ),
+    "figure6": (
+        "FIGURE 6 — Accuracy and sigma vs dimensionality\n"
+        "D   | OnlineHD_acc | OnlineHD_sigma | BoostHD_acc | BoostHD_sigma\n"
+        "----+--------------+----------------+-------------+--------------\n"
+        "40  | 0.9000       | 0.0333         | 0.7667      | 0.1000       \n"
+        "120 | 0.9667       | 0.0333         | 0.9333      | 0.0000       "
+    ),
+    "figure7": (
+        "FIGURE 7 — Macro accuracy vs imbalance ratio (D_total=120)\n"
+        "r    | OnlineHD | BoostHD\n"
+        "-----+----------+--------\n"
+        "1.00 | 1.0000   | 0.9333 \n"
+        "0.50 | 0.8667   | 0.9333 "
+    ),
+    "table3": (
+        "TABLE III — Person-specific accuracy (%)\n"
+        "Model    | Female | Age >= 30 | Height <= 170 | AVERAGE\n"
+        "---------+--------+-----------+---------------+--------\n"
+        "AdaBoost | 75.00  | 100.00    | 75.00         | 83.33  \n"
+        "RF       | 79.17  | 91.67     | 100.00        | 90.28  \n"
+        "XGBoost  | 91.67  | 100.00    | 100.00        | 97.22  \n"
+        "SVM      | 95.83  | 75.00     | 100.00        | 90.28  \n"
+        "DNN      | 33.33  | 50.00     | 41.67         | 41.67  \n"
+        "OnlineHD | 91.67  | 91.67     | 91.67         | 91.67  \n"
+        "BoostHD  | 87.50  | 100.00    | 100.00        | 95.83  "
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GRIDS))
+def test_fixed_seed_grid_pinned(name, mini_wesad, mini_cohort, tiny_scale):
+    """Every cell of a figure's or Table III's grid, as rendered."""
+    _, text = GRIDS[name](mini_wesad, mini_cohort, tiny_scale)
+    assert text == GOLDEN_GRIDS[name]
 
 
 #: Figure 8 on mini WESAD at the tiny scale (seed 0, 2 trials a rate), as

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro import BoostHD, OnlineHD, load_wesad
-from repro.analysis import bitflip_sweep, evaluate_groups
+from repro.analysis import bitflip_sweep, evaluate_groups, fairness
 from repro.baselines import RandomForestClassifier, macro_accuracy
 from repro.data import make_imbalanced, perturb_model
 from repro.experiments import QUICK, build_model, run_model
@@ -69,15 +69,14 @@ class TestEndToEndPipeline:
         perturb_model(model, 0.01, rng=0)
         np.testing.assert_array_equal(model.predict(X_test), before)
 
-    def test_person_specific_groups_pipeline(self, mini_wesad):
+    def test_person_specific_groups_pipeline(self, mini_wesad, monkeypatch):
+        monkeypatch.setattr(
+            fairness,
+            "PAPER_GROUPS",
+            {"Everyone": lambda record: True, "Age >= 25": lambda record: record.age >= 25},
+        )
         results = evaluate_groups(
-            lambda seed: RandomForestClassifier(n_estimators=5, seed=seed),
-            mini_wesad,
-            groups={
-                "Everyone": lambda record: True,
-                "Age >= 25": lambda record: record.age >= 25,
-            },
-            seed=0,
+            lambda seed: RandomForestClassifier(n_estimators=5, seed=seed), mini_wesad, seed=0
         )
         assert all(0.0 <= result.accuracy <= 1.0 for result in results)
         assert len(results) >= 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import dataclasses
 import json
 import math
 import pickle
@@ -871,13 +872,11 @@ class TestSuiteTelemetry:
     def test_four_worker_merge_equals_serial(self, suite_datasets, tiny_scale):
         with capture():
             serial = run_suite(
-                suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale,
-                n_runs=2, max_workers=1,
+                suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale, max_workers=1
             )
         with capture():
             parallel = run_suite(
-                suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale,
-                n_runs=2, max_workers=4,
+                suite_datasets, ("OnlineHD", "BoostHD"), scale=tiny_scale, max_workers=4
             )
         serial_metrics = serial.report.metrics
         parallel_metrics = parallel.report.metrics
@@ -897,7 +896,7 @@ class TestSuiteTelemetry:
     ):
         with capture() as (registry, recorder):
             suite = run_suite(
-                suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=1,
+                suite_datasets, ("OnlineHD",), scale=dataclasses.replace(tiny_scale, n_runs=1)
             )
             parent_counters = self.counters_of(registry.snapshot())
         report_counters = self.counters_of(suite.report.metrics)
@@ -908,7 +907,7 @@ class TestSuiteTelemetry:
 
     def test_disabled_suite_has_no_metrics(self, suite_datasets, tiny_scale):
         suite = run_suite(
-            suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=1
+            suite_datasets, ("OnlineHD",), scale=dataclasses.replace(tiny_scale, n_runs=1)
         )
         assert suite.report.metrics is None
 

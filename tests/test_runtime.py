@@ -93,33 +93,31 @@ class TestSuiteCells:
 
 class TestEquivalence:
     @pytest.fixture(scope="class")
-    def serial_suite(self, suite_datasets, tiny_scale):
-        return run_suite(
-            suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=3, max_workers=1
-        )
+    def three_runs(self, tiny_scale):
+        return dataclasses.replace(tiny_scale, n_runs=3)
+
+    @pytest.fixture(scope="class")
+    def serial_suite(self, suite_datasets, three_runs):
+        return run_suite(suite_datasets, SUITE_MODELS, scale=three_runs, max_workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_count_does_not_change_results(
-        self, suite_datasets, tiny_scale, serial_suite, workers
+        self, suite_datasets, three_runs, serial_suite, workers
     ):
         parallel = run_suite(
-            suite_datasets,
-            SUITE_MODELS,
-            scale=tiny_scale,
-            n_runs=3,
-            max_workers=workers,
+            suite_datasets, SUITE_MODELS, scale=three_runs, max_workers=workers
         )
         assert_suites_identical(serial_suite, parallel)
         assert parallel.report.n_cells == len(suite_datasets) * len(SUITE_MODELS) * 3
 
-    def test_run_r_is_the_model_seeded_with_r(self, suite_datasets, serial_suite, tiny_scale):
+    def test_run_r_is_the_model_seeded_with_r(self, suite_datasets, serial_suite, three_runs):
         """Every cell fits the registry model seeded with its run index on
         the dataset's split with seed 7."""
         for name, dataset in suite_datasets.items():
             X_train, X_test, y_train, y_test = dataset.split(rng=7)
             for model in SUITE_MODELS:
                 expected = [
-                    build_model(model, run, tiny_scale).fit(X_train, y_train).score(X_test, y_test)
+                    build_model(model, run, three_runs).fit(X_train, y_train).score(X_test, y_test)
                     for run in range(3)
                 ]
                 assert serial_suite.results[name][model].accuracies.tolist() == expected
@@ -127,19 +125,18 @@ class TestEquivalence:
     @pytest.mark.slow
     def test_loader_source_equivalence(self, tiny_scale):
         """datasets=None runs the suite on ``load_datasets(scale)``."""
-        default = run_suite(None, SUITE_MODELS, scale=tiny_scale, n_runs=2)
+        default = run_suite(None, SUITE_MODELS, scale=tiny_scale)
         explicit = run_suite(
-            load_datasets(tiny_scale),
-            SUITE_MODELS,
-            scale=tiny_scale,
-            n_runs=2,
-            max_workers=2,
+            load_datasets(tiny_scale), SUITE_MODELS, scale=tiny_scale, max_workers=2
         )
         assert_suites_identical(default, explicit)
 
     def test_report_reflects_workers(self, suite_datasets, tiny_scale):
         suite = run_suite(
-            suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=4, max_workers=2
+            suite_datasets,
+            ("OnlineHD",),
+            scale=dataclasses.replace(tiny_scale, n_runs=4),
+            max_workers=2,
         )
         assert suite.report.max_workers == 2
         assert suite.report.n_computed == suite.report.n_cells
@@ -151,13 +148,23 @@ class TestEquivalence:
         """One cell runs in-process and a full replay computes none: either
         report says one worker, whatever pool was asked for."""
         grid = {"WESAD": suite_datasets["WESAD"]}
+        one_run = dataclasses.replace(tiny_scale, n_runs=1)
         for _ in range(2):  # compute, then replay from the store
             suite = run_suite(
-                grid, ("OnlineHD",), scale=tiny_scale, n_runs=1, max_workers=4, store=tmp_path
+                grid, ("OnlineHD",), scale=one_run, max_workers=4, store=tmp_path
             )
             assert suite.report.max_workers == 1
             assert "on 1 worker(s)" in suite.report.summary()
         assert suite.report.n_cached == 1
+
+    def test_report_counts_no_more_workers_than_cells(self, suite_datasets, tiny_scale):
+        """Two cells at ``max_workers=4`` run on, and report, two workers."""
+        suite = run_suite(
+            {"WESAD": suite_datasets["WESAD"]}, ("OnlineHD",), scale=tiny_scale, max_workers=4
+        )
+        assert suite.report.n_computed == 2
+        assert suite.report.max_workers == 2
+        assert "on 2 worker(s)" in suite.report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,7 @@ class TestResume:
         """A crash mid-suite loses only the in-flight cell; resume replays the rest."""
         import repro.runtime.cells as cells_module
 
-        baseline = run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2)
+        baseline = run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale)
         total = baseline.report.n_cells
 
         real_execute = cells_module.execute_cell
@@ -193,19 +200,12 @@ class TestResume:
         monkeypatch.setattr(cells_module, "execute_cell", dying_execute)
         store = ArtifactStore(tmp_path)
         with pytest.raises(_Bomb):
-            run_suite(
-                suite_datasets,
-                SUITE_MODELS,
-                scale=tiny_scale,
-                n_runs=2,
-                store=store,
-                max_workers=1,
-            )
+            run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale, store=store, max_workers=1)
         monkeypatch.setattr(cells_module, "execute_cell", real_execute)
         assert len(store) == 3  # every completed cell was checkpointed
 
         resumed = run_suite(
-            suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2, store=store
+            suite_datasets, SUITE_MODELS, scale=tiny_scale, store=store
         )
         assert resumed.report.n_cached == 3
         assert resumed.report.n_computed == total - 3
@@ -220,7 +220,6 @@ class TestResume:
             {"WESAD": suite_datasets["WESAD"]},
             SUITE_MODELS,
             scale=tiny_scale,
-            n_runs=2,
             store=store,
             max_workers=2,
         )
@@ -228,26 +227,39 @@ class TestResume:
         assert os.getpid() not in {cell.worker for cell in partial.report.cells}
 
         full = run_suite(
-            suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2, store=store,
+            suite_datasets, SUITE_MODELS, scale=tiny_scale, store=store,
             max_workers=1,
         )
         assert full.report.n_cached == 4
         assert full.report.n_computed == full.report.n_cells - 4
         assert [cell.cached for cell in full.report.cells] == [True] * 4 + [False] * 4
-        baseline = run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale, n_runs=2)
+        baseline = run_suite(suite_datasets, SUITE_MODELS, scale=tiny_scale)
         assert_suites_identical(baseline, full)
 
     def test_store_hits_require_identical_spec(
         self, suite_datasets, tiny_scale, tmp_path
     ):
         store = ArtifactStore(tmp_path)
-        run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, n_runs=2, store=store)
+        run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, store=store)
         # Another scale => other cells => no replays.
         other_scale = dataclasses.replace(tiny_scale, hd_epochs=tiny_scale.hd_epochs + 1)
         other = run_suite(
-            suite_datasets, ("OnlineHD",), scale=other_scale, n_runs=2, store=store
+            suite_datasets, ("OnlineHD",), scale=other_scale, store=store
         )
         assert other.report.n_cached == 0
+
+    def test_more_runs_replay_the_runs_already_stored(
+        self, suite_datasets, tiny_scale, tmp_path
+    ):
+        """The run count says how many cells there are, not what one computes."""
+        store = ArtifactStore(tmp_path)
+        run_suite(suite_datasets, ("OnlineHD",), scale=tiny_scale, store=store)
+        more = dataclasses.replace(tiny_scale, n_runs=3)
+        extended = run_suite(suite_datasets, ("OnlineHD",), scale=more, store=store)
+        assert [cell.cached for cell in extended.report.cells] == [True, True, False] * 2
+        assert_suites_identical(
+            run_suite(suite_datasets, ("OnlineHD",), scale=more), extended
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +509,14 @@ class TestParallelMap:
         assert resolve_max_workers("auto") >= 1
         monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
         assert resolve_max_workers(None) == 5
-        # A map of at most one item runs in-process whatever is asked.
-        assert [pool_size(None, n) for n in (0, 1, 2)] == [1, 1, 5]
-        assert [pool_size(4, n) for n in (0, 1, 2)] == [1, 1, 4]
+
+    def test_pool_size_is_capped_at_the_item_count(self, monkeypatch):
+        """A map of at most one item runs in-process whatever is asked, and
+        no map starts a worker it has no item for."""
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
+        assert [pool_size(None, n) for n in (0, 1, 2, 5, 9)] == [1, 1, 2, 5, 5]
+        assert [pool_size(4, n) for n in (0, 1, 2, 3, 4, 9)] == [1, 1, 2, 3, 4, 4]
+        assert pool_size(1, 9) == 1
 
 
 class TestRunReport:
